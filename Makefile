@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-allocs bench-symmetry bench-spill bench-adjacency bench-shards bench-incremental test-spill test-server run-boostd lint vet analyze fmt-check fmt vuln apidiff-baseline apidiff
+.PHONY: all build test race bench bench-quick bench-allocs bench-symmetry bench-spill bench-adjacency bench-shards bench-incremental test-spill test-server run-boostd lint vet analyze fmt-check fmt vuln apidiff-baseline apidiff
 
 all: build lint test
 
@@ -12,14 +12,24 @@ test:
 
 # The race job is what proves the parallel exploration engine correct:
 # worker-pool BFS, lock-striped dedup and the atomic valence sweep all run
-# under the race detector.
+# under the race detector. The second line fills one System's cell tables
+# and transition memo from four goroutines at once; interleavings differ per
+# run, so it is repeated.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestConcurrentApply' ./internal/system
 
 # Benchmark smoke run: every benchmark once, no timing rigour. Use
 # `$(GO) test -bench=. -benchmem ./...` for real measurements.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
+
+# The time-to-verdict harness (bench/README.md) in smoke mode: 1 s per
+# workload, numbers not comparable — but every op of all four workloads is
+# checked against bench/expected.json, so a wrong verdict, count or cache
+# state fails here. `$(GO) run ./bench` is the full run.
+bench-quick:
+	$(GO) run ./bench -quick
 
 # Allocation accounting for the exploration stack: the E22–E24 engine
 # comparisons, the E25 fingerprint-encoder comparison, the E26 state

@@ -519,6 +519,10 @@ func BenchmarkRunBatchWorkers(b *testing.B) {
 // BenchmarkFingerprint (E25) compares the string fingerprint builder with
 // the append-style byte encoder that the interned exploration engines use:
 // same bytes, but the append form reuses one buffer and allocates nothing.
+// The after-apply rows take a state two rounds of Apply into a run, with
+// several buffers in flight: "append" copies the encodings cached in the
+// state's interned cells (E32) and must stay at 0 allocs/op, "reencode" runs
+// the component encoders the way every successor did before interning.
 func BenchmarkFingerprint(b *testing.B) {
 	sys := mustForward(b, 3, 1, service.Adversarial)
 	st := sys.InitialState()
@@ -536,6 +540,34 @@ func BenchmarkFingerprint(b *testing.B) {
 		buf := make([]byte, 0, 1024)
 		for i := 0; i < b.N; i++ {
 			buf = sys.AppendFingerprint(buf[:0], st)
+		}
+	})
+	for round := 0; round < 2; round++ {
+		for _, task := range sys.Tasks() {
+			if next, _, err := sys.Apply(st, task); err == nil {
+				st = next
+			}
+		}
+	}
+	b.Run("after-apply/append", func(b *testing.B) {
+		b.ReportAllocs()
+		buf := make([]byte, 0, 1024)
+		for i := 0; i < b.N; i++ {
+			buf = sys.AppendFingerprint(buf[:0], st)
+		}
+	})
+	b.Run("after-apply/reencode", func(b *testing.B) {
+		b.ReportAllocs()
+		procs, svcs := sys.ComponentStates(st)
+		buf := make([]byte, 0, 1024)
+		for i := 0; i < b.N; i++ {
+			buf = buf[:0]
+			for _, ps := range procs {
+				buf = ps.AppendFingerprint(buf)
+			}
+			for _, ss := range svcs {
+				buf = ss.AppendFingerprint(buf)
+			}
 		}
 	})
 }

@@ -267,19 +267,30 @@ func ParseSetCanonical(s string) ([]string, error) {
 
 // matchPair returns the index just past the pair encoding at the front of s,
 // or -1 if s does not start with a well-formed pair.
-func matchPair(s string) int {
-	if len(s) == 0 || s[0] != '(' {
+func matchPair(s string) int { return frameLen(s, '(', ')', 2) }
+
+// TupleLen returns the length of the tuple encoding at the front of s — '['
+// followed by n atoms and ']', the frame of the process and service state
+// encodings — or -1 if s does not start with one. Only the frame is
+// scanned: the atoms' contents are skipped by their length prefixes, not
+// decoded.
+func TupleLen(s string, n int) int { return frameLen(s, '[', ']', n) }
+
+// frameLen returns the length of the prefix of s made of the open byte, n
+// atoms and the close byte, or -1 if s does not start with one.
+func frameLen(s string, open, close byte, n int) int {
+	if len(s) == 0 || s[0] != open {
 		return -1
 	}
 	rest := s[1:]
-	for range [2]int{} {
+	for i := 0; i < n; i++ {
 		_, r, err := ParseAtom(rest)
 		if err != nil {
 			return -1
 		}
 		rest = r
 	}
-	if len(rest) == 0 || rest[0] != ')' {
+	if len(rest) == 0 || rest[0] != close {
 		return -1
 	}
 	return len(s) - len(rest) + 1

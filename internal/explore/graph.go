@@ -403,8 +403,12 @@ func (g *Graph) computeMasks() {
 
 func ownMask(sys *system.System, st system.State) uint8 {
 	var m uint8
-	for _, v := range sys.Decisions(st) {
-		switch v {
+	for slot := range sys.ProcessIDs() {
+		ps := st.Proc(slot)
+		if !ps.HasDec {
+			continue
+		}
+		switch ps.Decided {
 		case "0":
 			m |= maskZero
 		case "1":

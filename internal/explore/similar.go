@@ -1,21 +1,10 @@
 package explore
 
 import (
-	"bytes"
-	"sync"
-
 	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/servicetype"
 	"github.com/ioa-lab/boosting/internal/system"
 )
-
-// fpPair is a pooled pair of fingerprint scratch buffers: the similarity
-// predicates run inside refutation inner loops (once per process pair per
-// hook candidate), so component comparisons encode into reused buffers
-// instead of materializing a fingerprint string per component per call.
-type fpPair struct{ a, b []byte }
-
-var fpPairs = sync.Pool{New: func() any { return &fpPair{a: make([]byte, 0, 512), b: make([]byte, 0, 512)} }}
 
 // SimilarityOptions configures the similarity notions. The Theorem 10
 // variant ignores general (failure-aware) services entirely: their states
@@ -29,24 +18,17 @@ type SimilarityOptions struct {
 // same value and, for endpoints other than j, the same buffers. Under the
 // Theorem 10 variant, general services are unconstrained.
 func JSimilar(sys *system.System, s0, s1 system.State, j int, opt SimilarityOptions) bool {
-	bufs := fpPairs.Get().(*fpPair)
-	defer fpPairs.Put(bufs)
-	for _, i := range sys.ProcessIDs() {
-		if i == j {
-			continue
-		}
-		bufs.a = sys.ProcState(s0, i).AppendFingerprint(bufs.a[:0])
-		bufs.b = sys.ProcState(s1, i).AppendFingerprint(bufs.b[:0])
-		if !bytes.Equal(bufs.a, bufs.b) {
+	for slot, i := range sys.ProcessIDs() {
+		if i != j && s0.ProcEncoding(slot) != s1.ProcEncoding(slot) {
 			return false
 		}
 	}
-	for _, c := range sys.ServiceIDs() {
+	for slot, c := range sys.ServiceIDs() {
 		sv := sys.Service(c)
 		if opt.IgnoreGeneralServices && sv.Type().Class == servicetype.General {
 			continue
 		}
-		st0, st1 := sys.SvcState(s0, c), sys.SvcState(s1, c)
+		st0, st1 := s0.Svc(slot), s1.Svc(slot)
 		if st0.Val != st1.Val {
 			return false
 		}
@@ -67,26 +49,19 @@ func JSimilar(sys *system.System, s0, s1 system.State, j int, opt SimilarityOpti
 // same state. Under the Theorem 10 variant, general services are
 // unconstrained.
 func KSimilar(sys *system.System, s0, s1 system.State, k string, opt SimilarityOptions) bool {
-	bufs := fpPairs.Get().(*fpPair)
-	defer fpPairs.Put(bufs)
-	for _, i := range sys.ProcessIDs() {
-		bufs.a = sys.ProcState(s0, i).AppendFingerprint(bufs.a[:0])
-		bufs.b = sys.ProcState(s1, i).AppendFingerprint(bufs.b[:0])
-		if !bytes.Equal(bufs.a, bufs.b) {
+	for slot := range sys.ProcessIDs() {
+		if s0.ProcEncoding(slot) != s1.ProcEncoding(slot) {
 			return false
 		}
 	}
-	for _, c := range sys.ServiceIDs() {
+	for slot, c := range sys.ServiceIDs() {
 		if c == k {
 			continue
 		}
-		sv := sys.Service(c)
-		if opt.IgnoreGeneralServices && sv.Type().Class == servicetype.General {
+		if opt.IgnoreGeneralServices && sys.Service(c).Type().Class == servicetype.General {
 			continue
 		}
-		bufs.a = sys.SvcState(s0, c).AppendFingerprint(bufs.a[:0])
-		bufs.b = sys.SvcState(s1, c).AppendFingerprint(bufs.b[:0])
-		if !bytes.Equal(bufs.a, bufs.b) {
+		if s0.SvcEncoding(slot) != s1.SvcEncoding(slot) {
 			return false
 		}
 	}
@@ -136,11 +111,7 @@ func TasksCommute(sys *system.System, st system.State, e, ePrime ioa.Task) bool 
 	if err4 != nil {
 		return false
 	}
-	bufs := fpPairs.Get().(*fpPair)
-	defer fpPairs.Put(bufs)
-	bufs.a = sys.AppendFingerprint(bufs.a[:0], a2)
-	bufs.b = sys.AppendFingerprint(bufs.b[:0], b2)
-	return bytes.Equal(bufs.a, bufs.b)
+	return a2.Equal(b2)
 }
 
 // ParticipantsDisjoint reports whether the participant sets of the actions

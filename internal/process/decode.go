@@ -78,6 +78,14 @@ func ParseStatePrefix(s string) (State, string, error) {
 	return st, rest, nil
 }
 
+// StatePrefixLen returns the length of the process state encoding at the
+// front of s, found by scanning its frame without decoding it, or -1 if s
+// does not start with the frame of one. For a canonical encoding this is
+// exactly what ParseStatePrefix consumes, which lets a caller that caches
+// decoded states look one up by s[:n] and decode only on a miss; the prefix
+// is not validated beyond its frame.
+func StatePrefixLen(s string) int { return codec.TupleLen(s, 4) }
+
 // parseAtomFull decodes a single atom that must consume its entire input.
 func parseAtomFull(s string) (string, error) {
 	v, rest, err := codec.ParseAtom(s)

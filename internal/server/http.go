@@ -73,9 +73,16 @@ type SubmitResponse struct {
 	Cached CacheState `json:"cached"`
 }
 
-// handleSubmit validates and enqueues (or cache-resolves) a job.
+// maxRequestBytes bounds a POST /v1/jobs body. A request names a registry
+// protocol, a few integers and at most one input per process, so 1 MiB is
+// orders of magnitude above any valid body.
+const maxRequestBytes = 1 << 20
+
+// handleSubmit validates and enqueues (or cache-resolves) a job. A body over
+// maxRequestBytes fails the decode and is answered like any other malformed
+// request.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	var req Request
 	if err := dec.Decode(&req); err != nil {

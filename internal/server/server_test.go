@@ -124,6 +124,33 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitOversizedBody: the submit decoder reads at most 1 MiB. A 2 MiB
+// body — well-formed JSON all the way, so only the bound can stop it — is
+// answered with the typed bad-request payload, and nothing is queued.
+func TestSubmitOversizedBody(t *testing.T) {
+	srv, ts := newTestServer(t, server.Config{Pool: 1})
+	body := `{"protocol": "forward", "n": 3, "f": 0, "analysis": "explore", "inputs": {"0": "` +
+		strings.Repeat("1", 2<<20) + `"}}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	var payload map[string]*server.ErrorPayload
+	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
+		t.Fatal(err)
+	}
+	if e := payload["error"]; e == nil || e.Kind != "bad-request" || !strings.Contains(e.Message, "request body too large") {
+		t.Errorf("error payload %+v, want kind bad-request naming the oversized body", e)
+	}
+	if st := srv.CacheStats(); st.Misses != 0 || srv.Explorations() != 0 {
+		t.Errorf("oversized submission reached the queue: %+v, %d explorations", st, srv.Explorations())
+	}
+}
+
 // TestClassifyGoldenAndCacheHit: a classify job reproduces the engine's
 // golden forward n=3 counts; resubmitting the identical request is served
 // from cache — same job id, hit counter up, zero new explorations.

@@ -318,19 +318,32 @@ func (c *Canonicalizer) Canonical(st system.State) system.State {
 }
 
 // canonicalEnumerated scans the precomputed group for the least permuted
-// fingerprint (general path: specs with rename/rewrite hooks).
+// fingerprint (general path: specs with rename/rewrite hooks). Candidates
+// are encoded straight from their rewritten components; only the winner is
+// interned into a State, so the losing renamings leave no cells behind.
 func (c *Canonicalizer) canonicalEnumerated(st system.State, sc *scratch) system.State {
-	best := st
+	best := -1
+	var bestProcs []process.State
+	var bestSvcs []service.State
 	sc.best = c.sys.AppendFingerprint(sc.best[:0], st)
 	for i := 1; i < len(c.perms); i++ {
-		cand := c.apply(st, c.perms[i], c.svcMaps[i])
-		sc.cand = c.sys.AppendFingerprint(sc.cand[:0], cand)
+		procs, svcs := c.permuted(st, c.perms[i], c.svcMaps[i])
+		sc.cand = sc.cand[:0]
+		for j := range procs {
+			sc.cand = procs[j].AppendFingerprint(sc.cand)
+		}
+		for j := range svcs {
+			sc.cand = svcs[j].AppendFingerprint(sc.cand)
+		}
 		if bytes.Compare(sc.cand, sc.best) < 0 {
-			best = cand
+			best, bestProcs, bestSvcs = i, procs, svcs
 			sc.best, sc.cand = sc.cand, sc.best
 		}
 	}
-	return best
+	if best < 0 {
+		return st
+	}
+	return c.stateOf(bestProcs, bestSvcs)
 }
 
 // canonicalSorted is the pure-spec fast path: sort each orbit by invariant
@@ -349,7 +362,6 @@ func (c *Canonicalizer) canonicalEnumerated(st system.State, sc *scratch) system
 // outside appendKey, that completeness argument — and this shortcut —
 // breaks; extend the key with it.
 func (c *Canonicalizer) canonicalSorted(st system.State, sc *scratch) system.State {
-	procs, svcs := c.sys.ComponentStates(st)
 	for i := range sc.perm {
 		sc.perm[i] = i
 	}
@@ -360,7 +372,7 @@ func (c *Canonicalizer) canonicalSorted(st system.State, sc *scratch) system.Sta
 		ranked := sc.ranked[:len(orbit)]
 		copy(ranked, orbit)
 		for _, slot := range orbit {
-			sc.key[slot] = c.appendKey(sc.key[slot][:0], slot, procs, svcs)
+			sc.key[slot] = c.appendKey(sc.key[slot][:0], slot, st)
 		}
 		sort.SliceStable(ranked, func(a, b int) bool {
 			return bytes.Compare(sc.key[ranked[a]], sc.key[ranked[b]]) < 0
@@ -375,21 +387,25 @@ func (c *Canonicalizer) canonicalSorted(st system.State, sc *scratch) system.Sta
 	if identity {
 		return st
 	}
-	return c.apply(st, sc.perm, nil)
+	// A pure renaming moves process components whole, so their interned
+	// cells are carried over by encoding; only the services, whose buffers
+	// are re-keyed, are rebuilt.
+	return c.sys.Permuted(st, sc.perm, c.permutedSvcs(st, c.idPerm(sc.perm), nil))
 }
 
 // appendKey appends slot's invariant sort key: the process component
-// fingerprint followed by the process's slice of every service state — its
-// invocation and response buffers and failed-set membership, in fixed
-// service order. For pure specs none of this content depends on process
-// ids, so keys are equivariant under the group action.
-func (c *Canonicalizer) appendKey(dst []byte, slot int, procs []process.State, svcs []service.State) []byte {
-	dst = procs[slot].AppendFingerprint(dst)
+// fingerprint (cached in the state) followed by the process's slice of
+// every service state — its invocation and response buffers and failed-set
+// membership, in fixed service order. For pure specs none of this content
+// depends on process ids, so keys are equivariant under the group action.
+func (c *Canonicalizer) appendKey(dst []byte, slot int, st system.State) []byte {
+	dst = append(dst, st.ProcEncoding(slot)...)
 	id := c.procIDs[slot]
-	for i := range svcs {
-		dst = codec.AppendList(dst, svcs[i].Inv[id])
-		dst = codec.AppendList(dst, svcs[i].Resp[id])
-		if svcs[i].Failed.Has(id) {
+	for i := range c.svcIDs {
+		ss := st.Svc(i)
+		dst = codec.AppendList(dst, ss.Inv[id])
+		dst = codec.AppendList(dst, ss.Resp[id])
+		if ss.Failed.Has(id) {
 			dst = append(dst, 'F')
 		} else {
 			dst = append(dst, '.')
@@ -401,24 +417,40 @@ func (c *Canonicalizer) appendKey(dst []byte, slot int, procs []process.State, s
 // apply builds π(st) for the slot permutation p. svcMap gives the induced
 // service-slot relabelling (nil = all service slots fixed, the pure case).
 func (c *Canonicalizer) apply(st system.State, p []int, svcMap []int) system.State {
-	procs, svcs := c.sys.ComponentStates(st)
-	idPerm := c.idPerm(p)
-	newProcs := make([]process.State, len(procs))
-	for slot := range procs {
-		newProcs[p[slot]] = c.rewriteProc(procs[slot], idPerm)
+	return c.stateOf(c.permuted(st, p, svcMap))
+}
+
+func (c *Canonicalizer) stateOf(procs []process.State, svcs []service.State) system.State {
+	out, err := c.sys.StateOf(procs, svcs)
+	if err != nil {
+		// Unreachable: the slices are sized from the system's own layout.
+		panic(err)
 	}
-	newSvcs := make([]service.State, len(svcs))
-	for slot := range svcs {
+	return out
+}
+
+// permuted returns the components of π(st): slot's process state, with its
+// outbox relabelled, lands in slot p[slot], and the services are relabelled
+// and moved as permutedSvcs describes.
+func (c *Canonicalizer) permuted(st system.State, p []int, svcMap []int) ([]process.State, []service.State) {
+	idPerm := c.idPerm(p)
+	procs := make([]process.State, len(p))
+	for slot := range p {
+		procs[p[slot]] = c.rewriteProc(st.Proc(slot), idPerm)
+	}
+	return procs, c.permutedSvcs(st, idPerm, svcMap)
+}
+
+// permutedSvcs returns the service components of π(st), each relabelled and
+// moved to the slot svcMap assigns it (nil = all service slots fixed).
+func (c *Canonicalizer) permutedSvcs(st system.State, idPerm func(int) int, svcMap []int) []service.State {
+	out := make([]service.State, len(c.svcIDs))
+	for slot, k := range c.svcIDs {
 		target := slot
 		if svcMap != nil {
 			target = svcMap[slot]
 		}
-		newSvcs[target] = c.rewriteSvc(c.svcIDs[slot], svcs[slot], idPerm)
-	}
-	out, err := c.sys.StateOf(newProcs, newSvcs)
-	if err != nil {
-		// Unreachable: the slices are sized from the system's own layout.
-		panic(err)
+		out[target] = c.rewriteSvc(k, st.Svc(slot), idPerm)
 	}
 	return out
 }

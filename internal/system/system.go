@@ -35,11 +35,15 @@ var (
 	ErrNotApplicable  = errors.New("system: task not applicable")
 )
 
-// System is the (immutable) structure of a complete system C: its processes
-// and services and the derived task list. All mutable data lives in State.
+// System is a complete system C: its processes and services, the derived
+// task list, and the tables of interned component states every State of
+// this System points into. The composition is fixed at New; the tables only
+// grow, one cell per distinct component state the System has produced or
+// decoded, and live as long as the System does. A System is safe for
+// concurrent use.
 //
 // Component order is fixed at composition: processes in ascending id order,
-// services in sorted index order. States store one component state per slot
+// services in sorted index order. States store one component cell per slot
 // of that order, and procIdx/svcIdx translate external ids to slots.
 type System struct {
 	procs   map[int]*process.Process
@@ -49,6 +53,11 @@ type System struct {
 	svcIDs  []string
 	svcIdx  map[string]int
 	tasks   []ioa.Task
+	// procSlots and svcSlots hold, per slot, the automaton and its cell
+	// table. Cells point back at their slot, so the slices are sized once
+	// in New and never reallocated.
+	procSlots []procSlot
+	svcSlots  []svcSlot
 }
 
 // New composes processes and services into a complete system. Every service
@@ -80,12 +89,16 @@ func New(procs []*process.Process, svcs []*service.Service) (*System, error) {
 	}
 	sort.Strings(s.svcIDs)
 	s.procIdx = make(map[int]int, len(s.procIDs))
+	s.procSlots = make([]procSlot, len(s.procIDs))
 	for i, id := range s.procIDs {
 		s.procIdx[id] = i
+		s.procSlots[i].p = s.procs[id]
 	}
 	s.svcIdx = make(map[string]int, len(s.svcIDs))
+	s.svcSlots = make([]svcSlot, len(s.svcIDs))
 	for i, k := range s.svcIDs {
 		s.svcIdx[k] = i
+		s.svcSlots[i].sv = s.svcs[k]
 	}
 
 	// Fixed task enumeration: process tasks in id order, then service tasks
@@ -118,62 +131,176 @@ func (s *System) Process(i int) *process.Process { return s.procs[i] }
 // order. Shared slice — do not modify.
 func (s *System) Tasks() []ioa.Task { return s.tasks }
 
-// State is a state of the composed system: one component state per process
-// and per service, index-addressed over the system's fixed component order
-// (processes by ascending id, services by sorted index). The flat layout
-// keeps states a pair of slice headers — cheap to snapshot during
-// exploration — and lets fingerprinting walk components without map lookups.
-// States are immutable by convention: transitions return fresh states whose
-// slices are copied, while untouched component states are shared.
+// CellCounts returns how many distinct component states the System has
+// interned so far, per process slot and per service slot of the component
+// order. The transition memo pays off when these stay far below the number
+// of system states times components (EXPERIMENTS.md E32).
+func (s *System) CellCounts() (procs, svcs []int) {
+	procs = make([]int, len(s.procSlots))
+	for i := range s.procSlots {
+		procs[i] = s.procSlots[i].len()
+	}
+	svcs = make([]int, len(s.svcSlots))
+	for i := range s.svcSlots {
+		svcs[i] = s.svcSlots[i].len()
+	}
+	return procs, svcs
+}
+
+// State is a state of the composed system: one interned component cell per
+// process and per service, index-addressed over the system's fixed component
+// order (processes by ascending id, services by sorted index). A cell holds
+// the immutable component state, its canonical encoding and the memoized
+// transitions out of it, and is shared by every State in which that
+// component is in that state — a successor differs from its parent in at
+// most two cells (Section 2.2.3: every non-fail action has at most two
+// participants), so a transition copies the pointer slices it touches and
+// shares the rest. Cell identity is an implementation detail: it never
+// reaches fingerprints, IDs or reports, and two States are the same state
+// exactly when their fingerprints are equal.
 type State struct {
-	procs []process.State
-	svcs  []service.State
+	procs []*procCell
+	svcs  []*svcCell
+}
+
+// Proc returns the process component in the given slot of the component
+// order.
+func (st State) Proc(slot int) process.State { return st.procs[slot].st }
+
+// Svc returns the service component in the given slot of the component
+// order.
+func (st State) Svc(slot int) service.State { return st.svcs[slot].st }
+
+// ProcEncoding returns the canonical encoding of the process component in
+// the given slot — the bytes Proc(slot).AppendFingerprint would write,
+// computed once when the component state was interned.
+func (st State) ProcEncoding(slot int) string { return st.procs[slot].enc }
+
+// SvcEncoding is ProcEncoding for the service component in the given slot.
+func (st State) SvcEncoding(slot int) string { return st.svcs[slot].enc }
+
+// Equal reports whether st and other are the same state of one component
+// layout, i.e. whether their fingerprints are equal, by comparing the
+// cached component encodings.
+func (st State) Equal(other State) bool {
+	if len(st.procs) != len(other.procs) || len(st.svcs) != len(other.svcs) {
+		return false
+	}
+	for i, c := range st.procs {
+		if c != other.procs[i] && c.enc != other.procs[i].enc {
+			return false
+		}
+	}
+	for i, c := range st.svcs {
+		if c != other.svcs[i] && c.enc != other.svcs[i].enc {
+			return false
+		}
+	}
+	return true
+}
+
+// withProc returns st with the process cell of one slot replaced
+// (copy-on-write).
+func (st State) withProc(slot int, c *procCell) State {
+	procs := make([]*procCell, len(st.procs))
+	copy(procs, st.procs)
+	procs[slot] = c
+	return State{procs: procs, svcs: st.svcs}
+}
+
+// withSvc returns st with the service cell of one slot replaced.
+func (st State) withSvc(slot int, c *svcCell) State {
+	svcs := make([]*svcCell, len(st.svcs))
+	copy(svcs, st.svcs)
+	svcs[slot] = c
+	return State{procs: st.procs, svcs: svcs}
 }
 
 // InitialState returns the start state of C.
 func (s *System) InitialState() State {
 	st := State{
-		procs: make([]process.State, len(s.procIDs)),
-		svcs:  make([]service.State, len(s.svcIDs)),
+		procs: make([]*procCell, len(s.procSlots)),
+		svcs:  make([]*svcCell, len(s.svcSlots)),
 	}
-	for i, id := range s.procIDs {
-		st.procs[i] = s.procs[id].InitialState()
+	for i := range s.procSlots {
+		sl := &s.procSlots[i]
+		st.procs[i] = sl.intern(sl.p.InitialState())
 	}
-	for i, k := range s.svcIDs {
-		st.svcs[i] = s.svcs[k].InitialState()
+	for i := range s.svcSlots {
+		sl := &s.svcSlots[i]
+		st.svcs[i] = sl.intern(sl.sv.InitialState())
 	}
 	return st
 }
 
-// ComponentStates returns the process and service component slices of st in
+// ComponentStates returns the process and service component states of st in
 // the system's fixed component order (processes by ascending id, services by
-// sorted index). The slices are shared with st — callers must not modify
-// them. This is the read face of StateOf, used by the symmetry layer to
-// permute states without going through per-component accessors.
+// sorted index), in freshly allocated slices. This is the read face of
+// StateOf.
 func (s *System) ComponentStates(st State) ([]process.State, []service.State) {
-	return st.procs, st.svcs
+	procs := make([]process.State, len(st.procs))
+	for i, c := range st.procs {
+		procs[i] = c.st
+	}
+	svcs := make([]service.State, len(st.svcs))
+	for i, c := range st.svcs {
+		svcs[i] = c.st
+	}
+	return procs, svcs
 }
 
-// StateOf assembles a State from component slices in the system's fixed
-// component order. The slices are retained (not copied); callers hand over
-// ownership. Lengths must match the system's component counts.
+// StateOf assembles a State from component states in the system's fixed
+// component order, interning each one (one encode and one table lookup per
+// component). The component values are retained by the cells they create;
+// callers must not modify them afterwards. Lengths must match the system's
+// component counts.
 func (s *System) StateOf(procs []process.State, svcs []service.State) (State, error) {
-	if len(procs) != len(s.procIDs) || len(svcs) != len(s.svcIDs) {
+	if len(procs) != len(s.procSlots) || len(svcs) != len(s.svcSlots) {
 		return State{}, fmt.Errorf("system: StateOf got %d/%d components, want %d/%d",
-			len(procs), len(svcs), len(s.procIDs), len(s.svcIDs))
+			len(procs), len(svcs), len(s.procSlots), len(s.svcSlots))
 	}
-	return State{procs: procs, svcs: svcs}, nil
+	st := State{
+		procs: make([]*procCell, len(procs)),
+		svcs:  make([]*svcCell, len(svcs)),
+	}
+	for i := range procs {
+		st.procs[i] = s.procSlots[i].intern(procs[i])
+	}
+	for i := range svcs {
+		st.svcs[i] = s.svcSlots[i].intern(svcs[i])
+	}
+	return st, nil
+}
+
+// Permuted returns the State holding st's process component of slot i in
+// slot to[i], and the given service components. It is the symmetry layer's
+// constructor for renamings that move process states whole: a moved
+// component is found in the target slot's table by its cached encoding (one
+// lookup, no encode), while the service components — whose per-endpoint
+// buffers a renaming re-keys — are interned like StateOf's. to must be a
+// permutation of the process slots and svcs one state per service slot.
+func (s *System) Permuted(st State, to []int, svcs []service.State) State {
+	out := State{
+		procs: make([]*procCell, len(st.procs)),
+		svcs:  make([]*svcCell, len(svcs)),
+	}
+	for slot, c := range st.procs {
+		out.procs[to[slot]] = s.procSlots[to[slot]].adopt(c)
+	}
+	for i := range svcs {
+		out.svcs[i] = s.svcSlots[i].intern(svcs[i])
+	}
+	return out
 }
 
 // ProcState returns the component state of process id, or the zero state if
-// id is not a process of the system (mirroring map indexing on the old
-// map-keyed layout).
+// id is not a process of the system.
 func (s *System) ProcState(st State, id int) process.State {
 	idx, ok := s.procIdx[id]
 	if !ok {
 		return process.State{}
 	}
-	return st.procs[idx]
+	return st.procs[idx].st
 }
 
 // SvcState returns the component state of service k, or the zero state if k
@@ -183,7 +310,7 @@ func (s *System) SvcState(st State, k string) service.State {
 	if !ok {
 		return service.State{}
 	}
-	return st.svcs[idx]
+	return st.svcs[idx].st
 }
 
 // Fingerprint returns the canonical encoding of the system state, composed
@@ -193,63 +320,51 @@ func (s *System) Fingerprint(st State) string {
 }
 
 // AppendFingerprint appends the canonical encoding of st to dst and returns
-// the extended buffer — byte-identical to Fingerprint. This is the hot path
-// of graph exploration: callers reuse one buffer per goroutine
-// (buf = sys.AppendFingerprint(buf[:0], st)) and intern the bytes, so
-// fingerprinting a state costs no allocation beyond map-key sorting inside
-// component encodings.
+// the extended buffer — byte-identical to Fingerprint, and to concatenating
+// the component automata's own AppendFingerprint output. This is the hot
+// path of graph exploration: callers reuse one buffer per goroutine
+// (buf = sys.AppendFingerprint(buf[:0], st)) and intern the bytes. Each
+// component was encoded once, when its cell was interned, so fingerprinting
+// a state copies the cached encodings and allocates nothing. The encoding
+// does not depend on which System's cells st points into.
 func (s *System) AppendFingerprint(dst []byte, st State) []byte {
-	for i := range st.procs {
-		dst = st.procs[i].AppendFingerprint(dst)
+	for _, c := range st.procs {
+		dst = append(dst, c.enc...)
 	}
-	for i := range st.svcs {
-		dst = st.svcs[i].AppendFingerprint(dst)
+	for _, c := range st.svcs {
+		dst = append(dst, c.enc...)
 	}
 	return dst
 }
 
-// withProc returns st with process i's state replaced (copy-on-write).
-func (s *System) withProc(st State, i int, ps process.State) State {
-	procs := make([]process.State, len(st.procs))
-	copy(procs, st.procs)
-	procs[s.procIdx[i]] = ps
-	return State{procs: procs, svcs: st.svcs}
-}
-
-// withSvc returns st with service k's state replaced.
-func (s *System) withSvc(st State, k string, ss service.State) State {
-	svcs := make([]service.State, len(st.svcs))
-	copy(svcs, st.svcs)
-	svcs[s.svcIdx[k]] = ss
-	return State{procs: st.procs, svcs: svcs}
-}
-
 // Init delivers the external input init(v)_i.
 func (s *System) Init(st State, i int, v string) (State, ioa.Action, error) {
-	p, ok := s.procs[i]
+	slot, ok := s.procIdx[i]
 	if !ok {
 		return st, ioa.Action{}, fmt.Errorf("%w: %d", ErrUnknownProcess, i)
 	}
-	next := s.withProc(st, i, p.OnInit(s.ProcState(st, i), v))
+	sl := &s.procSlots[slot]
+	next := st.withProc(slot, sl.intern(sl.p.OnInit(st.procs[slot].st, v)))
 	return next, ioa.Action{Type: ioa.ActInit, Proc: i, Payload: v}, nil
 }
 
 // Fail delivers the input fail_i: it fails P_i and is simultaneously an
 // input of every service with endpoint i (Section 2.2.3).
 func (s *System) Fail(st State, i int) (State, ioa.Action, error) {
-	p, ok := s.procs[i]
+	slot, ok := s.procIdx[i]
 	if !ok {
 		return st, ioa.Action{}, fmt.Errorf("%w: %d", ErrUnknownProcess, i)
 	}
-	next := s.withProc(st, i, p.Fail(s.ProcState(st, i)))
-	svcs := make([]service.State, len(next.svcs))
-	copy(svcs, next.svcs)
-	for idx, k := range s.svcIDs {
-		if sv := s.svcs[k]; sv.HasEndpoint(i) {
-			svcs[idx] = sv.Fail(svcs[idx], i)
+	sl := &s.procSlots[slot]
+	next := st.withProc(slot, sl.intern(sl.p.Fail(st.procs[slot].st)))
+	svcs := make([]*svcCell, len(st.svcs))
+	copy(svcs, st.svcs)
+	for idx := range s.svcSlots {
+		if ssl := &s.svcSlots[idx]; ssl.sv.HasEndpoint(i) {
+			svcs[idx] = ssl.intern(ssl.sv.Fail(svcs[idx].st, i))
 		}
 	}
-	next = State{procs: next.procs, svcs: svcs}
+	next.svcs = svcs
 	return next, ioa.Action{Type: ioa.ActFail, Proc: i}, nil
 }
 
@@ -276,30 +391,37 @@ func (s *System) Enabled(st State, task ioa.Task) (ioa.Action, bool) {
 }
 
 // Applicable reports whether the task has an enabled action in st
-// (the applicability notion of Lemma 1).
+// (the applicability notion of Lemma 1). The answer is a function of the one
+// component that owns the task, so it is memoized in that component's cell.
 func (s *System) Applicable(st State, task ioa.Task) bool {
-	_, ok := s.Enabled(st, task)
-	return ok
+	switch task.Kind {
+	case ioa.TaskProcess:
+		// The process task is always applicable (dummy step at worst).
+		_, ok := s.procIdx[task.Proc]
+		return ok
+	case ioa.TaskPerform, ioa.TaskOutput, ioa.TaskCompute:
+		svc, ok := s.svcIdx[task.Service]
+		return ok && s.svcSlots[svc].applicable(st.svcs[svc], task)
+	default:
+		return false
+	}
 }
 
 // Apply runs one task of the composed system, performing the matched
-// transitions of all participants of the resulting action.
+// transitions of all participants of the resulting action. The automata are
+// deterministic (Section 3.1: one transition per task per state), so each
+// participant's transition is looked up in the memo of its cell and computed
+// by the component automaton only the first time that cell takes it; the
+// successor shares every cell the action did not touch. st may point into
+// another System's cells (Recheck decodes with the base system and applies
+// the variant's tasks): the participants are re-homed into this System's
+// tables first, so the transition taken is always this System's.
 func (s *System) Apply(st State, task ioa.Task) (State, ioa.Action, error) {
 	switch task.Kind {
 	case ioa.TaskProcess:
 		return s.applyProcess(st, task)
-	case ioa.TaskPerform, ioa.TaskCompute:
-		sv, ok := s.svcs[task.Service]
-		if !ok {
-			return st, ioa.Action{}, fmt.Errorf("%w: %s", ErrUnknownService, task.Service)
-		}
-		ss, act, err := sv.Apply(s.SvcState(st, task.Service), task)
-		if err != nil {
-			return st, ioa.Action{}, err
-		}
-		return s.withSvc(st, task.Service, ss), act, nil
-	case ioa.TaskOutput:
-		return s.applyOutput(st, task)
+	case ioa.TaskPerform, ioa.TaskCompute, ioa.TaskOutput:
+		return s.applyService(st, task)
 	default:
 		return st, ioa.Action{}, fmt.Errorf("%w: %v", ErrNotApplicable, task)
 	}
@@ -308,47 +430,56 @@ func (s *System) Apply(st State, task ioa.Task) (State, ioa.Action, error) {
 // applyProcess runs a process task. If the emitted action is an invocation,
 // the target service takes the matching input transition in the same step.
 func (s *System) applyProcess(st State, task ioa.Task) (State, ioa.Action, error) {
-	p, ok := s.procs[task.Proc]
+	slot, ok := s.procIdx[task.Proc]
 	if !ok {
 		return st, ioa.Action{}, fmt.Errorf("%w: %d", ErrUnknownProcess, task.Proc)
 	}
-	ps, act := p.Step(s.ProcState(st, task.Proc))
-	next := s.withProc(st, task.Proc, ps)
-	if act.Type == ioa.ActInvoke {
-		sv, ok := s.svcs[act.Service]
-		if !ok {
-			return st, ioa.Action{}, fmt.Errorf("%w: %s (invoked by P%d)", ErrUnknownService, act.Service, task.Proc)
-		}
-		ss, err := sv.Invoke(s.SvcState(next, act.Service), task.Proc, act.Payload)
-		if err != nil {
-			return st, ioa.Action{}, fmt.Errorf("P%d invoking %s: %w", task.Proc, act.Service, err)
-		}
-		next = s.withSvc(next, act.Service, ss)
+	e := s.procSlots[slot].adopt(st.procs[slot]).stepped()
+	next := st
+	if e.next != st.procs[slot] {
+		next = st.withProc(slot, e.next)
 	}
-	return next, act, nil
+	if e.act.Type == ioa.ActInvoke {
+		svc, ok := s.svcIdx[e.act.Service]
+		if !ok {
+			return st, ioa.Action{}, fmt.Errorf("%w: %s (invoked by P%d)", ErrUnknownService, e.act.Service, task.Proc)
+		}
+		sc, err := s.svcSlots[svc].adopt(st.svcs[svc]).invoked(task.Proc, e.act.Payload)
+		if err != nil {
+			return st, ioa.Action{}, fmt.Errorf("P%d invoking %s: %w", task.Proc, e.act.Service, err)
+		}
+		next = next.withSvc(svc, sc)
+	}
+	return next, e.act, nil
 }
 
-// applyOutput runs a service i-output task. If the emitted action is a real
-// response b_{i,k}, process P_i takes the matching input transition in the
-// same step.
-func (s *System) applyOutput(st State, task ioa.Task) (State, ioa.Action, error) {
-	sv, ok := s.svcs[task.Service]
+// applyService runs a service task. If it is an i-output task and the
+// emitted action is a real response b_{i,k}, process P_i takes the matching
+// input transition in the same step.
+func (s *System) applyService(st State, task ioa.Task) (State, ioa.Action, error) {
+	svc, ok := s.svcIdx[task.Service]
 	if !ok {
 		return st, ioa.Action{}, fmt.Errorf("%w: %s", ErrUnknownService, task.Service)
 	}
-	ss, act, err := sv.Apply(s.SvcState(st, task.Service), task)
+	e, err := s.svcSlots[svc].adopt(st.svcs[svc]).performed(task)
 	if err != nil {
 		return st, ioa.Action{}, err
 	}
-	next := s.withSvc(st, task.Service, ss)
-	if act.Type == ioa.ActRespond {
-		p, ok := s.procs[act.Proc]
-		if !ok {
-			return st, ioa.Action{}, fmt.Errorf("%w: %d", ErrUnknownProcess, act.Proc)
-		}
-		next = s.withProc(next, act.Proc, p.OnResponse(s.ProcState(next, act.Proc), task.Service, act.Payload))
+	next := st
+	if e.next != st.svcs[svc] {
+		next = st.withSvc(svc, e.next)
 	}
-	return next, act, nil
+	if task.Kind == ioa.TaskOutput && e.act.Type == ioa.ActRespond {
+		slot, ok := s.procIdx[e.act.Proc]
+		if !ok {
+			return st, ioa.Action{}, fmt.Errorf("%w: %d", ErrUnknownProcess, e.act.Proc)
+		}
+		pc := s.procSlots[slot].adopt(st.procs[slot]).responded(task.Service, e.act.Payload)
+		if pc != st.procs[slot] {
+			next = next.withProc(slot, pc)
+		}
+	}
+	return next, e.act, nil
 }
 
 // Participants returns the names of the automata participating in the action
@@ -381,7 +512,7 @@ func procName(i int) string { return fmt.Sprintf("P%d", i) }
 func (s *System) Decisions(st State) map[int]string {
 	out := map[int]string{}
 	for i, id := range s.procIDs {
-		if ps := st.procs[i]; ps.HasDec {
+		if ps := st.procs[i].st; ps.HasDec {
 			out[id] = ps.Decided
 		}
 	}
@@ -392,7 +523,7 @@ func (s *System) Decisions(st State) map[int]string {
 func (s *System) FailedProcesses(st State) []int {
 	var out []int
 	for i, id := range s.procIDs {
-		if st.procs[i].Failed {
+		if st.procs[i].st.Failed {
 			out = append(out, id)
 		}
 	}
@@ -403,7 +534,7 @@ func (s *System) FailedProcesses(st State) []int {
 func (s *System) LiveProcesses(st State) []int {
 	out := make([]int, 0, len(s.procIDs))
 	for i, id := range s.procIDs {
-		if !st.procs[i].Failed {
+		if !st.procs[i].st.Failed {
 			out = append(out, id)
 		}
 	}
