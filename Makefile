@@ -14,10 +14,13 @@ test:
 # worker-pool BFS, lock-striped dedup and the atomic valence sweep all run
 # under the race detector. The second line fills one System's cell tables
 # and transition memo from four goroutines at once; interleavings differ per
-# run, so it is repeated.
+# run, so it is repeated. The third line repeats the Refute sweep's progress
+# contract (an unsynchronised recorder on four workers: any concurrent report
+# is a detected race) and the small rows of its differential suite.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentApply' ./internal/system
+	$(GO) test -race -count=5 -run 'TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)' ./internal/explore
 
 # Benchmark smoke run: every benchmark once, no timing rigour. Use
 # `$(GO) test -bench=. -benchmem ./...` for real measurements.

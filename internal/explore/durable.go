@@ -54,12 +54,11 @@ func encodeIndex(g *Graph, s *spillStore) []byte {
 	// Predecessor links may reference task/action values that only occur
 	// on BFS-tree edges; make sure the dictionaries cover them before the
 	// dictionaries are written.
-	for _, p := range s.predTable.list {
-		if !p.has {
-			continue
+	for t, task := range s.predTable.labels.tasks {
+		s.dictTask(task)
+		for _, a := range s.predTable.labels.acts[t] {
+			s.dictAction(a)
 		}
-		s.dictTask(p.task)
-		s.dictAction(p.act)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.tasks)))
 	for _, t := range s.tasks {
@@ -201,7 +200,7 @@ type decodedIndex struct {
 	elens []uint32
 	masks []uint8
 	own   []uint8
-	preds []pred // nil when witnesses were not persisted
+	preds predTable // keep == false when witnesses were not persisted
 	roots []StateID
 	seals []sealMark
 }
@@ -243,10 +242,10 @@ func decodeIndex(buf []byte) (*decodedIndex, error) {
 		out.own = append(out.own, r.byte())
 	}
 	if r.byte() == 1 {
-		out.preds = make([]pred, 0, n)
+		out.preds = predTable{keep: true, list: make([]packedEdge, 0, n)}
 		for i := 0; i < n && r.err == nil; i++ {
 			if r.byte() == 0 {
-				out.preds = append(out.preds, pred{})
+				out.preds.add(pred{})
 				continue
 			}
 			p := pred{has: true, from: StateID(r.uvarint())}
@@ -258,7 +257,7 @@ func decodeIndex(buf []byte) (*decodedIndex, error) {
 			if r.err == nil {
 				p.task, p.act = out.tasks[ti], out.acts[ai]
 			}
-			out.preds = append(out.preds, p)
+			out.preds.add(p)
 		}
 	}
 	nr := r.count(1)
@@ -464,7 +463,7 @@ func reattachSpillStore(sys *system.System, files *graphFiles, m *Manifest, dec 
 		hash2:     make([]uint64, 0, n),
 		offs:      make([]int64, n),
 		lens:      dec.lens,
-		predTable: predTable{keep: dec.preds != nil, list: dec.preds},
+		predTable: dec.preds,
 		files:     files,
 		file:      files.fp,
 		readonly:  true,

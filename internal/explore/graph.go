@@ -314,6 +314,7 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 	// when it began.
 	level := 0
 	levelEnd := g.store.Len()
+	var edges []Edge // scratch: SetSuccs copies
 	for next := 0; next < g.store.Len(); next++ {
 		if next&63 == 0 {
 			if err := ctxErr(opt.Ctx); err != nil {
@@ -321,7 +322,7 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 			}
 		}
 		st, _ := g.store.State(StateID(next))
-		var edges []Edge
+		edges = edges[:0]
 		for _, task := range sys.Tasks() {
 			if !sys.Applicable(st, task) {
 				continue
@@ -401,6 +402,49 @@ func (g *Graph) computeMasks() {
 	}
 }
 
+// rootSets records, per vertex, which of the graph's roots reach it.
+type rootSets struct {
+	bits  []uint64
+	words int // uint64s per vertex
+}
+
+func (r rootSets) of(id StateID) []uint64 { return r.bits[int(id)*r.words:][:r.words] }
+
+// has reports whether the i-th root reaches the vertex.
+func (r rootSets) has(id StateID, i int) bool { return r.of(id)[i/64]>>(i%64)&1 != 0 }
+
+// rootSets propagates one bit per root forwards to a fixpoint — the mirror
+// image of computeMasks: set(t) = roots(t) ∪ ⋃_{s→t} set(s). BFS edges point
+// mostly at equal-or-larger IDs, so an ascending sweep settles nearly
+// everything in its first round.
+func (g *Graph) rootSets(ctx context.Context) (rootSets, error) {
+	n := g.store.Len()
+	r := rootSets{words: (len(g.roots) + 63) / 64}
+	r.bits = make([]uint64, n*r.words)
+	for i, root := range g.roots {
+		r.of(root)[i/64] |= 1 << (i % 64)
+	}
+	for changed := true; changed; {
+		if err := ctxErr(ctx); err != nil {
+			return rootSets{}, err
+		}
+		changed = false
+		for id := range StateID(n) {
+			src := r.of(id)
+			for e := range g.store.EdgesFrom(id) {
+				dst := r.of(e.To)
+				for w := range src {
+					if dst[w]|src[w] != dst[w] {
+						dst[w] |= src[w]
+						changed = true
+					}
+				}
+			}
+		}
+	}
+	return r, nil
+}
+
 func ownMask(sys *system.System, st system.State) uint8 {
 	var m uint8
 	for slot := range sys.ProcessIDs() {
@@ -444,19 +488,15 @@ func (g *Graph) Fingerprint(id StateID) string { return g.store.Fingerprint(id) 
 func (g *Graph) Lookup(fp string) (StateID, bool) { return g.store.Lookup(stringBytes(fp)) }
 
 // EdgesFrom streams the outgoing edges of a vertex in recorded order —
-// the allocation-free access path: in-memory backends yield straight from
-// their slices, the spill backend decodes one block. Breaking out early is
-// allowed and cheap.
+// the allocation-free access path: in-memory backends unpack their 8-byte
+// edges against the label dictionary, the spill backend decodes one block.
+// Breaking out early is allowed and cheap.
 func (g *Graph) EdgesFrom(id StateID) iter.Seq[Edge] { return g.store.EdgesFrom(id) }
 
 // Succs returns the outgoing edges of a vertex as a slice (nil for a sink
-// or an out-of-range ID). On in-memory backends this is the stored slice;
-// on the spill backend it materializes a fresh slice per call, so bulk
-// walks should prefer EdgesFrom.
+// or an out-of-range ID). No backend stores []Edge, so every call
+// materializes a fresh slice; bulk walks should prefer EdgesFrom.
 func (g *Graph) Succs(id StateID) []Edge {
-	if s, ok := g.store.(edgeSlices); ok {
-		return s.edgeSlice(id)
-	}
 	var edges []Edge
 	for e := range g.store.EdgesFrom(id) {
 		edges = append(edges, e)

@@ -50,33 +50,30 @@ func parallelFor(workers, n int, f func(i int)) {
 	wg.Wait()
 }
 
-// parallelForBuf is parallelFor with a worker-local scratch buffer threaded
-// through f: each chunk goroutine passes its buffer from one iteration to
-// the next, so per-iteration encoding work reuses one allocation per worker
-// instead of one per index.
-func parallelForBuf(workers, n int, f func(i int, buf []byte) []byte) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
-		var buf []byte
+// parallelForScratch is parallelFor with worker-local scratch: the index
+// space splits into at most len(scratch) contiguous chunks and chunk w runs
+// with &scratch[w], so buffers a worker grows are reused from one index to
+// the next — and, when the caller keeps the slice, from one call to the
+// next.
+func parallelForScratch[S any](scratch []S, n int, f func(i int, s *S)) {
+	workers := min(len(scratch), n)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			buf = f(i, buf)
+			f(i, &scratch[0])
 		}
 		return
 	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
+	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+chunk {
 		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(s *S, lo, hi int) {
 			defer wg.Done()
-			var buf []byte
 			for i := lo; i < hi; i++ {
-				buf = f(i, buf)
+				f(i, s)
 			}
-		}(lo, hi)
+		}(&scratch[w], lo, hi)
 	}
 	wg.Wait()
 }
@@ -93,11 +90,22 @@ type fresh struct {
 	mask    uint8
 }
 
-// expansion is the result of expanding one frontier vertex.
+// expansion is the result of expanding one frontier vertex. edges is a
+// window of the expanding worker's arena, valid until the level barrier
+// resets it.
 type expansion struct {
 	edges []Edge
 	fresh []fresh
 	err   error
+}
+
+// workerScratch is one expansion worker's reusable memory: its fingerprint
+// buffer and the edge arena the level's expansions are appended to. The
+// stores copy what SetSuccs hands them, so the arena is reset — not freed —
+// at every level barrier and the engine allocates no per-vertex edge slice.
+type workerScratch struct {
+	buf   []byte
+	edges []Edge
 }
 
 // expandFrontier applies every applicable task to st, resolving successor
@@ -105,10 +113,10 @@ type expansion struct {
 // symmetry reduction is on) before the fingerprint lookup, exactly as in
 // the serial engine. Successors not yet stored are returned as fresh
 // candidates with their edge targets left at intern.NoState, to be patched
-// at the level barrier. buf is the calling worker's fingerprint scratch,
-// returned (possibly grown) for reuse.
-func expandFrontier(sys *system.System, store StateStore, canon Canonicalizer, st system.State, buf []byte) (expansion, []byte) {
+// at the level barrier. ws is the calling worker's scratch.
+func expandFrontier(sys *system.System, store StateStore, canon Canonicalizer, st system.State, ws *workerScratch) expansion {
 	var out expansion
+	buf, lo := ws.buf, len(ws.edges)
 	for _, task := range sys.Tasks() {
 		if !sys.Applicable(st, task) {
 			continue
@@ -116,7 +124,7 @@ func expandFrontier(sys *system.System, store StateStore, canon Canonicalizer, s
 		next, act, err := sys.Apply(st, task)
 		if err != nil {
 			out.err = fmt.Errorf("explore: apply %v: %w", task, err)
-			return out, buf
+			break
 		}
 		next = canonical(canon, next)
 		buf = sys.AppendFingerprint(buf[:0], next)
@@ -126,11 +134,15 @@ func expandFrontier(sys *system.System, store StateStore, canon Canonicalizer, s
 			// The one owned copy of the fingerprint: the store takes
 			// ownership at the barrier, so dense interning retains this
 			// string without copying again.
-			out.fresh = append(out.fresh, fresh{edgeIdx: len(out.edges), fp: string(buf), st: next, mask: ownMask(sys, next)})
+			out.fresh = append(out.fresh, fresh{edgeIdx: len(ws.edges) - lo, fp: string(buf), st: next, mask: ownMask(sys, next)})
 		}
-		out.edges = append(out.edges, Edge{Task: task, Action: act, To: id})
+		ws.edges = append(ws.edges, Edge{Task: task, Action: act, To: id})
 	}
-	return out, buf
+	ws.buf = buf
+	// Capped, so nothing appended through the window can reach the next
+	// expansion's edges.
+	out.edges = ws.edges[lo:len(ws.edges):len(ws.edges)]
+	return out
 }
 
 // buildGraphParallel is the worker-pool engine behind BuildGraph: a
@@ -166,16 +178,16 @@ func buildGraphParallel(sys *system.System, roots []system.State, maxStates, wor
 		frontier[i] = StateID(i)
 	}
 	level := 0
+	scratch := make([]workerScratch, workers)
 	for len(frontier) > 0 {
 		results := make([]expansion, len(frontier))
-		parallelForBuf(workers, len(frontier), func(i int, buf []byte) []byte {
+		parallelForScratch(scratch, len(frontier), func(i int, ws *workerScratch) {
 			if err := ctxErr(opt.Ctx); err != nil {
 				results[i].err = err
-				return buf
+				return
 			}
 			st, _ := g.store.State(frontier[i])
-			results[i], buf = expandFrontier(sys, g.store, opt.Symmetry, st, buf)
-			return buf
+			results[i] = expandFrontier(sys, g.store, opt.Symmetry, st, ws)
 		})
 		// Level barrier: resolve the level's discoveries in frontier order ×
 		// task order — the serial engine's discovery order.
@@ -211,6 +223,9 @@ func buildGraphParallel(sys *system.System, roots []system.State, maxStates, wor
 		// edges so the spill backend moves them out of RAM before the next
 		// level's workers start reading.
 		g.store.SealLevel()
+		for w := range scratch {
+			scratch[w].edges = scratch[w].edges[:0]
+		}
 		if opt.Progress != nil {
 			opt.Progress(Progress{Level: level, States: g.store.Len(), Edges: g.edges, Frontier: len(next)})
 		}

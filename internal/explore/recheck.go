@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"iter"
+	"slices"
 
 	"github.com/ioa-lab/boosting/internal/system"
 )
@@ -136,7 +137,7 @@ func (s *recheckStore) SetSuccs(id StateID, edges []Edge) {
 		panic(fmt.Sprintf("explore: recheck store: SetSuccs(%d) out of order (next fresh vertex is %d)",
 			id, s.baseN+len(s.freshSuccs)))
 	}
-	s.freshSuccs = append(s.freshSuccs, edges)
+	s.freshSuccs = append(s.freshSuccs, slices.Clone(edges))
 }
 
 // patch overrides a dirty base vertex's successor set.
@@ -259,12 +260,13 @@ func Recheck(sys *system.System, prev *Graph, roots []system.State, opt BuildOpt
 		}
 		st, _ := rs.State(StateID(next))
 		ownMasks = append(ownMasks, ownMask(sys, st))
-		fresh, _, err := expandRecheck(sys, rs, st, nil, buf, maxStates, opt.Symmetry)
+		var err error
+		edges, buf, err = expandRecheck(sys, rs, st, edges[:0], buf, maxStates, opt.Symmetry)
 		if err != nil {
 			return nil, err
 		}
-		rs.SetSuccs(StateID(next), fresh)
-		g.edges += len(fresh)
+		rs.SetSuccs(StateID(next), edges)
+		g.edges += len(edges)
 	}
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err

@@ -127,8 +127,6 @@ type RefuteOptions struct {
 	Build BuildOptions
 	// MaxRounds bounds fair runs in failure scenarios.
 	MaxRounds int
-	// SkipExhaustiveSafety skips the 2^n safety sweep (for larger n).
-	SkipExhaustiveSafety bool
 	// SkipGraphAnalysis skips the failure-free graph phases (safety sweep,
 	// Lemma 4, hook search) and goes straight to the failure scenarios.
 	// Required for systems with failure detectors: detector compute steps
@@ -159,45 +157,24 @@ func Refute(sys *system.System, claimed int, opt RefuteOptions) (*Report, error)
 		return nil, err
 	}
 
-	// Phase 1: exhaustive failure-free safety sweep. The 2^n assignments are
-	// independent, so they are swept across the configured workers, with the
-	// pool divided between the sweep and the per-assignment graph builds so
-	// the total goroutine count stays near the knob. Certificates are
-	// collected in assignment order, so the report matches the serial sweep.
-	if !opt.SkipExhaustiveSafety && !opt.SkipGraphAnalysis {
-		assignments := AllAssignments(sys)
-		workers := effectiveWorkers(opt.Build.Workers)
-		inner := opt.Build
-		if workers > 1 {
-			// Split the pool: when there are fewer assignments than workers
-			// the spare cores go to the per-assignment graph builds.
-			inner.Workers = max(1, workers/len(assignments))
-		}
-		certs := make([]*Certificate, len(assignments))
-		errs := make([]error, len(assignments))
-		parallelFor(workers, len(assignments), func(i int) {
-			certs[i], errs[i] = safetySweep(sys, assignments[i], inner)
-		})
-		for i := range assignments {
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-			if certs[i] != nil {
-				report.Certificates = append(report.Certificates, *certs[i])
-			}
-		}
-		if report.Violated() {
-			return report, nil
-		}
+	if opt.SkipGraphAnalysis {
+		return refuteScenarios(sys, report, MonotoneAssignment(sys, len(sys.ProcessIDs())/2), nil, opt)
+	}
+
+	// Phase 1: exhaustive failure-free safety sweep, all 2^n assignments in
+	// one graph.
+	certs, err := safetySweep(sys, opt.Build)
+	if err != nil {
+		return nil, err
+	}
+	if len(certs) > 0 {
+		report.Certificates = certs
+		return report, nil
 	}
 
 	// Phase 2: Lemma 4 + Fig. 3.
 	var hookStates []system.State
 	var hookInputs map[int]string
-	if opt.SkipGraphAnalysis {
-		hookInputs = MonotoneAssignment(sys, len(sys.ProcessIDs())/2)
-		return refuteScenarios(sys, report, hookInputs, hookStates, opt)
-	}
 	inits, err := ClassifyInits(sys, opt.Build)
 	if err != nil {
 		return nil, err
@@ -288,80 +265,124 @@ func refuteScenarios(sys *system.System, report *Report, hookInputs map[int]stri
 	return report, nil
 }
 
-// safetySweep explores the failure-free graph from one input assignment and
-// checks agreement and validity in every reachable state.
-func safetySweep(sys *system.System, inputs map[int]string, opt BuildOptions) (*Certificate, error) {
-	root, err := applyInputs(sys, inputs)
+// safetySweep is phase 1: agreement and validity in every failure-free
+// reachable state of every input assignment in {0,1}^n, one certificate per
+// violating assignment, in assignment order. The 2^n graphs overlap heavily
+// (forward n=4: 15 454 vertices, 4 546 distinct), so their union is built
+// once from all 2^n roots; Graph.rootSets recovers which assignments reach
+// a vertex — validity depends on it, agreement does not. The union never
+// escapes and certificates carry step counts, not paths: no witness links,
+// never durable, closed on return.
+func safetySweep(sys *system.System, opt BuildOptions) ([]Certificate, error) {
+	assignments := AllAssignments(sys)
+	roots := make([]system.State, len(assignments))
+	for i, inputs := range assignments {
+		var err error
+		if roots[i], err = applyInputs(sys, inputs); err != nil {
+			return nil, err
+		}
+	}
+	opt.NoWitnesses, opt.GraphDir, opt.GraphID = true, "", nil
+	g, err := BuildGraph(sys, roots, opt)
 	if err != nil {
 		return nil, err
 	}
-	g, err := BuildGraph(sys, []system.State{root}, opt)
-	if err != nil {
-		return nil, err
-	}
-	// The per-assignment graph never escapes (certificates copy what they
-	// need), so release backend resources — the spill store's descriptor —
-	// deterministically instead of waiting for the GC.
 	defer CloseGraphStore(g)
-	validValues := map[string]bool{}
-	for _, v := range inputs {
-		validValues[v] = true
+	reach, err := g.rootSets(opt.Ctx)
+	if err != nil {
+		return nil, err
 	}
-	// Iterate vertices in lexicographic fingerprint order — the historical
-	// witness-selection order, kept so reports stay byte-identical across
-	// the ID refactor.
-	order := make([]StateID, g.Size())
-	for i := range order {
-		order[i] = StateID(i)
-	}
-	if _, spill := GraphSpillStats(g); spill {
-		// Spill-backed graphs compare fingerprints on demand through the
-		// pooled read path: materializing them up front would re-resident
-		// the entire spill file, defeating the backend's memory ceiling.
-		// Both branches sort by the same key, so the order is identical.
-		sort.Slice(order, func(i, j int) bool {
-			return g.Fingerprint(order[i]) < g.Fingerprint(order[j])
-		})
-	} else {
-		// In-memory backends materialize once up front: hash stores
-		// reconstruct fingerprints by re-encoding, which would otherwise
-		// run O(n log n) times inside the comparator.
-		fps := make([]string, g.Size())
-		for i := range fps {
-			fps[i] = g.Fingerprint(StateID(i))
-		}
-		sort.Slice(order, func(i, j int) bool {
-			return fps[order[i]] < fps[order[j]]
-		})
-	}
-	for _, id := range order {
+	violated := make([]bool, len(assignments))
+	for id := range StateID(g.Size()) {
 		st, _ := g.State(id)
-		dec := sys.Decisions(st)
-		var values []string
-		for _, v := range dec {
-			values = append(values, v)
-		}
-		sort.Strings(values)
-		for _, v := range values {
-			if !validValues[v] {
-				return &Certificate{
-					Kind:        KindValidity,
-					Description: fmt.Sprintf("decision %q is not any process's input (reachable in %d steps)", v, len(g.WitnessPath(id))),
-					Inputs:      inputs,
-					Decisions:   dec,
-				}, nil
+		if values := decidedValues(sys.Decisions(st)); len(values) > 0 {
+			for i, inputs := range assignments {
+				if !violated[i] && reach.has(id, i) {
+					kind, _ := safetyViolation(values, inputs)
+					violated[i] = kind != KindNone
+				}
 			}
 		}
-		if len(values) > 1 && values[0] != values[len(values)-1] {
-			return &Certificate{
-				Kind:        KindAgreement,
-				Description: fmt.Sprintf("processes decided %v in one failure-free execution (reachable in %d steps)", dec, len(g.WitnessPath(id))),
-				Inputs:      inputs,
-				Decisions:   dec,
-			}, nil
+	}
+	var certs []Certificate
+	for i, inputs := range assignments {
+		if violated[i] {
+			certs = append(certs, sweepCertificate(sys, g, g.Roots()[i], inputs))
 		}
 	}
-	return nil, nil
+	return certs, nil
+}
+
+// sweepCertificate derives a violating assignment's certificate from the
+// union graph: a breadth-first walk from the assignment's root covers
+// exactly its own failure-free graph and knows each vertex's distance. The
+// violating vertex with the lexicographically smallest fingerprint wins —
+// the historical selection order, which keeps reports byte-identical.
+func sweepCertificate(sys *system.System, g *Graph, root StateID, inputs map[int]string) Certificate {
+	var cert Certificate
+	best := ""
+	seen := make([]bool, g.Size())
+	seen[root] = true
+	for level, steps := []StateID{root}, 0; len(level) > 0; steps++ {
+		var next []StateID
+		for _, id := range level {
+			st, _ := g.State(id)
+			dec := sys.Decisions(st)
+			if kind, value := safetyViolation(decidedValues(dec), inputs); kind != KindNone {
+				if fp := g.Fingerprint(id); best == "" || fp < best {
+					best = fp
+					desc := fmt.Sprintf("processes decided %v in one failure-free execution (reachable in %d steps)", dec, steps)
+					if kind == KindValidity {
+						desc = fmt.Sprintf("decision %q is not any process's input (reachable in %d steps)", value, steps)
+					}
+					cert = Certificate{Kind: kind, Description: desc, Inputs: inputs, Decisions: dec}
+				}
+			}
+			for e := range g.EdgesFrom(id) {
+				if !seen[e.To] {
+					seen[e.To] = true
+					next = append(next, e.To)
+				}
+			}
+		}
+		level = next
+	}
+	return cert
+}
+
+// decidedValues lists a state's decided values in sorted order.
+func decidedValues(dec map[int]string) []string {
+	values := make([]string, 0, len(dec))
+	for _, v := range dec {
+		values = append(values, v)
+	}
+	sort.Strings(values)
+	return values
+}
+
+// isInput reports whether some process was given the value.
+func isInput(inputs map[int]string, v string) bool {
+	for _, in := range inputs {
+		if in == v {
+			return true
+		}
+	}
+	return false
+}
+
+// safetyViolation checks sorted decided values against validity (the
+// smallest value that is nobody's input is returned) and then agreement;
+// KindNone means both hold.
+func safetyViolation(values []string, inputs map[int]string) (ViolationKind, string) {
+	for _, v := range values {
+		if !isInput(inputs, v) {
+			return KindValidity, v
+		}
+	}
+	if len(values) > 1 && values[0] != values[len(values)-1] {
+		return KindAgreement, ""
+	}
+	return KindNone, ""
 }
 
 // failureScenario fails J and runs the fair schedule. Failures are tried at
@@ -406,30 +427,12 @@ func failureScenarioFrom(sys *system.System, st system.State, inputs map[int]str
 // consensus condition at the given failure pattern.
 func classifyRun(sys *system.System, inputs map[int]string, J []int, res RunResult) *Certificate {
 	dec := res.Decisions
-	validValues := map[string]bool{}
-	for _, v := range inputs {
-		validValues[v] = true
-	}
-	var values []string
-	for _, v := range dec {
-		values = append(values, v)
-	}
-	sort.Strings(values)
-	for _, v := range values {
-		if !validValues[v] {
-			return &Certificate{
-				Kind:        KindValidity,
-				Description: fmt.Sprintf("decision %q is not any process's input", v),
-				Inputs:      inputs, Failed: J, Decisions: dec,
-			}
+	if kind, value := safetyViolation(decidedValues(dec), inputs); kind != KindNone {
+		desc := fmt.Sprintf("processes decided %v under failure pattern %v", dec, J)
+		if kind == KindValidity {
+			desc = fmt.Sprintf("decision %q is not any process's input", value)
 		}
-	}
-	if len(values) > 1 && values[0] != values[len(values)-1] {
-		return &Certificate{
-			Kind:        KindAgreement,
-			Description: fmt.Sprintf("processes decided %v under failure pattern %v", dec, J),
-			Inputs:      inputs, Failed: J, Decisions: dec,
-		}
+		return &Certificate{Kind: kind, Description: desc, Inputs: inputs, Failed: J, Decisions: dec}
 	}
 	if res.Diverged && !res.Done {
 		var undecided []int
@@ -586,13 +589,9 @@ func kSetScenario(sys *system.System, inputs map[int]string, J []int, k int, opt
 	if err != nil {
 		return nil, err
 	}
-	validValues := map[string]bool{}
-	for _, v := range inputs {
-		validValues[v] = true
-	}
 	distinct := map[string]bool{}
 	for _, v := range res.Decisions {
-		if !validValues[v] {
+		if !isInput(inputs, v) {
 			return &Certificate{
 				Kind:        KindValidity,
 				Description: fmt.Sprintf("decision %q is not any process's input", v),

@@ -334,10 +334,11 @@ func buildGraphSharded(sys *system.System, roots []system.State, maxStates, work
 	}
 	frontier := b.frontierBetween(make([]int, nshards), b.levelLens[0])
 	level := 0
+	wbufs := make([][]byte, workers)
 	for len(frontier) > 0 {
 		results := make([]shardExpansion, len(frontier))
-		parallelForBuf(workers, len(frontier), func(i int, wbuf []byte) []byte {
-			return b.expand(frontier[i], &results[i], &total, maxStates, opt, wbuf)
+		parallelForScratch(wbufs, len(frontier), func(i int, wbuf *[]byte) {
+			*wbuf = b.expand(frontier[i], &results[i], &total, maxStates, opt, *wbuf)
 		})
 		// Which worker observes a full budget first is scheduling; the
 		// error itself is not — the CAS reservation pins Explored. Apply
@@ -483,6 +484,7 @@ func (b *shardedBuild) renumber(opt BuildOptions) (*Graph, error) {
 		preds = make([]pred, n)
 	}
 	g.ownMasks = make([]uint8, 0, n)
+	var edges []Edge // scratch: SetSuccs copies
 	for L := 0; L+1 < len(levelStarts); L++ {
 		lo, hi := levelStarts[L], levelStarts[L+1]
 		for i := lo; i < hi; i++ {
@@ -500,7 +502,7 @@ func (b *shardedBuild) renumber(opt BuildOptions) (*Graph, error) {
 		}
 		for i := lo; i < hi; i++ {
 			r := order[i]
-			var edges []Edge
+			edges = edges[:0]
 			for e := range b.shards[r.shard].store.EdgesFrom(StateID(r.local)) {
 				ts, tl := b.split(e.To)
 				to := localToFinal[ts][tl]

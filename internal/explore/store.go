@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"iter"
+	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"github.com/ioa-lab/boosting/internal/intern"
+	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
@@ -99,13 +101,17 @@ type VertexStore interface {
 
 // AdjacencyStore is the adjacency face of the storage seam: edges are handed
 // to the store as they are discovered and read back as an iterator, so
-// backends choose their own representation — slices in RAM (dense, hash) or
-// delta-varint blocks in an append-only edge file (spill).
+// backends choose their own representation — one flat slice of packed
+// 8-byte edges in RAM (dense, hash) or delta-varint blocks in an append-only
+// edge file (spill).
 //
 // Write contract: SetSuccs is called exactly once per vertex, in strictly
 // increasing ID order — both exploration engines expand vertices in ID order
 // (the serial engine trivially, the parallel engine at its level barriers) —
-// and panics on out-of-order or never-interned IDs. SealLevel marks a level
+// without gaps, and panics on an out-of-order ID. SetSuccs copies what it
+// keeps and never retains the slice, so callers may reuse it for the next
+// vertex (the engines do: one scratch slice, or a per-worker arena reset at
+// each level barrier). SealLevel marks a level
 // barrier: every edge handed over so far may be moved out of RAM (the spill
 // backend flushes its pending blocks to the edge file). Engines call it
 // after each completed BFS level, while they hold the store exclusively.
@@ -116,7 +122,8 @@ type VertexStore interface {
 // overlaps them. The yielded edges are exactly the SetSuccs slice, in order;
 // breaking out of the iteration early is allowed and cheap.
 type AdjacencyStore interface {
-	// SetSuccs records the outgoing edges of a vertex (nil for a sink).
+	// SetSuccs records the outgoing edges of a vertex (nil for a sink). The
+	// slice is copied, not retained.
 	SetSuccs(id StateID, edges []Edge)
 	// EdgesFrom streams the outgoing edges of a vertex in recorded order.
 	EdgesFrom(id StateID) iter.Seq[Edge]
@@ -174,73 +181,149 @@ func newStore(kind StoreKind, sys *system.System, spillDir, graphDir string, wit
 	}
 }
 
-// sliceAdjacency is the in-memory adjacency face shared by the dense and
-// hash-compaction backends: one edge slice per vertex, grown at intern time.
-type sliceAdjacency struct {
-	succs [][]Edge
+// labelDict is the small dictionary behind the packed in-RAM edges and
+// predecessor links: the distinct tasks in first-seen order and, per task,
+// the distinct actions seen on it. A system has a few dozen tasks and a
+// handful of actions per task (21 and 7 on registervote n=3's 17.6M
+// edges), so both levels are searched linearly — no map on the serial
+// barrier — and an edge label shrinks from two structs of four string
+// headers to two uint16 indices. The zero value is an empty dictionary.
+type labelDict struct {
+	tasks []ioa.Task
+	acts  [][]ioa.Action // acts[t]: actions seen on tasks[t]
 }
 
-func (a *sliceAdjacency) grow() { a.succs = append(a.succs, nil) }
+// index resolves a label to its dictionary indices, inserting it on first
+// sight. hint is where the task scan starts: expansion emits a vertex's
+// edges in sys.Tasks() order and the dictionary fills in that same order,
+// so the task after the previous edge's is nearly always the first probe.
+// The memoised transitions hand back pointer-identical strings, so the
+// struct compares short-circuit without touching string bytes. A task
+// whose action list is full continues in a second entry for the same task.
+func (d *labelDict) index(task ioa.Task, act ioa.Action, hint int) (t, a uint16) {
+	n, room := len(d.tasks), -1
+	for k := 0; k < n; k++ {
+		c := hint + k
+		if c >= n {
+			c -= n
+		}
+		if d.tasks[c] != task {
+			continue
+		}
+		acts := d.acts[c]
+		for i := range acts {
+			if acts[i] == act {
+				return uint16(c), uint16(i)
+			}
+		}
+		if room < 0 && len(acts) <= math.MaxUint16 {
+			room = c
+		}
+	}
+	if room < 0 {
+		if n > math.MaxUint16 {
+			panic("explore: label dictionary: more than 65536 task entries")
+		}
+		room = n
+		d.tasks = append(d.tasks, task)
+		d.acts = append(d.acts, nil)
+	}
+	d.acts[room] = append(d.acts[room], act)
+	return uint16(room), uint16(len(d.acts[room]) - 1)
+}
 
-func (a *sliceAdjacency) SetSuccs(id StateID, edges []Edge) { a.succs[id] = edges }
+// packedEdge is a stored edge: the target and the label's dictionary
+// indices. Pointer-free, so the garbage collector never scans the edge
+// relation.
+type packedEdge struct {
+	to        StateID
+	task, act uint16
+}
 
-func (a *sliceAdjacency) EdgesFrom(id StateID) iter.Seq[Edge] {
+// packedAdjacency is the in-memory adjacency face shared by the dense and
+// hash-compaction backends: every edge of the graph in one flat slice of
+// 8-byte packedEdges, vertex id's at edges[ends[id-1]:ends[id]]. SetSuccs
+// copies, so callers may reuse the slice they pass.
+type packedAdjacency struct {
+	labels labelDict
+	edges  []packedEdge
+	ends   []uint32 // one per recorded vertex
+}
+
+// SetSuccs packs a vertex's edges onto the end of the flat slice. Like the
+// spill backend it relies on the write contract — one call per vertex, in
+// increasing gap-free ID order — and panics on a violation.
+func (a *packedAdjacency) SetSuccs(id StateID, edges []Edge) {
+	if int(id) != len(a.ends) {
+		panic(fmt.Sprintf("explore: SetSuccs(%d) out of order (next unrecorded vertex is %d)", id, len(a.ends)))
+	}
+	hint := 0
+	for _, e := range edges {
+		t, act := a.labels.index(e.Task, e.Action, hint)
+		a.edges = append(a.edges, packedEdge{to: e.To, task: t, act: act})
+		hint = int(t) + 1
+	}
+	if len(a.edges) > math.MaxUint32 {
+		panic("explore: in-memory adjacency: more than 2^32 edges")
+	}
+	a.ends = append(a.ends, uint32(len(a.edges)))
+}
+
+func (a *packedAdjacency) EdgesFrom(id StateID) iter.Seq[Edge] {
 	return func(yield func(Edge) bool) {
-		if uint(id) >= uint(len(a.succs)) {
+		if uint(id) >= uint(len(a.ends)) {
 			return
 		}
-		for _, e := range a.succs[id] {
-			if !yield(e) {
+		lo := uint32(0)
+		if id > 0 {
+			lo = a.ends[id-1]
+		}
+		for _, e := range a.edges[lo:a.ends[id]] {
+			if !yield(Edge{Task: a.labels.tasks[e.task], Action: a.labels.acts[e.task][e.act], To: e.to}) {
 				return
 			}
 		}
 	}
 }
 
-func (a *sliceAdjacency) SealLevel() {}
+func (a *packedAdjacency) SealLevel() {}
 
-// edgeSlice is the materialized fast path behind Graph.Succs: in-memory
-// backends hand out their slice directly instead of rebuilding it from the
-// iterator.
-func (a *sliceAdjacency) edgeSlice(id StateID) []Edge {
-	if uint(id) >= uint(len(a.succs)) {
-		return nil
-	}
-	return a.succs[id]
-}
-
-// edgeSlices is implemented by backends whose adjacency already lives in
-// slices; Graph.Succs uses it to avoid re-materializing.
-type edgeSlices interface {
-	edgeSlice(id StateID) []Edge
-}
-
-// predTable holds the optional BFS-tree predecessor links of a backend: with
-// keep == false (WithoutWitnesses) nothing is recorded and every Pred read
-// is the zero link.
+// predTable holds the optional BFS-tree predecessor links of a backend,
+// packed like the edges (8 bytes per vertex against its own labelDict;
+// roots carry intern.NoState as their source). With keep == false
+// (WithoutWitnesses) nothing is recorded and every Pred read is the zero
+// link.
 type predTable struct {
-	keep bool
-	list []pred
+	keep   bool
+	labels labelDict
+	list   []packedEdge // to is the predecessor
 }
 
 func (p *predTable) add(pr pred) {
-	if p.keep {
-		p.list = append(p.list, pr)
+	if !p.keep {
+		return
 	}
+	if !pr.has {
+		p.list = append(p.list, packedEdge{to: intern.NoState})
+		return
+	}
+	t, a := p.labels.index(pr.task, pr.act, 0)
+	p.list = append(p.list, packedEdge{to: pr.from, task: t, act: a})
 }
 
 func (p *predTable) Pred(id StateID) pred {
-	if uint(id) >= uint(len(p.list)) {
+	if uint(id) >= uint(len(p.list)) || p.list[id].to == intern.NoState {
 		return pred{}
 	}
-	return p.list[id]
+	e := p.list[id]
+	return pred{from: e.to, task: p.labels.tasks[e.task], act: p.labels.acts[e.task][e.act], has: true}
 }
 
 // denseStore is the interned-string backend: the intern.Table maps each
 // canonical fingerprint (kept once, in full) to its dense ID, and states,
 // adjacency and predecessor links are slices indexed by that ID.
 type denseStore struct {
-	sliceAdjacency
+	packedAdjacency
 	predTable
 	tab    *intern.Table
 	states []system.State
@@ -258,7 +341,6 @@ func (s *denseStore) Intern(fp string, st system.State, p pred) (StateID, bool) 
 	id, fresh := s.tab.Intern(fp)
 	if fresh {
 		s.states = append(s.states, st)
-		s.grow()
 		s.add(p)
 	}
 	return id, fresh
@@ -331,7 +413,7 @@ func lookupBucket(buckets map[uint64][]StateID, hash2 []uint64,
 // kept apart (and counted), never merged: the produced graph is identical
 // to the dense backend's.
 type hashStore struct {
-	sliceAdjacency
+	packedAdjacency
 	predTable
 	enc  func([]byte, system.State) []byte
 	wide bool
@@ -394,7 +476,6 @@ func (s *hashStore) Intern(fp string, st system.State, p pred) (StateID, bool) {
 		s.hash2 = append(s.hash2, h2)
 	}
 	s.states = append(s.states, st)
-	s.grow()
 	s.add(p)
 	return id, true
 }

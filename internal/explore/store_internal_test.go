@@ -7,9 +7,13 @@ package explore
 // store/progress/cancellation tests and the root-level parity suite.
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/ioa-lab/boosting/internal/allocpin"
+	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/protocols"
 	"github.com/ioa-lab/boosting/internal/service"
 	"github.com/ioa-lab/boosting/internal/system"
@@ -168,4 +172,122 @@ func stateAfterInputs(t *testing.T, sys *system.System) system.State {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// TestPackedAdjacencyRoundTrip is the property test of the in-RAM
+// adjacency (dense and hash stores): random edge lists — tasks in no
+// particular order, repeated labels, sinks, huge targets — handed to
+// SetSuccs come back from EdgesFrom, Graph.Succs and Graph.Succ identical
+// and in order, although the caller scribbles over and reuses its slice
+// after every call; IDs never recorded yield empty sequences; an
+// out-of-order SetSuccs panics like the spill backend's.
+func TestPackedAdjacencyRoundTrip(t *testing.T) {
+	// A fixed xorshift sequence: the determinism analyzer keeps math/rand
+	// out of this package, and the property needs no better randomness.
+	x := uint64(16)
+	intn := func(n int) int {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return int(x % uint64(n))
+	}
+	label := func() (ioa.Task, ioa.Action) {
+		task := ioa.Task{Kind: ioa.TaskKind(intn(3)), Proc: intn(4), Service: fmt.Sprint("k", intn(2))}
+		return task, ioa.Action{Type: ioa.ActionType(intn(3)), Proc: task.Proc, Payload: fmt.Sprint("v", intn(6))}
+	}
+	for _, b := range allBackends(t) {
+		if b.name == "spill" {
+			continue // its own adjacency; covered by the spill suites
+		}
+		const n = 300
+		g := &Graph{store: b.store}
+		want := make([][]Edge, n)
+		var scratch []Edge
+		for id := range want {
+			scratch = scratch[:0]
+			for range intn(10) {
+				task, act := label()
+				scratch = append(scratch, Edge{Task: task, Action: act, To: StateID(intn(1 << 32))})
+			}
+			want[id] = slices.Clone(scratch)
+			b.store.SetSuccs(StateID(id), scratch)
+			for i := range scratch {
+				scratch[i] = Edge{To: 7}
+			}
+		}
+		for id, edges := range want {
+			if got := slices.Collect(b.store.EdgesFrom(StateID(id))); !slices.Equal(got, edges) {
+				t.Fatalf("%s: EdgesFrom(%d) = %v, want %v", b.name, id, got, edges)
+			}
+			if got := g.Succs(StateID(id)); !slices.Equal(got, edges) || (len(edges) == 0 && got != nil) {
+				t.Fatalf("%s: Succs(%d) = %v, want %v", b.name, id, got, edges)
+			}
+			for _, e := range edges {
+				first := edges[slices.IndexFunc(edges, func(x Edge) bool { return x.Task == e.Task })]
+				if got, ok := g.Succ(StateID(id), e.Task); !ok || got != first {
+					t.Fatalf("%s: Succ(%d, %v) = %v %v, want %v", b.name, id, e.Task, got, ok, first)
+				}
+			}
+		}
+		for _, id := range []StateID{n, n + 9, ^StateID(0)} {
+			if got := g.Succs(id); got != nil {
+				t.Errorf("%s: Succs(%d) = %v for a vertex never recorded", b.name, id, got)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: out-of-order SetSuccs did not panic", b.name)
+				}
+			}()
+			b.store.SetSuccs(n+3, nil)
+		}()
+	}
+}
+
+// TestLabelDictOverflow: a task whose action list is full (65 536 entries)
+// continues in a second dictionary entry for the same task, and labels on
+// both sides of the boundary keep resolving to themselves.
+func TestLabelDictOverflow(t *testing.T) {
+	task := ioa.Task{Proc: 1}
+	full := make([]ioa.Action, math.MaxUint16+1)
+	for i := range full {
+		full[i] = ioa.Action{Proc: i}
+	}
+	d := labelDict{tasks: []ioa.Task{task}, acts: [][]ioa.Action{full}}
+	extra := ioa.Action{Proc: -5}
+	for range 2 {
+		if ti, ai := d.index(task, extra, 0); ti != 1 || ai != 0 || d.tasks[ti] != task || d.acts[ti][ai] != extra {
+			t.Fatalf("overflowing action resolved to (%d, %d)", ti, ai)
+		}
+		if ti, ai := d.index(task, full[40000], 1); ti != 0 || ai != 40000 {
+			t.Fatalf("action of the full entry resolved to (%d, %d)", ti, ai)
+		}
+	}
+	if len(d.tasks) != 2 || len(d.acts[0]) != len(full) {
+		t.Errorf("dictionary has %d entries, first with %d actions", len(d.tasks), len(d.acts[0]))
+	}
+}
+
+// TestPredTablePacked: predecessor links survive the packing — roots and
+// unrecorded IDs read as the zero link, everything else as stored.
+func TestPredTablePacked(t *testing.T) {
+	p := predTable{keep: true}
+	links := []pred{
+		{},
+		{from: 0, task: ioa.Task{Proc: 1}, act: ioa.Action{Payload: "a"}, has: true},
+		{from: 1, task: ioa.Task{Proc: 2}, act: ioa.Action{Payload: "b"}, has: true},
+		{from: 0, task: ioa.Task{Proc: 1}, act: ioa.Action{Payload: "b"}, has: true},
+	}
+	for _, l := range links {
+		p.add(l)
+	}
+	for id, l := range links {
+		if got := p.Pred(StateID(id)); got != l {
+			t.Errorf("Pred(%d) = %+v, want %+v", id, got, l)
+		}
+	}
+	if got := p.Pred(StateID(len(links))); got != (pred{}) {
+		t.Errorf("Pred past the end = %+v", got)
+	}
 }
