@@ -16,11 +16,14 @@ test:
 # and transition memo from four goroutines at once; interleavings differ per
 # run, so it is repeated. The third line repeats the Refute sweep's progress
 # contract (an unsynchronised recorder on four workers: any concurrent report
-# is a detected race) and the small rows of its differential suite.
+# is a detected race) and the small rows of its differential suite, and the
+# symmetry layer's four goroutines canonicalizing one frontier on a fresh
+# System (racing to index the same service cells and intern the same renamed
+# ones).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentApply' ./internal/system
-	$(GO) test -race -count=5 -run 'TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)' ./internal/explore
+	$(GO) test -race -count=5 -run 'TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
 
 # Benchmark smoke run: every benchmark once, no timing rigour. Use
 # `$(GO) test -bench=. -benchmem ./...` for real measurements.
@@ -53,9 +56,15 @@ bench-allocs:
 		status=$$?; cat bench-allocs.txt; exit $$status
 
 # The E27 row on its own: reduced vs unreduced build time, state count and
-# retained bytes for the forward n=4 exhaustive analysis.
+# retained bytes for the forward n=4 exhaustive analysis. Next to it, what
+# canonicalizing one successor costs (ns/op and allocs/op over the forward
+# n=6 quotient's successors, split identity / renamed-hit / renamed-miss —
+# E34), so a regression of the symmetry layer shows without the full
+# harness, and the enumerated path's quotient builds (tob, registervote).
 bench-symmetry:
 	$(GO) test -bench 'BenchmarkSymmetry$$' -benchmem -benchtime=2x -run '^$$' .
+	$(GO) test -bench 'BenchmarkCanonical' -benchmem -benchtime=200000x -run '^$$' ./internal/symmetry
+	$(GO) test -bench 'BenchmarkEnumerated' -benchmem -benchtime=5x -run '^$$' ./internal/symmetry
 
 # The E28 rows on their own: the disk-spilling store against dense and
 # hash compaction (retained bytes/state, spill-file size, read traffic)

@@ -558,15 +558,14 @@ func BenchmarkFingerprint(b *testing.B) {
 	})
 	b.Run("after-apply/reencode", func(b *testing.B) {
 		b.ReportAllocs()
-		procs, svcs := sys.ComponentStates(st)
 		buf := make([]byte, 0, 1024)
 		for i := 0; i < b.N; i++ {
 			buf = buf[:0]
-			for _, ps := range procs {
-				buf = ps.AppendFingerprint(buf)
+			for slot := range sys.ProcessIDs() {
+				buf = st.Proc(slot).AppendFingerprint(buf)
 			}
-			for _, ss := range svcs {
-				buf = ss.AppendFingerprint(buf)
+			for slot := range sys.ServiceIDs() {
+				buf = st.Svc(slot).AppendFingerprint(buf)
 			}
 		}
 	})

@@ -175,8 +175,8 @@ func New(name string, n, f int, opts ...Option) (*Checker, error) {
 	// declared: WithSymmetry routes it into the exploration engines, and
 	// CanonicalFingerprint uses it either way, so renamed-isomorphic
 	// identities collide regardless of whether the quotient graph is
-	// requested. Resolution failures (group order beyond the cap at large n)
-	// only matter when the reduction was actually asked for.
+	// requested. Resolution failures (an enumerated group beyond the cap at
+	// large n) only matter when the reduction was actually asked for.
 	var canon *symmetry.Canonicalizer
 	if spec.sym != nil {
 		canon, err = symmetry.New(sys, spec.sym(n, f))

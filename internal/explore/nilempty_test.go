@@ -23,20 +23,21 @@ func TestNilVsEmptyStatesInternIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sys.InitialState()
-	procs, svcs := sys.ComponentStates(st)
 
 	// Rebuild the same state with aggressively "empty but allocated"
 	// containers in every component.
-	procs2 := make([]process.State, len(procs))
-	for i, ps := range procs {
+	procs2 := make([]process.State, len(sys.ProcessIDs()))
+	for i := range procs2 {
+		ps := st.Proc(i)
 		ps.Outbox = []process.Outgoing{}
 		if ps.Vars == nil {
 			ps.Vars = map[string]string{}
 		}
 		procs2[i] = ps
 	}
-	svcs2 := make([]service.State, len(svcs))
-	for i, ss := range svcs {
+	svcs2 := make([]service.State, len(sys.ServiceIDs()))
+	for i := range svcs2 {
+		ss := st.Svc(i)
 		ss.Inv = map[int][]string{0: {}, 1: nil}
 		ss.Resp = nil
 		svcs2[i] = ss

@@ -33,21 +33,28 @@
 // failure-detector families, whose graph phases are skipped anyway) simply
 // declare no orbits and get no reduction — which is always sound.
 //
-// Canonicalization is sorted-orbit: per-process invariant keys (the
-// process's component fingerprint plus its per-service buffer slices and
-// failed bit — the process's entire contribution to a pure-spec state) are
-// sorted within each orbit, which pins the canonical slot order outright;
-// key ties are between byte-interchangeable processes, so any stable
-// assignment is canonical (see canonicalSorted). Specs with rename/rewrite
-// hooks make per-process keys id-dependent, so those systems fall back to
-// enumerating the whole (declared) group — exact for the small groups this
-// repository explores.
+// Canonicalization is sorted-orbit: under a pure spec a process's entire
+// contribution to the state is its component encoding plus, per service, its
+// invocation queue, response queue and failed mark, none of which depends on
+// its id. Ordering the slots of each orbit by those pieces pins the canonical
+// slot order outright; ties are between byte-interchangeable processes, so
+// any stable assignment is canonical (see canonicalSorted). The pieces are
+// read from the state's interned cells — the cached process encoding, the
+// service cell's endpoint index — and the renamed state is looked up by
+// assembled encoding, so canonicalizing a successor whose components the
+// System has seen before encodes nothing and builds no component state.
+// Specs with rename/rewrite hooks make per-process content id-dependent, so
+// those systems fall back to enumerating the whole (declared) group — exact
+// for the small groups this repository explores.
 package symmetry
 
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/ioa-lab/boosting/internal/codec"
@@ -56,9 +63,11 @@ import (
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
-// MaxGroupOrder bounds the declared permutation group: canonicalization work
-// per state is linear in the number of candidate permutations, and beyond
-// 8! the per-state cost dwarfs the n!-fold state savings.
+// MaxGroupOrder bounds the declared permutation group of a spec with
+// rename/rewrite hooks, whose group is enumerated: canonicalization work per
+// state is then linear in the number of candidate permutations, and beyond
+// 8! the per-state cost dwarfs the n!-fold state savings. Pure specs sort
+// instead of enumerating and are not bounded.
 const MaxGroupOrder = 40320
 
 // Spec declares the symmetry of a composed system.
@@ -91,19 +100,17 @@ type Spec struct {
 
 // pure reports whether the spec transforms only component positions —
 // no service renaming, no payload rewriting — so per-process content is
-// id-independent and the sorted-key fast path applies.
+// id-independent and the sorted-orbit path applies.
 func (sp *Spec) pure() bool {
 	return sp.RenameService == nil && sp.RewriteVal == nil && sp.RewriteResponse == nil
 }
 
 // Canonicalizer maps system states to canonical orbit representatives. It
-// is immutable after New and safe for concurrent use; scratch buffers are
-// pooled per call.
+// is immutable after New and safe for concurrent use.
 type Canonicalizer struct {
 	sys     *system.System
 	spec    Spec
 	procIDs []int
-	slotOf  map[int]int
 	svcIDs  []string
 	svcSlot map[string]int
 	// orbits holds the orbit member slots, ascending; slots outside every
@@ -119,20 +126,18 @@ type Canonicalizer struct {
 	bufs    sync.Pool
 }
 
-// scratch is the per-call workspace.
+// scratch is the general path's per-call workspace: the least candidate
+// fingerprint so far and the one being compared against it.
 type scratch struct {
-	key    [][]byte // per-slot sort keys (pure path)
-	perm   []int
-	ranked []int // orbit-sort buffer, reused across orbits
-	best   []byte
-	cand   []byte
+	best []byte
+	cand []byte
 }
 
 // New builds a Canonicalizer for sys from a declared symmetry Spec. Orbit
-// members must be process ids of sys, orbits must be disjoint, and the
-// group order (the product of the orbit factorials) must not exceed
-// MaxGroupOrder. Specs with rename/rewrite hooks have the whole group
-// enumerated and the service renaming validated here.
+// members must be process ids of sys and orbits must be disjoint. Specs with
+// rename/rewrite hooks have the whole group enumerated and the service
+// renaming validated here, so their group order (the product of the orbit
+// factorials) must not exceed MaxGroupOrder.
 func New(sys *system.System, spec Spec) (*Canonicalizer, error) {
 	c := &Canonicalizer{
 		sys:     sys,
@@ -142,10 +147,6 @@ func New(sys *system.System, spec Spec) (*Canonicalizer, error) {
 		order:   1,
 		pure:    spec.pure(),
 	}
-	c.slotOf = make(map[int]int, len(c.procIDs))
-	for slot, id := range c.procIDs {
-		c.slotOf[id] = slot
-	}
 	c.svcSlot = make(map[string]int, len(c.svcIDs))
 	for slot, k := range c.svcIDs {
 		c.svcSlot[k] = slot
@@ -154,8 +155,8 @@ func New(sys *system.System, spec Spec) (*Canonicalizer, error) {
 	for _, orbit := range spec.Orbits {
 		var slots []int
 		for _, id := range orbit {
-			slot, ok := c.slotOf[id]
-			if !ok {
+			slot := c.slotOf(id)
+			if slot < 0 {
 				return nil, fmt.Errorf("symmetry: orbit member %d is not a process of the system", id)
 			}
 			if seen[id] {
@@ -169,21 +170,28 @@ func New(sys *system.System, spec Spec) (*Canonicalizer, error) {
 		}
 		sort.Ints(slots)
 		for f := 2; f <= len(slots); f++ {
-			c.order *= f
-			if c.order > MaxGroupOrder {
-				return nil, fmt.Errorf("symmetry: group order exceeds %d; run without symmetry reduction", MaxGroupOrder)
+			if c.order > math.MaxInt/f {
+				c.order = math.MaxInt
+			} else {
+				c.order *= f
 			}
 		}
 		c.orbits = append(c.orbits, slots)
 	}
-	c.bufs.New = func() any {
-		return &scratch{
-			key:    make([][]byte, len(c.procIDs)),
-			perm:   make([]int, len(c.procIDs)),
-			ranked: make([]int, len(c.procIDs)),
+	switch {
+	case c.order == 1:
+	case c.pure:
+		// The sorted-orbit path reads the services' endpoint indexes, which
+		// hold endpoints — process ids — as int32.
+		for _, id := range c.procIDs {
+			if id < math.MinInt32 || id > math.MaxInt32 {
+				return nil, fmt.Errorf("symmetry: process id %d does not fit the services' endpoint index (int32)", id)
+			}
 		}
-	}
-	if !c.pure && c.order > 1 {
+	case c.order > MaxGroupOrder:
+		return nil, fmt.Errorf("symmetry: group order exceeds %d; run without symmetry reduction", MaxGroupOrder)
+	default:
+		c.bufs.New = func() any { return new(scratch) }
 		if err := c.enumerateGroup(); err != nil {
 			return nil, err
 		}
@@ -192,7 +200,7 @@ func New(sys *system.System, spec Spec) (*Canonicalizer, error) {
 }
 
 // Order returns the order of the declared permutation group; 1 means
-// canonicalization is the identity.
+// canonicalization is the identity. It saturates at math.MaxInt.
 func (c *Canonicalizer) Order() int { return c.order }
 
 // enumerateGroup precomputes every group element as a slot map (identity
@@ -288,15 +296,23 @@ func isIdentity(p []int) bool {
 	return true
 }
 
+// slotOf returns the slot of process id in the (ascending) component order,
+// or -1.
+func (c *Canonicalizer) slotOf(id int) int {
+	if slot, ok := slices.BinarySearch(c.procIDs, id); ok {
+		return slot
+	}
+	return -1
+}
+
 // idPerm lifts a slot-level permutation to a process-id permutation.
 // Ids outside the system map to themselves.
 func (c *Canonicalizer) idPerm(p []int) func(int) int {
 	return func(id int) int {
-		slot, ok := c.slotOf[id]
-		if !ok {
-			return id
+		if slot := c.slotOf(id); slot >= 0 {
+			return c.procIDs[p[slot]]
 		}
-		return c.procIDs[p[slot]]
+		return id
 	}
 }
 
@@ -306,14 +322,14 @@ func (c *Canonicalizer) idPerm(p []int) func(int) int {
 // function and constant on orbits, so interning only canonical
 // representatives merges each orbit into one vertex.
 func (c *Canonicalizer) Canonical(st system.State) system.State {
-	if c.order == 1 {
+	switch {
+	case c.order == 1:
 		return st
+	case c.pure:
+		return c.canonicalSorted(st)
 	}
 	sc := c.bufs.Get().(*scratch)
 	defer c.bufs.Put(sc)
-	if c.pure {
-		return c.canonicalSorted(st, sc)
-	}
 	return c.canonicalEnumerated(st, sc)
 }
 
@@ -346,78 +362,77 @@ func (c *Canonicalizer) canonicalEnumerated(st system.State, sc *scratch) system
 	return c.stateOf(bestProcs, bestSvcs)
 }
 
-// canonicalSorted is the pure-spec fast path: sort each orbit by invariant
-// per-process keys and apply the resulting slot assignment outright.
+// inlineSlots is how many process slots canonicalSorted orders in a
+// stack-allocated workspace.
+const inlineSlots = 16
+
+// canonicalSorted is the pure-spec path: order each orbit's slots by their
+// invariant per-process pieces and apply the resulting slot assignment
+// outright.
 //
-// Canonicity: keys are equivariant — permuting the state permutes the keys
-// with it — so the multiset of keys and their sorted order are orbit
-// invariants. Key ties need no resolution: under a pure spec the key is a
-// concatenation of self-delimiting encodings covering a process's *entire*
-// contribution to the state (its component fingerprint, its invocation and
-// response buffer in every service, its failed-set membership; service
-// values are untouched by pure actions), so equal-key processes are
-// interchangeable at the byte level and every assignment of a tie block
-// produces the identical state. Any stable assignment is therefore the
-// canonical one. If a pure action ever grows a per-process contribution
-// outside appendKey, that completeness argument — and this shortcut —
-// breaks; extend the key with it.
-func (c *Canonicalizer) canonicalSorted(st system.State, sc *scratch) system.State {
-	for i := range sc.perm {
-		sc.perm[i] = i
+// Canonicity: the pieces are equivariant — permuting the state permutes them
+// with it — so their multiset and sorted order are orbit invariants. Ties
+// need no resolution: under a pure spec the pieces cover a process's *entire*
+// contribution to the state (its component encoding, its invocation and
+// response queue in every service, its failed-set membership; service values
+// are untouched by pure actions), so tied processes are interchangeable at
+// the byte level and every assignment of a tie block produces the identical
+// state. Any stable assignment is therefore the canonical one. If a pure
+// action ever grows a per-process contribution outside less, that
+// completeness argument — and this shortcut — breaks; extend less with it.
+//
+// A successor of a canonical state is nearly ordered already (a step touches
+// at most one process), so each orbit is insertion-sorted in place: an
+// ordered orbit costs one comparison per slot and returns st itself.
+func (c *Canonicalizer) canonicalSorted(st system.State) system.State {
+	n := len(c.procIDs)
+	var inline [2 * inlineSlots]int
+	work := inline[:]
+	if 2*n > len(work) {
+		work = make([]int, 2*n)
+	}
+	perm, ranked := work[:n], work[n:2*n]
+	for i := range perm {
+		perm[i] = i
 	}
 	identity := true
 	for _, orbit := range c.orbits {
-		// ranked = orbit slots ordered by key; the slot of rank j moves to
+		// ranked = orbit slots in piece order; the slot of rank j moves to
 		// canonical position orbit[j].
-		ranked := sc.ranked[:len(orbit)]
+		ranked = ranked[:len(orbit)]
 		copy(ranked, orbit)
-		for _, slot := range orbit {
-			sc.key[slot] = c.appendKey(sc.key[slot][:0], slot, st)
-		}
-		sort.SliceStable(ranked, func(a, b int) bool {
-			return bytes.Compare(sc.key[ranked[a]], sc.key[ranked[b]]) < 0
-		})
-		for j, slot := range ranked {
-			sc.perm[slot] = orbit[j]
-			if slot != orbit[j] {
+		for i := 1; i < len(ranked); i++ {
+			for j := i; j > 0 && c.less(st, ranked[j], ranked[j-1]); j-- {
+				ranked[j], ranked[j-1] = ranked[j-1], ranked[j]
 				identity = false
 			}
+		}
+		for j, slot := range ranked {
+			perm[slot] = orbit[j]
 		}
 	}
 	if identity {
 		return st
 	}
-	// A pure renaming moves process components whole, so their interned
-	// cells are carried over by encoding; only the services, whose buffers
-	// are re-keyed, are rebuilt.
-	return c.sys.Permuted(st, sc.perm, c.permutedSvcs(st, c.idPerm(sc.perm), nil))
+	return c.sys.Permuted(st, perm)
 }
 
-// appendKey appends slot's invariant sort key: the process component
-// fingerprint (cached in the state) followed by the process's slice of
-// every service state — its invocation and response buffers and failed-set
-// membership, in fixed service order. For pure specs none of this content
-// depends on process ids, so keys are equivariant under the group action.
-func (c *Canonicalizer) appendKey(dst []byte, slot int, st system.State) []byte {
-	dst = append(dst, st.ProcEncoding(slot)...)
-	id := c.procIDs[slot]
-	for i := range c.svcIDs {
-		ss := st.Svc(i)
-		dst = codec.AppendList(dst, ss.Inv[id])
-		dst = codec.AppendList(dst, ss.Resp[id])
-		if ss.Failed.Has(id) {
-			dst = append(dst, 'F')
-		} else {
-			dst = append(dst, '.')
+// less orders slot a's invariant pieces before slot b's: the process
+// component encoding, then the process's share of every service state —
+// invocation queue, response queue, failed mark — in fixed service order.
+// Each piece is a self-delimiting encoding, so comparing piece by piece is
+// comparing the pieces concatenated, without building the concatenation.
+func (c *Canonicalizer) less(st system.State, a, b int) bool {
+	if x := strings.Compare(st.ProcEncoding(a), st.ProcEncoding(b)); x != 0 {
+		return x < 0
+	}
+	ida, idb := c.procIDs[a], c.procIDs[b]
+	for svc := range c.svcIDs {
+		if x := st.CompareEndpoints(svc, ida, idb); x != 0 {
+			return x < 0
 		}
 	}
-	return dst
-}
-
-// apply builds π(st) for the slot permutation p. svcMap gives the induced
-// service-slot relabelling (nil = all service slots fixed, the pure case).
-func (c *Canonicalizer) apply(st system.State, p []int, svcMap []int) system.State {
-	return c.stateOf(c.permuted(st, p, svcMap))
+	return false
 }
 
 func (c *Canonicalizer) stateOf(procs []process.State, svcs []service.State) system.State {
@@ -430,29 +445,19 @@ func (c *Canonicalizer) stateOf(procs []process.State, svcs []service.State) sys
 }
 
 // permuted returns the components of π(st): slot's process state, with its
-// outbox relabelled, lands in slot p[slot], and the services are relabelled
-// and moved as permutedSvcs describes.
+// outbox relabelled, lands in slot p[slot], and each service is relabelled
+// and moved to the slot svcMap assigns it.
 func (c *Canonicalizer) permuted(st system.State, p []int, svcMap []int) ([]process.State, []service.State) {
 	idPerm := c.idPerm(p)
 	procs := make([]process.State, len(p))
 	for slot := range p {
 		procs[p[slot]] = c.rewriteProc(st.Proc(slot), idPerm)
 	}
-	return procs, c.permutedSvcs(st, idPerm, svcMap)
-}
-
-// permutedSvcs returns the service components of π(st), each relabelled and
-// moved to the slot svcMap assigns it (nil = all service slots fixed).
-func (c *Canonicalizer) permutedSvcs(st system.State, idPerm func(int) int, svcMap []int) []service.State {
-	out := make([]service.State, len(c.svcIDs))
+	svcs := make([]service.State, len(c.svcIDs))
 	for slot, k := range c.svcIDs {
-		target := slot
-		if svcMap != nil {
-			target = svcMap[slot]
-		}
-		out[target] = c.rewriteSvc(k, st.Svc(slot), idPerm)
+		svcs[svcMap[slot]] = c.rewriteSvc(k, st.Svc(slot), idPerm)
 	}
-	return out
+	return procs, svcs
 }
 
 // rewriteProc relabels service indices inside a process's pending outbox.

@@ -25,7 +25,8 @@ import (
 // Locking: the table locks guard map reads and writes only. Transitions
 // run caller-supplied code (Program handlers, a service type's δ1/δ2), so
 // they are computed with no lock held and published afterwards; a memo value
-// is a pure function of its key, so racing writers publish equal values.
+// is a pure function of its key, so racing writers publish equal values. The
+// same holds for a service cell's endpoint index, published by atomic store.
 
 // table is a lock-guarded map to cells: the cells of one component slot by
 // canonical encoding, or the memo of one cell's transitions by input.
@@ -111,6 +112,19 @@ type svcCell struct {
 	st   service.State
 	enc  string // canonical encoding of st
 
+	// memo holds the transitions out of the cell, allocated by the first
+	// one asked of it: most cells of a symmetry-reduced build belong to
+	// successors that are renamed, never expanded.
+	memo atomic.Pointer[svcMemo]
+
+	// eps indexes enc by endpoint for the symmetry layer, built on first
+	// use. Unlike the memo it is a function of enc alone, so it is read
+	// through any slot and any System without re-homing.
+	eps atomic.Pointer[service.Endpoints]
+}
+
+// svcMemo is the transition memo of one service cell.
+type svcMemo struct {
 	apply  []atomic.Pointer[svcEdge] // memo of Service.Apply, by taskIndex
 	invoke table[invKey, svcCell]    // memo of Service.Invoke
 }
@@ -193,8 +207,20 @@ func (sl *svcSlot) intern(ss service.State) *svcCell {
 }
 
 func (sl *svcSlot) newCell(ss service.State, enc string) *svcCell {
-	ntasks := 2*len(sl.sv.Endpoints()) + len(sl.sv.Type().Glob)
-	return sl.put(enc, &svcCell{home: sl, st: ss, enc: enc, apply: make([]atomic.Pointer[svcEdge], ntasks)})
+	return sl.put(enc, &svcCell{home: sl, st: ss, enc: enc})
+}
+
+// transitions returns c's transition memo.
+func (c *svcCell) transitions() *svcMemo {
+	if m := c.memo.Load(); m != nil {
+		return m
+	}
+	sv := c.home.sv
+	m := &svcMemo{apply: make([]atomic.Pointer[svcEdge], 2*len(sv.Endpoints())+len(sv.Type().Glob))}
+	if !c.memo.CompareAndSwap(nil, m) {
+		return c.memo.Load()
+	}
+	return m
 }
 
 // adopt returns the slot's cell holding c's state: c itself unless it
@@ -219,6 +245,41 @@ func (sl *svcSlot) adopt(c *svcCell) *svcCell {
 		return h
 	}
 	return sl.newCell(c.st, c.enc)
+}
+
+// endpoints returns the per-endpoint index of c's encoding.
+func (c *svcCell) endpoints() *service.Endpoints {
+	if e := c.eps.Load(); e != nil {
+		return e
+	}
+	e, err := service.IndexEndpoints(c.enc)
+	if err != nil {
+		// Unreachable: enc was written by AppendFingerprint or accepted by
+		// ParseStatePrefix.
+		panic(err)
+	}
+	c.eps.Store(e)
+	return e
+}
+
+// renamed returns the slot's cell for c's state with every endpoint i
+// relabelled rename(i). The relabelled encoding is assembled from c's indexed
+// encoding and looked up; the relabelled service.State is built only for an
+// encoding the slot has not seen.
+func (sl *svcSlot) renamed(c *svcCell, rename func(int) int) *svcCell {
+	eps := c.endpoints()
+	if !eps.Moved(rename) {
+		return sl.adopt(c)
+	}
+	bp := encBufs.Get().(*[]byte)
+	buf := eps.AppendRenamed((*bp)[:0], c.enc, rename)
+	r := getBytes(&sl.table, buf)
+	if r == nil {
+		r = sl.newCell(c.st.Renamed(rename), string(buf))
+	}
+	*bp = buf
+	encBufs.Put(bp)
+	return r
 }
 
 // stepped returns the memoized process task out of c.
@@ -246,14 +307,15 @@ func (c *procCell) responded(svc, resp string) *procCell {
 // not memoized.
 func (c *svcCell) invoked(proc int, inv string) (*svcCell, error) {
 	key := invKey{proc: proc, inv: inv}
-	if next := c.invoke.get(key); next != nil {
+	memo := &c.transitions().invoke
+	if next := memo.get(key); next != nil {
 		return next, nil
 	}
 	ss, err := c.home.sv.Invoke(c.st, proc, inv)
 	if err != nil {
 		return nil, err
 	}
-	return c.invoke.put(key, c.home.intern(ss)), nil
+	return memo.put(key, c.home.intern(ss)), nil
 }
 
 // applicable reports whether task has an enabled action in c's state under
@@ -269,12 +331,13 @@ func (sl *svcSlot) applicable(c *svcCell, task ioa.Task) bool {
 		_, ok := sl.sv.Enabled(c.st, task)
 		return ok
 	}
-	if e := c.apply[idx].Load(); e != nil {
+	memo := &c.transitions().apply[idx]
+	if e := memo.Load(); e != nil {
 		return e != notEnabled
 	}
 	_, ok := sl.sv.Enabled(c.st, task)
 	if !ok {
-		c.apply[idx].Store(notEnabled)
+		memo.Store(notEnabled)
 	}
 	return ok
 }
@@ -283,9 +346,10 @@ func (sl *svcSlot) applicable(c *svcCell, task ioa.Task) bool {
 // enabled action are reported as Service.Apply reports them and are not
 // memoized.
 func (c *svcCell) performed(task ioa.Task) (*svcEdge, error) {
-	idx := c.home.taskIndex(task)
-	if idx >= 0 {
-		if e := c.apply[idx].Load(); e != nil && e != notEnabled {
+	var memo *atomic.Pointer[svcEdge]
+	if idx := c.home.taskIndex(task); idx >= 0 {
+		memo = &c.transitions().apply[idx]
+		if e := memo.Load(); e != nil && e != notEnabled {
 			return e, nil
 		}
 	}
@@ -294,8 +358,8 @@ func (c *svcCell) performed(task ioa.Task) (*svcEdge, error) {
 		return nil, err
 	}
 	e := &svcEdge{next: c.home.intern(ss), act: act}
-	if idx >= 0 {
-		c.apply[idx].Store(e)
+	if memo != nil {
+		memo.Store(e)
 	}
 	return e, nil
 }

@@ -18,6 +18,7 @@ package system
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/ioa-lab/boosting/internal/codec"
@@ -233,22 +234,6 @@ func (s *System) InitialState() State {
 	return st
 }
 
-// ComponentStates returns the process and service component states of st in
-// the system's fixed component order (processes by ascending id, services by
-// sorted index), in freshly allocated slices. This is the read face of
-// StateOf.
-func (s *System) ComponentStates(st State) ([]process.State, []service.State) {
-	procs := make([]process.State, len(st.procs))
-	for i, c := range st.procs {
-		procs[i] = c.st
-	}
-	svcs := make([]service.State, len(st.svcs))
-	for i, c := range st.svcs {
-		svcs[i] = c.st
-	}
-	return procs, svcs
-}
-
 // StateOf assembles a State from component states in the system's fixed
 // component order, interning each one (one encode and one table lookup per
 // component). The component values are retained by the cells they create;
@@ -272,25 +257,56 @@ func (s *System) StateOf(procs []process.State, svcs []service.State) (State, er
 	return st, nil
 }
 
-// Permuted returns the State holding st's process component of slot i in
-// slot to[i], and the given service components. It is the symmetry layer's
-// constructor for renamings that move process states whole: a moved
-// component is found in the target slot's table by its cached encoding (one
-// lookup, no encode), while the service components — whose per-endpoint
-// buffers a renaming re-keys — are interned like StateOf's. to must be a
-// permutation of the process slots and svcs one state per service slot.
-func (s *System) Permuted(st State, to []int, svcs []service.State) State {
-	out := State{
-		procs: make([]*procCell, len(st.procs)),
-		svcs:  make([]*svcCell, len(svcs)),
+// Permuted returns π(st) for a renaming π that moves component states whole:
+// st's process component of slot i lands in slot to[i], and every service
+// keeps its slot and value while endpoint i's queues and failed mark become
+// endpoint π(i)'s. It is the symmetry layer's constructor for pure specs and
+// works on cells: a moved process component is found in the target slot's
+// table by its cached encoding, a relabelled service by the encoding
+// assembled from its cell's endpoint index, so a renaming onto states the
+// System has already seen encodes no component and builds no service.State.
+// to must be a permutation of the process slots.
+func (s *System) Permuted(st State, to []int) State {
+	rename := func(id int) int {
+		if slot := s.slotOf(id); slot >= 0 {
+			return s.procIDs[to[slot]]
+		}
+		return id
 	}
+	out := State{procs: make([]*procCell, len(st.procs)), svcs: st.svcs}
 	for slot, c := range st.procs {
 		out.procs[to[slot]] = s.procSlots[to[slot]].adopt(c)
 	}
-	for i := range svcs {
-		out.svcs[i] = s.svcSlots[i].intern(svcs[i])
+	shared := true // out.svcs is st's until the first service that changes
+	for i, c := range st.svcs {
+		r := s.svcSlots[i].renamed(c, rename)
+		if r == c {
+			continue
+		}
+		if shared {
+			out.svcs, shared = slices.Clone(st.svcs), false
+		}
+		out.svcs[i] = r
 	}
 	return out
+}
+
+// slotOf returns the slot of process id in the component order, or -1:
+// procIdx without the hashing, for Permuted, which asks several times per
+// endpoint per service. Ids are almost always 0..n-1, their own slots.
+func (s *System) slotOf(id int) int {
+	if id >= 0 && id < len(s.procIDs) && s.procIDs[id] == id {
+		return id
+	}
+	return slices.Index(s.procIDs, id)
+}
+
+// CompareEndpoints orders process a's share of the service in slot svc
+// against process b's — invocation queue, response queue, failed mark — as
+// service.Endpoints.Compare defines, from the cell's cached endpoint index.
+func (st State) CompareEndpoints(svc, a, b int) int {
+	c := st.svcs[svc]
+	return c.endpoints().Compare(c.enc, a, b)
 }
 
 // ProcState returns the component state of process id, or the zero state if

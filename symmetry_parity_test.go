@@ -8,6 +8,8 @@ package boosting_test
 // worker count, like the unreduced one.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"github.com/ioa-lab/boosting"
@@ -268,6 +270,50 @@ func TestQuotientHookParity(t *testing.T) {
 		}
 		if got, want := outcome(true), outcome(false); got != want {
 			t.Errorf("%s n=%d: reduced hook outcome %q, unreduced %q", p.name, p.n, got, want)
+		}
+	}
+}
+
+// TestQuotientFingerprintPins holds the canonical representatives
+// byte-identical per ID: a SHA-256 over every vertex fingerprint of the
+// quotient, in ID order. Which member of an orbit is canonical is a
+// convention, but a committed one — durable graph directories and the
+// boostd cache are keyed and filled by these bytes — so a change to the
+// canonicalizer must reproduce it exactly. The values were recorded before
+// the canonicalizer moved from materialised sort keys to interned cells.
+func TestQuotientFingerprintPins(t *testing.T) {
+	pins := []struct {
+		protocol string
+		n        int
+		states   int
+		sum      string
+	}{
+		{"forward", 5, 868, "63102ac47e54cec8096f68bcf3cadb97b589c0f312c94a90f36f5a43dcf7aca8"},
+		{"forward", 6, 1764, "6c310fed3fad36e3c35b13096e1be02b6a6346300ea7b5e7ad5bf59dac48fc76"},
+		{"setboost", 2, 1155, "165ce8a78df1b7d1ad8be624ce6f62fe4b686bbdfa265b1e9982c9a484f29954"},
+		// The enumerated path (rename/rewrite specs), which must not move.
+		{"tob", 2, 208, "1050fd5da1f16f2414b5f719f19cab2f38e80c42d43d524a2464feafcd7644c4"},
+		{"registervote", 2, 966, "9db35264e1247aa905c51936d50c35f9997660bb197c3079a6a8022dc78997a7"},
+	}
+	for _, p := range pins {
+		chk, err := boosting.New(p.protocol, p.n, 0, boosting.WithWorkers(1), boosting.WithSymmetry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := chk.ClassifyInits()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for id := 0; id < c.Graph.Size(); id++ {
+			h.Write([]byte(c.Graph.Fingerprint(boosting.StateID(id))))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); c.Graph.Size() != p.states || got != p.sum {
+			t.Errorf("%s n=%d quotient: %d states, fingerprints hash to %s; pinned %d, %s",
+				p.protocol, p.n, c.Graph.Size(), got, p.states, p.sum)
+		}
+		if err := c.Close(); err != nil {
+			t.Error(err)
 		}
 	}
 }
