@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-quick bench-allocs bench-symmetry bench-spill bench-adjacency bench-shards bench-incremental test-spill test-server run-boostd lint vet analyze fmt-check fmt vuln apidiff-baseline apidiff
+.PHONY: all build test race bench bench-quick bench-allocs bench-symmetry bench-spill bench-adjacency bench-incremental test-spill test-server run-boostd lint vet analyze fmt-check fmt vuln apidiff-baseline apidiff
 
 all: build lint test
 
@@ -11,7 +11,8 @@ test:
 	$(GO) test ./...
 
 # The race job is what proves the parallel exploration engine correct:
-# worker-pool BFS, lock-striped dedup and the atomic valence sweep all run
+# workers expanding a level against the frozen store, the coordinator's
+# serial intern at the level barrier and the atomic valence sweep all run
 # under the race detector. The second line fills one System's cell tables
 # and transition memo from four goroutines at once; interleavings differ per
 # run, so it is repeated. The third line repeats the Refute sweep's progress
@@ -42,16 +43,16 @@ bench-quick:
 # store comparison (dense vs hash compaction), the E27 symmetry
 # reduction (quotient vs full graph), the E28 spill store (disk-backed
 # fingerprint file, incl. the exhaustive forward n=5 build), the E29
-# spilled adjacency (edge file + witness-free builds) and the E30
-# sharded engine (partitioned interning + renumber pass vs the legacy
-# engines) and the E31 incremental recheck (durable reopen + dirty-region
-# recheck vs full rebuild of a policy variant), with -benchmem.
+# spilled adjacency (edge file + witness-free builds) and the E31
+# incremental recheck (durable reopen + dirty-region recheck vs full
+# rebuild of a policy variant), with -benchmem. E22 carries the serial vs
+# worker-pool rows on forward n=5 and the forward n=6 quotient.
 # B/op and allocs/op are stable at low iteration counts, so a short
 # fixed benchtime keeps this cheap enough to run per-PR; CI uploads the
 # output as an artifact (bench-allocs.txt) to make allocation
 # regressions visible.
 bench-allocs:
-	@$(GO) test -bench 'BenchmarkBuildGraphWorkers|BenchmarkRefuteWorkers|BenchmarkRunBatchWorkers|BenchmarkFingerprint|BenchmarkStoreBackends|BenchmarkSymmetry$$|BenchmarkSpillStore|BenchmarkSpillAdjacency|BenchmarkSharded|BenchmarkIncremental' \
+	@$(GO) test -bench 'BenchmarkBuildGraphWorkers|BenchmarkRefuteWorkers|BenchmarkRunBatchWorkers|BenchmarkFingerprint|BenchmarkStoreBackends|BenchmarkSymmetry$$|BenchmarkSpillStore|BenchmarkSpillAdjacency|BenchmarkIncremental' \
 		-benchmem -benchtime=2x -run '^$$' . > bench-allocs.txt; \
 		status=$$?; cat bench-allocs.txt; exit $$status
 
@@ -78,15 +79,6 @@ bench-spill:
 bench-adjacency:
 	$(GO) test -bench 'BenchmarkSpillAdjacency' -benchmem -benchtime=2x -run '^$$' .
 
-# The E30 rows on their own: the sharded fingerprint-partitioned engine
-# (shard-local interning + post-hoc renumbering) against the serial and
-# worker-pool engines on the exhaustive forward n=5 build and the
-# forward n=6 quotient. The shards=NumCPU vs shards=1 pair is the
-# multi-core speedup measurement; `experiments -only E30` records the
-# registervote n=3 workload, which is too slow for a benchmark loop.
-bench-shards:
-	$(GO) test -bench 'BenchmarkSharded' -benchmem -benchtime=2x -run '^$$' .
-
 # The E31 row on its own: the incremental path on the exhaustive forward
 # n=5 graph — commit the adversarial build durably, then answer the
 # benign-policy variant by full rebuild vs durable reopen + dirty-region
@@ -105,14 +97,11 @@ bench-incremental:
 # -count=1 matters: GOMEMLIMIT is read by the runtime, not the test
 # binary, so it is not part of the test-cache key — without it a warm
 # cache would replay passes that never ran under the ceiling.
-# TestShard adds the shard-count invariance suite (and TestSpill now
-# also matches the sharded exhaustive n=6 rebuild), so the sharded
-# engine's spill legs run under the ceiling too. TestDurable and
-# TestRecheck add the durable graph store: commit, reopen-parity and
-# dirty-region recheck all run under the same ceiling, proving the
-# reattached spill store stays disk-backed.
+# TestDurable and TestRecheck add the durable graph store: commit,
+# reopen-parity and dirty-region recheck all run under the same ceiling,
+# proving the reattached spill store stays disk-backed.
 test-spill:
-	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestStoreParity|TestGoldenExploration|TestGoldenInfiniteFamilies|TestRefutationReportParity|TestQuotient|TestSpill|TestShard|TestDurable|TestWithGraphDir' .
+	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestStoreParity|TestGoldenExploration|TestGoldenInfiniteFamilies|TestRefutationReportParity|TestQuotient|TestSpill|TestDurable|TestWithGraphDir' .
 	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestSpillStore|TestStoreBounds|TestDurable|TestRecheck' ./internal/explore/
 
 # The checking-service suite: the boostd HTTP/SSE/cache end-to-end tests

@@ -20,6 +20,7 @@ import (
 	"github.com/ioa-lab/boosting/internal/seqtype"
 	"github.com/ioa-lab/boosting/internal/service"
 	"github.com/ioa-lab/boosting/internal/servicetype"
+	"github.com/ioa-lab/boosting/internal/symmetry"
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
@@ -426,28 +427,43 @@ func workerSweep() []int {
 }
 
 // BenchmarkBuildGraphWorkers (E22) compares the serial exploration engine
-// with the worker-pool engine on the two largest completing seed systems:
+// with the worker-pool engine on the two largest completing seed systems —
 // the 4-process forward candidate (2486-vertex G(C)) and the 2-process
-// register-vote candidate (1416 vertices). The workers=1 rows are the serial
-// baseline; higher rows measure the parallel speedup on this machine.
+// register-vote candidate (1416 vertices) — and on the two largest
+// default-path exhaustive builds: the forward n=5 G(C) (14754 vertices /
+// 103926 edges) and the symmetry-reduced forward n=6 quotient (1764 / 15084).
+// The workers=1 rows are the serial baseline; higher rows measure the
+// parallel speedup on this machine.
 func BenchmarkBuildGraphWorkers(b *testing.B) {
+	forward := func(n int) func() (*system.System, error) {
+		return func() (*system.System, error) { return protocols.BuildForward(n, 0, service.Adversarial) }
+	}
 	systems := []struct {
 		name  string
 		build func() (*system.System, error)
+		spec  symmetry.Spec // with orbits: explore the quotient
 	}{
-		{"forward-n4", func() (*system.System, error) { return protocols.BuildForward(4, 0, service.Adversarial) }},
-		{"registervote-n2", func() (*system.System, error) { return protocols.BuildRegisterVote(2) }},
+		{"forward-n4", forward(4), symmetry.Spec{}},
+		{"registervote-n2", func() (*system.System, error) { return protocols.BuildRegisterVote(2) }, symmetry.Spec{}},
+		{"forward-n5", forward(5), symmetry.Spec{}},
+		{"forward-n6-sym", forward(6), protocols.ForwardSymmetry(6)},
 	}
 	for _, sc := range systems {
 		sys, err := sc.build()
 		if err != nil {
 			b.Fatal(err)
 		}
+		var canon explore.Canonicalizer
+		if len(sc.spec.Orbits) > 0 {
+			if canon, err = symmetry.New(sys, sc.spec); err != nil {
+				b.Fatal(err)
+			}
+		}
 		for _, w := range workerSweep() {
 			b.Run(fmt.Sprintf("%s/workers=%d", sc.name, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					c, err := explore.ClassifyInits(sys, explore.BuildOptions{Workers: w})
+					c, err := explore.ClassifyInits(sys, explore.BuildOptions{Workers: w, Symmetry: canon})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -864,63 +880,5 @@ func BenchmarkStoreBackends(b *testing.B) {
 			}
 			b.ReportMetric(retained/float64(states), "retainedB/state")
 		})
-	}
-}
-
-// BenchmarkSharded (E30) compares the sharded fingerprint-partitioned
-// engine against the legacy engines on the two largest default-path
-// exhaustive builds: the forward n=5 G(C) (14754 vertices / 103926 edges)
-// and the symmetry-reduced forward n=6 quotient (1764 vertices / 15084
-// edges). The legacy rows are the serial engine and the worker-pool engine
-// (barrier interning at each level); the sharded rows intern into
-// fingerprint-partitioned shards with no global barrier on discovery and
-// pay the post-hoc renumber pass. shards=NumCPU vs shards=1 is the row
-// pair the >=4-core speedup target is read from; on one core the sharded
-// rows price the renumber overhead instead. The register-vote n=3 quotient
-// (the third E30 workload) takes minutes per build, so it is recorded by
-// `experiments -only E30`, not benchmarked here.
-func BenchmarkSharded(b *testing.B) {
-	ncpu := runtime.NumCPU()
-	type engine struct {
-		name            string
-		workers, shards int
-	}
-	engines := []engine{
-		{"serial", 1, 0},
-		{fmt.Sprintf("parallel-w%d", ncpu), ncpu, 0},
-		{"sharded-1", ncpu, 1},
-	}
-	if ncpu > 1 {
-		engines = append(engines, engine{fmt.Sprintf("sharded-%d", ncpu), ncpu, ncpu})
-	}
-	workloads := []struct {
-		name string
-		n    int
-		opts []boosting.Option
-	}{
-		{"forward-n5", 5, nil},
-		{"forward-n6-sym", 6, []boosting.Option{boosting.WithSymmetry()}},
-	}
-	for _, wl := range workloads {
-		for _, e := range engines {
-			b.Run(fmt.Sprintf("%s/%s", wl.name, e.name), func(b *testing.B) {
-				opts := append([]boosting.Option{
-					boosting.WithWorkers(e.workers), boosting.WithShards(e.shards),
-				}, wl.opts...)
-				chk, err := boosting.New("forward", wl.n, 0, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c, err := chk.ClassifyInits()
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(c.Graph.Size()), "states")
-				}
-			})
-		}
 	}
 }

@@ -19,7 +19,7 @@ func mustChecker(t *testing.T, name string, n, f int, opts ...boosting.Option) *
 
 // TestCanonicalFingerprintStable: the identity is a pure function of the
 // candidate — two checkers over the same protocol collide even when their
-// engine options (workers, store, shards, symmetry) differ, and repeated
+// engine options (workers, store, symmetry) differ, and repeated
 // calls return identical bytes.
 func TestCanonicalFingerprintStable(t *testing.T) {
 	base := mustChecker(t, "forward", 3, 0).CanonicalFingerprint()
@@ -29,7 +29,6 @@ func TestCanonicalFingerprintStable(t *testing.T) {
 	variants := []*boosting.Checker{
 		mustChecker(t, "forward", 3, 0),
 		mustChecker(t, "forward", 3, 0, boosting.WithWorkers(4)),
-		mustChecker(t, "forward", 3, 0, boosting.WithShards(4)),
 		mustChecker(t, "forward", 3, 0, boosting.WithStore(boosting.HashStore64)),
 		mustChecker(t, "forward", 3, 0, boosting.WithSymmetry()),
 		mustChecker(t, "forward", 3, 0, boosting.WithoutWitnesses()),

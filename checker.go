@@ -205,8 +205,8 @@ func (c *Checker) refuteOptions() explore.RefuteOptions {
 // class, initial value, resilience, silence policy and endpoint count —
 // followed by the canonicalized fingerprints of the n+1 monotone
 // initialization roots. Two checkers over the same candidate collide even
-// when they were built with different engine options (workers, shards,
-// store backend, symmetry reduction), while distinct n, f, silence policy
+// when they were built with different engine options (workers, store
+// backend, symmetry reduction), while distinct n, f, silence policy
 // or round parameters produce distinct identities: n changes the component
 // count, f the declared resilience, the policy the per-service policy
 // field, and the round parameter the round-register set.

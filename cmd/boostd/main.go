@@ -5,7 +5,7 @@
 // system fingerprint, so renamed-but-isomorphic resubmissions are answered
 // without exploring a single state.
 //
-// The shared engine flag block (-workers, -shards, -store, …) sets the
+// The shared engine flag block (-workers, -store, -symmetry, …) sets the
 // *default* job options; each submission may override them in its JSON
 // option block. Server flags:
 //

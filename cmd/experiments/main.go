@@ -1,9 +1,9 @@
 // Command experiments reproduces every figure/lemma/theorem-level artifact
 // of the paper (the experiment index E1–E21 of DESIGN.md, plus the
-// E27–E32 engine rows: symmetry quotient, spilled states, spilled
-// adjacency, sharded exploration, durable reopen + incremental recheck,
-// component interning)
-// and emits the results as the markdown report stored in EXPERIMENTS.md.
+// E27–E29, E31 and E32 engine rows: symmetry quotient, spilled states,
+// spilled adjacency, durable reopen + incremental recheck, component
+// interning) and emits the results as the markdown report stored in
+// EXPERIMENTS.md.
 // -only regenerates a subset of rows.
 //
 // Usage:
@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -60,7 +59,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	common := cliflags.Register(fs)
-	only := fs.String("only", "", "comma-separated experiment ids to run (e.g. E30,E29); default: all")
+	only := fs.String("only", "", "comma-separated experiment ids to run (e.g. E29,E31); default: all")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -93,9 +92,9 @@ func run(args []string) error {
 	}
 	commonOpts = opts
 	spillDir = common.SpillDir
-	// -only picks a subset of rows by id (the heavy engine rows — E29,
-	// E30 — build million-state frontiers, so regenerating one row
-	// without re-running the whole index matters).
+	// -only picks a subset of rows by id (the heavy engine row E29 builds
+	// a million-state frontier, so regenerating one row without re-running
+	// the whole index matters).
 	selected := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
 		if id = strings.ToUpper(strings.TrimSpace(id)); id != "" {
@@ -132,7 +131,6 @@ func run(args []string) error {
 		{"E27", e27SymmetryReduction},
 		{"E28", e28SpillStore},
 		{"E29", e29SpillAdjacency},
-		{"E30", e30ShardedExploration},
 		{"E31", e31IncrementalRecheck},
 		{"E32", e32ComponentInterning},
 	}
@@ -978,95 +976,6 @@ func e29SpillAdjacency() (result, error) {
 	}, nil
 }
 
-// e30: sharded fingerprint-partitioned exploration — workers intern each
-// freshly canonicalized successor directly into the shard owning its
-// fingerprint-hash range (no barrier interning at level ends), and the
-// post-hoc renumber pass makes the finished graph identical for every
-// shard and worker count. The row checks that identity per-id on the
-// exhaustive forward n=5 build while timing the shard sweep (the ≥4-core
-// speedup target; on fewer cores the sweep prices the renumber overhead
-// instead), re-derives the forward n=6 quotient against the legacy
-// engine, and rebuilds the largest frontier — registervote n=3 on the
-// quotient, witness-free, spilled to disk — under the sharded engine.
-func e30ShardedExploration() (result, error) {
-	// The shard sweep pairs one shard against one-per-CPU; on a single
-	// CPU the pair still compares two shard counts, so the per-id
-	// identity check never degenerates to comparing a build with itself.
-	ncpu := max(runtime.NumCPU(), 2)
-	build := func(shards int) (*boosting.InitClassification, time.Duration, error) {
-		chk, err := newChecker("forward", 5, 0, boosting.WithShards(shards))
-		if err != nil {
-			return nil, 0, err
-		}
-		start := time.Now()
-		c, err := chk.ClassifyInits()
-		return c, time.Since(start), err
-	}
-	one, t1, err := build(1)
-	if err != nil {
-		return result{}, err
-	}
-	defer one.Close()
-	many, tn, err := build(ncpu)
-	if err != nil {
-		return result{}, err
-	}
-	defer many.Close()
-	identical := one.Graph.Size() == many.Graph.Size() &&
-		one.Graph.Edges() == many.Graph.Edges() &&
-		one.BivalentIndex == many.BivalentIndex
-	for id := 0; identical && id < one.Graph.Size(); id++ {
-		sid := boosting.StateID(id)
-		identical = one.Graph.Fingerprint(sid) == many.Graph.Fingerprint(sid) &&
-			one.Graph.Valence(sid) == many.Graph.Valence(sid)
-	}
-	// The n=6 quotient under the sharded engine against the legacy serial
-	// engine: renumbered IDs differ between the families, so the
-	// comparison is counts and verdict, not per-id.
-	legacy, err := newChecker("forward", 6, 0, boosting.WithSymmetry(), boosting.WithWorkers(1), boosting.WithShards(0))
-	if err != nil {
-		return result{}, err
-	}
-	want, err := legacy.ClassifyInits()
-	if err != nil {
-		return result{}, err
-	}
-	defer want.Close()
-	quot, err := newChecker("forward", 6, 0, boosting.WithSymmetry(), boosting.WithShards(ncpu))
-	if err != nil {
-		return result{}, err
-	}
-	n6, err := quot.ClassifyInits()
-	if err != nil {
-		return result{}, err
-	}
-	defer n6.Close()
-	n6ok := n6.Graph.Size() == want.Graph.Size() &&
-		n6.Graph.Edges() == want.Graph.Edges() &&
-		n6.BivalentIndex == want.BivalentIndex
-	rv, err := newChecker("registervote", 3, 0, boosting.WithShards(ncpu),
-		boosting.WithSpillDir(spillDir), boosting.WithSymmetry(),
-		boosting.WithoutWitnesses(), boosting.WithMaxStates(1_200_000))
-	if err != nil {
-		return result{}, err
-	}
-	rv3, err := rv.ClassifyInits()
-	if err != nil {
-		return result{}, err
-	}
-	defer boosting.CloseGraph(rv3.Graph)
-	return result{
-		id: "E30", artifact: "sharded exploration (partitioned interning)",
-		claim: "shard-local interning with post-hoc renumbering is deterministic: same graph for any shard/worker count",
-		measured: fmt.Sprintf("forward n=5 shards=1 ≡ shards=%d per-id: %v (%d states / %d edges), %.1fs vs %.1fs (%.2fx); sharded n=6 quotient ≡ legacy: %v (%d / %d); sharded registervote n=3 quotient: %d / %d",
-			ncpu, identical, one.Graph.Size(), one.Graph.Edges(),
-			t1.Seconds(), tn.Seconds(), t1.Seconds()/tn.Seconds(),
-			n6ok, n6.Graph.Size(), n6.Graph.Edges(),
-			rv3.Graph.Size(), rv3.Graph.Edges()),
-		ok: identical && n6ok && rv3.BivalentIndex >= 0,
-	}, nil
-}
-
 // e31: durable graph store + incremental recheck. The exhaustive forward
 // n=5 adversarial build is committed once behind its manifest; the
 // benign-policy variant — a one-action delta whose failure-free graph is
@@ -1082,7 +991,7 @@ func e31IncrementalRecheck() (result, error) {
 	}
 	defer os.RemoveAll(dir)
 	base, err := newChecker("forward", 5, 1,
-		boosting.WithWorkers(1), boosting.WithShards(0),
+		boosting.WithWorkers(1),
 		boosting.WithStore(boosting.SpillStore), boosting.WithGraphDir(dir))
 	if err != nil {
 		return result{}, err
@@ -1094,7 +1003,7 @@ func e31IncrementalRecheck() (result, error) {
 	defer committed.Close()
 	fullStates, fullEdges := committed.Graph.Size(), committed.Graph.Edges()
 	delta, err := newChecker("forward", 5, 1,
-		boosting.WithWorkers(1), boosting.WithShards(0),
+		boosting.WithWorkers(1),
 		boosting.WithSilencePolicy(boosting.Benign), boosting.WithSpillDir(spillDir))
 	if err != nil {
 		return result{}, err

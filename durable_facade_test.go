@@ -236,11 +236,6 @@ func TestWithGraphDirConflicts(t *testing.T) {
 			opts: []boosting.Option{boosting.WithGraphDir("/tmp/g"), boosting.WithStore(boosting.DenseStore)},
 			with: "WithStore",
 		},
-		{
-			name: "shards",
-			opts: []boosting.Option{boosting.WithGraphDir("/tmp/g"), boosting.WithShards(2)},
-			with: "WithShards",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

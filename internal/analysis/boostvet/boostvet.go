@@ -5,7 +5,7 @@
 // The reproduction's analogue of the paper's exactness claims is
 // bit-identical exploration: the FLP-derived bivalence machinery only
 // means something if the graph — IDs, edges, valences, reports — is
-// deterministic across workers × shards × stores, if spill descriptors
+// deterministic across workers × stores, if spill descriptors
 // are released on every exit path, if store reads are total, and if
 // typed errors survive the trip across the façade. Each analyzer
 // guards one of those contracts; `make analyze` runs them all via

@@ -11,7 +11,7 @@ import (
 
 // DeterminismAnalyzer guards the bit-identical-exploration invariant: the
 // graph (IDs, edges, valences, reports, progress) must be identical for
-// any worker × shard × store configuration, so the engine and its output
+// any worker × store configuration, so the engine and its output
 // paths must not consume ambient nondeterminism.
 //
 // In the root package and internal/{explore,intern,symmetry,server} it

@@ -1,7 +1,7 @@
 // Package cliflags is the shared flag block of the cmd/* binaries: every
-// tool takes the same exploration knobs (-workers, -shards, -maxstates,
-// -store, -spilldir, -nowitness, -symmetry), and every tool surfaces partial
-// exploration counts when a state budget overflows. Before the boosting
+// tool takes the same exploration knobs (-workers, -maxstates, -store,
+// -spilldir, -graphdir, -nowitness, -symmetry), and every tool surfaces
+// partial exploration counts when a state budget overflows. Before the boosting
 // façade each binary carried its own copy of this block; now there is one.
 package cliflags
 
@@ -17,7 +17,6 @@ import (
 // Common holds the flag values shared by all binaries.
 type Common struct {
 	Workers   int
-	Shards    int
 	MaxStates int
 	Store     string
 	SpillDir  string
@@ -31,7 +30,6 @@ type Common struct {
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.IntVar(&c.Workers, "workers", 0, "exploration workers (0 = one per CPU, 1 = serial)")
-	fs.IntVar(&c.Shards, "shards", 0, "fingerprint-partitioned intern shards (0 = off; >= 1 selects the sharded engine with deterministic renumbering)")
 	fs.IntVar(&c.MaxStates, "maxstates", 0, "explored-state budget per graph build (0 = engine default)")
 	// The empty sentinel default (rendered as dense by ParseStore) lets
 	// Options distinguish an explicit -store dense from the default, so
@@ -41,7 +39,7 @@ func Register(fs *flag.FlagSet) *Common {
 	// Same empty-sentinel discipline as -store/-spilldir: "" means "not
 	// requested", so the conflict matrix in Options can name exactly the
 	// flags the user actually set.
-	fs.StringVar(&c.GraphDir, "graphdir", "", "durable graph directory: commit the built graph for later reopening and incremental recheck (implies -store spill; conflicts with -spilldir and -shards)")
+	fs.StringVar(&c.GraphDir, "graphdir", "", "durable graph directory: commit the built graph for later reopening and incremental recheck (implies -store spill; conflicts with -spilldir)")
 	fs.BoolVar(&c.NoWitness, "nowitness", false, "drop witness predecessor links (counts and valences only; conflicts with witness-producing analyses)")
 	fs.BoolVar(&c.Symmetry, "symmetry", false, "canonicalize states modulo process renaming (quotient graph; symmetric families only)")
 	return c
@@ -112,14 +110,10 @@ func (c *Common) Options() ([]boosting.Option, error) {
 		if c.Store != "" && store != boosting.SpillStore {
 			return nil, fmt.Errorf("-graphdir requires -store spill (got -store %s)", c.Store)
 		}
-		if c.Shards > 0 {
-			return nil, fmt.Errorf("-graphdir conflicts with -shards (the sharded engine renumbers into a dense store, which is not durable)")
-		}
 		store = boosting.SpillStore
 	}
 	opts := []boosting.Option{
 		boosting.WithWorkers(c.Workers),
-		boosting.WithShards(c.Shards),
 		boosting.WithMaxStates(c.MaxStates),
 		boosting.WithStore(store),
 	}
@@ -139,14 +133,15 @@ func (c *Common) Options() ([]boosting.Option, error) {
 
 // Describe renders an error for CLI display, surfacing the partial
 // exploration count when a graph build overflowed its state budget and the
-// fix when an option combination conflicts.
+// flag to drop when -nowitness conflicts with the analysis. The WithGraphDir
+// conflicts print as they are: their Reason already names the fix.
 func Describe(err error) string {
 	var le *boosting.LimitError
 	if errors.As(err, &le) {
 		return fmt.Sprintf("%v (explored %d states before the limit; raise -maxstates)", err, le.Explored)
 	}
 	var ce *boosting.ConflictError
-	if errors.As(err, &ce) {
+	if errors.As(err, &ce) && ce.Option == "WithoutWitnesses()" {
 		return fmt.Sprintf("%v (drop -nowitness for this analysis)", err)
 	}
 	return err.Error()

@@ -1,7 +1,9 @@
 package cliflags
 
 import (
+	"errors"
 	"flag"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -61,44 +63,55 @@ func TestOptionsSpill(t *testing.T) {
 	}
 }
 
-// TestOptionsShards: the parsed -shards flag lowers to WithShards and
-// routes a build through the sharded engine; the produced graph matches
-// the default engine's counts and classification (the full identity /
-// isomorphism contract is pinned by the shard parity suites).
-func TestOptionsShards(t *testing.T) {
-	ref, err := boosting.New("forward", 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.ClassifyInits()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestShardsFlagRemoved: -shards left with the sharded engine. Every binary
+// registers this block, so the flag package's own unknown-flag error is what
+// each of them now prints.
+func TestShardsFlagRemoved(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := Register(fs)
-	if err := fs.Parse([]string{"-shards", "4"}); err != nil {
-		t.Fatal(err)
+	fs.SetOutput(io.Discard)
+	Register(fs)
+	err := fs.Parse([]string{"-shards", "2"})
+	if err == nil || err.Error() != "flag provided but not defined: -shards" {
+		t.Fatalf("Parse(-shards 2) = %v, want the flag package's unknown-flag error", err)
 	}
-	if c.Shards != 4 {
-		t.Fatalf("Shards = %d after -shards 4", c.Shards)
+}
+
+// TestDescribe: the budget hint rides on *LimitError, the -nowitness hint
+// only on the WithoutWitnesses() conflict; the WithGraphDir conflicts — whose
+// Reason already names the fix — and plain errors print as they are.
+func TestDescribe(t *testing.T) {
+	mustNew := func(opts ...boosting.Option) *boosting.Checker {
+		t.Helper()
+		chk, err := boosting.New("forward", 2, 0, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chk
 	}
-	opts, err := c.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	chk, err := boosting.New("forward", 2, 0, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := chk.ClassifyInits()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Graph.Size() != want.Graph.Size() || got.Graph.Edges() != want.Graph.Edges() ||
-		got.BivalentIndex != want.BivalentIndex {
-		t.Errorf("-shards 4: %d states / %d edges / bivalent %d, want %d / %d / %d",
-			got.Graph.Size(), got.Graph.Edges(), got.BivalentIndex,
-			want.Graph.Size(), want.Graph.Edges(), want.BivalentIndex)
+	_, limitErr := mustNew(boosting.WithMaxStates(10)).ClassifyInits()
+	_, nowitnessErr := mustNew(boosting.WithoutWitnesses()).Refute(1)
+	_, graphDirRefuteErr := mustNew(boosting.WithGraphDir(t.TempDir())).Refute(1)
+	_, graphDirSpillErr := boosting.New("forward", 2, 0, boosting.WithGraphDir(t.TempDir()), boosting.WithSpillDir(t.TempDir()))
+	plainErr := errors.New("unknown store backend")
+	for _, tc := range []struct {
+		name   string
+		err    error
+		suffix string // appended to err.Error(); "" = printed as is
+	}{
+		{"limit", limitErr, " (explored 10 states before the limit; raise -maxstates)"},
+		{"nowitness conflict", nowitnessErr, " (drop -nowitness for this analysis)"},
+		{"graphdir vs Refute", graphDirRefuteErr, ""},
+		{"graphdir vs spilldir", graphDirSpillErr, ""},
+		{"plain", plainErr, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.err == nil {
+				t.Fatal("the set-up produced no error to describe")
+			}
+			if got, want := Describe(tc.err), tc.err.Error()+tc.suffix; got != want {
+				t.Errorf("Describe = %q\nwant       %q", got, want)
+			}
+		})
 	}
 }
 
@@ -187,11 +200,6 @@ func TestOptionsGraphDirConflicts(t *testing.T) {
 			name:  "explicit hash128 store",
 			args:  []string{"-graphdir", t.TempDir(), "-store", "hash128"},
 			wants: []string{"-graphdir", "-store"},
-		},
-		{
-			name:  "shards",
-			args:  []string{"-graphdir", t.TempDir(), "-shards", "2"},
-			wants: []string{"-graphdir", "-shards"},
 		},
 	}
 	for _, tc := range conflicts {

@@ -503,8 +503,7 @@ func reattachSpillStore(sys *system.System, files *graphFiles, m *Manifest, dec 
 
 	// Rebuild the dedup index: one sequential pass over the fingerprint
 	// file. Recheck resolves candidate states against this graph through
-	// Lookup, so the buckets must be live, not dropped like releaseDedup
-	// leaves them.
+	// Lookup, so the buckets must be live.
 	br := bufio.NewReaderSize(files.fp, 256<<10)
 	buf := make([]byte, 0, 256)
 	for i := 0; i < n; i++ {

@@ -14,9 +14,22 @@ import (
 	"testing"
 
 	"github.com/ioa-lab/boosting/internal/explore"
+	"github.com/ioa-lab/boosting/internal/protocols"
 	"github.com/ioa-lab/boosting/internal/service"
+	"github.com/ioa-lab/boosting/internal/symmetry"
 	"github.com/ioa-lab/boosting/internal/system"
 )
+
+// forwardCanon builds the process-renaming canonicalizer of the forward
+// protocol, for the ±symmetry legs of the parity suite.
+func forwardCanon(t *testing.T, sys *system.System, n int) explore.Canonicalizer {
+	t.Helper()
+	c, err := symmetry.New(sys, protocols.ForwardSymmetry(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 // monotoneRoots builds the α_0 … α_n monotone input roots ClassifyInits
 // explores from.

@@ -149,17 +149,6 @@ type BuildOptions struct {
 	// 1 forces the serial engine. The produced graph is identical either
 	// way — same StateIDs, edges, predecessors and valences.
 	Workers int
-	// Shards, when >= 1 (clamped to 64), selects the sharded engine:
-	// workers intern freshly discovered states immediately into
-	// hash-partitioned shards — no serial intern pass at the level
-	// barriers — and a post-hoc renumber pass sorts each BFS level by
-	// fingerprint hash into the final dense StateID space (see
-	// sharded.go). The produced graph is identical for every shard count,
-	// worker count and store backend, and isomorphic to the legacy
-	// engines' graph (same states, edges, valences, counts and verdicts)
-	// but numbered differently, which is why 0 (the default) keeps the
-	// legacy engines and their byte-stable output.
-	Shards int
 	// Store selects the vertex storage backend (default StoreDense). Every
 	// backend produces the identical graph; they differ in memory per
 	// vertex and dedup cost.
@@ -172,8 +161,7 @@ type BuildOptions struct {
 	// under this directory, and commits an index plus a versioned,
 	// checksummed manifest after the valence fixpoint. A committed
 	// directory reopens via OpenGraph without exploring a state. Requires
-	// Store == StoreSpill and conflicts with the sharded engine (whose
-	// per-shard stores are renumbered, not persisted).
+	// Store == StoreSpill.
 	GraphDir string
 	// GraphID is the caller-supplied full identity recorded in a durable
 	// build's manifest (the façade passes the candidate's canonical
@@ -217,20 +205,12 @@ func newGraph(sys *system.System, opt BuildOptions) (*Graph, error) {
 	return &Graph{sys: sys, store: store, keepOwn: opt.GraphDir != ""}, nil
 }
 
-// validateDurable rejects build-option combinations the durable mode
+// validateDurable rejects the build-option combination the durable mode
 // cannot honor: the manifest describes the spill backend's file pair, so
-// GraphDir requires StoreSpill, and the sharded engine's per-shard stores
-// are renumbered into a fresh final store, which the commit protocol does
-// not cover.
+// GraphDir requires StoreSpill.
 func validateDurable(opt BuildOptions) error {
-	if opt.GraphDir == "" {
-		return nil
-	}
-	if opt.Store != StoreSpill {
+	if opt.GraphDir != "" && opt.Store != StoreSpill {
 		return fmt.Errorf("explore: GraphDir requires the spill store (got %v)", opt.Store)
-	}
-	if effectiveShards(opt.Shards) > 0 {
-		return fmt.Errorf("explore: GraphDir conflicts with the sharded engine")
 	}
 	return nil
 }
@@ -270,9 +250,11 @@ func (g *Graph) internRoots(roots []system.State, canon Canonicalizer, buf []byt
 
 // BuildGraph explores the failure-free closure of the given root states
 // under all applicable tasks and computes the valence of every vertex by
-// backward fixpoint over reachable decisions. With Shards >= 1 the
-// exploration runs on the sharded engine (see sharded.go); otherwise, with
-// more than one worker, on the parallel engine (see parallel.go).
+// backward fixpoint over reachable decisions. It owns everything around the
+// exploration — store creation, root interning, the error-path release, the
+// final cancellation check, the valence fixpoint and the durable commit —
+// and hands the level loop itself to exploreSerial or, with more than one
+// worker, exploreParallel (see parallel.go).
 func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *Graph, err error) {
 	// Spill-file write failures (disk full) surface here as ordinary build
 	// errors; see recoverSpillWrite.
@@ -284,12 +266,7 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 	if maxStates <= 0 {
 		maxStates = defaultMaxStates
 	}
-	if shards := effectiveShards(opt.Shards); shards > 0 {
-		return buildGraphSharded(sys, roots, maxStates, effectiveWorkers(opt.Workers), shards, opt)
-	}
-	if workers := effectiveWorkers(opt.Workers); workers > 1 {
-		return buildGraphParallel(sys, roots, maxStates, workers, opt)
-	}
+	workers := effectiveWorkers(opt.Workers)
 	g, err = newGraph(sys, opt)
 	if err != nil {
 		return nil, err
@@ -298,7 +275,8 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 	// failure) the partial graph is dropped; release its backend resources
 	// — the spill store's descriptors — and the intern-time mask recording
 	// instead of waiting for a finalizer. `built` pins the graph because
-	// the named return is nil on error.
+	// the named return is nil on error. Write-failure panics close theirs
+	// in recoverSpillWrite.
 	built := g
 	defer func() {
 		if err != nil {
@@ -307,6 +285,33 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 		}
 	}()
 	buf := g.internRoots(roots, opt.Symmetry, nil)
+	if workers > 1 {
+		err = g.exploreParallel(maxStates, workers, opt)
+	} else {
+		err = g.exploreSerial(maxStates, buf, opt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := ctxErr(opt.Ctx); err != nil {
+		return nil, err
+	}
+	if workers > 1 {
+		g.computeMasksParallel(workers)
+	} else {
+		g.computeMasks()
+	}
+	if err := commitDurable(g, opt); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// exploreSerial is the one-worker level loop behind BuildGraph: it expands
+// the interned roots to closure, interning each discovery the moment it is
+// found. buf is the caller's fingerprint scratch.
+func (g *Graph) exploreSerial(maxStates int, buf []byte, opt BuildOptions) error {
+	sys := g.sys
 	// IDs are dense in discovery order, so the BFS queue is implicit: the
 	// next vertex to expand is simply the next ID. Nothing is pinned or
 	// copied as the frontier advances. Level boundaries are tracked only
@@ -318,7 +323,7 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 	for next := 0; next < g.store.Len(); next++ {
 		if next&63 == 0 {
 			if err := ctxErr(opt.Ctx); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		st, _ := g.store.State(StateID(next))
@@ -329,14 +334,14 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 			}
 			succ, act, err := sys.Apply(st, task)
 			if err != nil {
-				return nil, fmt.Errorf("explore: apply %v: %w", task, err)
+				return fmt.Errorf("explore: apply %v: %w", task, err)
 			}
 			succ = canonical(opt.Symmetry, succ)
 			buf = sys.AppendFingerprint(buf[:0], succ)
 			id, ok := g.store.Lookup(buf)
 			if !ok {
 				if g.store.Len() >= maxStates {
-					return nil, &LimitError{Limit: maxStates, Explored: g.store.Len()}
+					return &LimitError{Limit: maxStates, Explored: g.store.Len()}
 				}
 				id, _ = g.intern(string(buf), succ, pred{from: StateID(next), task: task, act: act, has: true})
 			}
@@ -356,14 +361,7 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 			levelEnd = g.store.Len()
 		}
 	}
-	if err := ctxErr(opt.Ctx); err != nil {
-		return nil, err
-	}
-	g.computeMasks()
-	if err := commitDurable(g, opt); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return nil
 }
 
 // computeMasks propagates decision bits backwards to a fixpoint:

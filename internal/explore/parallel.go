@@ -145,34 +145,20 @@ func expandFrontier(sys *system.System, store StateStore, canon Canonicalizer, s
 	return out
 }
 
-// buildGraphParallel is the worker-pool engine behind BuildGraph: a
+// exploreParallel is the worker-pool level loop behind BuildGraph: a
 // level-synchronous BFS over the interned ID space. Each frontier level is
 // expanded across workers against the *frozen* state store (concurrent
 // lookups, no writes); at the level barrier the coordinator walks the
 // expansions in frontier order and interns the level's discoveries serially.
-// Serial interning at the barrier is what makes the engine deterministic:
+// Serial interning at the barrier is what makes the loop deterministic:
 // IDs, edges, predecessors and the overflow point are assigned in exactly
-// the order the serial engine would assign them, for any worker count — the
+// the order exploreSerial would assign them, for any worker count — the
 // parallel graph is not merely isomorphic to the serial one, it is
 // identical. Progress reports and context cancellation mirror the serial
-// engine: one report per level barrier, cancellation observed mid-level by
+// loop: one report per level barrier, cancellation observed mid-level by
 // the expanding workers.
-func buildGraphParallel(sys *system.System, roots []system.State, maxStates, workers int, opt BuildOptions) (_ *Graph, err error) {
-	g, err := newGraph(sys, opt)
-	if err != nil {
-		return nil, err
-	}
-	// On error returns the partial graph is dropped; release its backend
-	// resources (the spill store's descriptors) and the intern-time mask
-	// recording instead of waiting for a finalizer. Write-failure panics
-	// close theirs in recoverSpillWrite.
-	defer func() {
-		if err != nil {
-			g.ownMasks = nil
-			_ = CloseGraphStore(g)
-		}
-	}()
-	g.internRoots(roots, opt.Symmetry, nil)
+func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error {
+	sys := g.sys
 	frontier := make([]StateID, g.store.Len())
 	for i := range frontier {
 		frontier[i] = StateID(i)
@@ -195,13 +181,13 @@ func buildGraphParallel(sys *system.System, roots []system.State, maxStates, wor
 		for i := range results {
 			res := &results[i]
 			if res.err != nil {
-				return nil, res.err
+				return res.err
 			}
 			for _, f := range res.fresh {
 				id, ok := g.store.Lookup(stringBytes(f.fp))
 				if !ok {
 					if g.store.Len() >= maxStates {
-						return nil, &LimitError{Limit: maxStates, Explored: g.store.Len()}
+						return &LimitError{Limit: maxStates, Explored: g.store.Len()}
 					}
 					e := res.edges[f.edgeIdx]
 					// The worker already computed this vertex's decision
@@ -232,14 +218,7 @@ func buildGraphParallel(sys *system.System, roots []system.State, maxStates, wor
 		level++
 		frontier = next
 	}
-	if err := ctxErr(opt.Ctx); err != nil {
-		return nil, err
-	}
-	g.computeMasksParallel(workers)
-	if err = commitDurable(g, opt); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return nil
 }
 
 // computeMasksParallel is the parallel counterpart of computeMasks: the same

@@ -14,8 +14,8 @@ import (
 )
 
 // parallelWorkers is the worker count used by the parity tests: high enough
-// to force real contention on the sharded fingerprint store even on small
-// machines.
+// that several goroutines really do read the frozen store at once and sweep
+// the valence masks together, even on small machines.
 const parallelWorkers = 8
 
 // seedSystems enumerates the seed protocols whose failure-free graphs the

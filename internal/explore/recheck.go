@@ -190,7 +190,7 @@ func sliceSeq(edges []Edge) iter.Seq[Edge] {
 // Honors opt.MaxStates (over the combined ID space), opt.Symmetry (must
 // match the base build — a reduced base recheckd without its
 // canonicalizer, or vice versa, fails the per-vertex edge comparison
-// wholesale) and opt.Ctx. Engine options (Workers, Shards, Store) are
+// wholesale) and opt.Ctx. Engine options (Workers, Store) are
 // ignored: the pass is serial and the fresh region lives in memory.
 //
 // The result's graph shares prev's store; Close the result, not prev.

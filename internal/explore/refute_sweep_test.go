@@ -166,7 +166,7 @@ func sweepCases() []sweepCase {
 	)
 }
 
-// TestRefuteSweepMatchesOracle: across store × symmetry × workers × shards,
+// TestRefuteSweepMatchesOracle: across store × symmetry × workers,
 // Refute's certificates (Kind, Inputs, Failed, Decisions, Description with
 // its step count) and Report.String() equal what the per-assignment sweep
 // produces in the same configuration; where the sweep finds nothing, the
@@ -186,44 +186,42 @@ func TestRefuteSweepMatchesOracle(t *testing.T) {
 			for _, store := range []explore.StoreKind{explore.StoreDense, explore.StoreHash64, explore.StoreSpill} {
 				for _, sym := range []bool{false, true} {
 					for _, workers := range []int{1, 4} {
-						for _, shards := range []int{0, 2} {
-							label := fmt.Sprintf("%v sym=%v w=%d shards=%d", store, sym, workers, shards)
-							opt := explore.BuildOptions{Store: store, Workers: workers, Shards: shards, MaxStates: tc.maxStates}
-							if sym {
-								opt.Symmetry = canon
-							}
-							want, wantErr := oracleSweep(sys, opt)
-							report, err := explore.Refute(sys, 1, explore.RefuteOptions{Build: opt})
-							if tc.maxStates > 0 {
-								var wantLimit, gotLimit *explore.LimitError
-								if !errors.As(wantErr, &wantLimit) || !errors.As(err, &gotLimit) || *wantLimit != *gotLimit {
-									t.Fatalf("%s: budget errors differ: oracle %v, Refute %v", label, wantErr, err)
-								}
-								continue
-							}
-							if wantErr != nil || err != nil {
-								t.Fatalf("%s: oracle %v, Refute %v", label, wantErr, err)
-							}
-							if len(want) == 0 {
-								if report.Inits == nil {
-									t.Fatalf("%s: oracle sweep is clean but Refute stopped in phase 1:\n%s", label, report)
-								}
-								if prev, ok := plain[sym]; !ok {
-									plain[sym] = report.String()
-								} else if got := report.String(); got != prev {
-									t.Errorf("%s: report differs across configurations:\n%s\n--- first\n%s", label, got, prev)
-								}
-							} else {
-								if !reflect.DeepEqual(report.Certificates, want) {
-									t.Errorf("%s: certificates differ:\n got %+v\nwant %+v", label, report.Certificates, want)
-								}
-								oracle := &explore.Report{Claimed: 1, Certificates: want}
-								if got := report.String(); got != oracle.String() {
-									t.Errorf("%s: report differs from the oracle's:\n%s\n--- oracle\n%s", label, got, oracle)
-								}
-							}
-							report.Close()
+						label := fmt.Sprintf("%v sym=%v w=%d", store, sym, workers)
+						opt := explore.BuildOptions{Store: store, Workers: workers, MaxStates: tc.maxStates}
+						if sym {
+							opt.Symmetry = canon
 						}
+						want, wantErr := oracleSweep(sys, opt)
+						report, err := explore.Refute(sys, 1, explore.RefuteOptions{Build: opt})
+						if tc.maxStates > 0 {
+							var wantLimit, gotLimit *explore.LimitError
+							if !errors.As(wantErr, &wantLimit) || !errors.As(err, &gotLimit) || *wantLimit != *gotLimit {
+								t.Fatalf("%s: budget errors differ: oracle %v, Refute %v", label, wantErr, err)
+							}
+							continue
+						}
+						if wantErr != nil || err != nil {
+							t.Fatalf("%s: oracle %v, Refute %v", label, wantErr, err)
+						}
+						if len(want) == 0 {
+							if report.Inits == nil {
+								t.Fatalf("%s: oracle sweep is clean but Refute stopped in phase 1:\n%s", label, report)
+							}
+							if prev, ok := plain[sym]; !ok {
+								plain[sym] = report.String()
+							} else if got := report.String(); got != prev {
+								t.Errorf("%s: report differs across configurations:\n%s\n--- first\n%s", label, got, prev)
+							}
+						} else {
+							if !reflect.DeepEqual(report.Certificates, want) {
+								t.Errorf("%s: certificates differ:\n got %+v\nwant %+v", label, report.Certificates, want)
+							}
+							oracle := &explore.Report{Claimed: 1, Certificates: want}
+							if got := report.String(); got != oracle.String() {
+								t.Errorf("%s: report differs from the oracle's:\n%s\n--- oracle\n%s", label, got, oracle)
+							}
+						}
+						report.Close()
 					}
 				}
 			}

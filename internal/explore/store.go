@@ -508,23 +508,6 @@ func (s *hashStore) Fingerprint(id StateID) string {
 // construction.
 func (s *hashStore) Collisions() int { return int(s.collisions.Load()) }
 
-// releaseDedup drops a store's dedup index — the fingerprint→ID map or
-// hash buckets — keeping every read-by-ID accessor (State, Fingerprint,
-// EdgesFrom) working. Lookup misses and Intern must not be called
-// afterwards. The sharded engine calls it on its shard stores once
-// discovery is over, so rebuilding the final store never holds two live
-// dedup indices.
-func releaseDedup(s StateStore) {
-	switch s := s.(type) {
-	case *denseStore:
-		s.tab.DropIndex()
-	case *hashStore:
-		s.buckets, s.hash2 = nil, nil
-	case *spillStore:
-		s.buckets, s.hash2 = nil, nil
-	}
-}
-
 // StoreCollisions reports the audited hash-collision count of a graph's
 // backend (0 for backends that do not hash).
 func StoreCollisions(g *Graph) int {

@@ -88,9 +88,3 @@ func (t *Table) InternBytes(key []byte) (id StateID, fresh bool) {
 // Key returns the canonical encoding interned as id. It panics if id was
 // never assigned, mirroring slice indexing.
 func (t *Table) Key(id StateID) string { return t.keys[id] }
-
-// DropIndex releases the dedup map while keeping the interned keys
-// readable by ID. For tables whose dedup phase is over but whose keys
-// still serve reads — after it, Lookup/LookupBytes miss everything and
-// Intern must not be called again.
-func (t *Table) DropIndex() { t.idx = nil }

@@ -26,12 +26,11 @@ const (
 // Options is the JSON option block of a job submission. Zero values inherit
 // the server's defaults (the boostd flag block); the zero Workers then
 // defaults to 1 — serial jobs — because the worker pool, not the single
-// build, is what keeps the box saturated. Engine options (workers, shards,
-// store, spilldir, nowitness) never enter the result-cache key: every
-// combination produces the same verdict.
+// build, is what keeps the box saturated. Engine options (workers, store,
+// spilldir, nowitness) never enter the result-cache key: every combination
+// produces the same verdict.
 type Options struct {
 	Workers   int    `json:"workers,omitempty"`
-	Shards    int    `json:"shards,omitempty"`
 	MaxStates int    `json:"maxStates,omitempty"`
 	Store     string `json:"store,omitempty"`
 	SpillDir  string `json:"spilldir,omitempty"`
@@ -51,9 +50,6 @@ type Options struct {
 func (o Options) merge(def Options) Options {
 	if o.Workers == 0 {
 		o.Workers = def.Workers
-	}
-	if o.Shards == 0 {
-		o.Shards = def.Shards
 	}
 	if o.MaxStates == 0 {
 		o.MaxStates = def.MaxStates
@@ -86,7 +82,6 @@ func (o Options) merge(def Options) Options {
 func DefaultsFromFlags(c *cliflags.Common) Options {
 	return Options{
 		Workers:   c.Workers,
-		Shards:    c.Shards,
 		MaxStates: c.MaxStates,
 		Store:     c.Store,
 		SpillDir:  c.SpillDir,
@@ -111,7 +106,6 @@ func (o Options) lower() ([]boosting.Option, error) {
 	}
 	opts := []boosting.Option{
 		boosting.WithWorkers(workers),
-		boosting.WithShards(o.Shards),
 		boosting.WithMaxStates(o.MaxStates),
 		boosting.WithStore(store),
 	}
@@ -240,7 +234,7 @@ func (r *Request) validate(defaults Options) (*boosting.Checker, error) {
 // state budget, round cap, graph-phase skip) and the analysis parameters.
 // Explore jobs add the canonicalized root of their input assignment, so
 // process-renamed initializations of symmetric families share an entry.
-// Engine options — workers, shards, store backend, witness links — are
+// Engine options — workers, store backend, witness links — are
 // deliberately absent: every combination returns the same verdict.
 func (r *Request) cacheKey(chk *boosting.Checker) (string, error) {
 	key := fmt.Sprintf("%x|a=%s|sym=%t|ms=%d|mr=%d|ng=%t",

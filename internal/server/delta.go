@@ -133,7 +133,7 @@ func (s *Server) deltaEligible(r *Request) bool {
 		return false
 	}
 	o := r.Options
-	return (o.Store == "" || o.Store == "spill") && o.SpillDir == "" && o.Shards == 0 && !o.NoGraph
+	return (o.Store == "" || o.Store == "spill") && o.SpillDir == "" && !o.NoGraph
 }
 
 // graphDirFor maps an exact cache key to its directory under the graph

@@ -26,7 +26,7 @@ type Config struct {
 	CacheSize int
 	// Defaults are the option values jobs inherit when their JSON option
 	// block leaves a field zero — boostd lowers its shared engine flag
-	// block (-store, -shards, -symmetry, …) into this.
+	// block (-store, -workers, -symmetry, …) into this.
 	Defaults Options
 	// GraphRoot, when set, enables the delta-match cache tier: classify
 	// jobs commit their graphs durably under this directory, and an

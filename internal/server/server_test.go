@@ -103,6 +103,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad n", `{"protocol": "forward", "n": 0, "f": 0, "analysis": "classify"}`, http.StatusBadRequest},
 		{"refute without claim", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "refute"}`, http.StatusBadRequest},
 		{"refutekset without k", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "refutekset", "claimed": 1}`, http.StatusBadRequest},
+		{"removed option shards", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"shards": 4}}`, http.StatusBadRequest},
 		{"bad store", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"store": "mmap"}}`, http.StatusBadRequest},
 		{"bad policy", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"policy": "optimistic"}}`, http.StatusBadRequest},
 		{"bad input key", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "explore", "inputs": {"p0": "1"}}`, http.StatusBadRequest},
@@ -204,8 +205,8 @@ func TestClassifyGoldenAndCacheHit(t *testing.T) {
 	}
 
 	// A different engine configuration of the same check shares the entry:
-	// workers/shards/store never enter the cache key.
-	ack3, code := postJob(t, ts, `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"workers": 2, "shards": 4, "store": "hash64"}}`)
+	// workers/store never enter the cache key.
+	ack3, code := postJob(t, ts, `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"workers": 2, "store": "hash64"}}`)
 	if code != http.StatusOK || ack3.Cached != server.CacheHit || ack3.ID != ack.ID {
 		t.Errorf("engine-variant resubmission: status %d, cached %q, id %s; want 200 hit %s",
 			code, ack3.Cached, ack3.ID, ack.ID)
@@ -468,12 +469,12 @@ func TestProtocolsAndStats(t *testing.T) {
 // default job option block field-for-field.
 func TestDefaultsFromFlags(t *testing.T) {
 	c := &cliflags.Common{
-		Workers: 2, Shards: 4, MaxStates: 500,
+		Workers: 2, MaxStates: 500,
 		Store: "spill", SpillDir: "/tmp/x", NoWitness: true, Symmetry: true,
 	}
 	got := server.DefaultsFromFlags(c)
 	want := server.Options{
-		Workers: 2, Shards: 4, MaxStates: 500,
+		Workers: 2, MaxStates: 500,
 		Store: "spill", SpillDir: "/tmp/x", NoWitness: true, Symmetry: true,
 	}
 	if got != want {

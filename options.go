@@ -11,7 +11,6 @@ import (
 // config is the resolved option set of a Checker.
 type config struct {
 	workers     int
-	shards      int
 	maxStates   int
 	store       Store
 	storeSet    bool
@@ -59,20 +58,6 @@ type Option func(*config)
 // worker count. Negative values are clamped to 0 (the default) — they never
 // reach the pool sizing.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = max(n, 0) } }
-
-// WithShards selects the sharded exploration engine with n fingerprint
-// partitions (clamped to 64): workers intern freshly discovered states
-// immediately into the shard owning their fingerprint-hash range — no
-// serial intern pass at the level barriers — and a post-hoc renumber pass
-// sorts each BFS level by fingerprint hash into the final dense StateID
-// space. The produced graph is identical for every shard count, worker
-// count and store backend, and isomorphic to the default engines' graph —
-// same states, edge relation, valences, counts and verdicts — but numbered
-// differently, so per-ID output is stable within either family, not across
-// them. 0 (the default) and negative values keep the default engines. A
-// natural pairing is WithShards(runtime.NumCPU()) with the default
-// WithWorkers(0).
-func WithShards(n int) Option { return func(c *config) { c.shards = max(n, 0) } }
 
 // WithMaxStates caps the number of distinct states explored per graph
 // build (0 = the engine default, 200000). Exceeding the cap returns a
@@ -123,9 +108,8 @@ func WithSpillDir(dir string) Option {
 // revalidate a modified candidate against it with Checker.Recheck.
 //
 // WithGraphDir selects the SpillStore backend; it conflicts with
-// WithSpillDir (a durable graph owns its directory's file set), with an
-// explicit non-spill WithStore, and with WithShards (shard-local stores
-// cannot commit one durable file set). Conflicts surface as a typed
+// WithSpillDir (a durable graph owns its directory's file set) and with an
+// explicit non-spill WithStore. Conflicts surface as a typed
 // *ConflictError from New, or from the first graph-building method on a
 // NewFromSystem checker. One directory holds exactly one graph, so
 // Refute — which builds several — rejects the combination too.
@@ -158,13 +142,6 @@ func (c *config) validateDurable() error {
 			Option: "WithGraphDir(" + c.graphDir + ")",
 			With:   "WithStore",
 			Reason: "durable graphs are written and reopened by the spill backend",
-		}
-	}
-	if c.shards > 0 {
-		return &ConflictError{
-			Option: "WithGraphDir(" + c.graphDir + ")",
-			With:   "WithShards",
-			Reason: "the sharded engine builds into shard-local stores and renumbers afterwards; it cannot commit one durable file set",
 		}
 	}
 	return nil
@@ -233,7 +210,6 @@ func WithoutGraphAnalysis() Option { return func(c *config) { c.skipGraph = true
 func (c *config) buildOptions() explore.BuildOptions {
 	return explore.BuildOptions{
 		Workers:     c.workers,
-		Shards:      c.shards,
 		MaxStates:   c.maxStates,
 		Store:       c.store,
 		SpillDir:    c.spillDir,
