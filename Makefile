@@ -20,11 +20,15 @@ test:
 # is a detected race) and the small rows of its differential suite, and the
 # symmetry layer's four goroutines canonicalizing one frontier on a fresh
 # System (racing to index the same service cells and intern the same renamed
-# ones).
+# ones). It also repeats the per-ID determinism matrix (2, 3 and 8 workers,
+# dense, spill and quotient): each worker's level-local candidate table must
+# be touched by that worker and, at the barrier, the coordinator only — which
+# goroutine runs which chunk when differs per run, and -race is what would
+# show a second goroutine in a table.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentApply' ./internal/system
-	$(GO) test -race -count=5 -run 'TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
+	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
 
 # Benchmark smoke run: every benchmark once, no timing rigour. Use
 # `$(GO) test -bench=. -benchmem ./...` for real measurements.

@@ -11,11 +11,11 @@ import (
 
 // StoreBoundsAnalyzer guards the store seam's totality contract: the read
 // accessors of every VertexStore/AdjacencyStore implementation —
-// State, Fingerprint, Pred, EdgesFrom, each taking a StateID — must be
-// total over all possible IDs. Out-of-range must be an explicit zero
-// answer, never a slice-bounds panic, and the guard must be the uint
-// trick (`if uint(id) >= uint(len(s.xs))`), which also rejects IDs that
-// would wrap a plain int conversion.
+// State, Fingerprint, Pred, EdgesFrom, Targets, each taking a StateID
+// first — must be total over all possible IDs. Out-of-range must be an
+// explicit zero answer, never a slice-bounds panic, and the guard must be
+// the uint trick (`if uint(id) >= uint(len(s.xs))`), which also rejects IDs
+// that would wrap a plain int conversion.
 //
 // Two diagnostics:
 //
@@ -41,6 +41,7 @@ var accessorNames = map[string]bool{
 	"Fingerprint": true,
 	"Pred":        true,
 	"EdgesFrom":   true,
+	"Targets":     true,
 }
 
 func runStoreBounds(pass *analysis.Pass) (any, error) {
@@ -64,7 +65,7 @@ func runStoreBounds(pass *analysis.Pass) (any, error) {
 }
 
 // isStoreAccessor reports whether fn is a read accessor of the store seam:
-// a method named State/Fingerprint/Pred/EdgesFrom on a pointer-to-struct
+// a method named State/Fingerprint/Pred/EdgesFrom/Targets on a pointer-to-struct
 // receiver whose first parameter is a StateID.
 func isStoreAccessor(pass *analysis.Pass, fn *ast.FuncDecl) bool {
 	if fn.Recv == nil || !accessorNames[fn.Name.Name] {

@@ -59,6 +59,40 @@ func (s *waived) State(id StateID) (string, bool) {
 	return s.xs[id], true
 }
 
+type adjacency struct {
+	to   []StateID
+	ends []uint32
+}
+
+// The label-free accessor is held to the same rule: reading ends[id] for the
+// block's extent is the index an out-of-range id would panic on.
+func (a *adjacency) Targets(id StateID, buf []StateID) []StateID {
+	if int(id) >= len(a.ends) {
+		return buf
+	}
+	lo := uint32(0)
+	if id > 0 {
+		lo = a.ends[id-1] // want `index expression in store read accessor Targets`
+	}
+	return append(buf, a.to[lo:a.ends[id]]...) // want `index expression in store read accessor Targets`
+}
+
+type totalAdjacency struct {
+	to   []StateID
+	ends []uint32
+}
+
+func (a *totalAdjacency) Targets(id StateID, buf []StateID) []StateID {
+	if uint(id) >= uint(len(a.ends)) {
+		return buf
+	}
+	lo := uint32(0)
+	if id > 0 {
+		lo = a.ends[id-1]
+	}
+	return append(buf, a.to[lo:a.ends[id]]...)
+}
+
 type outer struct{ inner guarded }
 
 // Pure delegation: the bounds discipline lives at the forwarding target.

@@ -384,13 +384,15 @@ func (g *Graph) computeMasks() {
 	// and typically converges in two or three rounds instead of one per
 	// BFS level — which matters on the spill backend, where every round
 	// streams the whole edge file back in.
+	var targets []StateID
 	changed := true
 	for changed {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
 			m := g.masks[i]
-			for e := range g.store.EdgesFrom(StateID(i)) {
-				m |= g.masks[e.To]
+			targets = g.store.Targets(StateID(i), targets[:0])
+			for _, to := range targets {
+				m |= g.masks[to]
 			}
 			if m != g.masks[i] {
 				g.masks[i] = m
@@ -422,6 +424,7 @@ func (g *Graph) rootSets(ctx context.Context) (rootSets, error) {
 	for i, root := range g.roots {
 		r.of(root)[i/64] |= 1 << (i % 64)
 	}
+	var targets []StateID
 	for changed := true; changed; {
 		if err := ctxErr(ctx); err != nil {
 			return rootSets{}, err
@@ -429,8 +432,9 @@ func (g *Graph) rootSets(ctx context.Context) (rootSets, error) {
 		changed = false
 		for id := range StateID(n) {
 			src := r.of(id)
-			for e := range g.store.EdgesFrom(id) {
-				dst := r.of(e.To)
+			targets = g.store.Targets(id, targets[:0])
+			for _, to := range targets {
+				dst := r.of(to)
 				for w := range src {
 					if dst[w]|src[w] != dst[w] {
 						dst[w] |= src[w]

@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -78,45 +79,70 @@ func parallelForScratch[S any](scratch []S, n int, f func(i int, s *S)) {
 	wg.Wait()
 }
 
-// fresh is a successor discovered during frontier expansion that was not in
-// the state store when its level started: the fingerprint (an owned copy),
-// the state, the index of the edge whose target awaits its ID, and the
-// state's own decision mask — computed here by the worker so the serial
-// level barrier does not pay a sys.Decisions call per intern.
-type fresh struct {
-	edgeIdx int
-	fp      string
-	st      system.State
-	mask    uint8
+// candidate is a successor that was not in the state store when its level
+// started, recorded once per worker per level: the fingerprint (an owned
+// copy), the state and the state's own decision mask — computed here by the
+// worker so the serial level barrier does not pay a sys.Decisions call per
+// intern. id stays intern.NoState until the barrier resolves the candidate.
+type candidate struct {
+	fp   string
+	st   system.State
+	id   StateID
+	mask uint8
 }
 
-// expansion is the result of expanding one frontier vertex. edges is a
-// window of the expanding worker's arena, valid until the level barrier
-// resets it.
+// candRef says that an expansion's edge-th edge leads to the recording
+// worker's cand-th candidate; the barrier patches the edge's target from it.
+type candRef struct {
+	edge, cand uint32
+}
+
+// expansion is the result of expanding one frontier vertex. edges and refs
+// are windows of the expanding worker's arenas and refs index ws.cands, all
+// valid until the level barrier resets the worker.
 type expansion struct {
 	edges []Edge
-	fresh []fresh
+	refs  []candRef
+	ws    *workerScratch
 	err   error
 }
 
 // workerScratch is one expansion worker's reusable memory: its fingerprint
-// buffer and the edge arena the level's expansions are appended to. The
-// stores copy what SetSuccs hands them, so the arena is reset — not freed —
-// at every level barrier and the engine allocates no per-vertex edge slice.
+// buffer, the edge arena the level's expansions are appended to, and the
+// level's candidate table — the candidates, an index of them by fingerprint,
+// and the arena of references expansions hold into them. Only the owning
+// worker touches a scratch while a level expands and only the coordinator
+// at the barrier, so the table needs no lock. The stores copy what SetSuccs
+// hands them, so everything is reset — not freed — at every level barrier
+// and the engine allocates no per-vertex slice.
 type workerScratch struct {
 	buf   []byte
 	edges []Edge
+	cands []candidate
+	index map[string]uint32 // candidate fingerprint → position in cands
+	refs  []candRef
+}
+
+// reset empties the level-local arenas and the candidate table, keeping
+// their memory for the next level.
+func (ws *workerScratch) reset() {
+	ws.edges = ws.edges[:0]
+	ws.refs = ws.refs[:0]
+	clear(ws.cands) // drop the fingerprints and states the store now owns
+	ws.cands = ws.cands[:0]
+	clear(ws.index)
 }
 
 // expandFrontier applies every applicable task to st, resolving successor
 // IDs through the frozen state store. Successors are canonicalized (when
 // symmetry reduction is on) before the fingerprint lookup, exactly as in
-// the serial engine. Successors not yet stored are returned as fresh
-// candidates with their edge targets left at intern.NoState, to be patched
-// at the level barrier. ws is the calling worker's scratch.
+// the serial engine. A successor not yet stored becomes a candidate of the
+// calling worker the first time the worker meets it in this level; every
+// edge to it is left at intern.NoState with a reference to the candidate,
+// to be patched at the level barrier. ws is the calling worker's scratch.
 func expandFrontier(sys *system.System, store StateStore, canon Canonicalizer, st system.State, ws *workerScratch) expansion {
-	var out expansion
-	buf, lo := ws.buf, len(ws.edges)
+	out := expansion{ws: ws}
+	buf, lo, refLo := ws.buf, len(ws.edges), len(ws.refs)
 	for _, task := range sys.Tasks() {
 		if !sys.Applicable(st, task) {
 			continue
@@ -131,17 +157,25 @@ func expandFrontier(sys *system.System, store StateStore, canon Canonicalizer, s
 		id, ok := store.Lookup(buf)
 		if !ok {
 			id = intern.NoState
-			// The one owned copy of the fingerprint: the store takes
-			// ownership at the barrier, so dense interning retains this
-			// string without copying again.
-			out.fresh = append(out.fresh, fresh{edgeIdx: len(ws.edges) - lo, fp: string(buf), st: next, mask: ownMask(sys, next)})
+			ci, seen := ws.index[string(buf)]
+			if !seen {
+				// The one owned copy of the fingerprint: the store takes
+				// ownership at the barrier, so dense interning retains this
+				// string without copying again.
+				fp := string(buf)
+				ci = uint32(len(ws.cands))
+				ws.cands = append(ws.cands, candidate{fp: fp, st: next, id: intern.NoState, mask: ownMask(sys, next)})
+				ws.index[fp] = ci
+			}
+			ws.refs = append(ws.refs, candRef{edge: uint32(len(ws.edges) - lo), cand: ci})
 		}
 		ws.edges = append(ws.edges, Edge{Task: task, Action: act, To: id})
 	}
 	ws.buf = buf
-	// Capped, so nothing appended through the window can reach the next
-	// expansion's edges.
+	// Capped, so nothing appended through a window can reach the next
+	// expansion's entries.
 	out.edges = ws.edges[lo:len(ws.edges):len(ws.edges)]
+	out.refs = ws.refs[refLo:len(ws.refs):len(ws.refs)]
 	return out
 }
 
@@ -150,9 +184,11 @@ func expandFrontier(sys *system.System, store StateStore, canon Canonicalizer, s
 // expanded across workers against the *frozen* state store (concurrent
 // lookups, no writes); at the level barrier the coordinator walks the
 // expansions in frontier order and interns the level's discoveries serially.
-// Serial interning at the barrier is what makes the loop deterministic:
-// IDs, edges, predecessors and the overflow point are assigned in exactly
-// the order exploreSerial would assign them, for any worker count — the
+// Serial interning at the barrier is what makes the loop deterministic: a
+// state gets its ID at the first reference to it in frontier order × task
+// order — whichever worker recorded the candidate behind that reference —
+// so IDs, edges, predecessors and the overflow point are assigned in exactly
+// the order exploreSerial would assign them, for any worker count: the
 // parallel graph is not merely isomorphic to the serial one, it is
 // identical. Progress reports and context cancellation mirror the serial
 // loop: one report per level barrier, cancellation observed mid-level by
@@ -165,11 +201,15 @@ func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error 
 	}
 	level := 0
 	scratch := make([]workerScratch, workers)
+	for w := range scratch {
+		scratch[w].index = make(map[string]uint32)
+	}
+	var results []expansion // reused: every entry is rewritten each level
 	for len(frontier) > 0 {
-		results := make([]expansion, len(frontier))
+		results = slices.Grow(results[:0], len(frontier))[:len(frontier)]
 		parallelForScratch(scratch, len(frontier), func(i int, ws *workerScratch) {
 			if err := ctxErr(opt.Ctx); err != nil {
-				results[i].err = err
+				results[i] = expansion{err: err}
 				return
 			}
 			st, _ := g.store.State(frontier[i])
@@ -183,24 +223,31 @@ func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error 
 			if res.err != nil {
 				return res.err
 			}
-			for _, f := range res.fresh {
-				id, ok := g.store.Lookup(stringBytes(f.fp))
-				if !ok {
-					if g.store.Len() >= maxStates {
-						return &LimitError{Limit: maxStates, Explored: g.store.Len()}
+			for _, ref := range res.refs {
+				c := &res.ws.cands[ref.cand]
+				if c.id == intern.NoState {
+					// First reference to this candidate. Another worker's
+					// candidate for the same state may have been interned
+					// already, which the lookup finds.
+					id, ok := g.store.Lookup(stringBytes(c.fp))
+					if !ok {
+						if g.store.Len() >= maxStates {
+							return &LimitError{Limit: maxStates, Explored: g.store.Len()}
+						}
+						e := res.edges[ref.edge]
+						// The worker already computed this vertex's decision
+						// mask; record it directly instead of re-deriving it
+						// on the coordinator (see Graph.ownMasks).
+						var fr bool
+						id, fr = g.store.Intern(c.fp, c.st, pred{from: frontier[i], task: e.Task, act: e.Action, has: true})
+						if fr {
+							g.ownMasks = append(g.ownMasks, c.mask)
+						}
+						next = append(next, id)
 					}
-					e := res.edges[f.edgeIdx]
-					// The worker already computed this vertex's decision
-					// mask; record it directly instead of re-deriving it
-					// on the coordinator (see Graph.ownMasks).
-					var fr bool
-					id, fr = g.store.Intern(f.fp, f.st, pred{from: frontier[i], task: e.Task, act: e.Action, has: true})
-					if fr {
-						g.ownMasks = append(g.ownMasks, f.mask)
-					}
-					next = append(next, id)
+					c.id = id
 				}
-				res.edges[f.edgeIdx].To = id
+				res.edges[ref.edge].To = c.id
 			}
 			g.store.SetSuccs(frontier[i], res.edges)
 			g.edges += len(res.edges)
@@ -210,7 +257,7 @@ func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error 
 		// level's workers start reading.
 		g.store.SealLevel()
 		for w := range scratch {
-			scratch[w].edges = scratch[w].edges[:0]
+			scratch[w].reset()
 		}
 		if opt.Progress != nil {
 			opt.Progress(Progress{Level: level, States: g.store.Len(), Edges: g.edges, Frontier: len(next)})
@@ -240,13 +287,15 @@ func (g *Graph) computeMasksParallel(workers int) {
 	if !g.keepOwn {
 		g.ownMasks = nil
 	}
+	targets := make([][]StateID, workers) // one successor buffer per sweeping goroutine
 	for {
 		var changed atomic.Bool
-		parallelFor(workers, n, func(i int) {
+		parallelForScratch(targets, n, func(i int, buf *[]StateID) {
 			m := atomic.LoadUint32(&masks[i])
 			next := m
-			for e := range g.store.EdgesFrom(StateID(i)) {
-				next |= atomic.LoadUint32(&masks[e.To])
+			*buf = g.store.Targets(StateID(i), (*buf)[:0])
+			for _, to := range *buf {
+				next |= atomic.LoadUint32(&masks[to])
 			}
 			if next != m {
 				atomic.StoreUint32(&masks[i], next)

@@ -157,6 +157,24 @@ func (s *recheckStore) EdgesFrom(id StateID) iter.Seq[Edge] {
 	return sliceSeq(s.freshSuccs[i])
 }
 
+func (s *recheckStore) Targets(id StateID, buf []StateID) []StateID {
+	edges, ok := s.patched[id]
+	if !ok {
+		if uint(id) < uint(s.baseN) {
+			return s.base.Targets(id, buf)
+		}
+		i := int(id) - s.baseN
+		if i >= len(s.freshSuccs) {
+			return buf
+		}
+		edges = s.freshSuccs[i]
+	}
+	for _, e := range edges {
+		buf = append(buf, e.To)
+	}
+	return buf
+}
+
 func (s *recheckStore) SealLevel() {}
 
 func sliceSeq(edges []Edge) iter.Seq[Edge] {

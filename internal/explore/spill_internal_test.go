@@ -13,6 +13,7 @@ import (
 
 	"github.com/ioa-lab/boosting/internal/protocols"
 	"github.com/ioa-lab/boosting/internal/service"
+	"github.com/ioa-lab/boosting/internal/system"
 )
 
 // allBackends builds one store of every kind for a system, with the spill
@@ -42,6 +43,25 @@ func allBackends(t *testing.T) []struct {
 	}
 }
 
+// fillPrefix interns the first n vertices of a reference graph into a store
+// and records their adjacency in the contract's order (one SetSuccs per
+// vertex, increasing IDs), with a seal partway through so the spill backend
+// serves blocks from both the edge file and the pending buffer.
+func fillPrefix(sys *system.System, ref *Graph, store StateStore, n int) {
+	var buf []byte
+	for id := range StateID(n) {
+		st, _ := ref.State(id)
+		buf = sys.AppendFingerprint(buf[:0], st)
+		store.Intern(string(buf), st, pred{})
+	}
+	for id := range StateID(n) {
+		store.SetSuccs(id, ref.Succs(id))
+		if int(id) == n/2 {
+			store.SealLevel()
+		}
+	}
+}
+
 // TestStoreBoundsUniform probes every read accessor of every backend at
 // Len() and beyond: out-of-range IDs must yield zero values, uniformly —
 // including the adjacency face, whose EdgesFrom must be total (an empty
@@ -55,27 +75,13 @@ func TestStoreBoundsUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf []byte
 	for _, b := range allBackends(t) {
 		// Populate with a real prefix of the graph so in-range behaviour is
-		// also checked, then probe past the end. Adjacency is recorded in
-		// the contract's order (one SetSuccs per vertex, increasing IDs),
-		// with a seal partway through so the spill backend serves blocks
-		// from both the edge file and the pending buffer.
+		// also checked, then probe past the end.
 		const n = 10
-		for id := 0; id < n; id++ {
-			st, _ := dense.State(StateID(id))
-			buf = sys.AppendFingerprint(buf[:0], st)
-			b.store.Intern(string(buf), st, pred{})
-		}
+		fillPrefix(sys, dense, b.store, n)
 		if got := b.store.Len(); got != n {
 			t.Fatalf("%s: Len() = %d, want %d", b.name, got, n)
-		}
-		for id := 0; id < n; id++ {
-			b.store.SetSuccs(StateID(id), dense.Succs(StateID(id)))
-			if id == n/2 {
-				b.store.SealLevel()
-			}
 		}
 		for _, id := range []StateID{StateID(n), StateID(n + 5), ^StateID(0)} {
 			if _, ok := b.store.State(id); ok {

@@ -130,38 +130,43 @@ func (a *spillEdges) SealLevel() {
 	a.seals = append(a.seals, sealMark{states: a.owner.Len(), edgeOff: a.flushedOff})
 }
 
-// EdgesFrom streams a vertex's successor block, decoding it from the
-// pending buffer or — for sealed blocks — from a pooled pread. Total: an
-// out-of-range or not-yet-recorded ID yields an empty sequence. Like the
-// fingerprint reads, a failing read of bytes the store itself wrote is
-// unrecoverable corruption and panics.
+// block returns the encoded successor block of a recorded vertex: a window
+// of the pending buffer or — for sealed blocks — a pooled pread, in which
+// case pooled is non-nil and goes back to ebufs when the caller is done with
+// the bytes. Like the fingerprint reads, a failing read of bytes the store
+// itself wrote is unrecoverable corruption and panics.
+func (a *spillEdges) block(id StateID) (block []byte, pooled *[]byte) {
+	n := int(a.elens[id])
+	off := a.eoffs[id]
+	if off >= a.flushedOff {
+		return a.pending[off-a.flushedOff : off-a.flushedOff+int64(n)], nil
+	}
+	pooled = a.ebufs.Get().(*[]byte)
+	buf := *pooled
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := a.efile.ReadAt(buf, off); err != nil {
+		panic(fmt.Sprintf("explore: spill store: read edge block of state %d: %v", id, err))
+	}
+	a.edgeReads.Add(1)
+	*pooled = buf
+	return buf, pooled
+}
+
+// EdgesFrom streams a vertex's successor block, decoded from the pending
+// buffer or — for sealed blocks — from a pooled pread. Total: an
+// out-of-range or not-yet-recorded ID yields an empty sequence. An
+// undecodable block, like a failing read, is corruption and panics.
 func (a *spillEdges) EdgesFrom(id StateID) iter.Seq[Edge] {
 	return func(yield func(Edge) bool) {
 		if uint(id) >= uint(len(a.eoffs)) {
 			return
 		}
-		n := int(a.elens[id])
-		var block []byte
-		var bufp *[]byte
-		if off := a.eoffs[id]; off >= a.flushedOff {
-			block = a.pending[off-a.flushedOff : off-a.flushedOff+int64(n)]
-		} else {
-			bufp = a.ebufs.Get().(*[]byte)
-			buf := *bufp
-			if cap(buf) < n {
-				buf = make([]byte, n)
-			}
-			buf = buf[:n]
-			if _, err := a.efile.ReadAt(buf, off); err != nil {
-				//lint:boostvet-ignore storebounds — failed pread of self-written bytes is corruption, not a bounds miss
-				panic(fmt.Sprintf("explore: spill store: read edge block of state %d: %v", id, err))
-			}
-			a.edgeReads.Add(1)
-			*bufp = buf
-			block = buf
-		}
-		if bufp != nil {
-			defer a.ebufs.Put(bufp)
+		block, pooled := a.block(id)
+		if pooled != nil {
+			defer a.ebufs.Put(pooled)
 		}
 		count, k := binary.Uvarint(block)
 		if k <= 0 {
@@ -186,4 +191,37 @@ func (a *spillEdges) EdgesFrom(id StateID) iter.Seq[Edge] {
 			}
 		}
 	}
+}
+
+// Targets decodes only the ΔTo chain of a vertex's block: the two label
+// varints of each edge are stepped over, never resolved against the
+// dictionaries. Total and corruption-panicking like EdgesFrom.
+func (a *spillEdges) Targets(id StateID, buf []StateID) []StateID {
+	if uint(id) >= uint(len(a.eoffs)) {
+		return buf
+	}
+	block, pooled := a.block(id)
+	if pooled != nil {
+		defer a.ebufs.Put(pooled)
+	}
+	count, k := binary.Uvarint(block)
+	if k <= 0 {
+		//lint:boostvet-ignore storebounds — undecodable self-written block is corruption, not a bounds miss
+		panic(fmt.Sprintf("explore: spill store: corrupt edge block of state %d", id))
+	}
+	block = block[k:]
+	prev := int64(id)
+	for ; count > 0; count-- {
+		_, k1 := binary.Uvarint(block) // task and action index: stepped over
+		_, k2 := binary.Uvarint(block[k1:])
+		d, k3 := binary.Varint(block[k1+k2:])
+		if k1 <= 0 || k2 <= 0 || k3 <= 0 {
+			//lint:boostvet-ignore storebounds — undecodable self-written block is corruption, not a bounds miss
+			panic(fmt.Sprintf("explore: spill store: corrupt edge block of state %d", id))
+		}
+		block = block[k1+k2+k3:]
+		prev += d
+		buf = append(buf, StateID(prev))
+	}
+	return buf
 }

@@ -120,13 +120,22 @@ type VertexStore interface {
 // yields an empty sequence) and, like the vertex accessors, safe for any
 // number of concurrent readers as long as no SetSuccs/SealLevel/Intern call
 // overlaps them. The yielded edges are exactly the SetSuccs slice, in order;
-// breaking out of the iteration early is allowed and cheap.
+// breaking out of the iteration early is allowed and cheap. Targets is the
+// label-free read of the same relation: it appends the To of every edge
+// EdgesFrom would yield, in that order, to the caller's buffer and returns
+// it — nothing for an out-of-range or not-yet-recorded ID — without resolving
+// a label against any dictionary. Same totality, same concurrency rule; the
+// sweeps that read nothing of an edge but its target (the valence and
+// root-set fixpoints) call it with one reused buffer per goroutine.
 type AdjacencyStore interface {
 	// SetSuccs records the outgoing edges of a vertex (nil for a sink). The
 	// slice is copied, not retained.
 	SetSuccs(id StateID, edges []Edge)
 	// EdgesFrom streams the outgoing edges of a vertex in recorded order.
 	EdgesFrom(id StateID) iter.Seq[Edge]
+	// Targets appends the successor IDs of a vertex to buf in recorded
+	// order and returns the extended slice.
+	Targets(id StateID, buf []StateID) []StateID
 	// SealLevel marks a level barrier: edges recorded so far become
 	// immutable and may leave RAM. A no-op on in-memory backends.
 	SealLevel()
@@ -284,6 +293,20 @@ func (a *packedAdjacency) EdgesFrom(id StateID) iter.Seq[Edge] {
 			}
 		}
 	}
+}
+
+func (a *packedAdjacency) Targets(id StateID, buf []StateID) []StateID {
+	if uint(id) >= uint(len(a.ends)) {
+		return buf
+	}
+	lo := uint32(0)
+	if id > 0 {
+		lo = a.ends[id-1]
+	}
+	for _, e := range a.edges[lo:a.ends[id]] {
+		buf = append(buf, e.to)
+	}
+	return buf
 }
 
 func (a *packedAdjacency) SealLevel() {}

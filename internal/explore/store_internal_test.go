@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/ioa-lab/boosting/internal/allocpin"
+	"github.com/ioa-lab/boosting/internal/intern"
 	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/protocols"
 	"github.com/ioa-lab/boosting/internal/service"
@@ -242,6 +243,92 @@ func TestPackedAdjacencyRoundTrip(t *testing.T) {
 			}()
 			b.store.SetSuccs(n+3, nil)
 		}()
+	}
+}
+
+// TestTargetsMatchesEdgesFrom holds the label-free accessor to the store
+// contract on every backend that implements it: Targets is the To projection
+// of EdgesFrom for every vertex, appends after whatever the buffer already
+// holds, and hands the buffer back untouched for IDs past the end.
+func TestTargetsMatchesEdgesFrom(t *testing.T) {
+	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := []systemState{stateAfterInputs(t, sys)}
+	dense, err := BuildGraph(sys, roots, BuildOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The four backends filled by hand with a prefix of the graph and a seal
+	// halfway, so the spill store answers from the edge file and from its
+	// pending buffer.
+	backends := allBackends(t)
+	for _, b := range backends {
+		fillPrefix(sys, dense, b.store, 10)
+	}
+	spill := backends[len(backends)-1].store.(*spillStore)
+	if off := spill.eoffs[0]; off >= spill.flushedOff {
+		t.Fatal("spill: vertex 0 was meant to be sealed")
+	}
+	if off := spill.eoffs[9]; off < spill.flushedOff {
+		t.Fatal("spill: vertex 9 was meant to be pending")
+	}
+
+	// A durable graph reopened from its directory: every block sealed, the
+	// dictionaries read back from the index file.
+	dir := t.TempDir()
+	durable, err := BuildGraph(sys, roots, BuildOptions{Workers: 1, Store: StoreSpill, GraphDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CloseGraphStore(durable); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenGraph(sys, dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer CloseGraphStore(reopened)
+	backends = append(backends, struct {
+		name  string
+		store StateStore
+	}{"reopened", reopened.store})
+
+	// The recheck overlay: a patched base vertex, untouched base vertices and
+	// a fresh vertex spliced after the base.
+	overlay := newRecheckStore(dense.store)
+	overlay.patch(3, dense.Succs(5))
+	st, _ := dense.State(0)
+	fresh, _ := overlay.Intern("a fingerprint the base never saw", st, pred{})
+	overlay.SetSuccs(fresh, dense.Succs(1))
+	backends = append(backends, struct {
+		name  string
+		store StateStore
+	}{"recheck", overlay})
+
+	for _, b := range backends {
+		prefix := []StateID{7, 9}
+		for id := range StateID(b.store.Len()) {
+			var want []StateID
+			for e := range b.store.EdgesFrom(id) {
+				want = append(want, e.To)
+			}
+			if got := b.store.Targets(id, nil); !slices.Equal(got, want) {
+				t.Fatalf("%s: Targets(%d) = %v, EdgesFrom leads to %v", b.name, id, got, want)
+			}
+			if got := b.store.Targets(id, slices.Clone(prefix)); !slices.Equal(got, append(slices.Clone(prefix), want...)) {
+				t.Fatalf("%s: Targets(%d) after %v = %v, want %v appended", b.name, id, prefix, got, want)
+			}
+		}
+		for _, id := range []StateID{StateID(b.store.Len()), intern.NoState} {
+			if got := b.store.Targets(id, prefix); !slices.Equal(got, []StateID{7, 9}) {
+				t.Errorf("%s: Targets(%d) past the end = %v, want the buffer back unchanged", b.name, id, got)
+			}
+		}
+	}
+	if got := overlay.Targets(3, nil); len(got) == 0 || slices.Equal(got, dense.store.Targets(3, nil)) {
+		t.Errorf("recheck: Targets(3) = %v does not read the patch", got)
 	}
 }
 
