@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-quick bench-allocs bench-symmetry bench-spill bench-adjacency bench-incremental test-spill test-server run-boostd lint vet analyze fmt-check fmt vuln apidiff-baseline apidiff
+.PHONY: all build test race bench bench-quick bench-allocs bench-symmetry bench-spill bench-adjacency test-spill test-server run-boostd lint vet analyze fmt-check fmt vuln apidiff-baseline apidiff
 
 all: build lint test
 
@@ -46,17 +46,16 @@ bench-quick:
 # comparisons, the E25 fingerprint-encoder comparison, the E26 state
 # store comparison (dense vs hash compaction), the E27 symmetry
 # reduction (quotient vs full graph), the E28 spill store (disk-backed
-# fingerprint file, incl. the exhaustive forward n=5 build), the E29
-# spilled adjacency (edge file + witness-free builds) and the E31
-# incremental recheck (durable reopen + dirty-region recheck vs full
-# rebuild of a policy variant), with -benchmem. E22 carries the serial vs
-# worker-pool rows on forward n=5 and the forward n=6 quotient.
+# fingerprint file, incl. the exhaustive forward n=5 build) and the E29
+# spilled adjacency (edge file + witness-free builds), with -benchmem.
+# E22 carries the serial vs worker-pool rows on forward n=5 and the
+# forward n=6 quotient.
 # B/op and allocs/op are stable at low iteration counts, so a short
 # fixed benchtime keeps this cheap enough to run per-PR; CI uploads the
 # output as an artifact (bench-allocs.txt) to make allocation
 # regressions visible.
 bench-allocs:
-	@$(GO) test -bench 'BenchmarkBuildGraphWorkers|BenchmarkRefuteWorkers|BenchmarkRunBatchWorkers|BenchmarkFingerprint|BenchmarkStoreBackends|BenchmarkSymmetry$$|BenchmarkSpillStore|BenchmarkSpillAdjacency|BenchmarkIncremental' \
+	@$(GO) test -bench 'BenchmarkBuildGraphWorkers|BenchmarkRefuteWorkers|BenchmarkRunBatchWorkers|BenchmarkFingerprint|BenchmarkStoreBackends|BenchmarkSymmetry$$|BenchmarkSpillStore|BenchmarkSpillAdjacency' \
 		-benchmem -benchtime=2x -run '^$$' . > bench-allocs.txt; \
 		status=$$?; cat bench-allocs.txt; exit $$status
 
@@ -83,15 +82,6 @@ bench-spill:
 bench-adjacency:
 	$(GO) test -bench 'BenchmarkSpillAdjacency' -benchmem -benchtime=2x -run '^$$' .
 
-# The E31 row on its own: the incremental path on the exhaustive forward
-# n=5 graph — commit the adversarial build durably, then answer the
-# benign-policy variant by full rebuild vs durable reopen + dirty-region
-# recheck. The "explored" metric is the states each leg actually
-# re-expanded: 14754 for the rebuild, 0 for the recheck (the benign
-# variant's failure-free graph is provably unchanged).
-bench-incremental:
-	$(GO) test -bench 'BenchmarkIncremental' -benchmem -benchtime=2x -run '^$$' .
-
 # The spill-store slice of the parity suites under a low memory ceiling:
 # graph identity (IDs, edges, valences, reports) of the disk-backed store
 # against dense, serial and parallel, reduced and unreduced, with the Go
@@ -101,12 +91,13 @@ bench-incremental:
 # -count=1 matters: GOMEMLIMIT is read by the runtime, not the test
 # binary, so it is not part of the test-cache key — without it a warm
 # cache would replay passes that never ran under the ceiling.
-# TestDurable and TestRecheck add the durable graph store: commit,
-# reopen-parity and dirty-region recheck all run under the same ceiling,
-# proving the reattached spill store stays disk-backed.
+# TestDurable and TestClassifyReopened add the durable graph store:
+# commit, reopen-parity and a policy variant answered from the reopened
+# graph all run under the same ceiling, proving the reattached spill store
+# stays disk-backed.
 test-spill:
 	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestStoreParity|TestGoldenExploration|TestGoldenInfiniteFamilies|TestRefutationReportParity|TestQuotient|TestSpill|TestDurable|TestWithGraphDir' .
-	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestSpillStore|TestStoreBounds|TestDurable|TestRecheck' ./internal/explore/
+	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestSpillStore|TestStoreBounds|TestDurable|TestClassifyReopened' ./internal/explore/
 
 # The checking-service suite: the boostd HTTP/SSE/cache end-to-end tests
 # (golden counts, single-flight dedup, isomorphic cache hits, cancel and

@@ -752,71 +752,6 @@ func BenchmarkSpillAdjacency(b *testing.B) {
 	bench("forward-n5/spill-nowitness", boosting.WithSpillDir(b.TempDir()), boosting.WithoutWitnesses())
 }
 
-// BenchmarkIncremental (E31) pits the full rebuild of a policy variant
-// against the durable reopen + incremental recheck on the exhaustive
-// forward n=5 graph: the adversarial build is committed once with
-// WithGraphDir, then each iteration answers the benign-policy variant —
-// a 1-action delta whose failure-free graph is provably unchanged —
-// either by exploring from scratch or by reopening the committed graph
-// and rechecking the dirty region. The "explored" metric is the state
-// count whose successor sets each leg actually computed: the full graph
-// for the rebuild, the dirty-plus-fresh region (0 here) for the recheck.
-func BenchmarkIncremental(b *testing.B) {
-	dir := b.TempDir()
-	base, err := boosting.New("forward", 5, 1,
-		boosting.WithWorkers(1), boosting.WithGraphDir(dir))
-	if err != nil {
-		b.Fatal(err)
-	}
-	committed, err := base.ClassifyInits()
-	if err != nil {
-		b.Fatal(err)
-	}
-	fullStates := committed.Graph.Size()
-	if err := committed.Close(); err != nil {
-		b.Fatal(err)
-	}
-	delta, err := boosting.New("forward", 5, 1,
-		boosting.WithWorkers(1), boosting.WithSilencePolicy(boosting.Benign),
-		boosting.WithStore(boosting.SpillStore))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("full-rebuild", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c, err := delta.ClassifyInits()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(c.Graph.Size()), "explored")
-			if err := c.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reopen-recheck", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			prev, err := delta.OpenGraph(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := delta.Recheck(prev)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.ReachableStates != fullStates {
-				b.Fatalf("recheck reached %d states, full build %d", res.ReachableStates, fullStates)
-			}
-			b.ReportMetric(float64(res.Dirty+res.Fresh), "explored")
-			if err := res.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkFairnessAudit (E21) times the post-hoc fairness audit of a fair
 // run.
 func BenchmarkFairnessAudit(b *testing.B) {

@@ -77,36 +77,27 @@ func (c *Checker) ClassifyInits() (*InitClassification, error) {
 // by a WithGraphDir build — as a read-only graph, without exploring a
 // state. The Checker's system must be shape-compatible with the system
 // the graph was built from (same processes and service structure; the
-// programs, resilience and silence policy may differ — those are what
-// Recheck revalidates). Validation failures are typed *ManifestError
-// values. Close the graph with CloseGraph.
+// programs, resilience and silence policy may differ), which is what lets
+// it decode the stored states. The reopened graph is the *builder's* G(C):
+// it is this candidate's only when the two have the same failure-free
+// transition relation, and nothing here checks that. Validation failures
+// are typed *ManifestError values. Close the graph with CloseGraph.
 func (c *Checker) OpenGraph(dir string) (*Graph, error) {
 	return explore.OpenGraph(c.sys, dir, explore.OpenOptions{})
 }
 
-// Recheck revalidates this Checker's candidate against a previously built
-// graph — typically one reopened via OpenGraph from a durable directory
-// committed by an earlier, slightly different candidate. Only the dirty
-// region (base states whose enabled-action sets changed) and the fresh
-// frontier growing out of it are re-explored; everything else is reused.
-// The result carries the spliced graph, the monotone roots' valences
-// (the Lemma 4 sweep on the modified candidate) and the dirty/fresh
-// accounting. Close the result, not prev — it owns prev's store.
-func (c *Checker) Recheck(prev *Graph) (*RecheckResult, error) {
-	n := len(c.sys.ProcessIDs())
-	roots := make([]State, 0, n+1)
-	for i := 0; i <= n; i++ {
-		st, err := explore.ApplyInputs(c.sys, explore.MonotoneAssignment(c.sys, i))
-		if err != nil {
-			return nil, err
-		}
-		roots = append(roots, st)
-	}
-	opt := c.cfg.buildOptions()
-	// A recheck never commits: it layers an in-memory delta over the
-	// (possibly durable) base graph.
-	opt.GraphDir = ""
-	return explore.Recheck(c.sys, prev, roots, opt)
+// ClassifyReopened answers ClassifyInits for this Checker's candidate from
+// a durable directory committed by a silence-policy variant of it, without
+// exploring a state: dummy actions need a failed endpoint and G(C) holds
+// failure-free executions only, so the two candidates' graphs are the same
+// graph (TestPolicyVariantGraphIdentical). For any other difference the
+// answer is the builder's, not this one's. Beyond OpenGraph's validation,
+// the symmetry flag must match WithSymmetry, witness links must be there
+// unless WithoutWitnesses is set, and this candidate's monotone roots must
+// be the graph's roots, in order; failures are typed *ManifestError values.
+// Close the result.
+func (c *Checker) ClassifyReopened(dir string) (*InitClassification, error) {
+	return explore.ClassifyReopened(c.sys, dir, c.cfg.buildOptions())
 }
 
 // FindHook runs the Fig. 3 round-robin construction from a bivalent vertex

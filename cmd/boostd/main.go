@@ -17,8 +17,8 @@
 // -graphdir names the durable graph root of the delta-match cache tier:
 // classify jobs commit their graphs under it, and a submission differing
 // from a committed graph only in silence policy reopens that graph and
-// rechecks the dirty region instead of rebuilding ("cached": "delta" in
-// the acknowledgement, deltaHits on /v1/stats). Unset, boostd uses a
+// answers from it instead of rebuilding ("cached": "delta" in the
+// acknowledgement, deltaHits on /v1/stats). Unset, boostd uses a
 // temporary root removed at exit, so the tier is always on within one
 // server lifetime.
 package main

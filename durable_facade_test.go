@@ -1,12 +1,13 @@
 package boosting_test
 
 // Façade-level tests of the durable graph store (WithGraphDir,
-// Checker.OpenGraph, Checker.Recheck): for EVERY registry protocol with a
+// Checker.OpenGraph): for EVERY registry protocol with a
 // finite failure-free graph, the durable build must be identical to the
 // ephemeral reference, the committed directory must reopen — without
 // exploring a state — into the identical graph, and identity mismatches
 // must rebuild rather than serve a stale graph. Plus the explicit
-// conflict matrix of WithGraphDir and the façade recheck path.
+// conflict matrix of WithGraphDir. (Checker.ClassifyReopened is driven in
+// policy_variant_test.go.)
 
 import (
 	"errors"
@@ -158,62 +159,6 @@ func TestDurableFacadeRebuildOnMismatch(t *testing.T) {
 	}
 	defer want.Close()
 	assertGraphsIdentical(t, "rebuilt", want.Graph, c2.Graph)
-}
-
-// TestDurableFacadeRecheck drives the incremental path end to end at the
-// façade: commit the adversarial forward graph, reopen it, recheck the
-// benign-policy variant — whose failure-free graph is provably identical
-// (silence never fires without failures) — and require an empty dirty
-// region, zero fresh states and the reference verdict.
-func TestDurableFacadeRecheck(t *testing.T) {
-	dir := t.TempDir()
-	base, err := boosting.New("forward", 3, 1,
-		boosting.WithWorkers(1), boosting.WithGraphDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := base.ClassifyInits()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	delta, err := boosting.New("forward", 3, 1,
-		boosting.WithWorkers(1), boosting.WithSilencePolicy(boosting.Benign))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := delta.OpenGraph(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := delta.Recheck(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Close()
-	if res.Dirty != 0 || res.Fresh != 0 {
-		t.Errorf("benign-policy recheck: dirty=%d fresh=%d, want 0/0", res.Dirty, res.Fresh)
-	}
-	want, err := delta.ClassifyInits()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer want.Close()
-	if res.ReachableStates != want.Graph.Size() || res.ReachableEdges != want.Graph.Edges() {
-		t.Errorf("reachable %d/%d, want %d/%d",
-			res.ReachableStates, res.ReachableEdges, want.Graph.Size(), want.Graph.Edges())
-	}
-	for i := range want.Valences {
-		if res.Valences[i] != want.Valences[i] {
-			t.Errorf("root %d: valence %v, want %v", i, res.Valences[i], want.Valences[i])
-		}
-	}
-	if res.BivalentIndex != want.BivalentIndex {
-		t.Errorf("bivalent index %d, want %d", res.BivalentIndex, want.BivalentIndex)
-	}
 }
 
 // TestWithGraphDirConflicts is the explicit conflict matrix: every

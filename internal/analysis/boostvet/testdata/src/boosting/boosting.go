@@ -10,7 +10,6 @@ type (
 	Graph              = explore.Graph
 	InitClassification = explore.InitClassification
 	Report             = explore.Report
-	RecheckResult      = explore.RecheckResult
 	StateID            = explore.StateID
 )
 
@@ -39,5 +38,3 @@ func (c *Checker) Refute(claim int) (*Report, error) {
 }
 
 func (c *Checker) OpenGraph(dir string) (*Graph, error) { return explore.OpenGraph(dir) }
-
-func (c *Checker) Recheck(prev *Graph) (*RecheckResult, error) { return explore.Recheck(prev) }

@@ -34,15 +34,4 @@ func (r *Report) Close() error { return r.Inits.Close() }
 
 func BuildGraph() (*Graph, error) { return &Graph{}, nil }
 
-type RecheckResult struct {
-	Graph           *Graph
-	Dirty           int
-	Fresh           int
-	ReachableStates int
-}
-
-func (r *RecheckResult) Close() error { return CloseGraphStore(r.Graph) }
-
 func OpenGraph(dir string) (*Graph, error) { return &Graph{}, nil }
-
-func Recheck(prev *Graph) (*RecheckResult, error) { return &RecheckResult{Graph: prev}, nil }

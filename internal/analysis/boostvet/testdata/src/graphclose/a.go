@@ -144,44 +144,21 @@ func leakReopen() error {
 	return nil // want `graph from OpenGraph is not closed on this path`
 }
 
-// A recheck result owns the reopened base graph through its exported
-// Graph field; falling off the end without Close leaks the base store.
-func leakRecheck() error {
-	chk, err := boosting.NewChecker()
-	if err != nil {
-		return err
-	}
-	prev, err := chk.OpenGraph("graphs/forward")
-	if err != nil {
-		return err
-	}
-	res, err := chk.Recheck(prev)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.ReachableStates)
-	return nil // want `graph from Recheck is not closed on this path`
-}
+func (h *holder) adopt(r *boosting.Report) error { h.R = r; return nil }
 
-// The canonical incremental idiom: Recheck takes ownership of the
-// reopened base on success, so one deferred Close on the result covers
-// both handles on every subsequent exit.
-func recheckClose() error {
+// Handing the carrier to a method as an argument, in an assignment,
+// transfers ownership as well: the callee may be its closer.
+func handOver(h *holder) error {
 	chk, err := boosting.NewChecker()
 	if err != nil {
 		return err
 	}
-	prev, err := chk.OpenGraph("graphs/forward")
+	report, err := chk.Refute(1)
 	if err != nil {
 		return err
 	}
-	res, err := chk.Recheck(prev)
-	if err != nil {
-		return err
-	}
-	defer res.Close()
-	fmt.Println(res.Dirty, res.Fresh)
-	return nil
+	err = h.adopt(report)
+	return err
 }
 
 // Process exits end paths: descriptors do not outlive the process.

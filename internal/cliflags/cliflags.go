@@ -39,7 +39,7 @@ func Register(fs *flag.FlagSet) *Common {
 	// Same empty-sentinel discipline as -store/-spilldir: "" means "not
 	// requested", so the conflict matrix in Options can name exactly the
 	// flags the user actually set.
-	fs.StringVar(&c.GraphDir, "graphdir", "", "durable graph directory: commit the built graph for later reopening and incremental recheck (implies -store spill; conflicts with -spilldir)")
+	fs.StringVar(&c.GraphDir, "graphdir", "", "durable graph directory: commit the built graph for later reopening (implies -store spill; conflicts with -spilldir)")
 	fs.BoolVar(&c.NoWitness, "nowitness", false, "drop witness predecessor links (counts and valences only; conflicts with witness-producing analyses)")
 	fs.BoolVar(&c.Symmetry, "symmetry", false, "canonicalize states modulo process renaming (quotient graph; symmetric families only)")
 	return c

@@ -73,10 +73,7 @@ func encodeIndex(g *Graph, s *spillStore) []byte {
 	for i := 0; i < n; i++ {
 		buf = binary.AppendUvarint(buf, uint64(s.lens[i]))
 		buf = binary.AppendUvarint(buf, uint64(s.elens[i]))
-		// Final valence mask plus the intern-time own-decision mask: the
-		// own mask is the fixpoint seed, persisted so incremental recheck
-		// can prove "nothing changed" without re-running the fixpoint.
-		buf = append(buf, g.masks[i], g.ownMasks[i])
+		buf = append(buf, g.masks[i])
 	}
 
 	if s.predTable.keep {
@@ -199,7 +196,6 @@ type decodedIndex struct {
 	lens  []uint32
 	elens []uint32
 	masks []uint8
-	own   []uint8
 	preds predTable // keep == false when witnesses were not persisted
 	roots []StateID
 	seals []sealMark
@@ -230,16 +226,14 @@ func decodeIndex(buf []byte) (*decodedIndex, error) {
 		a.Payload = r.string()
 		out.acts = append(out.acts, a)
 	}
-	n := r.count(4)
+	n := r.count(3)
 	out.lens = make([]uint32, 0, n)
 	out.elens = make([]uint32, 0, n)
 	out.masks = make([]uint8, 0, n)
-	out.own = make([]uint8, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		out.lens = append(out.lens, uint32(r.uvarint()))
 		out.elens = append(out.elens, uint32(r.uvarint()))
 		out.masks = append(out.masks, r.byte())
-		out.own = append(out.own, r.byte())
 	}
 	if r.byte() == 1 {
 		out.preds = predTable{keep: true, list: make([]packedEdge, 0, n)}
@@ -374,8 +368,9 @@ func writeFileSync(path string, data []byte) error {
 // always-on checks (format version, checksums, file lengths, shape).
 type OpenOptions struct {
 	// GraphID, when non-nil, must match the manifest's recorded full
-	// identity byte-for-byte — the exact-reopen mode. nil skips the check
-	// (shape-validated open, the incremental-recheck mode).
+	// identity byte-for-byte — the exact-reopen mode. nil skips the check:
+	// a shape-validated open, whose graph is the builder's G(C) whatever
+	// candidate sys is.
 	GraphID []byte
 	// RequireWitnesses rejects graphs persisted without predecessor links.
 	RequireWitnesses bool
@@ -387,9 +382,12 @@ type OpenOptions struct {
 // fingerprint of sys against the manifest's. The returned graph is
 // per-ID and per-edge identical to the one the durable build produced —
 // same StateIDs, fingerprints, edges, valences, roots and witness links —
-// and its states decode under sys (any same-shape candidate). Close it
-// with CloseGraphStore like any spill-backed graph. All validation
-// failures are typed *ManifestError values.
+// and its states decode under sys (any same-shape candidate). It is the
+// builder's G(C): without opt.GraphID nothing here ties its transitions to
+// sys, so it is sys's graph only when the two candidates have the same
+// failure-free transition relation (see ClassifyReopened). Close it with
+// CloseGraphStore like any spill-backed graph. All validation failures are
+// typed *ManifestError values.
 func OpenGraph(sys *system.System, dir string, opt OpenOptions) (*Graph, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
@@ -440,8 +438,6 @@ func OpenGraph(sys *system.System, dir string, opt OpenOptions) (*Graph, error) 
 		roots:    dec.roots,
 		edges:    m.Edges,
 		masks:    dec.masks,
-		ownMasks: dec.own,
-		keepOwn:  true,
 		manifest: m,
 		graphDir: dir,
 	}, nil
@@ -502,8 +498,9 @@ func reattachSpillStore(sys *system.System, files *graphFiles, m *Manifest, dec 
 	s.wOff = off
 
 	// Rebuild the dedup index: one sequential pass over the fingerprint
-	// file. Recheck resolves candidate states against this graph through
-	// Lookup, so the buckets must be live.
+	// file. Graph.Lookup serves a reopened graph too (ClassifyReopened
+	// resolves the candidate's roots through it), so the buckets must be
+	// live.
 	br := bufio.NewReaderSize(files.fp, 256<<10)
 	buf := make([]byte, 0, 256)
 	for i := 0; i < n; i++ {

@@ -11,6 +11,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/ioa-lab/boosting/internal/explore"
@@ -260,6 +262,85 @@ func TestDurableOpenErrors(t *testing.T) {
 			var merr *explore.ManifestError
 			if !errors.As(err, &merr) {
 				t.Fatalf("want *ManifestError, got %T: %v", err, err)
+			}
+		})
+	}
+}
+
+// TestClassifyReopened drives the one reader that serves a committed graph to
+// a candidate other than its builder. The accepted rows hold the answer to
+// the variant's own ClassifyInits per ID and explore nothing; the refused
+// rows are directories that reopen cleanly (same shape, sound files) but do
+// not hold this sweep's graph, and each is a typed *ManifestError.
+func TestClassifyReopened(t *testing.T) {
+	builder := mustForward(t, 3, 1, service.Adversarial)
+	variant := mustForward(t, 3, 1, service.Benign)
+	reversed := monotoneRoots(t, builder)
+	slices.Reverse(reversed)
+	cases := []struct {
+		name    string
+		roots   []system.State // nil = the builder's monotone roots
+		built   explore.BuildOptions
+		asked   explore.BuildOptions
+		refused bool
+	}{
+		{name: "policy variant"},
+		{name: "policy variant, quotient",
+			built: explore.BuildOptions{Symmetry: forwardCanon(t, builder, 3)},
+			asked: explore.BuildOptions{Symmetry: forwardCanon(t, variant, 3)}},
+		{name: "policy variant, no witnesses either side",
+			built: explore.BuildOptions{NoWitnesses: true},
+			asked: explore.BuildOptions{NoWitnesses: true}},
+		{name: "witnesses asked, none committed",
+			built: explore.BuildOptions{NoWitnesses: true}, refused: true},
+		{name: "quotient committed, full graph asked",
+			built: explore.BuildOptions{Symmetry: forwardCanon(t, builder, 3)}, refused: true},
+		{name: "full graph committed, quotient asked",
+			asked: explore.BuildOptions{Symmetry: forwardCanon(t, variant, 3)}, refused: true},
+		{name: "monotone roots in another order", roots: reversed, refused: true},
+		{name: "a single explored root", roots: reversed[:1], refused: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			roots := tc.roots
+			if roots == nil {
+				roots = monotoneRoots(t, builder)
+			}
+			tc.built.Workers, tc.built.Store, tc.built.GraphDir = 1, explore.StoreSpill, dir
+			g, err := explore.BuildGraph(builder, roots, tc.built)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := explore.CloseGraphStore(g); err != nil {
+				t.Fatal(err)
+			}
+			tc.asked.Workers = 1
+			want, err := explore.ClassifyInits(variant, tc.asked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer want.Close()
+			tc.asked.Progress = func(explore.Progress) { t.Error("the reopen explored a level") }
+			got, err := explore.ClassifyReopened(variant, dir, tc.asked)
+			if tc.refused {
+				var merr *explore.ManifestError
+				if !errors.As(err, &merr) {
+					got.Close()
+					t.Fatalf("want *ManifestError, got %T: %v", err, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer got.Close()
+			requireIdentical(t, want.Graph, got.Graph, !tc.asked.NoWitnesses)
+			if !reflect.DeepEqual(got.Assignments, want.Assignments) ||
+				!slices.Equal(got.Roots, want.Roots) ||
+				!slices.Equal(got.Valences, want.Valences) ||
+				got.BivalentIndex != want.BivalentIndex {
+				t.Errorf("classification differs from the variant's own sweep:\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}

@@ -110,10 +110,6 @@ type Graph struct {
 	// GraphManifest / GraphDirOf.
 	manifest *Manifest
 	graphDir string
-	// keepOwn makes the valence fixpoint retain ownMasks instead of
-	// freeing them: durable graphs persist the fixpoint seeds so
-	// incremental recheck can prove "own decisions unchanged" cheaply.
-	keepOwn bool
 }
 
 // Progress is one streaming exploration report, emitted after each BFS
@@ -202,7 +198,7 @@ func newGraph(sys *system.System, opt BuildOptions) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{sys: sys, store: store, keepOwn: opt.GraphDir != ""}, nil
+	return &Graph{sys: sys, store: store}, nil
 }
 
 // validateDurable rejects the build-option combination the durable mode
@@ -368,15 +364,11 @@ func (g *Graph) exploreSerial(maxStates int, buf []byte, opt BuildOptions) error
 // mask(s) = decided(s) ∪ ⋃_{s→t} mask(t).
 func (g *Graph) computeMasks() {
 	// Seed with each state's own decisions, recorded at intern time. The
-	// recording is only needed for this seeding, so release it after —
-	// except on durable builds, which persist the seeds for incremental
-	// recheck (see keepOwn).
+	// recording is only needed for this seeding, so release it after.
 	n := g.store.Len()
 	g.masks = make([]uint8, n)
 	copy(g.masks, g.ownMasks)
-	if !g.keepOwn {
-		g.ownMasks = nil
-	}
+	g.ownMasks = nil
 	// Chaotic iteration to fixpoint; the least fixpoint is unique, so the
 	// sweep order only affects how many rounds it takes. Masks flow
 	// backwards along edges and BFS edges point mostly at equal-or-larger

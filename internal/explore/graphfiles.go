@@ -28,8 +28,9 @@ const (
 	indexFileName = "index.dat"
 
 	// manifestFormat is the on-disk format version. Bump on any layout
-	// change: stale manifests are rejected, never reinterpreted.
-	manifestFormat = 1
+	// change: stale manifests are rejected, never reinterpreted. Format 1
+	// carried a second, own-decision mask byte per vertex in index.dat.
+	manifestFormat = 2
 )
 
 // ManifestError reports a durable graph directory that cannot be opened:
@@ -132,12 +133,13 @@ func (m *Manifest) verifyChecksum() (bool, error) {
 // system: process count and, per service in sorted index order, the
 // index, type name, class, initial value and endpoint count. Two systems
 // with equal shapes produce and parse interchangeable state encodings
-// (ParseFingerprint splits on component counts), so a durable graph can
-// be reopened and re-evaluated by any same-shape candidate. Deliberately
+// (ParseFingerprint splits on component counts), so any same-shape
+// candidate can decode a reopened durable graph's states. Deliberately
 // excluded are the dynamics-only knobs — resilience, silence policy and
 // the process programs — which change the transition relation but not
-// the state encoding: those are exactly the deltas incremental recheck
-// revalidates.
+// the state encoding. Equal shape therefore says nothing about whose G(C)
+// a directory holds; ClassifyReopened is the one reader that serves a graph
+// to a candidate other than its builder, and says when that is sound.
 func ShapeFingerprint(sys *system.System) []byte {
 	dst := append([]byte(nil), "boosting-shape-v1"...)
 	dst = append(dst, '[')

@@ -69,9 +69,9 @@ func applyInputs(sys *system.System, inputs map[int]string) (system.State, error
 	return st, nil
 }
 
-// ClassifyInits performs the Lemma 4 sweep over the monotone
-// initializations and classifies each by valence.
-func ClassifyInits(sys *system.System, opt BuildOptions) (*InitClassification, error) {
+// monotoneRoots starts a classification: the n+1 monotone assignments and
+// the root states they lead to.
+func monotoneRoots(sys *system.System) (*InitClassification, []system.State, error) {
 	n := len(sys.ProcessIDs())
 	out := &InitClassification{BivalentIndex: -1}
 	var roots []system.State
@@ -79,25 +79,88 @@ func ClassifyInits(sys *system.System, opt BuildOptions) (*InitClassification, e
 		inputs := MonotoneAssignment(sys, i)
 		st, err := applyInputs(sys, inputs)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		out.Assignments = append(out.Assignments, inputs)
 		roots = append(roots, st)
+	}
+	return out, roots, nil
+}
+
+// classify finishes a classification from g, whose roots are the monotone
+// roots in order.
+func (c *InitClassification) classify(g *Graph) *InitClassification {
+	c.Graph = g
+	c.Roots = g.Roots()
+	for i, id := range c.Roots {
+		v := g.Valence(id)
+		c.Valences = append(c.Valences, v)
+		if v == Bivalent && c.BivalentIndex < 0 {
+			c.BivalentIndex = i
+		}
+	}
+	return c
+}
+
+// ClassifyInits performs the Lemma 4 sweep over the monotone
+// initializations and classifies each by valence.
+func ClassifyInits(sys *system.System, opt BuildOptions) (*InitClassification, error) {
+	out, roots, err := monotoneRoots(sys)
+	if err != nil {
+		return nil, err
 	}
 	g, err := BuildOrReopenGraph(sys, roots, opt)
 	if err != nil {
 		return nil, err
 	}
-	out.Graph = g
-	out.Roots = g.Roots()
-	for i, id := range out.Roots {
-		v := g.Valence(id)
-		out.Valences = append(out.Valences, v)
-		if v == Bivalent && out.BivalentIndex < 0 {
-			out.BivalentIndex = i
+	return out.classify(g), nil
+}
+
+// ClassifyReopened answers the Lemma 4 sweep for sys from a durable graph
+// another candidate committed to dir, without exploring a state. It is sound
+// exactly when sys and the builder have the same failure-free transition
+// relation, which the caller vouches for; the case it exists for is a
+// silence-policy variant. G(C) holds failure-free executions only (BuildGraph
+// schedules sys.Tasks(), which has no fail action), a canonical service
+// enables a dummy action only once an endpoint has failed, and the policy is
+// consulted only to choose between a real action and an enabled dummy — so
+// no vertex of either candidate's G(C) reads it and the two graphs are
+// identical per ID (service's TestPolicyUnobservableFailureFree, the
+// façade's TestPolicyVariantGraphIdentical).
+//
+// On top of OpenGraph's validation the directory must hold this sweep's
+// graph: the symmetry flag must equal opt's, witness links must be there
+// unless opt drops them, and sys's n+1 monotone roots — canonicalized and
+// fingerprinted under sys — must resolve to the recorded root IDs in order.
+// Every failure is a typed *ManifestError and leaves nothing open. Nothing
+// is built, so opt's engine fields and MaxStates are not consulted.
+func ClassifyReopened(sys *system.System, dir string, opt BuildOptions) (*InitClassification, error) {
+	out, roots, err := monotoneRoots(sys)
+	if err != nil {
+		return nil, err
+	}
+	g, err := OpenGraph(sys, dir, OpenOptions{RequireWitnesses: !opt.NoWitnesses})
+	if err != nil {
+		return nil, err
+	}
+	refuse := func(format string, args ...any) (*InitClassification, error) {
+		_ = CloseGraphStore(g)
+		return nil, &ManifestError{Dir: dir, Reason: fmt.Sprintf(format, args...)}
+	}
+	if g.manifest.Symmetry != (opt.Symmetry != nil) {
+		return refuse("symmetry mismatch: one of the committed graph and the request is the quotient, the other is not")
+	}
+	if len(g.roots) != len(roots) {
+		return refuse("graph has %d roots, the classification sweep has %d", len(g.roots), len(roots))
+	}
+	var buf []byte
+	for i, r := range roots {
+		buf = sys.AppendFingerprint(buf[:0], canonical(opt.Symmetry, r))
+		if id, ok := g.store.Lookup(buf); !ok || id != g.roots[i] {
+			return refuse("root %d of the graph is not the monotone initialization α_%d", i, i)
 		}
 	}
-	return out, nil
+	return out.classify(g), nil
 }
 
 // String renders the classification as a small table.

@@ -278,15 +278,11 @@ func (g *Graph) computeMasksParallel(workers int) {
 	n := g.store.Len()
 	masks := make([]uint32, n)
 	// Seed with each state's own decisions, recorded at intern time. The
-	// recording is only needed for this seeding, so release it after —
-	// except on durable builds, which persist the seeds for incremental
-	// recheck (see keepOwn).
+	// recording is only needed for this seeding, so release it after.
 	for i, m := range g.ownMasks {
 		masks[i] = uint32(m)
 	}
-	if !g.keepOwn {
-		g.ownMasks = nil
-	}
+	g.ownMasks = nil
 	targets := make([][]StateID, workers) // one successor buffer per sweeping goroutine
 	for {
 		var changed atomic.Bool

@@ -285,15 +285,8 @@ func CloseGraphStore(g *Graph) error {
 	if g == nil {
 		return nil
 	}
-	switch s := g.store.(type) {
-	case *spillStore:
+	if s, ok := g.store.(*spillStore); ok {
 		return s.Close()
-	case *recheckStore:
-		// A recheck graph layers an in-memory delta over the base graph's
-		// store; closing it releases the base's backend resources.
-		if base, ok := s.base.(*spillStore); ok {
-			return base.Close()
-		}
 	}
 	return nil
 }

@@ -295,18 +295,6 @@ func TestTargetsMatchesEdgesFrom(t *testing.T) {
 		store StateStore
 	}{"reopened", reopened.store})
 
-	// The recheck overlay: a patched base vertex, untouched base vertices and
-	// a fresh vertex spliced after the base.
-	overlay := newRecheckStore(dense.store)
-	overlay.patch(3, dense.Succs(5))
-	st, _ := dense.State(0)
-	fresh, _ := overlay.Intern("a fingerprint the base never saw", st, pred{})
-	overlay.SetSuccs(fresh, dense.Succs(1))
-	backends = append(backends, struct {
-		name  string
-		store StateStore
-	}{"recheck", overlay})
-
 	for _, b := range backends {
 		prefix := []StateID{7, 9}
 		for id := range StateID(b.store.Len()) {
@@ -326,9 +314,6 @@ func TestTargetsMatchesEdgesFrom(t *testing.T) {
 				t.Errorf("%s: Targets(%d) past the end = %v, want the buffer back unchanged", b.name, id, got)
 			}
 		}
-	}
-	if got := overlay.Targets(3, nil); len(got) == 0 || slices.Equal(got, dense.store.Targets(3, nil)) {
-		t.Errorf("recheck: Targets(3) = %v does not read the patch", got)
 	}
 }
 

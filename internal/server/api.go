@@ -334,10 +334,9 @@ type Result struct {
 	// BivalentIndex is classify's first bivalent initialization, or -1.
 	BivalentIndex *int `json:"bivalentIndex,omitempty"`
 	// Explored, for durable-tier classify jobs, is the number of states
-	// whose successor sets this job actually computed: the full state
-	// count for a fresh committed build, the dirty-plus-fresh region for
-	// a delta recheck (0 when the variant's graph was provably
-	// unchanged). Absent outside the durable tier.
+	// whose successor sets this job computed: the full state count for a
+	// committed build, 0 for a delta job, which reads its verdict off the
+	// policy variant's reopened graph. Absent outside the durable tier.
 	Explored *int `json:"explored,omitempty"`
 	// Refutation fields.
 	Claimed      *int          `json:"claimed,omitempty"`

@@ -19,8 +19,9 @@ const (
 	// the submission joins it (single-flight dedup).
 	CacheInflight CacheState = "inflight"
 	// CacheDelta: no exact entry, but a committed durable graph differing
-	// only in silence policy — the job reopens it and rechecks the dirty
-	// region instead of rebuilding (see Config.GraphRoot).
+	// only in silence policy — the failure-free G(C) is the same graph, so
+	// the job reopens it and answers from its root valences instead of
+	// rebuilding (see Config.GraphRoot).
 	CacheDelta CacheState = "delta"
 )
 
@@ -35,8 +36,8 @@ type CacheStats struct {
 	// (delta-tier submissions are counted here AND in DeltaHits: they
 	// missed the exact cache but avoided a full rebuild).
 	Misses int64 `json:"misses"`
-	// DeltaHits counts submissions served by reopening a policy-variant's
-	// committed graph and rechecking only the dirty region.
+	// DeltaHits counts submissions acknowledged "delta": routed to a
+	// policy-variant's committed graph instead of a rebuild.
 	DeltaHits int64 `json:"deltaHits"`
 	// Inflight is the number of entries whose job has not finished yet.
 	Inflight int `json:"inflight"`

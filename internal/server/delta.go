@@ -13,12 +13,12 @@ import (
 // The delta-match cache tier. On an exact-key miss of a classify job the
 // server probes a second index keyed by everything EXCEPT the silence
 // policy: a hit means a durable graph for a policy-variant of the same
-// candidate is already committed under the graph root, and the job can
-// reopen it and run an incremental recheck of the dirty region instead of
-// a full rebuild. The exact result cache stays the source of truth for
-// verdicts — the delta tier only decides HOW a missed verdict gets
-// computed, so a wrong or stale delta entry costs time, never soundness:
-// the recheck re-derives every transition it keeps.
+// candidate is already committed under the graph root, and the job reopens
+// it and reads the verdict off its root valences instead of rebuilding:
+// a silence policy cannot change a failure-free graph (see
+// explore.ClassifyReopened). The index is only a routing hint — the reopen
+// re-validates the directory, down to the candidate's monotone roots, and
+// anything that fails is dropped and rebuilt.
 
 // graphIndexCap bounds the delta index; evicted entries take their
 // committed graph directories with them.
@@ -32,8 +32,6 @@ type graphEntry struct {
 	exactKey string
 	// dir is the committed graph directory (derived from exactKey).
 	dir string
-	// states is the committed graph's vertex count, for observability.
-	states int
 }
 
 // graphIndex is the LRU of committed durable graphs, keyed by the
@@ -112,9 +110,8 @@ func (gi *graphIndex) drop(deltaKey, dir string) {
 // deltaKey is the policy-blind sibling of cacheKey: protocol, sizes,
 // analysis and every verdict-affecting option EXCEPT the silence policy.
 // Two submissions with equal delta keys and unequal exact keys differ
-// only in policy — exactly the relation the incremental recheck is sound
-// for, because policy variants share the candidate's state encoding and
-// action alphabet (the "same shape" precondition of OpenGraph).
+// only in policy — exactly the relation under which the committed graph is
+// the submission's own failure-free G(C).
 func (r *Request) deltaKey() string {
 	return fmt.Sprintf("delta|%s|n=%d|f=%d|a=%s|sym=%t|ms=%d|mr=%d|ng=%t|r=%d",
 		r.Protocol, r.N, r.F, r.Analysis,
@@ -143,6 +140,6 @@ func (s *Server) graphDirFor(exactKey string) string {
 	return filepath.Join(s.cfg.GraphRoot, hex.EncodeToString(sum[:16]))
 }
 
-// DeltaHits reports how many submissions were served by reopening a
-// policy-variant's committed graph and rechecking only the dirty region.
+// DeltaHits reports how many submissions were routed to a policy-variant's
+// committed graph instead of a rebuild.
 func (s *Server) DeltaHits() int64 { return s.deltaHits.Load() }

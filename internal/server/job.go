@@ -43,8 +43,8 @@ type Job struct {
 	// Delta-tier routing, set next to cacheKey under the same visibility
 	// rule: graphDir is where a durable classify build commits its graph;
 	// deltaKey its policy-blind index key; deltaDir, when non-empty, a
-	// committed policy-variant graph to reopen and recheck incrementally
-	// instead of building from scratch.
+	// committed policy-variant graph to reopen and answer from instead of
+	// building from scratch.
 	graphDir string
 	deltaKey string
 	deltaDir string

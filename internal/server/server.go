@@ -31,8 +31,8 @@ type Config struct {
 	// GraphRoot, when set, enables the delta-match cache tier: classify
 	// jobs commit their graphs durably under this directory, and an
 	// exact-key miss whose candidate differs from a committed graph only
-	// in silence policy reopens that graph and rechecks the dirty region
-	// instead of rebuilding. "" disables the tier.
+	// in silence policy reopens that graph and answers from it instead of
+	// rebuilding. "" disables the tier.
 	GraphRoot string
 }
 
@@ -53,7 +53,7 @@ type Server struct {
 	// denominator that proves cache hits explore zero new states.
 	explorations atomic.Int64
 	// graphs is the delta tier's index of committed durable graphs;
-	// deltaHits counts submissions it served incrementally.
+	// deltaHits counts submissions routed to one.
 	graphs    *graphIndex
 	deltaHits atomic.Int64
 }
@@ -134,8 +134,8 @@ func (s *Server) submit(req Request) (*Job, CacheState, error) {
 		if s.deltaEligible(&req) {
 			// Durable tier: the job commits (or reopens) its graph under
 			// the root, and a committed policy-variant — same delta key,
-			// different exact key — is rechecked incrementally. All fields
-			// are set here, before the job is visible to any worker.
+			// different exact key — is reopened in place of a build. All
+			// fields are set here, before the job is visible to any worker.
 			fresh.graphDir = s.graphDirFor(key)
 			fresh.deltaKey = req.deltaKey()
 			if e, ok := s.graphs.lookup(fresh.deltaKey); ok && e.exactKey != key {
@@ -228,33 +228,34 @@ func (s *Server) analyze(j *Job) (*Result, error) {
 			Valences: valenceStrings(valences),
 		}, nil
 	case AnalysisClassify:
+		var res *boosting.InitClassification
 		if j.deltaDir != "" {
-			res, rerr := s.recheckClassify(j, chk)
-			if rerr == nil {
-				return res, nil
-			}
-			if j.ctx.Err() != nil {
-				return nil, rerr
-			}
-			// The committed variant failed to reopen or recheck: fall
-			// back to a full build (recheckClassify already dropped a
-			// damaged index entry).
-		}
-		if j.graphDir != "" {
-			// Durable tier: commit this build under the graph root so
-			// future policy variants of the same candidate recheck
-			// incrementally. The store override mirrors WithGraphDir's
-			// spill requirement; eligibility already excluded explicit
-			// conflicting backends.
-			durable, derr := boosting.New(j.Req.Protocol, j.Req.N, j.Req.F,
-				append(opts, boosting.WithStore(boosting.SpillStore), boosting.WithGraphDir(j.graphDir))...)
-			if derr == nil {
-				chk = durable
+			// Delta tier: the committed graph of a silence-policy variant
+			// is this candidate's failure-free G(C) too (see
+			// Checker.ClassifyReopened), so the verdict is read off it. A
+			// directory that fails validation is dropped from the index and
+			// the job falls back to the full build below.
+			if res, err = chk.ClassifyReopened(j.deltaDir); err != nil {
+				s.graphs.drop(j.deltaKey, j.deltaDir)
 			}
 		}
-		res, err := chk.ClassifyInits()
-		if err != nil {
-			return nil, err
+		reopened := res != nil
+		if !reopened {
+			if j.graphDir != "" {
+				// Durable tier: commit this build under the graph root so
+				// future policy variants of the same candidate reopen it.
+				// The store override mirrors WithGraphDir's spill
+				// requirement; eligibility already excluded explicit
+				// conflicting backends.
+				durable, derr := boosting.New(j.Req.Protocol, j.Req.N, j.Req.F,
+					append(opts, boosting.WithStore(boosting.SpillStore), boosting.WithGraphDir(j.graphDir))...)
+				if derr == nil {
+					chk = durable
+				}
+			}
+			if res, err = chk.ClassifyInits(); err != nil {
+				return nil, err
+			}
 		}
 		defer closeGraph(res.Graph)
 		idx := res.BivalentIndex
@@ -265,14 +266,15 @@ func (s *Server) analyze(j *Job) (*Result, error) {
 			Valences:      valenceStrings(res.Valences),
 			BivalentIndex: &idx,
 		}
-		if _, ok := boosting.GraphManifest(res.Graph); ok && j.graphDir != "" {
+		if reopened {
+			out.Explored = new(int)
+		} else if _, ok := boosting.GraphManifest(res.Graph); ok && j.graphDir != "" {
 			explored := res.Graph.Size()
 			out.Explored = &explored
 			s.graphs.put(graphEntry{
 				deltaKey: j.deltaKey,
 				exactKey: j.cacheKey,
 				dir:      j.graphDir,
-				states:   res.Graph.Size(),
 			})
 		}
 		return out, nil
@@ -311,40 +313,6 @@ func (s *Server) analyze(j *Job) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("unknown analysis %q", j.Req.Analysis)
 	}
-}
-
-// recheckClassify serves a classify job from the delta tier: reopen the
-// policy-variant's committed graph and re-derive only the dirty region —
-// vertices whose enabled-action sets changed under the new candidate —
-// plus whatever fresh states they reach. Any failure is reported to the
-// caller, which falls back to a full build; a directory that cannot even
-// reopen is dropped from the index so the root stays clean.
-func (s *Server) recheckClassify(j *Job, chk *boosting.Checker) (*Result, error) {
-	prev, err := chk.OpenGraph(j.deltaDir)
-	if err != nil {
-		s.graphs.drop(j.deltaKey, j.deltaDir)
-		return nil, err
-	}
-	res, err := chk.Recheck(prev)
-	if err != nil {
-		closeGraph(prev)
-		return nil, err
-	}
-	defer res.Close()
-	idx := res.BivalentIndex
-	// Explored counts the states whose successor sets were actually
-	// recomputed — the dirty base vertices plus the fresh splice — the
-	// number the full-rebuild comparison in /v1/stats consumers care
-	// about.
-	explored := res.Dirty + res.Fresh
-	return &Result{
-		Analysis:      j.Req.Analysis,
-		States:        res.ReachableStates,
-		Edges:         res.ReachableEdges,
-		Valences:      valenceStrings(res.Valences),
-		BivalentIndex: &idx,
-		Explored:      &explored,
-	}, nil
 }
 
 // closeGraph releases a graph's backend resources (spill descriptors),

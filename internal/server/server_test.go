@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -511,10 +513,10 @@ func TestServerDefaultsApply(t *testing.T) {
 // TestDeltaCacheTier is the delta-match acceptance scenario: a classify
 // job on a GraphRoot server commits its graph durably; the benign-policy
 // variant of the same candidate — an exact-key miss — is acknowledged as
-// a "delta" submission, served by reopening the committed graph and
-// rechecking the dirty region (empty here: silence never fires in the
-// failure-free graph, so the benign variant is provably unchanged), and
-// reports the full verdict having re-expanded zero states.
+// a "delta" submission and served by reopening the committed graph, which
+// is the variant's own failure-free G(C) (a silence policy only matters
+// once an endpoint has failed): the cold build's verdict, zero states
+// explored, and still one job run per submission.
 func TestDeltaCacheTier(t *testing.T) {
 	srv, ts := newTestServer(t, server.Config{Pool: 1, GraphRoot: t.TempDir()})
 	ack, code := postJob(t, ts, classifyForward3)
@@ -558,7 +560,10 @@ func TestDeltaCacheTier(t *testing.T) {
 		}
 	}
 	if view.Result.Explored == nil || *view.Result.Explored != 0 {
-		t.Errorf("benign delta Explored = %v, want 0 (provably unchanged graph)", view.Result.Explored)
+		t.Errorf("benign delta Explored = %v, want 0 (the verdict is read off the reopened graph)", view.Result.Explored)
+	}
+	if got := srv.Explorations(); got != 2 {
+		t.Errorf("explorations = %d, want 2 (the delta job runs as a job)", got)
 	}
 	if stats := srv.CacheStats(); stats.DeltaHits != 1 || stats.Misses != 2 {
 		t.Errorf("cache stats = %+v, want deltaHits=1 misses=2", stats)
@@ -611,6 +616,116 @@ func TestDeltaIneligible(t *testing.T) {
 		t.Errorf("dense-store benign variant: cached %q, want miss", ack4.Cached)
 	}
 	waitTerminal(t, ts2, ack4.ID)
+}
+
+// TestDeltaRefusedDirectoryFallsBack: a directory behind a live index entry
+// that reopens as *something* — sound files, same shape — but not as this
+// sweep's graph in the current format is refused with a typed
+// *ManifestError, dropped, and the job rebuilds in full with the right
+// verdict. Rows: a same-shape graph explored from one non-monotone input
+// vector, and a manifest left behind by format 1.
+func TestDeltaRefusedDirectoryFallsBack(t *testing.T) {
+	benignChecker := func(t *testing.T) *boosting.Checker {
+		t.Helper()
+		chk, err := boosting.New("forward", 3, 0, boosting.WithSilencePolicy(boosting.Benign))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chk
+	}
+	cases := []struct {
+		name   string
+		tamper func(t *testing.T, dir string)
+	}{
+		{"roots are not the monotone roots", func(t *testing.T, dir string) {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			chk, err := boosting.New("forward", 3, 0, boosting.WithGraphDir(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := chk.Explore(map[int]string{0: "1", 1: "0", 2: "1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := boosting.CloseGraph(g); err != nil {
+				t.Fatal(err)
+			}
+			// It is a sound durable graph of a same-shape system.
+			reopened, err := benignChecker(t).OpenGraph(dir)
+			if err != nil {
+				t.Fatalf("the planted directory does not reopen: %v", err)
+			}
+			boosting.CloseGraph(reopened)
+		}},
+		{"format-1 manifest", func(t *testing.T, dir string) {
+			path := filepath.Join(dir, "manifest.json")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := bytes.Replace(raw, []byte(`"format": 2`), []byte(`"format": 1`), 1)
+			if bytes.Equal(old, raw) {
+				t.Fatalf("manifest has no \"format\": 2 field: %s", raw)
+			}
+			if err := os.WriteFile(path, old, 0o666); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			srv, ts := newTestServer(t, server.Config{Pool: 1, GraphRoot: root})
+			ack, _ := postJob(t, ts, classifyForward3)
+			full := waitTerminal(t, ts, ack.ID)
+			if full.Status != server.StatusDone {
+				t.Fatalf("full build failed: %s (%v)", full.Status, full.Error)
+			}
+			matches, err := filepath.Glob(filepath.Join(root, "*", "manifest.json"))
+			if err != nil || len(matches) != 1 {
+				t.Fatalf("committed manifests under root = %v (%v), want exactly 1", matches, err)
+			}
+			dir := filepath.Dir(matches[0])
+			tc.tamper(t, dir)
+			refused, err := benignChecker(t).ClassifyReopened(dir)
+			var merr *boosting.ManifestError
+			if !errors.As(err, &merr) {
+				refused.Close()
+				t.Fatalf("ClassifyReopened on the tampered directory: want *ManifestError, got %T: %v", err, err)
+			}
+
+			ack2, _ := postJob(t, ts, `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"policy": "benign"}}`)
+			if ack2.Cached != server.CacheDelta {
+				t.Fatalf("benign variant: cached %q, want delta (the index entry is still live)", ack2.Cached)
+			}
+			view := waitTerminal(t, ts, ack2.ID)
+			if view.Status != server.StatusDone || view.Result == nil {
+				t.Fatalf("fallback job failed: %s (%v)", view.Status, view.Error)
+			}
+			if !reflect.DeepEqual(view.Result.Valences, full.Result.Valences) ||
+				view.Result.States != full.Result.States || view.Result.Edges != full.Result.Edges ||
+				*view.Result.BivalentIndex != *full.Result.BivalentIndex {
+				t.Errorf("fallback verdict %+v, want %+v", view.Result, full.Result)
+			}
+			if view.Result.Explored == nil || *view.Result.Explored != full.Result.States {
+				t.Errorf("fallback Explored = %v, want %d (a full build)", view.Result.Explored, full.Result.States)
+			}
+			// The refused entry is dropped with its directory; the index now
+			// holds the fallback's own commit.
+			if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("the refused directory is still there (stat: %v)", err)
+			}
+			matches, err = filepath.Glob(filepath.Join(root, "*", "manifest.json"))
+			if err != nil || len(matches) != 1 || filepath.Dir(matches[0]) == dir {
+				t.Errorf("manifests under root after the fallback = %v (%v), want the rebuild's alone", matches, err)
+			}
+			if got := srv.Explorations(); got != 2 {
+				t.Errorf("explorations = %d, want 2", got)
+			}
+		})
+	}
 }
 
 // TestDeltaDamagedGraphRecovery: when the committed directory behind a

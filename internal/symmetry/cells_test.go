@@ -197,9 +197,9 @@ func TestCanonicalAllocs(t *testing.T) {
 	})
 }
 
-// TestCanonicalForeignCells is Recheck's situation: a state decoded by one
-// System (the benign-policy base) is canonicalized by the Canonicalizer of
-// another (the adversarial variant). The cached endpoint index it reads off
+// TestCanonicalForeignCells: a state decoded by one System (the
+// benign-policy base) is canonicalized by the Canonicalizer of another (the
+// adversarial variant). The cached endpoint index it reads off
 // the foreign cells depends on their encoding alone, so the result must be
 // what canonicalizing the variant's own decoding of the same fingerprint
 // gives.

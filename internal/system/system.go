@@ -429,9 +429,9 @@ func (s *System) Applicable(st State, task ioa.Task) bool {
 // participant's transition is looked up in the memo of its cell and computed
 // by the component automaton only the first time that cell takes it; the
 // successor shares every cell the action did not touch. st may point into
-// another System's cells (Recheck decodes with the base system and applies
-// the variant's tasks): the participants are re-homed into this System's
-// tables first, so the transition taken is always this System's.
+// another System's cells (a state read from one candidate's graph and run
+// under a same-shape variant): the participants are re-homed into this
+// System's tables first, so the transition taken is always this System's.
 func (s *System) Apply(st State, task ioa.Task) (State, ioa.Action, error) {
 	switch task.Kind {
 	case ioa.TaskProcess:

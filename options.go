@@ -103,9 +103,11 @@ func WithSpillDir(dir string) Option {
 // directory holding a committed graph whose identity matches the
 // requested build exactly (candidate, roots, symmetry, witnesses) is
 // reopened without exploring a state; anything else — empty directory,
-// different candidate, damaged files — is rebuilt in place. Reopen the
-// directory later with Checker.OpenGraph (any same-shape candidate) and
-// revalidate a modified candidate against it with Checker.Recheck.
+// different candidate, damaged files — is rebuilt in place. Any
+// same-shape candidate can read the directory back with Checker.OpenGraph,
+// but what it reads is this Checker's G(C); a silence-policy variant,
+// whose failure-free G(C) is the same graph, classifies from it with
+// Checker.ClassifyReopened.
 //
 // WithGraphDir selects the SpillStore backend; it conflicts with
 // WithSpillDir (a durable graph owns its directory's file set) and with an

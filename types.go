@@ -118,7 +118,7 @@ func GraphSpillStats(g *Graph) (SpillStats, bool) { return explore.GraphSpillSta
 func CloseGraph(g *Graph) error { return explore.CloseGraphStore(g) }
 
 // Durable graph store types (WithGraphDir, Checker.OpenGraph,
-// Checker.Recheck).
+// Checker.ClassifyReopened).
 type (
 	// Manifest describes one committed durable graph directory: format
 	// version, shape and full-identity fingerprints, the build-option
@@ -129,11 +129,6 @@ type (
 	// opened — missing, damaged, stale-format or identity-mismatched.
 	// Recover it with errors.As.
 	ManifestError = explore.ManifestError
-	// RecheckResult is the outcome of Checker.Recheck: the spliced graph,
-	// the monotone roots' valences under the modified candidate, and the
-	// dirty-region accounting (BaseStates, Dirty, Fresh, ReachableStates,
-	// ReachableEdges). Close it to release the base graph's store.
-	RecheckResult = explore.RecheckResult
 )
 
 // GraphManifest returns the manifest of a durable graph — one built
