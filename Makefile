@@ -14,8 +14,11 @@ test:
 # workers expanding a level against the frozen store, the coordinator's
 # serial intern at the level barrier and the atomic valence sweep all run
 # under the race detector. The second line fills one System's cell tables
-# and transition memo from four goroutines at once; interleavings differ per
-# run, so it is repeated. The third line repeats the Refute sweep's progress
+# and transition memo from four goroutines at once, and has four goroutines
+# intern the same component states into one fresh System's slots — the dense
+# vertex store keys on the indices those slots hand out, which must come out
+# dense and one per encoding whoever wins; interleavings differ per run, so
+# it is repeated. The third line repeats the Refute sweep's progress
 # contract (an unsynchronised recorder on four workers: any concurrent report
 # is a detected race) and the small rows of its differential suite, and the
 # symmetry layer's four goroutines canonicalizing one frontier on a fresh
@@ -27,7 +30,7 @@ test:
 # show a second goroutine in a table.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestConcurrentApply' ./internal/system
+	$(GO) test -race -count=10 -run 'TestConcurrentApply|TestConcurrentCellIndices' ./internal/system
 	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
 
 # Benchmark smoke run: every benchmark once, no timing rigour. Use
@@ -43,8 +46,8 @@ bench-quick:
 	$(GO) run ./bench -quick
 
 # Allocation accounting for the exploration stack: the E22–E24 engine
-# comparisons, the E25 fingerprint-encoder comparison, the E26 state
-# store comparison (dense vs hash compaction), the E27 symmetry
+# comparisons, the E25 fingerprint-encoder comparison, the E26/E38 dense
+# store rows (forward n=4/5/6, retained bytes per state), the E27 symmetry
 # reduction (quotient vs full graph), the E28 spill store (disk-backed
 # fingerprint file, incl. the exhaustive forward n=5 build) and the E29
 # spilled adjacency (edge file + witness-free builds), with -benchmem.
@@ -70,9 +73,9 @@ bench-symmetry:
 	$(GO) test -bench 'BenchmarkCanonical' -benchmem -benchtime=200000x -run '^$$' ./internal/symmetry
 	$(GO) test -bench 'BenchmarkEnumerated' -benchmem -benchtime=5x -run '^$$' ./internal/symmetry
 
-# The E28 rows on their own: the disk-spilling store against dense and
-# hash compaction (retained bytes/state, spill-file size, read traffic)
-# plus the exhaustive forward n=5 build.
+# The E28 rows on their own: the disk-spilling store against dense
+# (retained bytes/state, spill-file size, read traffic) plus the exhaustive
+# forward n=5 build.
 bench-spill:
 	$(GO) test -bench 'BenchmarkSpillStore' -benchmem -benchtime=2x -run '^$$' .
 
@@ -148,7 +151,10 @@ vuln:
 
 # API-compatibility gate for the public boosting package: snapshot the
 # baseline export data (apidiff-baseline, run on the base revision), then
-# diff the working tree against it. Any incompatible change fails.
+# diff the working tree against it. Any incompatible change fails; a
+# baseline taken before PR 21 reports the declared removal of HashStore64,
+# HashStore128 and the VertexStore method changes (API_BREAKS.md) — retake
+# it on that commit.
 APIDIFF = $(GO) run golang.org/x/exp/cmd/apidiff@latest
 
 apidiff-baseline:

@@ -637,11 +637,12 @@ func BenchmarkSymmetry(b *testing.B) {
 }
 
 // BenchmarkSpillStore (E28) measures the disk-spilling backend. The
-// forward-n4 rows compare retained bytes/state against dense and hash64 on
-// the 2486-vertex exhaustive build — the spill store keeps only 16 hash
-// bytes plus a file offset per vertex in RAM, so its retained footprint
-// must undercut hash compaction (which still holds every representative
-// state). The forward-n5 rows are the first exhaustive forward n=5 build
+// forward-n4 rows compare retained bytes/state against dense on the
+// 2486-vertex exhaustive build — the spill store keeps only 16 hash bytes
+// plus a file offset per vertex in RAM, but also a pending window of up to
+// 1024 states, which at this size is most of what the dense store holds
+// (412 against 396 B/state since E38; 274 against 324 on n=5). The
+// forward-n5 rows are the first exhaustive forward n=5 build
 // (14754 states / 103926 edges from all monotone initializations): state
 // counts confirmed identical across dense and spill, with the spill rows
 // also reporting spill-file size and on-demand read traffic.
@@ -690,7 +691,6 @@ func BenchmarkSpillStore(b *testing.B) {
 		})
 	}
 	bench("forward-n4/dense", 4)
-	bench("forward-n4/hash64", 4, boosting.WithStore(boosting.HashStore64))
 	bench("forward-n4/spill", 4, boosting.WithSpillDir(b.TempDir()))
 	// The exhaustive n=5 frontier: feasible under the default budget since
 	// the interned core + spill store; dense is kept as the reference row so
@@ -768,25 +768,16 @@ func BenchmarkFairnessAudit(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreBackends (E26) compares the StateStore backends on the
-// forward n=4 exhaustive build (2486-vertex G(C)): the dense interned-string
-// store against 64- and 128-bit hash compaction. The timed loop measures
-// build time and per-build allocation churn (-benchmem); retainedB/state is
-// the live heap the finished graph keeps per vertex — the metric hash
-// compaction exists to shrink (no interned canonical strings).
+// BenchmarkStoreBackends (E26, E38) measures the dense store on the
+// exhaustive forward builds (n=4: 2486 vertices, n=5: 14754, n=6: 85822).
+// The timed loop measures build time and per-build allocation churn
+// (-benchmem); retainedB/state is the live heap the finished graph keeps per
+// vertex — what keying on cell-index tuples shrank below the deleted
+// hash-compaction store's.
 func BenchmarkStoreBackends(b *testing.B) {
-	backends := []struct {
-		name  string
-		store boosting.Store
-	}{
-		{"dense", boosting.DenseStore},
-		{"hash64", boosting.HashStore64},
-		{"hash128", boosting.HashStore128},
-	}
-	for _, sc := range backends {
-		b.Run(sc.name, func(b *testing.B) {
-			chk, err := boosting.New("forward", 4, 0,
-				boosting.WithWorkers(1), boosting.WithStore(sc.store))
+	for _, n := range []int{4, 5, 6} {
+		b.Run(fmt.Sprintf("forward-n%d/dense", n), func(b *testing.B) {
+			chk, err := boosting.New("forward", n, 0, boosting.WithWorkers(1))
 			if err != nil {
 				b.Fatal(err)
 			}

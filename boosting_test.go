@@ -20,8 +20,6 @@ var stores = []struct {
 	store boosting.Store
 }{
 	{"dense", boosting.DenseStore},
-	{"hash64", boosting.HashStore64},
-	{"hash128", boosting.HashStore128},
 	{"spill", boosting.SpillStore},
 }
 
@@ -230,10 +228,10 @@ func assertGraphsIdentical(t *testing.T, label string, want, got *boosting.Graph
 	}
 }
 
-// TestHashStoreCollisionsAudited: the public collision counter reads zero
-// on the dense backend and reports (typically zero, but well-defined)
-// audited collisions on hash backends.
-func TestHashStoreCollisionsAudited(t *testing.T) {
+// TestStoreCollisionsAudited: the public collision counter reads zero on
+// the dense backend and reports (typically zero, but well-defined) audited
+// collisions on the spill backend.
+func TestStoreCollisionsAudited(t *testing.T) {
 	for _, s := range stores {
 		chk, err := boosting.New("forward", 3, 0, boosting.WithStore(s.store), boosting.WithWorkers(1))
 		if err != nil {

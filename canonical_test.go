@@ -29,7 +29,7 @@ func TestCanonicalFingerprintStable(t *testing.T) {
 	variants := []*boosting.Checker{
 		mustChecker(t, "forward", 3, 0),
 		mustChecker(t, "forward", 3, 0, boosting.WithWorkers(4)),
-		mustChecker(t, "forward", 3, 0, boosting.WithStore(boosting.HashStore64)),
+		mustChecker(t, "forward", 3, 0, boosting.WithStore(boosting.SpillStore)),
 		mustChecker(t, "forward", 3, 0, boosting.WithSymmetry()),
 		mustChecker(t, "forward", 3, 0, boosting.WithoutWitnesses()),
 	}

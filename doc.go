@@ -17,9 +17,9 @@
 // Checker façade over the pipeline (Explore, ClassifyInits, FindHook,
 // Refute, RefuteKSet, Run) configured by functional options (WithWorkers,
 // WithMaxStates, WithStore, WithSymmetry, WithProgress, WithContext, …),
-// pluggable
-// StateStore backends (dense interning vs audited hash compaction), and
-// the engine's result types re-exported under stable names. The runnable
+// two
+// StateStore backends (dense in RAM, spill on disk), and the engine's
+// result types re-exported under stable names. The runnable
 // Example functions in example_test.go show the core loops.
 //
 // See README.md for an overview, DESIGN.md for the system inventory, and

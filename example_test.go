@@ -89,15 +89,15 @@ func ExampleWithProgress() {
 	// final: 34 states, 94 edges (graph: 34, 94)
 }
 
-// Hash compaction: the same graph, cheaper vertices. Both stores assign
-// identical StateIDs, so results can be compared ID-for-ID.
+// The spill store: the same graph with vertices and edges on disk. Both
+// stores assign identical StateIDs, so results can be compared ID-for-ID.
 func ExampleWithStore() {
 	inputs := map[int]string{0: "0", 1: "1"}
 	dense, err := boosting.New("forward", 2, 0, boosting.WithStore(boosting.DenseStore))
 	if err != nil {
 		panic(err)
 	}
-	hashed, err := boosting.New("forward", 2, 0, boosting.WithStore(boosting.HashStore64))
+	spilled, err := boosting.New("forward", 2, 0, boosting.WithStore(boosting.SpillStore))
 	if err != nil {
 		panic(err)
 	}
@@ -105,10 +105,11 @@ func ExampleWithStore() {
 	if err != nil {
 		panic(err)
 	}
-	g2, err := hashed.Explore(inputs)
+	g2, err := spilled.Explore(inputs)
 	if err != nil {
 		panic(err)
 	}
+	defer boosting.CloseGraph(g2)
 	fmt.Println("identical sizes:", g1.Size() == g2.Size())
 	fmt.Println("identical root fingerprints:", g1.Fingerprint(0) == g2.Fingerprint(0))
 	fmt.Println("audited collisions:", boosting.StoreCollisions(g2))

@@ -34,7 +34,7 @@ func Register(fs *flag.FlagSet) *Common {
 	// The empty sentinel default (rendered as dense by ParseStore) lets
 	// Options distinguish an explicit -store dense from the default, so
 	// -spilldir can reject every explicit conflicting backend.
-	fs.StringVar(&c.Store, "store", "", "state store backend: dense | hash64 | hash128 | spill (default dense)")
+	fs.StringVar(&c.Store, "store", "", "state store backend: dense | spill (default dense)")
 	fs.StringVar(&c.SpillDir, "spilldir", "", "directory for spill files (implies -store spill; default: OS temp dir)")
 	// Same empty-sentinel discipline as -store/-spilldir: "" means "not
 	// requested", so the conflict matrix in Options can name exactly the
@@ -74,14 +74,12 @@ func ParseStore(name string) (boosting.Store, error) {
 	switch name {
 	case "", "dense":
 		return boosting.DenseStore, nil
-	case "hash64":
-		return boosting.HashStore64, nil
-	case "hash128":
-		return boosting.HashStore128, nil
 	case "spill":
 		return boosting.SpillStore, nil
+	case "hash64", "hash128":
+		return boosting.DenseStore, fmt.Errorf("store backend %q was removed (the dense store now keeps less per state); use dense or spill", name)
 	default:
-		return boosting.DenseStore, fmt.Errorf("unknown store backend %q (have: dense, hash64, hash128, spill)", name)
+		return boosting.DenseStore, fmt.Errorf("unknown store backend %q (have: dense, spill)", name)
 	}
 }
 

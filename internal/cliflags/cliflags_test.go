@@ -18,8 +18,6 @@ func TestParseStore(t *testing.T) {
 	}{
 		{"", boosting.DenseStore},
 		{"dense", boosting.DenseStore},
-		{"hash64", boosting.HashStore64},
-		{"hash128", boosting.HashStore128},
 		{"spill", boosting.SpillStore},
 	}
 	for _, c := range cases {
@@ -30,6 +28,22 @@ func TestParseStore(t *testing.T) {
 	}
 	if _, err := ParseStore("mmap"); err == nil {
 		t.Error("ParseStore accepted an unknown backend")
+	}
+	// The hash-compaction values are gone; the error says so and what to
+	// use, here and through every binary's -store flag.
+	for _, name := range []string{"hash64", "hash128"} {
+		_, err := ParseStore(name)
+		if err == nil || !strings.Contains(err.Error(), "removed") || !strings.Contains(err.Error(), "use dense or spill") {
+			t.Errorf("ParseStore(%q): %v, want an error naming the removal", name, err)
+		}
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		c := Register(fs)
+		if err := fs.Parse([]string{"-store", name}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Options(); err == nil || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("Options with -store %s: %v, want the removal error", name, err)
+		}
 	}
 }
 
@@ -146,23 +160,20 @@ func TestRegisterServer(t *testing.T) {
 	}
 }
 
-// TestOptionsSpillDirConflict: -spilldir with any explicitly different
-// -store backend — including an explicit dense — is a contradiction and
-// must error, not silently override.
+// TestOptionsSpillDirConflict: -spilldir with an explicit -store dense is a
+// contradiction and must error, not silently override.
 func TestOptionsSpillDirConflict(t *testing.T) {
-	for _, store := range []string{"hash64", "hash128", "dense"} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		c := Register(fs)
-		if err := fs.Parse([]string{"-store", store, "-spilldir", t.TempDir()}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Options(); err == nil {
-			t.Errorf("Options accepted -store %s with -spilldir", store)
-		}
-	}
-	// -store spill -spilldir together remain valid.
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c := Register(fs)
+	if err := fs.Parse([]string{"-store", "dense", "-spilldir", t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Options(); err == nil {
+		t.Error("Options accepted -store dense with -spilldir")
+	}
+	// -store spill -spilldir together remain valid.
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	c = Register(fs)
 	if err := fs.Parse([]string{"-store", "spill", "-spilldir", t.TempDir()}); err != nil {
 		t.Fatal(err)
 	}
@@ -189,16 +200,6 @@ func TestOptionsGraphDirConflicts(t *testing.T) {
 		{
 			name:  "explicit dense store",
 			args:  []string{"-graphdir", t.TempDir(), "-store", "dense"},
-			wants: []string{"-graphdir", "-store"},
-		},
-		{
-			name:  "explicit hash64 store",
-			args:  []string{"-graphdir", t.TempDir(), "-store", "hash64"},
-			wants: []string{"-graphdir", "-store"},
-		},
-		{
-			name:  "explicit hash128 store",
-			args:  []string{"-graphdir", t.TempDir(), "-store", "hash128"},
 			wants: []string{"-graphdir", "-store"},
 		},
 	}

@@ -452,8 +452,7 @@ func OpenGraph(sys *system.System, dir string, opt OpenOptions) (*Graph, error) 
 func reattachSpillStore(sys *system.System, files *graphFiles, m *Manifest, dec *decodedIndex) (*spillStore, error) {
 	n := len(dec.lens)
 	s := &spillStore{
-		enc:       sys.AppendFingerprint,
-		dec:       sys.ParseFingerprint,
+		sys:       sys,
 		hash:      fpHash,
 		buckets:   make(map[uint64][]StateID, n),
 		hash2:     make([]uint64, 0, n),
@@ -468,7 +467,6 @@ func reattachSpillStore(sys *system.System, files *graphFiles, m *Manifest, dec 
 		pendingBase: n,
 	}
 	s.bufs.New = func() any { b := make([]byte, 0, 256); return &b }
-	s.matchB = s.matches
 	var off int64
 	for i, l := range dec.lens {
 		s.offs[i] = off

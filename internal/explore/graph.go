@@ -4,19 +4,22 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
 
-	"github.com/ioa-lab/boosting/internal/intern"
 	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
 // StateID is the dense index of a vertex of G(C): the i-th distinct state
-// discovered (in BFS order) gets ID i. Both exploration engines assign IDs
+// discovered (in BFS order) gets ID i. Both level loops assign IDs
 // identically for any worker count and any store backend, so IDs are stable
 // coordinates of the graph, not artifacts of scheduling. The canonical
 // string fingerprint remains available per vertex via Graph.Fingerprint, as
 // the stable external format for reports and witness output.
-type StateID = intern.StateID
+type StateID uint32
+
+// noState is never the ID of a vertex: stores hold fewer than 2^32 − 1.
+const noState = StateID(math.MaxUint32)
 
 // Valence classifies a finite failure-free input-first execution by the
 // decisions reachable in its failure-free extensions (Section 3.2). The
@@ -115,7 +118,7 @@ type Graph struct {
 // Progress is one streaming exploration report, emitted after each BFS
 // level completes: States and Edges are cumulative totals, Frontier is the
 // number of newly discovered vertices awaiting expansion in the next level.
-// Both engines emit identical sequences for the same build.
+// Both level loops emit identical sequences for the same build.
 type Progress struct {
 	Level    int
 	States   int
@@ -142,12 +145,11 @@ type BuildOptions struct {
 	MaxStates int
 	// Workers is the number of goroutines expanding the frontier and
 	// back-propagating valences: 0 means one per CPU (runtime.NumCPU()),
-	// 1 forces the serial engine. The produced graph is identical either
+	// 1 forces the serial loop. The produced graph is identical either
 	// way — same StateIDs, edges, predecessors and valences.
 	Workers int
-	// Store selects the vertex storage backend (default StoreDense). Every
-	// backend produces the identical graph; they differ in memory per
-	// vertex and dedup cost.
+	// Store selects the vertex storage backend (default StoreDense). Both
+	// produce the identical graph; they differ in what stays resident.
 	Store StoreKind
 	// SpillDir is where StoreSpill creates its spill file ("" = the OS temp
 	// directory). Ignored by the in-memory backends.
@@ -165,10 +167,10 @@ type BuildOptions struct {
 	// set.
 	GraphID []byte
 	// Symmetry, when non-nil, canonicalizes every state — roots and
-	// discovered successors — before the fingerprint/intern step at the
-	// StateStore boundary, so the engines build the quotient graph modulo
-	// process renaming. Both engines and every store backend apply it at
-	// the same point and stay graph-identical to each other.
+	// discovered successors — before the key/intern step at the StateStore
+	// boundary, so the level loops build the quotient graph modulo process
+	// renaming. Both loops and both store backends apply it at the same
+	// point and stay graph-identical to each other.
 	Symmetry Canonicalizer
 	// NoWitnesses drops the BFS-tree predecessor links: the store records
 	// nothing at intern time and WitnessPath returns nil for every vertex.
@@ -193,8 +195,13 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// newGraph creates the empty graph of a build on the backend opt selects; a
+// store without witnesses records no link in Intern and reports pred{}.
 func newGraph(sys *system.System, opt BuildOptions) (*Graph, error) {
-	store, err := newStore(opt.Store, sys, opt.SpillDir, opt.GraphDir, !opt.NoWitnesses)
+	if opt.Store != StoreSpill {
+		return &Graph{sys: sys, store: newDenseStore(sys, !opt.NoWitnesses)}, nil
+	}
+	store, err := newSpillStore(sys, opt.SpillDir, opt.GraphDir, !opt.NoWitnesses)
 	if err != nil {
 		return nil, err
 	}
@@ -221,10 +228,10 @@ func canonical(canon Canonicalizer, st system.State) system.State {
 }
 
 // intern stores a vertex and, when fresh, records its own decision mask
-// (see Graph.ownMasks). The serial engine and internRoots intern through
+// (see Graph.ownMasks). The serial loop and internRoots intern through
 // here; the parallel barrier appends worker-computed masks itself.
-func (g *Graph) intern(fp string, st system.State, p pred) (StateID, bool) {
-	id, fresh := g.store.Intern(fp, st, p)
+func (g *Graph) intern(key string, st system.State, p pred) (StateID, bool) {
+	id, fresh := g.store.Intern(key, st, p)
 	if fresh {
 		g.ownMasks = append(g.ownMasks, ownMask(g.sys, st))
 	}
@@ -233,11 +240,11 @@ func (g *Graph) intern(fp string, st system.State, p pred) (StateID, bool) {
 
 // internRoots seeds the graph with the root states (canonicalized when
 // symmetry reduction is on). Roots are exempt from the vertex budget and
-// always get the smallest IDs, in input order.
+// always get the smallest IDs, in input order. buf is key scratch.
 func (g *Graph) internRoots(roots []system.State, canon Canonicalizer, buf []byte) []byte {
 	for _, r := range roots {
 		r = canonical(canon, r)
-		buf = g.sys.AppendFingerprint(buf[:0], r)
+		buf = g.store.AppendKey(buf[:0], r)
 		id, _ := g.intern(string(buf), r, pred{})
 		g.roots = append(g.roots, id)
 	}
@@ -267,15 +274,15 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 	if err != nil {
 		return nil, err
 	}
-	// On ordinary error returns (budget overflow, cancellation, Apply
-	// failure) the partial graph is dropped; release its backend resources
-	// — the spill store's descriptors — and the intern-time mask recording
+	// On every exit but the successful one — an error return (budget
+	// overflow, cancellation, Apply failure) or a panic passing through —
+	// the partial graph is dropped; release its backend resources — the
+	// spill store's descriptors — and the intern-time mask recording
 	// instead of waiting for a finalizer. `built` pins the graph because
-	// the named return is nil on error. Write-failure panics close theirs
-	// in recoverSpillWrite.
-	built := g
+	// the named return is nil on error.
+	built, ok := g, false
 	defer func() {
-		if err != nil {
+		if !ok {
 			built.ownMasks = nil
 			_ = CloseGraphStore(built)
 		}
@@ -300,12 +307,13 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 	if err := commitDurable(g, opt); err != nil {
 		return nil, err
 	}
+	ok = true
 	return g, nil
 }
 
 // exploreSerial is the one-worker level loop behind BuildGraph: it expands
 // the interned roots to closure, interning each discovery the moment it is
-// found. buf is the caller's fingerprint scratch.
+// found. buf is the caller's key scratch.
 func (g *Graph) exploreSerial(maxStates int, buf []byte, opt BuildOptions) error {
 	sys := g.sys
 	// IDs are dense in discovery order, so the BFS queue is implicit: the
@@ -333,7 +341,7 @@ func (g *Graph) exploreSerial(maxStates int, buf []byte, opt BuildOptions) error
 				return fmt.Errorf("explore: apply %v: %w", task, err)
 			}
 			succ = canonical(opt.Symmetry, succ)
-			buf = sys.AppendFingerprint(buf[:0], succ)
+			buf = g.store.AppendKey(buf[:0], succ)
 			id, ok := g.store.Lookup(buf)
 			if !ok {
 				if g.store.Len() >= maxStates {
@@ -478,8 +486,9 @@ func (g *Graph) State(id StateID) (system.State, bool) {
 func (g *Graph) Fingerprint(id StateID) string { return g.store.Fingerprint(id) }
 
 // Lookup resolves a canonical fingerprint to its vertex, if the state was
-// discovered.
-func (g *Graph) Lookup(fp string) (StateID, bool) { return g.store.Lookup(stringBytes(fp)) }
+// discovered; any other string is a miss. The dense store decodes fp to
+// find it, so a walk that already holds states should not go through here.
+func (g *Graph) Lookup(fp string) (StateID, bool) { return g.store.LookupFingerprint(fp) }
 
 // EdgesFrom streams the outgoing edges of a vertex in recorded order —
 // the allocation-free access path: in-memory backends unpack their 8-byte

@@ -155,7 +155,7 @@ func ClassifyReopened(sys *system.System, dir string, opt BuildOptions) (*InitCl
 	}
 	var buf []byte
 	for i, r := range roots {
-		buf = sys.AppendFingerprint(buf[:0], canonical(opt.Symmetry, r))
+		buf = g.store.AppendKey(buf[:0], canonical(opt.Symmetry, r))
 		if id, ok := g.store.Lookup(buf); !ok || id != g.roots[i] {
 			return refuse("root %d of the graph is not the monotone initialization α_%d", i, i)
 		}

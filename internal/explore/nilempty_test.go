@@ -55,11 +55,12 @@ func TestNilVsEmptyStatesInternIdentically(t *testing.T) {
 
 	// Interning through a graph build: both variants resolve to the same
 	// vertex in every backend.
-	for _, kind := range []explore.StoreKind{explore.StoreDense, explore.StoreHash64, explore.StoreHash128} {
-		g, err := explore.BuildGraph(sys, []system.State{st}, explore.BuildOptions{Workers: 1, Store: kind})
+	for _, kind := range []explore.StoreKind{explore.StoreDense, explore.StoreSpill} {
+		g, err := explore.BuildGraph(sys, []system.State{st}, explore.BuildOptions{Workers: 1, Store: kind, SpillDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer explore.CloseGraphStore(g)
 		id1, ok1 := g.Lookup(string(fp1))
 		id2, ok2 := g.Lookup(string(fp2))
 		if !ok1 || !ok2 || id1 != id2 {

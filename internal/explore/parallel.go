@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/ioa-lab/boosting/internal/intern"
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
@@ -80,12 +79,12 @@ func parallelForScratch[S any](scratch []S, n int, f func(i int, s *S)) {
 }
 
 // candidate is a successor that was not in the state store when its level
-// started, recorded once per worker per level: the fingerprint (an owned
+// started, recorded once per worker per level: the store key (an owned
 // copy), the state and the state's own decision mask — computed here by the
 // worker so the serial level barrier does not pay a sys.Decisions call per
-// intern. id stays intern.NoState until the barrier resolves the candidate.
+// intern. id stays noState until the barrier resolves the candidate.
 type candidate struct {
-	fp   string
+	key  string
 	st   system.State
 	id   StateID
 	mask uint8
@@ -107,9 +106,9 @@ type expansion struct {
 	err   error
 }
 
-// workerScratch is one expansion worker's reusable memory: its fingerprint
-// buffer, the edge arena the level's expansions are appended to, and the
-// level's candidate table — the candidates, an index of them by fingerprint,
+// workerScratch is one expansion worker's reusable memory: its key buffer,
+// the edge arena the level's expansions are appended to, and the level's
+// candidate table — the candidates, an index of them by store key,
 // and the arena of references expansions hold into them. Only the owning
 // worker touches a scratch while a level expands and only the coordinator
 // at the barrier, so the table needs no lock. The stores copy what SetSuccs
@@ -119,7 +118,7 @@ type workerScratch struct {
 	buf   []byte
 	edges []Edge
 	cands []candidate
-	index map[string]uint32 // candidate fingerprint → position in cands
+	index map[string]uint32 // candidate key → position in cands
 	refs  []candRef
 }
 
@@ -128,17 +127,17 @@ type workerScratch struct {
 func (ws *workerScratch) reset() {
 	ws.edges = ws.edges[:0]
 	ws.refs = ws.refs[:0]
-	clear(ws.cands) // drop the fingerprints and states the store now owns
+	clear(ws.cands) // drop the keys and states the store now owns
 	ws.cands = ws.cands[:0]
 	clear(ws.index)
 }
 
 // expandFrontier applies every applicable task to st, resolving successor
 // IDs through the frozen state store. Successors are canonicalized (when
-// symmetry reduction is on) before the fingerprint lookup, exactly as in
-// the serial engine. A successor not yet stored becomes a candidate of the
-// calling worker the first time the worker meets it in this level; every
-// edge to it is left at intern.NoState with a reference to the candidate,
+// symmetry reduction is on) before the key lookup, exactly as in the serial
+// loop. A successor not yet stored becomes a candidate of the calling
+// worker the first time the worker meets it in this level; every edge to it
+// is left at noState with a reference to the candidate,
 // to be patched at the level barrier. ws is the calling worker's scratch.
 func expandFrontier(sys *system.System, store StateStore, canon Canonicalizer, st system.State, ws *workerScratch) expansion {
 	out := expansion{ws: ws}
@@ -153,19 +152,19 @@ func expandFrontier(sys *system.System, store StateStore, canon Canonicalizer, s
 			break
 		}
 		next = canonical(canon, next)
-		buf = sys.AppendFingerprint(buf[:0], next)
+		buf = store.AppendKey(buf[:0], next)
 		id, ok := store.Lookup(buf)
 		if !ok {
-			id = intern.NoState
+			id = noState
 			ci, seen := ws.index[string(buf)]
 			if !seen {
-				// The one owned copy of the fingerprint: the store takes
-				// ownership at the barrier, so dense interning retains this
-				// string without copying again.
-				fp := string(buf)
+				// The one owned copy of the key: the store takes ownership
+				// at the barrier, so the spill store keeps this string in
+				// its pending window without copying again.
+				key := string(buf)
 				ci = uint32(len(ws.cands))
-				ws.cands = append(ws.cands, candidate{fp: fp, st: next, id: intern.NoState, mask: ownMask(sys, next)})
-				ws.index[fp] = ci
+				ws.cands = append(ws.cands, candidate{key: key, st: next, id: noState, mask: ownMask(sys, next)})
+				ws.index[key] = ci
 			}
 			ws.refs = append(ws.refs, candRef{edge: uint32(len(ws.edges) - lo), cand: ci})
 		}
@@ -225,11 +224,11 @@ func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error 
 			}
 			for _, ref := range res.refs {
 				c := &res.ws.cands[ref.cand]
-				if c.id == intern.NoState {
+				if c.id == noState {
 					// First reference to this candidate. Another worker's
 					// candidate for the same state may have been interned
 					// already, which the lookup finds.
-					id, ok := g.store.Lookup(stringBytes(c.fp))
+					id, ok := g.store.Lookup(stringBytes(c.key))
 					if !ok {
 						if g.store.Len() >= maxStates {
 							return &LimitError{Limit: maxStates, Explored: g.store.Len()}
@@ -239,7 +238,7 @@ func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error 
 						// mask; record it directly instead of re-deriving it
 						// on the coordinator (see Graph.ownMasks).
 						var fr bool
-						id, fr = g.store.Intern(c.fp, c.st, pred{from: frontier[i], task: e.Task, act: e.Action, has: true})
+						id, fr = g.store.Intern(c.key, c.st, pred{from: frontier[i], task: e.Task, act: e.Action, has: true})
 						if fr {
 							g.ownMasks = append(g.ownMasks, c.mask)
 						}

@@ -3,6 +3,7 @@ package explore_test
 import (
 	"context"
 	"errors"
+	"os"
 	"testing"
 
 	"github.com/ioa-lab/boosting/internal/explore"
@@ -59,12 +60,16 @@ func TestProgressStreaming(t *testing.T) {
 		opt  explore.BuildOptions
 	}{
 		{"parallel", explore.BuildOptions{Workers: 4}},
-		{"hash64", explore.BuildOptions{Workers: 1, Store: explore.StoreHash64}},
-		{"hash128-parallel", explore.BuildOptions{Workers: 4, Store: explore.StoreHash128}},
+		{"spill", explore.BuildOptions{Workers: 1, Store: explore.StoreSpill, SpillDir: t.TempDir()}},
+		{"spill-parallel", explore.BuildOptions{Workers: 4, Store: explore.StoreSpill, SpillDir: t.TempDir()}},
 	} {
 		var got []explore.Progress
 		tc.opt.Progress = collect(&got)
-		if _, err := explore.BuildGraph(sys, []system.State{root}, tc.opt); err != nil {
+		g, err := explore.BuildGraph(sys, []system.State{root}, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := explore.CloseGraphStore(g); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if len(got) != len(want) {
@@ -134,9 +139,9 @@ func TestCancelledBeforeStart(t *testing.T) {
 func TestLimitErrorTyped(t *testing.T) {
 	sys, root := forwardRoot(t, 2, 0)
 	for _, workers := range []int{1, 4} {
-		for _, store := range []explore.StoreKind{explore.StoreDense, explore.StoreHash64, explore.StoreHash128} {
+		for _, store := range []explore.StoreKind{explore.StoreDense, explore.StoreSpill} {
 			_, err := explore.BuildGraph(sys, []system.State{root},
-				explore.BuildOptions{MaxStates: 3, Workers: workers, Store: store})
+				explore.BuildOptions{MaxStates: 3, Workers: workers, Store: store, SpillDir: t.TempDir()})
 			if !errors.Is(err, explore.ErrStateExplosion) {
 				t.Fatalf("workers=%d store=%v: not ErrStateExplosion: %v", workers, store, err)
 			}
@@ -151,6 +156,43 @@ func TestLimitErrorTyped(t *testing.T) {
 			if want := "explore: state limit exceeded: > 3 states"; err.Error() != want {
 				t.Errorf("message %q, want %q", err.Error(), want)
 			}
+		}
+	}
+}
+
+// TestBuildGraphPanicReleasesStore: a panic passing through BuildGraph —
+// here out of the progress callback, mid-build — unwinds through the same
+// release as an error return, so the spill store's two descriptors are
+// closed by the time a caller recovers it, not whenever a finalizer runs.
+func TestBuildGraphPanicReleasesStore(t *testing.T) {
+	openFiles := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no descriptor table to count: %v", err)
+		}
+		return len(entries)
+	}
+	sys, root := forwardRoot(t, 3, 0)
+	dir := t.TempDir()
+	before := openFiles()
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("workers=%d: the callback's panic did not reach the caller", workers)
+				}
+			}()
+			_, _ = explore.BuildGraph(sys, []system.State{root}, explore.BuildOptions{
+				Workers: workers, Store: explore.StoreSpill, SpillDir: dir,
+				Progress: func(p explore.Progress) {
+					if p.Level == 2 {
+						panic("injected mid-build")
+					}
+				},
+			})
+		}()
+		if after := openFiles(); after > before {
+			t.Errorf("workers=%d: %d descriptors open after the panic, %d before", workers, after, before)
 		}
 	}
 }

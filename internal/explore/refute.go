@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/ioa-lab/boosting/internal/intern"
 	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/system"
 )
@@ -466,18 +465,19 @@ func RoundRobinFrom(sys *system.System, st system.State, inputs map[int]string, 
 	}
 	var exec ioa.Execution
 	res := RunResult{}
-	seen := intern.NewTable(64)
+	seen := map[string]bool{} // states stood in at a round boundary, by cell key
 	var buf []byte
 	for round := 0; round < maxRounds; round++ {
 		if terminated(sys, st, inputs) {
 			res.Done = true
 			break
 		}
-		buf = sys.AppendFingerprint(buf[:0], st)
-		if _, fresh := seen.InternBytes(buf); !fresh {
+		buf = sys.AppendKey(buf[:0], st)
+		if seen[string(buf)] {
 			res.Diverged = true
 			break
 		}
+		seen[string(buf)] = true
 		for _, task := range sys.Tasks() {
 			if !sys.Applicable(st, task) {
 				continue

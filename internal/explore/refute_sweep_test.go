@@ -183,7 +183,7 @@ func TestRefuteSweepMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			plain := map[bool]string{} // the survivor's report, per symmetry setting
-			for _, store := range []explore.StoreKind{explore.StoreDense, explore.StoreHash64, explore.StoreSpill} {
+			for _, store := range []explore.StoreKind{explore.StoreDense, explore.StoreSpill} {
 				for _, sym := range []bool{false, true} {
 					for _, workers := range []int{1, 4} {
 						label := fmt.Sprintf("%v sym=%v w=%d", store, sym, workers)

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"github.com/ioa-lab/boosting/internal/intern"
 	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/system"
 )
@@ -118,7 +117,7 @@ func RoundRobin(sys *system.System, cfg RunConfig) (RunResult, error) {
 		sort.Ints(procs)
 	}
 
-	seen := intern.NewTable(64)
+	seen := map[string]bool{} // states stood in at a round boundary, by cell key
 	var buf []byte
 	res := RunResult{}
 	for round := 0; round < maxRounds; round++ {
@@ -137,11 +136,12 @@ func RoundRobin(sys *system.System, cfg RunConfig) (RunResult, error) {
 		// Divergence detection is only sound once all failures are injected
 		// (the schedule is deterministic from here on).
 		if round >= maxFailureRound(failuresByRound) {
-			buf = sys.AppendFingerprint(buf[:0], st)
-			if _, fresh := seen.InternBytes(buf); !fresh {
+			buf = sys.AppendKey(buf[:0], st)
+			if seen[string(buf)] {
 				res.Diverged = true
 				break
 			}
+			seen[string(buf)] = true
 		}
 		for _, task := range sys.Tasks() {
 			if !sys.Applicable(st, task) {

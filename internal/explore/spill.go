@@ -33,10 +33,10 @@ const spillBatch = 1024
 // file (see spilledges.go), sealed at level barriers and streamed back via
 // pread, so neither face of the graph pins O(edges) RAM.
 //
-// Exactness: like hashStore, candidate matches are verified byte-for-byte
-// against the stored fingerprint (read from the pending window or the spill
-// file), so hash collisions are audited and resolved, never merged — the
-// produced graph is identical to the dense backend's.
+// Exactness: candidate matches are verified byte-for-byte against the
+// stored fingerprint (read from the pending window or the spill file), so
+// hash collisions are audited and resolved, never merged — the produced
+// graph is identical to the dense backend's.
 //
 // Write protocol: Intern appends the fingerprint to the buffered spill
 // writer immediately and keeps (fingerprint, state) in the pending window;
@@ -57,14 +57,10 @@ const spillBatch = 1024
 type spillStore struct {
 	spillEdges
 	predTable
-	enc func([]byte, system.State) []byte
-	dec func(string) (system.State, error)
+	sys *system.System // encodes keys, decodes spilled fingerprints
 	// hash is fpHash, replaceable in tests to force collisions and exercise
 	// the disk-verification path.
-	hash func([]byte) (uint64, uint64)
-	// matchB is the matches method bound once at construction, so
-	// lookupBucket calls allocate no closures.
-	matchB  func(StateID, []byte) bool
+	hash    func([]byte) (uint64, uint64)
 	buckets map[uint64][]StateID
 	hash2   []uint64 // second hash per vertex (the wide filter)
 	offs    []int64  // spill-file offset of each vertex's fingerprint
@@ -103,8 +99,7 @@ func newSpillStore(sys *system.System, spillDir, graphDir string, witnesses bool
 		return nil, err
 	}
 	s := &spillStore{
-		enc:       sys.AppendFingerprint,
-		dec:       sys.ParseFingerprint,
+		sys:       sys,
 		hash:      fpHash,
 		buckets:   make(map[uint64][]StateID, 1024),
 		predTable: predTable{keep: witnesses},
@@ -115,7 +110,6 @@ func newSpillStore(sys *system.System, spillDir, graphDir string, witnesses bool
 		bufs:      sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }},
 	}
 	s.spillEdges.init(files.edges, s)
-	s.matchB = s.matches
 	return s, nil
 }
 
@@ -126,24 +120,18 @@ func (s *spillStore) Len() int { return len(s.offs) }
 // no error return. BuildGraph recovers it at the engine boundary and returns
 // it as an ordinary build error — unlike read failures, which really are
 // unrecoverable corruption (the store rereads only bytes it wrote to
-// unlinked files nothing else can touch) and stay panics. The failing store
-// rides along so the recovery can release its descriptors: the partial
-// graph is dropped, and nothing else holds a reference.
-type spillWriteError struct {
-	err   error
-	store *spillStore
-}
+// unlinked files nothing else can touch) and stay panics.
+type spillWriteError struct{ err error }
 
 // recoverSpillWrite converts a spillWriteError panic into the build's error
-// return (dropping the partial graph and closing the failed store's
-// descriptors); every other panic value is re-raised. Deferred by
-// BuildGraph, so both engines (the parallel engine interns on the
-// coordinating goroutine) surface disk-full cleanly instead of crashing.
+// return, dropping the partial graph, whose descriptors BuildGraph's own
+// deferred release has closed by then; every other panic value is re-raised.
+// Deferred by BuildGraph, so both level loops (the worker pool interns on
+// the coordinating goroutine) surface disk-full cleanly instead of crashing.
 func recoverSpillWrite(g **Graph, err *error) {
 	switch r := recover().(type) {
 	case nil:
 	case spillWriteError:
-		_ = r.store.Close()
 		*g, *err = nil, r.err
 	default:
 		panic(r)
@@ -182,9 +170,36 @@ func (s *spillStore) matches(id StateID, fp []byte) bool {
 	return eq
 }
 
+// AppendKey appends the canonical fingerprint: the spill store keys on the
+// bytes it persists.
+func (s *spillStore) AppendKey(dst []byte, st system.State) []byte {
+	return s.sys.AppendFingerprint(dst, st)
+}
+
+// lookupBucket scans the candidates interned under h1 for an exact match:
+// the second hash pre-filters, then each surviving candidate is verified
+// byte-for-byte; candidates the verification refutes are audited in
+// collisions.
+func (s *spillStore) lookupBucket(fp []byte, h1, h2 uint64) (StateID, bool) {
+	for _, id := range s.buckets[h1] {
+		if s.hash2[id] != h2 {
+			continue
+		}
+		if s.matches(id, fp) {
+			return id, true
+		}
+		s.collisions.Add(1)
+	}
+	return 0, false
+}
+
 func (s *spillStore) Lookup(fp []byte) (StateID, bool) {
 	h1, h2 := s.hash(fp)
-	return lookupBucket(s.buckets, s.hash2, fp, h1, h2, s.matchB, &s.collisions)
+	return s.lookupBucket(fp, h1, h2)
+}
+
+func (s *spillStore) LookupFingerprint(fp string) (StateID, bool) {
+	return s.Lookup(stringBytes(fp))
 }
 
 func (s *spillStore) Intern(fp string, st system.State, p pred) (StateID, bool) {
@@ -193,14 +208,14 @@ func (s *spillStore) Intern(fp string, st system.State, p pred) (StateID, bool) 
 	}
 	key := stringBytes(fp)
 	h1, h2 := s.hash(key)
-	if id, ok := lookupBucket(s.buckets, s.hash2, key, h1, h2, s.matchB, &s.collisions); ok {
+	if id, ok := s.lookupBucket(key, h1, h2); ok {
 		return id, false
 	}
 	id := StateID(len(s.offs))
 	s.buckets[h1] = append(s.buckets[h1], id)
 	s.hash2 = append(s.hash2, h2)
 	if _, err := s.w.WriteString(fp); err != nil {
-		panic(spillWriteError{fmt.Errorf("explore: spill store: append fingerprint of state %d: %w", id, err), s})
+		panic(spillWriteError{fmt.Errorf("explore: spill store: append fingerprint of state %d: %w", id, err)})
 	}
 	s.offs = append(s.offs, s.wOff)
 	s.lens = append(s.lens, uint32(len(fp)))
@@ -220,7 +235,7 @@ func (s *spillStore) Intern(fp string, st system.State, p pred) (StateID, bool) 
 // window.
 func (s *spillStore) rotate() {
 	if err := s.w.Flush(); err != nil {
-		panic(spillWriteError{fmt.Errorf("explore: spill store: flush spill file: %w", err), s})
+		panic(spillWriteError{fmt.Errorf("explore: spill store: flush spill file: %w", err)})
 	}
 	s.pendingBase = len(s.offs)
 	// Clear before truncating so the backing arrays drop their references
@@ -238,7 +253,7 @@ func (s *spillStore) State(id StateID) (system.State, bool) {
 	if int(id) >= s.pendingBase {
 		return s.pendingStates[int(id)-s.pendingBase], true
 	}
-	st, err := s.dec(s.Fingerprint(id))
+	st, err := s.sys.ParseFingerprint(s.Fingerprint(id))
 	if err != nil {
 		// The bounds guard above already answered out-of-range; failing
 		// to decode bytes the store itself wrote is unrecoverable

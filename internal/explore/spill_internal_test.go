@@ -13,11 +13,11 @@ import (
 
 	"github.com/ioa-lab/boosting/internal/protocols"
 	"github.com/ioa-lab/boosting/internal/service"
-	"github.com/ioa-lab/boosting/internal/system"
 )
 
 // allBackends builds one store of every kind for a system, with the spill
-// store's pending window shrunk so small graphs exercise the disk path.
+// store's pending window and the dense store's probe table shrunk so small
+// graphs exercise the disk path and several table growths.
 func allBackends(t *testing.T) []struct {
 	name  string
 	store StateStore
@@ -32,13 +32,13 @@ func allBackends(t *testing.T) []struct {
 		t.Fatal(err)
 	}
 	spill.batch = 4
+	dense := newDenseStore(sys, true)
+	dense.table = make([]uint32, 2)
 	return []struct {
 		name  string
 		store StateStore
 	}{
-		{"dense", newDenseStore(true)},
-		{"hash64", newHashStore(sys.AppendFingerprint, false, true)},
-		{"hash128", newHashStore(sys.AppendFingerprint, true, true)},
+		{"dense", dense},
 		{"spill", spill},
 	}
 }
@@ -47,11 +47,11 @@ func allBackends(t *testing.T) []struct {
 // and records their adjacency in the contract's order (one SetSuccs per
 // vertex, increasing IDs), with a seal partway through so the spill backend
 // serves blocks from both the edge file and the pending buffer.
-func fillPrefix(sys *system.System, ref *Graph, store StateStore, n int) {
+func fillPrefix(ref *Graph, store StateStore, n int) {
 	var buf []byte
 	for id := range StateID(n) {
 		st, _ := ref.State(id)
-		buf = sys.AppendFingerprint(buf[:0], st)
+		buf = store.AppendKey(buf[:0], st)
 		store.Intern(string(buf), st, pred{})
 	}
 	for id := range StateID(n) {
@@ -79,7 +79,7 @@ func TestStoreBoundsUniform(t *testing.T) {
 		// Populate with a real prefix of the graph so in-range behaviour is
 		// also checked, then probe past the end.
 		const n = 10
-		fillPrefix(sys, dense, b.store, n)
+		fillPrefix(dense, b.store, n)
 		if got := b.store.Len(); got != n {
 			t.Fatalf("%s: Len() = %d, want %d", b.name, got, n)
 		}
@@ -97,8 +97,20 @@ func TestStoreBoundsUniform(t *testing.T) {
 				t.Errorf("%s: Pred(%d) non-zero beyond Len()", b.name, id)
 			}
 		}
-		if _, ok := b.store.Lookup([]byte("no such fingerprint")); ok {
-			t.Errorf("%s: Lookup of garbage fingerprint succeeded", b.name)
+		// Lookups are total too: bytes of the wrong length, a well-formed
+		// key of no vertex, and strings that are no fingerprint of this
+		// system all miss.
+		noVertex := b.store.AppendKey(nil, sys.InitialState())
+		for _, key := range [][]byte{nil, []byte("no such key"), noVertex[:len(noVertex)-1], noVertex} {
+			if _, ok := b.store.Lookup(key); ok {
+				t.Errorf("%s: Lookup(%q) succeeded", b.name, key)
+			}
+		}
+		fp0 := dense.Fingerprint(0)
+		for _, fp := range []string{"", "no such fingerprint", fp0[:len(fp0)-1], fp0 + fp0, sys.Fingerprint(sys.InitialState())} {
+			if _, ok := b.store.LookupFingerprint(fp); ok {
+				t.Errorf("%s: LookupFingerprint(%q) succeeded", b.name, fp)
+			}
 		}
 		// In-range accessors still resolve after the probes, and the
 		// recorded adjacency reads back exactly, sealed or pending.

@@ -30,7 +30,7 @@ import (
 // in 3–5 bytes.
 //
 // Write protocol (seal-at-barrier): SetSuccs — called exactly once per
-// vertex in strictly increasing ID order by both engines — appends the
+// vertex in strictly increasing ID order by both level loops — appends the
 // encoded block to the pending buffer. SealLevel, called at every level
 // barrier while the engine holds the store exclusively, writes the pending
 // buffer out at flushedOff and empties it, so a level's blocks leave RAM
@@ -38,7 +38,7 @@ import (
 // (safe for concurrent readers of the frozen store) and still-pending
 // blocks straight from the buffer.
 type spillEdges struct {
-	owner *spillStore // for spillWriteError, so recovery closes all files
+	owner *spillStore // for the vertex count at a seal
 
 	efile      *os.File
 	eoffs      []int64  // edge-file offset of each vertex's block
@@ -122,7 +122,7 @@ type sealMark struct {
 func (a *spillEdges) SealLevel() {
 	if len(a.pending) > 0 {
 		if _, err := a.efile.WriteAt(a.pending, a.flushedOff); err != nil {
-			panic(spillWriteError{fmt.Errorf("explore: spill store: seal edge blocks: %w", err), a.owner})
+			panic(spillWriteError{fmt.Errorf("explore: spill store: seal edge blocks: %w", err)})
 		}
 		a.flushedOff += int64(len(a.pending))
 		a.pending = a.pending[:0]

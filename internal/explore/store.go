@@ -1,15 +1,12 @@
 package explore
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"iter"
 	"math"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
-	"github.com/ioa-lab/boosting/internal/intern"
 	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/system"
 )
@@ -20,30 +17,21 @@ type StoreKind int
 
 // Store backends.
 const (
-	// StoreDense is the default backend: every canonical fingerprint is
-	// interned exactly once (intern.Table) and kept for the lifetime of the
-	// graph. Exact, and Fingerprint is a free slice lookup.
+	// StoreDense is the default backend, all in RAM: the dedup index is keyed
+	// on a vertex's cell-index tuple (system.AppendKey, four bytes per
+	// component slot) and kept pointer-free; the representative states stay
+	// resident and Fingerprint encodes one on demand. Exact.
 	StoreDense StoreKind = iota
-	// StoreHash64 keys the dedup index by a 64-bit hash of the canonical
-	// fingerprint instead of the fingerprint itself (the SPIN/TLC
-	// hash-compaction move). Candidate matches are verified against the
-	// stored representative state, so — unlike bitstate hashing — results
-	// remain exact; hash collisions are audited (counted and resolved by
-	// verification) rather than silently merging distinct states.
-	StoreHash64
-	// StoreHash128 is StoreHash64 with a second independent 64-bit hash per
-	// vertex. The wider filter makes verification misses (true collisions)
-	// vanishingly rare at large state counts, at +8 bytes per vertex.
-	StoreHash128
 	// StoreSpill is the disk-spilling backend (TLC-style fingerprint file):
 	// the dedup index keeps 16 hash bytes plus a file offset per vertex in
 	// RAM, while the canonical fingerprints — which double as the serialized
 	// representative states — live in an append-only spill file and are read
 	// back and decoded on demand. Adjacency spills too: successor blocks are
 	// delta-varint encoded into a second append-only edge file, sealed at
-	// level barriers and streamed back via pread. Exact, like the hash
-	// backends; the graph is identical to the dense store's, with MaxStates
-	// no longer bounded by resident state or edge memory.
+	// level barriers and streamed back via pread. Candidate matches are
+	// verified byte-for-byte, so hash collisions are audited, never merged:
+	// the graph is identical to the dense store's, with MaxStates no longer
+	// bounded by resident state or edge memory.
 	StoreSpill
 )
 
@@ -52,10 +40,6 @@ func (k StoreKind) String() string {
 	switch k {
 	case StoreDense:
 		return "dense"
-	case StoreHash64:
-		return "hash64"
-	case StoreHash128:
-		return "hash128"
 	case StoreSpill:
 		return "spill"
 	default:
@@ -64,8 +48,15 @@ func (k StoreKind) String() string {
 }
 
 // VertexStore is the vertex face of the storage seam of G(C): the dedup
-// index from canonical fingerprints to dense StateIDs, the representative
-// states, and the (optional) BFS-tree predecessor links.
+// index from states to dense StateIDs, the representative states, and the
+// (optional) BFS-tree predecessor links.
+//
+// The store owns keying. AppendKey turns a state into the bytes the index is
+// probed with, and within one store equal keys mean equal canonical
+// fingerprints and the reverse; what the bytes are is the backend's business
+// (cell indices on dense, the fingerprint itself on spill), so callers get
+// them from AppendKey and hand them straight back, and never show, persist or
+// order by them.
 //
 // IDs are assigned densely in interning order: the i-th distinct state gets
 // ID i, so a BFS that interns states in discovery order gets BFS-numbered
@@ -73,21 +64,27 @@ func (k StoreKind) String() string {
 //
 // Bounds contract: every read accessor (State, Fingerprint, Pred) is total —
 // an out-of-range ID yields the zero value (ok == false where the signature
-// has an ok), never a panic, on every backend.
+// has an ok), never a panic, on every backend; so are the two lookups, for
+// any bytes at all.
 type VertexStore interface {
 	// Len returns the number of stored vertices; valid IDs are 0 … Len()−1.
 	Len() int
-	// Lookup resolves a canonical fingerprint to its vertex, if stored. It
-	// is the single lookup entry point: callers holding a string key pass it
-	// through stringBytes without copying.
-	Lookup(fp []byte) (StateID, bool)
-	// Intern stores a vertex under its canonical fingerprint, assigning the
-	// next dense ID if the fingerprint is new; fresh reports a new
-	// assignment (the predecessor link is recorded only then, and only on
-	// stores built with witnesses). The store takes ownership of fp —
-	// callers hand over their one owned copy, so backends that retain the
-	// encoding (dense) do not copy again.
-	Intern(fp string, st system.State, p pred) (id StateID, fresh bool)
+	// AppendKey appends the index key of st to dst and returns the extended
+	// buffer. It allocates nothing beyond growing dst.
+	AppendKey(dst []byte, st system.State) []byte
+	// Lookup resolves a key to its vertex, if stored. Callers holding a
+	// string key pass it through stringBytes without copying.
+	Lookup(key []byte) (StateID, bool)
+	// LookupFingerprint resolves a canonical fingerprint to its vertex, if
+	// stored; a string that is no fingerprint of this system is a miss.
+	LookupFingerprint(fp string) (StateID, bool)
+	// Intern stores a vertex under its key, assigning the next dense ID if
+	// the key is new; fresh reports a new assignment (the predecessor link
+	// is recorded only then, and only on stores built with witnesses). The
+	// store takes ownership of key — callers hand over their one owned copy,
+	// so a backend that retains the bytes (spill's pending window) does not
+	// copy again.
+	Intern(key string, st system.State, p pred) (id StateID, fresh bool)
 	// State returns the representative state of a vertex.
 	State(id StateID) (system.State, bool)
 	// Fingerprint returns the canonical string encoding of a vertex
@@ -102,19 +99,19 @@ type VertexStore interface {
 // AdjacencyStore is the adjacency face of the storage seam: edges are handed
 // to the store as they are discovered and read back as an iterator, so
 // backends choose their own representation — one flat slice of packed
-// 8-byte edges in RAM (dense, hash) or delta-varint blocks in an append-only
+// 8-byte edges in RAM (dense) or delta-varint blocks in an append-only
 // edge file (spill).
 //
 // Write contract: SetSuccs is called exactly once per vertex, in strictly
-// increasing ID order — both exploration engines expand vertices in ID order
-// (the serial engine trivially, the parallel engine at its level barriers) —
-// without gaps, and panics on an out-of-order ID. SetSuccs copies what it
-// keeps and never retains the slice, so callers may reuse it for the next
-// vertex (the engines do: one scratch slice, or a per-worker arena reset at
-// each level barrier). SealLevel marks a level
-// barrier: every edge handed over so far may be moved out of RAM (the spill
-// backend flushes its pending blocks to the edge file). Engines call it
-// after each completed BFS level, while they hold the store exclusively.
+// increasing ID order — both level loops expand vertices in ID order (the
+// serial loop trivially, the worker pool at its level barriers) — without
+// gaps, and panics on an out-of-order ID. SetSuccs copies what it keeps and
+// never retains the slice, so callers may reuse it for the next vertex (the
+// loops do: one scratch slice, or a per-worker arena reset at each level
+// barrier). SealLevel marks a level barrier: every edge handed over so far
+// may be moved out of RAM (the spill backend flushes its pending blocks to
+// the edge file). The loops call it after each completed BFS level, while
+// they hold the store exclusively.
 //
 // Read contract: EdgesFrom is total (an out-of-range or not-yet-recorded ID
 // yields an empty sequence) and, like the vertex accessors, safe for any
@@ -142,15 +139,15 @@ type AdjacencyStore interface {
 }
 
 // StateStore is the storage seam of G(C): the vertex face plus the adjacency
-// face. Graph and both exploration engines talk to storage only through this
-// interface, so backends can trade memory for lookup cost (dense interned
-// strings vs hash compaction) or spill vertices and edges to disk.
+// face. Graph and both level loops talk to storage only through this
+// interface, so a backend can keep everything resident (dense) or spill
+// vertices and edges to disk.
 //
-// Concurrency contract (inherited from intern.Table): any number of
-// goroutines may call the read accessors concurrently as long as no
-// Intern/SetSuccs/SealLevel call overlaps them. The level-synchronous
-// parallel engine satisfies this by freezing the store while a frontier
-// level expands and mutating it only at the level barrier.
+// Concurrency contract: any number of goroutines may call AppendKey and the
+// read accessors concurrently as long as no Intern/SetSuccs/SealLevel call
+// overlaps them. The level-synchronous worker pool satisfies this by
+// freezing the store while a frontier level expands and mutating it only at
+// the level barrier.
 //
 // All bundled implementations live in this package; the interface
 // deliberately uses the unexported pred type, so external implementations go
@@ -166,28 +163,6 @@ type StateStore interface {
 // past the call it is passed to.
 func stringBytes(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
-}
-
-// newStore builds the backend for a kind. Hash backends re-encode stored
-// states (via the system's canonical fingerprint appender) when verifying
-// candidate matches; the spill backend additionally decodes states back out
-// of their spilled fingerprints, and spillDir overrides where its spill
-// files are created ("" = the OS temp directory). graphDir, when non-empty,
-// puts the spill backend in durable mode: the files are created under that
-// named directory instead of as unlinked temp files (see graphfiles.go).
-// witnesses toggles the BFS-tree predecessor links: stores built without
-// them record nothing in Intern and report pred{} from Pred.
-func newStore(kind StoreKind, sys *system.System, spillDir, graphDir string, witnesses bool) (StateStore, error) {
-	switch kind {
-	case StoreHash64:
-		return newHashStore(sys.AppendFingerprint, false, witnesses), nil
-	case StoreHash128:
-		return newHashStore(sys.AppendFingerprint, true, witnesses), nil
-	case StoreSpill:
-		return newSpillStore(sys, spillDir, graphDir, witnesses)
-	default:
-		return newDenseStore(witnesses), nil
-	}
 }
 
 // labelDict is the small dictionary behind the packed in-RAM edges and
@@ -249,10 +224,10 @@ type packedEdge struct {
 	task, act uint16
 }
 
-// packedAdjacency is the in-memory adjacency face shared by the dense and
-// hash-compaction backends: every edge of the graph in one flat slice of
-// 8-byte packedEdges, vertex id's at edges[ends[id-1]:ends[id]]. SetSuccs
-// copies, so callers may reuse the slice they pass.
+// packedAdjacency is the dense backend's adjacency face: every edge of the
+// graph in one flat slice of 8-byte packedEdges, vertex id's at
+// edges[ends[id-1]:ends[id]]. SetSuccs copies, so callers may reuse the
+// slice they pass.
 type packedAdjacency struct {
 	labels labelDict
 	edges  []packedEdge
@@ -313,7 +288,7 @@ func (a *packedAdjacency) SealLevel() {}
 
 // predTable holds the optional BFS-tree predecessor links of a backend,
 // packed like the edges (8 bytes per vertex against its own labelDict;
-// roots carry intern.NoState as their source). With keep == false
+// roots carry noState as their source). With keep == false
 // (WithoutWitnesses) nothing is recorded and every Pred read is the zero
 // link.
 type predTable struct {
@@ -327,7 +302,7 @@ func (p *predTable) add(pr pred) {
 		return
 	}
 	if !pr.has {
-		p.list = append(p.list, packedEdge{to: intern.NoState})
+		p.list = append(p.list, packedEdge{to: noState})
 		return
 	}
 	t, a := p.labels.index(pr.task, pr.act, 0)
@@ -335,38 +310,129 @@ func (p *predTable) add(pr pred) {
 }
 
 func (p *predTable) Pred(id StateID) pred {
-	if uint(id) >= uint(len(p.list)) || p.list[id].to == intern.NoState {
+	if uint(id) >= uint(len(p.list)) || p.list[id].to == noState {
 		return pred{}
 	}
 	e := p.list[id]
 	return pred{from: e.to, task: p.labels.tasks[e.task], act: p.labels.acts[e.task][e.act], has: true}
 }
 
-// denseStore is the interned-string backend: the intern.Table maps each
-// canonical fingerprint (kept once, in full) to its dense ID, and states,
-// adjacency and predecessor links are slices indexed by that ID.
+// denseStore is the in-RAM backend. A vertex is keyed on its cell-index
+// tuple (system.AppendKey): every key has the same length, so the keys sit
+// end to end in one byte slice and the dedup index is an open-addressed
+// table of vertex numbers over it — linear probing, an exact compare on the
+// stride, rebuilt from the flat keys when it doubles. Neither holds a
+// pointer, so the garbage collector never scans them, and a vertex costs its
+// key plus 8–16 table bytes on top of the representative state. Canonical
+// fingerprints are not kept: Fingerprint encodes the state when asked.
 type denseStore struct {
 	packedAdjacency
 	predTable
-	tab    *intern.Table
+	sys    *system.System
+	stride int      // key bytes per vertex
+	keys   []byte   // vertex id's key at keys[id*stride:][:stride]
+	table  []uint32 // 0 = empty, else vertex id + 1; len is a power of two
+	// hash is keyHash, replaceable in tests to force every key into one
+	// probe chain.
+	hash   func([]byte) uint64
 	states []system.State
 }
 
-func newDenseStore(witnesses bool) *denseStore {
-	return &denseStore{tab: intern.NewTable(1024), predTable: predTable{keep: witnesses}}
+// denseInitialSlots is the index's starting size; it doubles whenever it
+// would be more than half full.
+const denseInitialSlots = 2048
+
+func newDenseStore(sys *system.System, witnesses bool) *denseStore {
+	return &denseStore{
+		sys:       sys,
+		stride:    4 * (len(sys.ProcessIDs()) + len(sys.ServiceIDs())),
+		table:     make([]uint32, denseInitialSlots),
+		hash:      keyHash,
+		predTable: predTable{keep: witnesses},
+	}
 }
 
-func (s *denseStore) Len() int { return s.tab.Len() }
-
-func (s *denseStore) Lookup(fp []byte) (StateID, bool) { return s.tab.LookupBytes(fp) }
-
-func (s *denseStore) Intern(fp string, st system.State, p pred) (StateID, bool) {
-	id, fresh := s.tab.Intern(fp)
-	if fresh {
-		s.states = append(s.states, st)
-		s.add(p)
+// keyHash mixes a cell-index tuple one index at a time. It only places keys
+// in the probe table, so it needs no stability across runs.
+func keyHash(key []byte) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for ; len(key) >= 4; key = key[4:] {
+		h = (h ^ uint64(binary.LittleEndian.Uint32(key))) * 0xbf58476d1ce4e5b9
 	}
-	return id, fresh
+	return h ^ h>>32
+}
+
+func (s *denseStore) Len() int { return len(s.states) }
+
+func (s *denseStore) AppendKey(dst []byte, st system.State) []byte {
+	return s.sys.AppendKey(dst, st)
+}
+
+func (s *denseStore) key(id int) []byte { return s.keys[id*s.stride:][:s.stride] }
+
+// probe walks key's chain to its vertex or to the empty slot that ends the
+// chain, whose position it then reports. The table is never full.
+func (s *denseStore) probe(key []byte) (id StateID, slot uint64, ok bool) {
+	mask := uint64(len(s.table) - 1)
+	for slot = s.hash(key) & mask; ; slot = (slot + 1) & mask {
+		e := s.table[slot]
+		if e == 0 {
+			return 0, slot, false
+		}
+		if string(s.key(int(e-1))) == string(key) {
+			return StateID(e - 1), slot, true
+		}
+	}
+}
+
+func (s *denseStore) Lookup(key []byte) (StateID, bool) {
+	if len(key) != s.stride {
+		return 0, false
+	}
+	id, _, ok := s.probe(key)
+	return id, ok
+}
+
+// LookupFingerprint decodes the fingerprint into cells and probes with their
+// key. A well-formed fingerprint of a state this System never produced
+// interns its components on the way and then misses.
+func (s *denseStore) LookupFingerprint(fp string) (StateID, bool) {
+	st, err := s.sys.ParseFingerprint(fp)
+	if err != nil {
+		return 0, false
+	}
+	var buf [64]byte
+	return s.Lookup(s.sys.AppendKey(buf[:0], st))
+}
+
+func (s *denseStore) Intern(key string, st system.State, p pred) (StateID, bool) {
+	if len(key) != s.stride {
+		panic(fmt.Sprintf("explore: dense store: %d-byte key, the stride is %d", len(key), s.stride))
+	}
+	id, slot, ok := s.probe(stringBytes(key))
+	if ok {
+		return id, false
+	}
+	if len(s.states) >= math.MaxUint32 {
+		panic("explore: dense store: more than 2^32 − 1 vertices")
+	}
+	s.keys = append(s.keys, key...)
+	s.states = append(s.states, st)
+	s.add(p)
+	s.table[slot] = uint32(len(s.states))
+	if 2*len(s.states) > len(s.table) {
+		s.grow()
+	}
+	return StateID(len(s.states) - 1), true
+}
+
+// grow doubles the table and places every vertex again, hashing its flat key.
+func (s *denseStore) grow() {
+	s.table = make([]uint32, 2*len(s.table))
+	for id := range s.states {
+		_, slot, _ := s.probe(s.key(id))
+		s.table[slot] = uint32(id) + 1
+	}
 }
 
 func (s *denseStore) State(id StateID) (system.State, bool) {
@@ -377,10 +443,10 @@ func (s *denseStore) State(id StateID) (system.State, bool) {
 }
 
 func (s *denseStore) Fingerprint(id StateID) string {
-	if uint(id) >= uint(s.tab.Len()) {
+	if uint(id) >= uint(len(s.states)) {
 		return ""
 	}
-	return s.tab.Key(id)
+	return s.sys.Fingerprint(s.states[id])
 }
 
 // fpHash returns two independent 64-bit FNV-1a–style hashes of a canonical
@@ -406,138 +472,12 @@ func fpHash(fp []byte) (h1, h2 uint64) {
 	return h1, h2
 }
 
-// lookupBucket scans the candidates interned under h1 for an exact match:
-// wide backends (hash2 non-nil) pre-filter on the second hash, then each
-// surviving candidate is verified byte-for-byte by the backend's matcher;
-// candidates the verification refutes are audited in collisions. This is
-// the one probe loop shared by the hash-compaction and spill backends.
-// Matchers are passed as struct-field funcs bound at construction, so
-// probing allocates nothing.
-func lookupBucket(buckets map[uint64][]StateID, hash2 []uint64,
-	fp []byte, h1, h2 uint64, matches func(StateID, []byte) bool, collisions *atomic.Int64) (StateID, bool) {
-	for _, id := range buckets[h1] {
-		if hash2 != nil && hash2[id] != h2 {
-			continue
-		}
-		if matches(id, fp) {
-			return id, true
-		}
-		collisions.Add(1)
-	}
-	return 0, false
-}
-
-// hashStore is the hash-compaction backend: the dedup index is keyed by a
-// 64-bit fingerprint hash (optionally filtered by a second 64-bit hash),
-// and the canonical string itself is never stored — per vertex it keeps
-// only the representative state, adjacency, predecessor link and 8–16 hash
-// bytes. Candidate matches are verified exactly by re-encoding the stored
-// representative state, so distinct states that collide in the hash are
-// kept apart (and counted), never merged: the produced graph is identical
-// to the dense backend's.
-type hashStore struct {
-	packedAdjacency
-	predTable
-	enc  func([]byte, system.State) []byte
-	wide bool
-	// hash is fpHash, replaceable in tests to force collisions and exercise
-	// the verification path.
-	hash func([]byte) (uint64, uint64)
-	// matchB is the matches method bound once at construction, so
-	// lookupBucket calls allocate no closures.
-	matchB  func(StateID, []byte) bool
-	buckets map[uint64][]StateID
-	hash2   []uint64 // second hash per vertex (wide only)
-	states  []system.State
-	// collisions counts verification misses: bucket candidates whose
-	// fingerprint turned out to differ (atomic — Lookup runs concurrently
-	// during frozen-store frontier expansion).
-	collisions atomic.Int64
-	bufs       sync.Pool
-}
-
-func newHashStore(enc func([]byte, system.State) []byte, wide, witnesses bool) *hashStore {
-	s := &hashStore{
-		enc:       enc,
-		wide:      wide,
-		hash:      fpHash,
-		buckets:   make(map[uint64][]StateID, 1024),
-		predTable: predTable{keep: witnesses},
-		bufs:      sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }},
-	}
-	s.matchB = s.matches
-	return s
-}
-
-func (s *hashStore) Len() int { return len(s.states) }
-
-// matches verifies a candidate exactly: the stored representative state is
-// re-encoded and compared byte-for-byte against the probe fingerprint.
-func (s *hashStore) matches(id StateID, fp []byte) bool {
-	bufp := s.bufs.Get().(*[]byte)
-	buf := s.enc((*bufp)[:0], s.states[id])
-	eq := bytes.Equal(buf, fp)
-	*bufp = buf
-	s.bufs.Put(bufp)
-	return eq
-}
-
-func (s *hashStore) Lookup(fp []byte) (StateID, bool) {
-	h1, h2 := s.hash(fp)
-	return lookupBucket(s.buckets, s.hash2, fp, h1, h2, s.matchB, &s.collisions)
-}
-
-func (s *hashStore) Intern(fp string, st system.State, p pred) (StateID, bool) {
-	key := stringBytes(fp)
-	h1, h2 := s.hash(key)
-	if id, ok := lookupBucket(s.buckets, s.hash2, key, h1, h2, s.matchB, &s.collisions); ok {
-		return id, false
-	}
-	id := StateID(len(s.states))
-	s.buckets[h1] = append(s.buckets[h1], id)
-	if s.wide {
-		s.hash2 = append(s.hash2, h2)
-	}
-	s.states = append(s.states, st)
-	s.add(p)
-	return id, true
-}
-
-func (s *hashStore) State(id StateID) (system.State, bool) {
-	if uint(id) >= uint(len(s.states)) {
-		return system.State{}, false
-	}
-	return s.states[id], true
-}
-
-// Fingerprint re-encodes the representative state: hash compaction does not
-// keep canonical strings, it reconstructs them on demand. The encoding goes
-// through the pooled buffers, so the only allocation is the returned string.
-func (s *hashStore) Fingerprint(id StateID) string {
-	if uint(id) >= uint(len(s.states)) {
-		return ""
-	}
-	bufp := s.bufs.Get().(*[]byte)
-	buf := s.enc((*bufp)[:0], s.states[id])
-	fp := string(buf)
-	*bufp = buf
-	s.bufs.Put(bufp)
-	return fp
-}
-
-// Collisions reports how many hash collisions (distinct canonical
-// fingerprints sharing a bucket) verification resolved — the collision
-// audit of the compaction scheme. Zero on the dense backend by
-// construction.
-func (s *hashStore) Collisions() int { return int(s.collisions.Load()) }
-
 // StoreCollisions reports the audited hash-collision count of a graph's
-// backend (0 for backends that do not hash).
+// backend: fingerprints that shared both hashes on the spill store and were
+// told apart by verification. 0 on the dense store, which compares keys
+// exactly and hashes only to place them.
 func StoreCollisions(g *Graph) int {
-	switch s := g.store.(type) {
-	case *hashStore:
-		return s.Collisions()
-	case *spillStore:
+	if s, ok := g.store.(*spillStore); ok {
 		return int(s.collisions.Load())
 	}
 	return 0

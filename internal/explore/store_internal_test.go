@@ -1,10 +1,11 @@
 package explore
 
-// In-package tests for the StateStore seam: the hash-compaction backend's
-// collision audit (forced via a degenerate hash function) and the
-// equivalence of all backends at the store level. The public behaviour —
-// identical graphs, valences and reports — is covered by the external
-// store/progress/cancellation tests and the root-level parity suite.
+// In-package tests for the StateStore seam: the dense backend's probe table
+// (forced into one chain via a degenerate hash function), the lookups'
+// totality and the equivalence of both backends at the store level. The
+// public behaviour — identical graphs, valences and reports — is covered by
+// the external store/progress/cancellation tests and the root-level parity
+// suite.
 
 import (
 	"fmt"
@@ -13,110 +14,153 @@ import (
 	"testing"
 
 	"github.com/ioa-lab/boosting/internal/allocpin"
-	"github.com/ioa-lab/boosting/internal/intern"
 	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/protocols"
 	"github.com/ioa-lab/boosting/internal/service"
+	"github.com/ioa-lab/boosting/internal/symmetry"
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
-// TestHashStoreCollisionAudit drives a hash store whose hash function maps
-// every fingerprint to the same bucket: every distinct state is a hash
-// collision, and the store must still assign the exact same dense IDs as
-// the dense backend, resolving each collision by verification and counting
-// it.
-func TestHashStoreCollisionAudit(t *testing.T) {
-	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
-	if err != nil {
-		t.Fatal(err)
+// sameGraph asserts got is ref per ID: fingerprint, outgoing edges,
+// predecessor link and valence of every vertex, and the roots.
+func sameGraph(t *testing.T, label string, ref, got *Graph) {
+	t.Helper()
+	if got.Size() != ref.Size() || got.Edges() != ref.Edges() || !slices.Equal(got.Roots(), ref.Roots()) {
+		t.Fatalf("%s: %d states / %d edges / roots %v, want %d / %d / %v",
+			label, got.Size(), got.Edges(), got.Roots(), ref.Size(), ref.Edges(), ref.Roots())
 	}
-	dense, err := BuildGraph(sys, []systemState{stateAfterInputs(t, sys)}, BuildOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := newHashStore(sys.AppendFingerprint, false, true)
-	hs.hash = func([]byte) (uint64, uint64) { return 0, 0 }
-	var buf []byte
-	for id := 0; id < dense.Size(); id++ {
-		st, _ := dense.State(StateID(id))
-		buf = sys.AppendFingerprint(buf[:0], st)
-		got, fresh := hs.Intern(string(buf), st, pred{})
-		if !fresh || got != StateID(id) {
-			t.Fatalf("degenerate hash store assigned id %d (fresh=%v), want fresh id %d", got, fresh, id)
+	for id := range StateID(ref.Size()) {
+		if g, r := got.Fingerprint(id), ref.Fingerprint(id); g != r {
+			t.Fatalf("%s: state %d fingerprint\n got  %q\n want %q", label, id, g, r)
 		}
-	}
-	// Every re-lookup must resolve through the single shared bucket.
-	for id := 0; id < dense.Size(); id++ {
-		st, _ := dense.State(StateID(id))
-		buf = sys.AppendFingerprint(buf[:0], st)
-		got, ok := hs.Lookup(buf)
-		if !ok || got != StateID(id) {
-			t.Fatalf("lookup of state %d under total collision: got %d, ok=%v", id, got, ok)
+		if g, r := got.Succs(id), ref.Succs(id); !slices.Equal(g, r) {
+			t.Fatalf("%s: state %d edges %v, want %v", label, id, g, r)
 		}
-	}
-	if hs.Collisions() == 0 {
-		t.Error("total-collision store audited zero collisions")
-	}
-	if n := hs.Len(); n != dense.Size() {
-		t.Errorf("store length %d, want %d", n, dense.Size())
+		if g, r := got.store.Pred(id), ref.store.Pred(id); g != r {
+			t.Fatalf("%s: state %d pred %+v, want %+v", label, id, g, r)
+		}
+		if g, r := got.Valence(id), ref.Valence(id); g != r {
+			t.Fatalf("%s: state %d valence %v, want %v", label, id, g, r)
+		}
 	}
 }
 
-// TestRealHashNoFalseMerges interns every state of a real graph into a
-// normally-hashed store and checks IDs survive a round trip.
-func TestRealHashNoFalseMerges(t *testing.T) {
-	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
+// TestDenseTableExact runs both level loops over a dense store whose hash
+// sends every key down one probe chain and whose table starts at two slots:
+// linear probing then decides every lookup by the exact key compare alone,
+// across a dozen rebuilds from the flat keys, and the graph must still be
+// the spill store's per ID.
+func TestDenseTableExact(t *testing.T) {
+	sys, err := protocols.BuildForward(3, 1, service.Adversarial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, wide := range []bool{false, true} {
-		dense, err := BuildGraph(sys, []systemState{stateAfterInputs(t, sys)}, BuildOptions{Workers: 1})
+	_, roots, err := monotoneRoots(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := BuildGraph(sys, roots, BuildOptions{Workers: 1, Store: StoreSpill, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer CloseGraphStore(ref)
+	for _, workers := range []int{1, 3} {
+		store := newDenseStore(sys, true)
+		store.table = make([]uint32, 2)
+		store.hash = func([]byte) uint64 { return 0 }
+		g := &Graph{sys: sys, store: store}
+		buf := g.internRoots(roots, nil, nil)
+		if workers == 1 {
+			err = g.exploreSerial(defaultMaxStates, buf, BuildOptions{})
+			g.computeMasks()
+		} else {
+			err = g.exploreParallel(defaultMaxStates, workers, BuildOptions{})
+			g.computeMasksParallel(workers)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs := newHashStore(sys.AppendFingerprint, wide, true)
-		var buf []byte
-		for id := 0; id < dense.Size(); id++ {
-			st, _ := dense.State(StateID(id))
-			buf = sys.AppendFingerprint(buf[:0], st)
-			if got, fresh := hs.Intern(string(buf), st, pred{}); !fresh || got != StateID(id) {
-				t.Fatalf("wide=%v: intern state %d: got %d fresh=%v", wide, id, got, fresh)
-			}
+		sameGraph(t, fmt.Sprintf("one probe chain, workers=%d", workers), ref, g)
+		if len(store.table) < 2*g.Size() || len(store.table) >= 8*g.Size() {
+			t.Errorf("workers=%d: table has %d slots for %d vertices", workers, len(store.table), g.Size())
 		}
-		if fp0, fp1 := dense.Fingerprint(0), hs.Fingerprint(0); fp0 != fp1 {
-			t.Errorf("wide=%v: reconstructed fingerprint mismatch:\n%q\n%q", wide, fp0, fp1)
+		if len(store.keys) != g.Size()*store.stride {
+			t.Errorf("workers=%d: %d key bytes for %d vertices of stride %d", workers, len(store.keys), g.Size(), store.stride)
 		}
 	}
 }
 
-// TestHashFingerprintAllocs pins the pooled-buffer discipline of the
-// hash-compaction Fingerprint reconstruction: with a warm pool the only
-// allocation per call is the returned string itself (it used to burn a
-// second allocation on a fresh encode buffer every call).
-func TestHashFingerprintAllocs(t *testing.T) {
+// TestLookupOfFingerprint: Graph.Lookup inverts Graph.Fingerprint on every
+// vertex of both backends, reduced and unreduced, and strings that are no
+// fingerprint of a vertex — malformed, truncated, doubled, of another
+// system's shape, of a state outside the graph — are misses.
+func TestLookupOfFingerprint(t *testing.T) {
+	sys, err := protocols.BuildForward(3, 1, service.Adversarial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := symmetry.New(sys, protocols.ForwardSymmetry(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, roots, err := monotoneRoots(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smaller, err := protocols.BuildForward(2, 0, service.Adversarial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, store := range []StoreKind{StoreDense, StoreSpill} {
+		for _, c := range []Canonicalizer{nil, canon} {
+			g, err := BuildGraph(sys, roots, BuildOptions{Workers: 2, Store: store, SpillDir: t.TempDir(), Symmetry: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%v, symmetry %v", store, c != nil)
+			for id := range StateID(g.Size()) {
+				if got, ok := g.Lookup(g.Fingerprint(id)); !ok || got != id {
+					t.Fatalf("%s: Lookup(Fingerprint(%d)) = %d, %v", label, id, got, ok)
+				}
+			}
+			fp := g.Fingerprint(StateID(g.Size() - 1))
+			for _, miss := range []string{"", "junk", fp[:len(fp)-1], fp + fp, fp + "x",
+				sys.Fingerprint(sys.InitialState()), smaller.Fingerprint(stateAfterInputs(t, smaller))} {
+				if id, ok := g.Lookup(miss); ok {
+					t.Errorf("%s: Lookup(%q) = %d, want a miss", label, miss, id)
+				}
+			}
+			if err := CloseGraphStore(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestDenseKeyLookupAllocs pins the per-successor path of the dense store:
+// keying a state and probing for it allocates nothing.
+func TestDenseKeyLookupAllocs(t *testing.T) {
 	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := BuildGraph(sys, []systemState{stateAfterInputs(t, sys)}, BuildOptions{Workers: 1})
+	g, err := BuildGraph(sys, []systemState{stateAfterInputs(t, sys)}, BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, wide := range []bool{false, true} {
-		hs := newHashStore(sys.AppendFingerprint, wide, true)
-		var buf []byte
-		for id := 0; id < dense.Size(); id++ {
-			st, _ := dense.State(StateID(id))
-			buf = sys.AppendFingerprint(buf[:0], st)
-			hs.Intern(string(buf), st, pred{})
-		}
-		hs.Fingerprint(0) // warm the buffer pool
-		label := "wide=false Fingerprint"
-		if wide {
-			label = "wide=true Fingerprint"
-		}
-		allocpin.Check(t, label, 100, 1, func() { hs.Fingerprint(0) })
+	states := make([]systemState, g.Size())
+	for id := range states {
+		states[id], _ = g.State(StateID(id))
 	}
+	buf := make([]byte, 0, 64)
+	allocpin.Check(t, "dense AppendKey+Lookup", 100, 0, func() {
+		for id, st := range states {
+			buf = g.store.AppendKey(buf[:0], st)
+			if got, ok := g.store.Lookup(buf); !ok || got != StateID(id) {
+				t.Fatalf("Lookup of state %d: %d, %v", id, got, ok)
+			}
+		}
+	})
 }
 
 // TestStoreWithoutWitnesses: stores built without witnesses must record no
@@ -139,15 +183,14 @@ func TestStoreWithoutWitnesses(t *testing.T) {
 		name  string
 		store StateStore
 	}{
-		{"dense", newDenseStore(false)},
-		{"hash64", newHashStore(sys.AppendFingerprint, false, false)},
+		{"dense", newDenseStore(sys, false)},
 		{"spill", spill},
 	}
 	var buf []byte
 	for _, b := range backends {
 		for id := 0; id < 10; id++ {
 			st, _ := dense.State(StateID(id))
-			buf = sys.AppendFingerprint(buf[:0], st)
+			buf = b.store.AppendKey(buf[:0], st)
 			got, fresh := b.store.Intern(string(buf), st, pred{from: 1, has: true})
 			if !fresh || got != StateID(id) {
 				t.Fatalf("%s: witness-free Intern state %d: got %d fresh=%v", b.name, id, got, fresh)
@@ -176,7 +219,7 @@ func stateAfterInputs(t *testing.T, sys *system.System) system.State {
 }
 
 // TestPackedAdjacencyRoundTrip is the property test of the in-RAM
-// adjacency (dense and hash stores): random edge lists — tasks in no
+// adjacency (the dense store's): random edge lists — tasks in no
 // particular order, repeated labels, sinks, huge targets — handed to
 // SetSuccs come back from EdgesFrom, Graph.Succs and Graph.Succ identical
 // and in order, although the caller scribbles over and reuses its slice
@@ -260,12 +303,12 @@ func TestTargetsMatchesEdgesFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The four backends filled by hand with a prefix of the graph and a seal
+	// Both backends filled by hand with a prefix of the graph and a seal
 	// halfway, so the spill store answers from the edge file and from its
 	// pending buffer.
 	backends := allBackends(t)
 	for _, b := range backends {
-		fillPrefix(sys, dense, b.store, 10)
+		fillPrefix(dense, b.store, 10)
 	}
 	spill := backends[len(backends)-1].store.(*spillStore)
 	if off := spill.eoffs[0]; off >= spill.flushedOff {
@@ -309,7 +352,7 @@ func TestTargetsMatchesEdgesFrom(t *testing.T) {
 				t.Fatalf("%s: Targets(%d) after %v = %v, want %v appended", b.name, id, prefix, got, want)
 			}
 		}
-		for _, id := range []StateID{StateID(b.store.Len()), intern.NoState} {
+		for _, id := range []StateID{StateID(b.store.Len()), noState} {
 			if got := b.store.Targets(id, prefix); !slices.Equal(got, []StateID{7, 9}) {
 				t.Errorf("%s: Targets(%d) past the end = %v, want the buffer back unchanged", b.name, id, got)
 			}

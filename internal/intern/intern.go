@@ -28,12 +28,12 @@ const NoState = StateID(math.MaxUint32)
 // Table interns canonical encodings into dense StateIDs.
 //
 // Concurrency contract: Table is as safe as a Go map. Any number of
-// goroutines may call Lookup/LookupBytes/Key/Len concurrently as long as no
-// Intern call overlaps them; Intern requires exclusive access. The parallel
-// exploration engine gets this for free from its level-synchronous shape —
-// the table is frozen while a frontier level expands across workers and is
-// extended only at the level barrier, which also keeps ID assignment
-// deterministic (identical for any worker count).
+// goroutines may call Lookup/Key/Len concurrently as long as no Intern call
+// overlaps them; Intern requires exclusive access.
+//
+// The exploration engine no longer keys its vertex store on canonical
+// strings (it dedups on cell-index tuples; see explore's denseStore), so the
+// one importer left is the benchmark's intern.* probe.
 type Table struct {
 	idx  map[string]StateID
 	keys []string
@@ -56,13 +56,6 @@ func (t *Table) Lookup(key string) (StateID, bool) {
 	return id, ok
 }
 
-// LookupBytes is Lookup for a byte-slice key. It does not allocate: the
-// string conversion in the map index expression is free.
-func (t *Table) LookupBytes(key []byte) (StateID, bool) {
-	id, ok := t.idx[string(key)]
-	return id, ok
-}
-
 // Intern returns the ID of key, assigning the next dense ID if the encoding
 // is new. fresh reports a new assignment. See the Table doc comment for the
 // concurrency contract.
@@ -74,15 +67,6 @@ func (t *Table) Intern(key string) (id StateID, fresh bool) {
 	t.idx[key] = id
 	t.keys = append(t.keys, key)
 	return id, true
-}
-
-// InternBytes is Intern for a byte-slice key. The key bytes are copied into
-// an owned string only when the encoding is new.
-func (t *Table) InternBytes(key []byte) (id StateID, fresh bool) {
-	if id, ok := t.idx[string(key)]; ok {
-		return id, false
-	}
-	return t.Intern(string(key))
 }
 
 // Key returns the canonical encoding interned as id. It panics if id was

@@ -1,11 +1,6 @@
 package intern
 
-import (
-	"strconv"
-	"testing"
-
-	"github.com/ioa-lab/boosting/internal/allocpin"
-)
+import "testing"
 
 func TestInternAssignsDenseIDs(t *testing.T) {
 	tab := NewTable(4)
@@ -38,38 +33,4 @@ func TestInternAssignsDenseIDs(t *testing.T) {
 	if _, ok := tab.Lookup("missing"); ok {
 		t.Fatal("Lookup of a never-interned key succeeded")
 	}
-}
-
-func TestInternBytesMatchesString(t *testing.T) {
-	tab := NewTable(0)
-	id1, fresh := tab.InternBytes([]byte("state-1"))
-	if !fresh || id1 != 0 {
-		t.Fatalf("InternBytes: %d, %v", id1, fresh)
-	}
-	if id, ok := tab.LookupBytes([]byte("state-1")); !ok || id != id1 {
-		t.Fatalf("LookupBytes: %d, %v", id, ok)
-	}
-	if id, fresh := tab.Intern("state-1"); fresh || id != id1 {
-		t.Fatalf("Intern after InternBytes: %d, %v", id, fresh)
-	}
-	// The stored key must be an owned copy, immune to buffer reuse.
-	buf := []byte("state-2")
-	id2, _ := tab.InternBytes(buf)
-	copy(buf, "CLOBBER")
-	if got := tab.Key(id2); got != "state-2" {
-		t.Fatalf("Key(%d) = %q after clobbering the input buffer", id2, got)
-	}
-}
-
-func TestLookupBytesDoesNotAllocate(t *testing.T) {
-	tab := NewTable(1024)
-	for i := 0; i < 1024; i++ {
-		tab.Intern("key-" + strconv.Itoa(i))
-	}
-	probe := []byte("key-512")
-	allocpin.Check(t, "LookupBytes", 200, 0, func() {
-		if _, ok := tab.LookupBytes(probe); !ok {
-			t.Fatal("probe missing")
-		}
-	})
 }

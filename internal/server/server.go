@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -56,6 +58,9 @@ type Server struct {
 	// deltaHits counts submissions routed to one.
 	graphs    *graphIndex
 	deltaHits atomic.Int64
+	// progressHook is nil outside this package's tests, which set it before
+	// submitting to misbehave on a pool worker in the middle of an analysis.
+	progressHook func(boosting.Progress)
 }
 
 // defaultCacheSize bounds the result cache when -cache is unset.
@@ -163,7 +168,8 @@ var errDraining = errors.New("server is draining; not accepting jobs")
 
 // run executes one job on a pool worker: bridge progress into the job's
 // history, run the analysis under the job's context, close every graph the
-// analysis returned on every exit path, and settle the cache entry.
+// analysis returned on every exit path, and settle the cache entry — also
+// when the analysis panics, which fails this job and nothing else.
 func (s *Server) run(j *Job) {
 	if !j.setRunning() {
 		// Cancelled while queued: never explored, never cacheable.
@@ -195,13 +201,28 @@ func (s *Server) run(j *Job) {
 
 // analyze dispatches the job's analysis through a checker rebuilt with the
 // job's progress bridge and cancellation context layered on top of its
-// validated options.
-func (s *Server) analyze(j *Job) (*Result, error) {
+// validated options. A panic on the way — the engine's, a protocol
+// handler's — comes back as an error of kind "internal" once the deferred
+// closes here and in BuildGraph have released what the analysis opened, so
+// run settles the job and the worker returns to the queue.
+func (s *Server) analyze(j *Job) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("boostd: job %s: panic during %s: %v\n%s", j.ID, j.Req.Analysis, r, debug.Stack())
+			res, err = nil, fmt.Errorf("panic during %s: %v", j.Req.Analysis, r)
+		}
+	}()
 	opts, err := j.Req.Options.lower()
 	if err != nil {
 		return nil, err
 	}
-	opts = append(opts, boosting.WithProgress(j.appendProgress), boosting.WithContext(j.ctx))
+	progress := func(p boosting.Progress) {
+		j.appendProgress(p)
+		if s.progressHook != nil {
+			s.progressHook(p)
+		}
+	}
+	opts = append(opts, boosting.WithProgress(progress), boosting.WithContext(j.ctx))
 	chk, err := boosting.New(j.Req.Protocol, j.Req.N, j.Req.F, opts...)
 	if err != nil {
 		return nil, err

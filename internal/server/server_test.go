@@ -106,6 +106,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"refute without claim", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "refute"}`, http.StatusBadRequest},
 		{"refutekset without k", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "refutekset", "claimed": 1}`, http.StatusBadRequest},
 		{"removed option shards", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"shards": 4}}`, http.StatusBadRequest},
+		{"removed store hash64", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"store": "hash64"}}`, http.StatusBadRequest},
+		{"removed store hash128", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"store": "hash128"}}`, http.StatusBadRequest},
 		{"bad store", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"store": "mmap"}}`, http.StatusBadRequest},
 		{"bad policy", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"policy": "optimistic"}}`, http.StatusBadRequest},
 		{"bad input key", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "explore", "inputs": {"p0": "1"}}`, http.StatusBadRequest},
@@ -208,7 +210,7 @@ func TestClassifyGoldenAndCacheHit(t *testing.T) {
 
 	// A different engine configuration of the same check shares the entry:
 	// workers/store never enter the cache key.
-	ack3, code := postJob(t, ts, `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"workers": 2, "store": "hash64"}}`)
+	ack3, code := postJob(t, ts, `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"workers": 2, "store": "spill"}}`)
 	if code != http.StatusOK || ack3.Cached != server.CacheHit || ack3.ID != ack.ID {
 		t.Errorf("engine-variant resubmission: status %d, cached %q, id %s; want 200 hit %s",
 			code, ack3.Cached, ack3.ID, ack.ID)
@@ -490,7 +492,7 @@ func TestDefaultsFromFlags(t *testing.T) {
 func TestServerDefaultsApply(t *testing.T) {
 	srv, ts := newTestServer(t, server.Config{
 		Pool:     1,
-		Defaults: server.Options{Store: "hash64"},
+		Defaults: server.Options{Store: "spill"},
 	})
 	ack, code := postJob(t, ts, classifyForward3)
 	if code != http.StatusAccepted {

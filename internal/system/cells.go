@@ -22,6 +22,11 @@ import (
 // by encoding before its memo is consulted. Encodings do not depend on the
 // slot, so reading a foreign cell's state or encoding needs no re-homing.
 //
+// Indices: a slot numbers its cells 0, 1, 2, … as they are published, and
+// AppendKey identifies a state by those numbers. Which goroutine interned a
+// component state first decides its number, so an index is meaningful only
+// inside this process and this System, and only for equality.
+//
 // Locking: the table locks guard map reads and writes only. Transitions
 // run caller-supplied code (Program handlers, a service type's δ1/δ2), so
 // they are computed with no lock held and published afterwards; a memo value
@@ -58,8 +63,11 @@ func (t *table[K, C]) len() int {
 }
 
 // put publishes c under k unless a racing caller already published a cell
-// for the same key, and returns the cell the table holds.
-func (t *table[K, C]) put(k K, c *C) *C {
+// for the same key, and returns the cell the table holds. A slot publishing
+// one of its own cells passes idx, a field of c, to receive the slot's next
+// dense index: written under the lock and before c is reachable, so it never
+// changes once visible. A memo table passes nil.
+func (t *table[K, C]) put(k K, c *C, idx *uint32) *C {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if old, ok := t.m[k]; ok {
@@ -67,6 +75,9 @@ func (t *table[K, C]) put(k K, c *C) *C {
 	}
 	if t.m == nil {
 		t.m = make(map[K]*C)
+	}
+	if idx != nil {
+		*idx = uint32(len(t.m))
 	}
 	t.m[k] = c
 	return c
@@ -84,6 +95,7 @@ type procCell struct {
 	home *procSlot
 	st   process.State
 	enc  string // canonical encoding of st
+	idx  uint32 // dense index among home's cells, in publication order
 
 	step atomic.Pointer[procEdge] // memo of Process.Step
 	resp table[respKey, procCell] // memo of Process.OnResponse
@@ -111,6 +123,7 @@ type svcCell struct {
 	home *svcSlot
 	st   service.State
 	enc  string // canonical encoding of st
+	idx  uint32 // dense index among home's cells, in publication order
 
 	// memo holds the transitions out of the cell, allocated by the first
 	// one asked of it: most cells of a symmetry-reduced build belong to
@@ -185,8 +198,7 @@ func (sl *procSlot) intern(ps process.State) *procCell {
 	buf := ps.AppendFingerprint((*bp)[:0])
 	c := getBytes(&sl.table, buf)
 	if c == nil {
-		enc := string(buf)
-		c = sl.put(enc, &procCell{home: sl, st: ps, enc: enc})
+		c = sl.newCell(ps, string(buf))
 	}
 	*bp = buf
 	encBufs.Put(bp)
@@ -206,8 +218,14 @@ func (sl *svcSlot) intern(ss service.State) *svcCell {
 	return c
 }
 
+func (sl *procSlot) newCell(ps process.State, enc string) *procCell {
+	c := &procCell{home: sl, st: ps, enc: enc}
+	return sl.put(enc, c, &c.idx)
+}
+
 func (sl *svcSlot) newCell(ss service.State, enc string) *svcCell {
-	return sl.put(enc, &svcCell{home: sl, st: ss, enc: enc})
+	c := &svcCell{home: sl, st: ss, enc: enc}
+	return sl.put(enc, c, &c.idx)
 }
 
 // transitions returns c's transition memo.
@@ -232,7 +250,7 @@ func (sl *procSlot) adopt(c *procCell) *procCell {
 	if h := sl.get(c.enc); h != nil {
 		return h
 	}
-	return sl.put(c.enc, &procCell{home: sl, st: c.st, enc: c.enc})
+	return sl.newCell(c.st, c.enc)
 }
 
 // adopt returns the slot's cell holding c's state: c itself unless it
@@ -299,7 +317,7 @@ func (c *procCell) responded(svc, resp string) *procCell {
 	if next := c.resp.get(key); next != nil {
 		return next
 	}
-	return c.resp.put(key, c.home.intern(c.home.p.OnResponse(c.st, svc, resp)))
+	return c.resp.put(key, c.home.intern(c.home.p.OnResponse(c.st, svc, resp)), nil)
 }
 
 // invoked returns the cell c moves to when process proc submits inv.
@@ -315,7 +333,7 @@ func (c *svcCell) invoked(proc int, inv string) (*svcCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	return memo.put(key, c.home.intern(ss)), nil
+	return memo.put(key, c.home.intern(ss), nil), nil
 }
 
 // applicable reports whether task has an enabled action in c's state under

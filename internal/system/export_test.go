@@ -20,3 +20,29 @@ func (s *System) ComponentStates(st State) ([]process.State, []service.State) {
 	}
 	return procs, svcs
 }
+
+// CellIndices returns, per process slot and per service slot of the component
+// order, the dense index of every interned cell by its encoding.
+func (s *System) CellIndices() (procs, svcs []map[string]uint32) {
+	for i := range s.procSlots {
+		sl := &s.procSlots[i]
+		sl.mu.Lock()
+		m := make(map[string]uint32, len(sl.m))
+		for enc, c := range sl.m {
+			m[enc] = c.idx
+		}
+		sl.mu.Unlock()
+		procs = append(procs, m)
+	}
+	for i := range s.svcSlots {
+		sl := &s.svcSlots[i]
+		sl.mu.Lock()
+		m := make(map[string]uint32, len(sl.m))
+		for enc, c := range sl.m {
+			m[enc] = c.idx
+		}
+		sl.mu.Unlock()
+		svcs = append(svcs, m)
+	}
+	return procs, svcs
+}

@@ -16,6 +16,7 @@
 package system
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -349,6 +350,24 @@ func (s *System) AppendFingerprint(dst []byte, st State) []byte {
 	}
 	for _, c := range st.svcs {
 		dst = append(dst, c.enc...)
+	}
+	return dst
+}
+
+// AppendKey appends the process-local identity of st to dst: the dense index
+// of its cell in every slot of the component order, four little-endian bytes
+// each. Within one System equal keys mean equal fingerprints and the reverse,
+// because a slot holds one cell per encoding and cells of another slot or
+// another System are re-homed first; st must have this System's component
+// layout. The bytes depend on the order in which this System happened to
+// intern component states, so they may key an in-memory index and nothing
+// that outlives the process or is shown to anyone.
+func (s *System) AppendKey(dst []byte, st State) []byte {
+	for i, c := range st.procs {
+		dst = binary.LittleEndian.AppendUint32(dst, s.procSlots[i].adopt(c).idx)
+	}
+	for i, c := range st.svcs {
+		dst = binary.LittleEndian.AppendUint32(dst, s.svcSlots[i].adopt(c).idx)
 	}
 	return dst
 }

@@ -72,8 +72,8 @@ func WithMaxStates(n int) Option { return func(c *config) { c.maxStates = max(n,
 // return a *ConflictError rather than empty witnesses.
 
 // WithStore selects the storage backend for graph builds: DenseStore
-// (default), HashStore64, HashStore128 or SpillStore. See the Store
-// constants for what each keeps resident.
+// (default) or SpillStore. See the Store constants for what each keeps
+// resident.
 func WithStore(s Store) Option {
 	return func(c *config) {
 		c.store = s

@@ -58,8 +58,8 @@ type (
 	ProgressFunc = explore.ProgressFunc
 	// Store selects the vertex storage backend of G(C).
 	Store = explore.StoreKind
-	// VertexStore is the vertex face of the storage seam: the dedup index,
-	// representative states and optional predecessor links.
+	// VertexStore is the vertex face of the storage seam: keying, the dedup
+	// index, representative states and optional predecessor links.
 	VertexStore = explore.VertexStore
 	// AdjacencyStore is the adjacency face of the storage seam: edges are
 	// recorded as discovered, sealed at level barriers, and streamed back
@@ -78,20 +78,19 @@ const (
 	Bivalent   = explore.Bivalent
 )
 
-// Store backends. DenseStore interns every canonical fingerprint in full;
-// the hash stores keep only a 64/128-bit fingerprint hash per vertex
-// (SPIN-style hash compaction) and verify candidate matches against the
-// stored representative state; SpillStore additionally moves fingerprints
+// Store backends. DenseStore keeps the graph in RAM: the representative
+// states, a pointer-free index keyed on each vertex's tuple of component-cell
+// indices (4 bytes per process and service) and 8-byte packed edges;
+// canonical fingerprints are encoded on demand. SpillStore moves fingerprints
 // and representative states to an append-only spill file (TLC-style
 // fingerprint file) and adjacency to a second append-only edge file of
 // delta-varint successor blocks, keeping only 16 hash bytes plus two file
-// offsets per vertex in RAM. All backends produce identical graphs —
-// collisions are audited and resolved, never silently merged.
+// offsets per vertex in RAM. Both produce identical graphs — the dense index
+// compares keys exactly, and the spill store's hash collisions are audited
+// and resolved, never silently merged.
 const (
-	DenseStore   = explore.StoreDense
-	HashStore64  = explore.StoreHash64
-	HashStore128 = explore.StoreHash128
-	SpillStore   = explore.StoreSpill
+	DenseStore = explore.StoreDense
+	SpillStore = explore.StoreSpill
 )
 
 // StoreCollisions reports the audited hash-collision count of a graph's
