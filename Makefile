@@ -17,8 +17,10 @@ test:
 # and transition memo from four goroutines at once, and has four goroutines
 # intern the same component states into one fresh System's slots — the dense
 # vertex store keys on the indices those slots hand out, which must come out
-# dense and one per encoding whoever wins; interleavings differ per run, so
-# it is repeated. The third line repeats the Refute sweep's progress
+# dense and one per encoding whoever wins — and step one cold System from four
+# goroutines, racing to publish the same memo edges and to number the same
+# actions (every stored edge carries such a number); interleavings differ per
+# run, so it is repeated. The third line repeats the Refute sweep's progress
 # contract (an unsynchronised recorder on four workers: any concurrent report
 # is a detected race) and the small rows of its differential suite, and the
 # symmetry layer's four goroutines canonicalizing one frontier on a fresh
@@ -27,11 +29,12 @@ test:
 # dense, spill and quotient): each worker's level-local candidate table must
 # be touched by that worker and, at the barrier, the coordinator only — which
 # goroutine runs which chunk when differs per run, and -race is what would
-# show a second goroutine in a table.
+# show a second goroutine in a table — and the handler panic recovered on an
+# expansion worker, whose error the coordinator reads at the barrier.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestConcurrentApply|TestConcurrentCellIndices' ./internal/system
-	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
+	$(GO) test -race -count=10 -run 'TestConcurrentApply|TestConcurrentCellIndices|TestConcurrentActionNumbers' ./internal/system
+	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestHandlerPanicFailsTheBuild|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
 
 # Benchmark smoke run: every benchmark once, no timing rigour. Use
 # `$(GO) test -bench=. -benchmem ./...` for real measurements.
@@ -52,7 +55,9 @@ bench-quick:
 # fingerprint file, incl. the exhaustive forward n=5 build) and the E29
 # spilled adjacency (edge file + witness-free builds), with -benchmem.
 # E22 carries the serial vs worker-pool rows on forward n=5 and the
-# forward n=6 quotient.
+# forward n=6 quotient, plus forward-n5-cold (a fresh System per build: what
+# one op of the time-to-verdict harness allocates, E39). BenchmarkStep is the
+# stepping primitive's hit path in internal/system: ns per step, 0 allocs/op.
 # B/op and allocs/op are stable at low iteration counts, so a short
 # fixed benchtime keeps this cheap enough to run per-PR; CI uploads the
 # output as an artifact (bench-allocs.txt) to make allocation
@@ -60,7 +65,9 @@ bench-quick:
 bench-allocs:
 	@$(GO) test -bench 'BenchmarkBuildGraphWorkers|BenchmarkRefuteWorkers|BenchmarkRunBatchWorkers|BenchmarkFingerprint|BenchmarkStoreBackends|BenchmarkSymmetry$$|BenchmarkSpillStore|BenchmarkSpillAdjacency' \
 		-benchmem -benchtime=2x -run '^$$' . > bench-allocs.txt; \
-		status=$$?; cat bench-allocs.txt; exit $$status
+		status=$$?; \
+		$(GO) test -bench 'BenchmarkStep$$' -benchmem -benchtime=1000000x -run '^$$' ./internal/system >> bench-allocs.txt || status=$$?; \
+		cat bench-allocs.txt; exit $$status
 
 # The E27 row on its own: reduced vs unreduced build time, state count and
 # retained bytes for the forward n=4 exhaustive analysis. Next to it, what

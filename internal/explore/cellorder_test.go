@@ -14,8 +14,8 @@ import (
 
 // prewarm interns sys's reachable component states in an order no build
 // uses: depth-first from the last monotone root to the first, tasks in
-// reverse. Every cell a build will meet then already has its index, and not
-// the one a cold build would have given it.
+// reverse. Every cell a build will meet then already has its index, and every
+// action its number, and not the ones a cold build would have given them.
 func prewarm(t *testing.T, sys *system.System) {
 	t.Helper()
 	stack := monotoneRoots(t, sys)
@@ -61,13 +61,15 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// TestCellOrderUnobservable: the dense store dedups on cell indices, and
-// which index a component state gets depends on who interned it first. Two
+// TestCellOrderUnobservable: the dense store dedups on cell indices and every
+// edge carries an action number, and which index a component state gets, or
+// which number an action, depends on who interned or performed it first. Two
 // instances of one system, one cold and one prewarmed in a foreign order,
-// therefore key the same vertices differently — and must still produce the
-// same graph per ID (fingerprints, edges, witness links, valences), the same
-// refutation report and the same durable directory, byte for byte, on one
-// worker and on several.
+// therefore key the same vertices and label the same edges differently — and
+// must still produce the same graph per ID (fingerprints, edges with their
+// resolved labels, witness links, valences) on the dense store and on spill,
+// the same refutation report and the same durable directory, byte for byte,
+// on one worker and on several.
 func TestCellOrderUnobservable(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		cold := mustForward(t, 3, 1, service.Adversarial)
@@ -84,15 +86,36 @@ func TestCellOrderUnobservable(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireIdentical(t, coldC.Graph, warmC.Graph, true)
-		differ := 0
+		keysDiffer, labelsDiffer := 0, 0
 		for id := range explore.StateID(coldC.Graph.Size()) {
 			st, _ := coldC.Graph.State(id)
 			if !bytes.Equal(cold.AppendKey(nil, st), warm.AppendKey(nil, st)) {
-				differ++
+				keysDiffer++
+			}
+			for i := range cold.Tasks() {
+				_, coldL, _, err := cold.Step(st, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, warmL, _, _ := warm.Step(st, i); warmL != coldL {
+					labelsDiffer++
+				}
 			}
 		}
-		if differ == 0 {
-			t.Fatalf("workers=%d: prewarming changed no vertex's key; the test compares nothing", workers)
+		if keysDiffer == 0 || labelsDiffer == 0 {
+			t.Fatalf("workers=%d: prewarming changed %d vertex keys and %d edge labels; the test compares nothing", workers, keysDiffer, labelsDiffer)
+		}
+		spill := opt
+		spill.Store, spill.SpillDir = explore.StoreSpill, t.TempDir()
+		for _, sys := range []*system.System{cold, warm} {
+			spillC, err := explore.ClassifyInits(sys, spill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, coldC.Graph, spillC.Graph, true)
+			if err := explore.CloseGraphStore(spillC.Graph); err != nil {
+				t.Fatal(err)
+			}
 		}
 
 		coldR, err := explore.Refute(cold, 1, explore.RefuteOptions{Build: opt})

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -51,13 +52,12 @@ func encodeIndex(g *Graph, s *spillStore) []byte {
 	buf = append(buf, indexMagic...)
 	buf = binary.AppendUvarint(buf, manifestFormat)
 
-	// Predecessor links may reference task/action values that only occur
-	// on BFS-tree edges; make sure the dictionaries cover them before the
+	// Every BFS-tree edge is an edge SetSuccs has seen by now; a store fed
+	// links of other labels still gets them into the dictionaries before the
 	// dictionaries are written.
-	for t, task := range s.predTable.labels.tasks {
-		s.dictTask(task)
-		for _, a := range s.predTable.labels.acts[t] {
-			s.dictAction(a)
+	for _, link := range s.predTable.list {
+		if link.to != noState {
+			s.dictLabel(link.Label)
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.tasks)))
@@ -78,16 +78,16 @@ func encodeIndex(g *Graph, s *spillStore) []byte {
 
 	if s.predTable.keep {
 		buf = append(buf, 1)
-		for i := 0; i < n; i++ {
-			p := s.predTable.Pred(StateID(i))
-			if !p.has {
+		for _, link := range s.predTable.list {
+			if link.to == noState {
 				buf = append(buf, 0)
 				continue
 			}
+			ti, ai := s.dictLabel(link.Label)
 			buf = append(buf, 1)
-			buf = binary.AppendUvarint(buf, uint64(p.from))
-			buf = binary.AppendUvarint(buf, uint64(s.dictTask(p.task)))
-			buf = binary.AppendUvarint(buf, uint64(s.dictAction(p.act)))
+			buf = binary.AppendUvarint(buf, uint64(link.to))
+			buf = binary.AppendUvarint(buf, uint64(ti))
+			buf = binary.AppendUvarint(buf, uint64(ai))
 		}
 	} else {
 		buf = append(buf, 0)
@@ -236,22 +236,21 @@ func decodeIndex(buf []byte) (*decodedIndex, error) {
 		out.masks = append(out.masks, r.byte())
 	}
 	if r.byte() == 1 {
-		out.preds = predTable{keep: true, list: make([]packedEdge, 0, n)}
+		// A reopened graph's links are labelled by dictionary index.
+		tasks, acts := out.tasks, out.acts
+		out.preds = predTable{keep: true, list: make([]packedEdge, 0, n),
+			resolve: func(l system.Label) (ioa.Task, ioa.Action) { return tasks[l.Task], acts[l.Act] }}
 		for i := 0; i < n && r.err == nil; i++ {
 			if r.byte() == 0 {
-				out.preds.add(pred{})
+				out.preds.add(packedEdge{to: noState})
 				continue
 			}
-			p := pred{has: true, from: StateID(r.uvarint())}
-			ti, ai := r.uvarint(), r.uvarint()
-			if r.err == nil && (ti >= uint64(len(out.tasks)) || ai >= uint64(len(out.acts))) {
+			from, ti, ai := r.uvarint(), r.uvarint(), r.uvarint()
+			if r.err == nil && (ti >= uint64(min(len(out.tasks), math.MaxUint16+1)) || ai >= uint64(min(len(out.acts), math.MaxUint16+1))) {
 				r.fail("predecessor dictionary index out of range")
 				break
 			}
-			if r.err == nil {
-				p.task, p.act = out.tasks[ti], out.acts[ai]
-			}
-			out.preds.add(p)
+			out.preds.add(packedEdge{to: StateID(from), Label: system.Label{Task: uint16(ti), Act: uint16(ai)}})
 		}
 	}
 	nr := r.count(1)
@@ -276,28 +275,6 @@ func decodeIndex(buf []byte) (*decodedIndex, error) {
 		return nil, fmt.Errorf("%d trailing bytes after index", len(buf)-r.pos)
 	}
 	return out, nil
-}
-
-// dictTask resolves (inserting if needed) a task's dictionary index.
-func (s *spillStore) dictTask(t ioa.Task) uint32 {
-	ti, ok := s.taskIdx[t]
-	if !ok {
-		ti = uint32(len(s.tasks))
-		s.taskIdx[t] = ti
-		s.tasks = append(s.tasks, t)
-	}
-	return ti
-}
-
-// dictAction resolves (inserting if needed) an action's dictionary index.
-func (s *spillStore) dictAction(a ioa.Action) uint32 {
-	ai, ok := s.actIdx[a]
-	if !ok {
-		ai = uint32(len(s.acts))
-		s.actIdx[a] = ai
-		s.acts = append(s.acts, a)
-	}
-	return ai
 }
 
 // commitDurable finishes a durable build: flush and sync the data files,

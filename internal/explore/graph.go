@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"log"
 	"math"
+	"runtime/debug"
 
 	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/system"
@@ -230,7 +232,7 @@ func canonical(canon Canonicalizer, st system.State) system.State {
 // intern stores a vertex and, when fresh, records its own decision mask
 // (see Graph.ownMasks). The serial loop and internRoots intern through
 // here; the parallel barrier appends worker-computed masks itself.
-func (g *Graph) intern(key string, st system.State, p pred) (StateID, bool) {
+func (g *Graph) intern(key string, st system.State, p packedEdge) (StateID, bool) {
 	id, fresh := g.store.Intern(key, st, p)
 	if fresh {
 		g.ownMasks = append(g.ownMasks, ownMask(g.sys, st))
@@ -245,7 +247,7 @@ func (g *Graph) internRoots(roots []system.State, canon Canonicalizer, buf []byt
 	for _, r := range roots {
 		r = canonical(canon, r)
 		buf = g.store.AppendKey(buf[:0], r)
-		id, _ := g.intern(string(buf), r, pred{})
+		id, _ := g.intern(string(buf), r, packedEdge{to: noState})
 		g.roots = append(g.roots, id)
 	}
 	return buf
@@ -311,11 +313,65 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 	return g, nil
 }
 
+// PanicError reports a panic while a level loop applied a task — a Program
+// handler's or a service type's — as the build's error. The stack is logged.
+type PanicError struct {
+	Task  ioa.Task
+	Value any
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("explore: panic applying %v: %v", e.Task, e.Value)
+}
+
+// recoverApply, deferred around a level loop's expansion with the index of
+// the task being applied, turns a panic into *err. Re-raised: a spill write
+// failure, for BuildGraph (see recoverSpillWrite), and a panic while *t < 0 —
+// the serial loop is then past the candidate's code, in the caller's Progress.
+func recoverApply(sys *system.System, t *int, err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if _, write := r.(spillWriteError); write || *t < 0 {
+		panic(r)
+	}
+	*err = &PanicError{Task: sys.Tasks()[*t], Value: r}
+	log.Printf("%v\n%s", *err, debug.Stack())
+}
+
+// successor is the per-successor body of both level loops: it runs task t
+// from the vertex st against the store as it stands, ok = false if the task is
+// not applicable. pkey is the store key of st, unused under a Canonicalizer;
+// the successor's key is left in *buf. The returned edge's target is the
+// successor's ID, or noState when the store does not hold it. No State is
+// built here except for the Canonicalizer, which needs one before the
+// key/lookup step and whose result is next; without one the successor is
+// st.With(d), left to the caller to build if it has to keep the state.
+func (g *Graph) successor(canon Canonicalizer, st system.State, pkey []byte, t int, buf *[]byte) (e packedEdge, d system.Delta, next system.State, ok bool, err error) {
+	d, e.Label, ok, err = g.sys.Step(st, t)
+	if err != nil {
+		return e, d, next, false, fmt.Errorf("explore: apply %v: %w", g.sys.Tasks()[t], err)
+	}
+	if !ok {
+		return e, d, next, false, nil
+	}
+	if canon != nil {
+		next = canon.Canonical(st.With(d))
+		*buf = g.store.AppendKey((*buf)[:0], next)
+	} else {
+		*buf = g.store.AppendSuccKey((*buf)[:0], pkey, st, d)
+	}
+	if e.to, ok = g.store.Lookup(*buf); !ok {
+		e.to = noState
+	}
+	return e, d, next, true, nil
+}
+
 // exploreSerial is the one-worker level loop behind BuildGraph: it expands
 // the interned roots to closure, interning each discovery the moment it is
 // found. buf is the caller's key scratch.
-func (g *Graph) exploreSerial(maxStates int, buf []byte, opt BuildOptions) error {
-	sys := g.sys
+func (g *Graph) exploreSerial(maxStates int, buf []byte, opt BuildOptions) (err error) {
 	// IDs are dense in discovery order, so the BFS queue is implicit: the
 	// next vertex to expand is simply the next ID. Nothing is pinned or
 	// copied as the frontier advances. Level boundaries are tracked only
@@ -323,7 +379,10 @@ func (g *Graph) exploreSerial(maxStates int, buf []byte, opt BuildOptions) error
 	// when it began.
 	level := 0
 	levelEnd := g.store.Len()
-	var edges []Edge // scratch: SetSuccs copies
+	var t int              // the task being applied, for recoverApply
+	var pkey []byte        // scratch: the expanding vertex's key
+	var edges []packedEdge // scratch: SetSuccs copies
+	defer recoverApply(g.sys, &t, &err)
 	for next := 0; next < g.store.Len(); next++ {
 		if next&63 == 0 {
 			if err := ctxErr(opt.Ctx); err != nil {
@@ -331,26 +390,30 @@ func (g *Graph) exploreSerial(maxStates int, buf []byte, opt BuildOptions) error
 			}
 		}
 		st, _ := g.store.State(StateID(next))
+		if opt.Symmetry == nil {
+			pkey = g.store.AppendKey(pkey[:0], st)
+		}
 		edges = edges[:0]
-		for _, task := range sys.Tasks() {
-			if !sys.Applicable(st, task) {
+		for t = range g.sys.Tasks() {
+			e, d, succ, ok, err := g.successor(opt.Symmetry, st, pkey, t, &buf)
+			if err != nil {
+				return err
+			}
+			if !ok {
 				continue
 			}
-			succ, act, err := sys.Apply(st, task)
-			if err != nil {
-				return fmt.Errorf("explore: apply %v: %w", task, err)
-			}
-			succ = canonical(opt.Symmetry, succ)
-			buf = g.store.AppendKey(buf[:0], succ)
-			id, ok := g.store.Lookup(buf)
-			if !ok {
+			if e.to == noState {
 				if g.store.Len() >= maxStates {
 					return &LimitError{Limit: maxStates, Explored: g.store.Len()}
 				}
-				id, _ = g.intern(string(buf), succ, pred{from: StateID(next), task: task, act: act, has: true})
+				if opt.Symmetry == nil {
+					succ = st.With(d)
+				}
+				e.to, _ = g.intern(string(buf), succ, packedEdge{to: StateID(next), Label: e.Label})
 			}
-			edges = append(edges, Edge{Task: task, Action: act, To: id})
+			edges = append(edges, e)
 		}
+		t = -1
 		g.store.SetSuccs(StateID(next), edges)
 		g.edges += len(edges)
 		if next+1 == levelEnd {
@@ -491,8 +554,8 @@ func (g *Graph) Fingerprint(id StateID) string { return g.store.Fingerprint(id) 
 func (g *Graph) Lookup(fp string) (StateID, bool) { return g.store.LookupFingerprint(fp) }
 
 // EdgesFrom streams the outgoing edges of a vertex in recorded order —
-// the allocation-free access path: in-memory backends unpack their 8-byte
-// edges against the label dictionary, the spill backend decodes one block.
+// the allocation-free access path: the dense backend resolves its 8-byte
+// edges' labels through the System, the spill backend decodes one block.
 // Breaking out early is allowed and cheap.
 func (g *Graph) EdgesFrom(id StateID) iter.Seq[Edge] { return g.store.EdgesFrom(id) }
 

@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -100,26 +99,27 @@ type candRef struct {
 // are windows of the expanding worker's arenas and refs index ws.cands, all
 // valid until the level barrier resets the worker.
 type expansion struct {
-	edges []Edge
+	edges []packedEdge
 	refs  []candRef
 	ws    *workerScratch
 	err   error
 }
 
-// workerScratch is one expansion worker's reusable memory: its key buffer,
-// the edge arena the level's expansions are appended to, and the level's
-// candidate table — the candidates, an index of them by store key,
+// workerScratch is one expansion worker's reusable memory: its key buffers,
+// the arena of 8-byte edges the level's expansions are appended to, and the
+// level's candidate table — the candidates, an index of them by store key,
 // and the arena of references expansions hold into them. Only the owning
 // worker touches a scratch while a level expands and only the coordinator
 // at the barrier, so the table needs no lock. The stores copy what SetSuccs
 // hands them, so everything is reset — not freed — at every level barrier
 // and the engine allocates no per-vertex slice.
 type workerScratch struct {
-	buf   []byte
-	edges []Edge
-	cands []candidate
-	index map[string]uint32 // candidate key → position in cands
-	refs  []candRef
+	buf, pkey []byte // a successor's key, the expanding vertex's
+	task      int    // the task being applied, for recoverApply
+	edges     []packedEdge
+	cands     []candidate
+	index     map[string]uint32 // candidate key → position in cands
+	refs      []candRef
 }
 
 // reset empties the level-local arenas and the candidate table, keeping
@@ -133,44 +133,44 @@ func (ws *workerScratch) reset() {
 }
 
 // expandFrontier applies every applicable task to st, resolving successor
-// IDs through the frozen state store. Successors are canonicalized (when
-// symmetry reduction is on) before the key lookup, exactly as in the serial
-// loop. A successor not yet stored becomes a candidate of the calling
-// worker the first time the worker meets it in this level; every edge to it
-// is left at noState with a reference to the candidate,
-// to be patched at the level barrier. ws is the calling worker's scratch.
-func expandFrontier(sys *system.System, store StateStore, canon Canonicalizer, st system.State, ws *workerScratch) expansion {
+// IDs through the frozen state store with the serial loop's per-successor
+// body (Graph.successor). A successor not yet stored becomes a candidate of
+// the calling worker the first time the worker meets it in this level; every
+// edge to it is left at noState with a reference to the candidate, to be
+// patched at the level barrier. ws is the calling worker's scratch.
+func (g *Graph) expandFrontier(canon Canonicalizer, st system.State, ws *workerScratch) expansion {
 	out := expansion{ws: ws}
-	buf, lo, refLo := ws.buf, len(ws.edges), len(ws.refs)
-	for _, task := range sys.Tasks() {
-		if !sys.Applicable(st, task) {
-			continue
-		}
-		next, act, err := sys.Apply(st, task)
+	lo, refLo := len(ws.edges), len(ws.refs)
+	if canon == nil {
+		ws.pkey = g.store.AppendKey(ws.pkey[:0], st)
+	}
+	for ws.task = range g.sys.Tasks() {
+		e, d, next, ok, err := g.successor(canon, st, ws.pkey, ws.task, &ws.buf)
 		if err != nil {
-			out.err = fmt.Errorf("explore: apply %v: %w", task, err)
+			out.err = err
 			break
 		}
-		next = canonical(canon, next)
-		buf = store.AppendKey(buf[:0], next)
-		id, ok := store.Lookup(buf)
 		if !ok {
-			id = noState
-			ci, seen := ws.index[string(buf)]
+			continue
+		}
+		if e.to == noState {
+			ci, seen := ws.index[string(ws.buf)]
 			if !seen {
 				// The one owned copy of the key: the store takes ownership
 				// at the barrier, so the spill store keeps this string in
 				// its pending window without copying again.
-				key := string(buf)
+				key := string(ws.buf)
+				if canon == nil {
+					next = st.With(d)
+				}
 				ci = uint32(len(ws.cands))
-				ws.cands = append(ws.cands, candidate{key: key, st: next, id: noState, mask: ownMask(sys, next)})
+				ws.cands = append(ws.cands, candidate{key: key, st: next, id: noState, mask: ownMask(g.sys, next)})
 				ws.index[key] = ci
 			}
 			ws.refs = append(ws.refs, candRef{edge: uint32(len(ws.edges) - lo), cand: ci})
 		}
-		ws.edges = append(ws.edges, Edge{Task: task, Action: act, To: id})
+		ws.edges = append(ws.edges, e)
 	}
-	ws.buf = buf
 	// Capped, so nothing appended through a window can reach the next
 	// expansion's entries.
 	out.edges = ws.edges[lo:len(ws.edges):len(ws.edges)]
@@ -191,9 +191,9 @@ func expandFrontier(sys *system.System, store StateStore, canon Canonicalizer, s
 // parallel graph is not merely isomorphic to the serial one, it is
 // identical. Progress reports and context cancellation mirror the serial
 // loop: one report per level barrier, cancellation observed mid-level by
-// the expanding workers.
+// the expanding workers. A panic on a worker — a Program handler's, a service
+// type's — becomes that vertex's error and fails the build at the barrier.
 func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error {
-	sys := g.sys
 	frontier := make([]StateID, g.store.Len())
 	for i := range frontier {
 		frontier[i] = StateID(i)
@@ -211,8 +211,9 @@ func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error 
 				results[i] = expansion{err: err}
 				return
 			}
+			defer recoverApply(g.sys, &ws.task, &results[i].err)
 			st, _ := g.store.State(frontier[i])
-			results[i] = expandFrontier(sys, g.store, opt.Symmetry, st, ws)
+			results[i] = g.expandFrontier(opt.Symmetry, st, ws)
 		})
 		// Level barrier: resolve the level's discoveries in frontier order ×
 		// task order — the serial engine's discovery order.
@@ -233,12 +234,11 @@ func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error 
 						if g.store.Len() >= maxStates {
 							return &LimitError{Limit: maxStates, Explored: g.store.Len()}
 						}
-						e := res.edges[ref.edge]
 						// The worker already computed this vertex's decision
 						// mask; record it directly instead of re-deriving it
 						// on the coordinator (see Graph.ownMasks).
 						var fr bool
-						id, fr = g.store.Intern(c.key, c.st, pred{from: frontier[i], task: e.Task, act: e.Action, has: true})
+						id, fr = g.store.Intern(c.key, c.st, packedEdge{to: frontier[i], Label: res.edges[ref.edge].Label})
 						if fr {
 							g.ownMasks = append(g.ownMasks, c.mask)
 						}
@@ -246,7 +246,7 @@ func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error 
 					}
 					c.id = id
 				}
-				res.edges[ref.edge].To = c.id
+				res.edges[ref.edge].to = c.id
 			}
 			g.store.SetSuccs(frontier[i], res.edges)
 			g.edges += len(res.edges)

@@ -366,14 +366,17 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelAllocsNearSerial pins what the level step may cost over the
-// serial loop: on forward n=4 a two-worker ClassifyInits allocates at most
-// 1.15 × what the one-worker build does. Allocation counts are exact where
-// timings on a shared two-CPU host are not, and both ways the pool once lost
-// to the loop it parallelises show up here: a candidate recorded per edge
-// instead of per worker per level (4.1 fingerprint copies per fresh state)
+// TestClassifyInitsAllocCeilings pins what a warm forward n=4 ClassifyInits
+// may allocate, as numbers: 6 167 objects on the serial loop and 7 553 on two
+// workers when the pins were taken (15 068 and 15 845 before successors were
+// keyed from deltas, when every one of the 17 218 successors cost a State and
+// only the 2 486 new ones needed it). Allocation counts are exact where
+// timings on a shared two-CPU host are not. A ratio of the two, which this
+// test used to hold, moves when its denominator does; a ceiling each does
+// not, and still shows both ways the pool once lost to the loop it
+// parallelises: a candidate recorded per edge instead of per worker per level
 // and an escaping iterator closure per vertex per fixpoint round.
-func TestParallelAllocsNearSerial(t *testing.T) {
+func TestClassifyInitsAllocCeilings(t *testing.T) {
 	sys := mustForward(t, 4, 0, service.Adversarial)
 	build := func(workers int) func() {
 		return func() {
@@ -383,6 +386,6 @@ func TestParallelAllocsNearSerial(t *testing.T) {
 		}
 	}
 	build(1)() // fill the system's cell tables and transition memo
-	serial := testing.AllocsPerRun(3, build(1))
-	allocpin.Check(t, fmt.Sprintf("ClassifyInits at Workers: 2 (Workers: 1 allocates %.0f)", serial), 3, 1.15*serial, build(2))
+	allocpin.Check(t, "ClassifyInits at Workers: 1", 3, 6500, build(1))
+	allocpin.Check(t, "ClassifyInits at Workers: 2", 3, 7950, build(2))
 }

@@ -102,7 +102,7 @@ func newSpillStore(sys *system.System, spillDir, graphDir string, witnesses bool
 		sys:       sys,
 		hash:      fpHash,
 		buckets:   make(map[uint64][]StateID, 1024),
-		predTable: predTable{keep: witnesses},
+		predTable: predTable{keep: witnesses, resolve: sys.Resolve},
 		files:     files,
 		file:      files.fp,
 		w:         bufio.NewWriterSize(files.fp, 64<<10),
@@ -176,6 +176,11 @@ func (s *spillStore) AppendKey(dst []byte, st system.State) []byte {
 	return s.sys.AppendFingerprint(dst, st)
 }
 
+// AppendSuccKey concatenates st's component encodings with d's substituted.
+func (s *spillStore) AppendSuccKey(dst, _ []byte, st system.State, d system.Delta) []byte {
+	return s.sys.AppendSuccFingerprint(dst, st, d)
+}
+
 // lookupBucket scans the candidates interned under h1 for an exact match:
 // the second hash pre-filters, then each surviving candidate is verified
 // byte-for-byte; candidates the verification refutes are audited in
@@ -202,7 +207,7 @@ func (s *spillStore) LookupFingerprint(fp string) (StateID, bool) {
 	return s.Lookup(stringBytes(fp))
 }
 
-func (s *spillStore) Intern(fp string, st system.State, p pred) (StateID, bool) {
+func (s *spillStore) Intern(fp string, st system.State, p packedEdge) (StateID, bool) {
 	if s.readonly {
 		panic("explore: spill store: Intern on a reopened read-only graph")
 	}

@@ -13,20 +13,18 @@ import (
 
 	"github.com/ioa-lab/boosting/internal/protocols"
 	"github.com/ioa-lab/boosting/internal/service"
+	"github.com/ioa-lab/boosting/internal/system"
 )
 
 // allBackends builds one store of every kind for a system, with the spill
 // store's pending window and the dense store's probe table shrunk so small
-// graphs exercise the disk path and several table growths.
-func allBackends(t *testing.T) []struct {
+// graphs exercise the disk path and several table growths. Edge labels are
+// sys's own, so the stores take edges of graphs built on sys only.
+func allBackends(t *testing.T, sys *system.System) []struct {
 	name  string
 	store StateStore
 } {
 	t.Helper()
-	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spill, err := newSpillStore(sys, t.TempDir(), "", true)
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +41,21 @@ func allBackends(t *testing.T) []struct {
 	}
 }
 
-// fillPrefix interns the first n vertices of a reference graph into a store
-// and records their adjacency in the contract's order (one SetSuccs per
+// packedSuccs returns the edges out of a vertex of a dense graph as its store
+// holds them — the write type of SetSuccs. Their labels are the graph's
+// System's, so they may be handed only to a store built on that System.
+func packedSuccs(g *Graph, id StateID) []packedEdge {
+	a := &g.store.(*denseStore).packedAdjacency
+	lo := uint32(0)
+	if id > 0 {
+		lo = a.ends[id-1]
+	}
+	return a.edges[lo:a.ends[id]]
+}
+
+// fillPrefix interns the first n vertices of a dense reference graph into a
+// store on the same System and records their adjacency in the contract's order
+// (one SetSuccs per
 // vertex, increasing IDs), with a seal partway through so the spill backend
 // serves blocks from both the edge file and the pending buffer.
 func fillPrefix(ref *Graph, store StateStore, n int) {
@@ -52,10 +63,10 @@ func fillPrefix(ref *Graph, store StateStore, n int) {
 	for id := range StateID(n) {
 		st, _ := ref.State(id)
 		buf = store.AppendKey(buf[:0], st)
-		store.Intern(string(buf), st, pred{})
+		store.Intern(string(buf), st, packedEdge{to: noState})
 	}
 	for id := range StateID(n) {
-		store.SetSuccs(id, ref.Succs(id))
+		store.SetSuccs(id, packedSuccs(ref, id))
 		if int(id) == n/2 {
 			store.SealLevel()
 		}
@@ -75,7 +86,7 @@ func TestStoreBoundsUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range allBackends(t) {
+	for _, b := range allBackends(t, sys) {
 		// Populate with a real prefix of the graph so in-range behaviour is
 		// also checked, then probe past the end.
 		const n = 10
@@ -160,12 +171,12 @@ func TestSpillStoreRotation(t *testing.T) {
 		st, _ := dense.State(StateID(id))
 		buf = sys.AppendFingerprint(buf[:0], st)
 		wantBytes += int64(len(buf))
-		got, fresh := sp.Intern(string(buf), st, pred{})
+		got, fresh := sp.Intern(string(buf), st, packedEdge{to: noState})
 		if !fresh || got != StateID(id) {
 			t.Fatalf("spill Intern state %d: got %d fresh=%v", id, got, fresh)
 		}
 		// Re-interning the same fingerprint must dedup, not reassign.
-		if again, fresh := sp.Intern(string(buf), st, pred{}); fresh || again != StateID(id) {
+		if again, fresh := sp.Intern(string(buf), st, packedEdge{to: noState}); fresh || again != StateID(id) {
 			t.Fatalf("spill re-Intern state %d: got %d fresh=%v", id, again, fresh)
 		}
 	}
@@ -230,13 +241,13 @@ func TestSpillAdjacencyRotation(t *testing.T) {
 	for id := 0; id < dense.Size(); id++ {
 		st, _ := dense.State(StateID(id))
 		buf = sys.AppendFingerprint(buf[:0], st)
-		sp.Intern(string(buf), st, pred{})
+		sp.Intern(string(buf), st, packedEdge{to: noState})
 	}
 	// Record the real graph's adjacency, sealing every 3 vertices so the
 	// read-back below crosses the pending/disk boundary many times. The
 	// final 2 vertices stay pending (no trailing seal).
 	for id := 0; id < dense.Size(); id++ {
-		sp.SetSuccs(StateID(id), dense.Succs(StateID(id)))
+		sp.SetSuccs(StateID(id), packedSuccs(dense, StateID(id)))
 		if id%3 == 2 && id < dense.Size()-2 {
 			sp.SealLevel()
 		}
@@ -319,7 +330,7 @@ func TestSpillStoreCollisionAudit(t *testing.T) {
 	for id := 0; id < dense.Size(); id++ {
 		st, _ := dense.State(StateID(id))
 		buf = sys.AppendFingerprint(buf[:0], st)
-		if got, fresh := sp.Intern(string(buf), st, pred{}); !fresh || got != StateID(id) {
+		if got, fresh := sp.Intern(string(buf), st, packedEdge{to: noState}); !fresh || got != StateID(id) {
 			t.Fatalf("total-collision spill Intern state %d: got %d fresh=%v", id, got, fresh)
 		}
 	}
@@ -360,7 +371,7 @@ func TestSpillWriteFailureSurfacesAsError(t *testing.T) {
 		defer recoverSpillWrite(&g, &buildErr)
 		var buf []byte
 		buf = sys.AppendFingerprint(buf[:0], st)
-		sp.Intern(string(buf), st, pred{})
+		sp.Intern(string(buf), st, packedEdge{to: noState})
 		g = &Graph{store: sp} // must be dropped by the recovery
 	}()
 	if buildErr == nil {

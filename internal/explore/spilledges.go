@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"iter"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/ioa-lab/boosting/internal/ioa"
+	"github.com/ioa-lab/boosting/internal/system"
 )
 
 // spillEdges is the adjacency face of the spill backend: an append-only
@@ -53,10 +55,14 @@ type spillEdges struct {
 
 	// Dictionaries: tasks and actions are comparable structs drawn from a
 	// small fixed set, so blocks store dense indices instead of strings.
-	tasks   []ioa.Task
-	taskIdx map[ioa.Task]uint32
-	acts    []ioa.Action
-	actIdx  map[ioa.Action]uint32
+	// They are persisted, so unlike the System's labels their order is
+	// observable: first sight in SetSuccs order. remap[t] caches, for System
+	// task t, the task's dictionary index at [0] and action number a's at
+	// [a+1], each plus one (0 = not resolved yet): a label is looked up by
+	// value, and enters the dictionaries, only the first time it is met.
+	tasks []ioa.Task
+	acts  []ioa.Action
+	remap [][]uint32
 
 	edgeReads atomic.Int64 // blocks served by pread
 	ebufs     sync.Pool
@@ -65,8 +71,7 @@ type spillEdges struct {
 func (a *spillEdges) init(f *os.File, owner *spillStore) {
 	a.owner = owner
 	a.efile = f
-	a.taskIdx = make(map[ioa.Task]uint32, 16)
-	a.actIdx = make(map[ioa.Action]uint32, 16)
+	a.remap = make([][]uint32, len(owner.sys.Tasks()))
 	a.ebufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 }
 
@@ -79,7 +84,7 @@ func (a *spillEdges) edgeBytes() int64 { return a.flushedOff + int64(len(a.pendi
 // The adjacency contract requires strictly increasing, gap-free IDs; both
 // engines guarantee it, and the append-only offset index depends on it, so
 // violations panic like slice-bounds misuse.
-func (a *spillEdges) SetSuccs(id StateID, edges []Edge) {
+func (a *spillEdges) SetSuccs(id StateID, edges []packedEdge) {
 	if int(id) != len(a.eoffs) {
 		panic(fmt.Sprintf("explore: spill store: SetSuccs(%d) out of order (next unrecorded vertex is %d)", id, len(a.eoffs)))
 	}
@@ -88,24 +93,37 @@ func (a *spillEdges) SetSuccs(id StateID, edges []Edge) {
 	a.pending = binary.AppendUvarint(a.pending, uint64(len(edges)))
 	prev := int64(id)
 	for _, e := range edges {
-		ti, ok := a.taskIdx[e.Task]
-		if !ok {
-			ti = uint32(len(a.tasks))
-			a.taskIdx[e.Task] = ti
-			a.tasks = append(a.tasks, e.Task)
-		}
-		ai, ok := a.actIdx[e.Action]
-		if !ok {
-			ai = uint32(len(a.acts))
-			a.actIdx[e.Action] = ai
-			a.acts = append(a.acts, e.Action)
-		}
+		ti, ai := a.dictLabel(e.Label)
 		a.pending = binary.AppendUvarint(a.pending, uint64(ti))
 		a.pending = binary.AppendUvarint(a.pending, uint64(ai))
-		a.pending = binary.AppendVarint(a.pending, int64(e.To)-prev)
-		prev = int64(e.To)
+		a.pending = binary.AppendVarint(a.pending, int64(e.to)-prev)
+		prev = int64(e.to)
 	}
 	a.elens = append(a.elens, uint32(len(a.pending)-start))
+}
+
+// dictLabel resolves a System label to its dictionary indices, entering the
+// task and then the action into the dictionaries if they are new.
+func (a *spillEdges) dictLabel(l system.Label) (ti, ai uint32) {
+	row := a.remap[l.Task]
+	if int(l.Act)+1 >= len(row) || row[l.Act+1] == 0 {
+		task, act := a.owner.sys.Resolve(l)
+		row = append(row, make([]uint32, max(0, int(l.Act)+2-len(row)))...)
+		row[0], row[l.Act+1] = dictIndex(&a.tasks, task)+1, dictIndex(&a.acts, act)+1
+		a.remap[l.Task] = row
+	}
+	return row[0] - 1, row[l.Act+1] - 1
+}
+
+// dictIndex returns v's index in a dictionary, appending it if it is new. It
+// runs once per distinct label, so the scan replaces a map.
+func dictIndex[T comparable](dict *[]T, v T) uint32 {
+	i := slices.Index(*dict, v)
+	if i < 0 {
+		i = len(*dict)
+		*dict = append(*dict, v)
+	}
+	return uint32(i)
 }
 
 // sealMark is one recorded level barrier: how many vertices existed and

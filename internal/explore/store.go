@@ -56,7 +56,9 @@ func (k StoreKind) String() string {
 // fingerprints and the reverse; what the bytes are is the backend's business
 // (cell indices on dense, the fingerprint itself on spill), so callers get
 // them from AppendKey and hand them straight back, and never show, persist or
-// order by them.
+// order by them. A successor's key comes from AppendSuccKey — the parent's key
+// and the step's delta — so the level loops build a State only for a
+// successor the store does not hold yet.
 //
 // IDs are assigned densely in interning order: the i-th distinct state gets
 // ID i, so a BFS that interns states in discovery order gets BFS-numbered
@@ -72,6 +74,10 @@ type VertexStore interface {
 	// AppendKey appends the index key of st to dst and returns the extended
 	// buffer. It allocates nothing beyond growing dst.
 	AppendKey(dst []byte, st system.State) []byte
+	// AppendSuccKey appends the key AppendKey would give st.With(d), where
+	// key is AppendKey of st and d a delta sys.Step returned for st, without
+	// building that state.
+	AppendSuccKey(dst, key []byte, st system.State, d system.Delta) []byte
 	// Lookup resolves a key to its vertex, if stored. Callers holding a
 	// string key pass it through stringBytes without copying.
 	Lookup(key []byte) (StateID, bool)
@@ -79,12 +85,12 @@ type VertexStore interface {
 	// stored; a string that is no fingerprint of this system is a miss.
 	LookupFingerprint(fp string) (StateID, bool)
 	// Intern stores a vertex under its key, assigning the next dense ID if
-	// the key is new; fresh reports a new assignment (the predecessor link
-	// is recorded only then, and only on stores built with witnesses). The
-	// store takes ownership of key — callers hand over their one owned copy,
-	// so a backend that retains the bytes (spill's pending window) does not
-	// copy again.
-	Intern(key string, st system.State, p pred) (id StateID, fresh bool)
+	// the key is new; fresh reports a new assignment (the predecessor link —
+	// p.to is the predecessor, noState for a root — is recorded only then,
+	// and only on stores built with witnesses). The store takes ownership of
+	// key — callers hand over their one owned copy, so a backend that retains
+	// the bytes (spill's pending window) does not copy again.
+	Intern(key string, st system.State, p packedEdge) (id StateID, fresh bool)
 	// State returns the representative state of a vertex.
 	State(id StateID) (system.State, bool)
 	// Fingerprint returns the canonical string encoding of a vertex
@@ -97,18 +103,20 @@ type VertexStore interface {
 }
 
 // AdjacencyStore is the adjacency face of the storage seam: edges are handed
-// to the store as they are discovered and read back as an iterator, so
-// backends choose their own representation — one flat slice of packed
-// 8-byte edges in RAM (dense) or delta-varint blocks in an append-only
-// edge file (spill).
+// to the store as 8-byte packedEdges — the target and the label sys.Step gave
+// the transition — and read back as an iterator of Edges with the label
+// resolved, so backends choose their own representation: the packedEdges
+// verbatim in one flat slice (dense) or delta-varint blocks against two
+// persisted dictionaries in an append-only edge file (spill).
 //
 // Write contract: SetSuccs is called exactly once per vertex, in strictly
 // increasing ID order — both level loops expand vertices in ID order (the
 // serial loop trivially, the worker pool at its level barriers) — without
 // gaps, and panics on an out-of-order ID. SetSuccs copies what it keeps and
 // never retains the slice, so callers may reuse it for the next vertex (the
-// loops do: one scratch slice, or a per-worker arena reset at each level
-// barrier). SealLevel marks a level barrier: every edge handed over so far
+// loops do: one scratch slice, or a per-worker arena of packedEdges reset at
+// each level barrier). The labels are those of the System the store was made
+// for. SealLevel marks a level barrier: every edge handed over so far
 // may be moved out of RAM (the spill backend flushes its pending blocks to
 // the edge file). The loops call it after each completed BFS level, while
 // they hold the store exclusively.
@@ -116,18 +124,18 @@ type VertexStore interface {
 // Read contract: EdgesFrom is total (an out-of-range or not-yet-recorded ID
 // yields an empty sequence) and, like the vertex accessors, safe for any
 // number of concurrent readers as long as no SetSuccs/SealLevel/Intern call
-// overlaps them. The yielded edges are exactly the SetSuccs slice, in order;
+// overlaps them. The yielded edges are the SetSuccs slice, resolved, in order;
 // breaking out of the iteration early is allowed and cheap. Targets is the
 // label-free read of the same relation: it appends the To of every edge
 // EdgesFrom would yield, in that order, to the caller's buffer and returns
 // it — nothing for an out-of-range or not-yet-recorded ID — without resolving
-// a label against any dictionary. Same totality, same concurrency rule; the
+// a label. Same totality, same concurrency rule; the
 // sweeps that read nothing of an edge but its target (the valence and
 // root-set fixpoints) call it with one reused buffer per goroutine.
 type AdjacencyStore interface {
 	// SetSuccs records the outgoing edges of a vertex (nil for a sink). The
 	// slice is copied, not retained.
-	SetSuccs(id StateID, edges []Edge)
+	SetSuccs(id StateID, edges []packedEdge)
 	// EdgesFrom streams the outgoing edges of a vertex in recorded order.
 	EdgesFrom(id StateID) iter.Seq[Edge]
 	// Targets appends the successor IDs of a vertex to buf in recorded
@@ -165,88 +173,34 @@ func stringBytes(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
-// labelDict is the small dictionary behind the packed in-RAM edges and
-// predecessor links: the distinct tasks in first-seen order and, per task,
-// the distinct actions seen on it. A system has a few dozen tasks and a
-// handful of actions per task (21 and 7 on registervote n=3's 17.6M
-// edges), so both levels are searched linearly — no map on the serial
-// barrier — and an edge label shrinks from two structs of four string
-// headers to two uint16 indices. The zero value is an empty dictionary.
-type labelDict struct {
-	tasks []ioa.Task
-	acts  [][]ioa.Action // acts[t]: actions seen on tasks[t]
-}
-
-// index resolves a label to its dictionary indices, inserting it on first
-// sight. hint is where the task scan starts: expansion emits a vertex's
-// edges in sys.Tasks() order and the dictionary fills in that same order,
-// so the task after the previous edge's is nearly always the first probe.
-// The memoised transitions hand back pointer-identical strings, so the
-// struct compares short-circuit without touching string bytes. A task
-// whose action list is full continues in a second entry for the same task.
-func (d *labelDict) index(task ioa.Task, act ioa.Action, hint int) (t, a uint16) {
-	n, room := len(d.tasks), -1
-	for k := 0; k < n; k++ {
-		c := hint + k
-		if c >= n {
-			c -= n
-		}
-		if d.tasks[c] != task {
-			continue
-		}
-		acts := d.acts[c]
-		for i := range acts {
-			if acts[i] == act {
-				return uint16(c), uint16(i)
-			}
-		}
-		if room < 0 && len(acts) <= math.MaxUint16 {
-			room = c
-		}
-	}
-	if room < 0 {
-		if n > math.MaxUint16 {
-			panic("explore: label dictionary: more than 65536 task entries")
-		}
-		room = n
-		d.tasks = append(d.tasks, task)
-		d.acts = append(d.acts, nil)
-	}
-	d.acts[room] = append(d.acts[room], act)
-	return uint16(room), uint16(len(d.acts[room]) - 1)
-}
-
-// packedEdge is a stored edge: the target and the label's dictionary
-// indices. Pointer-free, so the garbage collector never scans the edge
-// relation.
+// packedEdge is an edge as the level loops write it and the in-RAM backend
+// stores it: the target and the transition's label (task index, action
+// number), which the building System resolves. Pointer-free, so the garbage
+// collector never scans the edge relation. As a predecessor link, to is the
+// source and noState marks a root.
 type packedEdge struct {
-	to        StateID
-	task, act uint16
+	to StateID
+	system.Label
 }
 
 // packedAdjacency is the dense backend's adjacency face: every edge of the
 // graph in one flat slice of 8-byte packedEdges, vertex id's at
-// edges[ends[id-1]:ends[id]]. SetSuccs copies, so callers may reuse the
-// slice they pass.
+// edges[ends[id-1]:ends[id]], labels resolved by sys on the way out. SetSuccs
+// copies, so callers may reuse the slice they pass.
 type packedAdjacency struct {
-	labels labelDict
-	edges  []packedEdge
-	ends   []uint32 // one per recorded vertex
+	sys   *system.System
+	edges []packedEdge
+	ends  []uint32 // one per recorded vertex
 }
 
-// SetSuccs packs a vertex's edges onto the end of the flat slice. Like the
+// SetSuccs copies a vertex's edges onto the end of the flat slice. Like the
 // spill backend it relies on the write contract — one call per vertex, in
 // increasing gap-free ID order — and panics on a violation.
-func (a *packedAdjacency) SetSuccs(id StateID, edges []Edge) {
+func (a *packedAdjacency) SetSuccs(id StateID, edges []packedEdge) {
 	if int(id) != len(a.ends) {
 		panic(fmt.Sprintf("explore: SetSuccs(%d) out of order (next unrecorded vertex is %d)", id, len(a.ends)))
 	}
-	hint := 0
-	for _, e := range edges {
-		t, act := a.labels.index(e.Task, e.Action, hint)
-		a.edges = append(a.edges, packedEdge{to: e.To, task: t, act: act})
-		hint = int(t) + 1
-	}
+	a.edges = append(a.edges, edges...)
 	if len(a.edges) > math.MaxUint32 {
 		panic("explore: in-memory adjacency: more than 2^32 edges")
 	}
@@ -262,8 +216,13 @@ func (a *packedAdjacency) EdgesFrom(id StateID) iter.Seq[Edge] {
 		if id > 0 {
 			lo = a.ends[id-1]
 		}
+		var out Edge // resolved in place: an Edge is 112 bytes of mostly strings
+		tasks := a.sys.Tasks()
 		for _, e := range a.edges[lo:a.ends[id]] {
-			if !yield(Edge{Task: a.labels.tasks[e.task], Action: a.labels.acts[e.task][e.act], To: e.to}) {
+			out.To = e.to
+			out.Task = tasks[e.Task]
+			_, out.Action = a.sys.Resolve(e.Label)
+			if !yield(out) {
 				return
 			}
 		}
@@ -286,35 +245,29 @@ func (a *packedAdjacency) Targets(id StateID, buf []StateID) []StateID {
 
 func (a *packedAdjacency) SealLevel() {}
 
-// predTable holds the optional BFS-tree predecessor links of a backend,
-// packed like the edges (8 bytes per vertex against its own labelDict;
-// roots carry noState as their source). With keep == false
-// (WithoutWitnesses) nothing is recorded and every Pred read is the zero
-// link.
+// predTable holds the optional BFS-tree predecessor links of a backend, one
+// packedEdge per vertex. resolve turns a link's label back into the task and
+// action: the building System's Resolve, or the persisted dictionaries of a
+// reopened graph. With keep == false (WithoutWitnesses) nothing is recorded
+// and every Pred read is the zero link.
 type predTable struct {
-	keep   bool
-	labels labelDict
-	list   []packedEdge // to is the predecessor
+	keep    bool
+	resolve func(system.Label) (ioa.Task, ioa.Action)
+	list    []packedEdge // to is the predecessor
 }
 
-func (p *predTable) add(pr pred) {
-	if !p.keep {
-		return
+func (p *predTable) add(link packedEdge) {
+	if p.keep {
+		p.list = append(p.list, link)
 	}
-	if !pr.has {
-		p.list = append(p.list, packedEdge{to: noState})
-		return
-	}
-	t, a := p.labels.index(pr.task, pr.act, 0)
-	p.list = append(p.list, packedEdge{to: pr.from, task: t, act: a})
 }
 
 func (p *predTable) Pred(id StateID) pred {
 	if uint(id) >= uint(len(p.list)) || p.list[id].to == noState {
 		return pred{}
 	}
-	e := p.list[id]
-	return pred{from: e.to, task: p.labels.tasks[e.task], act: p.labels.acts[e.task][e.act], has: true}
+	task, act := p.resolve(p.list[id].Label)
+	return pred{from: p.list[id].to, task: task, act: act, has: true}
 }
 
 // denseStore is the in-RAM backend. A vertex is keyed on its cell-index
@@ -326,9 +279,8 @@ func (p *predTable) Pred(id StateID) pred {
 // key plus 8–16 table bytes on top of the representative state. Canonical
 // fingerprints are not kept: Fingerprint encodes the state when asked.
 type denseStore struct {
-	packedAdjacency
+	packedAdjacency // holds sys
 	predTable
-	sys    *system.System
 	stride int      // key bytes per vertex
 	keys   []byte   // vertex id's key at keys[id*stride:][:stride]
 	table  []uint32 // 0 = empty, else vertex id + 1; len is a power of two
@@ -344,11 +296,11 @@ const denseInitialSlots = 2048
 
 func newDenseStore(sys *system.System, witnesses bool) *denseStore {
 	return &denseStore{
-		sys:       sys,
-		stride:    4 * (len(sys.ProcessIDs()) + len(sys.ServiceIDs())),
-		table:     make([]uint32, denseInitialSlots),
-		hash:      keyHash,
-		predTable: predTable{keep: witnesses},
+		packedAdjacency: packedAdjacency{sys: sys},
+		predTable:       predTable{keep: witnesses, resolve: sys.Resolve},
+		stride:          4 * (len(sys.ProcessIDs()) + len(sys.ServiceIDs())),
+		table:           make([]uint32, denseInitialSlots),
+		hash:            keyHash,
 	}
 }
 
@@ -366,6 +318,11 @@ func (s *denseStore) Len() int { return len(s.states) }
 
 func (s *denseStore) AppendKey(dst []byte, st system.State) []byte {
 	return s.sys.AppendKey(dst, st)
+}
+
+// AppendSuccKey overwrites the at most two indices d replaced in a copy of key.
+func (s *denseStore) AppendSuccKey(dst, key []byte, _ system.State, d system.Delta) []byte {
+	return s.sys.AppendSuccKey(dst, key, d)
 }
 
 func (s *denseStore) key(id int) []byte { return s.keys[id*s.stride:][:s.stride] }
@@ -405,7 +362,7 @@ func (s *denseStore) LookupFingerprint(fp string) (StateID, bool) {
 	return s.Lookup(s.sys.AppendKey(buf[:0], st))
 }
 
-func (s *denseStore) Intern(key string, st system.State, p pred) (StateID, bool) {
+func (s *denseStore) Intern(key string, st system.State, p packedEdge) (StateID, bool) {
 	if len(key) != s.stride {
 		panic(fmt.Sprintf("explore: dense store: %d-byte key, the stride is %d", len(key), s.stride))
 	}

@@ -9,7 +9,6 @@ package explore
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 
@@ -163,6 +162,96 @@ func TestDenseKeyLookupAllocs(t *testing.T) {
 	})
 }
 
+// TestSuccKeyIsTheKey holds both backends to the seam's successor keying: for
+// every vertex of a graph and every applicable task, the key AppendSuccKey
+// derives from the parent's key and the step's delta is byte for byte the key
+// AppendKey gives the materialised successor, and resolves to the edge's
+// target.
+func TestSuccKeyIsTheKey(t *testing.T) {
+	sys, err := protocols.BuildForward(3, 1, service.Adversarial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []StoreKind{StoreDense, StoreSpill} {
+		g, err := BuildGraph(sys, []systemState{stateAfterInputs(t, sys)}, BuildOptions{Workers: 1, Store: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := range StateID(g.Size()) {
+			st, _ := g.State(id)
+			pkey := g.store.AppendKey(nil, st)
+			edges := slices.Collect(g.store.EdgesFrom(id))
+			for i := range sys.Tasks() {
+				d, _, ok, err := sys.Step(st, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					continue
+				}
+				got, want := g.store.AppendSuccKey(nil, pkey, st, d), g.store.AppendKey(nil, st.With(d))
+				if string(got) != string(want) {
+					t.Fatalf("%v: state %d task %d: key from the delta %x, of the successor %x", kind, id, i, got, want)
+				}
+				if to, found := g.store.Lookup(got); !found || to != edges[0].To {
+					t.Fatalf("%v: state %d task %d: key resolves to %d (%v), the edge leads to %d", kind, id, i, to, found, edges[0].To)
+				}
+				edges = edges[1:]
+			}
+			if len(edges) != 0 {
+				t.Fatalf("%v: state %d: %d edges no task stepped to", kind, id, len(edges))
+			}
+		}
+		if err := CloseGraphStore(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStoredSuccessorAllocs pins the level loops' per-successor body on the
+// dense store without symmetry: a successor the store already holds — 86 % of
+// them on forward n=5 — is stepped, keyed from its parent's key and the
+// step's delta, and looked up without one allocation; no State is built.
+func TestStoredSuccessorAllocs(t *testing.T) {
+	sys, err := protocols.BuildForward(3, 1, service.Adversarial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := BuildGraph(sys, []systemState{stateAfterInputs(t, sys)}, BuildOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := make([]systemState, g.Size())
+	for id := range states {
+		states[id], _ = g.State(StateID(id))
+	}
+	pkey, buf := make([]byte, 0, 64), make([]byte, 0, 64)
+	allocpin.Check(t, fmt.Sprintf("stepping the %d stored successors", g.Edges()), 20, 0, func() {
+		edges := 0
+		for id, st := range states {
+			pkey = g.store.AppendKey(pkey[:0], st)
+			i := 0
+			for t2 := range sys.Tasks() {
+				e, _, _, ok, err := g.successor(nil, st, pkey, t2, &buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					continue
+				}
+				if want := packedSuccs(g, StateID(id))[i]; e != want {
+					t.Fatalf("state %d task %d: successor %+v, the graph has %+v", id, t2, e, want)
+				}
+				i++
+			}
+			edges += i
+		}
+		if edges != g.Edges() {
+			t.Fatalf("stepped %d successors, the graph has %d edges", edges, g.Edges())
+		}
+	})
+}
+
 // TestStoreWithoutWitnesses: stores built without witnesses must record no
 // predecessor links — Pred is the zero link for every vertex, in range or
 // not — while IDs, states and fingerprints stay identical.
@@ -191,7 +280,7 @@ func TestStoreWithoutWitnesses(t *testing.T) {
 		for id := 0; id < 10; id++ {
 			st, _ := dense.State(StateID(id))
 			buf = b.store.AppendKey(buf[:0], st)
-			got, fresh := b.store.Intern(string(buf), st, pred{from: 1, has: true})
+			got, fresh := b.store.Intern(string(buf), st, packedEdge{to: 1})
 			if !fresh || got != StateID(id) {
 				t.Fatalf("%s: witness-free Intern state %d: got %d fresh=%v", b.name, id, got, fresh)
 			}
@@ -219,12 +308,12 @@ func stateAfterInputs(t *testing.T, sys *system.System) system.State {
 }
 
 // TestPackedAdjacencyRoundTrip is the property test of the in-RAM
-// adjacency (the dense store's): random edge lists — tasks in no
-// particular order, repeated labels, sinks, huge targets — handed to
-// SetSuccs come back from EdgesFrom, Graph.Succs and Graph.Succ identical
-// and in order, although the caller scribbles over and reuses its slice
-// after every call; IDs never recorded yield empty sequences; an
-// out-of-order SetSuccs panics like the spill backend's.
+// adjacency (the dense store's): random edge lists — labels of a real graph
+// of the system in no particular order, repeated, sinks, huge targets —
+// handed to SetSuccs come back from EdgesFrom, Graph.Succs and Graph.Succ
+// resolved, identical and in order, although the caller scribbles over and
+// reuses its slice after every call; IDs never recorded yield empty
+// sequences; an out-of-order SetSuccs panics like the spill backend's.
 func TestPackedAdjacencyRoundTrip(t *testing.T) {
 	// A fixed xorshift sequence: the determinism analyzer keeps math/rand
 	// out of this package, and the property needs no better randomness.
@@ -235,28 +324,43 @@ func TestPackedAdjacencyRoundTrip(t *testing.T) {
 		x ^= x << 17
 		return int(x % uint64(n))
 	}
-	label := func() (ioa.Task, ioa.Action) {
-		task := ioa.Task{Kind: ioa.TaskKind(intn(3)), Proc: intn(4), Service: fmt.Sprint("k", intn(2))}
-		return task, ioa.Action{Type: ioa.ActionType(intn(3)), Proc: task.Proc, Payload: fmt.Sprint("v", intn(6))}
+	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, b := range allBackends(t) {
+	// The labels the system has numbered: every one a build of its graph met.
+	ref, err := BuildGraph(sys, []systemState{stateAfterInputs(t, sys)}, BuildOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []system.Label
+	for _, e := range ref.store.(*denseStore).edges {
+		if !slices.Contains(labels, e.Label) {
+			labels = append(labels, e.Label)
+		}
+	}
+	if len(labels) < 10 {
+		t.Fatalf("only %d distinct labels to draw from", len(labels))
+	}
+	for _, b := range allBackends(t, sys) {
 		if b.name == "spill" {
 			continue // its own adjacency; covered by the spill suites
 		}
 		const n = 300
 		g := &Graph{store: b.store}
 		want := make([][]Edge, n)
-		var scratch []Edge
+		var scratch []packedEdge
 		for id := range want {
 			scratch = scratch[:0]
 			for range intn(10) {
-				task, act := label()
-				scratch = append(scratch, Edge{Task: task, Action: act, To: StateID(intn(1 << 32))})
+				e := packedEdge{to: StateID(intn(1 << 32)), Label: labels[intn(len(labels))]}
+				task, act := sys.Resolve(e.Label)
+				scratch = append(scratch, e)
+				want[id] = append(want[id], Edge{Task: task, Action: act, To: e.to})
 			}
-			want[id] = slices.Clone(scratch)
 			b.store.SetSuccs(StateID(id), scratch)
 			for i := range scratch {
-				scratch[i] = Edge{To: 7}
+				scratch[i] = packedEdge{to: 7}
 			}
 		}
 		for id, edges := range want {
@@ -306,7 +410,7 @@ func TestTargetsMatchesEdgesFrom(t *testing.T) {
 	// Both backends filled by hand with a prefix of the graph and a seal
 	// halfway, so the spill store answers from the edge file and from its
 	// pending buffer.
-	backends := allBackends(t)
+	backends := allBackends(t, sys)
 	for _, b := range backends {
 		fillPrefix(dense, b.store, 10)
 	}
@@ -360,49 +464,37 @@ func TestTargetsMatchesEdgesFrom(t *testing.T) {
 	}
 }
 
-// TestLabelDictOverflow: a task whose action list is full (65 536 entries)
-// continues in a second dictionary entry for the same task, and labels on
-// both sides of the boundary keep resolving to themselves.
-func TestLabelDictOverflow(t *testing.T) {
-	task := ioa.Task{Proc: 1}
-	full := make([]ioa.Action, math.MaxUint16+1)
-	for i := range full {
-		full[i] = ioa.Action{Proc: i}
-	}
-	d := labelDict{tasks: []ioa.Task{task}, acts: [][]ioa.Action{full}}
-	extra := ioa.Action{Proc: -5}
-	for range 2 {
-		if ti, ai := d.index(task, extra, 0); ti != 1 || ai != 0 || d.tasks[ti] != task || d.acts[ti][ai] != extra {
-			t.Fatalf("overflowing action resolved to (%d, %d)", ti, ai)
-		}
-		if ti, ai := d.index(task, full[40000], 1); ti != 0 || ai != 40000 {
-			t.Fatalf("action of the full entry resolved to (%d, %d)", ti, ai)
-		}
-	}
-	if len(d.tasks) != 2 || len(d.acts[0]) != len(full) {
-		t.Errorf("dictionary has %d entries, first with %d actions", len(d.tasks), len(d.acts[0]))
-	}
-}
-
-// TestPredTablePacked: predecessor links survive the packing — roots and
-// unrecorded IDs read as the zero link, everything else as stored.
+// TestPredTablePacked: predecessor links are stored as handed over and
+// resolved on the way out — roots and unrecorded IDs read as the zero link,
+// everything else through the table's resolver, here a two-row dictionary.
 func TestPredTablePacked(t *testing.T) {
-	p := predTable{keep: true}
-	links := []pred{
-		{},
-		{from: 0, task: ioa.Task{Proc: 1}, act: ioa.Action{Payload: "a"}, has: true},
-		{from: 1, task: ioa.Task{Proc: 2}, act: ioa.Action{Payload: "b"}, has: true},
-		{from: 0, task: ioa.Task{Proc: 1}, act: ioa.Action{Payload: "b"}, has: true},
+	tasks := []ioa.Task{{Proc: 1}, {Proc: 2}}
+	acts := []ioa.Action{{Payload: "a"}, {Payload: "b"}}
+	p := predTable{keep: true, resolve: func(l system.Label) (ioa.Task, ioa.Action) { return tasks[l.Task], acts[l.Act] }}
+	links := []packedEdge{
+		{to: noState},
+		{to: 0, Label: system.Label{Task: 0, Act: 0}},
+		{to: 1, Label: system.Label{Task: 1, Act: 1}},
+		{to: 0, Label: system.Label{Task: 0, Act: 1}},
 	}
 	for _, l := range links {
 		p.add(l)
 	}
 	for id, l := range links {
-		if got := p.Pred(StateID(id)); got != l {
-			t.Errorf("Pred(%d) = %+v, want %+v", id, got, l)
+		want := pred{}
+		if l.to != noState {
+			want = pred{from: l.to, task: tasks[l.Task], act: acts[l.Act], has: true}
+		}
+		if got := p.Pred(StateID(id)); got != want {
+			t.Errorf("Pred(%d) = %+v, want %+v", id, got, want)
 		}
 	}
 	if got := p.Pred(StateID(len(links))); got != (pred{}) {
 		t.Errorf("Pred past the end = %+v", got)
+	}
+	off := predTable{}
+	off.add(links[1])
+	if got := off.Pred(0); got != (pred{}) || len(off.list) != 0 {
+		t.Errorf("a table without witnesses recorded %+v", got)
 	}
 }

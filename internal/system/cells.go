@@ -1,6 +1,9 @@
 package system
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,7 +28,9 @@ import (
 // Indices: a slot numbers its cells 0, 1, 2, … as they are published, and
 // AppendKey identifies a state by those numbers. Which goroutine interned a
 // component state first decides its number, so an index is meaningful only
-// inside this process and this System, and only for equality.
+// inside this process and this System, and only for equality. The same goes
+// for action numbers: a task numbers the distinct actions it has performed
+// 0, 1, 2, … as the memo edges carrying them are published (taskInfo.number).
 //
 // Locking: the table locks guard map reads and writes only. Transitions
 // run caller-supplied code (Program handlers, a service type's δ1/δ2), so
@@ -86,7 +91,9 @@ func (t *table[K, C]) put(k K, c *C, idx *uint32) *C {
 // procSlot is one process position of the component order: the automaton
 // and the table of its interned states.
 type procSlot struct {
-	p *process.Process
+	p      *process.Process
+	task   *taskInfo      // the slot's process task
+	svcIdx map[string]int // the System's service slots by index, for invocations
 	table[string, procCell]
 }
 
@@ -101,10 +108,13 @@ type procCell struct {
 	resp table[respKey, procCell] // memo of Process.OnResponse
 }
 
-// procEdge is the memoized process task out of a cell.
+// procEdge is the memoized process task out of a cell: the action, its number
+// among the task's actions and, for an invocation, the invoked service's slot.
 type procEdge struct {
 	next *procCell
 	act  ioa.Action
+	num  uint16
+	svc  int // -1 unless act is an invocation
 }
 
 // respKey identifies a response input b_{i,c} by service index and payload.
@@ -114,7 +124,8 @@ type respKey struct {
 
 // svcSlot is one service position of the component order.
 type svcSlot struct {
-	sv *service.Service
+	sv    *service.Service
+	tasks []taskInfo // the slot's window of the task table, in sv.Tasks() order
 	table[string, svcCell]
 }
 
@@ -138,7 +149,7 @@ type svcCell struct {
 
 // svcMemo is the transition memo of one service cell.
 type svcMemo struct {
-	apply  []atomic.Pointer[svcEdge] // memo of Service.Apply, by taskIndex
+	apply  []atomic.Pointer[svcEdge] // memo of Service.Apply, by position in Tasks()
 	invoke table[invKey, svcCell]    // memo of Service.Invoke
 }
 
@@ -146,12 +157,13 @@ type svcMemo struct {
 type svcEdge struct {
 	next *svcCell
 	act  ioa.Action
+	num  uint16 // act's number among the task's actions
 }
 
 // notEnabled is the memo entry of a task with no enabled action in the
-// cell's state. It records only the applicability answer: applying such a
-// task still asks the service, so the error is reported as Service.Apply
-// reports it.
+// cell's state. It records only the applicability answer: System.Apply on
+// such a task still asks the service, so the error is reported as
+// Service.Apply reports it.
 var notEnabled = new(svcEdge)
 
 // invKey identifies an invocation input a_{i,k}.
@@ -160,29 +172,34 @@ type invKey struct {
 	inv  string
 }
 
-// taskIndex returns the position of task in the slot's Service.Tasks() order
-// (i-perform and i-output per endpoint, then g-compute per global task), or
-// -1 if the service has no such task.
-func (sl *svcSlot) taskIndex(task ioa.Task) int {
-	eps := sl.sv.Endpoints()
-	switch task.Kind {
-	case ioa.TaskPerform, ioa.TaskOutput:
-		for i, e := range eps {
-			if e == task.Proc {
-				if task.Kind == ioa.TaskOutput {
-					return 2*i + 1
-				}
-				return 2 * i
-			}
-		}
-	case ioa.TaskCompute:
-		for i, g := range sl.sv.Type().Glob {
-			if g == task.Global {
-				return 2*len(eps) + i
-			}
-		}
+// taskInfo is one row of the task table System.New resolves from Tasks():
+// where the task's participants sit in the component order, and the distinct
+// actions the task has performed so far, numbered in publication order.
+type taskInfo struct {
+	task ioa.Task
+	proc int // slot of the stepping process or of the endpoint a service task serves; -1 for a compute task
+	svc  int // service slot; -1 for a process task
+	pos  int // position in the service's Tasks()
+
+	mu   sync.Mutex                   // serializes number
+	acts atomic.Pointer[[]ioa.Action] // replaced, never written in place: readers take no lock
+}
+
+// number returns act's number among the task's actions, assigning the next one
+// on first sight. Racing publishers of one memo edge get the same number.
+func (t *taskInfo) number(act ioa.Action) (uint16, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	acts := *t.acts.Load()
+	if i := slices.Index(acts, act); i >= 0 {
+		return uint16(i), nil
 	}
-	return -1
+	if len(acts) > math.MaxUint16 {
+		return 0, fmt.Errorf("system: task %v performed more than %d distinct actions", t.task, len(acts))
+	}
+	acts = append(acts[:len(acts):len(acts)], act)
+	t.acts.Store(&acts)
+	return uint16(len(acts) - 1), nil
 }
 
 // encBufs pools the scratch buffers components are encoded into on their way
@@ -233,8 +250,7 @@ func (c *svcCell) transitions() *svcMemo {
 	if m := c.memo.Load(); m != nil {
 		return m
 	}
-	sv := c.home.sv
-	m := &svcMemo{apply: make([]atomic.Pointer[svcEdge], 2*len(sv.Endpoints())+len(sv.Type().Glob))}
+	m := &svcMemo{apply: make([]atomic.Pointer[svcEdge], len(c.home.tasks))}
 	if !c.memo.CompareAndSwap(nil, m) {
 		return c.memo.Load()
 	}
@@ -300,15 +316,28 @@ func (sl *svcSlot) renamed(c *svcCell, rename func(int) int) *svcCell {
 	return r
 }
 
-// stepped returns the memoized process task out of c.
-func (c *procCell) stepped() *procEdge {
+// stepped returns the memoized process task out of c. An invocation of a
+// service the System does not have is an error, not memoized.
+func (c *procCell) stepped() (*procEdge, error) {
 	if e := c.step.Load(); e != nil {
-		return e
+		return e, nil
 	}
-	ps, act := c.home.p.Step(c.st)
-	e := &procEdge{next: c.home.intern(ps), act: act}
+	sl := c.home
+	ps, act := sl.p.Step(c.st)
+	svc := -1
+	if act.Type == ioa.ActInvoke {
+		var ok bool
+		if svc, ok = sl.svcIdx[act.Service]; !ok {
+			return nil, fmt.Errorf("%w: %s (invoked by P%d)", ErrUnknownService, act.Service, sl.p.ID())
+		}
+	}
+	num, err := sl.task.number(act)
+	if err != nil {
+		return nil, err
+	}
+	e := &procEdge{next: sl.intern(ps), act: act, num: num, svc: svc}
 	c.step.Store(e)
-	return e
+	return e, nil
 }
 
 // responded returns the cell c moves to on response resp from service svc.
@@ -336,48 +365,28 @@ func (c *svcCell) invoked(proc int, inv string) (*svcCell, error) {
 	return memo.put(key, c.home.intern(ss), nil), nil
 }
 
-// applicable reports whether task has an enabled action in c's state under
-// the slot's service. c may belong to another slot's table (a state decoded
-// by another System), whose memo answers for another service; its state is
-// then asked directly.
-func (sl *svcSlot) applicable(c *svcCell, task ioa.Task) bool {
-	idx := sl.taskIndex(task)
-	if idx < 0 {
-		return false
-	}
-	if c.home != sl {
-		_, ok := sl.sv.Enabled(c.st, task)
-		return ok
-	}
-	memo := &c.transitions().apply[idx]
+// performed returns the memoized service task at position pos of the slot's
+// Tasks() out of c: notEnabled when the task has no enabled action in c's
+// state, an error — not memoized — for any other refusal of Service.Apply.
+func (c *svcCell) performed(pos int) (*svcEdge, error) {
+	memo := &c.transitions().apply[pos]
 	if e := memo.Load(); e != nil {
-		return e != notEnabled
+		return e, nil
 	}
-	_, ok := sl.sv.Enabled(c.st, task)
-	if !ok {
+	sv, info := c.home.sv, &c.home.tasks[pos]
+	if _, enabled := sv.Enabled(c.st, info.task); !enabled {
 		memo.Store(notEnabled)
+		return notEnabled, nil
 	}
-	return ok
-}
-
-// performed returns the memoized service task out of c. Tasks with no
-// enabled action are reported as Service.Apply reports them and are not
-// memoized.
-func (c *svcCell) performed(task ioa.Task) (*svcEdge, error) {
-	var memo *atomic.Pointer[svcEdge]
-	if idx := c.home.taskIndex(task); idx >= 0 {
-		memo = &c.transitions().apply[idx]
-		if e := memo.Load(); e != nil && e != notEnabled {
-			return e, nil
-		}
-	}
-	ss, act, err := c.home.sv.Apply(c.st, task)
+	ss, act, err := sv.Apply(c.st, info.task)
 	if err != nil {
 		return nil, err
 	}
-	e := &svcEdge{next: c.home.intern(ss), act: act}
-	if memo != nil {
-		memo.Store(e)
+	num, err := info.number(act)
+	if err != nil {
+		return nil, err
 	}
+	e := &svcEdge{next: c.home.intern(ss), act: act, num: num}
+	memo.Store(e)
 	return e, nil
 }

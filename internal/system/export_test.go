@@ -1,6 +1,7 @@
 package system
 
 import (
+	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/process"
 	"github.com/ioa-lab/boosting/internal/service"
 )
@@ -45,4 +46,14 @@ func (s *System) CellIndices() (procs, svcs []map[string]uint32) {
 		svcs = append(svcs, m)
 	}
 	return procs, svcs
+}
+
+// TaskActions returns, per task of Tasks(), the actions the task has performed
+// so far in the order they were numbered.
+func (s *System) TaskActions() [][]ioa.Action {
+	out := make([][]ioa.Action, len(s.table))
+	for t := range s.table {
+		out[t] = *s.table[t].acts.Load()
+	}
+	return out
 }

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -55,6 +56,9 @@ type System struct {
 	svcIDs  []string
 	svcIdx  map[string]int
 	tasks   []ioa.Task
+	// table resolves tasks[t] once, at New, into slots and positions, and
+	// numbers the actions the task performs (cells.go).
+	table []taskInfo
 	// procSlots and svcSlots hold, per slot, the automaton and its cell
 	// table. Cells point back at their slot, so the slices are sized once
 	// in New and never reallocated.
@@ -111,6 +115,27 @@ func New(procs []*process.Process, svcs []*service.Service) (*System, error) {
 	}
 	for _, k := range s.svcIDs {
 		s.tasks = append(s.tasks, s.svcs[k].Tasks()...)
+	}
+	if len(s.tasks) > math.MaxUint16 {
+		return nil, fmt.Errorf("system: %d tasks, a Label addresses %d", len(s.tasks), math.MaxUint16)
+	}
+	s.table = make([]taskInfo, len(s.tasks))
+	for t, task := range s.tasks {
+		info := &s.table[t]
+		info.task, info.proc, info.svc = task, -1, -1
+		info.acts.Store(new([]ioa.Action))
+		if task.Kind != ioa.TaskCompute {
+			info.proc = s.procIdx[task.Proc]
+		}
+		if task.Kind == ioa.TaskProcess {
+			s.procSlots[info.proc].task, s.procSlots[info.proc].svcIdx = info, s.svcIdx
+			continue
+		}
+		// A service's tasks are consecutive: its window grows by this one.
+		info.svc = s.svcIdx[task.Service]
+		sl := &s.svcSlots[info.svc]
+		info.pos = len(sl.tasks)
+		sl.tasks = s.table[t-info.pos : t+1]
 	}
 	return s, nil
 }
@@ -199,23 +224,6 @@ func (st State) Equal(other State) bool {
 		}
 	}
 	return true
-}
-
-// withProc returns st with the process cell of one slot replaced
-// (copy-on-write).
-func (st State) withProc(slot int, c *procCell) State {
-	procs := make([]*procCell, len(st.procs))
-	copy(procs, st.procs)
-	procs[slot] = c
-	return State{procs: procs, svcs: st.svcs}
-}
-
-// withSvc returns st with the service cell of one slot replaced.
-func (st State) withSvc(slot int, c *svcCell) State {
-	svcs := make([]*svcCell, len(st.svcs))
-	copy(svcs, st.svcs)
-	svcs[slot] = c
-	return State{procs: st.procs, svcs: svcs}
 }
 
 // InitialState returns the start state of C.
@@ -345,10 +353,22 @@ func (s *System) Fingerprint(st State) string {
 // a state copies the cached encodings and allocates nothing. The encoding
 // does not depend on which System's cells st points into.
 func (s *System) AppendFingerprint(dst []byte, st State) []byte {
-	for _, c := range st.procs {
+	return s.AppendSuccFingerprint(dst, st, Delta{})
+}
+
+// AppendSuccFingerprint appends the canonical encoding of st.With(d) without
+// building that state: st's cached encodings with d's substituted.
+func (s *System) AppendSuccFingerprint(dst []byte, st State, d Delta) []byte {
+	for i, c := range st.procs {
+		if d.proc != nil && i == d.procSlot {
+			c = d.proc
+		}
 		dst = append(dst, c.enc...)
 	}
-	for _, c := range st.svcs {
+	for i, c := range st.svcs {
+		if d.svc != nil && i == d.svcSlot {
+			c = d.svc
+		}
 		dst = append(dst, c.enc...)
 	}
 	return dst
@@ -372,6 +392,20 @@ func (s *System) AppendKey(dst []byte, st State) []byte {
 	return dst
 }
 
+// AppendSuccKey appends AppendKey of st.With(d) given key, AppendKey of st: a
+// copy with at most two indices overwritten. d's cells are this System's own.
+func (s *System) AppendSuccKey(dst, key []byte, d Delta) []byte {
+	n := len(dst)
+	dst = append(dst, key...)
+	if d.proc != nil {
+		binary.LittleEndian.PutUint32(dst[n+4*d.procSlot:], d.proc.idx)
+	}
+	if d.svc != nil {
+		binary.LittleEndian.PutUint32(dst[n+4*(len(s.procSlots)+d.svcSlot):], d.svc.idx)
+	}
+	return dst
+}
+
 // Init delivers the external input init(v)_i.
 func (s *System) Init(st State, i int, v string) (State, ioa.Action, error) {
 	slot, ok := s.procIdx[i]
@@ -379,7 +413,7 @@ func (s *System) Init(st State, i int, v string) (State, ioa.Action, error) {
 		return st, ioa.Action{}, fmt.Errorf("%w: %d", ErrUnknownProcess, i)
 	}
 	sl := &s.procSlots[slot]
-	next := st.withProc(slot, sl.intern(sl.p.OnInit(st.procs[slot].st, v)))
+	next := st.With(Delta{proc: sl.intern(sl.p.OnInit(st.procs[slot].st, v)), procSlot: slot})
 	return next, ioa.Action{Type: ioa.ActInit, Proc: i, Payload: v}, nil
 }
 
@@ -391,7 +425,7 @@ func (s *System) Fail(st State, i int) (State, ioa.Action, error) {
 		return st, ioa.Action{}, fmt.Errorf("%w: %d", ErrUnknownProcess, i)
 	}
 	sl := &s.procSlots[slot]
-	next := st.withProc(slot, sl.intern(sl.p.Fail(st.procs[slot].st)))
+	next := st.With(Delta{proc: sl.intern(sl.p.Fail(st.procs[slot].st)), procSlot: slot})
 	svcs := make([]*svcCell, len(st.svcs))
 	copy(svcs, st.svcs)
 	for idx := range s.svcSlots {
@@ -403,118 +437,154 @@ func (s *System) Fail(st State, i int) (State, ioa.Action, error) {
 	return next, ioa.Action{Type: ioa.ActFail, Proc: i}, nil
 }
 
+// Delta is a successor as its difference from the parent: the process cell
+// and the service cell the step replaced, nil where the component did not
+// move. A non-fail action has at most two participants (Section 2.2.3), one
+// process and one service. The cells are the stepping System's own.
+type Delta struct {
+	proc              *procCell
+	svc               *svcCell
+	procSlot, svcSlot int
+}
+
+// With returns the successor d describes: st with d's cells in place, sharing
+// every slice d does not touch.
+func (st State) With(d Delta) State {
+	if d.proc != nil {
+		st.procs = slices.Clone(st.procs)
+		st.procs[d.procSlot] = d.proc
+	}
+	if d.svc != nil {
+		st.svcs = slices.Clone(st.svcs)
+		st.svcs[d.svcSlot] = d.svc
+	}
+	return st
+}
+
+// Label names the action a step performed: the task's index in Tasks() and
+// the action's number among the distinct actions that task has performed in
+// this System, in the order their memo edges were published. Like a cell
+// index, an action number depends on who stepped what first: it means
+// something only to this System's Resolve and must never be shown, persisted
+// or ordered by.
+type Label struct {
+	Task, Act uint16
+}
+
+// Resolve returns the task and the action a label Step returned stands for.
+func (s *System) Resolve(l Label) (ioa.Task, ioa.Action) {
+	return s.tasks[l.Task], (*s.table[l.Task].acts.Load())[l.Act]
+}
+
+// Step runs task Tasks()[t] from st and answers applicability and transition
+// together: ok = false if the task has no enabled action in st (Lemma 1's
+// applicability), otherwise the successor as a Delta and the action as a
+// Label. It is the one stepping implementation; Apply, Applicable and Enabled
+// wrap it. The automata are deterministic (Section 3.1: one transition per
+// task per state), so each participant's transition is looked up in the memo
+// of its cell and computed by the component automaton only the first time
+// that cell takes it: on a memo hit Step builds no State, copies no Action
+// and allocates nothing. st may point into another System's cells (a state
+// read from one candidate's graph and run under a same-shape variant): the
+// participants are re-homed into this System's tables first, so the
+// transition taken is always this System's.
+func (s *System) Step(st State, t int) (d Delta, l Label, ok bool, err error) {
+	info := &s.table[t]
+	l.Task = uint16(t)
+	if info.svc < 0 {
+		// The process task is always applicable (dummy step at worst). If
+		// it emits an invocation, the target service takes the matching
+		// input transition in the same step.
+		have := st.procs[info.proc]
+		e, err := s.procSlots[info.proc].adopt(have).stepped()
+		if err != nil {
+			return Delta{}, l, true, err
+		}
+		if e.next != have {
+			d.proc, d.procSlot = e.next, info.proc
+		}
+		if e.svc >= 0 {
+			d.svc, err = s.svcSlots[e.svc].adopt(st.svcs[e.svc]).invoked(e.act.Proc, e.act.Payload)
+			if err != nil {
+				return Delta{}, l, true, fmt.Errorf("P%d invoking %s: %w", e.act.Proc, e.act.Service, err)
+			}
+			d.svcSlot = e.svc
+		}
+		l.Act = e.num
+		return d, l, true, nil
+	}
+	have := st.svcs[info.svc]
+	e, err := s.svcSlots[info.svc].adopt(have).performed(info.pos)
+	if err != nil || e == notEnabled {
+		return Delta{}, l, false, err
+	}
+	if e.next != have {
+		d.svc, d.svcSlot = e.next, info.svc
+	}
+	if e.act.Type == ioa.ActRespond {
+		// A real response b_{i,k} of an i-output task: P_i takes the
+		// matching input transition in the same step.
+		have := st.procs[info.proc]
+		if pc := s.procSlots[info.proc].adopt(have).responded(e.act.Service, e.act.Payload); pc != have {
+			d.proc, d.procSlot = pc, info.proc
+		}
+	}
+	l.Act = e.num
+	return d, l, true, nil
+}
+
+// stepTask is Step for a task given by value; a task the System does not
+// have is not applicable.
+func (s *System) stepTask(st State, task ioa.Task) (Delta, Label, bool, error) {
+	if t := slices.Index(s.tasks, task); t >= 0 {
+		return s.Step(st, t)
+	}
+	return Delta{}, Label{}, false, nil
+}
+
 // Enabled returns the action the given task would perform in st, with
 // ok = false if the task is not applicable.
 func (s *System) Enabled(st State, task ioa.Task) (ioa.Action, bool) {
-	switch task.Kind {
-	case ioa.TaskProcess:
-		p, ok := s.procs[task.Proc]
-		if !ok {
-			return ioa.Action{}, false
-		}
-		// The process task is always applicable (dummy step at worst).
-		return p.Enabled(s.ProcState(st, task.Proc)), true
-	case ioa.TaskPerform, ioa.TaskOutput, ioa.TaskCompute:
-		sv, ok := s.svcs[task.Service]
-		if !ok {
-			return ioa.Action{}, false
-		}
-		return sv.Enabled(s.SvcState(st, task.Service), task)
-	default:
+	_, l, ok, err := s.stepTask(st, task)
+	if !ok || err != nil {
 		return ioa.Action{}, false
 	}
+	_, act := s.Resolve(l)
+	return act, true
 }
 
 // Applicable reports whether the task has an enabled action in st
-// (the applicability notion of Lemma 1). The answer is a function of the one
-// component that owns the task, so it is memoized in that component's cell.
+// (the applicability notion of Lemma 1).
 func (s *System) Applicable(st State, task ioa.Task) bool {
-	switch task.Kind {
-	case ioa.TaskProcess:
-		// The process task is always applicable (dummy step at worst).
-		_, ok := s.procIdx[task.Proc]
-		return ok
-	case ioa.TaskPerform, ioa.TaskOutput, ioa.TaskCompute:
-		svc, ok := s.svcIdx[task.Service]
-		return ok && s.svcSlots[svc].applicable(st.svcs[svc], task)
-	default:
-		return false
-	}
+	_, _, ok, err := s.stepTask(st, task)
+	return ok || err != nil
 }
 
 // Apply runs one task of the composed system, performing the matched
-// transitions of all participants of the resulting action. The automata are
-// deterministic (Section 3.1: one transition per task per state), so each
-// participant's transition is looked up in the memo of its cell and computed
-// by the component automaton only the first time that cell takes it; the
-// successor shares every cell the action did not touch. st may point into
-// another System's cells (a state read from one candidate's graph and run
-// under a same-shape variant): the participants are re-homed into this
-// System's tables first, so the transition taken is always this System's.
+// transitions of all participants of the resulting action: Step's delta put
+// into st, Step's label resolved. A task that is not applicable is refused by
+// kind — an unknown process or service, or, for a service's task, the error
+// Service.Apply gives it.
 func (s *System) Apply(st State, task ioa.Task) (State, ioa.Action, error) {
-	switch task.Kind {
-	case ioa.TaskProcess:
-		return s.applyProcess(st, task)
-	case ioa.TaskPerform, ioa.TaskCompute, ioa.TaskOutput:
-		return s.applyService(st, task)
-	default:
-		return st, ioa.Action{}, fmt.Errorf("%w: %v", ErrNotApplicable, task)
-	}
-}
-
-// applyProcess runs a process task. If the emitted action is an invocation,
-// the target service takes the matching input transition in the same step.
-func (s *System) applyProcess(st State, task ioa.Task) (State, ioa.Action, error) {
-	slot, ok := s.procIdx[task.Proc]
-	if !ok {
-		return st, ioa.Action{}, fmt.Errorf("%w: %d", ErrUnknownProcess, task.Proc)
-	}
-	e := s.procSlots[slot].adopt(st.procs[slot]).stepped()
-	next := st
-	if e.next != st.procs[slot] {
-		next = st.withProc(slot, e.next)
-	}
-	if e.act.Type == ioa.ActInvoke {
-		svc, ok := s.svcIdx[e.act.Service]
-		if !ok {
-			return st, ioa.Action{}, fmt.Errorf("%w: %s (invoked by P%d)", ErrUnknownService, e.act.Service, task.Proc)
+	d, l, ok, err := s.stepTask(st, task)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %v", ErrNotApplicable, task)
+		switch task.Kind {
+		case ioa.TaskProcess:
+			err = fmt.Errorf("%w: %d", ErrUnknownProcess, task.Proc)
+		case ioa.TaskPerform, ioa.TaskCompute, ioa.TaskOutput:
+			if svc, known := s.svcIdx[task.Service]; !known {
+				err = fmt.Errorf("%w: %s", ErrUnknownService, task.Service)
+			} else if _, _, refused := s.svcSlots[svc].sv.Apply(st.svcs[svc].st, task); refused != nil {
+				err = refused
+			}
 		}
-		sc, err := s.svcSlots[svc].adopt(st.svcs[svc]).invoked(task.Proc, e.act.Payload)
-		if err != nil {
-			return st, ioa.Action{}, fmt.Errorf("P%d invoking %s: %w", task.Proc, e.act.Service, err)
-		}
-		next = next.withSvc(svc, sc)
 	}
-	return next, e.act, nil
-}
-
-// applyService runs a service task. If it is an i-output task and the
-// emitted action is a real response b_{i,k}, process P_i takes the matching
-// input transition in the same step.
-func (s *System) applyService(st State, task ioa.Task) (State, ioa.Action, error) {
-	svc, ok := s.svcIdx[task.Service]
-	if !ok {
-		return st, ioa.Action{}, fmt.Errorf("%w: %s", ErrUnknownService, task.Service)
-	}
-	e, err := s.svcSlots[svc].adopt(st.svcs[svc]).performed(task)
 	if err != nil {
 		return st, ioa.Action{}, err
 	}
-	next := st
-	if e.next != st.svcs[svc] {
-		next = st.withSvc(svc, e.next)
-	}
-	if task.Kind == ioa.TaskOutput && e.act.Type == ioa.ActRespond {
-		slot, ok := s.procIdx[e.act.Proc]
-		if !ok {
-			return st, ioa.Action{}, fmt.Errorf("%w: %d", ErrUnknownProcess, e.act.Proc)
-		}
-		pc := s.procSlots[slot].adopt(st.procs[slot]).responded(task.Service, e.act.Payload)
-		if pc != st.procs[slot] {
-			next = next.withProc(slot, pc)
-		}
-	}
-	return next, e.act, nil
+	_, act := s.Resolve(l)
+	return st.With(d), act, nil
 }
 
 // Participants returns the names of the automata participating in the action

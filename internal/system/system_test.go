@@ -2,6 +2,7 @@ package system
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/ioa-lab/boosting/internal/ioa"
@@ -316,4 +317,28 @@ func TestAdversarialObjectSilencedByFailures(t *testing.T) {
 	// The register r0 is wait-free: still serving P0.
 	st, _, _ = sys.Init(st, 0, "0") // no-op for protocol; keep st used
 	_ = st
+}
+
+// TestActionNumbersRunOut: a Label holds an action number in 16 bits. A task
+// that has performed 65 536 distinct actions keeps resolving those, and
+// numbering one more is an error of the step, not a wrapped number.
+func TestActionNumbersRunOut(t *testing.T) {
+	info := taskInfo{task: ioa.ProcessTask(1)}
+	info.acts.Store(new([]ioa.Action))
+	full := make([]ioa.Action, math.MaxUint16+1)
+	for i := range full {
+		full[i] = ioa.Action{Proc: i}
+	}
+	info.acts.Store(&full)
+	for range 2 {
+		if num, err := info.number(full[40000]); err != nil || num != 40000 {
+			t.Fatalf("a numbered action resolved to %d, %v", num, err)
+		}
+		if num, err := info.number(ioa.Action{Proc: -5}); err == nil {
+			t.Fatalf("action 65 537 was numbered %d", num)
+		}
+	}
+	if got := len(*info.acts.Load()); got != len(full) {
+		t.Errorf("the numbering holds %d actions, want %d", got, len(full))
+	}
 }
