@@ -30,11 +30,16 @@ test:
 # be touched by that worker and, at the barrier, the coordinator only — which
 # goroutine runs which chunk when differs per run, and -race is what would
 # show a second goroutine in a table — and the handler panic recovered on an
-# expansion worker, whose error the coordinator reads at the barrier.
+# expansion worker, whose error the coordinator reads at the barrier — and the
+# segment-boundary parity of the dense store at 2 and 3 workers: with one to
+# seven vertices a segment the coordinator appends a segment to the keys,
+# states and edges directories at nearly every intern, and the workers of the
+# next level read through those directory slice headers, which is what a
+# missing barrier would race on.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentApply|TestConcurrentCellIndices|TestConcurrentActionNumbers' ./internal/system
-	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestHandlerPanicFailsTheBuild|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
+	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestSegmentBoundaryParity/workers=[23]|TestHandlerPanicFailsTheBuild|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
 
 # Benchmark smoke run: every benchmark once, no timing rigour. Use
 # `$(GO) test -bench=. -benchmem ./...` for real measurements.
@@ -56,7 +61,11 @@ bench-quick:
 # spilled adjacency (edge file + witness-free builds), with -benchmem.
 # E22 carries the serial vs worker-pool rows on forward n=5 and the
 # forward n=6 quotient, plus forward-n5-cold (a fresh System per build: what
-# one op of the time-to-verdict harness allocates, E39). BenchmarkStep is the
+# one op of the time-to-verdict harness allocates, E39).
+# BenchmarkStoreBackends/forward-n6/dense is the B/op sentinel of the dense
+# store's segments: 26.6 MB an op for a graph that retains 24.9 (E40; 82.4 MB
+# while keys, states and edges grew by append-doubling) — a store change that
+# reallocates what it holds shows there first. BenchmarkStep is the
 # stepping primitive's hit path in internal/system: ns per step, 0 allocs/op.
 # B/op and allocs/op are stable at low iteration counts, so a short
 # fixed benchtime keeps this cheap enough to run per-PR; CI uploads the

@@ -436,8 +436,9 @@ func workerSweep() []int {
 // parallel speedup on this machine. Every row but the last reuses one System,
 // so its cell tables and transition memo are warm after the first iteration;
 // forward-n5-cold composes a fresh System per iteration, which is what a
-// `New → ClassifyInits → Close` of the time-to-verdict harness pays (E39 holds
-// its workers=2 row to ≤ 95 k allocations and ≤ 20 MB an op).
+// `New → ClassifyInits → Close` of the time-to-verdict harness pays (E40 holds
+// its workers=2 row to ≤ 95 k allocations and ≤ 12.5 MB an op: 92.2 k · 11.53
+// MB measured; ≤ 20 MB in E39, while the dense store grew by append-doubling).
 func BenchmarkBuildGraphWorkers(b *testing.B) {
 	forward := func(n int) func() (*system.System, error) {
 		return func() (*system.System, error) { return protocols.BuildForward(n, 0, service.Adversarial) }
@@ -785,7 +786,8 @@ func BenchmarkFairnessAudit(b *testing.B) {
 // The timed loop measures build time and per-build allocation churn
 // (-benchmem); retainedB/state is the live heap the finished graph keeps per
 // vertex — what keying on cell-index tuples shrank below the deleted
-// hash-compaction store's.
+// hash-compaction store's. forward-n6/dense is the B/op sentinel of the
+// store's fixed-capacity segments (E40): ≤ 30 MB an op, 82.4 before them.
 func BenchmarkStoreBackends(b *testing.B) {
 	for _, n := range []int{4, 5, 6} {
 		b.Run(fmt.Sprintf("forward-n%d/dense", n), func(b *testing.B) {

@@ -43,3 +43,11 @@ func Check(t *testing.T, name string, runs int, max float64, fn func()) {
 			name, best, max, attempts)
 	}
 }
+
+// Exclusive runs fn holding the mutex Check measures under, for pins that read
+// another process-wide heap counter (bytes, not objects) themselves.
+func Exclusive(fn func()) {
+	mu.Lock()
+	defer mu.Unlock()
+	fn()
+}

@@ -204,6 +204,7 @@ func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error 
 		scratch[w].index = make(map[string]uint32)
 	}
 	var results []expansion // reused: every entry is rewritten each level
+	var next []StateID      // reused: swapped with frontier at each barrier
 	for len(frontier) > 0 {
 		results = slices.Grow(results[:0], len(frontier))[:len(frontier)]
 		parallelForScratch(scratch, len(frontier), func(i int, ws *workerScratch) {
@@ -217,7 +218,7 @@ func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error 
 		})
 		// Level barrier: resolve the level's discoveries in frontier order ×
 		// task order — the serial engine's discovery order.
-		var next []StateID
+		next = next[:0]
 		for i := range results {
 			res := &results[i]
 			if res.err != nil {
@@ -262,7 +263,7 @@ func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error 
 			opt.Progress(Progress{Level: level, States: g.store.Len(), Edges: g.edges, Frontier: len(next)})
 		}
 		level++
-		frontier = next
+		frontier, next = next, frontier
 	}
 	return nil
 }

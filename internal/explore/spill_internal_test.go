@@ -45,12 +45,7 @@ func allBackends(t *testing.T, sys *system.System) []struct {
 // holds them — the write type of SetSuccs. Their labels are the graph's
 // System's, so they may be handed only to a store built on that System.
 func packedSuccs(g *Graph, id StateID) []packedEdge {
-	a := &g.store.(*denseStore).packedAdjacency
-	lo := uint32(0)
-	if id > 0 {
-		lo = a.ends[id-1]
-	}
-	return a.edges[lo:a.ends[id]]
+	return g.store.(*denseStore).run(id)
 }
 
 // fillPrefix interns the first n vertices of a dense reference graph into a

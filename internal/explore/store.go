@@ -106,7 +106,7 @@ type VertexStore interface {
 // to the store as 8-byte packedEdges — the target and the label sys.Step gave
 // the transition — and read back as an iterator of Edges with the label
 // resolved, so backends choose their own representation: the packedEdges
-// verbatim in one flat slice (dense) or delta-varint blocks against two
+// verbatim in fixed-capacity segments (dense) or delta-varint blocks against two
 // persisted dictionaries in an append-only edge file (spill).
 //
 // Write contract: SetSuccs is called exactly once per vertex, in strictly
@@ -183,28 +183,79 @@ type packedEdge struct {
 	system.Label
 }
 
+// Segment capacities of the dense backend, chosen by the sweep of E40: large
+// enough that the directories stay tiny, small enough that a graph of a few
+// thousand vertices does not pay for a tail it never fills.
+const (
+	vertexSegment = 1024 // vertices per keys and states segment
+	edgeShift     = 13   // an edge's virtual offset is segment<<edgeShift | offset
+	edgeSegment   = 1 << edgeShift
+	edgeMask      = edgeSegment - 1
+)
+
 // packedAdjacency is the dense backend's adjacency face: every edge of the
-// graph in one flat slice of 8-byte packedEdges, vertex id's at
-// edges[ends[id-1]:ends[id]], labels resolved by sys on the way out. SetSuccs
-// copies, so callers may reuse the slice they pass.
+// graph as an 8-byte packedEdge in append-only segments that are allocated at
+// full capacity and never reallocated, so recording an edge never moves one
+// already stored. A vertex's edges are one contiguous run inside one segment:
+// a run that does not fit the tail of the last segment starts the next one,
+// and a run longer than a segment gets a segment of its own length, so any
+// degree stores. ends[id] is the virtual offset — segment<<edgeShift | offset —
+// past vertex id's last edge; its run starts at ends[id-1], or at the next
+// segment base when it would not have fitted there (run). Labels are resolved
+// by sys on the way out. SetSuccs copies, so callers may reuse the slice they
+// pass.
 type packedAdjacency struct {
-	sys   *system.System
-	edges []packedEdge
-	ends  []uint32 // one per recorded vertex
+	sys    *system.System
+	segCap int            // edgeSegment; smaller in tests
+	edges  [][]packedEdge // by segment number; nil where a long run's offsets passed over
+	ends   []uint32       // one per recorded vertex
 }
 
-// SetSuccs copies a vertex's edges onto the end of the flat slice. Like the
-// spill backend it relies on the write contract — one call per vertex, in
-// increasing gap-free ID order — and panics on a violation.
+// SetSuccs copies a vertex's edges onto the end of the last segment, or of a
+// new one. Like the spill backend it relies on the write contract — one call
+// per vertex, in increasing gap-free ID order — and panics on a violation.
 func (a *packedAdjacency) SetSuccs(id StateID, edges []packedEdge) {
 	if int(id) != len(a.ends) {
 		panic(fmt.Sprintf("explore: SetSuccs(%d) out of order (next unrecorded vertex is %d)", id, len(a.ends)))
 	}
-	a.edges = append(a.edges, edges...)
-	if len(a.edges) > math.MaxUint32 {
-		panic("explore: in-memory adjacency: more than 2^32 edges")
+	end := uint64(0)
+	if id > 0 {
+		end = uint64(a.ends[id-1])
 	}
-	a.ends = append(a.ends, uint32(len(a.edges)))
+	if n := len(edges); n > 0 {
+		fresh := int(end>>edgeShift) >= len(a.edges) || int(end&edgeMask)+n > a.segCap
+		if fresh {
+			end = (end + edgeMask) &^ edgeMask // the next segment base
+		}
+		if end+uint64(n) > math.MaxUint32 {
+			panic("explore: in-memory adjacency: more than 2^32 edges")
+		}
+		seg := int(end >> edgeShift)
+		if fresh {
+			a.edges = append(a.edges, make([][]packedEdge, seg+1-len(a.edges))...)
+			a.edges[seg] = make([]packedEdge, 0, max(n, a.segCap))
+		}
+		a.edges[seg] = append(a.edges[seg], edges...)
+		end += uint64(n)
+	}
+	a.ends = append(a.ends, uint32(end))
+}
+
+// run returns the stored edges of a recorded vertex. A run never straddles a
+// segment base unless it starts on one, so a start from which it would have
+// is the tail SetSuccs skipped.
+func (a *packedAdjacency) run(id StateID) []packedEdge {
+	lo, hi := uint32(0), a.ends[id]
+	if id > 0 {
+		lo = a.ends[id-1]
+	}
+	if lo == hi {
+		return nil
+	}
+	if int(lo&edgeMask)+int(hi-lo) > a.segCap {
+		lo = (lo + edgeMask) &^ edgeMask
+	}
+	return a.edges[lo>>edgeShift][lo&edgeMask:][:hi-lo]
 }
 
 func (a *packedAdjacency) EdgesFrom(id StateID) iter.Seq[Edge] {
@@ -212,13 +263,9 @@ func (a *packedAdjacency) EdgesFrom(id StateID) iter.Seq[Edge] {
 		if uint(id) >= uint(len(a.ends)) {
 			return
 		}
-		lo := uint32(0)
-		if id > 0 {
-			lo = a.ends[id-1]
-		}
 		var out Edge // resolved in place: an Edge is 112 bytes of mostly strings
 		tasks := a.sys.Tasks()
-		for _, e := range a.edges[lo:a.ends[id]] {
+		for _, e := range a.run(id) {
 			out.To = e.to
 			out.Task = tasks[e.Task]
 			_, out.Action = a.sys.Resolve(e.Label)
@@ -233,11 +280,7 @@ func (a *packedAdjacency) Targets(id StateID, buf []StateID) []StateID {
 	if uint(id) >= uint(len(a.ends)) {
 		return buf
 	}
-	lo := uint32(0)
-	if id > 0 {
-		lo = a.ends[id-1]
-	}
-	for _, e := range a.edges[lo:a.ends[id]] {
+	for _, e := range a.run(id) {
 		buf = append(buf, e.to)
 	}
 	return buf
@@ -272,22 +315,26 @@ func (p *predTable) Pred(id StateID) pred {
 
 // denseStore is the in-RAM backend. A vertex is keyed on its cell-index
 // tuple (system.AppendKey): every key has the same length, so the keys sit
-// end to end in one byte slice and the dedup index is an open-addressed
-// table of vertex numbers over it — linear probing, an exact compare on the
-// stride, rebuilt from the flat keys when it doubles. Neither holds a
-// pointer, so the garbage collector never scans them, and a vertex costs its
-// key plus 8–16 table bytes on top of the representative state. Canonical
+// end to end in byte segments of vseg vertices each — allocated at full
+// capacity and never reallocated, like the edge segments — and the dedup
+// index is an open-addressed table of vertex numbers over them: linear
+// probing, an exact compare on the stride, rebuilt from the stored keys when
+// it doubles. Neither holds a pointer, so the garbage collector never scans
+// them, and a vertex costs its key plus 8–16 table bytes on top of the
+// representative state, which sits in segments of the same length. Canonical
 // fingerprints are not kept: Fingerprint encodes the state when asked.
 type denseStore struct {
 	packedAdjacency // holds sys
 	predTable
-	stride int      // key bytes per vertex
-	keys   []byte   // vertex id's key at keys[id*stride:][:stride]
-	table  []uint32 // 0 = empty, else vertex id + 1; len is a power of two
+	stride int              // key bytes per vertex
+	vseg   StateID          // vertexSegment; smaller in tests
+	n      int              // vertices stored
+	keys   [][]byte         // vertex id's key at keys[id/vseg][id%vseg*stride:][:stride]
+	states [][]system.State // vertex id's state at states[id/vseg][id%vseg]
+	table  []uint32         // 0 = empty, else vertex id + 1; len is a power of two
 	// hash is keyHash, replaceable in tests to force every key into one
 	// probe chain.
-	hash   func([]byte) uint64
-	states []system.State
+	hash func([]byte) uint64
 }
 
 // denseInitialSlots is the index's starting size; it doubles whenever it
@@ -296,9 +343,10 @@ const denseInitialSlots = 2048
 
 func newDenseStore(sys *system.System, witnesses bool) *denseStore {
 	return &denseStore{
-		packedAdjacency: packedAdjacency{sys: sys},
+		packedAdjacency: packedAdjacency{sys: sys, segCap: edgeSegment},
 		predTable:       predTable{keep: witnesses, resolve: sys.Resolve},
 		stride:          4 * (len(sys.ProcessIDs()) + len(sys.ServiceIDs())),
+		vseg:            vertexSegment,
 		table:           make([]uint32, denseInitialSlots),
 		hash:            keyHash,
 	}
@@ -314,7 +362,7 @@ func keyHash(key []byte) uint64 {
 	return h ^ h>>32
 }
 
-func (s *denseStore) Len() int { return len(s.states) }
+func (s *denseStore) Len() int { return s.n }
 
 func (s *denseStore) AppendKey(dst []byte, st system.State) []byte {
 	return s.sys.AppendKey(dst, st)
@@ -325,7 +373,9 @@ func (s *denseStore) AppendSuccKey(dst, key []byte, _ system.State, d system.Del
 	return s.sys.AppendSuccKey(dst, key, d)
 }
 
-func (s *denseStore) key(id int) []byte { return s.keys[id*s.stride:][:s.stride] }
+func (s *denseStore) key(id StateID) []byte {
+	return s.keys[id/s.vseg][int(id%s.vseg)*s.stride:][:s.stride]
+}
 
 // probe walks key's chain to its vertex or to the empty slot that ends the
 // chain, whose position it then reports. The table is never full.
@@ -336,7 +386,7 @@ func (s *denseStore) probe(key []byte) (id StateID, slot uint64, ok bool) {
 		if e == 0 {
 			return 0, slot, false
 		}
-		if string(s.key(int(e-1))) == string(key) {
+		if string(s.key(StateID(e-1))) == string(key) {
 			return StateID(e - 1), slot, true
 		}
 	}
@@ -370,40 +420,47 @@ func (s *denseStore) Intern(key string, st system.State, p packedEdge) (StateID,
 	if ok {
 		return id, false
 	}
-	if len(s.states) >= math.MaxUint32 {
+	if s.n >= math.MaxUint32 {
 		panic("explore: dense store: more than 2^32 − 1 vertices")
 	}
-	s.keys = append(s.keys, key...)
-	s.states = append(s.states, st)
+	seg := s.n / int(s.vseg)
+	if seg == len(s.keys) {
+		s.keys = append(s.keys, make([]byte, 0, int(s.vseg)*s.stride))
+		s.states = append(s.states, make([]system.State, 0, s.vseg))
+	}
+	s.keys[seg] = append(s.keys[seg], key...)
+	s.states[seg] = append(s.states[seg], st)
 	s.add(p)
-	s.table[slot] = uint32(len(s.states))
-	if 2*len(s.states) > len(s.table) {
+	s.n++
+	s.table[slot] = uint32(s.n)
+	if 2*s.n > len(s.table) {
 		s.grow()
 	}
-	return StateID(len(s.states) - 1), true
+	return StateID(s.n - 1), true
 }
 
-// grow doubles the table and places every vertex again, hashing its flat key.
+// grow doubles the table and places every vertex again, hashing its stored key.
 func (s *denseStore) grow() {
 	s.table = make([]uint32, 2*len(s.table))
-	for id := range s.states {
+	for id := range StateID(s.n) {
 		_, slot, _ := s.probe(s.key(id))
 		s.table[slot] = uint32(id) + 1
 	}
 }
 
 func (s *denseStore) State(id StateID) (system.State, bool) {
-	if uint(id) >= uint(len(s.states)) {
+	if uint(id) >= uint(s.n) {
 		return system.State{}, false
 	}
-	return s.states[id], true
+	return s.states[id/s.vseg][id%s.vseg], true
 }
 
 func (s *denseStore) Fingerprint(id StateID) string {
-	if uint(id) >= uint(len(s.states)) {
+	st, ok := s.State(id)
+	if !ok {
 		return ""
 	}
-	return s.sys.Fingerprint(s.states[id])
+	return s.sys.Fingerprint(st)
 }
 
 // fpHash returns two independent 64-bit FNV-1a–style hashes of a canonical

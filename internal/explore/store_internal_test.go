@@ -47,7 +47,7 @@ func sameGraph(t *testing.T, label string, ref, got *Graph) {
 // TestDenseTableExact runs both level loops over a dense store whose hash
 // sends every key down one probe chain and whose table starts at two slots:
 // linear probing then decides every lookup by the exact key compare alone,
-// across a dozen rebuilds from the flat keys, and the graph must still be
+// across a dozen rebuilds from the stored keys, and the graph must still be
 // the spill store's per ID.
 func TestDenseTableExact(t *testing.T) {
 	sys, err := protocols.BuildForward(3, 1, service.Adversarial)
@@ -67,24 +67,13 @@ func TestDenseTableExact(t *testing.T) {
 		store := newDenseStore(sys, true)
 		store.table = make([]uint32, 2)
 		store.hash = func([]byte) uint64 { return 0 }
-		g := &Graph{sys: sys, store: store}
-		buf := g.internRoots(roots, nil, nil)
-		if workers == 1 {
-			err = g.exploreSerial(defaultMaxStates, buf, BuildOptions{})
-			g.computeMasks()
-		} else {
-			err = g.exploreParallel(defaultMaxStates, workers, BuildOptions{})
-			g.computeMasksParallel(workers)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := buildOn(t, sys, roots, store, workers, BuildOptions{})
 		sameGraph(t, fmt.Sprintf("one probe chain, workers=%d", workers), ref, g)
 		if len(store.table) < 2*g.Size() || len(store.table) >= 8*g.Size() {
 			t.Errorf("workers=%d: table has %d slots for %d vertices", workers, len(store.table), g.Size())
 		}
-		if len(store.keys) != g.Size()*store.stride {
-			t.Errorf("workers=%d: %d key bytes for %d vertices of stride %d", workers, len(store.keys), g.Size(), store.stride)
+		if keys := slices.Concat(store.keys...); len(keys) != g.Size()*store.stride {
+			t.Errorf("workers=%d: %d key bytes for %d vertices of stride %d", workers, len(keys), g.Size(), store.stride)
 		}
 	}
 }
@@ -334,7 +323,7 @@ func TestPackedAdjacencyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var labels []system.Label
-	for _, e := range ref.store.(*denseStore).edges {
+	for _, e := range slices.Concat(ref.store.(*denseStore).edges...) {
 		if !slices.Contains(labels, e.Label) {
 			labels = append(labels, e.Label)
 		}

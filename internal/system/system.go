@@ -56,6 +56,7 @@ type System struct {
 	svcIDs  []string
 	svcIdx  map[string]int
 	tasks   []ioa.Task
+	taskIdx map[ioa.Task]int // first position in tasks, for callers that hold a task by value
 	// table resolves tasks[t] once, at New, into slots and positions, and
 	// numbers the actions the task performs (cells.go).
 	table []taskInfo
@@ -120,7 +121,11 @@ func New(procs []*process.Process, svcs []*service.Service) (*System, error) {
 		return nil, fmt.Errorf("system: %d tasks, a Label addresses %d", len(s.tasks), math.MaxUint16)
 	}
 	s.table = make([]taskInfo, len(s.tasks))
+	s.taskIdx = make(map[ioa.Task]int, len(s.tasks))
 	for t, task := range s.tasks {
+		if _, dup := s.taskIdx[task]; !dup {
+			s.taskIdx[task] = t
+		}
 		info := &s.table[t]
 		info.task, info.proc, info.svc = task, -1, -1
 		info.acts.Store(new([]ioa.Action))
@@ -536,7 +541,7 @@ func (s *System) Step(st State, t int) (d Delta, l Label, ok bool, err error) {
 // stepTask is Step for a task given by value; a task the System does not
 // have is not applicable.
 func (s *System) stepTask(st State, task ioa.Task) (Delta, Label, bool, error) {
-	if t := slices.Index(s.tasks, task); t >= 0 {
+	if t, ok := s.taskIdx[task]; ok {
 		return s.Step(st, t)
 	}
 	return Delta{}, Label{}, false, nil
