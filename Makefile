@@ -10,10 +10,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The race job is what proves the parallel exploration engine correct:
-# workers expanding a level against the frozen store, the coordinator's
-# serial intern at the level barrier and the atomic valence sweep all run
-# under the race detector. The second line fills one System's cell tables
+# The race job is what proves the pooled level body correct: workers
+# expanding a level against the frozen store and the coordinator's serial
+# intern at the level barrier run under the race detector. The second line fills one System's cell tables
 # and transition memo from four goroutines at once, and has four goroutines
 # intern the same component states into one fresh System's slots — the dense
 # vertex store keys on the indices those slots hand out, which must come out
@@ -35,11 +34,15 @@ test:
 # seven vertices a segment the coordinator appends a segment to the keys,
 # states and edges directories at nearly every intern, and the workers of the
 # next level read through those directory slice headers, which is what a
-# missing barrier would race on.
+# missing barrier would race on. Those suites pool every level; the
+# inline/pooled parity rows at 2 and 3 workers are repeated beside them for
+# the builds that alternate: the first worker's scratch also serves the
+# inline body, so a level expanded inline between two pooled ones is where
+# an arena not reset at the barrier, or still read by a worker, would show.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentApply|TestConcurrentCellIndices|TestConcurrentActionNumbers' ./internal/system
-	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestSegmentBoundaryParity/workers=[23]|TestHandlerPanicFailsTheBuild|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
+	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestSegmentBoundaryParity/workers=[23]|TestLevelStepInlinePooledParity/workers=[23]|TestHandlerPanicFailsTheBuild|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
 
 # Benchmark smoke run: every benchmark once, no timing rigour. Use
 # `$(GO) test -bench=. -benchmem ./...` for real measurements.
@@ -59,8 +62,9 @@ bench-quick:
 # reduction (quotient vs full graph), the E28 spill store (disk-backed
 # fingerprint file, incl. the exhaustive forward n=5 build) and the E29
 # spilled adjacency (edge file + witness-free builds), with -benchmem.
-# E22 carries the serial vs worker-pool rows on forward n=5 and the
-# forward n=6 quotient, plus forward-n5-cold (a fresh System per build: what
+# E22 carries the one-worker vs worker-pool rows on forward n=5 and the
+# forward n=6 quotient, the default-path (workers=0) rows on tob n=2 and
+# forward n=4 (E41), plus forward-n5-cold (a fresh System per build: what
 # one op of the time-to-verdict harness allocates, E39).
 # BenchmarkStoreBackends/forward-n6/dense is the B/op sentinel of the dense
 # store's segments: 26.6 MB an op for a graph that retains 24.9 (E40; 82.4 MB

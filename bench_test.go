@@ -426,34 +426,39 @@ func workerSweep() []int {
 	return append(counts, ncpu)
 }
 
-// BenchmarkBuildGraphWorkers (E22) compares the serial exploration engine
-// with the worker-pool engine on the two largest completing seed systems —
-// the 4-process forward candidate (2486-vertex G(C)) and the 2-process
-// register-vote candidate (1416 vertices) — and on the two largest
-// default-path exhaustive builds: the forward n=5 G(C) (14754 vertices /
-// 103926 edges) and the symmetry-reduced forward n=6 quotient (1764 / 15084).
-// The workers=1 rows are the serial baseline; higher rows measure the
-// parallel speedup on this machine. Every row but the last reuses one System,
-// so its cell tables and transition memo are warm after the first iteration;
-// forward-n5-cold composes a fresh System per iteration, which is what a
-// `New → ClassifyInits → Close` of the time-to-verdict harness pays (E40 holds
-// its workers=2 row to ≤ 95 k allocations and ≤ 12.5 MB an op: 92.2 k · 11.53
-// MB measured; ≤ 20 MB in E39, while the dense store grew by append-doubling).
+// BenchmarkBuildGraphWorkers (E22) runs the level loop at one worker (every
+// level inline) and at more (levels at least minPooledLevel wide on the pool)
+// on the two largest completing seed systems — the 4-process forward candidate
+// (2486-vertex G(C)) and the 2-process register-vote candidate (1416
+// vertices) — and on the two largest default-path exhaustive builds: the
+// forward n=5 G(C) (14754 vertices / 103926 edges) and the symmetry-reduced
+// forward n=6 quotient (1764 / 15084). The workers=0 rows are what every CLI
+// runs by default, on the paper-sized graphs: tob n=2 (308 vertices, no level
+// wide enough to pool) and forward n=4 (E41). Every row but the last reuses
+// one System, so its cell tables and transition memo are warm after the first
+// iteration; forward-n5-cold composes a fresh System per iteration, which is
+// what a `New → ClassifyInits → Close` of the time-to-verdict harness pays
+// (E41 holds its workers=2 row to ≤ 95 k allocations and ≤ 12.5 MB an op:
+// 92.1 k · 11.40 MB measured; 92.2 k · 11.53 MB in E40, ≤ 20 MB in E39,
+// while the dense store grew by append-doubling).
 func BenchmarkBuildGraphWorkers(b *testing.B) {
 	forward := func(n int) func() (*system.System, error) {
 		return func() (*system.System, error) { return protocols.BuildForward(n, 0, service.Adversarial) }
 	}
+	sweep := workerSweep()
 	systems := []struct {
-		name  string
-		build func() (*system.System, error)
-		spec  symmetry.Spec // with orbits: explore the quotient
-		cold  bool          // a fresh System per iteration
+		name    string
+		build   func() (*system.System, error)
+		spec    symmetry.Spec // with orbits: explore the quotient
+		cold    bool          // a fresh System per iteration
+		workers []int
 	}{
-		{"forward-n4", forward(4), symmetry.Spec{}, false},
-		{"registervote-n2", func() (*system.System, error) { return protocols.BuildRegisterVote(2) }, symmetry.Spec{}, false},
-		{"forward-n5", forward(5), symmetry.Spec{}, false},
-		{"forward-n6-sym", forward(6), protocols.ForwardSymmetry(6), false},
-		{"forward-n5-cold", forward(5), symmetry.Spec{}, true},
+		{"tob-n2", func() (*system.System, error) { return protocols.BuildTOBConsensus(2, 0, service.Adversarial) }, symmetry.Spec{}, false, []int{0}},
+		{"forward-n4", forward(4), symmetry.Spec{}, false, append([]int{0}, sweep...)},
+		{"registervote-n2", func() (*system.System, error) { return protocols.BuildRegisterVote(2) }, symmetry.Spec{}, false, sweep},
+		{"forward-n5", forward(5), symmetry.Spec{}, false, sweep},
+		{"forward-n6-sym", forward(6), protocols.ForwardSymmetry(6), false, sweep},
+		{"forward-n5-cold", forward(5), symmetry.Spec{}, true, sweep},
 	}
 	for _, sc := range systems {
 		sys, err := sc.build()
@@ -466,7 +471,7 @@ func BenchmarkBuildGraphWorkers(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		for _, w := range workerSweep() {
+		for _, w := range sc.workers {
 			b.Run(fmt.Sprintf("%s/workers=%d", sc.name, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -95,7 +95,9 @@ func TestBoostdSurvivesExpansionWorkerPanic(t *testing.T) {
 			}
 		}
 	}
-	view := run(`{"protocol": "forward-panicky", "n": 3, "f": 0, "analysis": "classify", "options": {"workers": 2}}`)
+	// The handler is first reached from a vertex of BFS level 2, which is 147
+	// wide at n=6: wide enough for the level loop to put it on the pool.
+	view := run(`{"protocol": "forward-panicky", "n": 6, "f": 0, "analysis": "classify", "options": {"workers": 2}}`)
 	if view.Status != server.StatusFailed || view.Error == nil || view.Error.Kind != "internal" ||
 		!strings.Contains(view.Error.Message, "handler cannot take a 1") {
 		t.Fatalf("panicking job ended %s with error %+v, want failed/internal naming the panic", view.Status, view.Error)

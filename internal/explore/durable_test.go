@@ -152,10 +152,11 @@ func TestDurableReopenParity(t *testing.T) {
 	}
 }
 
-// TestDurableParallelBuildCommits checks the worker-pool engine commits
-// the same durable directory as the serial engine: reopening a parallel
-// durable build equals the serial reference.
+// TestDurableParallelBuildCommits checks a build whose levels all go through
+// the worker pool commits the same durable directory as an inline one:
+// reopening the pooled durable build equals the one-worker reference.
 func TestDurableParallelBuildCommits(t *testing.T) {
+	explore.SetMinPooledLevel(t, 1)
 	sys := mustForward(t, 3, 1, service.Adversarial)
 	roots := monotoneRoots(t, sys)
 	ref, err := explore.BuildGraph(sys, roots, explore.BuildOptions{Workers: 1})

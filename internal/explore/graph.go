@@ -13,7 +13,7 @@ import (
 )
 
 // StateID is the dense index of a vertex of G(C): the i-th distinct state
-// discovered (in BFS order) gets ID i. Both level loops assign IDs
+// discovered (in BFS order) gets ID i. The level loop assigns IDs
 // identically for any worker count and any store backend, so IDs are stable
 // coordinates of the graph, not artifacts of scheduling. The canonical
 // string fingerprint remains available per vertex via Graph.Fingerprint, as
@@ -120,7 +120,7 @@ type Graph struct {
 // Progress is one streaming exploration report, emitted after each BFS
 // level completes: States and Edges are cumulative totals, Frontier is the
 // number of newly discovered vertices awaiting expansion in the next level.
-// Both level loops emit identical sequences for the same build.
+// The sequence is the same for any worker count and store backend.
 type Progress struct {
 	Level    int
 	States   int
@@ -145,10 +145,12 @@ type Canonicalizer interface {
 type BuildOptions struct {
 	// MaxStates caps the number of distinct vertices (0 = default 200000).
 	MaxStates int
-	// Workers is the number of goroutines expanding the frontier and
-	// back-propagating valences: 0 means one per CPU (runtime.NumCPU()),
-	// 1 forces the serial loop. The produced graph is identical either
-	// way — same StateIDs, edges, predecessors and valences.
+	// Workers is the most goroutines a level is expanded on: 0 means one
+	// per CPU the process may use (runtime.GOMAXPROCS(0)), 1 none beside
+	// the caller's. The level loop fans a level out only when it is wide
+	// enough to pay for the barrier (see minPooledLevel). The produced graph
+	// is identical for every value — same StateIDs, edges, predecessors and
+	// valences.
 	Workers int
 	// Store selects the vertex storage backend (default StoreDense). Both
 	// produce the identical graph; they differ in what stays resident.
@@ -170,9 +172,9 @@ type BuildOptions struct {
 	GraphID []byte
 	// Symmetry, when non-nil, canonicalizes every state — roots and
 	// discovered successors — before the key/intern step at the StateStore
-	// boundary, so the level loops build the quotient graph modulo process
-	// renaming. Both loops and both store backends apply it at the same
-	// point and stay graph-identical to each other.
+	// boundary, so the level loop builds the quotient graph modulo process
+	// renaming. Both level bodies and both store backends apply it at the
+	// same point and stay graph-identical to each other.
 	Symmetry Canonicalizer
 	// NoWitnesses drops the BFS-tree predecessor links: the store records
 	// nothing at intern time and WitnessPath returns nil for every vertex.
@@ -230,27 +232,42 @@ func canonical(canon Canonicalizer, st system.State) system.State {
 }
 
 // intern stores a vertex and, when fresh, records its own decision mask
-// (see Graph.ownMasks). The serial loop and internRoots intern through
-// here; the parallel barrier appends worker-computed masks itself.
-func (g *Graph) intern(key string, st system.State, p packedEdge) (StateID, bool) {
+// (see Graph.ownMasks).
+func (g *Graph) intern(key string, st system.State, mask uint8, p packedEdge) StateID {
 	id, fresh := g.store.Intern(key, st, p)
 	if fresh {
-		g.ownMasks = append(g.ownMasks, ownMask(g.sys, st))
+		g.ownMasks = append(g.ownMasks, mask)
 	}
-	return id, fresh
+	return id
 }
 
 // internRoots seeds the graph with the root states (canonicalized when
 // symmetry reduction is on). Roots are exempt from the vertex budget and
-// always get the smallest IDs, in input order. buf is key scratch.
-func (g *Graph) internRoots(roots []system.State, canon Canonicalizer, buf []byte) []byte {
+// always get the smallest IDs, in input order.
+func (g *Graph) internRoots(roots []system.State, canon Canonicalizer) {
+	var buf []byte
 	for _, r := range roots {
 		r = canonical(canon, r)
 		buf = g.store.AppendKey(buf[:0], r)
-		id, _ := g.intern(string(buf), r, packedEdge{to: noState})
-		g.roots = append(g.roots, id)
+		g.roots = append(g.roots, g.intern(string(buf), r, ownMask(g.sys, r), packedEdge{to: noState}))
 	}
-	return buf
+}
+
+// discover resolves the first reference to a successor the store did not hold
+// when it was looked up: a new vertex is interned with p as its predecessor
+// link and mask as its own decisions. This is where the vertex budget is
+// enforced, for both level bodies. Below the budget one Intern answers — on
+// the pool another worker's candidate for the same state may have been
+// interned earlier in the barrier, which Intern reports as not fresh; at the
+// budget only such a known vertex may still pass.
+func (g *Graph) discover(key string, st system.State, mask uint8, p packedEdge, maxStates int) (StateID, error) {
+	if g.store.Len() >= maxStates {
+		if id, ok := g.store.Lookup(stringBytes(key)); ok {
+			return id, nil
+		}
+		return noState, &LimitError{Limit: maxStates, Explored: g.store.Len()}
+	}
+	return g.intern(key, st, mask, p), nil
 }
 
 // BuildGraph explores the failure-free closure of the given root states
@@ -258,8 +275,7 @@ func (g *Graph) internRoots(roots []system.State, canon Canonicalizer, buf []byt
 // backward fixpoint over reachable decisions. It owns everything around the
 // exploration — store creation, root interning, the error-path release, the
 // final cancellation check, the valence fixpoint and the durable commit —
-// and hands the level loop itself to exploreSerial or, with more than one
-// worker, exploreParallel (see parallel.go).
+// around the level loop, Graph.explore.
 func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *Graph, err error) {
 	// Spill-file write failures (disk full) surface here as ordinary build
 	// errors; see recoverSpillWrite.
@@ -271,7 +287,6 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 	if maxStates <= 0 {
 		maxStates = defaultMaxStates
 	}
-	workers := effectiveWorkers(opt.Workers)
 	g, err = newGraph(sys, opt)
 	if err != nil {
 		return nil, err
@@ -289,23 +304,14 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 			_ = CloseGraphStore(built)
 		}
 	}()
-	buf := g.internRoots(roots, opt.Symmetry, nil)
-	if workers > 1 {
-		err = g.exploreParallel(maxStates, workers, opt)
-	} else {
-		err = g.exploreSerial(maxStates, buf, opt)
-	}
-	if err != nil {
+	g.internRoots(roots, opt.Symmetry)
+	if err := g.explore(maxStates, effectiveWorkers(opt.Workers), opt); err != nil {
 		return nil, err
 	}
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, err
 	}
-	if workers > 1 {
-		g.computeMasksParallel(workers)
-	} else {
-		g.computeMasks()
-	}
+	g.computeMasks()
 	if err := commitDurable(g, opt); err != nil {
 		return nil, err
 	}
@@ -313,7 +319,7 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 	return g, nil
 }
 
-// PanicError reports a panic while a level loop applied a task — a Program
+// PanicError reports a panic while the level loop applied a task — a Program
 // handler's or a service type's — as the build's error. The stack is logged.
 type PanicError struct {
 	Task  ioa.Task
@@ -324,23 +330,22 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("explore: panic applying %v: %v", e.Task, e.Value)
 }
 
-// recoverApply, deferred around a level loop's expansion with the index of
-// the task being applied, turns a panic into *err. Re-raised: a spill write
-// failure, for BuildGraph (see recoverSpillWrite), and a panic while *t < 0 —
-// the serial loop is then past the candidate's code, in the caller's Progress.
+// recoverApply, deferred around a level body's expansion with the index of
+// the task being applied, turns a panic into *err. A spill write failure is
+// re-raised, for BuildGraph (see recoverSpillWrite).
 func recoverApply(sys *system.System, t *int, err *error) {
 	r := recover()
 	if r == nil {
 		return
 	}
-	if _, write := r.(spillWriteError); write || *t < 0 {
+	if _, write := r.(spillWriteError); write {
 		panic(r)
 	}
 	*err = &PanicError{Task: sys.Tasks()[*t], Value: r}
 	log.Printf("%v\n%s", *err, debug.Stack())
 }
 
-// successor is the per-successor body of both level loops: it runs task t
+// successor is the per-successor step of both level bodies: it runs task t
 // from the vertex st against the store as it stands, ok = false if the task is
 // not applicable. pkey is the store key of st, unused under a Canonicalizer;
 // the successor's key is left in *buf. The returned edge's target is the
@@ -368,34 +373,67 @@ func (g *Graph) successor(canon Canonicalizer, st system.State, pkey []byte, t i
 	return e, d, next, true, nil
 }
 
-// exploreSerial is the one-worker level loop behind BuildGraph: it expands
-// the interned roots to closure, interning each discovery the moment it is
-// found. buf is the caller's key scratch.
-func (g *Graph) exploreSerial(maxStates int, buf []byte, opt BuildOptions) (err error) {
-	// IDs are dense in discovery order, so the BFS queue is implicit: the
-	// next vertex to expand is simply the next ID. Nothing is pinned or
-	// copied as the frontier advances. Level boundaries are tracked only
-	// for progress reporting: the current level ends where the store stood
-	// when it began.
+// minPooledLevel is the width from which a level is fanned out to the worker
+// pool. Below it the barrier — a candidate table per worker, a second pass
+// over every new edge, the goroutine hand-off — costs more than a second CPU
+// returns: the paper-sized graphs (tob n=2, forward n ≤ 3) have no level this
+// wide and build 1.5–1.6× faster inline. 128 is the knee of the E41 sweep
+// over {32, 64, 128, 256, 512} (EXPERIMENTS.md). It is a property of the two
+// bodies, not of a run, so it is not an option; a variable only so that
+// tests can put every level, or every other one, on the pool.
+var minPooledLevel = 128
+
+// explore is the level loop behind BuildGraph: it expands the interned roots
+// to closure, one BFS level at a time. IDs are dense in discovery order, so
+// the queue is implicit: a level is the ID range [lo, hi) the store grew by
+// while the level before it was expanded. One of two bodies that give every
+// vertex the same ID expands it — expandInline on this goroutine, or
+// expandPooled on up to `workers` when the level is at least minPooledLevel
+// wide — chosen from the width alone, never from scheduling. The loop owns
+// what a level means: its edges are sealed and one Progress report is made
+// per level, including the last.
+func (g *Graph) explore(maxStates, workers int, opt BuildOptions) error {
+	p := pool{scratch: make([]workerScratch, workers)}
 	level := 0
-	levelEnd := g.store.Len()
-	var t int              // the task being applied, for recoverApply
-	var pkey []byte        // scratch: the expanding vertex's key
-	var edges []packedEdge // scratch: SetSuccs copies
-	defer recoverApply(g.sys, &t, &err)
-	for next := 0; next < g.store.Len(); next++ {
-		if next&63 == 0 {
+	for lo, hi := StateID(0), StateID(g.store.Len()); lo < hi; lo, hi = hi, StateID(g.store.Len()) {
+		var err error
+		if workers > 1 && int(hi-lo) >= minPooledLevel {
+			err = g.expandPooled(lo, hi, maxStates, &p, opt)
+		} else {
+			err = g.expandInline(lo, hi, maxStates, &p.scratch[0], opt)
+		}
+		if err != nil {
+			return err
+		}
+		// The level's edges are now immutable, so the spill backend may move
+		// them out of RAM before the next level reads the store.
+		g.store.SealLevel()
+		if opt.Progress != nil {
+			opt.Progress(Progress{Level: level, States: g.store.Len(), Edges: g.edges, Frontier: g.store.Len() - int(hi)})
+		}
+		level++
+	}
+	return nil
+}
+
+// expandInline expands the level [lo, hi) on the calling goroutine, interning
+// each discovery the moment it is found. ws is key and edge scratch (SetSuccs
+// copies); the context is read every 64 vertices.
+func (g *Graph) expandInline(lo, hi StateID, maxStates int, ws *workerScratch, opt BuildOptions) (err error) {
+	defer recoverApply(g.sys, &ws.task, &err)
+	for id := lo; id < hi; id++ {
+		if id&63 == 0 {
 			if err := ctxErr(opt.Ctx); err != nil {
 				return err
 			}
 		}
-		st, _ := g.store.State(StateID(next))
+		st, _ := g.store.State(id)
 		if opt.Symmetry == nil {
-			pkey = g.store.AppendKey(pkey[:0], st)
+			ws.pkey = g.store.AppendKey(ws.pkey[:0], st)
 		}
-		edges = edges[:0]
-		for t = range g.sys.Tasks() {
-			e, d, succ, ok, err := g.successor(opt.Symmetry, st, pkey, t, &buf)
+		ws.edges = ws.edges[:0]
+		for ws.task = range g.sys.Tasks() {
+			e, d, succ, ok, err := g.successor(opt.Symmetry, st, ws.pkey, ws.task, &ws.buf)
 			if err != nil {
 				return err
 			}
@@ -403,36 +441,25 @@ func (g *Graph) exploreSerial(maxStates int, buf []byte, opt BuildOptions) (err 
 				continue
 			}
 			if e.to == noState {
-				if g.store.Len() >= maxStates {
-					return &LimitError{Limit: maxStates, Explored: g.store.Len()}
-				}
 				if opt.Symmetry == nil {
 					succ = st.With(d)
 				}
-				e.to, _ = g.intern(string(buf), succ, packedEdge{to: StateID(next), Label: e.Label})
+				e.to, err = g.discover(string(ws.buf), succ, ownMask(g.sys, succ), packedEdge{to: id, Label: e.Label}, maxStates)
+				if err != nil {
+					return err
+				}
 			}
-			edges = append(edges, e)
+			ws.edges = append(ws.edges, e)
 		}
-		t = -1
-		g.store.SetSuccs(StateID(next), edges)
-		g.edges += len(edges)
-		if next+1 == levelEnd {
-			// Level barrier: the level's edges become immutable, so the
-			// spill backend may move them out of RAM. Fires for every
-			// level, including the last.
-			g.store.SealLevel()
-			if opt.Progress != nil {
-				opt.Progress(Progress{Level: level, States: g.store.Len(), Edges: g.edges, Frontier: g.store.Len() - levelEnd})
-			}
-			level++
-			levelEnd = g.store.Len()
-		}
+		g.store.SetSuccs(id, ws.edges)
+		g.edges += len(ws.edges)
 	}
+	ws.edges = ws.edges[:0] // a pooled level may follow: its arena starts empty
 	return nil
 }
 
-// computeMasks propagates decision bits backwards to a fixpoint:
-// mask(s) = decided(s) ∪ ⋃_{s→t} mask(t).
+// computeMasks is the valence fixpoint: it propagates decision bits backwards
+// until nothing moves, mask(s) = decided(s) ∪ ⋃_{s→t} mask(t).
 func (g *Graph) computeMasks() {
 	// Seed with each state's own decisions, recorded at intern time. The
 	// recording is only needed for this seeding, so release it after.

@@ -68,15 +68,11 @@ func FindHook(g *Graph, root StateID) (HookSearchResult, error) {
 	return FindHookCtx(nil, g, root, 1)
 }
 
-// FindHookWorkers is FindHook with a concurrency knob: the bivalent-extension
-// searches of the Fig. 3 construction scan each BFS level across the given
-// number of workers (0 = runtime.NumCPU(), 1 = serial). The outcome is
-// identical to the serial search.
-func FindHookWorkers(g *Graph, root StateID, workers int) (HookSearchResult, error) {
-	return FindHookCtx(nil, g, root, workers)
-}
-
-// FindHookCtx is FindHookWorkers with cancellation: the construction checks
+// FindHookCtx is FindHook with a concurrency bound and cancellation. The
+// bivalent-extension searches of the Fig. 3 construction scan each BFS level
+// that is wide enough to pay for it across at most the given number of
+// workers (0 = one per CPU the process may use, 1 = the calling goroutine
+// only); the outcome is identical for every count. The construction checks
 // ctx at every step and inside every per-step BFS (each scanned level), so
 // a cancelled context stops a long hook search mid-scan with ctx.Err().
 // A nil context never cancels.

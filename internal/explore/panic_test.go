@@ -47,12 +47,14 @@ func mustPanickyForward(t testing.TB) *system.System {
 	return sys
 }
 
-// TestHandlerPanicFailsTheBuild: a panic out of a Program handler while a
-// level loop applies a task — on the serial loop's goroutine or on one of the
-// pool's — comes back from BuildGraph as the same *PanicError for every worker
-// count, naming the task and carrying the value; no worker goroutine outlives
-// the build and the spill store's descriptors are closed.
+// TestHandlerPanicFailsTheBuild: a panic out of a Program handler while the
+// level loop applies a task — on the caller's goroutine (one worker) or on one
+// of the pool's (every level pooled) — comes back from BuildGraph as the same
+// *PanicError for every worker count, naming the task and carrying the value;
+// no worker goroutine outlives the build and the spill store's descriptors are
+// closed.
 func TestHandlerPanicFailsTheBuild(t *testing.T) {
+	explore.SetMinPooledLevel(t, 1)
 	openFiles := func() int {
 		entries, err := os.ReadDir("/proc/self/fd")
 		if err != nil {
@@ -77,7 +79,7 @@ func TestHandlerPanicFailsTheBuild(t *testing.T) {
 			if first == nil {
 				first = pe
 			} else if *pe != *first || pe.Error() != first.Error() {
-				t.Errorf("store=%v workers=%d: %v, the serial loop reported %v", store, workers, pe, first)
+				t.Errorf("store=%v workers=%d: %v, one worker reported %v", store, workers, pe, first)
 			}
 			// parallelForScratch waits for its workers, so none can be left;
 			// give an unrelated runtime goroutine a moment to settle anyway.

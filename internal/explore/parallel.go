@@ -4,16 +4,16 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
-// effectiveWorkers resolves a Workers knob: 0 means one worker per CPU,
-// anything below 1 means serial.
+// effectiveWorkers resolves a Workers knob: 0 means one worker per CPU the
+// process may run on at once (GOMAXPROCS, not the machine's CPU count: a pool
+// wider than that only queues on the same Ps), anything below 1 means one.
 func effectiveWorkers(w int) int {
 	if w == 0 {
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	if w < 1 {
 		return 1
@@ -95,9 +95,9 @@ type candRef struct {
 	edge, cand uint32
 }
 
-// expansion is the result of expanding one frontier vertex. edges and refs
-// are windows of the expanding worker's arenas and refs index ws.cands, all
-// valid until the level barrier resets the worker.
+// expansion is the result of expanding one vertex of a pooled level. edges
+// and refs are windows of the expanding worker's arenas and refs index
+// ws.cands, all valid until the level barrier resets the worker.
 type expansion struct {
 	edges []packedEdge
 	refs  []candRef
@@ -112,14 +112,23 @@ type expansion struct {
 // worker touches a scratch while a level expands and only the coordinator
 // at the barrier, so the table needs no lock. The stores copy what SetSuccs
 // hands them, so everything is reset — not freed — at every level barrier
-// and the engine allocates no per-vertex slice.
+// and the engine allocates no per-vertex slice. The first worker's scratch
+// also serves the inline body, which uses the buffers and the edge arena
+// (one vertex at a time) and never the table.
 type workerScratch struct {
 	buf, pkey []byte // a successor's key, the expanding vertex's
 	task      int    // the task being applied, for recoverApply
 	edges     []packedEdge
 	cands     []candidate
-	index     map[string]uint32 // candidate key → position in cands
+	index     map[string]uint32 // candidate key → position in cands; made at the first candidate
 	refs      []candRef
+}
+
+// pool is the level loop's reusable memory: one scratch per worker and the
+// per-vertex results of a pooled level, every entry rewritten each level.
+type pool struct {
+	scratch []workerScratch
+	results []expansion
 }
 
 // reset empties the level-local arenas and the candidate table, keeping
@@ -133,8 +142,8 @@ func (ws *workerScratch) reset() {
 }
 
 // expandFrontier applies every applicable task to st, resolving successor
-// IDs through the frozen state store with the serial loop's per-successor
-// body (Graph.successor). A successor not yet stored becomes a candidate of
+// IDs through the frozen state store with the inline body's per-successor
+// step (Graph.successor). A successor not yet stored becomes a candidate of
 // the calling worker the first time the worker meets it in this level; every
 // edge to it is left at noState with a reference to the candidate, to be
 // patched at the level barrier. ws is the calling worker's scratch.
@@ -165,6 +174,9 @@ func (g *Graph) expandFrontier(canon Canonicalizer, st system.State, ws *workerS
 				}
 				ci = uint32(len(ws.cands))
 				ws.cands = append(ws.cands, candidate{key: key, st: next, id: noState, mask: ownMask(g.sys, next)})
+				if ws.index == nil {
+					ws.index = make(map[string]uint32)
+				}
 				ws.index[key] = ci
 			}
 			ws.refs = append(ws.refs, candRef{edge: uint32(len(ws.edges) - lo), cand: ci})
@@ -178,132 +190,58 @@ func (g *Graph) expandFrontier(canon Canonicalizer, st system.State, ws *workerS
 	return out
 }
 
-// exploreParallel is the worker-pool level loop behind BuildGraph: a
-// level-synchronous BFS over the interned ID space. Each frontier level is
-// expanded across workers against the *frozen* state store (concurrent
-// lookups, no writes); at the level barrier the coordinator walks the
-// expansions in frontier order and interns the level's discoveries serially.
-// Serial interning at the barrier is what makes the loop deterministic: a
-// state gets its ID at the first reference to it in frontier order × task
-// order — whichever worker recorded the candidate behind that reference —
-// so IDs, edges, predecessors and the overflow point are assigned in exactly
-// the order exploreSerial would assign them, for any worker count: the
-// parallel graph is not merely isomorphic to the serial one, it is
-// identical. Progress reports and context cancellation mirror the serial
-// loop: one report per level barrier, cancellation observed mid-level by
-// the expanding workers. A panic on a worker — a Program handler's, a service
-// type's — becomes that vertex's error and fails the build at the barrier.
-func (g *Graph) exploreParallel(maxStates, workers int, opt BuildOptions) error {
-	frontier := make([]StateID, g.store.Len())
-	for i := range frontier {
-		frontier[i] = StateID(i)
-	}
-	level := 0
-	scratch := make([]workerScratch, workers)
-	for w := range scratch {
-		scratch[w].index = make(map[string]uint32)
-	}
-	var results []expansion // reused: every entry is rewritten each level
-	var next []StateID      // reused: swapped with frontier at each barrier
-	for len(frontier) > 0 {
-		results = slices.Grow(results[:0], len(frontier))[:len(frontier)]
-		parallelForScratch(scratch, len(frontier), func(i int, ws *workerScratch) {
-			if err := ctxErr(opt.Ctx); err != nil {
-				results[i] = expansion{err: err}
-				return
-			}
-			defer recoverApply(g.sys, &ws.task, &results[i].err)
-			st, _ := g.store.State(frontier[i])
-			results[i] = g.expandFrontier(opt.Symmetry, st, ws)
-		})
-		// Level barrier: resolve the level's discoveries in frontier order ×
-		// task order — the serial engine's discovery order.
-		next = next[:0]
-		for i := range results {
-			res := &results[i]
-			if res.err != nil {
-				return res.err
-			}
-			for _, ref := range res.refs {
-				c := &res.ws.cands[ref.cand]
-				if c.id == noState {
-					// First reference to this candidate. Another worker's
-					// candidate for the same state may have been interned
-					// already, which the lookup finds.
-					id, ok := g.store.Lookup(stringBytes(c.key))
-					if !ok {
-						if g.store.Len() >= maxStates {
-							return &LimitError{Limit: maxStates, Explored: g.store.Len()}
-						}
-						// The worker already computed this vertex's decision
-						// mask; record it directly instead of re-deriving it
-						// on the coordinator (see Graph.ownMasks).
-						var fr bool
-						id, fr = g.store.Intern(c.key, c.st, packedEdge{to: frontier[i], Label: res.edges[ref.edge].Label})
-						if fr {
-							g.ownMasks = append(g.ownMasks, c.mask)
-						}
-						next = append(next, id)
-					}
-					c.id = id
+// expandPooled expands the level [lo, hi) across the pool's workers against
+// the *frozen* state store (concurrent lookups, no writes); at the level
+// barrier the coordinator walks the expansions in ID order and interns the
+// level's discoveries serially. Serial interning at the barrier is what makes
+// the body deterministic: a state gets its ID at the first reference to it in
+// ID order × task order — whichever worker recorded the candidate behind that
+// reference — so IDs, edges, predecessors and the overflow point are assigned
+// in exactly the order expandInline would assign them, for any worker count:
+// the graph is not merely isomorphic to the inline one, it is identical.
+// Cancellation is observed mid-level by the expanding workers, before every
+// vertex. A panic on a worker — a Program handler's, a service type's —
+// becomes that vertex's error and fails the build at the barrier.
+func (g *Graph) expandPooled(lo, hi StateID, maxStates int, p *pool, opt BuildOptions) error {
+	n := int(hi - lo)
+	p.results = slices.Grow(p.results[:0], n)[:n]
+	results := p.results
+	parallelForScratch(p.scratch, n, func(i int, ws *workerScratch) {
+		if err := ctxErr(opt.Ctx); err != nil {
+			results[i] = expansion{err: err}
+			return
+		}
+		defer recoverApply(g.sys, &ws.task, &results[i].err)
+		st, _ := g.store.State(lo + StateID(i))
+		results[i] = g.expandFrontier(opt.Symmetry, st, ws)
+	})
+	// Level barrier: resolve the level's discoveries in ID order × task
+	// order — the inline body's discovery order.
+	for i := range results {
+		res := &results[i]
+		if res.err != nil {
+			return res.err
+		}
+		from := lo + StateID(i)
+		for _, ref := range res.refs {
+			c := &res.ws.cands[ref.cand]
+			if c.id == noState {
+				// First reference to this candidate. The worker already
+				// computed the vertex's decision mask, so the coordinator
+				// does not re-derive it (see Graph.ownMasks).
+				var err error
+				c.id, err = g.discover(c.key, c.st, c.mask, packedEdge{to: from, Label: res.edges[ref.edge].Label}, maxStates)
+				if err != nil {
+					return err
 				}
-				res.edges[ref.edge].to = c.id
 			}
-			g.store.SetSuccs(frontier[i], res.edges)
-			g.edges += len(res.edges)
+			res.edges[ref.edge].to = c.id
 		}
-		// The barrier still holds the store exclusively: seal the level's
-		// edges so the spill backend moves them out of RAM before the next
-		// level's workers start reading.
-		g.store.SealLevel()
-		for w := range scratch {
-			scratch[w].reset()
-		}
-		if opt.Progress != nil {
-			opt.Progress(Progress{Level: level, States: g.store.Len(), Edges: g.edges, Frontier: len(next)})
-		}
-		level++
-		frontier, next = next, frontier
+		g.store.SetSuccs(from, res.edges)
+		g.edges += len(res.edges)
+	}
+	for w := range p.scratch {
+		p.scratch[w].reset()
 	}
 	return nil
-}
-
-// computeMasksParallel is the parallel counterpart of computeMasks: the same
-// backward fixpoint mask(s) = decided(s) ∪ ⋃_{s→t} mask(t), computed as a
-// chaotic iteration directly over the store-backed adjacency. Masks only grow
-// under ∪, so concurrent sweeps converge to the same least fixpoint as the
-// serial iteration; each vertex is written by exactly one worker per sweep
-// and successor masks are read atomically.
-func (g *Graph) computeMasksParallel(workers int) {
-	n := g.store.Len()
-	masks := make([]uint32, n)
-	// Seed with each state's own decisions, recorded at intern time. The
-	// recording is only needed for this seeding, so release it after.
-	for i, m := range g.ownMasks {
-		masks[i] = uint32(m)
-	}
-	g.ownMasks = nil
-	targets := make([][]StateID, workers) // one successor buffer per sweeping goroutine
-	for {
-		var changed atomic.Bool
-		parallelForScratch(targets, n, func(i int, buf *[]StateID) {
-			m := atomic.LoadUint32(&masks[i])
-			next := m
-			*buf = g.store.Targets(StateID(i), (*buf)[:0])
-			for _, to := range *buf {
-				next |= atomic.LoadUint32(&masks[to])
-			}
-			if next != m {
-				atomic.StoreUint32(&masks[i], next)
-				changed.Store(true)
-			}
-		})
-		if !changed.Load() {
-			break
-		}
-	}
-	g.masks = make([]uint8, n)
-	for i := range masks {
-		g.masks[i] = uint8(masks[i])
-	}
 }

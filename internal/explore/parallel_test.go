@@ -15,8 +15,8 @@ import (
 )
 
 // parallelWorkers is the worker count used by the parity tests: high enough
-// that several goroutines really do read the frozen store at once and sweep
-// the valence masks together, even on small machines.
+// that several goroutines really do read the frozen store at once, even on
+// small machines.
 const parallelWorkers = 8
 
 // seedSystems enumerates the seed protocols whose failure-free graphs the
@@ -44,13 +44,16 @@ func seedSystems(t *testing.T) map[string]*system.System {
 }
 
 // TestBuildGraphDeterministicAcrossWorkers asserts the tentpole determinism
-// property: the serial engine (Workers: 1) and the worker-pool engine produce
+// property: one worker (every level inline) and the worker pool produce
 // identical graphs — same fingerprint, edges, valence and witness path per
 // ID — on every seed protocol, at an even split (2), an uneven one (3) and
-// more workers than this machine has CPUs (8). The last two rows rerun the
-// widest seed on the spill store and on the quotient, where candidates pass
-// through Canonical before they are recorded.
+// more workers than this machine has CPUs (8). Every level of the pooled rows
+// goes through the barrier: most of the seeds have no level as wide as the
+// default threshold. The last two rows rerun the widest seed on the spill
+// store and on the quotient, where candidates pass through Canonical before
+// they are recorded.
 func TestBuildGraphDeterministicAcrossWorkers(t *testing.T) {
+	explore.SetMinPooledLevel(t, 1)
 	type row struct {
 		sys *system.System
 		opt explore.BuildOptions
@@ -145,6 +148,7 @@ func walkGraph(t *testing.T, g *explore.Graph, start explore.StateID, visit func
 // TestBuildGraphParallelStateLimit checks that the worker pool honours
 // MaxStates with the same error as the serial engine.
 func TestBuildGraphParallelStateLimit(t *testing.T) {
+	explore.SetMinPooledLevel(t, 1) // the graph has no level as wide as the default
 	sys := mustForward(t, 2, 0, service.Adversarial)
 	root, _, err := initAll(sys)
 	if err != nil {
@@ -178,10 +182,11 @@ func TestBuildGraphParallelStateLimit(t *testing.T) {
 
 // TestBuildGraphBudgetSweepAcrossWorkers walks the vertex budget over its
 // whole interesting range on forward n=3 f=1: for every MaxStates from the
-// root count to the graph size, the level step must stop where the serial
-// loop stops — the same *LimitError{Limit, Explored} — or build the same
-// graph, however the frontier is split across workers.
+// root count to the graph size, the pooled body must stop where the inline
+// one stops — the same *LimitError{Limit, Explored} — or build the same
+// graph, however the level is split across workers.
 func TestBuildGraphBudgetSweepAcrossWorkers(t *testing.T) {
+	explore.SetMinPooledLevel(t, 1)
 	sys := mustForward(t, 3, 1, service.Adversarial)
 	full, err := explore.ClassifyInits(sys, explore.BuildOptions{Workers: 1})
 	if err != nil {
@@ -212,6 +217,7 @@ func TestBuildGraphBudgetSweepAcrossWorkers(t *testing.T) {
 // recorded under concurrent discovery still form valid paths: every vertex's
 // witness path must replay edge-by-edge from one of the roots.
 func TestParallelWitnessPathsReplay(t *testing.T) {
+	explore.SetMinPooledLevel(t, 1)
 	sys := mustForward(t, 2, 0, service.Adversarial)
 	c, err := explore.ClassifyInits(sys, explore.BuildOptions{Workers: parallelWorkers})
 	if err != nil {
@@ -247,9 +253,9 @@ func replays(g *explore.Graph, start explore.StateID, path []explore.Edge, want 
 	return cur == want
 }
 
-// TestFindHookWorkersMatchesSerial checks the parallel hook search returns
+// TestFindHookParallelMatchesSerial checks the parallel hook search returns
 // exactly the serial hook on both graph-analysable candidate families.
-func TestFindHookWorkersMatchesSerial(t *testing.T) {
+func TestFindHookParallelMatchesSerial(t *testing.T) {
 	for name, sys := range seedSystems(t) {
 		t.Run(name, func(t *testing.T) {
 			c, err := explore.ClassifyInits(sys, explore.BuildOptions{Workers: parallelWorkers})
@@ -264,7 +270,7 @@ func TestFindHookWorkersMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := explore.FindHookWorkers(c.Graph, root, parallelWorkers)
+			parallel, err := explore.FindHookCtx(nil, c.Graph, root, parallelWorkers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -367,15 +373,17 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 }
 
 // TestClassifyInitsAllocCeilings pins what a warm forward n=4 ClassifyInits
-// may allocate, as numbers: 6 167 objects on the serial loop and 7 553 on two
-// workers when the pins were taken (15 068 and 15 845 before successors were
-// keyed from deltas, when every one of the 17 218 successors cost a State and
-// only the 2 486 new ones needed it). Allocation counts are exact where
-// timings on a shared two-CPU host are not. A ratio of the two, which this
-// test used to hold, moves when its denominator does; a ceiling each does
-// not, and still shows both ways the pool once lost to the loop it
-// parallelises: a candidate recorded per edge instead of per worker per level
-// and an escaping iterator closure per vertex per fixpoint round.
+// may allocate, as numbers: 6 134 objects with every level inline (one worker)
+// and 7 190 on two workers — the eight levels at least minPooledLevel wide on
+// the pool, the rest inline, one fixpoint — when the pins were taken (6 132 and
+// 7 429 while two workers pooled every level, probed the barrier twice and ran
+// a second, parallel fixpoint; 15 068 and 15 845 before successors were keyed
+// from deltas, when every one of the 17 218 successors cost a State and only
+// the 2 486 new ones needed it). Allocation counts are exact where timings on
+// a shared two-CPU host are not. A ratio of the two, which this test used to
+// hold, moves when its denominator does; a ceiling each does not, and still
+// shows how the pooled body once lost to the inline one: a candidate recorded
+// per edge instead of per worker per level.
 func TestClassifyInitsAllocCeilings(t *testing.T) {
 	sys := mustForward(t, 4, 0, service.Adversarial)
 	build := func(workers int) func() {
@@ -386,6 +394,6 @@ func TestClassifyInitsAllocCeilings(t *testing.T) {
 		}
 	}
 	build(1)() // fill the system's cell tables and transition memo
-	allocpin.Check(t, "ClassifyInits at Workers: 1", 3, 6500, build(1))
-	allocpin.Check(t, "ClassifyInits at Workers: 2", 3, 7950, build(2))
+	allocpin.Check(t, "ClassifyInits at Workers: 1", 3, 6450, build(1))
+	allocpin.Check(t, "ClassifyInits at Workers: 2", 3, 7550, build(2))
 }

@@ -27,9 +27,10 @@ func forwardRoot(t *testing.T, n, f int) (*system.System, system.State) {
 
 // TestProgressStreaming checks the per-level Progress contract: one report
 // per BFS level, cumulative totals matching the finished graph, a final
-// empty frontier, and the exact same sequence from the serial engine, the
-// parallel engine, and every store backend.
+// empty frontier, and the exact same sequence from the inline body, the
+// pooled body, and every store backend.
 func TestProgressStreaming(t *testing.T) {
+	explore.SetMinPooledLevel(t, 1)
 	sys, root := forwardRoot(t, 3, 0)
 	var want []explore.Progress
 	collect := func(dst *[]explore.Progress) explore.ProgressFunc {
@@ -85,8 +86,9 @@ func TestProgressStreaming(t *testing.T) {
 
 // TestBuildGraphCancellation cancels a build from inside a progress
 // callback — i.e. while later levels are still pending — and expects
-// ctx.Err() promptly from both engines, with the exploration cut short.
+// ctx.Err() promptly from both level bodies, with the exploration cut short.
 func TestBuildGraphCancellation(t *testing.T) {
+	explore.SetMinPooledLevel(t, 1)
 	sys, root := forwardRoot(t, 3, 0)
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -135,8 +137,9 @@ func TestCancelledBeforeStart(t *testing.T) {
 
 // TestLimitErrorTyped: the vertex budget surfaces as *LimitError carrying
 // the partial count, still matching the ErrStateExplosion sentinel and the
-// historical message, on every engine × store combination.
+// historical message, on every level body × store combination.
 func TestLimitErrorTyped(t *testing.T) {
+	explore.SetMinPooledLevel(t, 1)
 	sys, root := forwardRoot(t, 2, 0)
 	for _, workers := range []int{1, 4} {
 		for _, store := range []explore.StoreKind{explore.StoreDense, explore.StoreSpill} {
@@ -165,6 +168,7 @@ func TestLimitErrorTyped(t *testing.T) {
 // release as an error return, so the spill store's two descriptors are
 // closed by the time a caller recovers it, not whenever a finalizer runs.
 func TestBuildGraphPanicReleasesStore(t *testing.T) {
+	explore.SetMinPooledLevel(t, 1)
 	openFiles := func() int {
 		entries, err := os.ReadDir("/proc/self/fd")
 		if err != nil {

@@ -266,8 +266,9 @@ func Random(sys *system.System, cfg RunConfig, seed int64, steps int) (RunResult
 }
 
 // RunBatch runs every configuration under the canonical fair schedule,
-// spread across the given number of workers (0 = runtime.NumCPU(), 1 =
-// serial), and returns the results in input order. Runs are independent —
+// spread across the given number of workers (0 = one per CPU the process may
+// use, 1 = the calling goroutine only), and returns the results in input
+// order. Runs are independent —
 // the system structure is immutable and states are copy-on-write — so the
 // batch result is identical to running the configurations one by one; on
 // error the first failing configuration's error (in input order) is

@@ -21,24 +21,17 @@ import (
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
-// buildOn runs what BuildGraph runs — roots, a level loop, the valence
+// buildOn runs what BuildGraph runs — roots, the level loop, the valence
 // fixpoint — over a dense store the test made, so its segment capacities,
 // table size and hash are the test's.
 func buildOn(t *testing.T, sys *system.System, roots []system.State, store *denseStore, workers int, opt BuildOptions) *Graph {
 	t.Helper()
 	g := &Graph{sys: sys, store: store}
-	buf := g.internRoots(roots, opt.Symmetry, nil)
-	var err error
-	if workers == 1 {
-		err = g.exploreSerial(defaultMaxStates, buf, opt)
-		g.computeMasks()
-	} else {
-		err = g.exploreParallel(defaultMaxStates, workers, opt)
-		g.computeMasksParallel(workers)
-	}
-	if err != nil {
+	g.internRoots(roots, opt.Symmetry)
+	if err := g.explore(defaultMaxStates, workers, opt); err != nil {
 		t.Fatal(err)
 	}
+	g.computeMasks()
 	return g
 }
 
@@ -47,8 +40,8 @@ func buildOn(t *testing.T, sys *system.System, roots []system.State, store *dens
 // boundary falls after every vertex (1), every second, third and seventh, and
 // whose edge segments hold exactly the longest run of the graph, one edge
 // more, a prime number of edges, and fewer than most runs need (2: nearly
-// every run is longer than a segment and gets its own) — on both level loops.
-// Every graph must be, per ID, the one the default capacities give and the
+// every run is longer than a segment and gets its own) — on both level bodies:
+// the rows above one worker put every level on the pool. Every graph must be, per ID, the one the default capacities give and the
 // one the spill store gives: fingerprint, labelled edges, targets,
 // predecessor link, valence.
 func TestSegmentBoundaryParity(t *testing.T) {
@@ -113,6 +106,7 @@ func TestSegmentBoundaryParity(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			SetMinPooledLevel(t, 1)
 			for i, r := range rows {
 				ref, spill, longest := refs[i].ref, refs[i].spill, refs[i].longest
 				for _, vseg := range []StateID{1, 2, 3, 7} {
@@ -341,7 +335,7 @@ func TestDenseStoreNeverMoves(t *testing.T) {
 	}
 }
 
-// TestBuildAllocatesItsGraphOnce: a warm serial forward n=5 ClassifyInits
+// TestBuildAllocatesItsGraphOnce: a warm one-worker forward n=5 ClassifyInits
 // allocates at most 1.5 × the bytes the finished graph retains — 4.25 MB for
 // 3.02 MB, 1.41 ×, when the pin was taken; 11.36 MB for 3.06 MB, 3.72 ×, while
 // keys, states and edges grew by append-doubling. What is left above 1.0 is

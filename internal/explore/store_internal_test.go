@@ -44,12 +44,13 @@ func sameGraph(t *testing.T, label string, ref, got *Graph) {
 	}
 }
 
-// TestDenseTableExact runs both level loops over a dense store whose hash
+// TestDenseTableExact runs both level bodies over a dense store whose hash
 // sends every key down one probe chain and whose table starts at two slots:
 // linear probing then decides every lookup by the exact key compare alone,
 // across a dozen rebuilds from the stored keys, and the graph must still be
 // the spill store's per ID.
 func TestDenseTableExact(t *testing.T) {
+	SetMinPooledLevel(t, 1)
 	sys, err := protocols.BuildForward(3, 1, service.Adversarial)
 	if err != nil {
 		t.Fatal(err)
@@ -197,8 +198,8 @@ func TestSuccKeyIsTheKey(t *testing.T) {
 	}
 }
 
-// TestStoredSuccessorAllocs pins the level loops' per-successor body on the
-// dense store without symmetry: a successor the store already holds — 86 % of
+// TestStoredSuccessorAllocs pins the per-successor step both level bodies
+// share on the dense store without symmetry: a successor the store already holds — 86 % of
 // them on forward n=5 — is stepped, keyed from its parent's key and the
 // step's delta, and looked up without one allocation; no State is built.
 func TestStoredSuccessorAllocs(t *testing.T) {
