@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-quick bench-allocs bench-symmetry bench-spill bench-adjacency test-spill test-server run-boostd lint vet analyze fmt-check fmt vuln apidiff-baseline apidiff
+.PHONY: all build test race bench bench-quick bench-allocs bench-symmetry bench-adjacency test-spill test-server run-boostd lint vet analyze fmt-check fmt vuln apidiff-baseline apidiff
 
 all: build lint test
 
@@ -59,9 +59,9 @@ bench-quick:
 # Allocation accounting for the exploration stack: the E22–E24 engine
 # comparisons, the E25 fingerprint-encoder comparison, the E26/E38 dense
 # store rows (forward n=4/5/6, retained bytes per state), the E27 symmetry
-# reduction (quotient vs full graph), the E28 spill store (disk-backed
-# fingerprint file, incl. the exhaustive forward n=5 build) and the E29
-# spilled adjacency (edge file + witness-free builds), with -benchmem.
+# reduction (quotient vs full graph) and the E29 spilled adjacency (edge
+# file + witness-free builds, on the exhaustive forward n=5 build), with
+# -benchmem.
 # E22 carries the one-worker vs worker-pool rows on forward n=5 and the
 # forward n=6 quotient, the default-path (workers=0) rows on tob n=2 and
 # forward n=4 (E41), plus forward-n5-cold (a fresh System per build: what
@@ -76,7 +76,7 @@ bench-quick:
 # output as an artifact (bench-allocs.txt) to make allocation
 # regressions visible.
 bench-allocs:
-	@$(GO) test -bench 'BenchmarkBuildGraphWorkers|BenchmarkRefuteWorkers|BenchmarkRunBatchWorkers|BenchmarkFingerprint|BenchmarkStoreBackends|BenchmarkSymmetry$$|BenchmarkSpillStore|BenchmarkSpillAdjacency' \
+	@$(GO) test -bench 'BenchmarkBuildGraphWorkers|BenchmarkRefuteWorkers|BenchmarkRunBatchWorkers|BenchmarkFingerprint|BenchmarkStoreBackends|BenchmarkSymmetry$$|BenchmarkSpillAdjacency' \
 		-benchmem -benchtime=2x -run '^$$' . > bench-allocs.txt; \
 		status=$$?; \
 		$(GO) test -bench 'BenchmarkStep$$' -benchmem -benchtime=1000000x -run '^$$' ./internal/system >> bench-allocs.txt || status=$$?; \
@@ -93,12 +93,6 @@ bench-symmetry:
 	$(GO) test -bench 'BenchmarkCanonical' -benchmem -benchtime=200000x -run '^$$' ./internal/symmetry
 	$(GO) test -bench 'BenchmarkEnumerated' -benchmem -benchtime=5x -run '^$$' ./internal/symmetry
 
-# The E28 rows on their own: the disk-spilling store against dense
-# (retained bytes/state, spill-file size, read traffic) plus the exhaustive
-# forward n=5 build.
-bench-spill:
-	$(GO) test -bench 'BenchmarkSpillStore' -benchmem -benchtime=2x -run '^$$' .
-
 # The E29 rows on their own: the spilled adjacency (delta-varint edge
 # blocks on disk) against dense, with and without witness predecessor
 # links — retained bytes/state, edge-file bytes/edge, edge-block reads.
@@ -106,21 +100,24 @@ bench-adjacency:
 	$(GO) test -bench 'BenchmarkSpillAdjacency' -benchmem -benchtime=2x -run '^$$' .
 
 # The spill-store slice of the parity suites under a low memory ceiling:
-# graph identity (IDs, edges, valences, reports) of the disk-backed store
+# graph identity (IDs, edges, valences, reports) of the spill backend
 # against dense, serial and parallel, reduced and unreduced, with the Go
-# heap softly capped to prove exploration no longer needs state-sized
+# heap softly capped to prove exploration no longer needs edge-sized
 # RAM. TestSpill also matches the exhaustive forward n=5 and n=6 frontier
-# builds, so both run under the ceiling with vertices AND edges on disk.
+# builds, so both run under the ceiling with the edges on disk; in-package,
+# it covers the edge file's sealed/pending round trip and its write-failure
+# path, and TestTargetsMatchesEdgesFrom the label-free reads of both
+# adjacencies and of a reopened graph.
 # -count=1 matters: GOMEMLIMIT is read by the runtime, not the test
 # binary, so it is not part of the test-cache key — without it a warm
 # cache would replay passes that never ran under the ceiling.
 # TestDurable and TestClassifyReopened add the durable graph store:
-# commit, reopen-parity and a policy variant answered from the reopened
-# graph all run under the same ceiling, proving the reattached spill store
-# stays disk-backed.
+# commit, reopen-parity (every fingerprint decoded back into the vertex
+# store) and a policy variant answered from the reopened graph all run under
+# the same ceiling, with the reattached edges still on disk.
 test-spill:
 	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestStoreParity|TestGoldenExploration|TestGoldenInfiniteFamilies|TestRefutationReportParity|TestQuotient|TestSpill|TestDurable|TestWithGraphDir' .
-	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestSpillStore|TestStoreBounds|TestDurable|TestClassifyReopened' ./internal/explore/
+	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestSpill|TestStoreBounds|TestTargetsMatchesEdgesFrom|TestDurable|TestClassifyReopened' ./internal/explore/
 
 # The checking-service suite: the boostd HTTP/SSE/cache end-to-end tests
 # (golden counts, single-flight dedup, isomorphic cache hits, cancel and
@@ -172,9 +169,9 @@ vuln:
 # API-compatibility gate for the public boosting package: snapshot the
 # baseline export data (apidiff-baseline, run on the base revision), then
 # diff the working tree against it. Any incompatible change fails; a
-# baseline taken before PR 21 reports the declared removal of HashStore64,
-# HashStore128 and the VertexStore method changes (API_BREAKS.md) — retake
-# it on that commit.
+# baseline taken before a declared break (API_BREAKS.md: the latest is the
+# removal of VertexStore, AdjacencyStore, StateStore, StoreCollisions and
+# two SpillStats fields) reports it — retake it on that commit.
 APIDIFF = $(GO) run golang.org/x/exp/cmd/apidiff@latest
 
 apidiff-baseline:

@@ -654,69 +654,6 @@ func BenchmarkSymmetry(b *testing.B) {
 	}
 }
 
-// BenchmarkSpillStore (E28) measures the disk-spilling backend. The
-// forward-n4 rows compare retained bytes/state against dense on the
-// 2486-vertex exhaustive build — the spill store keeps only 16 hash bytes
-// plus a file offset per vertex in RAM, but also a pending window of up to
-// 1024 states, which at this size is most of what the dense store holds
-// (412 against 396 B/state since E38; 274 against 324 on n=5). The
-// forward-n5 rows are the first exhaustive forward n=5 build
-// (14754 states / 103926 edges from all monotone initializations): state
-// counts confirmed identical across dense and spill, with the spill rows
-// also reporting spill-file size and on-demand read traffic.
-func BenchmarkSpillStore(b *testing.B) {
-	bench := func(name string, n int, opts ...boosting.Option) {
-		b.Run(name, func(b *testing.B) {
-			chk, err := boosting.New("forward", n, 0,
-				append([]boosting.Option{boosting.WithWorkers(1)}, opts...)...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runtime.GC()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			probe, err := chk.ClassifyInits()
-			if err != nil {
-				b.Fatal(err)
-			}
-			runtime.GC()
-			runtime.ReadMemStats(&after)
-			retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
-			states := probe.Graph.Size()
-			spillStats, spilled := boosting.GraphSpillStats(probe.Graph)
-			runtime.KeepAlive(probe)
-			boosting.CloseGraph(probe.Graph)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c, err := chk.ClassifyInits()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(c.Graph.Size()), "states")
-				// Release each iteration's spill descriptor; long -benchtime
-				// runs would otherwise accumulate fds until GC.
-				boosting.CloseGraph(c.Graph)
-			}
-			// ResetTimer clears extra metrics, so everything reports after
-			// the timed loop.
-			if spilled {
-				b.ReportMetric(float64(spillStats.SpillBytes)/float64(states), "spillB/state")
-				b.ReportMetric(float64(spillStats.Reads), "spillreads")
-			}
-			b.ReportMetric(retained, "retainedB")
-			b.ReportMetric(retained/float64(states), "retainedB/state")
-		})
-	}
-	bench("forward-n4/dense", 4)
-	bench("forward-n4/spill", 4, boosting.WithSpillDir(b.TempDir()))
-	// The exhaustive n=5 frontier: feasible under the default budget since
-	// the interned core + spill store; dense is kept as the reference row so
-	// the state/edge counts stay pinned against each other.
-	bench("forward-n5/dense", 5)
-	bench("forward-n5/spill", 5, boosting.WithSpillDir(b.TempDir()))
-}
-
 // BenchmarkSpillAdjacency (E29) measures the spilled-adjacency redesign on
 // the exhaustive forward n=5 build (14754 states / 103926 edges): dense as
 // the reference, spill with edges delta-varint encoded in the edge file,

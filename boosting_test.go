@@ -97,8 +97,8 @@ func TestGoldenInfiniteFamilies(t *testing.T) {
 	}
 }
 
-// TestStoreParity asserts the acceptance contract of the StateStore seam:
-// dense and hash-compaction backends yield IDENTICAL graphs — same IDs,
+// TestStoreParity asserts the acceptance contract of the store backends:
+// dense and spill yield IDENTICAL graphs — same IDs,
 // fingerprints, edges, valences, roots — and identical refutation reports,
 // serial and parallel, on every finite registry protocol.
 func TestStoreParity(t *testing.T) {
@@ -224,29 +224,6 @@ func assertGraphsIdentical(t *testing.T, label string, want, got *boosting.Graph
 		}
 		if j != len(we) {
 			t.Fatalf("%s: EdgesFrom(%d) yielded %d edges, want %d", label, id, j, len(we))
-		}
-	}
-}
-
-// TestStoreCollisionsAudited: the public collision counter reads zero on
-// the dense backend and reports (typically zero, but well-defined) audited
-// collisions on the spill backend.
-func TestStoreCollisionsAudited(t *testing.T) {
-	for _, s := range stores {
-		chk, err := boosting.New("forward", 3, 0, boosting.WithStore(s.store), boosting.WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := chk.ClassifyInits()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := boosting.StoreCollisions(c.Graph)
-		if s.store == boosting.DenseStore && n != 0 {
-			t.Errorf("dense store audited %d collisions", n)
-		}
-		if n < 0 {
-			t.Errorf("%s: negative collision count %d", s.name, n)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Command experiments reproduces every figure/lemma/theorem-level artifact
 // of the paper (the experiment index E1–E21 of DESIGN.md, plus the
-// E27–E29, E31 and E32 engine rows: symmetry quotient, spilled states,
-// spilled adjacency, a silence-policy variant answered from a reopened
+// E27, E29, E31 and E32 engine rows: symmetry quotient, spilled
+// adjacency, a silence-policy variant answered from a reopened
 // durable graph, component interning) and emits the results as the
 // markdown report stored in EXPERIMENTS.md.
 // -only regenerates a subset of rows.
@@ -40,8 +40,8 @@ type result struct {
 // once from the shared flag block before the experiments run).
 var commonOpts []boosting.Option
 
-// spillDir is the parsed -spilldir value, honoured by the E28 spill builds
-// ("" = the OS temp directory).
+// spillDir is the parsed -spilldir value, honoured by the E29 spill builds
+// and E31's graph directory ("" = the OS temp directory).
 var spillDir string
 
 // newChecker builds a registry candidate honouring the shared flags.
@@ -129,7 +129,6 @@ func run(args []string) error {
 		{"E20", e20KSetBoundary},
 		{"E21", e21Lemma3AndFairness},
 		{"E27", e27SymmetryReduction},
-		{"E28", e28SpillStore},
 		{"E29", e29SpillAdjacency},
 		{"E31", e31PolicyVariantReopen},
 		{"E32", e32ComponentInterning},
@@ -847,67 +846,13 @@ func e27SymmetryReduction() (result, error) {
 	}, nil
 }
 
-// e28: disk-spilling state store — the spill file holds canonical
-// fingerprints that decode back into representative states, the produced
-// graph is identical to the dense store's, and the exhaustive forward n=5
-// analysis (out of reach for the string-keyed seed engine) completes with
-// states living on disk. (The id matches the E28 benchmark row.)
-func e28SpillStore() (result, error) {
-	// The reference is pinned to the dense backend so the parity check is
-	// spill-vs-dense even when the shared -store flag selects spill.
-	dense, err := newChecker("forward", 4, 0, boosting.WithStore(boosting.DenseStore))
-	if err != nil {
-		return result{}, err
-	}
-	want, err := dense.ClassifyInits()
-	if err != nil {
-		return result{}, err
-	}
-	defer boosting.CloseGraph(want.Graph)
-	spill, err := newChecker("forward", 4, 0, boosting.WithSpillDir(spillDir))
-	if err != nil {
-		return result{}, err
-	}
-	got, err := spill.ClassifyInits()
-	if err != nil {
-		return result{}, err
-	}
-	defer boosting.CloseGraph(got.Graph)
-	identical := got.Graph.Size() == want.Graph.Size() &&
-		got.Graph.Edges() == want.Graph.Edges() &&
-		got.BivalentIndex == want.BivalentIndex
-	for id := 0; identical && id < want.Graph.Size(); id++ {
-		sid := boosting.StateID(id)
-		identical = got.Graph.Fingerprint(sid) == want.Graph.Fingerprint(sid) &&
-			got.Graph.Valence(sid) == want.Graph.Valence(sid)
-	}
-	big, err := newChecker("forward", 5, 0, boosting.WithSpillDir(spillDir))
-	if err != nil {
-		return result{}, err
-	}
-	n5, err := big.ClassifyInits()
-	if err != nil {
-		return result{}, err
-	}
-	defer boosting.CloseGraph(n5.Graph)
-	stats, _ := boosting.GraphSpillStats(n5.Graph)
-	return result{
-		id: "E28", artifact: "disk-spilling state store",
-		claim: "fingerprints double as serialized states: exhaustive exploration no longer needs state-sized RAM",
-		measured: fmt.Sprintf("forward n=4 spill ≡ dense per-vertex: %v; exhaustive n=5: %d states / %d edges, %.1f MB spilled, %d resident",
-			identical, n5.Graph.Size(), n5.Graph.Edges(),
-			float64(stats.SpillBytes)/1e6, stats.Resident),
-		ok: identical && n5.BivalentIndex >= 0,
-	}, nil
-}
-
 // e29: spilled adjacency — edges live as delta-varint blocks in the edge
 // spill file, read back through the EdgesFrom iterator. The quotient
 // forward n=6 build is checked per-vertex (fingerprints, valences, edges)
 // against the dense backend; then the exhaustive frontiers the redesign
 // opened: unreduced forward n=6, and registervote n=3 under symmetry with
 // witness links dropped — the largest build, whose resident footprint is
-// the dedup index alone. (The id matches the E29 benchmark row.)
+// the vertex store alone. (The id matches the E29 benchmark row.)
 func e29SpillAdjacency() (result, error) {
 	dense, err := newChecker("forward", 6, 0, boosting.WithStore(boosting.DenseStore), boosting.WithSymmetry())
 	if err != nil {

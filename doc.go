@@ -17,9 +17,9 @@
 // Checker façade over the pipeline (Explore, ClassifyInits, FindHook,
 // Refute, RefuteKSet, Run) configured by functional options (WithWorkers,
 // WithMaxStates, WithStore, WithSymmetry, WithProgress, WithContext, …),
-// two
-// StateStore backends (dense in RAM, spill on disk), and the engine's
-// result types re-exported under stable names. The runnable
+// two store backends (edges in RAM, or spilled to an edge file; vertices in
+// RAM either way), and the engine's result types re-exported under stable
+// names. The runnable
 // Example functions in example_test.go show the core loops.
 //
 // See README.md for an overview, DESIGN.md for the system inventory, and

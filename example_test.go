@@ -89,8 +89,8 @@ func ExampleWithProgress() {
 	// final: 34 states, 94 edges (graph: 34, 94)
 }
 
-// The spill store: the same graph with vertices and edges on disk. Both
-// stores assign identical StateIDs, so results can be compared ID-for-ID.
+// The spill store: the same graph with its edges on disk. Both stores assign
+// identical StateIDs, so results can be compared ID-for-ID.
 func ExampleWithStore() {
 	inputs := map[int]string{0: "0", 1: "1"}
 	dense, err := boosting.New("forward", 2, 0, boosting.WithStore(boosting.DenseStore))
@@ -112,11 +112,9 @@ func ExampleWithStore() {
 	defer boosting.CloseGraph(g2)
 	fmt.Println("identical sizes:", g1.Size() == g2.Size())
 	fmt.Println("identical root fingerprints:", g1.Fingerprint(0) == g2.Fingerprint(0))
-	fmt.Println("audited collisions:", boosting.StoreCollisions(g2))
 	// Output:
 	// identical sizes: true
 	// identical root fingerprints: true
-	// audited collisions: 0
 }
 
 // The registry enumerates every candidate family New accepts.

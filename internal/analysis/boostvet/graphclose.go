@@ -14,9 +14,9 @@ import (
 // ClassifyInits, Refute, RefuteKSet — anything whose first result carries
 // an open *Graph, directly or through exported fields like
 // Report.Inits.Graph) must reach a Close call on every control-flow path,
-// including error returns. The spill backend holds two file descriptors
-// per open graph; a path that drops the handle leaks them for the life of
-// the process.
+// including error returns. The spill backend holds a file descriptor per
+// open graph; a path that drops the handle leaks it for the life of the
+// process.
 //
 // Variable propagation follows the goexhauerrors pattern over the
 // function's CFG: from the producing assignment, every path must hit one
@@ -38,7 +38,7 @@ import (
 var GraphCloseAnalyzer = &analysis.Analyzer{
 	Name: "graphclose",
 	Doc: "check that graphs from BuildGraph/Explore/ClassifyInits/Refute reach CloseGraph on all paths, " +
-		"including error returns (spill builds hold two file descriptors per open graph)",
+		"including error returns (spill builds hold a file descriptor per open graph)",
 	Requires: []*analysis.Analyzer{ctrlflow.Analyzer},
 	Run:      runGraphClose,
 }
@@ -134,7 +134,7 @@ func checkGraphClose(pass *analysis.Pass, ig *ignorer, body *ast.BlockStmt, g *c
 		}
 		if leak, at := findLeakPath(pass, g, p); leak {
 			ig.report(pass, "graphclose", at.Pos(),
-				"graph from %s is not closed on this path (spill builds leak two file descriptors); "+
+				"graph from %s is not closed on this path (spill builds leak a file descriptor); "+
 					"add `defer boosting.CloseGraph(...)`/`defer x.Close()` after the error check or return the value", p.fn.Name())
 		}
 	}

@@ -9,8 +9,8 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 )
 
-// StoreBoundsAnalyzer guards the store seam's totality contract: the read
-// accessors of every VertexStore/AdjacencyStore implementation —
+// StoreBoundsAnalyzer guards the stores' totality contract: the read
+// accessors of the vertex store and of every AdjacencyStore implementation —
 // State, Fingerprint, Pred, EdgesFrom, Targets, each taking a StateID
 // first — must be total over all possible IDs. Out-of-range must be an
 // explicit zero answer, never a slice-bounds panic, and the guard must be
@@ -21,9 +21,12 @@ import (
 //
 //   - an index expression that executes before any uint-vs-uint bounds
 //     comparison in the method;
-//   - an explicit panic call inside an accessor. The spill backend's
-//     corruption panics (failing reads of bytes the store itself wrote)
-//     are deliberate and carry ignore directives documenting that.
+//   - an explicit panic call inside an accessor. The spill adjacency's
+//     corruption panics (undecodable edge blocks the store itself wrote)
+//     are deliberate and carry ignore directives documenting that. They
+//     are the only ones: the vertex store is in RAM, and a durable
+//     graph's fingerprints are decoded, and refused if damaged, when it
+//     is opened.
 //
 // A pure delegation body — `return x.inner.SameMethod(id)` — is exempt:
 // the bounds discipline lives at the implementation it forwards to.
@@ -35,7 +38,7 @@ var StoreBoundsAnalyzer = &analysis.Analyzer{
 	Run:      runStoreBounds,
 }
 
-// accessorNames is the read face of the VertexStore/AdjacencyStore seam.
+// accessorNames is the read face of the vertex store and the adjacencies.
 var accessorNames = map[string]bool{
 	"State":       true,
 	"Fingerprint": true,

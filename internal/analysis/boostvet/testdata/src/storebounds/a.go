@@ -47,7 +47,7 @@ func (s *panicking) State(id StateID) (string, bool) {
 
 type waived struct{ xs []string }
 
-// The spill backend's corruption panics are deliberate and documented.
+// The spill adjacency's corruption panics are deliberate and documented.
 func (s *waived) State(id StateID) (string, bool) {
 	if uint(id) >= uint(len(s.xs)) {
 		return "", false

@@ -34,8 +34,8 @@ func Register(fs *flag.FlagSet) *Common {
 	// The empty sentinel default (rendered as dense by ParseStore) lets
 	// Options distinguish an explicit -store dense from the default, so
 	// -spilldir can reject every explicit conflicting backend.
-	fs.StringVar(&c.Store, "store", "", "state store backend: dense | spill (default dense)")
-	fs.StringVar(&c.SpillDir, "spilldir", "", "directory for spill files (implies -store spill; default: OS temp dir)")
+	fs.StringVar(&c.Store, "store", "", "state store backend: dense | spill (edges in an on-disk file; default dense)")
+	fs.StringVar(&c.SpillDir, "spilldir", "", "directory for the spill edge file (implies -store spill; default: OS temp dir)")
 	// Same empty-sentinel discipline as -store/-spilldir: "" means "not
 	// requested", so the conflict matrix in Options can name exactly the
 	// flags the user actually set.

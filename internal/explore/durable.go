@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/system"
@@ -42,12 +43,13 @@ func appendAction(dst []byte, a ioa.Action) []byte {
 
 // encodeIndex serializes everything a reopen needs beyond the two data
 // files: the task/action dictionaries the edge blocks reference, the
-// per-vertex fingerprint and edge-block lengths (offsets are cumulative —
-// both files are append-only in ID order), the final valence masks, the
-// optional predecessor links (dictionary-indexed), the roots and the
-// per-level seal offsets.
-func encodeIndex(g *Graph, s *spillStore) []byte {
-	n := s.Len()
+// per-vertex fingerprint lengths (fpLens) and edge-block lengths (offsets
+// are cumulative — both files hold one record per vertex in ID order), the
+// final valence masks, the optional predecessor links (dictionary-indexed),
+// the roots and the per-level seal offsets.
+func encodeIndex(g *Graph, s *spillEdges, fpLens []uint32) []byte {
+	n := g.store.Len()
+	preds := &g.store.predTable
 	buf := make([]byte, 0, 64+8*n)
 	buf = append(buf, indexMagic...)
 	buf = binary.AppendUvarint(buf, manifestFormat)
@@ -55,7 +57,7 @@ func encodeIndex(g *Graph, s *spillStore) []byte {
 	// Every BFS-tree edge is an edge SetSuccs has seen by now; a store fed
 	// links of other labels still gets them into the dictionaries before the
 	// dictionaries are written.
-	for _, link := range s.predTable.list {
+	for _, link := range preds.list {
 		if link.to != noState {
 			s.dictLabel(link.Label)
 		}
@@ -71,14 +73,14 @@ func encodeIndex(g *Graph, s *spillStore) []byte {
 
 	buf = binary.AppendUvarint(buf, uint64(n))
 	for i := 0; i < n; i++ {
-		buf = binary.AppendUvarint(buf, uint64(s.lens[i]))
+		buf = binary.AppendUvarint(buf, uint64(fpLens[i]))
 		buf = binary.AppendUvarint(buf, uint64(s.elens[i]))
 		buf = append(buf, g.masks[i])
 	}
 
-	if s.predTable.keep {
+	if preds.keep {
 		buf = append(buf, 1)
-		for _, link := range s.predTable.list {
+		for _, link := range preds.list {
 			if link.to == noState {
 				buf = append(buf, 0)
 				continue
@@ -277,28 +279,26 @@ func decodeIndex(buf []byte) (*decodedIndex, error) {
 	return out, nil
 }
 
-// commitDurable finishes a durable build: flush and sync the data files,
-// write the index, then commit the manifest via write-temp-then-rename.
-// A no-op for ephemeral builds. Called after the valence fixpoint, so the
-// persisted masks are final.
+// commitDurable finishes a durable build: write and sync the fingerprint
+// file, sync the edge file, write the index, then commit the manifest via
+// write-temp-then-rename. A no-op for ephemeral builds. Called after the
+// valence fixpoint, so the persisted masks are final.
 func commitDurable(g *Graph, opt BuildOptions) error {
 	if opt.GraphDir == "" {
 		return nil
 	}
-	s, ok := g.store.(*spillStore)
+	s, ok := g.adj.(*spillEdges)
 	if !ok {
 		return fmt.Errorf("explore: durable commit: store is not the spill backend")
 	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("explore: durable commit: flush fingerprints: %w", err)
-	}
-	if err := s.file.Sync(); err != nil {
-		return fmt.Errorf("explore: durable commit: sync fingerprints: %w", err)
+	fpLens, fpBytes, err := writeFingerprints(g, filepath.Join(opt.GraphDir, fpFileName))
+	if err != nil {
+		return fmt.Errorf("explore: durable commit: write fingerprints: %w", err)
 	}
 	if err := s.efile.Sync(); err != nil {
 		return fmt.Errorf("explore: durable commit: sync edges: %w", err)
 	}
-	idx := encodeIndex(g, s)
+	idx := encodeIndex(g, s, fpLens)
 	idxPath := filepath.Join(opt.GraphDir, indexFileName)
 	if err := writeFileSync(idxPath, idx); err != nil {
 		return fmt.Errorf("explore: durable commit: write index: %w", err)
@@ -309,11 +309,11 @@ func commitDurable(g *Graph, opt BuildOptions) error {
 		GraphID:          hex.EncodeToString(opt.GraphID),
 		Symmetry:         opt.Symmetry != nil,
 		Witnesses:        !opt.NoWitnesses,
-		States:           s.Len(),
+		States:           g.store.Len(),
 		Edges:            g.edges,
 		Roots:            len(g.roots),
 		Levels:           len(s.seals),
-		FingerprintBytes: s.wOff,
+		FingerprintBytes: fpBytes,
 		EdgeBytes:        s.flushedOff,
 		IndexBytes:       int64(len(idx)),
 		IndexSum:         sum64(idx),
@@ -324,6 +324,38 @@ func commitDurable(g *Graph, opt BuildOptions) error {
 	g.manifest = m
 	g.graphDir = opt.GraphDir
 	return nil
+}
+
+// writeFingerprints writes the canonical fingerprint of every vertex, in ID
+// order and without framing, to path and fsyncs it. It returns each one's
+// length — the index records them — and the total.
+func writeFingerprints(g *Graph, path string) (lens []uint32, total int64, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	w := bufio.NewWriterSize(f, 64<<10)
+	lens = make([]uint32, g.store.Len())
+	var buf []byte
+	for id := range lens {
+		st, _ := g.store.State(StateID(id))
+		buf = g.sys.AppendFingerprint(buf[:0], st)
+		if _, err = w.Write(buf); err != nil {
+			break
+		}
+		lens[id] = uint32(len(buf))
+		total += int64(len(buf))
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	return lens, total, err
 }
 
 // writeFileSync writes a file and fsyncs it before closing.
@@ -355,11 +387,13 @@ type OpenOptions struct {
 
 // OpenGraph validates a committed durable graph directory and reattaches
 // it as a read-only graph without exploring a state: manifest format and
-// self-checksum, data-file lengths, index checksum, and the shape
-// fingerprint of sys against the manifest's. The returned graph is
-// per-ID and per-edge identical to the one the durable build produced —
-// same StateIDs, fingerprints, edges, valences, roots and witness links —
-// and its states decode under sys (any same-shape candidate). It is the
+// self-checksum, data-file lengths, index checksum, the shape fingerprint
+// of sys against the manifest's, and — while every stored fingerprint is
+// decoded under sys (any same-shape candidate) into the vertex store — that
+// each one parses and names a state no earlier vertex holds. The returned
+// graph is per-ID and per-edge identical to the one the durable build
+// produced — same StateIDs, fingerprints, edges, valences, roots and
+// witness links. It is the
 // builder's G(C): without opt.GraphID nothing here ties its transitions to
 // sys, so it is sys's graph only when the two candidates have the same
 // failure-free transition relation (see ClassifyReopened). Close it with
@@ -400,98 +434,84 @@ func OpenGraph(sys *system.System, dir string, opt OpenOptions) (*Graph, error) 
 	if len(dec.lens) != m.States || len(dec.roots) != m.Roots {
 		return nil, &ManifestError{Dir: dir, Reason: "index counts disagree with manifest"}
 	}
-	files, err := openGraphFiles(dir, m)
+	fp, edges, err := openGraphFiles(dir, m)
 	if err != nil {
 		return nil, err
 	}
-	s, err := reattachSpillStore(sys, files, m, dec)
+	g, err := reattach(sys, fp, edges, m, dec)
+	_ = fp.Close()
 	if err != nil {
-		_ = files.close()
-		return nil, &ManifestError{Dir: dir, Reason: "reattach store", Err: err}
+		_ = edges.Close()
+		return nil, &ManifestError{Dir: dir, Reason: "reattach graph", Err: err}
+	}
+	g.graphDir = dir
+	return g, nil
+}
+
+// reattach rebuilds a committed graph: the vertex store by one sequential
+// decode pass over the fingerprint file — each fingerprint is parsed under
+// sys, keyed and interned, and must be the next fresh vertex, so a damaged or
+// duplicated record is an error here and never a later read — and the spill
+// adjacency, sealed throughout, from the index's block lengths over the edge
+// file.
+func reattach(sys *system.System, fp, edges *os.File, m *Manifest, dec *decodedIndex) (*Graph, error) {
+	var fpEnd, edgeEnd int64
+	for i := range dec.lens {
+		fpEnd += int64(dec.lens[i])
+		edgeEnd += int64(dec.elens[i])
+	}
+	if fpEnd != m.FingerprintBytes {
+		return nil, fmt.Errorf("fingerprint lengths sum to %d, file has %d", fpEnd, m.FingerprintBytes)
+	}
+	if edgeEnd != m.EdgeBytes {
+		return nil, fmt.Errorf("edge-block lengths sum to %d, file has %d", edgeEnd, m.EdgeBytes)
+	}
+	store := newDenseStore(sys, false)
+	br := bufio.NewReaderSize(fp, 256<<10)
+	var buf, key []byte
+	for i, l := range dec.lens {
+		buf = slices.Grow(buf[:0], int(l))[:l]
+		if _, err := io.ReadFull(br, buf); err != nil {
+			return nil, fmt.Errorf("read fingerprint of state %d: %w", i, err)
+		}
+		st, err := sys.ParseFingerprint(string(buf))
+		if err != nil {
+			return nil, fmt.Errorf("decode state %d: %w", i, err)
+		}
+		key = store.AppendKey(key[:0], st)
+		if id, fresh := store.Intern(key, st, packedEdge{}); !fresh {
+			return nil, fmt.Errorf("state %d repeats state %d", i, id)
+		}
+	}
+	store.predTable = dec.preds
+
+	// Adjacency: sealed throughout, EdgesFrom always preads.
+	a := &spillEdges{
+		vertices:   store,
+		efile:      edges,
+		eoffs:      make([]int64, len(dec.elens)),
+		elens:      dec.elens,
+		flushedOff: edgeEnd,
+		seals:      dec.seals,
+		tasks:      dec.tasks,
+		acts:       dec.acts,
+		decoded:    int64(len(dec.lens)),
+	}
+	a.ebufs.New = func() any { b := make([]byte, 0, 256); return &b }
+	var off int64
+	for i, l := range dec.elens {
+		a.eoffs[i] = off
+		off += int64(l)
 	}
 	return &Graph{
 		sys:      sys,
-		store:    s,
+		store:    store,
+		adj:      a,
 		roots:    dec.roots,
 		edges:    m.Edges,
 		masks:    dec.masks,
 		manifest: m,
-		graphDir: dir,
 	}, nil
-}
-
-// reattachSpillStore rebuilds a read-only spillStore over a committed
-// file set: offsets are reconstructed from the per-vertex lengths (both
-// data files are append-only in ID order), and the dedup index — hash
-// buckets plus second-stream hashes — is rebuilt by streaming the
-// fingerprint file once, which doubles as an integrity pass over every
-// stored byte.
-func reattachSpillStore(sys *system.System, files *graphFiles, m *Manifest, dec *decodedIndex) (*spillStore, error) {
-	n := len(dec.lens)
-	s := &spillStore{
-		sys:       sys,
-		hash:      fpHash,
-		buckets:   make(map[uint64][]StateID, n),
-		hash2:     make([]uint64, 0, n),
-		offs:      make([]int64, n),
-		lens:      dec.lens,
-		predTable: dec.preds,
-		files:     files,
-		file:      files.fp,
-		readonly:  true,
-		batch:     spillBatch,
-		// pendingBase at Len(): no vertex is resident, every read preads.
-		pendingBase: n,
-	}
-	s.bufs.New = func() any { b := make([]byte, 0, 256); return &b }
-	var off int64
-	for i, l := range dec.lens {
-		s.offs[i] = off
-		off += int64(l)
-	}
-	if off != m.FingerprintBytes {
-		return nil, fmt.Errorf("fingerprint lengths sum to %d, file has %d", off, m.FingerprintBytes)
-	}
-	// Adjacency face: sealed throughout, EdgesFrom always preads.
-	s.spillEdges.owner = s
-	s.spillEdges.efile = files.edges
-	s.spillEdges.eoffs = make([]int64, n)
-	s.spillEdges.elens = dec.elens
-	s.spillEdges.tasks = dec.tasks
-	s.spillEdges.acts = dec.acts
-	s.spillEdges.seals = dec.seals
-	s.spillEdges.ebufs.New = func() any { b := make([]byte, 0, 256); return &b }
-	var eoff int64
-	for i, l := range dec.elens {
-		s.spillEdges.eoffs[i] = eoff
-		eoff += int64(l)
-	}
-	if eoff != m.EdgeBytes {
-		return nil, fmt.Errorf("edge-block lengths sum to %d, file has %d", eoff, m.EdgeBytes)
-	}
-	s.spillEdges.flushedOff = eoff
-	s.wOff = off
-
-	// Rebuild the dedup index: one sequential pass over the fingerprint
-	// file. Graph.Lookup serves a reopened graph too (ClassifyReopened
-	// resolves the candidate's roots through it), so the buckets must be
-	// live.
-	br := bufio.NewReaderSize(files.fp, 256<<10)
-	buf := make([]byte, 0, 256)
-	for i := 0; i < n; i++ {
-		l := int(dec.lens[i])
-		if cap(buf) < l {
-			buf = make([]byte, l)
-		}
-		buf = buf[:l]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("read fingerprint of state %d: %w", i, err)
-		}
-		h1, h2 := fpHash(buf)
-		s.buckets[h1] = append(s.buckets[h1], StateID(i))
-		s.hash2 = append(s.hash2, h2)
-	}
-	return s, nil
 }
 
 // BuildOrReopenGraph is BuildGraph with the durable fast path: when the

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/ioa-lab/boosting/internal/explore"
@@ -181,9 +182,61 @@ func TestDurableParallelBuildCommits(t *testing.T) {
 	requireIdentical(t, ref, reopened, true)
 }
 
+// TestDurableSpillStats pins what GraphSpillStats reports about fingerprint
+// traffic now that every vertex stays resident: the durable commit writes
+// fingerprints.dat once (SpillBytes is its exact size, both on the built graph
+// and on the reopened one), a graph built in this process decoded none (Reads
+// 0), and OpenGraph decodes each vertex exactly once (Reads == States).
+func TestDurableSpillStats(t *testing.T) {
+	sys := mustForward(t, 3, 1, service.Adversarial)
+	dir := t.TempDir()
+	built, err := explore.BuildGraph(sys, monotoneRoots(t, sys), explore.BuildOptions{
+		Workers: 1, Store: explore.StoreSpill, GraphDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, "fingerprints.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Fatal("the durable commit wrote an empty fingerprints.dat")
+	}
+	bs, ok := explore.GraphSpillStats(built)
+	if !ok {
+		t.Fatal("GraphSpillStats not ok for a durable spill build")
+	}
+	if bs.States != built.Size() || bs.SpillBytes != fi.Size() || bs.Reads != 0 {
+		t.Errorf("built: stats %+v, want %d states, %d fingerprint bytes, 0 reads", bs, built.Size(), fi.Size())
+	}
+	if err := explore.CloseGraphStore(built); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := explore.OpenGraph(sys, dir, explore.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer explore.CloseGraphStore(reopened)
+	rs, ok := explore.GraphSpillStats(reopened)
+	if !ok {
+		t.Fatal("GraphSpillStats not ok for a reopened graph")
+	}
+	if rs.States != reopened.Size() || rs.SpillBytes != fi.Size() || rs.Reads != int64(reopened.Size()) {
+		t.Errorf("reopened: stats %+v, want %d states, %d fingerprint bytes, %d reads",
+			rs, reopened.Size(), fi.Size(), reopened.Size())
+	}
+	if rs.EdgeBytes != bs.EdgeBytes {
+		t.Errorf("reopened: %d edge bytes, built graph wrote %d", rs.EdgeBytes, bs.EdgeBytes)
+	}
+}
+
 // TestDurableOpenErrors drives OpenGraph through the open-time failure
 // table: identity mismatches and damaged data files are all typed
-// *ManifestError values.
+// *ManifestError values, and a refused open leaves no descriptor behind. A
+// fingerprint file of the right length can still be damaged: a record the
+// decoder rejects, or a record that decodes to an earlier vertex's state,
+// is refused by the decode pass, not met later as a corrupt vertex.
 func TestDurableOpenErrors(t *testing.T) {
 	sys := mustForward(t, 2, 1, service.Adversarial)
 	roots := monotoneRoots(t, sys)
@@ -240,6 +293,39 @@ func TestDurableOpenErrors(t *testing.T) {
 			},
 		},
 		{
+			name: "undecodable fingerprint",
+			open: func(t *testing.T, dir string) error {
+				path := filepath.Join(dir, "fingerprints.dat")
+				raw := readFile(t, path)
+				raw[0] = 0xff // vertex 0's first byte: no state encoding starts so
+				writeFile(t, path, raw)
+				_, err := explore.OpenGraph(sys, dir, explore.OpenOptions{})
+				return err
+			},
+		},
+		{
+			name: "duplicated fingerprint",
+			open: func(t *testing.T, dir string) error {
+				g, err := explore.OpenGraph(sys, dir, explore.OpenOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fp0, fp1 := g.Fingerprint(0), g.Fingerprint(1)
+				if err := explore.CloseGraphStore(g); err != nil {
+					t.Fatal(err)
+				}
+				if len(fp0) != len(fp1) || fp0 == fp1 {
+					t.Fatalf("vertices 0 and 1 have fingerprints of %d and %d bytes; the row needs two of one length", len(fp0), len(fp1))
+				}
+				path := filepath.Join(dir, "fingerprints.dat")
+				raw := readFile(t, path)
+				copy(raw[len(fp0):], fp0) // the file holds the records in ID order
+				writeFile(t, path, raw)
+				_, err = explore.OpenGraph(sys, dir, explore.OpenOptions{})
+				return err
+			},
+		},
+		{
 			name: "truncated edge file",
 			open: func(t *testing.T, dir string) error {
 				truncateTail(t, filepath.Join(dir, "edges.dat"))
@@ -264,8 +350,33 @@ func TestDurableOpenErrors(t *testing.T) {
 			if !errors.As(err, &merr) {
 				t.Fatalf("want *ManifestError, got %T: %v", err, err)
 			}
+			if n := descriptorsUnder(t, dir); n != 0 {
+				t.Errorf("%d descriptors into the directory left open by the refused open", n)
+			}
 		})
 	}
+}
+
+// descriptorsUnder counts this process's open file descriptors that point
+// into dir. Linux-only (reads /proc/self/fd); elsewhere the test skips the
+// check.
+func descriptorsUnder(t *testing.T, dir string) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no descriptor table to count: %v", err)
+	}
+	dir, err = filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range ents {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name())); err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestClassifyReopened drives the one reader that serves a committed graph to
@@ -360,11 +471,22 @@ func truncateTail(t *testing.T, path string) {
 
 func flipByte(t *testing.T, path string) {
 	t.Helper()
+	raw := readFile(t, path)
+	raw[len(raw)/2] ^= 0xff
+	writeFile(t, path, raw)
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0xff
+	return raw
+}
+
+func writeFile(t *testing.T, path string, raw []byte) {
+	t.Helper()
 	if err := os.WriteFile(path, raw, 0o666); err != nil {
 		t.Fatal(err)
 	}

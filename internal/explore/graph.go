@@ -96,20 +96,17 @@ type pred struct {
 // processes and services are deterministic, each vertex has at most one
 // outgoing edge per task.
 //
-// Vertex storage — the dedup index, representative states, adjacency and
-// predecessor links — lives behind the StateStore seam; the graph itself
-// keeps only the roots and the valence masks.
+// The vertices — the dedup index, representative states and predecessor
+// links — live in the one vertex store, the edges in the adjacency the
+// build's StoreKind picked; the graph itself keeps the roots and the valence
+// masks.
 type Graph struct {
 	sys   *system.System
-	store StateStore
+	store *denseStore
+	adj   AdjacencyStore
 	roots []StateID
 	edges int
 	masks []uint8
-	// ownMasks records each vertex's own decision mask at intern time, so
-	// the valence fixpoint seeds from one resident byte per vertex instead
-	// of re-reading every state — on the spill backend that would be a full
-	// extra pread + decode pass over the spill file after exploration.
-	ownMasks []uint8
 	// manifest and graphDir are set on durable graphs only: a build with
 	// GraphDir records them at commit, OpenGraph at reattach. See
 	// GraphManifest / GraphDirOf.
@@ -152,16 +149,17 @@ type BuildOptions struct {
 	// is identical for every value — same StateIDs, edges, predecessors and
 	// valences.
 	Workers int
-	// Store selects the vertex storage backend (default StoreDense). Both
-	// produce the identical graph; they differ in what stays resident.
+	// Store selects where the edges are kept (default StoreDense, in RAM;
+	// StoreSpill, in a file). Both produce the identical graph; they differ
+	// in what stays resident.
 	Store StoreKind
-	// SpillDir is where StoreSpill creates its spill file ("" = the OS temp
-	// directory). Ignored by the in-memory backends.
+	// SpillDir is where StoreSpill creates its edge file ("" = the OS temp
+	// directory). Ignored by the in-memory backend.
 	SpillDir string
-	// GraphDir, when non-empty, makes the build durable: it forces
-	// StoreSpill semantics on the spill files, creates them as named files
-	// under this directory, and commits an index plus a versioned,
-	// checksummed manifest after the valence fixpoint. A committed
+	// GraphDir, when non-empty, makes the build durable: the spill
+	// backend's edge file is created as a named file under this directory,
+	// and the vertices' fingerprints, an index and a versioned, checksummed
+	// manifest are committed after the valence fixpoint. A committed
 	// directory reopens via OpenGraph without exploring a state. Requires
 	// Store == StoreSpill.
 	GraphDir string
@@ -171,10 +169,10 @@ type BuildOptions struct {
 	// set.
 	GraphID []byte
 	// Symmetry, when non-nil, canonicalizes every state — roots and
-	// discovered successors — before the key/intern step at the StateStore
-	// boundary, so the level loop builds the quotient graph modulo process
-	// renaming. Both level bodies and both store backends apply it at the
-	// same point and stay graph-identical to each other.
+	// discovered successors — before the key/intern step at the vertex
+	// store, so the level loop builds the quotient graph modulo process
+	// renaming. Both level bodies apply it at the same point and stay
+	// graph-identical to each other on both backends.
 	Symmetry Canonicalizer
 	// NoWitnesses drops the BFS-tree predecessor links: the store records
 	// nothing at intern time and WitnessPath returns nil for every vertex.
@@ -199,21 +197,25 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// newGraph creates the empty graph of a build on the backend opt selects; a
-// store without witnesses records no link in Intern and reports pred{}.
+// newGraph creates the empty graph of a build: the vertex store — which,
+// without witnesses, records no link in Intern and reports pred{} — and the
+// adjacency opt's StoreKind selects.
 func newGraph(sys *system.System, opt BuildOptions) (*Graph, error) {
+	g := &Graph{sys: sys, store: newDenseStore(sys, !opt.NoWitnesses)}
 	if opt.Store != StoreSpill {
-		return &Graph{sys: sys, store: newDenseStore(sys, !opt.NoWitnesses)}, nil
+		g.adj = &packedAdjacency{sys: sys, segCap: edgeSegment}
+		return g, nil
 	}
-	store, err := newSpillStore(sys, opt.SpillDir, opt.GraphDir, !opt.NoWitnesses)
+	adj, err := newSpillEdges(g.store, opt.SpillDir, opt.GraphDir)
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{sys: sys, store: store}, nil
+	g.adj = adj
+	return g, nil
 }
 
 // validateDurable rejects the build-option combination the durable mode
-// cannot honor: the manifest describes the spill backend's file pair, so
+// cannot honor: the manifest describes the spill backend's edge file, so
 // GraphDir requires StoreSpill.
 func validateDurable(opt BuildOptions) error {
 	if opt.GraphDir != "" && opt.Store != StoreSpill {
@@ -231,16 +233,6 @@ func canonical(canon Canonicalizer, st system.State) system.State {
 	return canon.Canonical(st)
 }
 
-// intern stores a vertex and, when fresh, records its own decision mask
-// (see Graph.ownMasks).
-func (g *Graph) intern(key string, st system.State, mask uint8, p packedEdge) StateID {
-	id, fresh := g.store.Intern(key, st, p)
-	if fresh {
-		g.ownMasks = append(g.ownMasks, mask)
-	}
-	return id
-}
-
 // internRoots seeds the graph with the root states (canonicalized when
 // symmetry reduction is on). Roots are exempt from the vertex budget and
 // always get the smallest IDs, in input order.
@@ -249,25 +241,27 @@ func (g *Graph) internRoots(roots []system.State, canon Canonicalizer) {
 	for _, r := range roots {
 		r = canonical(canon, r)
 		buf = g.store.AppendKey(buf[:0], r)
-		g.roots = append(g.roots, g.intern(string(buf), r, ownMask(g.sys, r), packedEdge{to: noState}))
+		id, _ := g.store.Intern(buf, r, packedEdge{to: noState})
+		g.roots = append(g.roots, id)
 	}
 }
 
 // discover resolves the first reference to a successor the store did not hold
 // when it was looked up: a new vertex is interned with p as its predecessor
-// link and mask as its own decisions. This is where the vertex budget is
-// enforced, for both level bodies. Below the budget one Intern answers — on
-// the pool another worker's candidate for the same state may have been
-// interned earlier in the barrier, which Intern reports as not fresh; at the
-// budget only such a known vertex may still pass.
-func (g *Graph) discover(key string, st system.State, mask uint8, p packedEdge, maxStates int) (StateID, error) {
+// link. This is where the vertex budget is enforced, for both level bodies.
+// Below the budget one Intern answers — on the pool another worker's
+// candidate for the same state may have been interned earlier in the
+// barrier, which Intern reports as not fresh; at the budget only such a
+// known vertex may still pass.
+func (g *Graph) discover(key []byte, st system.State, p packedEdge, maxStates int) (StateID, error) {
 	if g.store.Len() >= maxStates {
-		if id, ok := g.store.Lookup(stringBytes(key)); ok {
+		if id, ok := g.store.Lookup(key); ok {
 			return id, nil
 		}
 		return noState, &LimitError{Limit: maxStates, Explored: g.store.Len()}
 	}
-	return g.intern(key, st, mask, p), nil
+	id, _ := g.store.Intern(key, st, p)
+	return id, nil
 }
 
 // BuildGraph explores the failure-free closure of the given root states
@@ -277,7 +271,7 @@ func (g *Graph) discover(key string, st system.State, mask uint8, p packedEdge, 
 // final cancellation check, the valence fixpoint and the durable commit —
 // around the level loop, Graph.explore.
 func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *Graph, err error) {
-	// Spill-file write failures (disk full) surface here as ordinary build
+	// Edge-file write failures (disk full) surface here as ordinary build
 	// errors; see recoverSpillWrite.
 	defer recoverSpillWrite(&g, &err)
 	if err := validateDurable(opt); err != nil {
@@ -294,13 +288,11 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 	// On every exit but the successful one — an error return (budget
 	// overflow, cancellation, Apply failure) or a panic passing through —
 	// the partial graph is dropped; release its backend resources — the
-	// spill store's descriptors — and the intern-time mask recording
-	// instead of waiting for a finalizer. `built` pins the graph because
-	// the named return is nil on error.
+	// spill backend's descriptor — instead of waiting for a finalizer.
+	// `built` pins the graph because the named return is nil on error.
 	built, ok := g, false
 	defer func() {
 		if !ok {
-			built.ownMasks = nil
 			_ = CloseGraphStore(built)
 		}
 	}()
@@ -331,15 +323,13 @@ func (e *PanicError) Error() string {
 }
 
 // recoverApply, deferred around a level body's expansion with the index of
-// the task being applied, turns a panic into *err. A spill write failure is
-// re-raised, for BuildGraph (see recoverSpillWrite).
+// the task being applied, turns a panic into *err. Nothing but the task can
+// panic there: a body reads only the vertex store, which is in RAM, and
+// writes no file.
 func recoverApply(sys *system.System, t *int, err *error) {
 	r := recover()
 	if r == nil {
 		return
-	}
-	if _, write := r.(spillWriteError); write {
-		panic(r)
 	}
 	*err = &PanicError{Task: sys.Tasks()[*t], Value: r}
 	log.Printf("%v\n%s", *err, debug.Stack())
@@ -365,7 +355,7 @@ func (g *Graph) successor(canon Canonicalizer, st system.State, pkey []byte, t i
 		next = canon.Canonical(st.With(d))
 		*buf = g.store.AppendKey((*buf)[:0], next)
 	} else {
-		*buf = g.store.AppendSuccKey((*buf)[:0], pkey, st, d)
+		*buf = g.store.AppendSuccKey((*buf)[:0], pkey, d)
 	}
 	if e.to, ok = g.store.Lookup(*buf); !ok {
 		e.to = noState
@@ -406,8 +396,8 @@ func (g *Graph) explore(maxStates, workers int, opt BuildOptions) error {
 			return err
 		}
 		// The level's edges are now immutable, so the spill backend may move
-		// them out of RAM before the next level reads the store.
-		g.store.SealLevel()
+		// them out of RAM before the next level is expanded.
+		g.adj.SealLevel()
 		if opt.Progress != nil {
 			opt.Progress(Progress{Level: level, States: g.store.Len(), Edges: g.edges, Frontier: g.store.Len() - int(hi)})
 		}
@@ -444,14 +434,14 @@ func (g *Graph) expandInline(lo, hi StateID, maxStates int, ws *workerScratch, o
 				if opt.Symmetry == nil {
 					succ = st.With(d)
 				}
-				e.to, err = g.discover(string(ws.buf), succ, ownMask(g.sys, succ), packedEdge{to: id, Label: e.Label}, maxStates)
+				e.to, err = g.discover(ws.buf, succ, packedEdge{to: id, Label: e.Label}, maxStates)
 				if err != nil {
 					return err
 				}
 			}
 			ws.edges = append(ws.edges, e)
 		}
-		g.store.SetSuccs(id, ws.edges)
+		g.adj.SetSuccs(id, ws.edges)
 		g.edges += len(ws.edges)
 	}
 	ws.edges = ws.edges[:0] // a pooled level may follow: its arena starts empty
@@ -461,12 +451,13 @@ func (g *Graph) expandInline(lo, hi StateID, maxStates int, ws *workerScratch, o
 // computeMasks is the valence fixpoint: it propagates decision bits backwards
 // until nothing moves, mask(s) = decided(s) ∪ ⋃_{s→t} mask(t).
 func (g *Graph) computeMasks() {
-	// Seed with each state's own decisions, recorded at intern time. The
-	// recording is only needed for this seeding, so release it after.
+	// Seed with each state's own decisions.
 	n := g.store.Len()
 	g.masks = make([]uint8, n)
-	copy(g.masks, g.ownMasks)
-	g.ownMasks = nil
+	for id := range g.masks {
+		st, _ := g.store.State(StateID(id))
+		g.masks[id] = ownMask(g.sys, st)
+	}
 	// Chaotic iteration to fixpoint; the least fixpoint is unique, so the
 	// sweep order only affects how many rounds it takes. Masks flow
 	// backwards along edges and BFS edges point mostly at equal-or-larger
@@ -480,7 +471,7 @@ func (g *Graph) computeMasks() {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
 			m := g.masks[i]
-			targets = g.store.Targets(StateID(i), targets[:0])
+			targets = g.adj.Targets(StateID(i), targets[:0])
 			for _, to := range targets {
 				m |= g.masks[to]
 			}
@@ -522,7 +513,7 @@ func (g *Graph) rootSets(ctx context.Context) (rootSets, error) {
 		changed = false
 		for id := range StateID(n) {
 			src := r.of(id)
-			targets = g.store.Targets(id, targets[:0])
+			targets = g.adj.Targets(id, targets[:0])
 			for _, to := range targets {
 				dst := r.of(to)
 				for w := range src {
@@ -563,9 +554,6 @@ func (g *Graph) Edges() int { return g.edges }
 // Roots returns the root vertices in insertion order.
 func (g *Graph) Roots() []StateID { return g.roots }
 
-// Store returns the vertex storage backend of the graph.
-func (g *Graph) Store() StateStore { return g.store }
-
 // State returns the representative state of a vertex.
 func (g *Graph) State(id StateID) (system.State, bool) {
 	return g.store.State(id)
@@ -584,14 +572,14 @@ func (g *Graph) Lookup(fp string) (StateID, bool) { return g.store.LookupFingerp
 // the allocation-free access path: the dense backend resolves its 8-byte
 // edges' labels through the System, the spill backend decodes one block.
 // Breaking out early is allowed and cheap.
-func (g *Graph) EdgesFrom(id StateID) iter.Seq[Edge] { return g.store.EdgesFrom(id) }
+func (g *Graph) EdgesFrom(id StateID) iter.Seq[Edge] { return g.adj.EdgesFrom(id) }
 
 // Succs returns the outgoing edges of a vertex as a slice (nil for a sink
 // or an out-of-range ID). No backend stores []Edge, so every call
 // materializes a fresh slice; bulk walks should prefer EdgesFrom.
 func (g *Graph) Succs(id StateID) []Edge {
 	var edges []Edge
-	for e := range g.store.EdgesFrom(id) {
+	for e := range g.adj.EdgesFrom(id) {
 		edges = append(edges, e)
 	}
 	return edges
@@ -599,7 +587,7 @@ func (g *Graph) Succs(id StateID) []Edge {
 
 // Succ returns the e-successor of a vertex, if task e is applicable there.
 func (g *Graph) Succ(id StateID, task ioa.Task) (Edge, bool) {
-	for e := range g.store.EdgesFrom(id) {
+	for e := range g.adj.EdgesFrom(id) {
 		if e.Task == task {
 			return e, true
 		}
@@ -687,7 +675,7 @@ func (t *bfsTree) path(g *Graph, start, v StateID) []Edge {
 	var rev []Edge
 	for v != start {
 		from := t.parent[v]
-		rev = append(rev, edgeAt(g.store, from, t.pedge[v]))
+		rev = append(rev, edgeAt(g.adj, from, t.pedge[v]))
 		v = from
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -700,9 +688,9 @@ func (t *bfsTree) path(g *Graph, start, v StateID) []Edge {
 // addresses its parent edges by index; with adjacency behind an iterator,
 // resolving one means counting back into the block. Panics out of range,
 // mirroring the slice indexing it replaces.
-func edgeAt(store StateStore, id StateID, idx int32) Edge {
+func edgeAt(adj AdjacencyStore, id StateID, idx int32) Edge {
 	i := int32(0)
-	for e := range store.EdgesFrom(id) {
+	for e := range adj.EdgesFrom(id) {
 		if i == idx {
 			return e
 		}
@@ -725,7 +713,7 @@ func (g *Graph) FindState(start StateID, allow func(Edge) bool, want func(system
 			return id, tree.path(g, start, id), true
 		}
 		i := -1
-		for e := range g.store.EdgesFrom(id) {
+		for e := range g.adj.EdgesFrom(id) {
 			i++
 			if allow != nil && !allow(e) {
 				continue

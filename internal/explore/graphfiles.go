@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 
@@ -12,12 +13,12 @@ import (
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
-// The durable graph layout: one directory per graph, holding the two
-// append-only data files the spill backend already writes (canonical
-// fingerprints and delta-varint edge blocks), the index file with
-// everything RAM-resident that reopening needs (per-vertex lengths,
-// valence masks, predecessor links, roots, seal offsets, dictionaries),
-// and the manifest that commits them. The manifest is written last, via
+// The durable graph layout: one directory per graph, holding two data
+// files — the delta-varint edge blocks the spill backend appends during the
+// build, and the canonical fingerprints of the vertices, written once in ID
+// order at commit — the index file with everything else reopening needs
+// (per-vertex lengths, valence masks, predecessor links, roots, seal
+// offsets, dictionaries), and the manifest that commits them. The manifest is written last, via
 // write-temp-then-rename, so a directory either holds a complete
 // committed graph or no graph at all — partial builds and crashes leave
 // no manifest and are rebuilt from scratch.
@@ -94,15 +95,12 @@ type Manifest struct {
 	Checksum string `json:"checksum"`
 }
 
-// sum64 hashes a byte slice with the store's deterministic fingerprint
-// hash (first stream), rendered as the fixed-width hex used in manifests.
+// sum64 hashes a byte slice with 64-bit FNV-1a, rendered big-endian as the
+// fixed-width hex used in manifests.
 func sum64(b []byte) string {
-	h, _ := fpHash(b)
-	var raw [8]byte
-	for i := range raw {
-		raw[i] = byte(h >> (56 - 8*i))
-	}
-	return hex.EncodeToString(raw[:])
+	h := fnv.New64a()
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // seal marks the manifest's checksum: the hash of the encoding with the
@@ -229,110 +227,75 @@ func writeManifest(dir string, m *Manifest) error {
 	return nil
 }
 
-// graphFiles owns the file set of one spill-backed graph in one of two
-// modes. Ephemeral (dir == ""): the files are created in the spill
-// directory and unlinked immediately — today's temp-file discipline, the
-// kernel reclaims them when the descriptors close. Durable: the files are
-// created under the named graph directory and kept; the build later adds
-// the index and commits the manifest (see commitDurable), after which
-// OpenGraph reattaches them.
-type graphFiles struct {
-	dir     string // durable graph directory; "" in ephemeral mode
-	durable bool
-	fp      *os.File // canonical fingerprints, append-only
-	edges   *os.File // delta-varint edge blocks, append-only
-}
-
-// newEphemeralGraphFiles creates the unlinked temp-file pair in spillDir
-// ("" = the OS temp directory).
-func newEphemeralGraphFiles(spillDir string) (*graphFiles, error) {
+// newEphemeralEdgeFile creates the spill backend's edge file in spillDir
+// ("" = the OS temp directory) and unlinks it at once: the open descriptor
+// keeps the data alive, and the kernel reclaims the space as soon as it
+// closes. (Best-effort — on filesystems that refuse to unlink open files the
+// temp file simply persists until external cleanup.)
+func newEphemeralEdgeFile(spillDir string) (*os.File, error) {
 	if spillDir == "" {
 		spillDir = os.TempDir()
 	}
-	f, err := os.CreateTemp(spillDir, "boosting-spill-*.fp")
+	f, err := os.CreateTemp(spillDir, "boosting-spill-*.edges")
 	if err != nil {
-		return nil, fmt.Errorf("explore: create spill file: %w", err)
-	}
-	// Unlink immediately: the open descriptor keeps the data alive, and the
-	// kernel reclaims the space as soon as it closes. (Best-effort — on
-	// filesystems that refuse to unlink open files the temp file simply
-	// persists until external cleanup.)
-	_ = os.Remove(f.Name())
-	ef, err := os.CreateTemp(spillDir, "boosting-spill-*.edges")
-	if err != nil {
-		_ = f.Close()
 		return nil, fmt.Errorf("explore: create edge spill file: %w", err)
 	}
-	_ = os.Remove(ef.Name())
-	return &graphFiles{fp: f, edges: ef}, nil
+	_ = os.Remove(f.Name())
+	return f, nil
 }
 
-// newDurableGraphFiles creates (or truncates) the named data files under
-// dir. Any previously committed manifest is removed first, so a crash
-// mid-rebuild cannot leave a valid manifest pointing at half-rewritten
-// data — the commit protocol's invariant is "manifest implies complete".
-func newDurableGraphFiles(dir string) (*graphFiles, error) {
+// newDurableEdgeFile creates (or truncates) edges.dat under dir. Any
+// previously committed manifest is removed first, so a crash mid-rebuild
+// cannot leave a valid manifest pointing at half-rewritten data — the commit
+// protocol's invariant is "manifest implies complete".
+func newDurableEdgeFile(dir string) (*os.File, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("explore: create graph dir: %w", err)
 	}
 	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("explore: clear stale manifest: %w", err)
 	}
-	f, err := os.Create(filepath.Join(dir, fpFileName))
+	f, err := os.Create(filepath.Join(dir, edgeFileName))
 	if err != nil {
-		return nil, fmt.Errorf("explore: create fingerprint file: %w", err)
-	}
-	ef, err := os.Create(filepath.Join(dir, edgeFileName))
-	if err != nil {
-		_ = f.Close()
 		return nil, fmt.Errorf("explore: create edge file: %w", err)
 	}
-	return &graphFiles{dir: dir, durable: true, fp: f, edges: ef}, nil
+	return f, nil
 }
 
-// openGraphFiles reopens a committed directory's data files read-only and
-// checks their lengths against the manifest.
-func openGraphFiles(dir string, m *Manifest) (*graphFiles, error) {
-	fail := func(reason string, err error) (*graphFiles, error) {
-		return nil, &ManifestError{Dir: dir, Reason: reason, Err: err}
+// openGraphFiles reopens a committed directory's two data files read-only
+// and checks their lengths against the manifest.
+func openGraphFiles(dir string, m *Manifest) (fp, edges *os.File, err error) {
+	fail := func(reason string, err error) (*os.File, *os.File, error) {
+		if fp != nil {
+			_ = fp.Close()
+		}
+		if edges != nil {
+			_ = edges.Close()
+		}
+		return nil, nil, &ManifestError{Dir: dir, Reason: reason, Err: err}
 	}
-	f, err := os.Open(filepath.Join(dir, fpFileName))
-	if err != nil {
+	if fp, err = os.Open(filepath.Join(dir, fpFileName)); err != nil {
 		return fail("open fingerprint file", err)
 	}
-	ef, err := os.Open(filepath.Join(dir, edgeFileName))
-	if err != nil {
-		_ = f.Close()
+	if edges, err = os.Open(filepath.Join(dir, edgeFileName)); err != nil {
 		return fail("open edge file", err)
 	}
-	gf := &graphFiles{dir: dir, durable: true, fp: f, edges: ef}
 	for _, check := range []struct {
 		name string
 		f    *os.File
 		want int64
 	}{
-		{fpFileName, f, m.FingerprintBytes},
-		{edgeFileName, ef, m.EdgeBytes},
+		{fpFileName, fp, m.FingerprintBytes},
+		{edgeFileName, edges, m.EdgeBytes},
 	} {
 		info, err := check.f.Stat()
 		if err != nil {
-			_ = gf.close()
 			return fail("stat "+check.name, err)
 		}
 		if info.Size() != check.want {
-			_ = gf.close()
 			return fail(fmt.Sprintf("%s is %d bytes, manifest records %d",
 				check.name, info.Size(), check.want), nil)
 		}
 	}
-	return gf, nil
-}
-
-// close releases both descriptors, reporting the first error.
-func (g *graphFiles) close() error {
-	err := g.fp.Close()
-	if eerr := g.edges.Close(); err == nil {
-		err = eerr
-	}
-	return err
+	return fp, edges, nil
 }

@@ -178,7 +178,7 @@ func (g *Graph) findBivalentExtension(ctx context.Context, alpha StateID, e ioa.
 		var next []StateID
 		for _, id := range level {
 			j := -1
-			for edge := range g.store.EdgesFrom(id) {
+			for edge := range g.adj.EdgesFrom(id) {
 				j++
 				if edge.Task == e || tree.seen(edge.To) {
 					continue
@@ -285,7 +285,7 @@ func (g *Graph) findDecidingPath(ctx context.Context, start StateID, wantMask ui
 			return tree.path(g, start, id), nil
 		}
 		i := -1
-		for edge := range g.store.EdgesFrom(id) {
+		for edge := range g.adj.EdgesFrom(id) {
 			i++
 			if tree.seen(edge.To) {
 				continue

@@ -23,8 +23,8 @@ type InitClassification struct {
 	Graph *Graph
 }
 
-// Close releases the classification's graph (the spill backend holds two
-// file descriptors per open graph). Nil-tolerant on the receiver and the
+// Close releases the classification's graph (the spill backend holds a
+// file descriptor per open graph). Nil-tolerant on the receiver and the
 // graph, so `defer c.Close()` is safe straight after the error check.
 func (c *InitClassification) Close() error {
 	if c == nil {

@@ -140,7 +140,7 @@ func TestLevelStepInlinePooledParity(t *testing.T) {
 						sameGraph(t, label, r.ref, g)
 						var want, have []StateID
 						for id := range StateID(g.Size()) {
-							want, have = r.ref.store.Targets(id, want[:0]), g.store.Targets(id, have[:0])
+							want, have = r.ref.adj.Targets(id, want[:0]), g.adj.Targets(id, have[:0])
 							if !slices.Equal(have, want) {
 								t.Fatalf("%s: Targets(%d) = %v, want %v", label, id, have, want)
 							}

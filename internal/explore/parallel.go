@@ -77,16 +77,14 @@ func parallelForScratch[S any](scratch []S, n int, f func(i int, s *S)) {
 	wg.Wait()
 }
 
-// candidate is a successor that was not in the state store when its level
-// started, recorded once per worker per level: the store key (an owned
-// copy), the state and the state's own decision mask — computed here by the
-// worker so the serial level barrier does not pay a sys.Decisions call per
-// intern. id stays noState until the barrier resolves the candidate.
+// candidate is a successor that was not in the vertex store when its level
+// started, recorded once per worker per level: the store key (an owned copy,
+// which also keys the worker's index) and the state. id stays noState until
+// the barrier resolves the candidate.
 type candidate struct {
-	key  string
-	st   system.State
-	id   StateID
-	mask uint8
+	key string
+	st  system.State
+	id  StateID
 }
 
 // candRef says that an expansion's edge-th edge leads to the recording
@@ -110,7 +108,7 @@ type expansion struct {
 // level's candidate table — the candidates, an index of them by store key,
 // and the arena of references expansions hold into them. Only the owning
 // worker touches a scratch while a level expands and only the coordinator
-// at the barrier, so the table needs no lock. The stores copy what SetSuccs
+// at the barrier, so the table needs no lock. The adjacencies copy what SetSuccs
 // hands them, so everything is reset — not freed — at every level barrier
 // and the engine allocates no per-vertex slice. The first worker's scratch
 // also serves the inline body, which uses the buffers and the edge arena
@@ -142,7 +140,7 @@ func (ws *workerScratch) reset() {
 }
 
 // expandFrontier applies every applicable task to st, resolving successor
-// IDs through the frozen state store with the inline body's per-successor
+// IDs through the frozen vertex store with the inline body's per-successor
 // step (Graph.successor). A successor not yet stored becomes a candidate of
 // the calling worker the first time the worker meets it in this level; every
 // edge to it is left at noState with a reference to the candidate, to be
@@ -165,15 +163,14 @@ func (g *Graph) expandFrontier(canon Canonicalizer, st system.State, ws *workerS
 		if e.to == noState {
 			ci, seen := ws.index[string(ws.buf)]
 			if !seen {
-				// The one owned copy of the key: the store takes ownership
-				// at the barrier, so the spill store keeps this string in
-				// its pending window without copying again.
+				// The one owned copy of the key, for the index and the
+				// barrier.
 				key := string(ws.buf)
 				if canon == nil {
 					next = st.With(d)
 				}
 				ci = uint32(len(ws.cands))
-				ws.cands = append(ws.cands, candidate{key: key, st: next, id: noState, mask: ownMask(g.sys, next)})
+				ws.cands = append(ws.cands, candidate{key: key, st: next, id: noState})
 				if ws.index == nil {
 					ws.index = make(map[string]uint32)
 				}
@@ -191,7 +188,7 @@ func (g *Graph) expandFrontier(canon Canonicalizer, st system.State, ws *workerS
 }
 
 // expandPooled expands the level [lo, hi) across the pool's workers against
-// the *frozen* state store (concurrent lookups, no writes); at the level
+// the *frozen* vertex store (concurrent lookups, no writes); at the level
 // barrier the coordinator walks the expansions in ID order and interns the
 // level's discoveries serially. Serial interning at the barrier is what makes
 // the body deterministic: a state gets its ID at the first reference to it in
@@ -226,18 +223,16 @@ func (g *Graph) expandPooled(lo, hi StateID, maxStates int, p *pool, opt BuildOp
 		for _, ref := range res.refs {
 			c := &res.ws.cands[ref.cand]
 			if c.id == noState {
-				// First reference to this candidate. The worker already
-				// computed the vertex's decision mask, so the coordinator
-				// does not re-derive it (see Graph.ownMasks).
+				// First reference to this candidate.
 				var err error
-				c.id, err = g.discover(c.key, c.st, c.mask, packedEdge{to: from, Label: res.edges[ref.edge].Label}, maxStates)
+				c.id, err = g.discover(stringBytes(c.key), c.st, packedEdge{to: from, Label: res.edges[ref.edge].Label}, maxStates)
 				if err != nil {
 					return err
 				}
 			}
 			res.edges[ref.edge].to = c.id
 		}
-		g.store.SetSuccs(from, res.edges)
+		g.adj.SetSuccs(from, res.edges)
 		g.edges += len(res.edges)
 	}
 	for w := range p.scratch {

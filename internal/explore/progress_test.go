@@ -165,7 +165,7 @@ func TestLimitErrorTyped(t *testing.T) {
 
 // TestBuildGraphPanicReleasesStore: a panic passing through BuildGraph —
 // here out of the progress callback, mid-build — unwinds through the same
-// release as an error return, so the spill store's two descriptors are
+// release as an error return, so the spill store's descriptor is
 // closed by the time a caller recovers it, not whenever a finalizer runs.
 func TestBuildGraphPanicReleasesStore(t *testing.T) {
 	explore.SetMinPooledLevel(t, 1)

@@ -79,7 +79,7 @@ func (r *Report) Violated() bool { return len(r.Certificates) > 0 }
 
 // Close releases the graph behind the report's initialization analysis
 // (nil-tolerant throughout: a safety-sweep refutation carries no graph).
-// Spill-backed refutations hold two file descriptors until closed, so
+// Spill-backed refutations hold a file descriptor until closed, so
 // callers that churn through candidates should `defer report.Close()`.
 func (r *Report) Close() error {
 	if r == nil {

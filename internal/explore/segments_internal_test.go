@@ -22,11 +22,11 @@ import (
 )
 
 // buildOn runs what BuildGraph runs — roots, the level loop, the valence
-// fixpoint — over a dense store the test made, so its segment capacities,
-// table size and hash are the test's.
-func buildOn(t *testing.T, sys *system.System, roots []system.State, store *denseStore, workers int, opt BuildOptions) *Graph {
+// fixpoint — over a vertex store and an in-RAM adjacency the test made, so
+// their segment capacities, table size and hash are the test's.
+func buildOn(t *testing.T, sys *system.System, roots []system.State, store *denseStore, adj *packedAdjacency, workers int, opt BuildOptions) *Graph {
 	t.Helper()
-	g := &Graph{sys: sys, store: store}
+	g := &Graph{sys: sys, store: store, adj: adj}
 	g.internRoots(roots, opt.Symmetry)
 	if err := g.explore(defaultMaxStates, workers, opt); err != nil {
 		t.Fatal(err)
@@ -112,15 +112,16 @@ func TestSegmentBoundaryParity(t *testing.T) {
 				for _, vseg := range []StateID{1, 2, 3, 7} {
 					for _, segCap := range []int{longest, longest + 1, prime, 2} {
 						store := newDenseStore(r.sys, true)
-						store.vseg, store.segCap = vseg, segCap
-						g := buildOn(t, r.sys, refs[i].roots, store, workers, r.opt)
+						store.vseg = vseg
+						adj := &packedAdjacency{sys: r.sys, segCap: segCap}
+						g := buildOn(t, r.sys, refs[i].roots, store, adj, workers, r.opt)
 						label := fmt.Sprintf("%s: %d vertices and %d edges a segment", r.name, vseg, segCap)
 						sameGraph(t, label, ref, g)
 						sameGraph(t, label+", against spill", spill, g)
 						var buf []StateID
 						for id := range StateID(g.Size()) {
-							buf = spill.store.Targets(id, buf[:0])
-							if got := g.store.Targets(id, nil); !slices.Equal(got, buf) {
+							buf = spill.adj.Targets(id, buf[:0])
+							if got := g.adj.Targets(id, nil); !slices.Equal(got, buf) {
 								t.Fatalf("%s: Targets(%d) = %v, spill has %v", label, id, got, buf)
 							}
 						}
@@ -276,7 +277,7 @@ func TestDenseInternAgainstMap(t *testing.T) {
 			oracle[string(key)] = want
 			keys = append(keys, string(key))
 		}
-		if got, fresh := store.Intern(string(key), system.State{}, packedEdge{}); got != want || fresh == seen {
+		if got, fresh := store.Intern(key, system.State{}, packedEdge{}); got != want || fresh == seen {
 			t.Fatalf("Intern(%x) = %d, fresh %v; the map says %d, seen %v", key, got, fresh, want, seen)
 		}
 		if store.Len() != len(oracle) {
@@ -314,19 +315,20 @@ func TestDenseStoreNeverMoves(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		store := newDenseStore(sys, true)
+		adj := &packedAdjacency{sys: sys, segCap: edgeSegment}
 		var key0 *byte
 		var edge0 *packedEdge
 		var state0 *system.State
 		levels := 0
-		g := buildOn(t, sys, roots, store, workers, BuildOptions{Progress: func(p Progress) {
+		g := buildOn(t, sys, roots, store, adj, workers, BuildOptions{Progress: func(p Progress) {
 			if levels++; p.Level == 0 {
-				key0, edge0, state0 = &store.key(0)[0], &store.run(0)[0], &store.states[0][0]
+				key0, edge0, state0 = &store.key(0)[0], &adj.run(0)[0], &store.states[0][0]
 			}
 		}})
 		if levels < 10 || g.Size() < 2*vertexSegment || g.Edges() <= edgeSegment {
 			t.Fatalf("workers=%d: %d levels, %d states, %d edges: too small to have grown", workers, levels, g.Size(), g.Edges())
 		}
-		if key0 != &store.key(0)[0] || edge0 != &store.run(0)[0] || state0 != &store.states[0][0] {
+		if key0 != &store.key(0)[0] || edge0 != &adj.run(0)[0] || state0 != &store.states[0][0] {
 			t.Errorf("workers=%d: vertex 0 moved while the graph grew", workers)
 		}
 		if got, want := unsafe.SliceData(store.keys[1]), &store.key(vertexSegment)[0]; got != want {
@@ -336,14 +338,13 @@ func TestDenseStoreNeverMoves(t *testing.T) {
 }
 
 // TestBuildAllocatesItsGraphOnce: a warm one-worker forward n=5 ClassifyInits
-// allocates at most 1.5 × the bytes the finished graph retains — 4.25 MB for
-// 3.02 MB, 1.41 ×, when the pin was taken; 11.36 MB for 3.06 MB, 3.72 ×, while
-// keys, states and edges grew by append-doubling. What is left above 1.0 is
-// the one owned key string Intern is handed per new vertex (0.7 MB, dropped
-// by this backend) and the arrays left flat: the probe table, ends, the
-// predecessor list. The System is warm, so none of its cell tables count as
-// graph on either side of the ratio. Bytes, not objects:
-// TestClassifyInitsAllocCeilings pins those.
+// allocates at most 1.5 × the bytes the finished graph retains — 3.71 MB for
+// 3.02 MB, 1.23 ×, today; 4.25 MB, 1.41 ×, while Intern was handed a string
+// copy of each new vertex's key; 11.36 MB for 3.06 MB, 3.72 ×, while keys,
+// states and edges grew by append-doubling. What is left above 1.0 is the
+// arrays left flat: the probe table, ends, the predecessor list. The System
+// is warm, so none of its cell tables count as graph on either side of the
+// ratio. Bytes, not objects: TestClassifyInitsAllocCeilings pins those.
 func TestBuildAllocatesItsGraphOnce(t *testing.T) {
 	sys, err := protocols.BuildForward(5, 0, service.Adversarial)
 	if err != nil {

@@ -1,11 +1,10 @@
 package explore
 
-// In-package tests for the disk-spilling backend and the uniform bounds
-// contract of the StateStore surface: every read accessor of every backend
-// must be total (zero value / ok == false beyond Len(), never a panic), the
-// spill store must keep assigning dense-identical IDs once the pending
-// window rotates to disk, and forced hash collisions must be resolved by
-// reading fingerprints back from the spill file.
+// In-package tests for the spill backend's adjacency and the uniform bounds
+// contract of the store surface: every read accessor of the vertex store and
+// of both adjacencies must be total (zero value / ok == false beyond Len(),
+// never a panic), and successor blocks must round-trip through the edge file
+// whether sealed or pending.
 
 import (
 	"errors"
@@ -16,28 +15,30 @@ import (
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
-// allBackends builds one store of every kind for a system, with the spill
-// store's pending window and the dense store's probe table shrunk so small
-// graphs exercise the disk path and several table growths. Edge labels are
-// sys's own, so the stores take edges of graphs built on sys only.
+// allBackends builds one empty graph per adjacency backend for a system, each
+// on a vertex store whose probe table starts at two slots so that a small
+// graph exercises several table growths. Edge labels are sys's own, so the
+// graphs take edges of graphs built on sys only.
 func allBackends(t *testing.T, sys *system.System) []struct {
-	name  string
-	store StateStore
+	name string
+	g    *Graph
 } {
 	t.Helper()
-	spill, err := newSpillStore(sys, t.TempDir(), "", true)
+	dense := newDenseStore(sys, true)
+	dense.table = make([]uint32, 2)
+	vertices := newDenseStore(sys, true)
+	vertices.table = make([]uint32, 2)
+	spill, err := newSpillEdges(vertices, t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spill.batch = 4
-	dense := newDenseStore(sys, true)
-	dense.table = make([]uint32, 2)
+	t.Cleanup(func() { _ = spill.efile.Close() })
 	return []struct {
-		name  string
-		store StateStore
+		name string
+		g    *Graph
 	}{
-		{"dense", dense},
-		{"spill", spill},
+		{"dense", &Graph{sys: sys, store: dense, adj: &packedAdjacency{sys: sys, segCap: edgeSegment}}},
+		{"spill", &Graph{sys: sys, store: vertices, adj: spill}},
 	}
 }
 
@@ -45,33 +46,33 @@ func allBackends(t *testing.T, sys *system.System) []struct {
 // holds them — the write type of SetSuccs. Their labels are the graph's
 // System's, so they may be handed only to a store built on that System.
 func packedSuccs(g *Graph, id StateID) []packedEdge {
-	return g.store.(*denseStore).run(id)
+	return g.adj.(*packedAdjacency).run(id)
 }
 
 // fillPrefix interns the first n vertices of a dense reference graph into a
-// store on the same System and records their adjacency in the contract's order
-// (one SetSuccs per
-// vertex, increasing IDs), with a seal partway through so the spill backend
-// serves blocks from both the edge file and the pending buffer.
-func fillPrefix(ref *Graph, store StateStore, n int) {
+// graph on the same System and records their adjacency in the contract's
+// order (one SetSuccs per vertex, increasing IDs), with a seal partway
+// through so the spill backend serves blocks from both the edge file and the
+// pending buffer.
+func fillPrefix(ref, g *Graph, n int) {
 	var buf []byte
 	for id := range StateID(n) {
 		st, _ := ref.State(id)
-		buf = store.AppendKey(buf[:0], st)
-		store.Intern(string(buf), st, packedEdge{to: noState})
+		buf = g.store.AppendKey(buf[:0], st)
+		g.store.Intern(buf, st, packedEdge{to: noState})
 	}
 	for id := range StateID(n) {
-		store.SetSuccs(id, packedSuccs(ref, id))
+		g.adj.SetSuccs(id, packedSuccs(ref, id))
 		if int(id) == n/2 {
-			store.SealLevel()
+			g.adj.SealLevel()
 		}
 	}
 }
 
-// TestStoreBoundsUniform probes every read accessor of every backend at
-// Len() and beyond: out-of-range IDs must yield zero values, uniformly —
-// including the adjacency face, whose EdgesFrom must be total (an empty
-// sequence beyond Len(), never a panic).
+// TestStoreBoundsUniform probes every read accessor of the vertex store and
+// of both adjacencies at Len() and beyond: out-of-range IDs must yield zero
+// values, uniformly — EdgesFrom and Targets included (an empty sequence
+// beyond Len(), never a panic).
 func TestStoreBoundsUniform(t *testing.T) {
 	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
 	if err != nil {
@@ -85,48 +86,51 @@ func TestStoreBoundsUniform(t *testing.T) {
 		// Populate with a real prefix of the graph so in-range behaviour is
 		// also checked, then probe past the end.
 		const n = 10
-		fillPrefix(dense, b.store, n)
-		if got := b.store.Len(); got != n {
+		fillPrefix(dense, b.g, n)
+		if got := b.g.store.Len(); got != n {
 			t.Fatalf("%s: Len() = %d, want %d", b.name, got, n)
 		}
 		for _, id := range []StateID{StateID(n), StateID(n + 5), ^StateID(0)} {
-			if _, ok := b.store.State(id); ok {
+			if _, ok := b.g.store.State(id); ok {
 				t.Errorf("%s: State(%d) ok beyond Len()", b.name, id)
 			}
-			if fp := b.store.Fingerprint(id); fp != "" {
+			if fp := b.g.store.Fingerprint(id); fp != "" {
 				t.Errorf("%s: Fingerprint(%d) = %q beyond Len(), want \"\"", b.name, id, fp)
 			}
-			for range b.store.EdgesFrom(id) {
+			for range b.g.adj.EdgesFrom(id) {
 				t.Errorf("%s: EdgesFrom(%d) yielded an edge beyond Len()", b.name, id)
 			}
-			if p := b.store.Pred(id); p.has || p.from != 0 {
+			if got := b.g.adj.Targets(id, nil); got != nil {
+				t.Errorf("%s: Targets(%d) = %v beyond Len()", b.name, id, got)
+			}
+			if p := b.g.store.Pred(id); p.has || p.from != 0 {
 				t.Errorf("%s: Pred(%d) non-zero beyond Len()", b.name, id)
 			}
 		}
 		// Lookups are total too: bytes of the wrong length, a well-formed
 		// key of no vertex, and strings that are no fingerprint of this
 		// system all miss.
-		noVertex := b.store.AppendKey(nil, sys.InitialState())
+		noVertex := b.g.store.AppendKey(nil, sys.InitialState())
 		for _, key := range [][]byte{nil, []byte("no such key"), noVertex[:len(noVertex)-1], noVertex} {
-			if _, ok := b.store.Lookup(key); ok {
+			if _, ok := b.g.store.Lookup(key); ok {
 				t.Errorf("%s: Lookup(%q) succeeded", b.name, key)
 			}
 		}
 		fp0 := dense.Fingerprint(0)
 		for _, fp := range []string{"", "no such fingerprint", fp0[:len(fp0)-1], fp0 + fp0, sys.Fingerprint(sys.InitialState())} {
-			if _, ok := b.store.LookupFingerprint(fp); ok {
+			if _, ok := b.g.store.LookupFingerprint(fp); ok {
 				t.Errorf("%s: LookupFingerprint(%q) succeeded", b.name, fp)
 			}
 		}
 		// In-range accessors still resolve after the probes, and the
 		// recorded adjacency reads back exactly, sealed or pending.
-		if fp0 := b.store.Fingerprint(0); fp0 != dense.Fingerprint(0) {
+		if fp0 := b.g.store.Fingerprint(0); fp0 != dense.Fingerprint(0) {
 			t.Errorf("%s: Fingerprint(0) diverged after out-of-range probes", b.name)
 		}
 		for id := 0; id < n; id++ {
 			want := dense.Succs(StateID(id))
 			var got []Edge
-			for e := range b.store.EdgesFrom(StateID(id)) {
+			for e := range b.g.adj.EdgesFrom(StateID(id)) {
 				got = append(got, e)
 			}
 			if len(got) != len(want) {
@@ -138,78 +142,6 @@ func TestStoreBoundsUniform(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSpillStoreRotation drives the spill store through many window
-// rotations (batch = 4) and asserts it keeps assigning exactly the dense
-// backend's IDs, that rotated vertices round-trip — State decodes back from
-// the spill file and re-encodes byte-identically — and that the stats
-// account for the disk traffic.
-func TestSpillStoreRotation(t *testing.T) {
-	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := BuildGraph(sys, []systemState{stateAfterInputs(t, sys)}, BuildOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := newSpillStore(sys, t.TempDir(), "", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.batch = 4
-	var buf []byte
-	var wantBytes int64
-	for id := 0; id < dense.Size(); id++ {
-		st, _ := dense.State(StateID(id))
-		buf = sys.AppendFingerprint(buf[:0], st)
-		wantBytes += int64(len(buf))
-		got, fresh := sp.Intern(string(buf), st, packedEdge{to: noState})
-		if !fresh || got != StateID(id) {
-			t.Fatalf("spill Intern state %d: got %d fresh=%v", id, got, fresh)
-		}
-		// Re-interning the same fingerprint must dedup, not reassign.
-		if again, fresh := sp.Intern(string(buf), st, packedEdge{to: noState}); fresh || again != StateID(id) {
-			t.Fatalf("spill re-Intern state %d: got %d fresh=%v", id, again, fresh)
-		}
-	}
-	if sp.Len() != dense.Size() {
-		t.Fatalf("spill Len() = %d, want %d", sp.Len(), dense.Size())
-	}
-	if resident := sp.Len() - sp.pendingBase; resident >= sp.Len() {
-		t.Fatalf("pending window never rotated: %d of %d resident", resident, sp.Len())
-	}
-	for id := 0; id < dense.Size(); id++ {
-		want := dense.Fingerprint(StateID(id))
-		if got := sp.Fingerprint(StateID(id)); got != want {
-			t.Fatalf("spill Fingerprint(%d) differs from dense", id)
-		}
-		st, ok := sp.State(StateID(id))
-		if !ok {
-			t.Fatalf("spill State(%d) not ok", id)
-		}
-		buf = sys.AppendFingerprint(buf[:0], st)
-		if string(buf) != want {
-			t.Fatalf("state %d did not round-trip through the spill file:\n%q\n%q", id, buf, want)
-		}
-		if got, ok := sp.Lookup(buf); !ok || got != StateID(id) {
-			t.Fatalf("spill Lookup of state %d: got %d ok=%v", id, got, ok)
-		}
-	}
-	stats, ok := GraphSpillStats(&Graph{store: sp})
-	if !ok {
-		t.Fatal("GraphSpillStats not ok for a spill store")
-	}
-	if stats.States != dense.Size() || stats.SpillBytes != wantBytes {
-		t.Errorf("stats = %+v, want %d states / %d bytes", stats, dense.Size(), wantBytes)
-	}
-	if stats.Reads == 0 {
-		t.Error("rotated spill store served zero reads from disk")
-	}
-	if stats.Resident != sp.Len()-sp.pendingBase {
-		t.Errorf("stats.Resident = %d, want %d", stats.Resident, sp.Len()-sp.pendingBase)
 	}
 }
 
@@ -227,16 +159,17 @@ func TestSpillAdjacencyRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := newSpillStore(sys, t.TempDir(), "", true)
+	vertices := newDenseStore(sys, true)
+	sp, err := newSpillEdges(vertices, t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sp.Close()
+	defer sp.efile.Close()
 	var buf []byte
 	for id := 0; id < dense.Size(); id++ {
 		st, _ := dense.State(StateID(id))
-		buf = sys.AppendFingerprint(buf[:0], st)
-		sp.Intern(string(buf), st, packedEdge{to: noState})
+		buf = vertices.AppendKey(buf[:0], st)
+		vertices.Intern(buf, st, packedEdge{to: noState})
 	}
 	// Record the real graph's adjacency, sealing every 3 vertices so the
 	// read-back below crosses the pending/disk boundary many times. The
@@ -280,9 +213,12 @@ func TestSpillAdjacencyRotation(t *testing.T) {
 	if n != len(dense.Succs(0)) {
 		t.Errorf("EdgesFrom(0) after early break yielded %d edges, want %d", n, len(dense.Succs(0)))
 	}
-	stats, ok := GraphSpillStats(&Graph{store: sp})
+	stats, ok := GraphSpillStats(&Graph{store: vertices, adj: sp})
 	if !ok {
 		t.Fatal("GraphSpillStats not ok for a spill store")
+	}
+	if stats.States != dense.Size() || stats.SpillBytes != 0 || stats.Reads != 0 {
+		t.Errorf("stats = %+v, want %d states and no fingerprint traffic", stats, dense.Size())
 	}
 	if stats.EdgeBytes != sp.flushedOff+int64(len(sp.pending)) {
 		t.Errorf("stats.EdgeBytes = %d, want %d", stats.EdgeBytes, sp.flushedOff+int64(len(sp.pending)))
@@ -302,72 +238,30 @@ func TestSpillAdjacencyRotation(t *testing.T) {
 	}()
 }
 
-// TestSpillStoreCollisionAudit forces every fingerprint into one bucket
-// with equal wide hashes: every dedup probe must verify against fingerprints
-// read back from the spill file, resolving (and counting) the collisions
-// without ever merging distinct states.
-func TestSpillStoreCollisionAudit(t *testing.T) {
-	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := BuildGraph(sys, []systemState{stateAfterInputs(t, sys)}, BuildOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := newSpillStore(sys, t.TempDir(), "", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.batch = 4
-	sp.hash = func([]byte) (uint64, uint64) { return 0, 0 }
-	var buf []byte
-	for id := 0; id < dense.Size(); id++ {
-		st, _ := dense.State(StateID(id))
-		buf = sys.AppendFingerprint(buf[:0], st)
-		if got, fresh := sp.Intern(string(buf), st, packedEdge{to: noState}); !fresh || got != StateID(id) {
-			t.Fatalf("total-collision spill Intern state %d: got %d fresh=%v", id, got, fresh)
-		}
-	}
-	for id := 0; id < dense.Size(); id++ {
-		st, _ := dense.State(StateID(id))
-		buf = sys.AppendFingerprint(buf[:0], st)
-		if got, ok := sp.Lookup(buf); !ok || got != StateID(id) {
-			t.Fatalf("total-collision spill Lookup state %d: got %d ok=%v", id, got, ok)
-		}
-	}
-	if sp.collisions.Load() == 0 {
-		t.Error("total-collision spill store audited zero collisions")
-	}
-	if sp.Len() != dense.Size() {
-		t.Errorf("spill Len() = %d, want %d", sp.Len(), dense.Size())
-	}
-}
-
 // TestSpillWriteFailureSurfacesAsError: an environmental write failure
-// (simulated by closing the spill file so the rotation flush fails) must
-// come out of the recoverSpillWrite boundary as an ordinary error — the
-// disk-full path of BuildGraph — not as a process-killing panic.
+// (simulated by closing the edge file so the level seal fails) must come out
+// of the recoverSpillWrite boundary as an ordinary error — the disk-full path
+// of BuildGraph — not as a process-killing panic.
 func TestSpillWriteFailureSurfacesAsError(t *testing.T) {
 	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := newSpillStore(sys, t.TempDir(), "", true)
+	vertices := newDenseStore(sys, true)
+	sp, err := newSpillEdges(vertices, t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.batch = 1 // rotate — and hit the failing flush — on the first intern
-	sp.file.Close()
+	sp.efile.Close()
 	st := stateAfterInputs(t, sys)
 	var g *Graph
 	var buildErr error
 	func() {
 		defer recoverSpillWrite(&g, &buildErr)
-		var buf []byte
-		buf = sys.AppendFingerprint(buf[:0], st)
-		sp.Intern(string(buf), st, packedEdge{to: noState})
-		g = &Graph{store: sp} // must be dropped by the recovery
+		vertices.Intern(vertices.AppendKey(nil, st), st, packedEdge{to: noState})
+		sp.SetSuccs(0, nil) // a sink: one count byte to seal
+		sp.SealLevel()
+		g = &Graph{store: vertices, adj: sp} // must be dropped by the recovery
 	}()
 	if buildErr == nil {
 		t.Fatal("spill write failure did not surface as an error")

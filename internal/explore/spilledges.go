@@ -13,13 +13,13 @@ import (
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
-// spillEdges is the adjacency face of the spill backend: an append-only
-// edge file of per-vertex successor blocks, delta-varint encoded against
-// two small in-RAM dictionaries (the distinct tasks and actions of the
-// system — a handful each, independent of graph size). Per vertex, RAM
-// keeps only the block's offset and length (12 bytes), so the edge
-// relation — which outnumbers vertices 7:1 already at forward n=5 — stops
-// dominating resident memory.
+// spillEdges is the spill backend's adjacency: an append-only edge file of
+// per-vertex successor blocks, delta-varint encoded against two small in-RAM
+// dictionaries (the distinct tasks and actions of the system — a handful
+// each, independent of graph size). Per vertex, RAM keeps only the block's
+// offset and length (12 bytes), so the edge relation — which outnumbers
+// vertices 7:1 already at forward n=5 — stops dominating resident memory.
+// The vertices stay in the graph's vertex store, as on every backend.
 //
 // Block format (one block per vertex, appended in ID order):
 //
@@ -32,15 +32,23 @@ import (
 // in 3–5 bytes.
 //
 // Write protocol (seal-at-barrier): SetSuccs — called exactly once per
-// vertex in strictly increasing ID order by both level loops — appends the
+// vertex in strictly increasing ID order by both level bodies — appends the
 // encoded block to the pending buffer. SealLevel, called at every level
-// barrier while the engine holds the store exclusively, writes the pending
+// barrier while the engine holds the graph exclusively, writes the pending
 // buffer out at flushedOff and empties it, so a level's blocks leave RAM
 // as soon as the level completes. EdgesFrom serves sealed blocks by pread
-// (safe for concurrent readers of the frozen store) and still-pending
-// blocks straight from the buffer.
+// (safe for concurrent readers) and still-pending blocks straight from the
+// buffer.
+//
+// The edge file is ephemeral by default: created in the spill directory and
+// unlinked immediately, so the kernel reclaims it when the descriptor closes
+// — at the latest when the graph is garbage collected (the os package
+// attaches a close finalizer) — and nothing leaks even on a crash. In
+// durable mode (BuildOptions.GraphDir) it is edges.dat under the named
+// directory and kept; commitDurable adds the fingerprints, the index and the
+// manifest after the build, and OpenGraph reattaches it read-only.
 type spillEdges struct {
-	owner *spillStore // for the vertex count at a seal
+	vertices *denseStore // its System resolves labels; its Len is a seal's vertex count
 
 	efile      *os.File
 	eoffs      []int64  // edge-file offset of each vertex's block
@@ -65,24 +73,35 @@ type spillEdges struct {
 	remap [][]uint32
 
 	edgeReads atomic.Int64 // blocks served by pread
+	decoded   int64        // fingerprints OpenGraph decoded into the vertex store
 	ebufs     sync.Pool
 }
 
-func (a *spillEdges) init(f *os.File, owner *spillStore) {
-	a.owner = owner
-	a.efile = f
-	a.remap = make([][]uint32, len(owner.sys.Tasks()))
-	a.ebufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+// newSpillEdges creates the edge file of a build whose vertices live in
+// vertices: unlinked in spillDir ("" = the OS temp directory), or edges.dat
+// under graphDir for a durable build.
+func newSpillEdges(vertices *denseStore, spillDir, graphDir string) (*spillEdges, error) {
+	var f *os.File
+	var err error
+	if graphDir != "" {
+		f, err = newDurableEdgeFile(graphDir)
+	} else {
+		f, err = newEphemeralEdgeFile(spillDir)
+	}
+	if err != nil {
+		return nil, err
+	}
+	a := &spillEdges{vertices: vertices, efile: f, remap: make([][]uint32, len(vertices.sys.Tasks()))}
+	a.ebufs.New = func() any { b := make([]byte, 0, 256); return &b }
+	return a, nil
 }
-
-func (a *spillEdges) close() error { return a.efile.Close() }
 
 // edgeBytes is the total encoded adjacency size, sealed plus pending.
 func (a *spillEdges) edgeBytes() int64 { return a.flushedOff + int64(len(a.pending)) }
 
 // SetSuccs encodes a vertex's successor block into the pending buffer.
 // The adjacency contract requires strictly increasing, gap-free IDs; both
-// engines guarantee it, and the append-only offset index depends on it, so
+// level bodies guarantee it, and the append-only offset index depends on it, so
 // violations panic like slice-bounds misuse.
 func (a *spillEdges) SetSuccs(id StateID, edges []packedEdge) {
 	if int(id) != len(a.eoffs) {
@@ -107,7 +126,7 @@ func (a *spillEdges) SetSuccs(id StateID, edges []packedEdge) {
 func (a *spillEdges) dictLabel(l system.Label) (ti, ai uint32) {
 	row := a.remap[l.Task]
 	if int(l.Act)+1 >= len(row) || row[l.Act+1] == 0 {
-		task, act := a.owner.sys.Resolve(l)
+		task, act := a.vertices.sys.Resolve(l)
 		row = append(row, make([]uint32, max(0, int(l.Act)+2-len(row)))...)
 		row[0], row[l.Act+1] = dictIndex(&a.tasks, task)+1, dictIndex(&a.acts, act)+1
 		a.remap[l.Task] = row
@@ -135,8 +154,9 @@ type sealMark struct {
 
 // SealLevel writes the pending blocks to the edge file, empties the
 // buffer and records the barrier. Called at level barriers while the
-// engine holds the store exclusively, so no EdgesFrom reader observes
-// the hand-off.
+// engine holds the graph exclusively, so no EdgesFrom reader observes
+// the hand-off. A failing write panics with a spillWriteError, which
+// BuildGraph returns as its error.
 func (a *spillEdges) SealLevel() {
 	if len(a.pending) > 0 {
 		if _, err := a.efile.WriteAt(a.pending, a.flushedOff); err != nil {
@@ -145,14 +165,14 @@ func (a *spillEdges) SealLevel() {
 		a.flushedOff += int64(len(a.pending))
 		a.pending = a.pending[:0]
 	}
-	a.seals = append(a.seals, sealMark{states: a.owner.Len(), edgeOff: a.flushedOff})
+	a.seals = append(a.seals, sealMark{states: a.vertices.Len(), edgeOff: a.flushedOff})
 }
 
 // block returns the encoded successor block of a recorded vertex: a window
 // of the pending buffer or — for sealed blocks — a pooled pread, in which
 // case pooled is non-nil and goes back to ebufs when the caller is done with
-// the bytes. Like the fingerprint reads, a failing read of bytes the store
-// itself wrote is unrecoverable corruption and panics.
+// the bytes. A failing read of bytes the store itself wrote is unrecoverable
+// corruption and panics.
 func (a *spillEdges) block(id StateID) (block []byte, pooled *[]byte) {
 	n := int(a.elens[id])
 	off := a.eoffs[id]
@@ -242,4 +262,85 @@ func (a *spillEdges) Targets(id StateID, buf []StateID) []StateID {
 		buf = append(buf, StateID(prev))
 	}
 	return buf
+}
+
+// spillWriteError carries an environmental edge-file write failure (disk
+// full, quota) out of SealLevel, whose AdjacencyStore signature has no error
+// return. BuildGraph recovers it at the engine boundary and returns it as an
+// ordinary build error — unlike read failures, which really are
+// unrecoverable corruption (the store rereads only bytes it wrote to a file
+// nothing else touches) and stay panics.
+type spillWriteError struct{ err error }
+
+// recoverSpillWrite converts a spillWriteError panic into the build's error
+// return, dropping the partial graph, whose descriptor BuildGraph's own
+// deferred release has closed by then; every other panic value is re-raised.
+func recoverSpillWrite(g **Graph, err *error) {
+	switch r := recover().(type) {
+	case nil:
+	case spillWriteError:
+		*g, *err = nil, r.err
+	default:
+		panic(r)
+	}
+}
+
+// CloseGraphStore deterministically releases any external resources held by
+// a graph's storage backend — today, the spill backend's edge-file
+// descriptor. A no-op (nil) for the in-memory backend and for a nil graph,
+// so error-path cleanup can be an unconditional defer. The graph must not be
+// used afterwards: reads of sealed edge blocks would panic on the closed
+// file. Closing is optional — the descriptor is reclaimed by a finalizer when
+// the graph is collected — but callers that churn through many spill-backed
+// graphs should close each one rather than let descriptors pile up against
+// the process's fd limit. Durable data files stay on disk; only the
+// descriptor closes.
+func CloseGraphStore(g *Graph) error {
+	if g == nil {
+		return nil
+	}
+	if a, ok := g.adj.(*spillEdges); ok {
+		return a.efile.Close()
+	}
+	return nil
+}
+
+// SpillStats is the observability face of the spill backend.
+type SpillStats struct {
+	// States is the number of stored vertices.
+	States int
+	// SpillBytes is the size of the durable graph's fingerprints.dat — the
+	// canonical fingerprints the commit wrote in ID order — and 0 for an
+	// ephemeral build, which writes none.
+	SpillBytes int64
+	// Reads counts the fingerprints OpenGraph decoded back into the vertex
+	// store; 0 on a graph built in this process.
+	Reads int64
+	// EdgeBytes is the total encoded size of the adjacency blocks appended
+	// to the edge file, including blocks still pending ahead of the next
+	// level seal.
+	EdgeBytes int64
+	// EdgeReads counts adjacency blocks read back from the edge file
+	// (EdgesFrom and Targets calls served by pread rather than the pending
+	// buffer).
+	EdgeReads int64
+}
+
+// GraphSpillStats reports the spill-file statistics of a graph built with
+// StoreSpill (ok == false for every other backend).
+func GraphSpillStats(g *Graph) (SpillStats, bool) {
+	a, ok := g.adj.(*spillEdges)
+	if !ok {
+		return SpillStats{}, false
+	}
+	st := SpillStats{
+		States:    g.store.Len(),
+		Reads:     a.decoded,
+		EdgeBytes: a.edgeBytes(),
+		EdgeReads: a.edgeReads.Load(),
+	}
+	if g.manifest != nil {
+		st.SpillBytes = g.manifest.FingerprintBytes
+	}
+	return st, true
 }

@@ -11,27 +11,23 @@ import (
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
-// StoreKind selects the StateStore backend used to hold the vertices of
-// G(C) during exploration.
+// StoreKind selects where a build keeps the edges of G(C). Every build keeps
+// its vertices in the one vertex store (denseStore); the kind picks the
+// adjacency behind it.
 type StoreKind int
 
 // Store backends.
 const (
-	// StoreDense is the default backend, all in RAM: the dedup index is keyed
-	// on a vertex's cell-index tuple (system.AppendKey, four bytes per
-	// component slot) and kept pointer-free; the representative states stay
-	// resident and Fingerprint encodes one on demand. Exact.
+	// StoreDense is the default backend, all in RAM: the vertex store plus
+	// every edge as an 8-byte packed edge in fixed-capacity segments.
 	StoreDense StoreKind = iota
-	// StoreSpill is the disk-spilling backend (TLC-style fingerprint file):
-	// the dedup index keeps 16 hash bytes plus a file offset per vertex in
-	// RAM, while the canonical fingerprints — which double as the serialized
-	// representative states — live in an append-only spill file and are read
-	// back and decoded on demand. Adjacency spills too: successor blocks are
-	// delta-varint encoded into a second append-only edge file, sealed at
-	// level barriers and streamed back via pread. Candidate matches are
-	// verified byte-for-byte, so hash collisions are audited, never merged:
-	// the graph is identical to the dense store's, with MaxStates no longer
-	// bounded by resident state or edge memory.
+	// StoreSpill is the same vertex store with the adjacency in a file:
+	// successor blocks are delta-varint encoded into an append-only edge
+	// file, sealed at level barriers and streamed back via pread, so the
+	// edge relation — 7–8 edges a vertex — stays off the heap. A durable
+	// build (GraphDir) also commits every vertex's canonical fingerprint to
+	// disk and reopens by decoding them. The graph is identical to the dense
+	// store's.
 	StoreSpill
 )
 
@@ -47,91 +43,35 @@ func (k StoreKind) String() string {
 	}
 }
 
-// VertexStore is the vertex face of the storage seam of G(C): the dedup
-// index from states to dense StateIDs, the representative states, and the
-// (optional) BFS-tree predecessor links.
-//
-// The store owns keying. AppendKey turns a state into the bytes the index is
-// probed with, and within one store equal keys mean equal canonical
-// fingerprints and the reverse; what the bytes are is the backend's business
-// (cell indices on dense, the fingerprint itself on spill), so callers get
-// them from AppendKey and hand them straight back, and never show, persist or
-// order by them. A successor's key comes from AppendSuccKey — the parent's key
-// and the step's delta — so the level loops build a State only for a
-// successor the store does not hold yet.
-//
-// IDs are assigned densely in interning order: the i-th distinct state gets
-// ID i, so a BFS that interns states in discovery order gets BFS-numbered
-// vertices for free.
-//
-// Bounds contract: every read accessor (State, Fingerprint, Pred) is total —
-// an out-of-range ID yields the zero value (ok == false where the signature
-// has an ok), never a panic, on every backend; so are the two lookups, for
-// any bytes at all.
-type VertexStore interface {
-	// Len returns the number of stored vertices; valid IDs are 0 … Len()−1.
-	Len() int
-	// AppendKey appends the index key of st to dst and returns the extended
-	// buffer. It allocates nothing beyond growing dst.
-	AppendKey(dst []byte, st system.State) []byte
-	// AppendSuccKey appends the key AppendKey would give st.With(d), where
-	// key is AppendKey of st and d a delta sys.Step returned for st, without
-	// building that state.
-	AppendSuccKey(dst, key []byte, st system.State, d system.Delta) []byte
-	// Lookup resolves a key to its vertex, if stored. Callers holding a
-	// string key pass it through stringBytes without copying.
-	Lookup(key []byte) (StateID, bool)
-	// LookupFingerprint resolves a canonical fingerprint to its vertex, if
-	// stored; a string that is no fingerprint of this system is a miss.
-	LookupFingerprint(fp string) (StateID, bool)
-	// Intern stores a vertex under its key, assigning the next dense ID if
-	// the key is new; fresh reports a new assignment (the predecessor link —
-	// p.to is the predecessor, noState for a root — is recorded only then,
-	// and only on stores built with witnesses). The store takes ownership of
-	// key — callers hand over their one owned copy, so a backend that retains
-	// the bytes (spill's pending window) does not copy again.
-	Intern(key string, st system.State, p packedEdge) (id StateID, fresh bool)
-	// State returns the representative state of a vertex.
-	State(id StateID) (system.State, bool)
-	// Fingerprint returns the canonical string encoding of a vertex
-	// ("" for out-of-range IDs — canonical encodings are never empty).
-	Fingerprint(id StateID) string
-	// Pred returns the BFS-tree predecessor link of a vertex (has == false
-	// for roots, for out-of-range IDs, and always on stores built without
-	// witnesses).
-	Pred(id StateID) pred
-}
-
-// AdjacencyStore is the adjacency face of the storage seam: edges are handed
-// to the store as 8-byte packedEdges — the target and the label sys.Step gave
-// the transition — and read back as an iterator of Edges with the label
-// resolved, so backends choose their own representation: the packedEdges
-// verbatim in fixed-capacity segments (dense) or delta-varint blocks against two
+// AdjacencyStore is the edge side of G(C): edges are handed to the store as
+// 8-byte packedEdges — the target and the label sys.Step gave the transition
+// — and read back as an iterator of Edges with the label resolved, so
+// backends choose their own representation: the packedEdges verbatim in
+// fixed-capacity segments (dense) or delta-varint blocks against two
 // persisted dictionaries in an append-only edge file (spill).
 //
 // Write contract: SetSuccs is called exactly once per vertex, in strictly
-// increasing ID order — both level loops expand vertices in ID order (the
-// serial loop trivially, the worker pool at its level barriers) — without
+// increasing ID order — both level bodies expand vertices in ID order (the
+// inline body trivially, the worker pool at its level barriers) — without
 // gaps, and panics on an out-of-order ID. SetSuccs copies what it keeps and
 // never retains the slice, so callers may reuse it for the next vertex (the
 // loops do: one scratch slice, or a per-worker arena of packedEdges reset at
 // each level barrier). The labels are those of the System the store was made
 // for. SealLevel marks a level barrier: every edge handed over so far
 // may be moved out of RAM (the spill backend flushes its pending blocks to
-// the edge file). The loops call it after each completed BFS level, while
-// they hold the store exclusively.
+// the edge file). The loop calls it after each completed BFS level, while
+// it holds the graph exclusively.
 //
 // Read contract: EdgesFrom is total (an out-of-range or not-yet-recorded ID
-// yields an empty sequence) and, like the vertex accessors, safe for any
-// number of concurrent readers as long as no SetSuccs/SealLevel/Intern call
-// overlaps them. The yielded edges are the SetSuccs slice, resolved, in order;
-// breaking out of the iteration early is allowed and cheap. Targets is the
-// label-free read of the same relation: it appends the To of every edge
-// EdgesFrom would yield, in that order, to the caller's buffer and returns
-// it — nothing for an out-of-range or not-yet-recorded ID — without resolving
-// a label. Same totality, same concurrency rule; the
-// sweeps that read nothing of an edge but its target (the valence and
-// root-set fixpoints) call it with one reused buffer per goroutine.
+// yields an empty sequence) and safe for any number of concurrent readers as
+// long as no SetSuccs/SealLevel call overlaps them. The yielded edges are
+// the SetSuccs slice, resolved, in order; breaking out of the iteration early
+// is allowed and cheap. Targets is the label-free read of the same relation:
+// it appends the To of every edge EdgesFrom would yield, in that order, to
+// the caller's buffer and returns it — nothing for an out-of-range or
+// not-yet-recorded ID — without resolving a label. Same totality, same
+// concurrency rule; the sweeps that read nothing of an edge but its target
+// (the valence and root-set fixpoints) call it with one reused buffer.
 type AdjacencyStore interface {
 	// SetSuccs records the outgoing edges of a vertex (nil for a sink). The
 	// slice is copied, not retained.
@@ -142,27 +82,8 @@ type AdjacencyStore interface {
 	// order and returns the extended slice.
 	Targets(id StateID, buf []StateID) []StateID
 	// SealLevel marks a level barrier: edges recorded so far become
-	// immutable and may leave RAM. A no-op on in-memory backends.
+	// immutable and may leave RAM. A no-op on the in-memory backend.
 	SealLevel()
-}
-
-// StateStore is the storage seam of G(C): the vertex face plus the adjacency
-// face. Graph and both level loops talk to storage only through this
-// interface, so a backend can keep everything resident (dense) or spill
-// vertices and edges to disk.
-//
-// Concurrency contract: any number of goroutines may call AppendKey and the
-// read accessors concurrently as long as no Intern/SetSuccs/SealLevel call
-// overlaps them. The level-synchronous worker pool satisfies this by
-// freezing the store while a frontier level expands and mutating it only at
-// the level barrier.
-//
-// All bundled implementations live in this package; the interface
-// deliberately uses the unexported pred type, so external implementations go
-// through their own StoreKind here.
-type StateStore interface {
-	VertexStore
-	AdjacencyStore
 }
 
 // stringBytes reinterprets a string as a read-only byte slice without
@@ -183,7 +104,7 @@ type packedEdge struct {
 	system.Label
 }
 
-// Segment capacities of the dense backend, chosen by the sweep of E40: large
+// Segment capacities of the vertex store and the in-RAM adjacency, chosen by the sweep of E40: large
 // enough that the directories stay tiny, small enough that a graph of a few
 // thousand vertices does not pay for a tail it never fills.
 const (
@@ -193,7 +114,7 @@ const (
 	edgeMask      = edgeSegment - 1
 )
 
-// packedAdjacency is the dense backend's adjacency face: every edge of the
+// packedAdjacency is the dense backend's adjacency: every edge of the
 // graph as an 8-byte packedEdge in append-only segments that are allocated at
 // full capacity and never reallocated, so recording an edge never moves one
 // already stored. A vertex's edges are one contiguous run inside one segment:
@@ -313,19 +234,36 @@ func (p *predTable) Pred(id StateID) pred {
 	return pred{from: p.list[id].to, task: task, act: act, has: true}
 }
 
-// denseStore is the in-RAM backend. A vertex is keyed on its cell-index
-// tuple (system.AppendKey): every key has the same length, so the keys sit
-// end to end in byte segments of vseg vertices each — allocated at full
-// capacity and never reallocated, like the edge segments — and the dedup
-// index is an open-addressed table of vertex numbers over them: linear
-// probing, an exact compare on the stride, rebuilt from the stored keys when
-// it doubles. Neither holds a pointer, so the garbage collector never scans
-// them, and a vertex costs its key plus 8–16 table bytes on top of the
-// representative state, which sits in segments of the same length. Canonical
-// fingerprints are not kept: Fingerprint encodes the state when asked.
+// denseStore is the vertex store of every graph, whichever StoreKind holds
+// its edges: the dedup index from states to dense StateIDs, the
+// representative states and the optional BFS-tree predecessor links. A
+// vertex is keyed on its cell-index tuple (system.AppendKey): every key has
+// the same length, so the keys sit end to end in byte segments of vseg
+// vertices each — allocated at full capacity and never reallocated, like the
+// edge segments — and the dedup index is an open-addressed table of vertex
+// numbers over them: linear probing, an exact compare on the stride, rebuilt
+// from the stored keys when it doubles. Neither holds a pointer, so the
+// garbage collector never scans them, and a vertex costs its key plus 8–16
+// table bytes on top of the representative state, which sits in segments of
+// the same length. Canonical fingerprints are not kept: Fingerprint encodes
+// the state when asked.
+//
+// Keys are the store's business: within one store equal keys mean equal
+// canonical fingerprints and the reverse, so callers get them from AppendKey
+// or AppendSuccKey and hand them straight back to Lookup and Intern, and
+// never show, persist or order by them. IDs are assigned densely in
+// interning order, so a BFS that interns states in discovery order gets
+// BFS-numbered vertices for free.
+//
+// Bounds contract: every read accessor (State, Fingerprint, Pred) is total —
+// an out-of-range ID yields the zero value, never a panic; so are the two
+// lookups, for any bytes at all. Any number of goroutines may call AppendKey,
+// the lookups and the read accessors concurrently as long as no Intern
+// overlaps them: the worker pool freezes the store while a level expands and
+// interns only at the level barrier.
 type denseStore struct {
-	packedAdjacency // holds sys
 	predTable
+	sys    *system.System
 	stride int              // key bytes per vertex
 	vseg   StateID          // vertexSegment; smaller in tests
 	n      int              // vertices stored
@@ -343,12 +281,12 @@ const denseInitialSlots = 2048
 
 func newDenseStore(sys *system.System, witnesses bool) *denseStore {
 	return &denseStore{
-		packedAdjacency: packedAdjacency{sys: sys, segCap: edgeSegment},
-		predTable:       predTable{keep: witnesses, resolve: sys.Resolve},
-		stride:          4 * (len(sys.ProcessIDs()) + len(sys.ServiceIDs())),
-		vseg:            vertexSegment,
-		table:           make([]uint32, denseInitialSlots),
-		hash:            keyHash,
+		predTable: predTable{keep: witnesses, resolve: sys.Resolve},
+		sys:       sys,
+		stride:    4 * (len(sys.ProcessIDs()) + len(sys.ServiceIDs())),
+		vseg:      vertexSegment,
+		table:     make([]uint32, denseInitialSlots),
+		hash:      keyHash,
 	}
 }
 
@@ -362,14 +300,19 @@ func keyHash(key []byte) uint64 {
 	return h ^ h>>32
 }
 
+// Len returns the number of stored vertices; valid IDs are 0 … Len()−1.
 func (s *denseStore) Len() int { return s.n }
 
+// AppendKey appends the index key of st to dst, allocating nothing beyond
+// growing dst.
 func (s *denseStore) AppendKey(dst []byte, st system.State) []byte {
 	return s.sys.AppendKey(dst, st)
 }
 
-// AppendSuccKey overwrites the at most two indices d replaced in a copy of key.
-func (s *denseStore) AppendSuccKey(dst, key []byte, _ system.State, d system.Delta) []byte {
+// AppendSuccKey appends the key of st.With(d) without building that state,
+// where key is AppendKey of st and d a delta sys.Step returned for st: a copy
+// of key with the at most two indices d replaced overwritten.
+func (s *denseStore) AppendSuccKey(dst, key []byte, d system.Delta) []byte {
 	return s.sys.AppendSuccKey(dst, key, d)
 }
 
@@ -392,6 +335,7 @@ func (s *denseStore) probe(key []byte) (id StateID, slot uint64, ok bool) {
 	}
 }
 
+// Lookup resolves a key to its vertex, if stored.
 func (s *denseStore) Lookup(key []byte) (StateID, bool) {
 	if len(key) != s.stride {
 		return 0, false
@@ -412,11 +356,15 @@ func (s *denseStore) LookupFingerprint(fp string) (StateID, bool) {
 	return s.Lookup(s.sys.AppendKey(buf[:0], st))
 }
 
-func (s *denseStore) Intern(key string, st system.State, p packedEdge) (StateID, bool) {
+// Intern stores a vertex under its key, assigning the next dense ID if the
+// key is new; fresh reports a new assignment. The predecessor link — p.to is
+// the predecessor, noState for a root — is recorded only then, and only on a
+// store kept with witnesses. The key is copied.
+func (s *denseStore) Intern(key []byte, st system.State, p packedEdge) (StateID, bool) {
 	if len(key) != s.stride {
 		panic(fmt.Sprintf("explore: dense store: %d-byte key, the stride is %d", len(key), s.stride))
 	}
-	id, slot, ok := s.probe(stringBytes(key))
+	id, slot, ok := s.probe(key)
 	if ok {
 		return id, false
 	}
@@ -448,6 +396,7 @@ func (s *denseStore) grow() {
 	}
 }
 
+// State returns the representative state of a vertex.
 func (s *denseStore) State(id StateID) (system.State, bool) {
 	if uint(id) >= uint(s.n) {
 		return system.State{}, false
@@ -455,44 +404,12 @@ func (s *denseStore) State(id StateID) (system.State, bool) {
 	return s.states[id/s.vseg][id%s.vseg], true
 }
 
+// Fingerprint returns the canonical string encoding of a vertex ("" for
+// out-of-range IDs — canonical encodings are never empty).
 func (s *denseStore) Fingerprint(id StateID) string {
 	st, ok := s.State(id)
 	if !ok {
 		return ""
 	}
 	return s.sys.Fingerprint(st)
-}
-
-// fpHash returns two independent 64-bit FNV-1a–style hashes of a canonical
-// fingerprint, computed in one pass. Deterministic across runs (unlike
-// maphash), so collision counts are reproducible. String keys reach it
-// zero-copy through stringBytes.
-func fpHash(fp []byte) (h1, h2 uint64) {
-	const (
-		offset1 = 14695981039346656037 // FNV-1a offset basis
-		prime1  = 1099511628211        // FNV-1a prime
-		offset2 = 0x9e3779b97f4a7c15   // golden-ratio offset for the second stream
-		prime2  = 0x100000001b5        // shifted FNV prime
-	)
-	h1, h2 = offset1, offset2
-	for i := 0; i < len(fp); i++ {
-		h1 = (h1 ^ uint64(fp[i])) * prime1
-		h2 = (h2 ^ uint64(fp[i])) * prime2
-	}
-	// Finalize the second stream so it is not a linear shadow of the first.
-	h2 ^= h2 >> 29
-	h2 *= 0xbf58476d1ce4e5b9
-	h2 ^= h2 >> 32
-	return h1, h2
-}
-
-// StoreCollisions reports the audited hash-collision count of a graph's
-// backend: fingerprints that shared both hashes on the spill store and were
-// told apart by verification. 0 on the dense store, which compares keys
-// exactly and hashes only to place them.
-func StoreCollisions(g *Graph) int {
-	if s, ok := g.store.(*spillStore); ok {
-		return int(s.collisions.Load())
-	}
-	return 0
 }

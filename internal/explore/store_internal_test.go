@@ -1,11 +1,11 @@
 package explore
 
-// In-package tests for the StateStore seam: the dense backend's probe table
-// (forced into one chain via a degenerate hash function), the lookups'
-// totality and the equivalence of both backends at the store level. The
-// public behaviour — identical graphs, valences and reports — is covered by
-// the external store/progress/cancellation tests and the root-level parity
-// suite.
+// In-package tests for the stores: the vertex store's probe table (forced
+// into one chain via a degenerate hash function), the lookups' totality, its
+// keying of successors, and the two adjacencies' reads against each other.
+// The public behaviour — identical graphs, valences and reports — is covered
+// by the external store/progress/cancellation tests and the root-level
+// parity suite.
 
 import (
 	"fmt"
@@ -44,11 +44,11 @@ func sameGraph(t *testing.T, label string, ref, got *Graph) {
 	}
 }
 
-// TestDenseTableExact runs both level bodies over a dense store whose hash
+// TestDenseTableExact runs both level bodies over a vertex store whose hash
 // sends every key down one probe chain and whose table starts at two slots:
 // linear probing then decides every lookup by the exact key compare alone,
 // across a dozen rebuilds from the stored keys, and the graph must still be
-// the spill store's per ID.
+// the default store's per ID.
 func TestDenseTableExact(t *testing.T) {
 	SetMinPooledLevel(t, 1)
 	sys, err := protocols.BuildForward(3, 1, service.Adversarial)
@@ -59,16 +59,15 @@ func TestDenseTableExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := BuildGraph(sys, roots, BuildOptions{Workers: 1, Store: StoreSpill, SpillDir: t.TempDir()})
+	ref, err := BuildGraph(sys, roots, BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer CloseGraphStore(ref)
 	for _, workers := range []int{1, 3} {
 		store := newDenseStore(sys, true)
 		store.table = make([]uint32, 2)
 		store.hash = func([]byte) uint64 { return 0 }
-		g := buildOn(t, sys, roots, store, workers, BuildOptions{})
+		g := buildOn(t, sys, roots, store, &packedAdjacency{sys: sys, segCap: edgeSegment}, workers, BuildOptions{})
 		sameGraph(t, fmt.Sprintf("one probe chain, workers=%d", workers), ref, g)
 		if len(store.table) < 2*g.Size() || len(store.table) >= 8*g.Size() {
 			t.Errorf("workers=%d: table has %d slots for %d vertices", workers, len(store.table), g.Size())
@@ -126,7 +125,7 @@ func TestLookupOfFingerprint(t *testing.T) {
 	}
 }
 
-// TestDenseKeyLookupAllocs pins the per-successor path of the dense store:
+// TestDenseKeyLookupAllocs pins the per-successor path of the vertex store:
 // keying a state and probing for it allocates nothing.
 func TestDenseKeyLookupAllocs(t *testing.T) {
 	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
@@ -152,7 +151,7 @@ func TestDenseKeyLookupAllocs(t *testing.T) {
 	})
 }
 
-// TestSuccKeyIsTheKey holds both backends to the seam's successor keying: for
+// TestSuccKeyIsTheKey holds the vertex store to its successor keying: for
 // every vertex of a graph and every applicable task, the key AppendSuccKey
 // derives from the parent's key and the step's delta is byte for byte the key
 // AppendKey gives the materialised successor, and resolves to the edge's
@@ -162,44 +161,39 @@ func TestSuccKeyIsTheKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []StoreKind{StoreDense, StoreSpill} {
-		g, err := BuildGraph(sys, []systemState{stateAfterInputs(t, sys)}, BuildOptions{Workers: 1, Store: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := range StateID(g.Size()) {
-			st, _ := g.State(id)
-			pkey := g.store.AppendKey(nil, st)
-			edges := slices.Collect(g.store.EdgesFrom(id))
-			for i := range sys.Tasks() {
-				d, _, ok, err := sys.Step(st, i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					continue
-				}
-				got, want := g.store.AppendSuccKey(nil, pkey, st, d), g.store.AppendKey(nil, st.With(d))
-				if string(got) != string(want) {
-					t.Fatalf("%v: state %d task %d: key from the delta %x, of the successor %x", kind, id, i, got, want)
-				}
-				if to, found := g.store.Lookup(got); !found || to != edges[0].To {
-					t.Fatalf("%v: state %d task %d: key resolves to %d (%v), the edge leads to %d", kind, id, i, to, found, edges[0].To)
-				}
-				edges = edges[1:]
+	g, err := BuildGraph(sys, []systemState{stateAfterInputs(t, sys)}, BuildOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range StateID(g.Size()) {
+		st, _ := g.State(id)
+		pkey := g.store.AppendKey(nil, st)
+		edges := slices.Collect(g.EdgesFrom(id))
+		for i := range sys.Tasks() {
+			d, _, ok, err := sys.Step(st, i)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(edges) != 0 {
-				t.Fatalf("%v: state %d: %d edges no task stepped to", kind, id, len(edges))
+			if !ok {
+				continue
 			}
+			got, want := g.store.AppendSuccKey(nil, pkey, d), g.store.AppendKey(nil, st.With(d))
+			if string(got) != string(want) {
+				t.Fatalf("state %d task %d: key from the delta %x, of the successor %x", id, i, got, want)
+			}
+			if to, found := g.store.Lookup(got); !found || to != edges[0].To {
+				t.Fatalf("state %d task %d: key resolves to %d (%v), the edge leads to %d", id, i, to, found, edges[0].To)
+			}
+			edges = edges[1:]
 		}
-		if err := CloseGraphStore(g); err != nil {
-			t.Fatal(err)
+		if len(edges) != 0 {
+			t.Fatalf("state %d: %d edges no task stepped to", id, len(edges))
 		}
 	}
 }
 
 // TestStoredSuccessorAllocs pins the per-successor step both level bodies
-// share on the dense store without symmetry: a successor the store already holds — 86 % of
+// share without symmetry: a successor the store already holds — 86 % of
 // them on forward n=5 — is stepped, keyed from its parent's key and the
 // step's delta, and looked up without one allocation; no State is built.
 func TestStoredSuccessorAllocs(t *testing.T) {
@@ -242,9 +236,9 @@ func TestStoredSuccessorAllocs(t *testing.T) {
 	})
 }
 
-// TestStoreWithoutWitnesses: stores built without witnesses must record no
-// predecessor links — Pred is the zero link for every vertex, in range or
-// not — while IDs, states and fingerprints stay identical.
+// TestStoreWithoutWitnesses: a vertex store kept without witnesses must
+// record no predecessor links — Pred is the zero link for every vertex, in
+// range or not — while IDs, states and fingerprints stay identical.
 func TestStoreWithoutWitnesses(t *testing.T) {
 	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
 	if err != nil {
@@ -254,35 +248,23 @@ func TestStoreWithoutWitnesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spill, err := newSpillStore(sys, t.TempDir(), "", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backends := []struct {
-		name  string
-		store StateStore
-	}{
-		{"dense", newDenseStore(sys, false)},
-		{"spill", spill},
-	}
+	store := newDenseStore(sys, false)
 	var buf []byte
-	for _, b := range backends {
-		for id := 0; id < 10; id++ {
-			st, _ := dense.State(StateID(id))
-			buf = b.store.AppendKey(buf[:0], st)
-			got, fresh := b.store.Intern(string(buf), st, packedEdge{to: 1})
-			if !fresh || got != StateID(id) {
-				t.Fatalf("%s: witness-free Intern state %d: got %d fresh=%v", b.name, id, got, fresh)
-			}
+	for id := 0; id < 10; id++ {
+		st, _ := dense.State(StateID(id))
+		buf = store.AppendKey(buf[:0], st)
+		got, fresh := store.Intern(buf, st, packedEdge{to: 1})
+		if !fresh || got != StateID(id) {
+			t.Fatalf("witness-free Intern state %d: got %d fresh=%v", id, got, fresh)
 		}
-		for id := 0; id < 12; id++ {
-			if p := b.store.Pred(StateID(id)); p.has || p.from != 0 {
-				t.Errorf("%s: Pred(%d) = %+v on a witness-free store, want zero", b.name, id, p)
-			}
+	}
+	for id := 0; id < 12; id++ {
+		if p := store.Pred(StateID(id)); p.has || p.from != 0 {
+			t.Errorf("Pred(%d) = %+v on a witness-free store, want zero", id, p)
 		}
-		if fp := b.store.Fingerprint(3); fp != dense.Fingerprint(3) {
-			t.Errorf("%s: witness-free store diverged on Fingerprint(3)", b.name)
-		}
+	}
+	if fp := store.Fingerprint(3); fp != dense.Fingerprint(3) {
+		t.Error("witness-free store diverged on Fingerprint(3)")
 	}
 }
 
@@ -324,7 +306,7 @@ func TestPackedAdjacencyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var labels []system.Label
-	for _, e := range slices.Concat(ref.store.(*denseStore).edges...) {
+	for _, e := range slices.Concat(ref.adj.(*packedAdjacency).edges...) {
 		if !slices.Contains(labels, e.Label) {
 			labels = append(labels, e.Label)
 		}
@@ -332,55 +314,51 @@ func TestPackedAdjacencyRoundTrip(t *testing.T) {
 	if len(labels) < 10 {
 		t.Fatalf("only %d distinct labels to draw from", len(labels))
 	}
-	for _, b := range allBackends(t, sys) {
-		if b.name == "spill" {
-			continue // its own adjacency; covered by the spill suites
+	const n = 300
+	adj := &packedAdjacency{sys: sys, segCap: edgeSegment}
+	g := &Graph{adj: adj}
+	want := make([][]Edge, n)
+	var scratch []packedEdge
+	for id := range want {
+		scratch = scratch[:0]
+		for range intn(10) {
+			e := packedEdge{to: StateID(intn(1 << 32)), Label: labels[intn(len(labels))]}
+			task, act := sys.Resolve(e.Label)
+			scratch = append(scratch, e)
+			want[id] = append(want[id], Edge{Task: task, Action: act, To: e.to})
 		}
-		const n = 300
-		g := &Graph{store: b.store}
-		want := make([][]Edge, n)
-		var scratch []packedEdge
-		for id := range want {
-			scratch = scratch[:0]
-			for range intn(10) {
-				e := packedEdge{to: StateID(intn(1 << 32)), Label: labels[intn(len(labels))]}
-				task, act := sys.Resolve(e.Label)
-				scratch = append(scratch, e)
-				want[id] = append(want[id], Edge{Task: task, Action: act, To: e.to})
-			}
-			b.store.SetSuccs(StateID(id), scratch)
-			for i := range scratch {
-				scratch[i] = packedEdge{to: 7}
-			}
+		adj.SetSuccs(StateID(id), scratch)
+		for i := range scratch {
+			scratch[i] = packedEdge{to: 7}
 		}
-		for id, edges := range want {
-			if got := slices.Collect(b.store.EdgesFrom(StateID(id))); !slices.Equal(got, edges) {
-				t.Fatalf("%s: EdgesFrom(%d) = %v, want %v", b.name, id, got, edges)
-			}
-			if got := g.Succs(StateID(id)); !slices.Equal(got, edges) || (len(edges) == 0 && got != nil) {
-				t.Fatalf("%s: Succs(%d) = %v, want %v", b.name, id, got, edges)
-			}
-			for _, e := range edges {
-				first := edges[slices.IndexFunc(edges, func(x Edge) bool { return x.Task == e.Task })]
-				if got, ok := g.Succ(StateID(id), e.Task); !ok || got != first {
-					t.Fatalf("%s: Succ(%d, %v) = %v %v, want %v", b.name, id, e.Task, got, ok, first)
-				}
-			}
-		}
-		for _, id := range []StateID{n, n + 9, ^StateID(0)} {
-			if got := g.Succs(id); got != nil {
-				t.Errorf("%s: Succs(%d) = %v for a vertex never recorded", b.name, id, got)
-			}
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: out-of-order SetSuccs did not panic", b.name)
-				}
-			}()
-			b.store.SetSuccs(n+3, nil)
-		}()
 	}
+	for id, edges := range want {
+		if got := slices.Collect(adj.EdgesFrom(StateID(id))); !slices.Equal(got, edges) {
+			t.Fatalf("EdgesFrom(%d) = %v, want %v", id, got, edges)
+		}
+		if got := g.Succs(StateID(id)); !slices.Equal(got, edges) || (len(edges) == 0 && got != nil) {
+			t.Fatalf("Succs(%d) = %v, want %v", id, got, edges)
+		}
+		for _, e := range edges {
+			first := edges[slices.IndexFunc(edges, func(x Edge) bool { return x.Task == e.Task })]
+			if got, ok := g.Succ(StateID(id), e.Task); !ok || got != first {
+				t.Fatalf("Succ(%d, %v) = %v %v, want %v", id, e.Task, got, ok, first)
+			}
+		}
+	}
+	for _, id := range []StateID{n, n + 9, ^StateID(0)} {
+		if got := g.Succs(id); got != nil {
+			t.Errorf("Succs(%d) = %v for a vertex never recorded", id, got)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("out-of-order SetSuccs did not panic")
+			}
+		}()
+		adj.SetSuccs(n+3, nil)
+	}()
 }
 
 // TestTargetsMatchesEdgesFrom holds the label-free accessor to the store
@@ -402,9 +380,9 @@ func TestTargetsMatchesEdgesFrom(t *testing.T) {
 	// pending buffer.
 	backends := allBackends(t, sys)
 	for _, b := range backends {
-		fillPrefix(dense, b.store, 10)
+		fillPrefix(dense, b.g, 10)
 	}
-	spill := backends[len(backends)-1].store.(*spillStore)
+	spill := backends[len(backends)-1].g.adj.(*spillEdges)
 	if off := spill.eoffs[0]; off >= spill.flushedOff {
 		t.Fatal("spill: vertex 0 was meant to be sealed")
 	}
@@ -428,26 +406,26 @@ func TestTargetsMatchesEdgesFrom(t *testing.T) {
 	}
 	defer CloseGraphStore(reopened)
 	backends = append(backends, struct {
-		name  string
-		store StateStore
-	}{"reopened", reopened.store})
+		name string
+		g    *Graph
+	}{"reopened", reopened})
 
 	for _, b := range backends {
 		prefix := []StateID{7, 9}
-		for id := range StateID(b.store.Len()) {
+		for id := range StateID(b.g.Size()) {
 			var want []StateID
-			for e := range b.store.EdgesFrom(id) {
+			for e := range b.g.EdgesFrom(id) {
 				want = append(want, e.To)
 			}
-			if got := b.store.Targets(id, nil); !slices.Equal(got, want) {
+			if got := b.g.adj.Targets(id, nil); !slices.Equal(got, want) {
 				t.Fatalf("%s: Targets(%d) = %v, EdgesFrom leads to %v", b.name, id, got, want)
 			}
-			if got := b.store.Targets(id, slices.Clone(prefix)); !slices.Equal(got, append(slices.Clone(prefix), want...)) {
+			if got := b.g.adj.Targets(id, slices.Clone(prefix)); !slices.Equal(got, append(slices.Clone(prefix), want...)) {
 				t.Fatalf("%s: Targets(%d) after %v = %v, want %v appended", b.name, id, prefix, got, want)
 			}
 		}
-		for _, id := range []StateID{StateID(b.store.Len()), noState} {
-			if got := b.store.Targets(id, prefix); !slices.Equal(got, []StateID{7, 9}) {
+		for _, id := range []StateID{StateID(b.g.Size()), noState} {
+			if got := b.g.adj.Targets(id, prefix); !slices.Equal(got, []StateID{7, 9}) {
 				t.Errorf("%s: Targets(%d) past the end = %v, want the buffer back unchanged", b.name, id, got)
 			}
 		}

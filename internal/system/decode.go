@@ -22,10 +22,11 @@ import (
 // component decoders reject it, whatever the tables hold.
 //
 // Every fingerprint this system produced decodes, and re-encoding the
-// decoded state is byte-identical (the round-trip contract the disk-spilling
-// StateStore backend is built on: spilled vertices persist only their
-// fingerprints and are decoded on demand). Inputs that are not canonical
-// encodings return an error wrapping codec.ErrMalformed.
+// decoded state is byte-identical (the round-trip contract durable graphs
+// are built on: a committed directory persists each vertex as its
+// fingerprint, and reopening it decodes every one back into the vertex
+// store). Inputs that are not canonical encodings return an error wrapping
+// codec.ErrMalformed.
 func (s *System) ParseFingerprint(fp string) (State, error) {
 	st := State{
 		procs: make([]*procCell, len(s.procSlots)),

@@ -3,8 +3,8 @@ package system_test
 // Round-trip and fuzz coverage for the state decoder: for every registry
 // protocol family, the root states and a deep BFS sample of reachable
 // states must satisfy decode(encode(st)) == st up to byte-identical
-// re-encoding — the contract the disk-spilling StateStore backend depends
-// on. (External test package: the protocol builders import system, so these
+// re-encoding — the contract a reopened durable graph depends on.
+// (External test package: the protocol builders import system, so these
 // tests cannot live in-package.)
 
 import (
@@ -130,7 +130,7 @@ func TestParseFingerprintRoundTrip(t *testing.T) {
 
 // TestParseFingerprintSemantics: a decoded state is behaviourally the
 // original — same enabled tasks and fingerprint-identical successors —
-// which is what the spill store needs when it re-expands decoded states.
+// which is what a reopened durable graph needs of the states it decoded.
 func TestParseFingerprintSemantics(t *testing.T) {
 	sys := registrySystems(t)["forward"]
 	for i, st := range sampleStates(t, sys, 60) {

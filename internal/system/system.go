@@ -358,22 +358,10 @@ func (s *System) Fingerprint(st State) string {
 // a state copies the cached encodings and allocates nothing. The encoding
 // does not depend on which System's cells st points into.
 func (s *System) AppendFingerprint(dst []byte, st State) []byte {
-	return s.AppendSuccFingerprint(dst, st, Delta{})
-}
-
-// AppendSuccFingerprint appends the canonical encoding of st.With(d) without
-// building that state: st's cached encodings with d's substituted.
-func (s *System) AppendSuccFingerprint(dst []byte, st State, d Delta) []byte {
-	for i, c := range st.procs {
-		if d.proc != nil && i == d.procSlot {
-			c = d.proc
-		}
+	for _, c := range st.procs {
 		dst = append(dst, c.enc...)
 	}
-	for i, c := range st.svcs {
-		if d.svc != nil && i == d.svcSlot {
-			c = d.svc
-		}
+	for _, c := range st.svcs {
 		dst = append(dst, c.enc...)
 	}
 	return dst

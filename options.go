@@ -74,7 +74,8 @@ func WithMaxStates(n int) Option { return func(c *config) { c.maxStates = max(n,
 // return a *ConflictError rather than empty witnesses.
 
 // WithStore selects the storage backend for graph builds: DenseStore
-// (default) or SpillStore. See the Store constants for what each keeps
+// (default) or SpillStore. Both keep the vertices in RAM; SpillStore keeps
+// the edges in a file. See the Store constants for what each keeps
 // resident.
 func WithStore(s Store) Option {
 	return func(c *config) {
@@ -83,14 +84,14 @@ func WithStore(s Store) Option {
 	}
 }
 
-// WithSpillDir selects the SpillStore backend and places its spill files in
-// dir ("" keeps the OS temp directory). The spill store keeps only 16 hash
-// bytes plus two file offsets per vertex in RAM; canonical fingerprints —
-// the serialized representative states — live in an append-only spill file,
-// and adjacency lives as delta-varint blocks in a second append-only edge
-// file, both decoded back on demand, so state budgets are bounded by disk,
-// not resident memory. Spill files are unlinked at creation and reclaimed
-// by the kernel when the graph is collected (or closed via CloseGraph).
+// WithSpillDir selects the SpillStore backend and places its edge file in
+// dir ("" keeps the OS temp directory). The spill store keeps the vertices
+// in RAM like the dense store, and the edges — 7–8 per vertex on the
+// registry protocols, the larger part of a big graph — as delta-varint
+// blocks in an append-only edge file, decoded back on demand, with 12 bytes
+// of offset and length per vertex left in RAM. The file is unlinked at
+// creation and reclaimed by the kernel when the graph is collected (or
+// closed via CloseGraph).
 func WithSpillDir(dir string) Option {
 	return func(c *config) {
 		c.store = SpillStore
@@ -99,9 +100,10 @@ func WithSpillDir(dir string) Option {
 }
 
 // WithGraphDir makes every graph the Checker builds durable: the spill
-// backend's file set — canonical fingerprints, edge blocks, index,
-// valence masks, roots — is committed under dir behind a versioned,
-// checksummed manifest instead of living in unlinked temp files. A
+// backend's edge file, plus the vertices' canonical fingerprints and an
+// index of valence masks, roots and witness links, is committed under dir
+// behind a versioned, checksummed manifest instead of living in an unlinked
+// temp file; reopening decodes every fingerprint back into the vertex store. A
 // directory holding a committed graph whose identity matches the
 // requested build exactly (candidate, roots, symmetry, witnesses) is
 // reopened without exploring a state; anything else — empty directory,
@@ -157,8 +159,8 @@ func (c *config) validateDurable() error {
 // witness executions — FindHook, and Refute unless the graph phases are
 // skipped — return a *ConflictError instead of producing empty witnesses.
 // Use it with Explore/ClassifyInits workloads that only need counts and
-// valences: on large builds the links are a word-heavy per-vertex cost the
-// spill backend cannot move to disk.
+// valences: on large builds the links are an 8-byte per-vertex cost the
+// spill backend does not move to disk.
 func WithoutWitnesses() Option { return func(c *config) { c.noWitnesses = true } }
 
 // WithProgress streams per-level exploration reports (states, edges,

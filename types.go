@@ -56,18 +56,9 @@ type (
 	Progress = explore.Progress
 	// ProgressFunc receives streaming Progress reports during exploration.
 	ProgressFunc = explore.ProgressFunc
-	// Store selects the vertex storage backend of G(C).
+	// Store selects where a build keeps the edges of G(C): in RAM or in a
+	// file. The vertices are kept in RAM either way.
 	Store = explore.StoreKind
-	// VertexStore is the vertex face of the storage seam: keying, the dedup
-	// index, representative states and optional predecessor links.
-	VertexStore = explore.VertexStore
-	// AdjacencyStore is the adjacency face of the storage seam: edges are
-	// recorded as discovered, sealed at level barriers, and streamed back
-	// as an iterator, so backends keep them in slices or on disk.
-	AdjacencyStore = explore.AdjacencyStore
-	// StateStore is the full storage seam behind Graph: the vertex face
-	// plus the adjacency face.
-	StateStore = explore.StateStore
 )
 
 // Valences.
@@ -78,28 +69,22 @@ const (
 	Bivalent   = explore.Bivalent
 )
 
-// Store backends. DenseStore keeps the graph in RAM: the representative
-// states, a pointer-free index keyed on each vertex's tuple of component-cell
-// indices (4 bytes per process and service) and 8-byte packed edges;
-// canonical fingerprints are encoded on demand. SpillStore moves fingerprints
-// and representative states to an append-only spill file (TLC-style
-// fingerprint file) and adjacency to a second append-only edge file of
-// delta-varint successor blocks, keeping only 16 hash bytes plus two file
-// offsets per vertex in RAM. Both produce identical graphs — the dense index
-// compares keys exactly, and the spill store's hash collisions are audited
-// and resolved, never silently merged.
+// Store backends. Both keep the vertices in RAM the same way: the
+// representative states and a pointer-free index keyed on each vertex's tuple
+// of component-cell indices (4 bytes per process and service); canonical
+// fingerprints are encoded on demand. DenseStore keeps the edges in RAM too,
+// as 8-byte packed edges. SpillStore moves them to an append-only edge file
+// of delta-varint successor blocks, keeping 12 bytes of offset and length
+// per vertex in RAM, so the edge relation — most of a large graph — leaves
+// the heap. Both produce identical graphs.
 const (
 	DenseStore = explore.StoreDense
 	SpillStore = explore.StoreSpill
 )
 
-// StoreCollisions reports the audited hash-collision count of a graph's
-// backend (always 0 for DenseStore).
-func StoreCollisions(g *Graph) int { return explore.StoreCollisions(g) }
-
 // SpillStats is the observability face of the SpillStore backend: vertex
-// and resident counts, spill-file size, on-demand read count and the
-// audited collision count.
+// count, fingerprint-file size of a durable graph, fingerprints decoded on
+// reopen, edge-file size and edge-block read count.
 type SpillStats = explore.SpillStats
 
 // GraphSpillStats reports the spill-file statistics of a graph built with
@@ -107,9 +92,8 @@ type SpillStats = explore.SpillStats
 func GraphSpillStats(g *Graph) (SpillStats, bool) { return explore.GraphSpillStats(g) }
 
 // CloseGraph deterministically releases any external resources held by a
-// graph's storage backend — the SpillStore descriptors for both the
-// fingerprint file and the edge file — and is a no-op (nil) for the
-// in-memory backends. The graph must not be used afterwards. Optional: an
+// graph's storage backend — the SpillStore's edge-file descriptor — and is a
+// no-op (nil) for the in-memory backend. The graph must not be used afterwards. Optional: an
 // unclosed spill graph is reclaimed when the garbage collector runs its
 // finalizers, but callers that churn through many spill-backed graphs
 // should close each one rather than let descriptors accumulate against the
