@@ -10,39 +10,31 @@ build:
 test:
 	$(GO) test ./...
 
-# The race job is what proves the pooled level body correct: workers
-# expanding a level against the frozen store and the coordinator's serial
-# intern at the level barrier run under the race detector. The second line fills one System's cell tables
-# and transition memo from four goroutines at once, and has four goroutines
-# intern the same component states into one fresh System's slots — the dense
-# vertex store keys on the indices those slots hand out, which must come out
-# dense and one per encoding whoever wins — and step one cold System from four
-# goroutines, racing to publish the same memo edges and to number the same
-# actions (every stored edge carries such a number); interleavings differ per
-# run, so it is repeated. The third line repeats the Refute sweep's progress
-# contract (an unsynchronised recorder on four workers: any concurrent report
-# is a detected race) and the small rows of its differential suite, and the
-# symmetry layer's four goroutines canonicalizing one frontier on a fresh
-# System (racing to index the same service cells and intern the same renamed
-# ones). It also repeats the per-ID determinism matrix (2, 3 and 8 workers,
-# dense, spill and quotient): each worker's level-local candidate table must
-# be touched by that worker and, at the barrier, the coordinator only — which
-# goroutine runs which chunk when differs per run, and -race is what would
-# show a second goroutine in a table — and the handler panic recovered on an
-# expansion worker, whose error the coordinator reads at the barrier — and the
-# segment-boundary parity of the dense store at 2 and 3 workers: with one to
-# seven vertices a segment the coordinator appends a segment to the keys,
-# states and edges directories at nearly every intern, and the workers of the
-# next level read through those directory slice headers, which is what a
-# missing barrier would race on. Those suites pool every level; the
-# inline/pooled parity rows at 2 and 3 workers are repeated beside them for
-# the builds that alternate: the first worker's scratch also serves the
-# inline body, so a level expanded inline between two pooled ones is where
-# an arena not reset at the barrier, or still read by a worker, would show.
+# The race job proves the concurrency that is left data-race free. A graph
+# is built on one goroutine; what fans out is the analyses' independent units
+# — Refute's failure scenarios, RefuteKSet's assignments, RunBatch's runs —
+# and those share one System, whose cell tables and transition memo fill
+# lazily. The second line fills one System's cell tables and transition memo
+# from four goroutines at once, and has four goroutines intern the same
+# component states into one fresh System's slots — the dense vertex store
+# keys on the indices those slots hand out, which must come out dense and one
+# per encoding whoever wins — and step one cold System from four goroutines,
+# racing to publish the same memo edges and to number the same actions
+# (every stored edge carries such a number); interleavings differ per run, so
+# it is repeated. The third line repeats the fan-outs themselves: the refuter
+# and RunBatch on eight workers against their one-worker results, the Refute
+# sweep's progress contract (an unsynchronised recorder on four workers: any
+# concurrent report is a detected race) and the small rows of its
+# differential suite, and the symmetry layer's four goroutines
+# canonicalizing one frontier on a fresh System (racing to index the same
+# service cells and intern the same renamed ones). The per-ID determinism
+# matrix at 2, 3 and 8 workers and the handler panic recovered in a build
+# repeat beside them: a build that started goroutines again would race there
+# first.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentApply|TestConcurrentCellIndices|TestConcurrentActionNumbers' ./internal/system
-	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestSegmentBoundaryParity/workers=[23]|TestLevelStepInlinePooledParity/workers=[23]|TestHandlerPanicFailsTheBuild|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
+	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestHandlerPanicFailsTheBuild|TestRefuteParallelMatchesSerial|TestRunBatchMatchesSerial|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
 
 # Benchmark smoke run: every benchmark once, no timing rigour. Use
 # `$(GO) test -bench=. -benchmem ./...` for real measurements.
@@ -62,10 +54,10 @@ bench-quick:
 # reduction (quotient vs full graph) and the E29 spilled adjacency (edge
 # file + witness-free builds, on the exhaustive forward n=5 build), with
 # -benchmem.
-# E22 carries the one-worker vs worker-pool rows on forward n=5 and the
-# forward n=6 quotient, the default-path (workers=0) rows on tob n=2 and
-# forward n=4 (E41), plus forward-n5-cold (a fresh System per build: what
-# one op of the time-to-verdict harness allocates, E39).
+# E22 carries one row per system — tob n=2, forward n=4 and n=5,
+# registervote n=2 and the forward n=6 quotient — plus forward-n5-cold (a
+# fresh System per build: what one op of the time-to-verdict harness
+# allocates, E39; ≤ 95 k allocs and ≤ 12.5 MB an op).
 # BenchmarkStoreBackends/forward-n6/dense is the B/op sentinel of the dense
 # store's segments: 26.6 MB an op for a graph that retains 24.9 (E40; 82.4 MB
 # while keys, states and edges grew by append-doubling) — a store change that
@@ -76,7 +68,7 @@ bench-quick:
 # output as an artifact (bench-allocs.txt) to make allocation
 # regressions visible.
 bench-allocs:
-	@$(GO) test -bench 'BenchmarkBuildGraphWorkers|BenchmarkRefuteWorkers|BenchmarkRunBatchWorkers|BenchmarkFingerprint|BenchmarkStoreBackends|BenchmarkSymmetry$$|BenchmarkSpillAdjacency' \
+	@$(GO) test -bench 'BenchmarkBuildGraph$$|BenchmarkRefuteWorkers|BenchmarkRunBatchWorkers|BenchmarkFingerprint|BenchmarkStoreBackends|BenchmarkSymmetry$$|BenchmarkSpillAdjacency' \
 		-benchmem -benchtime=2x -run '^$$' . > bench-allocs.txt; \
 		status=$$?; \
 		$(GO) test -bench 'BenchmarkStep$$' -benchmem -benchtime=1000000x -run '^$$' ./internal/system >> bench-allocs.txt || status=$$?; \

@@ -412,53 +412,34 @@ func BenchmarkRefuteKSet(b *testing.B) {
 	}
 }
 
-// workerSweep returns the deduplicated worker counts benchmarked by the
-// serial-vs-parallel comparisons: serial, a couple of fixed points, and one
-// worker per CPU.
-func workerSweep() []int {
-	counts := []int{1, 2, 4}
-	ncpu := runtime.NumCPU()
-	for _, c := range counts {
-		if c == ncpu {
-			return counts
-		}
-	}
-	return append(counts, ncpu)
-}
-
-// BenchmarkBuildGraphWorkers (E22) runs the level loop at one worker (every
-// level inline) and at more (levels at least minPooledLevel wide on the pool)
-// on the two largest completing seed systems — the 4-process forward candidate
-// (2486-vertex G(C)) and the 2-process register-vote candidate (1416
-// vertices) — and on the two largest default-path exhaustive builds: the
-// forward n=5 G(C) (14754 vertices / 103926 edges) and the symmetry-reduced
-// forward n=6 quotient (1764 / 15084). The workers=0 rows are what every CLI
-// runs by default, on the paper-sized graphs: tob n=2 (308 vertices, no level
-// wide enough to pool) and forward n=4 (E41). Every row but the last reuses
-// one System, so its cell tables and transition memo are warm after the first
-// iteration; forward-n5-cold composes a fresh System per iteration, which is
-// what a `New → ClassifyInits → Close` of the time-to-verdict harness pays
-// (E41 holds its workers=2 row to ≤ 95 k allocations and ≤ 12.5 MB an op:
-// 92.1 k · 11.40 MB measured; 92.2 k · 11.53 MB in E40, ≤ 20 MB in E39,
-// while the dense store grew by append-doubling).
-func BenchmarkBuildGraphWorkers(b *testing.B) {
+// BenchmarkBuildGraph (E22) runs the level loop on the two largest completing
+// seed systems — the 4-process forward candidate (2486-vertex G(C)) and the
+// 2-process register-vote candidate (1416 vertices) — on the two largest
+// default-path exhaustive builds, the forward n=5 G(C) (14754 vertices /
+// 103926 edges) and the symmetry-reduced forward n=6 quotient (1764 / 15084),
+// and on tob n=2 (308 vertices). Every row but the last reuses one System, so
+// its cell tables and transition memo are warm after the first iteration;
+// forward-n5-cold composes a fresh System per iteration, which is what a
+// `New → ClassifyInits → Close` of the time-to-verdict harness pays (E41
+// holds it to ≤ 95 k allocations and ≤ 12.5 MB an op: 92.1 k · 11.40 MB
+// measured; 92.2 k · 11.53 MB in E40, ≤ 20 MB in E39, while the dense store
+// grew by append-doubling).
+func BenchmarkBuildGraph(b *testing.B) {
 	forward := func(n int) func() (*system.System, error) {
 		return func() (*system.System, error) { return protocols.BuildForward(n, 0, service.Adversarial) }
 	}
-	sweep := workerSweep()
 	systems := []struct {
-		name    string
-		build   func() (*system.System, error)
-		spec    symmetry.Spec // with orbits: explore the quotient
-		cold    bool          // a fresh System per iteration
-		workers []int
+		name  string
+		build func() (*system.System, error)
+		spec  symmetry.Spec // with orbits: explore the quotient
+		cold  bool          // a fresh System per iteration
 	}{
-		{"tob-n2", func() (*system.System, error) { return protocols.BuildTOBConsensus(2, 0, service.Adversarial) }, symmetry.Spec{}, false, []int{0}},
-		{"forward-n4", forward(4), symmetry.Spec{}, false, append([]int{0}, sweep...)},
-		{"registervote-n2", func() (*system.System, error) { return protocols.BuildRegisterVote(2) }, symmetry.Spec{}, false, sweep},
-		{"forward-n5", forward(5), symmetry.Spec{}, false, sweep},
-		{"forward-n6-sym", forward(6), protocols.ForwardSymmetry(6), false, sweep},
-		{"forward-n5-cold", forward(5), symmetry.Spec{}, true, sweep},
+		{"tob-n2", func() (*system.System, error) { return protocols.BuildTOBConsensus(2, 0, service.Adversarial) }, symmetry.Spec{}, false},
+		{"forward-n4", forward(4), symmetry.Spec{}, false},
+		{"registervote-n2", func() (*system.System, error) { return protocols.BuildRegisterVote(2) }, symmetry.Spec{}, false},
+		{"forward-n5", forward(5), symmetry.Spec{}, false},
+		{"forward-n6-sym", forward(6), protocols.ForwardSymmetry(6), false},
+		{"forward-n5-cold", forward(5), symmetry.Spec{}, true},
 	}
 	for _, sc := range systems {
 		sys, err := sc.build()
@@ -471,37 +452,34 @@ func BenchmarkBuildGraphWorkers(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		for _, w := range sc.workers {
-			b.Run(fmt.Sprintf("%s/workers=%d", sc.name, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					sys := sys
-					if sc.cold {
-						if sys, err = sc.build(); err != nil {
-							b.Fatal(err)
-						}
-					}
-					c, err := explore.ClassifyInits(sys, explore.BuildOptions{Workers: w, Symmetry: canon})
-					if err != nil {
+		b.Run(sc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys := sys
+				if sc.cold {
+					if sys, err = sc.build(); err != nil {
 						b.Fatal(err)
 					}
-					b.ReportMetric(float64(c.Graph.Size()), "states")
 				}
-			})
-		}
+				c, err := explore.ClassifyInits(sys, explore.BuildOptions{Symmetry: canon})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(c.Graph.Size()), "states")
+			}
+		})
 	}
 }
 
-// BenchmarkRefuteWorkers (E23) compares the serial refuter against the
-// parallel one (concurrent safety sweep, parallel graph, concurrent failure
-// scenarios) on the register-vote candidate, whose 2^n safety sweep
-// dominates.
+// BenchmarkRefuteWorkers (E23) compares the serial refuter against the one
+// whose failure scenarios run concurrently, on the register-vote candidate;
+// its safety sweep, built on one goroutine, dominates.
 func BenchmarkRefuteWorkers(b *testing.B) {
 	sys, err := protocols.BuildRegisterVote(2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range workerSweep() {
+	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -538,7 +516,7 @@ func BenchmarkRunBatchWorkers(b *testing.B) {
 		}
 		cfgs = append(cfgs, explore.RunConfig{Inputs: inputs, Failures: failures})
 	}
-	for _, w := range workerSweep() {
+	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

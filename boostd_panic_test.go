@@ -47,11 +47,12 @@ func buildPanickyForward(n, f int) (*system.System, error) {
 	return system.New(procs, []*service.Service{obj})
 }
 
-// TestBoostdSurvivesExpansionWorkerPanic: a job that asks for two engine
-// workers and whose candidate panics in a handler — on one of the build's own
-// expansion goroutines, where no recover of the server's can reach — ends
-// failed/internal instead of taking the daemon down, and the next job on the
-// same server completes.
+// TestBoostdSurvivesExpansionWorkerPanic: a job whose candidate panics in a
+// handler while its graph is built ends failed/internal — the engine turns
+// the panic into a *PanicError on the job's goroutine — instead of taking the
+// daemon down, and the next job on the same server completes. The jobs ask
+// for two workers, which bound only the analyses' fan-outs: the build runs on
+// the job's goroutine either way.
 func TestBoostdSurvivesExpansionWorkerPanic(t *testing.T) {
 	boosting.RegisterProtocolForTest(t, "forward-panicky", buildPanickyForward)
 	srv := server.New(server.Config{Pool: 1})
@@ -95,8 +96,6 @@ func TestBoostdSurvivesExpansionWorkerPanic(t *testing.T) {
 			}
 		}
 	}
-	// The handler is first reached from a vertex of BFS level 2, which is 147
-	// wide at n=6: wide enough for the level loop to put it on the pool.
 	view := run(`{"protocol": "forward-panicky", "n": 6, "f": 0, "analysis": "classify", "options": {"workers": 2}}`)
 	if view.Status != server.StatusFailed || view.Error == nil || view.Error.Kind != "internal" ||
 		!strings.Contains(view.Error.Message, "handler cannot take a 1") {

@@ -30,8 +30,8 @@ func (c *Checker) System() *System { return c.sys }
 
 // Explore builds (a finite fragment of) G(C) from the initialization given
 // by inputs: the failure-free closure of the initialized state under all
-// applicable tasks, with valences computed. Honors the Checker's workers,
-// state budget, store backend, progress and context options. On a durable
+// applicable tasks, with valences computed. Honors the Checker's state
+// budget, store backend, progress and context options. On a durable
 // checker (WithGraphDir) the graph is committed to — or, when the
 // directory already holds this exact build, reopened from — the graph
 // directory.
@@ -114,7 +114,7 @@ func (c *Checker) FindHook(g *Graph, root StateID) (HookSearchResult, error) {
 			Reason: "divergence certificates reconstruct witness executions from the dropped predecessor links",
 		}
 	}
-	return explore.FindHookCtx(c.cfg.ctx, g, root, c.cfg.workers)
+	return explore.FindHookCtx(c.cfg.ctx, g, root)
 }
 
 // Refute analyses the candidate's claim to tolerate the given number of

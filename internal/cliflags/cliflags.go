@@ -29,7 +29,7 @@ type Common struct {
 // holder to read after parsing.
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
-	fs.IntVar(&c.Workers, "workers", 0, "upper bound on exploration goroutines (0 = one per CPU, 1 = no fan-out)")
+	fs.IntVar(&c.Workers, "workers", 0, "upper bound on the goroutines refute scenarios, k-set assignments and batched runs fan out to; graphs are built on one (0 = one per CPU, 1 = no fan-out)")
 	fs.IntVar(&c.MaxStates, "maxstates", 0, "explored-state budget per graph build (0 = engine default)")
 	// The empty sentinel default (rendered as dense by ParseStore) lets
 	// Options distinguish an explicit -store dense from the default, so

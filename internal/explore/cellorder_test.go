@@ -69,9 +69,8 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 // must still produce the same graph per ID (fingerprints, edges with their
 // resolved labels, witness links, valences) on the dense store and on spill,
 // the same refutation report and the same durable directory, byte for byte,
-// on one worker and on several (every level pooled).
+// on one worker and on several (the refuter's failure scenarios fanned out).
 func TestCellOrderUnobservable(t *testing.T) {
-	explore.SetMinPooledLevel(t, 1)
 	for _, workers := range []int{1, 2, 3, 8} {
 		cold := mustForward(t, 3, 1, service.Adversarial)
 		warm := mustForward(t, 3, 1, service.Adversarial)

@@ -153,35 +153,6 @@ func TestDurableReopenParity(t *testing.T) {
 	}
 }
 
-// TestDurableParallelBuildCommits checks a build whose levels all go through
-// the worker pool commits the same durable directory as an inline one:
-// reopening the pooled durable build equals the one-worker reference.
-func TestDurableParallelBuildCommits(t *testing.T) {
-	explore.SetMinPooledLevel(t, 1)
-	sys := mustForward(t, 3, 1, service.Adversarial)
-	roots := monotoneRoots(t, sys)
-	ref, err := explore.BuildGraph(sys, roots, explore.BuildOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer explore.CloseGraphStore(ref)
-	dir := t.TempDir()
-	built, err := explore.BuildGraph(sys, roots, explore.BuildOptions{
-		Workers: 4, Store: explore.StoreSpill, GraphDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := explore.CloseGraphStore(built); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := explore.OpenGraph(sys, dir, explore.OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer explore.CloseGraphStore(reopened)
-	requireIdentical(t, ref, reopened, true)
-}
-
 // TestDurableSpillStats pins what GraphSpillStats reports about fingerprint
 // traffic now that every vertex stays resident: the durable commit writes
 // fingerprints.dat once (SpillBytes is its exact size, both on the built graph

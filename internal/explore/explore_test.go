@@ -342,15 +342,34 @@ func TestRefuteThreeProcesses(t *testing.T) {
 	}
 }
 
+// TestBuildGraphStateLimit pins the budget's boundary on forward n=2, f=0
+// (34 vertices): a budget below the graph's size stops the build with
+// *LimitError{Limit, Explored} at that budget, the size itself succeeds.
 func TestBuildGraphStateLimit(t *testing.T) {
 	sys := mustForward(t, 2, 0, service.Adversarial)
 	root, _, err := initAll(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = explore.BuildGraph(sys, []system.State{root}, explore.BuildOptions{MaxStates: 3})
-	if !errors.Is(err, explore.ErrStateExplosion) {
-		t.Errorf("want state-explosion error, got %v", err)
+	for _, tc := range []struct {
+		budget int
+		want   *explore.LimitError // nil: the build completes
+	}{
+		{1, &explore.LimitError{Limit: 1, Explored: 1}},
+		{3, &explore.LimitError{Limit: 3, Explored: 3}},
+		{33, &explore.LimitError{Limit: 33, Explored: 33}},
+		{34, nil},
+	} {
+		g, err := explore.BuildGraph(sys, []system.State{root}, explore.BuildOptions{MaxStates: tc.budget})
+		var limit *explore.LimitError
+		switch {
+		case tc.want == nil && err != nil:
+			t.Errorf("budget %d: %v, want the 34-vertex graph", tc.budget, err)
+		case tc.want == nil && g.Size() != 34:
+			t.Errorf("budget %d: %d vertices, want 34", tc.budget, g.Size())
+		case tc.want != nil && (!errors.Is(err, explore.ErrStateExplosion) || !errors.As(err, &limit) || *limit != *tc.want):
+			t.Errorf("budget %d: %v, want %+v", tc.budget, err, *tc.want)
+		}
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 
 // StateID is the dense index of a vertex of G(C): the i-th distinct state
 // discovered (in BFS order) gets ID i. The level loop assigns IDs
-// identically for any worker count and any store backend, so IDs are stable
-// coordinates of the graph, not artifacts of scheduling. The canonical
+// identically for any store backend, so IDs are stable coordinates of the
+// graph, not artifacts of scheduling. The canonical
 // string fingerprint remains available per vertex via Graph.Fingerprint, as
 // the stable external format for reports and witness output.
 type StateID uint32
@@ -117,7 +117,7 @@ type Graph struct {
 // Progress is one streaming exploration report, emitted after each BFS
 // level completes: States and Edges are cumulative totals, Frontier is the
 // number of newly discovered vertices awaiting expansion in the next level.
-// The sequence is the same for any worker count and store backend.
+// The sequence is the same for every store backend.
 type Progress struct {
 	Level    int
 	States   int
@@ -142,12 +142,11 @@ type Canonicalizer interface {
 type BuildOptions struct {
 	// MaxStates caps the number of distinct vertices (0 = default 200000).
 	MaxStates int
-	// Workers is the most goroutines a level is expanded on: 0 means one
-	// per CPU the process may use (runtime.GOMAXPROCS(0)), 1 none beside
-	// the caller's. The level loop fans a level out only when it is wide
-	// enough to pay for the barrier (see minPooledLevel). The produced graph
-	// is identical for every value — same StateIDs, edges, predecessors and
-	// valences.
+	// Workers bounds the goroutines Refute's failure scenarios and
+	// RefuteKSet's input assignments fan out to: 0 means one per CPU the
+	// process may use (runtime.GOMAXPROCS(0)), 1 none beside the caller's.
+	// A graph is always built on the calling goroutine, so it is the same
+	// for every value.
 	Workers int
 	// Store selects where the edges are kept (default StoreDense, in RAM;
 	// StoreSpill, in a file). Both produce the identical graph; they differ
@@ -171,8 +170,7 @@ type BuildOptions struct {
 	// Symmetry, when non-nil, canonicalizes every state — roots and
 	// discovered successors — before the key/intern step at the vertex
 	// store, so the level loop builds the quotient graph modulo process
-	// renaming. Both level bodies apply it at the same point and stay
-	// graph-identical to each other on both backends.
+	// renaming. Both backends get the same quotient graph.
 	Symmetry Canonicalizer
 	// NoWitnesses drops the BFS-tree predecessor links: the store records
 	// nothing at intern time and WitnessPath returns nil for every vertex.
@@ -248,16 +246,10 @@ func (g *Graph) internRoots(roots []system.State, canon Canonicalizer) {
 
 // discover resolves the first reference to a successor the store did not hold
 // when it was looked up: a new vertex is interned with p as its predecessor
-// link. This is where the vertex budget is enforced, for both level bodies.
-// Below the budget one Intern answers — on the pool another worker's
-// candidate for the same state may have been interned earlier in the
-// barrier, which Intern reports as not fresh; at the budget only such a
-// known vertex may still pass.
+// link. This is where the vertex budget is enforced: at the budget no new
+// vertex is interned.
 func (g *Graph) discover(key []byte, st system.State, p packedEdge, maxStates int) (StateID, error) {
 	if g.store.Len() >= maxStates {
-		if id, ok := g.store.Lookup(key); ok {
-			return id, nil
-		}
 		return noState, &LimitError{Limit: maxStates, Explored: g.store.Len()}
 	}
 	id, _ := g.store.Intern(key, st, p)
@@ -297,7 +289,7 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 		}
 	}()
 	g.internRoots(roots, opt.Symmetry)
-	if err := g.explore(maxStates, effectiveWorkers(opt.Workers), opt); err != nil {
+	if err := g.explore(maxStates, opt); err != nil {
 		return nil, err
 	}
 	if err := ctxErr(opt.Ctx); err != nil {
@@ -322,10 +314,10 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("explore: panic applying %v: %v", e.Task, e.Value)
 }
 
-// recoverApply, deferred around a level body's expansion with the index of
-// the task being applied, turns a panic into *err. Nothing but the task can
-// panic there: a body reads only the vertex store, which is in RAM, and
-// writes no file.
+// recoverApply, deferred around a level's expansion with the index of the
+// task being applied, turns a panic into *err. Nothing but the task can
+// panic there: the expansion reads only the vertex store, which is in RAM,
+// and writes no file.
 func recoverApply(sys *system.System, t *int, err *error) {
 	r := recover()
 	if r == nil {
@@ -335,7 +327,7 @@ func recoverApply(sys *system.System, t *int, err *error) {
 	log.Printf("%v\n%s", *err, debug.Stack())
 }
 
-// successor is the per-successor step of both level bodies: it runs task t
+// successor is the level loop's per-successor step: it runs task t
 // from the vertex st against the store as it stands, ok = false if the task is
 // not applicable. pkey is the store key of st, unused under a Canonicalizer;
 // the successor's key is left in *buf. The returned edge's target is the
@@ -363,36 +355,26 @@ func (g *Graph) successor(canon Canonicalizer, st system.State, pkey []byte, t i
 	return e, d, next, true, nil
 }
 
-// minPooledLevel is the width from which a level is fanned out to the worker
-// pool. Below it the barrier — a candidate table per worker, a second pass
-// over every new edge, the goroutine hand-off — costs more than a second CPU
-// returns: the paper-sized graphs (tob n=2, forward n ≤ 3) have no level this
-// wide and build 1.5–1.6× faster inline. 128 is the knee of the E41 sweep
-// over {32, 64, 128, 256, 512} (EXPERIMENTS.md). It is a property of the two
-// bodies, not of a run, so it is not an option; a variable only so that
-// tests can put every level, or every other one, on the pool.
-var minPooledLevel = 128
+// levelScratch is the level loop's reusable memory: the key buffers, the
+// task being applied (for recoverApply) and the expanding vertex's edges,
+// which SetSuccs copies, so the loop allocates no per-vertex slice.
+type levelScratch struct {
+	buf, pkey []byte // a successor's key, the expanding vertex's
+	task      int
+	edges     []packedEdge
+}
 
 // explore is the level loop behind BuildGraph: it expands the interned roots
-// to closure, one BFS level at a time. IDs are dense in discovery order, so
-// the queue is implicit: a level is the ID range [lo, hi) the store grew by
-// while the level before it was expanded. One of two bodies that give every
-// vertex the same ID expands it — expandInline on this goroutine, or
-// expandPooled on up to `workers` when the level is at least minPooledLevel
-// wide — chosen from the width alone, never from scheduling. The loop owns
-// what a level means: its edges are sealed and one Progress report is made
-// per level, including the last.
-func (g *Graph) explore(maxStates, workers int, opt BuildOptions) error {
-	p := pool{scratch: make([]workerScratch, workers)}
+// to closure, one BFS level at a time, on the calling goroutine. IDs are
+// dense in discovery order, so the queue is implicit: a level is the ID range
+// [lo, hi) the store grew by while the level before it was expanded. The
+// loop owns what a level means: its edges are sealed and one Progress report
+// is made per level, including the last.
+func (g *Graph) explore(maxStates int, opt BuildOptions) error {
+	var ws levelScratch
 	level := 0
 	for lo, hi := StateID(0), StateID(g.store.Len()); lo < hi; lo, hi = hi, StateID(g.store.Len()) {
-		var err error
-		if workers > 1 && int(hi-lo) >= minPooledLevel {
-			err = g.expandPooled(lo, hi, maxStates, &p, opt)
-		} else {
-			err = g.expandInline(lo, hi, maxStates, &p.scratch[0], opt)
-		}
-		if err != nil {
+		if err := g.expandLevel(lo, hi, maxStates, &ws, opt); err != nil {
 			return err
 		}
 		// The level's edges are now immutable, so the spill backend may move
@@ -406,10 +388,10 @@ func (g *Graph) explore(maxStates, workers int, opt BuildOptions) error {
 	return nil
 }
 
-// expandInline expands the level [lo, hi) on the calling goroutine, interning
-// each discovery the moment it is found. ws is key and edge scratch (SetSuccs
-// copies); the context is read every 64 vertices.
-func (g *Graph) expandInline(lo, hi StateID, maxStates int, ws *workerScratch, opt BuildOptions) (err error) {
+// expandLevel expands the level [lo, hi), interning each discovery the
+// moment it is found, so a state gets its ID at the first reference to it in
+// ID order × task order. The context is read every 64 vertices.
+func (g *Graph) expandLevel(lo, hi StateID, maxStates int, ws *levelScratch, opt BuildOptions) (err error) {
 	defer recoverApply(g.sys, &ws.task, &err)
 	for id := lo; id < hi; id++ {
 		if id&63 == 0 {
@@ -444,7 +426,6 @@ func (g *Graph) expandInline(lo, hi StateID, maxStates int, ws *workerScratch, o
 		g.adj.SetSuccs(id, ws.edges)
 		g.edges += len(ws.edges)
 	}
-	ws.edges = ws.edges[:0] // a pooled level may follow: its arena starts empty
 	return nil
 }
 

@@ -65,22 +65,17 @@ type HookSearchResult struct {
 // analysis). If the construction revisits a configuration, the system
 // diverges: an infinite fair bivalent path exists.
 func FindHook(g *Graph, root StateID) (HookSearchResult, error) {
-	return FindHookCtx(nil, g, root, 1)
+	return FindHookCtx(nil, g, root)
 }
 
-// FindHookCtx is FindHook with a concurrency bound and cancellation. The
-// bivalent-extension searches of the Fig. 3 construction scan each BFS level
-// that is wide enough to pay for it across at most the given number of
-// workers (0 = one per CPU the process may use, 1 = the calling goroutine
-// only); the outcome is identical for every count. The construction checks
-// ctx at every step and inside every per-step BFS (each scanned level), so
-// a cancelled context stops a long hook search mid-scan with ctx.Err().
-// A nil context never cancels.
-func FindHookCtx(ctx context.Context, g *Graph, root StateID, workers int) (HookSearchResult, error) {
+// FindHookCtx is FindHook with cancellation. The construction checks ctx at
+// every step and inside every per-step BFS (each scanned level), so a
+// cancelled context stops a long hook search mid-scan with ctx.Err(). A nil
+// context never cancels.
+func FindHookCtx(ctx context.Context, g *Graph, root StateID) (HookSearchResult, error) {
 	if g.Valence(root) != Bivalent {
 		return HookSearchResult{}, fmt.Errorf("%w: %s", ErrNotBivalent, g.Valence(root))
 	}
-	workers = effectiveWorkers(workers)
 	tasks := g.sys.Tasks()
 	// One BFS tree reused across every construction step: begin() bumps an
 	// epoch instead of reallocating graph-size arrays per step.
@@ -124,7 +119,7 @@ func FindHookCtx(ctx context.Context, g *Graph, root StateID, workers int) (Hook
 
 		// Search for α′ reachable from alpha without e-edges such that
 		// e(α′) is bivalent.
-		target, path, ok, err := g.findBivalentExtension(ctx, alpha, e, workers, tree)
+		target, path, ok, err := g.findBivalentExtension(ctx, alpha, e, tree)
 		if err != nil {
 			return HookSearchResult{}, err
 		}
@@ -145,33 +140,17 @@ func FindHookCtx(ctx context.Context, g *Graph, root StateID, workers int) (Hook
 
 // findBivalentExtension searches (level-synchronous BFS, avoiding e-labelled
 // edges) for a vertex α′ with e(α′) bivalent, returning α′ and the path to
-// it. The per-level predicate checks run across the given number of workers;
-// levels are expanded in queue order, so the vertex found is the first one in
-// serial BFS order regardless of the worker count. The context is checked at
-// every level boundary.
-func (g *Graph) findBivalentExtension(ctx context.Context, alpha StateID, e ioa.Task, workers int, tree *bfsTree) (StateID, []Edge, bool, error) {
+// it: the first such vertex in BFS order. The context is checked at every
+// level boundary.
+func (g *Graph) findBivalentExtension(ctx context.Context, alpha StateID, e ioa.Task, tree *bfsTree) (StateID, []Edge, bool, error) {
 	tree.begin(alpha)
 	level := []StateID{alpha}
-	// The per-vertex predicate is a few slice lookups, so fanning a level out
-	// only pays for itself once the level is large; below the threshold the
-	// goroutine spawn would cost more than the scan.
-	const minParallelLevel = 256
 	for len(level) > 0 {
 		if err := ctxErr(ctx); err != nil {
 			return 0, nil, false, err
 		}
-		w := workers
-		if len(level) < minParallelLevel {
-			w = 1
-		}
-		hits := make([]bool, len(level))
-		parallelFor(w, len(level), func(i int) {
-			if edge, ok := g.Succ(level[i], e); ok && g.Valence(edge.To) == Bivalent {
-				hits[i] = true
-			}
-		})
-		for i, id := range level {
-			if hits[i] {
+		for _, id := range level {
+			if edge, ok := g.Succ(id, e); ok && g.Valence(edge.To) == Bivalent {
 				return id, tree.path(g, alpha, id), true, nil
 			}
 		}

@@ -48,13 +48,10 @@ func mustPanickyForward(t testing.TB) *system.System {
 }
 
 // TestHandlerPanicFailsTheBuild: a panic out of a Program handler while the
-// level loop applies a task — on the caller's goroutine (one worker) or on one
-// of the pool's (every level pooled) — comes back from BuildGraph as the same
-// *PanicError for every worker count, naming the task and carrying the value;
-// no worker goroutine outlives the build and the spill store's descriptors are
-// closed.
+// level loop applies a task comes back from BuildGraph as a *PanicError,
+// naming the task and carrying the value, on every store; no goroutine
+// outlives the build and the spill store's descriptors are closed.
 func TestHandlerPanicFailsTheBuild(t *testing.T) {
-	explore.SetMinPooledLevel(t, 1)
 	openFiles := func() int {
 		entries, err := os.ReadDir("/proc/self/fd")
 		if err != nil {
@@ -64,34 +61,26 @@ func TestHandlerPanicFailsTheBuild(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, store := range []explore.StoreKind{explore.StoreDense, explore.StoreSpill} {
-		var first *explore.PanicError
-		for _, workers := range []int{1, 2, 3} {
-			sys := mustPanickyForward(t)
-			goroutines, files := runtime.NumGoroutine(), openFiles()
-			_, err := explore.ClassifyInits(sys, explore.BuildOptions{Workers: workers, Store: store, SpillDir: dir})
-			var pe *explore.PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("store=%v workers=%d: error %v, want a *PanicError", store, workers, err)
-			}
-			if pe.Task != ioa.OutputTask("k0", 2) || pe.Value != "handler cannot take a 1" {
-				t.Errorf("store=%v workers=%d: PanicError{%v, %v}", store, workers, pe.Task, pe.Value)
-			}
-			if first == nil {
-				first = pe
-			} else if *pe != *first || pe.Error() != first.Error() {
-				t.Errorf("store=%v workers=%d: %v, one worker reported %v", store, workers, pe, first)
-			}
-			// parallelForScratch waits for its workers, so none can be left;
-			// give an unrelated runtime goroutine a moment to settle anyway.
-			for wait := 0; runtime.NumGoroutine() > goroutines && wait < 100; wait++ {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > goroutines {
-				t.Errorf("store=%v workers=%d: %d goroutines after the failed build, %d before", store, workers, n, goroutines)
-			}
-			if n := openFiles(); n > files {
-				t.Errorf("store=%v workers=%d: %d descriptors open after the failed build, %d before", store, workers, n, files)
-			}
+		sys := mustPanickyForward(t)
+		goroutines, files := runtime.NumGoroutine(), openFiles()
+		_, err := explore.ClassifyInits(sys, explore.BuildOptions{Store: store, SpillDir: dir})
+		var pe *explore.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("store=%v: error %v, want a *PanicError", store, err)
+		}
+		if pe.Task != ioa.OutputTask("k0", 2) || pe.Value != "handler cannot take a 1" {
+			t.Errorf("store=%v: PanicError{%v, %v}", store, pe.Task, pe.Value)
+		}
+		// The build starts no goroutine; give an unrelated runtime one a
+		// moment to settle anyway.
+		for wait := 0; runtime.NumGoroutine() > goroutines && wait < 100; wait++ {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > goroutines {
+			t.Errorf("store=%v: %d goroutines after the failed build, %d before", store, n, goroutines)
+		}
+		if n := openFiles(); n > files {
+			t.Errorf("store=%v: %d descriptors open after the failed build, %d before", store, n, files)
 		}
 	}
 }

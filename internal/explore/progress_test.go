@@ -27,10 +27,8 @@ func forwardRoot(t *testing.T, n, f int) (*system.System, system.State) {
 
 // TestProgressStreaming checks the per-level Progress contract: one report
 // per BFS level, cumulative totals matching the finished graph, a final
-// empty frontier, and the exact same sequence from the inline body, the
-// pooled body, and every store backend.
+// empty frontier, and the exact same sequence from every store backend.
 func TestProgressStreaming(t *testing.T) {
-	explore.SetMinPooledLevel(t, 1)
 	sys, root := forwardRoot(t, 3, 0)
 	var want []explore.Progress
 	collect := func(dst *[]explore.Progress) explore.ProgressFunc {
@@ -60,9 +58,7 @@ func TestProgressStreaming(t *testing.T) {
 		name string
 		opt  explore.BuildOptions
 	}{
-		{"parallel", explore.BuildOptions{Workers: 4}},
 		{"spill", explore.BuildOptions{Workers: 1, Store: explore.StoreSpill, SpillDir: t.TempDir()}},
-		{"spill-parallel", explore.BuildOptions{Workers: 4, Store: explore.StoreSpill, SpillDir: t.TempDir()}},
 	} {
 		var got []explore.Progress
 		tc.opt.Progress = collect(&got)
@@ -86,30 +82,26 @@ func TestProgressStreaming(t *testing.T) {
 
 // TestBuildGraphCancellation cancels a build from inside a progress
 // callback — i.e. while later levels are still pending — and expects
-// ctx.Err() promptly from both level bodies, with the exploration cut short.
+// ctx.Err() promptly, with the exploration cut short.
 func TestBuildGraphCancellation(t *testing.T) {
-	explore.SetMinPooledLevel(t, 1)
 	sys, root := forwardRoot(t, 3, 0)
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		levels := 0
-		_, err := explore.BuildGraph(sys, []system.State{root}, explore.BuildOptions{
-			Workers: workers,
-			Ctx:     ctx,
-			Progress: func(explore.Progress) {
-				levels++
-				if levels == 2 {
-					cancel()
-				}
-			},
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if levels >= 10 {
-			t.Errorf("workers=%d: %d levels ran after cancellation", workers, levels)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	levels := 0
+	_, err := explore.BuildGraph(sys, []system.State{root}, explore.BuildOptions{
+		Ctx: ctx,
+		Progress: func(explore.Progress) {
+			levels++
+			if levels == 2 {
+				cancel()
+			}
+		},
+	})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if levels >= 10 {
+		t.Errorf("%d levels ran after cancellation", levels)
 	}
 }
 
@@ -137,28 +129,24 @@ func TestCancelledBeforeStart(t *testing.T) {
 
 // TestLimitErrorTyped: the vertex budget surfaces as *LimitError carrying
 // the partial count, still matching the ErrStateExplosion sentinel and the
-// historical message, on every level body × store combination.
+// historical message, on every store.
 func TestLimitErrorTyped(t *testing.T) {
-	explore.SetMinPooledLevel(t, 1)
 	sys, root := forwardRoot(t, 2, 0)
-	for _, workers := range []int{1, 4} {
-		for _, store := range []explore.StoreKind{explore.StoreDense, explore.StoreSpill} {
-			_, err := explore.BuildGraph(sys, []system.State{root},
-				explore.BuildOptions{MaxStates: 3, Workers: workers, Store: store, SpillDir: t.TempDir()})
-			if !errors.Is(err, explore.ErrStateExplosion) {
-				t.Fatalf("workers=%d store=%v: not ErrStateExplosion: %v", workers, store, err)
-			}
-			var le *explore.LimitError
-			if !errors.As(err, &le) {
-				t.Fatalf("workers=%d store=%v: not a *LimitError: %v", workers, store, err)
-			}
-			if le.Limit != 3 || le.Explored != 3 {
-				t.Errorf("workers=%d store=%v: LimitError{Limit:%d, Explored:%d}, want 3/3",
-					workers, store, le.Limit, le.Explored)
-			}
-			if want := "explore: state limit exceeded: > 3 states"; err.Error() != want {
-				t.Errorf("message %q, want %q", err.Error(), want)
-			}
+	for _, store := range []explore.StoreKind{explore.StoreDense, explore.StoreSpill} {
+		_, err := explore.BuildGraph(sys, []system.State{root},
+			explore.BuildOptions{MaxStates: 3, Store: store, SpillDir: t.TempDir()})
+		if !errors.Is(err, explore.ErrStateExplosion) {
+			t.Fatalf("store=%v: not ErrStateExplosion: %v", store, err)
+		}
+		var le *explore.LimitError
+		if !errors.As(err, &le) {
+			t.Fatalf("store=%v: not a *LimitError: %v", store, err)
+		}
+		if le.Limit != 3 || le.Explored != 3 {
+			t.Errorf("store=%v: LimitError{Limit:%d, Explored:%d}, want 3/3", store, le.Limit, le.Explored)
+		}
+		if want := "explore: state limit exceeded: > 3 states"; err.Error() != want {
+			t.Errorf("message %q, want %q", err.Error(), want)
 		}
 	}
 }
@@ -168,7 +156,6 @@ func TestLimitErrorTyped(t *testing.T) {
 // release as an error return, so the spill store's descriptor is
 // closed by the time a caller recovers it, not whenever a finalizer runs.
 func TestBuildGraphPanicReleasesStore(t *testing.T) {
-	explore.SetMinPooledLevel(t, 1)
 	openFiles := func() int {
 		entries, err := os.ReadDir("/proc/self/fd")
 		if err != nil {
@@ -179,24 +166,22 @@ func TestBuildGraphPanicReleasesStore(t *testing.T) {
 	sys, root := forwardRoot(t, 3, 0)
 	dir := t.TempDir()
 	before := openFiles()
-	for _, workers := range []int{1, 4} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("workers=%d: the callback's panic did not reach the caller", workers)
-				}
-			}()
-			_, _ = explore.BuildGraph(sys, []system.State{root}, explore.BuildOptions{
-				Workers: workers, Store: explore.StoreSpill, SpillDir: dir,
-				Progress: func(p explore.Progress) {
-					if p.Level == 2 {
-						panic("injected mid-build")
-					}
-				},
-			})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the callback's panic did not reach the caller")
+			}
 		}()
-		if after := openFiles(); after > before {
-			t.Errorf("workers=%d: %d descriptors open after the panic, %d before", workers, after, before)
-		}
+		_, _ = explore.BuildGraph(sys, []system.State{root}, explore.BuildOptions{
+			Store: explore.StoreSpill, SpillDir: dir,
+			Progress: func(p explore.Progress) {
+				if p.Level == 2 {
+					panic("injected mid-build")
+				}
+			},
+		})
+	}()
+	if after := openFiles(); after > before {
+		t.Errorf("%d descriptors open after the panic, %d before", after, before)
 	}
 }

@@ -24,11 +24,11 @@ import (
 // buildOn runs what BuildGraph runs — roots, the level loop, the valence
 // fixpoint — over a vertex store and an in-RAM adjacency the test made, so
 // their segment capacities, table size and hash are the test's.
-func buildOn(t *testing.T, sys *system.System, roots []system.State, store *denseStore, adj *packedAdjacency, workers int, opt BuildOptions) *Graph {
+func buildOn(t *testing.T, sys *system.System, roots []system.State, store *denseStore, adj *packedAdjacency, opt BuildOptions) *Graph {
 	t.Helper()
 	g := &Graph{sys: sys, store: store, adj: adj}
 	g.internRoots(roots, opt.Symmetry)
-	if err := g.explore(defaultMaxStates, workers, opt); err != nil {
+	if err := g.explore(defaultMaxStates, opt); err != nil {
 		t.Fatal(err)
 	}
 	g.computeMasks()
@@ -40,10 +40,9 @@ func buildOn(t *testing.T, sys *system.System, roots []system.State, store *dens
 // boundary falls after every vertex (1), every second, third and seventh, and
 // whose edge segments hold exactly the longest run of the graph, one edge
 // more, a prime number of edges, and fewer than most runs need (2: nearly
-// every run is longer than a segment and gets its own) — on both level bodies:
-// the rows above one worker put every level on the pool. Every graph must be, per ID, the one the default capacities give and the
-// one the spill store gives: fingerprint, labelled edges, targets,
-// predecessor link, valence.
+// every run is longer than a segment and gets its own). Every graph must be,
+// per ID, the one the default capacities give and the one the spill store
+// gives: fingerprint, labelled edges, targets, predecessor link, valence.
 func TestSegmentBoundaryParity(t *testing.T) {
 	forward4, err := protocols.BuildForward(4, 0, service.Adversarial)
 	if err != nil {
@@ -104,34 +103,29 @@ func TestSegmentBoundaryParity(t *testing.T) {
 			t.Fatalf("%s: a vertex has %d edges, the prime segment is meant to hold more than one run", r.name, refs[i].longest)
 		}
 	}
-	for _, workers := range []int{1, 2, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			SetMinPooledLevel(t, 1)
-			for i, r := range rows {
-				ref, spill, longest := refs[i].ref, refs[i].spill, refs[i].longest
-				for _, vseg := range []StateID{1, 2, 3, 7} {
-					for _, segCap := range []int{longest, longest + 1, prime, 2} {
-						store := newDenseStore(r.sys, true)
-						store.vseg = vseg
-						adj := &packedAdjacency{sys: r.sys, segCap: segCap}
-						g := buildOn(t, r.sys, refs[i].roots, store, adj, workers, r.opt)
-						label := fmt.Sprintf("%s: %d vertices and %d edges a segment", r.name, vseg, segCap)
-						sameGraph(t, label, ref, g)
-						sameGraph(t, label+", against spill", spill, g)
-						var buf []StateID
-						for id := range StateID(g.Size()) {
-							buf = spill.adj.Targets(id, buf[:0])
-							if got := g.adj.Targets(id, nil); !slices.Equal(got, buf) {
-								t.Fatalf("%s: Targets(%d) = %v, spill has %v", label, id, got, buf)
-							}
-						}
-						if want := (g.Size() + int(vseg) - 1) / int(vseg); len(store.keys) != want || len(store.states) != want {
-							t.Errorf("%s: %d key and %d state segments for %d vertices", label, len(store.keys), len(store.states), g.Size())
-						}
+	for i, r := range rows {
+		ref, spill, longest := refs[i].ref, refs[i].spill, refs[i].longest
+		for _, vseg := range []StateID{1, 2, 3, 7} {
+			for _, segCap := range []int{longest, longest + 1, prime, 2} {
+				store := newDenseStore(r.sys, true)
+				store.vseg = vseg
+				adj := &packedAdjacency{sys: r.sys, segCap: segCap}
+				g := buildOn(t, r.sys, refs[i].roots, store, adj, r.opt)
+				label := fmt.Sprintf("%s: %d vertices and %d edges a segment", r.name, vseg, segCap)
+				sameGraph(t, label, ref, g)
+				sameGraph(t, label+", against spill", spill, g)
+				var buf []StateID
+				for id := range StateID(g.Size()) {
+					buf = spill.adj.Targets(id, buf[:0])
+					if got := g.adj.Targets(id, nil); !slices.Equal(got, buf) {
+						t.Fatalf("%s: Targets(%d) = %v, spill has %v", label, id, got, buf)
 					}
 				}
+				if want := (g.Size() + int(vseg) - 1) / int(vseg); len(store.keys) != want || len(store.states) != want {
+					t.Errorf("%s: %d key and %d state segments for %d vertices", label, len(store.keys), len(store.states), g.Size())
+				}
 			}
-		})
+		}
 	}
 }
 
@@ -313,27 +307,25 @@ func TestDenseStoreNeverMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		store := newDenseStore(sys, true)
-		adj := &packedAdjacency{sys: sys, segCap: edgeSegment}
-		var key0 *byte
-		var edge0 *packedEdge
-		var state0 *system.State
-		levels := 0
-		g := buildOn(t, sys, roots, store, adj, workers, BuildOptions{Progress: func(p Progress) {
-			if levels++; p.Level == 0 {
-				key0, edge0, state0 = &store.key(0)[0], &adj.run(0)[0], &store.states[0][0]
-			}
-		}})
-		if levels < 10 || g.Size() < 2*vertexSegment || g.Edges() <= edgeSegment {
-			t.Fatalf("workers=%d: %d levels, %d states, %d edges: too small to have grown", workers, levels, g.Size(), g.Edges())
+	store := newDenseStore(sys, true)
+	adj := &packedAdjacency{sys: sys, segCap: edgeSegment}
+	var key0 *byte
+	var edge0 *packedEdge
+	var state0 *system.State
+	levels := 0
+	g := buildOn(t, sys, roots, store, adj, BuildOptions{Progress: func(p Progress) {
+		if levels++; p.Level == 0 {
+			key0, edge0, state0 = &store.key(0)[0], &adj.run(0)[0], &store.states[0][0]
 		}
-		if key0 != &store.key(0)[0] || edge0 != &adj.run(0)[0] || state0 != &store.states[0][0] {
-			t.Errorf("workers=%d: vertex 0 moved while the graph grew", workers)
-		}
-		if got, want := unsafe.SliceData(store.keys[1]), &store.key(vertexSegment)[0]; got != want {
-			t.Errorf("workers=%d: vertex %d's key is not the first of segment 1", workers, vertexSegment)
-		}
+	}})
+	if levels < 10 || g.Size() < 2*vertexSegment || g.Edges() <= edgeSegment {
+		t.Fatalf("%d levels, %d states, %d edges: too small to have grown", levels, g.Size(), g.Edges())
+	}
+	if key0 != &store.key(0)[0] || edge0 != &adj.run(0)[0] || state0 != &store.states[0][0] {
+		t.Error("vertex 0 moved while the graph grew")
+	}
+	if got, want := unsafe.SliceData(store.keys[1]), &store.key(vertexSegment)[0]; got != want {
+		t.Errorf("vertex %d's key is not the first of segment 1", vertexSegment)
 	}
 }
 

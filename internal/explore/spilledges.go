@@ -32,7 +32,7 @@ import (
 // in 3–5 bytes.
 //
 // Write protocol (seal-at-barrier): SetSuccs — called exactly once per
-// vertex in strictly increasing ID order by both level bodies — appends the
+// vertex in strictly increasing ID order by the level loop — appends the
 // encoded block to the pending buffer. SealLevel, called at every level
 // barrier while the engine holds the graph exclusively, writes the pending
 // buffer out at flushedOff and empties it, so a level's blocks leave RAM
@@ -100,8 +100,8 @@ func newSpillEdges(vertices *denseStore, spillDir, graphDir string) (*spillEdges
 func (a *spillEdges) edgeBytes() int64 { return a.flushedOff + int64(len(a.pending)) }
 
 // SetSuccs encodes a vertex's successor block into the pending buffer.
-// The adjacency contract requires strictly increasing, gap-free IDs; both
-// level bodies guarantee it, and the append-only offset index depends on it, so
+// The adjacency contract requires strictly increasing, gap-free IDs; the
+// level loop guarantees it, and the append-only offset index depends on it, so
 // violations panic like slice-bounds misuse.
 func (a *spillEdges) SetSuccs(id StateID, edges []packedEdge) {
 	if int(id) != len(a.eoffs) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"unsafe"
 
 	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/system"
@@ -51,15 +50,13 @@ func (k StoreKind) String() string {
 // persisted dictionaries in an append-only edge file (spill).
 //
 // Write contract: SetSuccs is called exactly once per vertex, in strictly
-// increasing ID order — both level bodies expand vertices in ID order (the
-// inline body trivially, the worker pool at its level barriers) — without
-// gaps, and panics on an out-of-order ID. SetSuccs copies what it keeps and
-// never retains the slice, so callers may reuse it for the next vertex (the
-// loops do: one scratch slice, or a per-worker arena of packedEdges reset at
-// each level barrier). The labels are those of the System the store was made
-// for. SealLevel marks a level barrier: every edge handed over so far
-// may be moved out of RAM (the spill backend flushes its pending blocks to
-// the edge file). The loop calls it after each completed BFS level, while
+// increasing ID order — the level loop expands vertices in ID order —
+// without gaps, and panics on an out-of-order ID. SetSuccs copies what it
+// keeps and never retains the slice, so callers may reuse it for the next
+// vertex (the loop does: one scratch slice). The labels are those of the
+// System the store was made for. SealLevel marks a level barrier: every
+// edge handed over so far may be moved out of RAM (the spill backend
+// flushes its pending blocks to the edge file). The loop calls it after each completed BFS level, while
 // it holds the graph exclusively.
 //
 // Read contract: EdgesFrom is total (an out-of-range or not-yet-recorded ID
@@ -84,14 +81,6 @@ type AdjacencyStore interface {
 	// SealLevel marks a level barrier: edges recorded so far become
 	// immutable and may leave RAM. A no-op on the in-memory backend.
 	SealLevel()
-}
-
-// stringBytes reinterprets a string as a read-only byte slice without
-// copying, so string-keyed callers reach the single Lookup entry point with
-// zero allocations. The returned slice must not be written to or retained
-// past the call it is passed to.
-func stringBytes(s string) []byte {
-	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
 // packedEdge is an edge as the level loops write it and the in-RAM backend
@@ -259,8 +248,8 @@ func (p *predTable) Pred(id StateID) pred {
 // an out-of-range ID yields the zero value, never a panic; so are the two
 // lookups, for any bytes at all. Any number of goroutines may call AppendKey,
 // the lookups and the read accessors concurrently as long as no Intern
-// overlaps them: the worker pool freezes the store while a level expands and
-// interns only at the level barrier.
+// overlaps them: a build interns on one goroutine, and readers get the graph
+// once it is built.
 type denseStore struct {
 	predTable
 	sys    *system.System

@@ -44,13 +44,12 @@ func sameGraph(t *testing.T, label string, ref, got *Graph) {
 	}
 }
 
-// TestDenseTableExact runs both level bodies over a vertex store whose hash
+// TestDenseTableExact runs the level loop over a vertex store whose hash
 // sends every key down one probe chain and whose table starts at two slots:
 // linear probing then decides every lookup by the exact key compare alone,
 // across a dozen rebuilds from the stored keys, and the graph must still be
 // the default store's per ID.
 func TestDenseTableExact(t *testing.T) {
-	SetMinPooledLevel(t, 1)
 	sys, err := protocols.BuildForward(3, 1, service.Adversarial)
 	if err != nil {
 		t.Fatal(err)
@@ -63,18 +62,16 @@ func TestDenseTableExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		store := newDenseStore(sys, true)
-		store.table = make([]uint32, 2)
-		store.hash = func([]byte) uint64 { return 0 }
-		g := buildOn(t, sys, roots, store, &packedAdjacency{sys: sys, segCap: edgeSegment}, workers, BuildOptions{})
-		sameGraph(t, fmt.Sprintf("one probe chain, workers=%d", workers), ref, g)
-		if len(store.table) < 2*g.Size() || len(store.table) >= 8*g.Size() {
-			t.Errorf("workers=%d: table has %d slots for %d vertices", workers, len(store.table), g.Size())
-		}
-		if keys := slices.Concat(store.keys...); len(keys) != g.Size()*store.stride {
-			t.Errorf("workers=%d: %d key bytes for %d vertices of stride %d", workers, len(keys), g.Size(), store.stride)
-		}
+	store := newDenseStore(sys, true)
+	store.table = make([]uint32, 2)
+	store.hash = func([]byte) uint64 { return 0 }
+	g := buildOn(t, sys, roots, store, &packedAdjacency{sys: sys, segCap: edgeSegment}, BuildOptions{})
+	sameGraph(t, "one probe chain", ref, g)
+	if len(store.table) < 2*g.Size() || len(store.table) >= 8*g.Size() {
+		t.Errorf("table has %d slots for %d vertices", len(store.table), g.Size())
+	}
+	if keys := slices.Concat(store.keys...); len(keys) != g.Size()*store.stride {
+		t.Errorf("%d key bytes for %d vertices of stride %d", len(keys), g.Size(), store.stride)
 	}
 }
 

@@ -53,12 +53,13 @@ func defaultConfig() config {
 // Option configures a Checker.
 type Option func(*config)
 
-// WithWorkers bounds the goroutines an analysis may fan out to: 0 (the
-// default) means one per CPU the process may use (GOMAXPROCS), 1 none beside
-// the caller's. It is a ceiling, not a switch: the engine fans a BFS level
-// out only when the level is wide enough to pay for it. Results are identical
-// for any worker count. Negative values are clamped to 0 (the default) — they
-// never reach the pool sizing.
+// WithWorkers bounds the goroutines an analysis may fan out to over
+// independent units — Refute's failure scenarios, RefuteKSet's input
+// assignments, RunBatch's runs: 0 (the default) means one per CPU the process
+// may use (GOMAXPROCS), 1 none beside the caller's. A graph is always built
+// on the calling goroutine. Results are identical for any worker count.
+// Negative values are clamped to 0 (the default) — they never reach the
+// fan-out sizing.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = max(n, 0) } }
 
 // WithMaxStates caps the number of distinct states explored per graph
