@@ -20,8 +20,10 @@ test:
 # keys on the indices those slots hand out, which must come out dense and one
 # per encoding whoever wins — and step one cold System from four goroutines,
 # racing to publish the same memo edges and to number the same actions
-# (every stored edge carries such a number); interleavings differ per run, so
-# it is repeated. The third line repeats the fan-outs themselves: the refuter
+# (every stored edge carries such a number), and list the candidate tasks of
+# the same cells while others publish their not-enabled bits, which must never
+# leave out an applicable task; interleavings differ per run, so it is
+# repeated. The third line repeats the fan-outs themselves: the refuter
 # and RunBatch on eight workers against their one-worker results, the Refute
 # sweep's progress contract (an unsynchronised recorder on four workers: any
 # concurrent report is a detected race) and the small rows of its
@@ -33,7 +35,7 @@ test:
 # first.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestConcurrentApply|TestConcurrentCellIndices|TestConcurrentActionNumbers' ./internal/system
+	$(GO) test -race -count=10 -run 'TestConcurrentApply|TestConcurrentCellIndices|TestConcurrentActionNumbers|TestConcurrentCandidates' ./internal/system
 	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestHandlerPanicFailsTheBuild|TestRefuteParallelMatchesSerial|TestRunBatchMatchesSerial|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
 
 # Benchmark smoke run: every benchmark once, no timing rigour. Use
@@ -57,7 +59,7 @@ bench-quick:
 # E22 carries one row per system — tob n=2, forward n=4 and n=5,
 # registervote n=2 and the forward n=6 quotient — plus forward-n5-cold (a
 # fresh System per build: what one op of the time-to-verdict harness
-# allocates, E39; ≤ 95 k allocs and ≤ 12.5 MB an op).
+# allocates, E39; ≤ 65 k allocs and ≤ 7 MB an op, E44).
 # BenchmarkStoreBackends/forward-n6/dense is the B/op sentinel of the dense
 # store's segments: 26.6 MB an op for a graph that retains 24.9 (E40; 82.4 MB
 # while keys, states and edges grew by append-doubling) — a store change that

@@ -420,10 +420,10 @@ func BenchmarkRefuteKSet(b *testing.B) {
 // and on tob n=2 (308 vertices). Every row but the last reuses one System, so
 // its cell tables and transition memo are warm after the first iteration;
 // forward-n5-cold composes a fresh System per iteration, which is what a
-// `New → ClassifyInits → Close` of the time-to-verdict harness pays (E41
-// holds it to ≤ 95 k allocations and ≤ 12.5 MB an op: 92.1 k · 11.40 MB
-// measured; 92.2 k · 11.53 MB in E40, ≤ 20 MB in E39, while the dense store
-// grew by append-doubling).
+// `New → ClassifyInits → Close` of the time-to-verdict harness pays (E44
+// holds it to ≤ 65 k allocations and ≤ 7 MB an op: 62.5 k · 6.53 MB
+// measured; 71.9 k · 8.89 MB in E43, while service buffers were maps copied
+// on every transition).
 func BenchmarkBuildGraph(b *testing.B) {
 	forward := func(n int) func() (*system.System, error) {
 		return func() (*system.System, error) { return protocols.BuildForward(n, 0, service.Adversarial) }

@@ -356,10 +356,12 @@ func (g *Graph) successor(canon Canonicalizer, st system.State, pkey []byte, t i
 }
 
 // levelScratch is the level loop's reusable memory: the key buffers, the
-// task being applied (for recoverApply) and the expanding vertex's edges,
-// which SetSuccs copies, so the loop allocates no per-vertex slice.
+// expanding vertex's candidate tasks, the task being applied (for
+// recoverApply) and the vertex's edges, which SetSuccs copies, so the loop
+// allocates no per-vertex slice.
 type levelScratch struct {
 	buf, pkey []byte // a successor's key, the expanding vertex's
+	tasks     []int
 	task      int
 	edges     []packedEdge
 }
@@ -404,7 +406,8 @@ func (g *Graph) expandLevel(lo, hi StateID, maxStates int, ws *levelScratch, opt
 			ws.pkey = g.store.AppendKey(ws.pkey[:0], st)
 		}
 		ws.edges = ws.edges[:0]
-		for ws.task = range g.sys.Tasks() {
+		ws.tasks = g.sys.AppendCandidates(ws.tasks[:0], st)
+		for _, ws.task = range ws.tasks {
 			e, d, succ, ok, err := g.successor(opt.Symmetry, st, ws.pkey, ws.task, &ws.buf)
 			if err != nil {
 				return err

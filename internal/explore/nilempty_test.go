@@ -38,8 +38,8 @@ func TestNilVsEmptyStatesInternIdentically(t *testing.T) {
 	svcs2 := make([]service.State, len(sys.ServiceIDs()))
 	for i := range svcs2 {
 		ss := st.Svc(i)
-		ss.Inv = map[int][]string{0: {}, 1: nil}
-		ss.Resp = nil
+		ss.Inv = ss.Inv.With(0, []string{}).With(1, nil)
+		ss.Resp = service.Buffers{}
 		svcs2[i] = ss
 	}
 	st2, err := sys.StateOf(procs2, svcs2)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ioa-lab/boosting/internal/codec"
 	"github.com/ioa-lab/boosting/internal/explore"
 	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/process"
@@ -81,6 +82,46 @@ func TestHandlerPanicFailsTheBuild(t *testing.T) {
 		}
 		if n := openFiles(); n > files {
 			t.Errorf("store=%v: %d descriptors open after the failed build, %d before", store, n, files)
+		}
+	}
+}
+
+// TestServiceTypePanicFailsTheBuild: a panic out of a service type's δ1 — the
+// consensus object's, performing endpoint 2's init(1) — comes back from
+// ClassifyInits as a *PanicError naming that perform task, on every store.
+// The level loop lists its candidate tasks without running component code,
+// so the panic is raised, and attributed, where the task is stepped.
+func TestServiceTypePanicFailsTheBuild(t *testing.T) {
+	typ := *servicetype.FromSequential(seqtype.BinaryConsensus())
+	delta1 := typ.Delta1
+	typ.Delta1 = func(inv string, endpoint int, val string, failed codec.IntSet) (servicetype.ResponseMap, string) {
+		if endpoint == 2 && inv == seqtype.Init("1") {
+			panic("δ1 cannot take endpoint 2's 1")
+		}
+		return delta1(inv, endpoint, val, failed)
+	}
+	eps := []int{0, 1, 2}
+	procs := make([]*process.Process, len(eps))
+	for i := range procs {
+		procs[i] = process.New(i, protocols.Forward{Service: "k0"})
+	}
+	dir := t.TempDir()
+	for _, store := range []explore.StoreKind{explore.StoreDense, explore.StoreSpill} {
+		obj, err := service.New(service.Config{Index: "k0", Type: &typ, Endpoints: eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := system.New(procs, []*service.Service{obj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = explore.ClassifyInits(sys, explore.BuildOptions{Store: store, SpillDir: dir})
+		var pe *explore.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("store=%v: error %v, want a *PanicError", store, err)
+		}
+		if pe.Task != ioa.PerformTask("k0", 2) || pe.Value != "δ1 cannot take endpoint 2's 1" {
+			t.Errorf("store=%v: PanicError{%v, %v}", store, pe.Task, pe.Value)
 		}
 	}
 }

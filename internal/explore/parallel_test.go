@@ -342,3 +342,20 @@ func TestClassifyInitsAllocCeilings(t *testing.T) {
 	allocpin.Check(t, "ClassifyInits at Workers: 1", 3, 3820, build(1))
 	allocpin.Check(t, "ClassifyInits at Workers: 2", 3, 3820, build(2))
 }
+
+// TestColdClassifyInitsAllocCeiling pins what composing a fresh forward n=4
+// System and running ClassifyInits on it allocates — what one op of the
+// time-to-verdict harness pays, cell tables and transition memo filled from
+// cold: 14 336 objects when the pin was taken (16 666 while service buffers
+// were maps copied on every transition).
+func TestColdClassifyInitsAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("cold interning draws on pooled encode buffers, which the race detector drops at random")
+	}
+	allocpin.Check(t, "a cold forward n=4 ClassifyInits", 3, 14800, func() {
+		sys := mustForward(t, 4, 0, service.Adversarial)
+		if _, err := explore.ClassifyInits(sys, explore.BuildOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"slices"
+
 	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/servicetype"
 	"github.com/ioa-lab/boosting/internal/system"
@@ -36,7 +38,7 @@ func JSimilar(sys *system.System, s0, s1 system.State, j int, opt SimilarityOpti
 			if i == j {
 				continue
 			}
-			if !stringSlicesEqual(st0.Inv[i], st1.Inv[i]) || !stringSlicesEqual(st0.Resp[i], st1.Resp[i]) {
+			if !slices.Equal(st0.Inv.Queue(i), st1.Inv.Queue(i)) || !slices.Equal(st0.Resp.Queue(i), st1.Resp.Queue(i)) {
 				return false
 			}
 		}
@@ -129,18 +131,6 @@ func ParticipantsDisjoint(sys *system.System, st system.State, e, ePrime ioa.Tas
 	}
 	for _, p := range pb {
 		if in[p] {
-			return false
-		}
-	}
-	return true
-}
-
-func stringSlicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

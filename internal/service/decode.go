@@ -2,6 +2,8 @@ package service
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"github.com/ioa-lab/boosting/internal/codec"
@@ -96,25 +98,27 @@ func parseFailedSet(enc string) (codec.IntSet, error) {
 // parseBuffers decodes a per-endpoint FIFO buffer map: a map keyed by the
 // endpoint's decimal encoding whose values are list-encoded queues. The
 // encoder never writes empty queues, so an empty queue entry is malformed.
-func parseBuffers(enc string) (map[int][]string, error) {
+func parseBuffers(enc string) (Buffers, error) {
 	m, err := codec.ParseMapCanonical(enc)
 	if err != nil {
-		return nil, err
+		return Buffers{}, err
 	}
-	out := make(map[int][]string, len(m))
-	for k, v := range m {
+	// Sorted keys are the canonical order: each is its endpoint's decimal
+	// encoding.
+	var b Buffers
+	for _, k := range slices.Sorted(maps.Keys(m)) {
 		i, err := strconv.Atoi(k)
 		if err != nil || strconv.Itoa(i) != k {
-			return nil, fmt.Errorf("%w: non-canonical endpoint key %q", codec.ErrMalformed, k)
+			return Buffers{}, fmt.Errorf("%w: non-canonical endpoint key %q", codec.ErrMalformed, k)
 		}
-		items, err := codec.ParseList(v)
+		items, err := codec.ParseList(m[k])
 		if err != nil {
-			return nil, err
+			return Buffers{}, err
 		}
 		if len(items) == 0 {
-			return nil, fmt.Errorf("%w: empty buffer entry for endpoint %d", codec.ErrMalformed, i)
+			return Buffers{}, fmt.Errorf("%w: empty buffer entry for endpoint %d", codec.ErrMalformed, i)
 		}
-		out[i] = items
+		b.qs = append(b.qs, queue{id: i, items: items})
 	}
-	return out, nil
+	return b, nil
 }

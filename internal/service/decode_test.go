@@ -13,12 +13,12 @@ import (
 // lexicographically).
 func TestServiceParseStatePrefixRoundTrip(t *testing.T) {
 	states := []State{
-		{Val: "", Inv: map[int][]string{}, Resp: map[int][]string{}, Failed: codec.NewIntSet()},
-		{Val: "v0", Inv: map[int][]string{0: {"init:1"}}, Resp: map[int][]string{}, Failed: codec.NewIntSet()},
+		{Val: "", Failed: codec.NewIntSet()},
+		{Val: "v0", Inv: bufs(map[int][]string{0: {"init:1"}}), Failed: codec.NewIntSet()},
 		{
 			Val:    "decided:1",
-			Inv:    map[int][]string{2: {"a", "b"}, 10: {"c"}},
-			Resp:   map[int][]string{0: {"resp:0", ""}},
+			Inv:    bufs(map[int][]string{2: {"a", "b"}, 10: {"c"}}),
+			Resp:   bufs(map[int][]string{0: {"resp:0", ""}}),
 			Failed: codec.NewIntSet(1, 10),
 		},
 	}
@@ -47,7 +47,7 @@ func TestServiceParseStatePrefixRoundTrip(t *testing.T) {
 // keys and empty buffer entries (which the encoder never writes) must error
 // with codec.ErrMalformed.
 func TestServiceParseStatePrefixMalformed(t *testing.T) {
-	good := (State{Val: "v", Inv: map[int][]string{1: {"x"}}, Resp: map[int][]string{}, Failed: codec.NewIntSet(0)}).Fingerprint()
+	good := (State{Val: "v", Inv: bufs(map[int][]string{1: {"x"}}), Failed: codec.NewIntSet(0)}).Fingerprint()
 	malformed := []string{
 		"",
 		"{" + good[1:],

@@ -15,7 +15,7 @@ import (
 // membership — to endpoint π(i); the value is untouched. Endpoints locates
 // those shares inside a canonical encoding once, so that comparing two
 // endpoints' shares and encoding the renamed state both read the bytes
-// AppendFingerprint already wrote instead of walking the State's maps.
+// AppendFingerprint already wrote instead of walking the State's buffers.
 
 // Endpoints indexes one canonical state encoding by endpoint. It holds
 // offsets only and is meaningful together with the encoding it was built
@@ -287,13 +287,12 @@ func sortByDecimal(s []renamedShare) {
 
 // Renamed returns the state with every endpoint i relabelled rename(i):
 // queues re-keyed, the failed set relabelled, the value untouched. rename
-// must be injective on the endpoints. A buffer map or failed set the
-// relabelling does not move is shared with st; empty queues are dropped from
-// a map that is rebuilt.
+// must be injective on the endpoints. A buffer family or failed set the
+// relabelling does not move is shared with st.
 func (st State) Renamed(rename func(int) int) State {
 	out := st
-	out.Inv = renamedBuffers(st.Inv, rename)
-	out.Resp = renamedBuffers(st.Resp, rename)
+	out.Inv = st.Inv.Rekeyed(rename, nil)
+	out.Resp = st.Resp.Rekeyed(rename, nil)
 	if st.Failed.Len() > 0 {
 		members := st.Failed.Members()
 		moved := false
@@ -303,26 +302,6 @@ func (st State) Renamed(rename func(int) int) State {
 		}
 		if moved {
 			out.Failed = codec.NewIntSet(members...)
-		}
-	}
-	return out
-}
-
-func renamedBuffers(buf map[int][]string, rename func(int) int) map[int][]string {
-	n, moved := 0, false
-	for i, items := range buf {
-		if len(items) > 0 {
-			n++
-			moved = moved || rename(i) != i
-		}
-	}
-	if !moved {
-		return buf
-	}
-	out := make(map[int][]string, n)
-	for i, items := range buf {
-		if len(items) > 0 {
-			out[rename(i)] = items
 		}
 	}
 	return out

@@ -15,18 +15,18 @@ import (
 // and endpoint ids whose decimal order differs from their numeric order.
 func renameStates() []State {
 	return []State{
-		{Val: "v", Inv: map[int][]string{}, Resp: map[int][]string{}, Failed: codec.NewIntSet()},
-		{Val: "", Inv: nil, Resp: nil},
+		{Val: "v", Failed: codec.NewIntSet()},
+		{Val: ""},
 		{
 			Val:    "0",
-			Inv:    map[int][]string{0: {"init(0)"}, 2: {"init(1)", "read"}, 3: {}},
-			Resp:   map[int][]string{1: {"decide(0)"}, 2: {"ack"}},
+			Inv:    bufs(map[int][]string{0: {"init(0)"}, 2: {"init(1)", "read"}, 3: {}}),
+			Resp:   bufs(map[int][]string{1: {"decide(0)"}, 2: {"ack"}}),
 			Failed: codec.NewIntSet(),
 		},
 		{
 			Val:    "[1:a]",
-			Inv:    map[int][]string{2: {"1:a]"}, 10: {"1:a", "]"}, 11: {""}},
-			Resp:   map[int][]string{10: {"[]"}, 1: nil},
+			Inv:    bufs(map[int][]string{2: {"1:a]"}, 10: {"1:a", "]"}, 11: {""}}),
+			Resp:   bufs(map[int][]string{10: {"[]"}, 1: nil}),
 			Failed: codec.NewIntSet(3, 10, 2),
 		},
 		{Val: "x", Failed: codec.NewIntSet(1)},
@@ -79,26 +79,28 @@ func TestAppendRenamedMatchesRenamed(t *testing.T) {
 	}
 }
 
-// TestRenamedSharesWhatDoesNotMove: a buffer map no queue of which moves is
-// the original map, not a copy.
+// TestRenamedSharesWhatDoesNotMove: a buffer family no queue of which moves
+// is the original value, not a copy, and the queues of one that moves are
+// shared, not copied.
 func TestRenamedSharesWhatDoesNotMove(t *testing.T) {
 	st := renameStates()[2]
 	got := st.Renamed(renameBy(map[int]int{0: 3, 3: 0})) // Resp holds 1 and 2 only
-	got.Resp[7] = []string{"probe"}
-	if _, shared := st.Resp[7]; !shared {
+	if &got.Resp.qs[0] != &st.Resp.qs[0] {
 		t.Error("unmoved response buffers were copied")
 	}
-	delete(st.Resp, 7)
-	if len(got.Inv[3]) != 1 || len(st.Inv[3]) != 0 {
-		t.Error("moved invocation buffers were not re-keyed into a fresh map")
+	if len(got.Inv.Queue(3)) != 1 || len(st.Inv.Queue(3)) != 0 {
+		t.Error("moved invocation buffers were not re-keyed")
+	}
+	if &got.Inv.Queue(3)[0] != &st.Inv.Queue(0)[0] {
+		t.Error("a moved queue was copied")
 	}
 }
 
 // shareKey is the reference for Compare: the endpoint's pieces re-encoded
 // from the State and concatenated.
 func shareKey(st State, id int) []byte {
-	key := codec.AppendList(nil, st.Inv[id])
-	key = codec.AppendList(key, st.Resp[id])
+	key := codec.AppendList(nil, st.Inv.Queue(id))
+	key = codec.AppendList(key, st.Resp.Queue(id))
 	if st.Failed.Has(id) {
 		return append(key, 'F')
 	}
@@ -129,7 +131,7 @@ func TestIndexEndpointsRejectsMalformed(t *testing.T) {
 	if _, err := IndexEndpoints(good); err != nil {
 		t.Fatal(err)
 	}
-	huge := State{Inv: map[int][]string{math.MaxInt32 + 1: {"a"}}}.Fingerprint()
+	huge := State{Inv: bufs(map[int][]string{math.MaxInt32 + 1: {"a"}})}.Fingerprint()
 	bad := []string{
 		"", "x", "[", good[1:], good[:len(good)-1], good + "]",
 		"[2:0:2:<>2:<>2:{}", "[2:0:2:<>2:<>2:{}}", "[2:0:2:<)2:<>2:{}]", "[2:0:2:<>2:<>2:{)]",

@@ -1,10 +1,10 @@
 package service
 
-// Regression tests for nil-vs-empty buffer handling: a service state with a
-// nil buffer map, an empty buffer map, or a map holding only empty queues
-// must encode — and therefore intern — identically. The buffer transitions
-// (withBuffer deleting emptied queues, appendBuffers skipping empty
-// entries) maintain this; these tests pin it against regressions.
+// Regression tests for empty buffer handling: a service state whose buffers
+// were never filled, were built from nil or empty queues, or were filled and
+// drained must encode — and therefore intern — identically. Buffers keeps
+// only non-empty queues (With dropping emptied ones); these tests pin it
+// against regressions.
 
 import (
 	"testing"
@@ -18,9 +18,9 @@ import (
 func TestNilVsEmptyBuffersEncodeIdentically(t *testing.T) {
 	variants := []State{
 		{Val: "v"},
-		{Val: "v", Inv: map[int][]string{}, Resp: map[int][]string{}},
-		{Val: "v", Inv: map[int][]string{1: nil}, Resp: map[int][]string{2: {}}},
-		{Val: "v", Inv: map[int][]string{1: {}, 3: nil}, Resp: nil, Failed: codec.NewIntSet()},
+		{Val: "v", Inv: bufs(map[int][]string{1: nil}), Resp: bufs(map[int][]string{2: {}})},
+		{Val: "v", Inv: bufs(map[int][]string{1: {}, 3: nil}), Failed: codec.NewIntSet()},
+		{Val: "v", Inv: bufs(map[int][]string{1: {"x"}}).With(1, nil), Resp: bufs(map[int][]string{2: {"y"}}).With(2, []string{})},
 	}
 	want := variants[0].Fingerprint()
 	for i, st := range variants {
@@ -56,7 +56,7 @@ func TestEmptiedBufferMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	drained := State{Val: st.Val, Inv: st.Inv, Resp: st.Resp, Failed: st.Failed}
-	ref := State{Val: "x", Inv: map[int][]string{}, Resp: map[int][]string{}, Failed: codec.NewIntSet()}
+	ref := State{Val: "x", Failed: codec.NewIntSet()}
 	if drained.Fingerprint() != ref.Fingerprint() {
 		t.Errorf("drained state %q, fresh-style state %q", drained.Fingerprint(), ref.Fingerprint())
 	}

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"strconv"
-
 	"github.com/ioa-lab/boosting/internal/codec"
 	"github.com/ioa-lab/boosting/internal/seqtype"
 	"github.com/ioa-lab/boosting/internal/servicetype"
@@ -13,25 +11,21 @@ import (
 // of endpoints known to have failed (Fig. 1's val, inv-buffer, resp-buffer
 // and failed components).
 //
-// States are treated as immutable: every transition returns a fresh State.
-// Buffers of untouched endpoints are shared between the old and new state,
-// and mutated buffers are re-allocated, so sharing is safe.
+// States are immutable values: every transition returns a fresh State that
+// shares whatever it did not change with the old one. The buffers are
+// Buffers values, so a transition copies only the small header of the
+// family it touches and the one queue it changes, never a map.
 type State struct {
 	Val    string
-	Inv    map[int][]string
-	Resp   map[int][]string
+	Inv    Buffers
+	Resp   Buffers
 	Failed codec.IntSet
 }
 
 // InitialState returns the start state: val = the type's initial value, all
 // buffers empty, no failures.
 func (s *Service) InitialState() State {
-	return State{
-		Val:    s.typ.Initial,
-		Inv:    map[int][]string{},
-		Resp:   map[int][]string{},
-		Failed: codec.NewIntSet(),
-	}
+	return State{Val: s.typ.Initial, Failed: codec.NewIntSet()}
 }
 
 // Fingerprint returns the canonical encoding of the state.
@@ -47,119 +41,28 @@ func (st State) AppendFingerprint(dst []byte) []byte {
 	dst = codec.AppendWrapped(dst, func(d []byte) []byte {
 		return codec.AppendAtom(d, st.Val)
 	})
-	dst = codec.AppendWrapped(dst, func(d []byte) []byte {
-		return appendBuffers(d, st.Inv)
-	})
-	dst = codec.AppendWrapped(dst, func(d []byte) []byte {
-		return appendBuffers(d, st.Resp)
-	})
+	dst = codec.AppendWrapped(dst, st.Inv.appendFingerprint)
+	dst = codec.AppendWrapped(dst, st.Resp.appendFingerprint)
 	dst = codec.AppendWrapped(dst, st.Failed.AppendFingerprint)
 	return append(dst, ']')
 }
 
-// appendBuffers appends the canonical map encoding of the non-empty buffers:
-// entries keyed by the endpoint's decimal string, ordered lexicographically
-// (the order codec.Map imposes), each value the list encoding of the queue.
-func appendBuffers(dst []byte, buf map[int][]string) []byte {
-	var scratch [16]int
-	ids := scratch[:0]
-	for i, items := range buf {
-		if len(items) == 0 {
-			continue
-		}
-		ids = append(ids, i)
-	}
-	// Insertion sort in decimal-string order; endpoint counts are tiny.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && decimalLess(ids[j], ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	dst = append(dst, '<')
-	for _, i := range ids {
-		items := buf[i]
-		dst = append(dst, '(')
-		dst = codec.AppendInt(dst, i)
-		dst = codec.AppendWrapped(dst, func(d []byte) []byte {
-			return codec.AppendList(d, items)
-		})
-		dst = append(dst, ')')
-	}
-	return append(dst, '>')
-}
-
-// decimalLess orders integers by their decimal encodings ("10" < "2").
-func decimalLess(a, b int) bool {
-	var ba, bb [24]byte
-	sa := strconv.AppendInt(ba[:0], int64(a), 10)
-	sb := strconv.AppendInt(bb[:0], int64(b), 10)
-	return string(sa) < string(sb)
-}
-
-// shallowWith returns a copy of the state with the given buffer map entry
-// replaced (copy-on-write at the map level).
-func withBuffer(buf map[int][]string, i int, items []string) map[int][]string {
-	out := make(map[int][]string, len(buf)+1)
-	for k, v := range buf {
-		out[k] = v
-	}
-	if len(items) == 0 {
-		delete(out, i)
-	} else {
-		out[i] = items
-	}
-	return out
-}
-
-// pushed returns buf with item appended to endpoint i's queue, without
-// mutating buf.
-func pushed(buf map[int][]string, i int, item string) map[int][]string {
-	old := buf[i]
-	items := make([]string, len(old), len(old)+1)
-	copy(items, old)
-	return withBuffer(buf, i, append(items, item))
-}
-
-// pushedAll returns buf with items appended to endpoint i's queue.
-func pushedAll(buf map[int][]string, i int, items []string) map[int][]string {
-	if len(items) == 0 {
-		return buf
-	}
-	old := buf[i]
-	merged := make([]string, len(old), len(old)+len(items))
-	copy(merged, old)
-	return withBuffer(buf, i, append(merged, items...))
-}
-
-// popped returns buf with the head of endpoint i's queue removed, plus the
-// removed head. ok is false if the queue is empty.
-func popped(buf map[int][]string, i int) (out map[int][]string, head string, ok bool) {
-	items := buf[i]
-	if len(items) == 0 {
-		return buf, "", false
-	}
-	rest := make([]string, len(items)-1)
-	copy(rest, items[1:])
-	return withBuffer(buf, i, rest), items[0], true
-}
-
 // applyResponses appends every response in rm to the corresponding response
-// buffers, returning a fresh buffer map.
-func applyResponses(resp map[int][]string, rm servicetype.ResponseMap) map[int][]string {
-	out := resp
+// buffers.
+func applyResponses(resp Buffers, rm servicetype.ResponseMap) Buffers {
 	for _, i := range rm.Endpoints() {
-		out = pushedAll(out, i, rm.Responses(i))
+		resp = resp.pushed(i, rm.Responses(i)...)
 	}
-	return out
+	return resp
 }
 
 // PendingInvocations returns the invocation buffer of endpoint i (shared
 // slice; do not modify).
-func (st State) PendingInvocations(i int) []string { return st.Inv[i] }
+func (st State) PendingInvocations(i int) []string { return st.Inv.Queue(i) }
 
 // PendingResponses returns the response buffer of endpoint i (shared slice;
 // do not modify).
-func (st State) PendingResponses(i int) []string { return st.Resp[i] }
+func (st State) PendingResponses(i int) []string { return st.Resp.Queue(i) }
 
 // registerSeqType builds the read/write sequential type used by canonical
 // registers, defaulting the value set when empty.

@@ -20,7 +20,7 @@ func (s *Service) Invoke(st State, i int, inv string) (State, error) {
 	}
 	return State{
 		Val:    st.Val,
-		Inv:    pushed(st.Inv, i, inv),
+		Inv:    st.Inv.pushed(i, inv),
 		Resp:   st.Resp,
 		Failed: st.Failed,
 	}, nil
@@ -68,7 +68,7 @@ func (s *Service) Enabled(st State, task ioa.Task) (ioa.Action, bool) {
 		if !s.HasEndpoint(task.Proc) {
 			return ioa.Action{}, false
 		}
-		real := len(st.Inv[task.Proc]) > 0
+		real := len(st.Inv.Queue(task.Proc)) > 0
 		dummy := s.dummyEnabled(st, task.Proc)
 		return s.choose(
 			real, ioa.Action{Type: ioa.ActPerform, Proc: task.Proc, Service: s.index},
@@ -78,7 +78,7 @@ func (s *Service) Enabled(st State, task ioa.Task) (ioa.Action, bool) {
 		if !s.HasEndpoint(task.Proc) {
 			return ioa.Action{}, false
 		}
-		resp := st.Resp[task.Proc]
+		resp := st.Resp.Queue(task.Proc)
 		real := len(resp) > 0
 		var realAct ioa.Action
 		if real {
@@ -142,7 +142,7 @@ func (s *Service) Apply(st State, task ioa.Task) (State, ioa.Action, error) {
 	}
 	switch act.Type {
 	case ioa.ActPerform:
-		inv, head, popOK := popped(st.Inv, task.Proc)
+		inv, head, popOK := st.Inv.popped(task.Proc)
 		if !popOK {
 			return st, ioa.Action{}, fmt.Errorf("%w: empty inv-buffer for %v", ErrTaskNotEnabled, task)
 		}
@@ -154,7 +154,7 @@ func (s *Service) Apply(st State, task ioa.Task) (State, ioa.Action, error) {
 			Failed: st.Failed,
 		}, act, nil
 	case ioa.ActRespond:
-		resp, _, popOK := popped(st.Resp, task.Proc)
+		resp, _, popOK := st.Resp.popped(task.Proc)
 		if !popOK {
 			return st, ioa.Action{}, fmt.Errorf("%w: empty resp-buffer for %v", ErrTaskNotEnabled, task)
 		}

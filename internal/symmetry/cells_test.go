@@ -114,14 +114,14 @@ func fuzzState(sys *system.System, inv, resp [3]string, failed uint8) (system.St
 	for slot := range svcs {
 		svcs[slot] = init.Svc(slot)
 	}
-	k0 := service.State{Val: svcs[0].Val, Inv: map[int][]string{}, Resp: map[int][]string{}}
+	k0 := service.State{Val: svcs[0].Val}
 	var down []int
 	for id := range inv {
 		if inv[id] != "" {
-			k0.Inv[id] = strings.Split(inv[id], "\x00")
+			k0.Inv = k0.Inv.With(id, strings.Split(inv[id], "\x00"))
 		}
 		if resp[id] != "" {
-			k0.Resp[id] = strings.Split(resp[id], "\x00")
+			k0.Resp = k0.Resp.With(id, strings.Split(resp[id], "\x00"))
 		}
 		if failed&(1<<id) != 0 {
 			down = append(down, id)

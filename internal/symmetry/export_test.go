@@ -38,8 +38,8 @@ func (c *Canonicalizer) KeyForTest(st system.State, slot int) []byte {
 	id := c.procIDs[slot]
 	for i := range c.svcIDs {
 		ss := st.Svc(i)
-		dst = codec.AppendList(dst, ss.Inv[id])
-		dst = codec.AppendList(dst, ss.Resp[id])
+		dst = codec.AppendList(dst, ss.Inv.Queue(id))
+		dst = codec.AppendList(dst, ss.Resp.Queue(id))
 		if ss.Failed.Has(id) {
 			dst = append(dst, 'F')
 		} else {

@@ -479,17 +479,17 @@ func (c *Canonicalizer) rewriteProc(ps process.State, idPerm func(int) int) proc
 }
 
 // rewriteSvc relabels a service state under π: the value via the spec hook,
-// the per-endpoint buffers re-keyed (and their items rewritten), and the
-// failed set relabelled. Empty buffer entries are dropped rather than
-// re-keyed, so nil-vs-empty differences can never leak into a canonical
-// representative.
+// the per-endpoint buffers re-keyed (and the responses rewritten), and the
+// failed set relabelled.
 func (c *Canonicalizer) rewriteSvc(k string, ss service.State, idPerm func(int) int) service.State {
-	out := service.State{Val: ss.Val, Inv: ss.Inv, Resp: ss.Resp, Failed: ss.Failed}
+	var rewrite func(string) string
+	if c.spec.RewriteResponse != nil {
+		rewrite = func(it string) string { return c.spec.RewriteResponse(k, it, idPerm) }
+	}
+	out := service.State{Val: ss.Val, Inv: ss.Inv.Rekeyed(idPerm, nil), Resp: ss.Resp.Rekeyed(idPerm, rewrite), Failed: ss.Failed}
 	if c.spec.RewriteVal != nil {
 		out.Val = c.spec.RewriteVal(k, ss.Val, idPerm)
 	}
-	out.Inv = c.rekeyBuffers(k, ss.Inv, idPerm, nil)
-	out.Resp = c.rekeyBuffers(k, ss.Resp, idPerm, c.spec.RewriteResponse)
 	if ss.Failed.Len() > 0 {
 		members := ss.Failed.Members()
 		mapped := make([]int, len(members))
@@ -497,36 +497,6 @@ func (c *Canonicalizer) rewriteSvc(k string, ss service.State, idPerm func(int) 
 			mapped[i] = idPerm(m)
 		}
 		out.Failed = codec.NewIntSet(mapped...)
-	}
-	return out
-}
-
-// rekeyBuffers moves endpoint i's buffer to endpoint π(i), rewriting items
-// through the spec hook when present. Buffers without any non-empty entry
-// are shared unchanged (nil and empty maps fingerprint identically).
-func (c *Canonicalizer) rekeyBuffers(k string, buf map[int][]string, idPerm func(int) int, rewrite func(string, string, func(int) int) string) map[int][]string {
-	n := 0
-	for _, items := range buf {
-		if len(items) > 0 {
-			n++
-		}
-	}
-	if n == 0 {
-		return buf
-	}
-	out := make(map[int][]string, n)
-	for i, items := range buf {
-		if len(items) == 0 {
-			continue
-		}
-		if rewrite != nil {
-			rewritten := make([]string, len(items))
-			for j, it := range items {
-				rewritten[j] = rewrite(k, it, idPerm)
-			}
-			items = rewritten
-		}
-		out[idPerm(i)] = items
 	}
 	return out
 }

@@ -151,6 +151,9 @@ type svcCell struct {
 type svcMemo struct {
 	apply  []atomic.Pointer[svcEdge] // memo of Service.Apply, by position in Tasks()
 	invoke table[invKey, svcCell]    // memo of Service.Invoke
+	// off has bit pos set once apply[pos] holds notEnabled, for positions
+	// below 64, so AppendCandidates can leave those tasks out with one load.
+	off atomic.Uint64
 }
 
 // svcEdge is one memoized service task out of a cell.
@@ -369,13 +372,17 @@ func (c *svcCell) invoked(proc int, inv string) (*svcCell, error) {
 // Tasks() out of c: notEnabled when the task has no enabled action in c's
 // state, an error — not memoized — for any other refusal of Service.Apply.
 func (c *svcCell) performed(pos int) (*svcEdge, error) {
-	memo := &c.transitions().apply[pos]
+	m := c.transitions()
+	memo := &m.apply[pos]
 	if e := memo.Load(); e != nil {
 		return e, nil
 	}
 	sv, info := c.home.sv, &c.home.tasks[pos]
 	if _, enabled := sv.Enabled(c.st, info.task); !enabled {
 		memo.Store(notEnabled)
+		if pos < 64 {
+			m.off.Or(1 << pos)
+		}
 		return notEnabled, nil
 	}
 	ss, act, err := sv.Apply(c.st, info.task)

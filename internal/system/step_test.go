@@ -19,15 +19,28 @@ import (
 // checkStep steps every task index from st under sys, whose cells st may or
 // may not point into, and holds the answer to Applicable, to the unmemoised
 // reference (referenceApply) and to the keys of the materialised successor.
-// It returns the successors.
+// It holds the candidate list to Step as well: a task the list leaves out
+// steps ok = false, err = nil, and after the pass the list is exactly the
+// applicable tasks. It returns the successors.
 func checkStep(t *testing.T, label string, sys *system.System, st system.State) []system.State {
 	t.Helper()
 	var succs []system.State
+	var applicable []int
 	key := sys.AppendKey(nil, st)
+	candidates := sys.AppendCandidates(nil, st)
+	if !slices.IsSorted(candidates) || len(slices.Compact(slices.Clone(candidates))) != len(candidates) {
+		t.Fatalf("%s: candidates %v are not in task order", label, candidates)
+	}
 	for i, task := range sys.Tasks() {
 		d, l, ok, err := sys.Step(st, i)
 		if err != nil {
 			t.Fatalf("%s: Step(%v): %v", label, task, err)
+		}
+		if ok {
+			if !slices.Contains(candidates, i) {
+				t.Fatalf("%s: Step(%v) is applicable, yet not a candidate", label, task)
+			}
+			applicable = append(applicable, i)
 		}
 		if got := sys.Applicable(st, task); got != ok {
 			t.Fatalf("%s: Step(%v) ok = %v, Applicable = %v", label, task, ok, got)
@@ -60,6 +73,9 @@ func checkStep(t *testing.T, label string, sys *system.System, st system.State) 
 			t.Fatalf("%s: Step(%v): key from the delta %x, key of the successor %x", label, task, got, want)
 		}
 		succs = append(succs, next)
+	}
+	if after := sys.AppendCandidates(nil, st); !slices.Equal(after, applicable) {
+		t.Fatalf("%s: after a Step pass the candidates are %v, the applicable tasks %v", label, after, applicable)
 	}
 	return succs
 }
@@ -193,6 +209,81 @@ func TestConcurrentActionNumbers(t *testing.T) {
 	}
 	if applicable < 500 || numbered < 10 {
 		t.Fatalf("only %d applicable steps and %d numbered actions", applicable, numbered)
+	}
+}
+
+// TestConcurrentCandidates: four goroutines decode the same states into one
+// cold System, each starting somewhere else in the list, and list and step
+// every task from each, so they race to publish the same not-enabled bits
+// that others are reading. A task a list leaves out must step ok = false, and
+// once every goroutine is done each state's list is its applicable set. Run
+// with -race -count=10 (make race).
+func TestConcurrentCandidates(t *testing.T) {
+	const goroutines = 4
+	source := registrySystems(t)["forward"]
+	var fps []string
+	for _, st := range sampleStates(t, source, 400) {
+		fps = append(fps, source.Fingerprint(st))
+	}
+	shared := registrySystems(t)["forward"]
+	tasks := len(shared.Tasks())
+	applicable := make([][]bool, len(fps))
+	for i := range applicable {
+		applicable[i] = make([]bool, tasks)
+	}
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range fps {
+				i := (k + g*len(fps)/goroutines) % len(fps)
+				st, err := shared.ParseFingerprint(fps[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				candidates := shared.AppendCandidates(nil, st)
+				for task := range tasks {
+					_, _, ok, err := shared.Step(st, task)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if ok && !slices.Contains(candidates, task) {
+						t.Errorf("state %d: task %v is applicable, yet not a candidate", i, shared.Tasks()[task])
+						return
+					}
+					if g == 0 {
+						applicable[i][task] = ok
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	skipped := 0
+	for i, fp := range fps {
+		st, err := shared.ParseFingerprint(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int
+		for task, ok := range applicable[i] {
+			if ok {
+				want = append(want, task)
+			}
+		}
+		if got := shared.AppendCandidates(nil, st); !slices.Equal(got, want) {
+			t.Fatalf("state %d: candidates %v, applicable tasks %v", i, got, want)
+		}
+		skipped += tasks - len(want)
+	}
+	if skipped < 1000 {
+		t.Fatalf("only %d tasks left out", skipped)
 	}
 }
 

@@ -526,6 +526,41 @@ func (s *System) Step(st State, t int) (d Delta, l Label, ok bool, err error) {
 	return d, l, true, nil
 }
 
+// AppendCandidates appends to dst, in task order, the index of every task
+// Step might answer ok from st: every process task, and every service task
+// but those its participant cell's memo already knows to have no enabled
+// action. It runs no transition and no component code, so Step stays the
+// one place a task is taken: a task it leaves out is exactly one Step would
+// answer ok = false, err = nil, and one it lists may still be refused there.
+// A cell st holds from another slot or System is read through the slot's
+// cell of the same encoding; with none, every task of its service is listed.
+func (s *System) AppendCandidates(dst []int, st State) []int {
+	t := 0
+	for ; t < len(s.table) && s.table[t].svc < 0; t++ {
+		dst = append(dst, t)
+	}
+	for i := range s.svcSlots {
+		sl := &s.svcSlots[i]
+		c := st.svcs[i]
+		if c.home != sl {
+			c = sl.get(c.enc)
+		}
+		var off uint64
+		if c != nil {
+			if m := c.memo.Load(); m != nil {
+				off = m.off.Load()
+			}
+		}
+		for pos := range sl.tasks {
+			if pos >= 64 || off&(1<<pos) == 0 {
+				dst = append(dst, t+pos)
+			}
+		}
+		t += len(sl.tasks)
+	}
+	return dst
+}
+
 // stepTask is Step for a task given by value; a task the System does not
 // have is not applicable.
 func (s *System) stepTask(st State, task ioa.Task) (Delta, Label, bool, error) {
