@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-quick bench-allocs bench-symmetry bench-adjacency test-spill test-server run-boostd lint vet analyze fmt-check fmt vuln apidiff-baseline apidiff
+.PHONY: all build loc test race bench bench-quick bench-allocs bench-symmetry bench-adjacency test-spill test-server run-boostd lint vet analyze fmt-check fmt vuln apidiff-baseline apidiff
 
 all: build lint test
 
@@ -9,6 +9,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines outside third_party/ and bench/ — the size figure
+# CHANGES.md and ROADMAP.md quote — as a total, then one line per top-level
+# directory ("." is the root package's own files).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './third_party/*' ! -path './bench/*' -print0 \
+		| xargs -0 wc -l | awk '$$2 != "total" { split($$2, p, "/"); d = (p[3] == "" ? "." : p[2]); n[d] += $$1; t += $$1 } \
+		END { printf "%6d total\n", t; for (d in n) printf "%6d %s\n", n[d], d | "sort -k2" }'
 
 # The race job proves the concurrency that is left data-race free. A graph
 # is built on one goroutine; what fans out is the analyses' independent units
@@ -23,8 +31,11 @@ test:
 # (every stored edge carries such a number), and list the candidate tasks of
 # the same cells while others publish their not-enabled bits, which must never
 # leave out an applicable task; interleavings differ per run, so it is
-# repeated. The third line repeats the fan-outs themselves: the refuter
-# and RunBatch on eight workers against their one-worker results, the Refute
+# repeated. The third line repeats the fan-outs themselves: both refuters'
+# shared failure-set sweep (Refute's scenarios and RefuteKSet's assignments,
+# set-boost on both sides of the k-set boundary) and RunBatch on eight
+# workers against their one-worker results, RunBatch's pinned runs at four
+# workers against one, the Refute
 # sweep's progress contract (an unsynchronised recorder on four workers: any
 # concurrent report is a detected race) and the small rows of its
 # differential suite, and the symmetry layer's four goroutines
@@ -36,7 +47,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentApply|TestConcurrentCellIndices|TestConcurrentActionNumbers|TestConcurrentCandidates' ./internal/system
-	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestHandlerPanicFailsTheBuild|TestRefuteParallelMatchesSerial|TestRunBatchMatchesSerial|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
+	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestHandlerPanicFailsTheBuild|TestRefuteParallelMatchesSerial|TestRunBatchMatchesSerial|TestRunPins|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
 
 # Benchmark smoke run: every benchmark once, no timing rigour. Use
 # `$(GO) test -bench=. -benchmem ./...` for real measurements.

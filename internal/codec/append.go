@@ -5,13 +5,12 @@ import (
 	"strconv"
 )
 
-// This file is the byte-oriented face of the codec: every Append* function
-// writes the exact bytes its string counterpart would produce into dst and
-// returns the extended slice, in the style of strconv.AppendInt. Callers that
-// reuse a buffer across calls (dst = codec.AppendAtom(dst[:0], v)) encode
-// states without allocating on the hot path; the string builders remain the
-// stable external format and the two faces are kept byte-identical by the
-// round-trip tests in append_test.go.
+// This file is the codec's one encoder: every Append* function writes its
+// encoding into dst and returns the extended slice, in the style of
+// strconv.AppendInt. Callers that reuse a buffer across calls
+// (dst = codec.AppendAtom(dst[:0], v)) encode states without allocating on
+// the hot path; the string builders in codec.go (Atom, List, Set, ...) are
+// these functions' output converted to a string.
 
 // AppendAtom appends the length-prefixed atom encoding of s.
 func AppendAtom(dst []byte, s string) []byte {
@@ -114,8 +113,8 @@ func AppendWrapped(dst []byte, enc func([]byte) []byte) []byte {
 	return dst
 }
 
-// AppendFingerprint appends the canonical set encoding of s, identical to
-// s.Fingerprint().
+// AppendFingerprint appends the canonical encoding of s: the set encoding of
+// its members' decimal strings. Fingerprint returns it as a string.
 func (s IntSet) AppendFingerprint(dst []byte) []byte {
 	switch len(s.members) {
 	case 0:

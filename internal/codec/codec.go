@@ -22,7 +22,6 @@ package codec
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -33,7 +32,38 @@ var ErrMalformed = errors.New("codec: malformed encoding")
 
 // Atom encodes a single string as a length-prefixed atom.
 func Atom(s string) string {
-	return strconv.Itoa(len(s)) + ":" + s
+	var scratch [128]byte
+	return string(AppendAtom(sized(scratch[:0], atomLen(s)), s))
+}
+
+// atomLen is the length of s's atom encoding.
+func atomLen(s string) int {
+	n := len(s) + 2 // one length digit and the ':'
+	for l := len(s); l >= 10; l /= 10 {
+		n++
+	}
+	return n
+}
+
+// seqLen is the length of the list encoding of items, and the most their
+// set encoding can take.
+func seqLen(items []string) int {
+	n := 2
+	for _, it := range items {
+		n += atomLen(it)
+	}
+	return n
+}
+
+// sized returns dst when it has room for n bytes, otherwise an empty slice
+// of capacity n, so an encoding whose length is known up front is grown at
+// most once. The string builders below pass a stack array for dst: small
+// encodings then allocate only the string they return.
+func sized(dst []byte, n int) []byte {
+	if cap(dst) >= n {
+		return dst
+	}
+	return make([]byte, 0, n)
 }
 
 // ParseAtom decodes one atom from the front of s, returning the value and the
@@ -55,7 +85,10 @@ func ParseAtom(s string) (val, rest string, err error) {
 }
 
 // Int encodes an integer as an atom.
-func Int(v int) string { return Atom(strconv.Itoa(v)) }
+func Int(v int) string {
+	var scratch [24]byte
+	return string(AppendInt(scratch[:0], v))
+}
 
 // ParseInt decodes an integer atom from the front of s.
 func ParseInt(s string) (v int, rest string, err error) {
@@ -72,18 +105,13 @@ func ParseInt(s string) (v int, rest string, err error) {
 
 // List encodes a sequence of strings, preserving order.
 func List(items []string) string {
-	var b strings.Builder
-	b.WriteByte('[')
-	for _, it := range items {
-		b.WriteString(Atom(it))
-	}
-	b.WriteByte(']')
-	return b.String()
+	var scratch [128]byte
+	return string(AppendList(sized(scratch[:0], seqLen(items)), items))
 }
 
 // ParseList decodes a list encoding in full; it errors on trailing input.
 func ParseList(s string) ([]string, error) {
-	items, rest, err := parseListPrefix(s)
+	items, rest, err := parseSeq(s, '[', ']', "list")
 	if err != nil {
 		return nil, err
 	}
@@ -93,70 +121,43 @@ func ParseList(s string) ([]string, error) {
 	return items, nil
 }
 
-func parseListPrefix(s string) (items []string, rest string, err error) {
-	if len(s) == 0 || s[0] != '[' {
-		return nil, "", fmt.Errorf("%w: list must start with '[' in %q", ErrMalformed, truncate(s))
+// Set encodes a set of strings canonically (sorted, deduplicated).
+func Set(items []string) string {
+	var scratch [128]byte
+	return string(AppendSet(sized(scratch[:0], seqLen(items)), items))
+}
+
+// ParseSet decodes a set encoding in full.
+func ParseSet(s string) ([]string, error) {
+	items, rest, err := parseSeq(s, '{', '}', "set")
+	if err != nil {
+		return nil, err
+	}
+	if rest != "" {
+		return nil, fmt.Errorf("%w: trailing input after set", ErrMalformed)
+	}
+	return items, nil
+}
+
+// parseSeq decodes the bracketed sequence of atoms at the front of s — the
+// open byte, atoms, the close byte — and returns the atoms (never nil) and
+// what follows. what names the sequence in errors.
+func parseSeq(s string, open, close byte, what string) (items []string, rest string, err error) {
+	if len(s) == 0 || s[0] != open {
+		return nil, "", fmt.Errorf("%w: %s must start with '%c' in %q", ErrMalformed, what, open, truncate(s))
 	}
 	s = s[1:]
 	items = []string{}
 	for {
 		if len(s) == 0 {
-			return nil, "", fmt.Errorf("%w: unterminated list", ErrMalformed)
+			return nil, "", fmt.Errorf("%w: unterminated %s", ErrMalformed, what)
 		}
-		if s[0] == ']' {
+		if s[0] == close {
 			return items, s[1:], nil
 		}
 		var it string
-		it, s, err = ParseAtom(s)
-		if err != nil {
+		if it, s, err = ParseAtom(s); err != nil {
 			return nil, "", err
-		}
-		items = append(items, it)
-	}
-}
-
-// Set encodes a set of strings canonically (sorted, deduplicated).
-func Set(items []string) string {
-	sorted := make([]string, len(items))
-	copy(sorted, items)
-	sort.Strings(sorted)
-	var b strings.Builder
-	b.WriteByte('{')
-	var prev string
-	first := true
-	for _, it := range sorted {
-		if !first && it == prev {
-			continue
-		}
-		b.WriteString(Atom(it))
-		prev, first = it, false
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// ParseSet decodes a set encoding in full.
-func ParseSet(s string) ([]string, error) {
-	if len(s) == 0 || s[0] != '{' {
-		return nil, fmt.Errorf("%w: set must start with '{' in %q", ErrMalformed, truncate(s))
-	}
-	s = s[1:]
-	items := []string{}
-	for {
-		if len(s) == 0 {
-			return nil, fmt.Errorf("%w: unterminated set", ErrMalformed)
-		}
-		if s[0] == '}' {
-			if s[1:] != "" {
-				return nil, fmt.Errorf("%w: trailing input after set", ErrMalformed)
-			}
-			return items, nil
-		}
-		var it string
-		var err error
-		it, s, err = ParseAtom(s)
-		if err != nil {
-			return nil, err
 		}
 		items = append(items, it)
 	}
@@ -164,7 +165,8 @@ func ParseSet(s string) ([]string, error) {
 
 // Pair encodes an ordered pair of strings.
 func Pair(a, b string) string {
-	return "(" + Atom(a) + Atom(b) + ")"
+	var scratch [128]byte
+	return string(AppendPair(sized(scratch[:0], 2+atomLen(a)+atomLen(b)), a, b))
 }
 
 // ParsePair decodes a pair encoding in full.
@@ -188,18 +190,12 @@ func ParsePair(s string) (a, b string, err error) {
 
 // Map encodes a string-keyed map canonically (entries sorted by key).
 func Map(m map[string]string) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	n := 2
+	for k, v := range m {
+		n += 2 + atomLen(k) + atomLen(v)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('<')
-	for _, k := range keys {
-		b.WriteString(Pair(k, m[k]))
-	}
-	b.WriteByte('>')
-	return b.String()
+	var scratch [128]byte
+	return string(AppendMap(sized(scratch[:0], n), m))
 }
 
 // ParseMap decodes a map encoding in full.

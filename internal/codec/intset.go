@@ -92,11 +92,8 @@ func (s IntSet) Equal(t IntSet) bool {
 
 // Fingerprint returns the canonical encoding of the set.
 func (s IntSet) Fingerprint() string {
-	items := make([]string, 0, len(s.members))
-	for m := range s.members {
-		items = append(items, strconv.Itoa(m))
-	}
-	return Set(items)
+	var scratch [64]byte
+	return string(s.AppendFingerprint(scratch[:0]))
 }
 
 // String renders the set for humans, e.g. "{1,3,4}".

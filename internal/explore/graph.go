@@ -187,6 +187,14 @@ type BuildOptions struct {
 
 const defaultMaxStates = 200_000
 
+// budget resolves MaxStates: anything below 1 means defaultMaxStates.
+func (opt BuildOptions) budget() int {
+	if opt.MaxStates <= 0 {
+		return defaultMaxStates
+	}
+	return opt.MaxStates
+}
+
 // ctxErr returns the context's error, tolerating a nil context.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
@@ -269,10 +277,6 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 	if err := validateDurable(opt); err != nil {
 		return nil, err
 	}
-	maxStates := opt.MaxStates
-	if maxStates <= 0 {
-		maxStates = defaultMaxStates
-	}
 	g, err = newGraph(sys, opt)
 	if err != nil {
 		return nil, err
@@ -289,7 +293,7 @@ func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *
 		}
 	}()
 	g.internRoots(roots, opt.Symmetry)
-	if err := g.explore(maxStates, opt); err != nil {
+	if err := g.explore(opt.budget(), opt); err != nil {
 		return nil, err
 	}
 	if err := ctxErr(opt.Ctx); err != nil {

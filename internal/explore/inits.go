@@ -36,12 +36,18 @@ func (c *InitClassification) Close() error {
 // MonotoneAssignment returns the input assignment of α_i: the first i
 // processes (in id order) receive "1", the rest "0".
 func MonotoneAssignment(sys *system.System, i int) map[int]string {
-	out := map[int]string{}
-	for idx, id := range sys.ProcessIDs() {
-		if idx < i {
+	return assignment(sys, func(idx int) bool { return idx < i })
+}
+
+// assignment gives the process at position idx (in id order) input "1"
+// when one(idx) holds, and "0" otherwise.
+func assignment(sys *system.System, one func(idx int) bool) map[int]string {
+	ids := sys.ProcessIDs()
+	out := make(map[int]string, len(ids))
+	for idx, id := range ids {
+		out[id] = "0"
+		if one(idx) {
 			out[id] = "1"
-		} else {
-			out[id] = "0"
 		}
 	}
 	return out
@@ -51,22 +57,11 @@ func MonotoneAssignment(sys *system.System, i int) map[int]string {
 // initialization in the paper's sense: exactly one init per process, no
 // other actions), yielding the root the input-first executions grow from.
 func ApplyInputs(sys *system.System, inputs map[int]string) (system.State, error) {
-	return applyInputs(sys, inputs)
-}
-
-// applyInputs delivers an input assignment to a fresh initial state
-// (an initialization in the paper's sense: exactly one init per process,
-// no other actions).
-func applyInputs(sys *system.System, inputs map[int]string) (system.State, error) {
-	st := sys.InitialState()
-	for _, i := range sortedInputKeys(inputs) {
-		next, _, err := sys.Init(st, i, inputs[i])
-		if err != nil {
-			return system.State{}, err
-		}
-		st = next
+	r := newRunner(sys, inputs, false)
+	if err := r.deliverInputs(); err != nil {
+		return system.State{}, err
 	}
-	return st, nil
+	return r.st, nil
 }
 
 // monotoneRoots starts a classification: the n+1 monotone assignments and
@@ -77,7 +72,7 @@ func monotoneRoots(sys *system.System) (*InitClassification, []system.State, err
 	var roots []system.State
 	for i := 0; i <= n; i++ {
 		inputs := MonotoneAssignment(sys, i)
-		st, err := applyInputs(sys, inputs)
+		st, err := ApplyInputs(sys, inputs)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -180,19 +175,10 @@ func (c *InitClassification) String() string {
 // AllAssignments enumerates every input assignment in {0,1}^n (used by the
 // exhaustive safety sweep; n is small in exploration systems).
 func AllAssignments(sys *system.System) []map[int]string {
-	ids := sys.ProcessIDs()
-	n := len(ids)
+	n := len(sys.ProcessIDs())
 	out := make([]map[int]string, 0, 1<<n)
 	for bits := 0; bits < 1<<n; bits++ {
-		m := make(map[int]string, n)
-		for idx, id := range ids {
-			if bits&(1<<idx) != 0 {
-				m[id] = "1"
-			} else {
-				m[id] = "0"
-			}
-		}
-		out = append(out, m)
+		out = append(out, assignment(sys, func(idx int) bool { return bits&(1<<idx) != 0 }))
 	}
 	return out
 }

@@ -245,30 +245,38 @@ func TestFindHookPinned(t *testing.T) {
 // TestRefuteParallelMatchesSerial checks the full refuter produces the same
 // report with its failure scenarios fanned out as without, on a refuted
 // candidate (Theorem 2), a safety-refuted candidate, and a surviving
-// candidate.
+// candidate, and the k-set refuter likewise on both sides of the Section 4
+// boundary (set-boost refuted at k = 1, surviving at k = 2).
 func TestRefuteParallelMatchesSerial(t *testing.T) {
-	build := func(name string) (*system.System, error) {
-		switch name {
-		case "forward-2-0":
-			return protocols.BuildForward(2, 0, service.Adversarial)
-		case "forward-2-1":
-			return protocols.BuildForward(2, 1, service.Adversarial)
-		case "registervote-2":
-			return protocols.BuildRegisterVote(2)
-		}
-		return nil, fmt.Errorf("unknown system %q", name)
+	refute := func(sys *system.System, opt explore.RefuteOptions) (*explore.Report, error) {
+		return explore.Refute(sys, 1, opt)
 	}
-	for _, name := range []string{"forward-2-0", "forward-2-1", "registervote-2"} {
-		t.Run(name, func(t *testing.T) {
-			sys, err := build(name)
+	kSet := func(k, claimed int) func(*system.System, explore.RefuteOptions) (*explore.Report, error) {
+		return func(sys *system.System, opt explore.RefuteOptions) (*explore.Report, error) {
+			return explore.RefuteKSet(sys, k, claimed, opt)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (*system.System, error)
+		run   func(*system.System, explore.RefuteOptions) (*explore.Report, error)
+	}{
+		{"forward-2-0", func() (*system.System, error) { return protocols.BuildForward(2, 0, service.Adversarial) }, refute},
+		{"forward-2-1", func() (*system.System, error) { return protocols.BuildForward(2, 1, service.Adversarial) }, refute},
+		{"registervote-2", func() (*system.System, error) { return protocols.BuildRegisterVote(2) }, refute},
+		{"kset-setboost-2-k1", func() (*system.System, error) { return protocols.BuildSetBoost(2) }, kSet(1, 1)},
+		{"kset-setboost-2-k2", func() (*system.System, error) { return protocols.BuildSetBoost(2) }, kSet(2, 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := tc.build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := explore.Refute(sys, 1, explore.RefuteOptions{})
+			serial, err := tc.run(sys, explore.RefuteOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := explore.Refute(sys, 1, explore.RefuteOptions{
+			parallel, err := tc.run(sys, explore.RefuteOptions{
 				Build: explore.BuildOptions{Workers: parallelWorkers},
 			})
 			if err != nil {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
@@ -214,39 +213,45 @@ func Refute(sys *system.System, claimed int, opt RefuteOptions) (*Report, error)
 	return refuteScenarios(sys, report, hookInputs, hookStates, opt)
 }
 
-// refuteScenarios is phase 3: failure scenarios at the start and at the
-// hook vertices, for every failure set of the claimed size. The scenarios of
-// one failure set are independent fair runs, so they execute across the
-// configured workers; certificates are collected in scenario order and the
-// early stop after the first violated failure set is preserved, so the
-// report matches the serial refuter.
+// refuteScenarios is phase 3: failure scenarios from three initializations
+// (the hook's and the two unanimous ones) and at the hook vertices, for
+// every failure set of the claimed size.
 func refuteScenarios(sys *system.System, report *Report, hookInputs map[int]string, hookStates []system.State, opt RefuteOptions) (*Report, error) {
-	assignments := []map[int]string{
+	var scenarios []scenario
+	for _, inputs := range []map[int]string{
 		hookInputs,
 		MonotoneAssignment(sys, 0),
 		MonotoneAssignment(sys, len(sys.ProcessIDs())),
+	} {
+		// Failures are tried at several injection rounds (all at the start,
+		// and staggered a few rounds in), since some candidates survive
+		// early crashes but not late ones.
+		scenarios = append(scenarios, scenario{inputs: inputs, bases: []int{0, 1, 2}, stagger: 1})
 	}
+	// Hook-anchored: fail J at the univalent ends of the hook.
+	for i := range hookStates {
+		scenarios = append(scenarios, scenario{inputs: hookInputs, from: &hookStates[i], bases: []int{0}})
+	}
+	return sweepFailureSets(sys, report, scenarios, classifyRun, opt)
+}
+
+// sweepFailureSets is the failure-set sweep both refuters end in: for every
+// failure set J of the claimed size, the scenarios run with J injected. The
+// scenarios of one failure set are independent fair runs, so they execute
+// across the configured workers; certificates are collected in scenario
+// order, the first error in that order is returned, and the sweep stops
+// after the first violated failure set, so the report matches the serial
+// refuter.
+func sweepFailureSets(sys *system.System, report *Report, scenarios []scenario, classify classifier, opt RefuteOptions) (*Report, error) {
 	workers := effectiveWorkers(opt.Build.Workers)
+	certs := make([]*Certificate, len(scenarios))
+	errs := make([]error, len(scenarios))
 	for _, J := range failureSets(sys.ProcessIDs(), report.Claimed) {
 		if err := ctxErr(opt.Build.Ctx); err != nil {
 			return nil, err
 		}
-		scenarios := make([]func() (*Certificate, error), 0, len(assignments)+len(hookStates))
-		for _, inputs := range assignments {
-			scenarios = append(scenarios, func() (*Certificate, error) {
-				return failureScenario(sys, inputs, J, opt)
-			})
-		}
-		// Hook-anchored: fail J at the univalent ends of the hook.
-		for _, st := range hookStates {
-			scenarios = append(scenarios, func() (*Certificate, error) {
-				return failureScenarioFrom(sys, st, hookInputs, J, opt)
-			})
-		}
-		certs := make([]*Certificate, len(scenarios))
-		errs := make([]error, len(scenarios))
 		parallelFor(workers, len(scenarios), func(i int) {
-			certs[i], errs[i] = scenarios[i]()
+			certs[i], errs[i] = scenarios[i].run(sys, J, classify, opt.MaxRounds)
 		})
 		for i := range scenarios {
 			if errs[i] != nil {
@@ -264,6 +269,55 @@ func refuteScenarios(sys *system.System, report *Report, hookInputs map[int]stri
 	return report, nil
 }
 
+// scenario is one failure scenario of the sweep. Without from, the inputs
+// are delivered to a fresh initial state and failure i of J is injected
+// before round base + stagger·i; with from, J is failed in that already
+// initialized state before the first round. Each base is one fair run, and
+// the first run the classifier certifies ends the scenario.
+type scenario struct {
+	inputs  map[int]string
+	from    *system.State
+	bases   []int
+	stagger int
+}
+
+// classifier turns a finished scenario run into a certificate if it
+// violates the refuter's conditions at failure pattern J.
+type classifier func(inputs map[int]string, J []int, res RunResult) *Certificate
+
+// run runs the scenario at failure set J. No trace is kept: certificates
+// read decisions and the run's outcome, never the execution.
+func (sc scenario) run(sys *system.System, J []int, classify classifier, maxRounds int) (*Certificate, error) {
+	for _, base := range sc.bases {
+		r := &runner{sys: sys, inputs: sc.inputs}
+		var failures []FailureEvent
+		if sc.from != nil {
+			r.st = *sc.from
+			for _, p := range J {
+				if err := r.fail(p); err != nil {
+					return nil, err
+				}
+			}
+		} else {
+			r.st = sys.InitialState()
+			if err := r.deliverInputs(); err != nil {
+				return nil, err
+			}
+			for i, p := range J {
+				failures = append(failures, FailureEvent{Round: base + sc.stagger*i, Proc: p})
+			}
+		}
+		res, err := r.fairRounds(failures, maxRounds)
+		if err != nil {
+			return nil, err
+		}
+		if cert := classify(sc.inputs, J, res); cert != nil {
+			return cert, nil
+		}
+	}
+	return nil, nil
+}
+
 // safetySweep is phase 1: agreement and validity in every failure-free
 // reachable state of every input assignment in {0,1}^n, one certificate per
 // violating assignment, in assignment order. The 2^n graphs overlap heavily
@@ -272,12 +326,19 @@ func refuteScenarios(sys *system.System, report *Report, hookInputs map[int]stri
 // a vertex — validity depends on it, agreement does not. The union never
 // escapes and certificates carry step counts, not paths: no witness links,
 // never durable, closed on return.
+//
+// The 2^n roots are exempt from the vertex budget once built, so the budget
+// is checked against their count before one is enumerated: an n whose 2^n
+// exceeds the budget, or does not fit an int, is refused at 0 explored.
 func safetySweep(sys *system.System, opt BuildOptions) ([]Certificate, error) {
+	if n, budget := len(sys.ProcessIDs()), opt.budget(); n >= 63 || 1<<n > budget {
+		return nil, &LimitError{Limit: budget, Explored: 0}
+	}
 	assignments := AllAssignments(sys)
 	roots := make([]system.State, len(assignments))
 	for i, inputs := range assignments {
 		var err error
-		if roots[i], err = applyInputs(sys, inputs); err != nil {
+		if roots[i], err = ApplyInputs(sys, inputs); err != nil {
 			return nil, err
 		}
 	}
@@ -384,47 +445,9 @@ func safetyViolation(values []string, inputs map[int]string) (ViolationKind, str
 	return KindNone, ""
 }
 
-// failureScenario fails J and runs the fair schedule. Failures are tried at
-// several injection rounds (all at the start, and staggered a few rounds
-// in), since some candidates survive early crashes but not late ones.
-func failureScenario(sys *system.System, inputs map[int]string, J []int, opt RefuteOptions) (*Certificate, error) {
-	for _, baseRound := range []int{0, 1, 2} {
-		failures := make([]FailureEvent, len(J))
-		for i, p := range J {
-			failures[i] = FailureEvent{Round: baseRound + i, Proc: p}
-		}
-		res, err := RoundRobin(sys, RunConfig{Inputs: inputs, Failures: failures, MaxRounds: opt.MaxRounds})
-		if err != nil {
-			return nil, err
-		}
-		if cert := classifyRun(sys, inputs, J, res); cert != nil {
-			return cert, nil
-		}
-	}
-	return nil, nil
-}
-
-// failureScenarioFrom fails J in the given (already initialized) state and
-// runs the fair schedule from there.
-func failureScenarioFrom(sys *system.System, st system.State, inputs map[int]string, J []int, opt RefuteOptions) (*Certificate, error) {
-	cur := st
-	for _, p := range J {
-		next, _, err := sys.Fail(cur, p)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	res, err := RoundRobinFrom(sys, cur, inputs, opt.MaxRounds)
-	if err != nil {
-		return nil, err
-	}
-	return classifyRun(sys, inputs, J, res), nil
-}
-
 // classifyRun turns a finished run into a certificate if it violates a
 // consensus condition at the given failure pattern.
-func classifyRun(sys *system.System, inputs map[int]string, J []int, res RunResult) *Certificate {
+func classifyRun(inputs map[int]string, J []int, res RunResult) *Certificate {
 	dec := res.Decisions
 	if kind, value := safetyViolation(decidedValues(dec), inputs); kind != KindNone {
 		desc := fmt.Sprintf("processes decided %v under failure pattern %v", dec, J)
@@ -454,51 +477,6 @@ func classifyRun(sys *system.System, inputs map[int]string, J []int, res RunResu
 		}
 	}
 	return nil
-}
-
-// RoundRobinFrom runs the fair round-robin schedule from an arbitrary state
-// (inputs and failures already delivered). The inputs map is used only for
-// the modified-termination stop condition.
-func RoundRobinFrom(sys *system.System, st system.State, inputs map[int]string, maxRounds int) (RunResult, error) {
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds
-	}
-	var exec ioa.Execution
-	res := RunResult{}
-	seen := map[string]bool{} // states stood in at a round boundary, by cell key
-	var buf []byte
-	for round := 0; round < maxRounds; round++ {
-		if terminated(sys, st, inputs) {
-			res.Done = true
-			break
-		}
-		buf = sys.AppendKey(buf[:0], st)
-		if seen[string(buf)] {
-			res.Diverged = true
-			break
-		}
-		seen[string(buf)] = true
-		for _, task := range sys.Tasks() {
-			if !sys.Applicable(st, task) {
-				continue
-			}
-			next, act, err := sys.Apply(st, task)
-			if err != nil {
-				return RunResult{}, err
-			}
-			st = next
-			exec = exec.Append(ioa.Step{HasTask: true, Task: task, Action: act, After: sys.Fingerprint(st)})
-		}
-		res.Rounds = round + 1
-		if terminated(sys, st, inputs) {
-			res.Done = true
-			break
-		}
-	}
-	res.Exec = exec
-	res.Final = st
-	res.Decisions = sys.Decisions(st)
-	return res, nil
 }
 
 // failureSets enumerates the subsets of ids of exactly the given size
@@ -532,87 +510,54 @@ func failureSets(ids []int, size int) [][]int {
 // the Section 4 construction survives RefuteKSet with k = 2 at full claimed
 // resilience and is refuted with k = 1.
 func RefuteKSet(sys *system.System, k, claimed int, opt RefuteOptions) (*Report, error) {
-	report := &Report{Claimed: claimed}
-	assignments := []map[int]string{
+	var scenarios []scenario
+	for _, inputs := range []map[int]string{
 		MonotoneAssignment(sys, len(sys.ProcessIDs())/2),
 		MonotoneAssignment(sys, 0),
 		MonotoneAssignment(sys, len(sys.ProcessIDs())),
 		alternatingAssignment(sys),
+	} {
+		// All of J fails before the first round.
+		scenarios = append(scenarios, scenario{inputs: inputs, bases: []int{0}})
 	}
-	workers := effectiveWorkers(opt.Build.Workers)
-	for _, J := range failureSets(sys.ProcessIDs(), claimed) {
-		if err := ctxErr(opt.Build.Ctx); err != nil {
-			return nil, err
-		}
-		certs := make([]*Certificate, len(assignments))
-		errs := make([]error, len(assignments))
-		parallelFor(workers, len(assignments), func(i int) {
-			certs[i], errs[i] = kSetScenario(sys, assignments[i], J, k, opt)
-		})
-		for i := range assignments {
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-			if certs[i] != nil {
-				report.Certificates = append(report.Certificates, *certs[i])
-			}
-		}
-		if report.Violated() {
-			break
-		}
-	}
-	return report, nil
+	return sweepFailureSets(sys, &Report{Claimed: claimed}, scenarios, kSetClassifier(k), opt)
 }
 
 // alternatingAssignment gives processes alternating 0/1 inputs — the
 // assignment that maximizes distinct decisions in grouped constructions.
 func alternatingAssignment(sys *system.System) map[int]string {
-	out := map[int]string{}
-	for idx, id := range sys.ProcessIDs() {
-		if idx%2 == 0 {
-			out[id] = "0"
-		} else {
-			out[id] = "1"
-		}
-	}
-	return out
+	return assignment(sys, func(idx int) bool { return idx%2 == 1 })
 }
 
-// kSetScenario runs one failure scenario and classifies it against the
-// k-set-consensus conditions.
-func kSetScenario(sys *system.System, inputs map[int]string, J []int, k int, opt RefuteOptions) (*Certificate, error) {
-	failures := make([]FailureEvent, len(J))
-	for i, p := range J {
-		failures[i] = FailureEvent{Round: 0, Proc: p}
-	}
-	res, err := RoundRobin(sys, RunConfig{Inputs: inputs, Failures: failures, MaxRounds: opt.MaxRounds})
-	if err != nil {
-		return nil, err
-	}
-	distinct := map[string]bool{}
-	for _, v := range res.Decisions {
-		if !isInput(inputs, v) {
-			return &Certificate{
-				Kind:        KindValidity,
-				Description: fmt.Sprintf("decision %q is not any process's input", v),
-				Inputs:      inputs, Failed: J, Decisions: res.Decisions,
-			}, nil
+// kSetClassifier classifies a run against the k-set-consensus conditions:
+// validity, at most k distinct decisions, and modified termination.
+func kSetClassifier(k int) classifier {
+	return func(inputs map[int]string, J []int, res RunResult) *Certificate {
+		distinct := map[string]bool{}
+		for _, v := range res.Decisions {
+			if !isInput(inputs, v) {
+				return &Certificate{
+					Kind:        KindValidity,
+					Description: fmt.Sprintf("decision %q is not any process's input", v),
+					Inputs:      inputs, Failed: J, Decisions: res.Decisions,
+				}
+			}
+			distinct[v] = true
 		}
-		distinct[v] = true
+		if len(distinct) > k {
+			return &Certificate{
+				Kind:        KindAgreement,
+				Description: fmt.Sprintf("%d distinct decisions exceed k = %d", len(distinct), k),
+				Inputs:      inputs, Failed: J, Decisions: res.Decisions,
+			}
+		}
+		if res.Diverged && !res.Done {
+			return &Certificate{
+				Kind:        KindTermination,
+				Description: fmt.Sprintf("fair execution with %d ≤ claimed failures cycles; live inited processes never decide", len(J)),
+				Inputs:      inputs, Failed: J, Decisions: res.Decisions, Diverged: true,
+			}
+		}
+		return nil
 	}
-	if len(distinct) > k {
-		return &Certificate{
-			Kind:        KindAgreement,
-			Description: fmt.Sprintf("%d distinct decisions exceed k = %d", len(distinct), k),
-			Inputs:      inputs, Failed: J, Decisions: res.Decisions,
-		}, nil
-	}
-	if res.Diverged && !res.Done {
-		return &Certificate{
-			Kind:        KindTermination,
-			Description: fmt.Sprintf("fair execution with %d ≤ claimed failures cycles; live inited processes never decide", len(J)),
-			Inputs:      inputs, Failed: J, Decisions: res.Decisions, Diverged: true,
-		}, nil
-	}
-	return nil, nil
 }

@@ -230,26 +230,51 @@ func TestRefuteSweepMatchesOracle(t *testing.T) {
 }
 
 // TestRefuteReportPins freezes whole reports: forward n=4 (the value
-// bench/expected.json checks cmd/boostcheck against) and the two
-// safety-violating families, whose certificates come out of the sweep.
+// bench/expected.json checks cmd/boostcheck against), the two
+// safety-violating families, whose certificates come out of the sweep, the
+// k-set refuter on both sides of the Section 4 boundary, and a refutation
+// that skips the graph phases (the failure-detector construction, whose
+// failure-free graph is infinite).
 func TestRefuteReportPins(t *testing.T) {
+	refute := func(claimed int, opt explore.RefuteOptions) func(*system.System) (*explore.Report, error) {
+		return func(sys *system.System) (*explore.Report, error) { return explore.Refute(sys, claimed, opt) }
+	}
+	kSet := func(k, claimed int) func(*system.System) (*explore.Report, error) {
+		return func(sys *system.System) (*explore.Report, error) {
+			return explore.RefuteKSet(sys, k, claimed, explore.RefuteOptions{})
+		}
+	}
+	forward := func(n int) func() (*system.System, error) {
+		return func() (*system.System, error) { return protocols.BuildForward(n, 0, service.Adversarial) }
+	}
+	setBoost := func() (*system.System, error) { return protocols.BuildSetBoost(2) }
 	for _, tc := range []struct {
 		name  string
 		build func() (*system.System, error)
+		run   func(*system.System) (*explore.Report, error)
 		sha   string
 	}{
-		{"forward-n4", func() (*system.System, error) { return protocols.BuildForward(4, 0, service.Adversarial) },
+		{"forward-n4", forward(4), refute(1, explore.RefuteOptions{}),
 			"edba872581c3113691dbf0ba37b37276ce925da2d46d072821a1b6c1ae23bb85"},
-		{"registervote-n2", func() (*system.System, error) { return protocols.BuildRegisterVote(2) },
+		{"registervote-n2", func() (*system.System, error) { return protocols.BuildRegisterVote(2) }, refute(1, explore.RefuteOptions{}),
 			"78777a09a0bd52cd4675499bc745951fce72954c15b6076546782729f77b7eb3"},
-		{"setboost-n2", func() (*system.System, error) { return protocols.BuildSetBoost(2) },
+		{"setboost-n2", setBoost, refute(1, explore.RefuteOptions{}),
 			"5b92d7cb3a3ab30ba9595d9a26d8dcad676eddc19ed0067dddde1dbfd0dd29ef"},
+		{"kset-setboost-n2-k1", setBoost, kSet(1, 1),
+			"5e7de1f561fdfbc5a3cb357f537ef35c696d7fbbae3e975ca480d9385f3fe976"},
+		{"kset-setboost-n2-k2", setBoost, kSet(2, 3),
+			"d4b816ea3b2698e6389cf0f50462531265976064ff73768cb59ea4853187be99"},
+		{"kset-forward-n3-k1", forward(3), kSet(1, 1),
+			"cb170fe8db6f2b8d9747fb2fa92d05e40500e9b63a2307037bb798b158244b1f"},
+		{"skipgraph-fdboost-n3", func() (*system.System, error) { return protocols.BuildFDBoost(3, 3) },
+			refute(2, explore.RefuteOptions{SkipGraphAnalysis: true}),
+			"2d6adcf7f749eb17e021ebe8e77c8efec6f0daf0ab36be7c4c80d40d29cf57a3"},
 	} {
 		sys, err := tc.build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		report, err := explore.Refute(sys, 1, explore.RefuteOptions{})
+		report, err := tc.run(sys)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -265,9 +290,22 @@ func TestRefuteReportPins(t *testing.T) {
 // Forward n=4's largest single-assignment graph has 1 066 vertices, its
 // Lemma 4 graph 2 486 and the union 4 546, so a budget of 3 000 — enough
 // for every graph the refuter used to build — now trips in phase 1, with
-// the explored count at the trip point; 4 546 is enough.
+// the explored count at the trip point; 4 546 is enough. A budget below the
+// 2^n roots themselves trips before a single assignment is enumerated
+// (Explored 0), and so does any n whose 2^n does not fit an int: forward
+// n=64 at the default budget must fail at once.
 func TestRefuteSweepBudget(t *testing.T) {
 	sys := mustForward(t, 4, 0, service.Adversarial)
+	_, err := explore.Refute(sys, 1, explore.RefuteOptions{Build: explore.BuildOptions{MaxStates: 10}})
+	var limit *explore.LimitError
+	if !errors.As(err, &limit) || limit.Limit != 10 || limit.Explored != 0 {
+		t.Errorf("MaxStates 10: got %v (%+v), want a LimitError at 0 explored", err, limit)
+	}
+	wide := mustForward(t, 64, 0, service.Adversarial)
+	_, err = explore.Refute(wide, 1, explore.RefuteOptions{})
+	if !errors.As(err, &limit) || limit.Limit != 200_000 || limit.Explored != 0 {
+		t.Errorf("n=64: got %v (%+v), want a LimitError at 0 explored", err, limit)
+	}
 	for _, workers := range []int{1, 4} {
 		_, err := explore.Refute(sys, 1, explore.RefuteOptions{Build: explore.BuildOptions{MaxStates: 3000, Workers: workers}})
 		var limit *explore.LimitError

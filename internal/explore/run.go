@@ -82,6 +82,148 @@ type RunResult struct {
 
 const defaultMaxRounds = 10_000
 
+// runner owns one scheduled execution: the current state, the inputs the
+// modified-termination test reads, and the execution trace, which is
+// recorded only when the caller returns it. Every schedule — the fair
+// rounds of RoundRobin and RoundRobinFrom, Random's draws, the refuters'
+// failure scenarios, and the bare initializations of ApplyInputs — drives
+// the system through its three steps: input delivery, fail and task.
+type runner struct {
+	sys    *system.System
+	st     system.State
+	inputs map[int]string
+	trace  bool
+	steps  []ioa.Step
+}
+
+// newRunner starts a run at the system's initial state.
+func newRunner(sys *system.System, inputs map[int]string, trace bool) *runner {
+	return &runner{sys: sys, st: sys.InitialState(), inputs: inputs, trace: trace}
+}
+
+// take moves the run to next, recording step if a trace is kept.
+func (r *runner) take(next system.State, step ioa.Step) {
+	r.st = next
+	if r.trace {
+		step.After = r.sys.Fingerprint(next)
+		r.steps = append(r.steps, step)
+	}
+}
+
+// deliverInputs delivers every input, in process order: the input-first
+// prefix of Section 3.2.
+func (r *runner) deliverInputs() error {
+	for _, i := range sortedInputKeys(r.inputs) {
+		next, act, err := r.sys.Init(r.st, i, r.inputs[i])
+		if err != nil {
+			return err
+		}
+		r.take(next, ioa.Step{Action: act})
+	}
+	return nil
+}
+
+// fail injects fail_p.
+func (r *runner) fail(p int) error {
+	next, act, err := r.sys.Fail(r.st, p)
+	if err != nil {
+		return err
+	}
+	r.take(next, ioa.Step{Action: act})
+	return nil
+}
+
+// step gives task one turn; the caller has checked it is applicable.
+func (r *runner) step(task ioa.Task) error {
+	next, act, err := r.sys.Apply(r.st, task)
+	if err != nil {
+		return err
+	}
+	r.take(next, ioa.Step{HasTask: true, Task: task, Action: act})
+	return nil
+}
+
+// terminated reports the modified termination condition of Section 2.2.4:
+// every live process that received an input has decided.
+func (r *runner) terminated() bool {
+	dec := r.sys.Decisions(r.st)
+	for _, i := range r.sys.LiveProcesses(r.st) {
+		if _, gotInput := r.inputs[i]; !gotInput {
+			continue
+		}
+		if _, decided := dec[i]; !decided {
+			return false
+		}
+	}
+	return true
+}
+
+// result closes the run.
+func (r *runner) result(res RunResult) RunResult {
+	res.Exec = ioa.Execution{Steps: r.steps}
+	res.Final = r.st
+	res.Decisions = r.sys.Decisions(r.st)
+	return res
+}
+
+// fairRounds is the canonical fair schedule from the current state: rounds
+// in which every task gets one turn, skipping inapplicable tasks, with the
+// failures keyed by round injected before their round. It stops at modified
+// termination, when the state repeats at a round boundary (divergence: the
+// schedule is deterministic, so the run cycles), or at maxRounds. Divergence
+// detection starts once every failure is injected, so without failures it
+// starts at round 0.
+func (r *runner) fairRounds(failures []FailureEvent, maxRounds int) (RunResult, error) {
+	if maxRounds <= 0 {
+		maxRounds = defaultMaxRounds
+	}
+	byRound := map[int][]int{}
+	quiet := 0 // the first round after the last injection
+	for _, f := range failures {
+		byRound[f.Round] = append(byRound[f.Round], f.Proc)
+		quiet = max(quiet, f.Round+1)
+	}
+	for _, procs := range byRound {
+		sort.Ints(procs)
+	}
+	seen := map[string]bool{} // states stood in at a round boundary, by cell key
+	var buf []byte
+	res := RunResult{}
+	for round := 0; round < maxRounds; round++ {
+		for _, p := range byRound[round] {
+			if err := r.fail(p); err != nil {
+				return RunResult{}, err
+			}
+		}
+		if r.terminated() {
+			res.Done = true
+			break
+		}
+		if round >= quiet {
+			buf = r.sys.AppendKey(buf[:0], r.st)
+			if seen[string(buf)] {
+				res.Diverged = true
+				break
+			}
+			seen[string(buf)] = true
+		}
+		for _, task := range r.sys.Tasks() {
+			if !r.sys.Applicable(r.st, task) {
+				continue
+			}
+			if err := r.step(task); err != nil {
+				return RunResult{}, err
+			}
+		}
+		res.Rounds = round + 1
+		if r.terminated() {
+			res.Done = true
+			break
+		}
+	}
+	return r.result(res), nil
+}
+
 // RoundRobin runs the system under the canonical fair schedule: inputs
 // first (input-first executions, Section 3.2), then rounds in which every
 // task of C gets one turn, skipping inapplicable tasks. The I/O-automata
@@ -92,103 +234,24 @@ const defaultMaxRounds = 10_000
 // a round boundary (divergence: the schedule is deterministic, so the run
 // cycles), or at MaxRounds.
 func RoundRobin(sys *system.System, cfg RunConfig) (RunResult, error) {
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds
-	}
-	st := sys.InitialState()
-	var exec ioa.Execution
-
-	// Input-first: deliver all init actions.
-	for _, i := range sortedInputKeys(cfg.Inputs) {
-		next, act, err := sys.Init(st, i, cfg.Inputs[i])
-		if err != nil {
-			return RunResult{}, err
-		}
-		st = next
-		exec = exec.Append(ioa.Step{Action: act, After: sys.Fingerprint(st)})
-	}
-
-	failuresByRound := map[int][]int{}
-	for _, f := range cfg.Failures {
-		failuresByRound[f.Round] = append(failuresByRound[f.Round], f.Proc)
-	}
-	for _, procs := range failuresByRound {
-		sort.Ints(procs)
-	}
-
-	seen := map[string]bool{} // states stood in at a round boundary, by cell key
-	var buf []byte
-	res := RunResult{}
-	for round := 0; round < maxRounds; round++ {
-		for _, p := range failuresByRound[round] {
-			next, act, err := sys.Fail(st, p)
-			if err != nil {
-				return RunResult{}, err
-			}
-			st = next
-			exec = exec.Append(ioa.Step{Action: act, After: sys.Fingerprint(st)})
-		}
-		if terminated(sys, st, cfg.Inputs) {
-			res.Done = true
-			break
-		}
-		// Divergence detection is only sound once all failures are injected
-		// (the schedule is deterministic from here on).
-		if round >= maxFailureRound(failuresByRound) {
-			buf = sys.AppendKey(buf[:0], st)
-			if seen[string(buf)] {
-				res.Diverged = true
-				break
-			}
-			seen[string(buf)] = true
-		}
-		for _, task := range sys.Tasks() {
-			if !sys.Applicable(st, task) {
-				continue
-			}
-			next, act, err := sys.Apply(st, task)
-			if err != nil {
-				return RunResult{}, err
-			}
-			st = next
-			exec = exec.Append(ioa.Step{HasTask: true, Task: task, Action: act, After: sys.Fingerprint(st)})
-		}
-		res.Rounds = round + 1
-		if terminated(sys, st, cfg.Inputs) {
-			res.Done = true
-			break
-		}
-	}
-	res.Exec = exec
-	res.Final = st
-	res.Decisions = sys.Decisions(st)
-	return res, nil
+	return roundRobin(sys, cfg, true)
 }
 
-func maxFailureRound(byRound map[int][]int) int {
-	max := 0
-	for r := range byRound {
-		if r+1 > max {
-			max = r + 1
-		}
+// roundRobin is RoundRobin with the trace optional.
+func roundRobin(sys *system.System, cfg RunConfig, trace bool) (RunResult, error) {
+	r := newRunner(sys, cfg.Inputs, trace)
+	if err := r.deliverInputs(); err != nil {
+		return RunResult{}, err
 	}
-	return max
+	return r.fairRounds(cfg.Failures, cfg.MaxRounds)
 }
 
-// terminated reports the modified termination condition: every live process
-// that received an input has decided.
-func terminated(sys *system.System, st system.State, inputs map[int]string) bool {
-	dec := sys.Decisions(st)
-	for _, i := range sys.LiveProcesses(st) {
-		if _, gotInput := inputs[i]; !gotInput {
-			continue
-		}
-		if _, decided := dec[i]; !decided {
-			return false
-		}
-	}
-	return true
+// RoundRobinFrom runs the fair round-robin schedule from an arbitrary state
+// (inputs and failures already delivered). The inputs map is used only for
+// the modified-termination stop condition.
+func RoundRobinFrom(sys *system.System, st system.State, inputs map[int]string, maxRounds int) (RunResult, error) {
+	r := &runner{sys: sys, st: st, inputs: inputs, trace: true}
+	return r.fairRounds(nil, maxRounds)
 }
 
 // Random runs the system under a seeded random schedule for the given
@@ -201,15 +264,9 @@ func Random(sys *system.System, cfg RunConfig, seed int64, steps int) (RunResult
 	// (seed, steps) — nondeterminism across runs is the caller's choice,
 	// never ambient.
 	rng := rand.New(rand.NewSource(seed)) //lint:boostvet-ignore determinism — explicitly seeded RunRandom path
-	st := sys.InitialState()
-	var exec ioa.Execution
-	for _, i := range sortedInputKeys(cfg.Inputs) {
-		next, act, err := sys.Init(st, i, cfg.Inputs[i])
-		if err != nil {
-			return RunResult{}, err
-		}
-		st = next
-		exec = exec.Append(ioa.Step{Action: act, After: sys.Fingerprint(st)})
+	r := newRunner(sys, cfg.Inputs, true)
+	if err := r.deliverInputs(); err != nil {
+		return RunResult{}, err
 	}
 	// Random runs inject the configured failures at random points; the
 	// FailureEvent round is ignored.
@@ -220,7 +277,7 @@ func Random(sys *system.System, cfg RunConfig, seed int64, steps int) (RunResult
 	}
 	res := RunResult{}
 	for step := 0; step < steps; step++ {
-		if terminated(sys, st, cfg.Inputs) {
+		if r.terminated() {
 			res.Done = true
 			break
 		}
@@ -229,40 +286,30 @@ func Random(sys *system.System, cfg RunConfig, seed int64, steps int) (RunResult
 			p := pendingFailures[0]
 			pendingFailures = pendingFailures[1:]
 			if !failed[p] {
-				next, act, err := sys.Fail(st, p)
-				if err != nil {
+				if err := r.fail(p); err != nil {
 					return RunResult{}, err
 				}
 				failed[p] = true
-				st = next
-				exec = exec.Append(ioa.Step{Action: act, After: sys.Fingerprint(st)})
 			}
 			continue
 		}
 		var applicable []ioa.Task
 		for _, task := range sys.Tasks() {
-			if sys.Applicable(st, task) {
+			if sys.Applicable(r.st, task) {
 				applicable = append(applicable, task)
 			}
 		}
 		if len(applicable) == 0 {
 			break
 		}
-		task := applicable[rng.Intn(len(applicable))]
-		next, act, err := sys.Apply(st, task)
-		if err != nil {
+		if err := r.step(applicable[rng.Intn(len(applicable))]); err != nil {
 			return RunResult{}, err
 		}
-		st = next
-		exec = exec.Append(ioa.Step{HasTask: true, Task: task, Action: act, After: sys.Fingerprint(st)})
 	}
-	res.Exec = exec
-	res.Final = st
-	res.Decisions = sys.Decisions(st)
 	if !res.Done {
-		res.Done = terminated(sys, st, cfg.Inputs)
+		res.Done = r.terminated()
 	}
-	return res, nil
+	return r.result(res), nil
 }
 
 // RunBatch runs every configuration under the canonical fair schedule,
@@ -274,10 +321,10 @@ func Random(sys *system.System, cfg RunConfig, seed int64, steps int) (RunResult
 // error the first failing configuration's error (in input order) is
 // returned.
 //
-// RunBatch is a bulk-verification primitive: the per-step execution traces
-// are dropped (a batch of thousands of configurations would otherwise pin
-// every trace in memory at once). Run RoundRobin directly when Exec is
-// needed.
+// RunBatch is a bulk-verification primitive: its runs record no execution
+// trace (a batch of thousands of configurations would otherwise pin every
+// trace in memory at once), so Exec is empty. Run RoundRobin directly when
+// Exec is needed.
 func RunBatch(sys *system.System, cfgs []RunConfig, workers int) ([]RunResult, error) {
 	return RunBatchCtx(nil, sys, cfgs, workers)
 }
@@ -294,8 +341,7 @@ func RunBatchCtx(ctx context.Context, sys *system.System, cfgs []RunConfig, work
 			errs[i] = err
 			return
 		}
-		results[i], errs[i] = RoundRobin(sys, cfgs[i])
-		results[i].Exec = ioa.Execution{}
+		results[i], errs[i] = roundRobin(sys, cfgs[i], false)
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -269,7 +269,7 @@ type systemState = system.State
 
 func stateAfterInputs(t *testing.T, sys *system.System) system.State {
 	t.Helper()
-	st, err := applyInputs(sys, MonotoneAssignment(sys, 1))
+	st, err := ApplyInputs(sys, MonotoneAssignment(sys, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,12 +137,17 @@ func (o Options) lower() ([]boosting.Option, error) {
 	return opts, nil
 }
 
+// maxN bounds Request.N: the submit handler computes the cache key, which
+// grows with n², before queueing, and 2^17 is the largest refute safety
+// sweep the default 200 000-state budget admits.
+const maxN = 17
+
 // Request is one job submission.
 type Request struct {
 	// Protocol is a registry name (see boosting.Protocols).
 	Protocol string `json:"protocol"`
 	// N is the process count (group size for setboost), F the service
-	// resilience.
+	// resilience. N is at most maxN.
 	N int `json:"n"`
 	F int `json:"f"`
 	// Analysis selects the check: explore | classify | refute | refutekset.
@@ -182,6 +187,9 @@ func (r *Request) validate(defaults Options) (*boosting.Checker, error) {
 	}
 	if r.N < 1 {
 		return nil, &badRequestError{"n must be >= 1"}
+	}
+	if r.N > maxN {
+		return nil, &badRequestError{fmt.Sprintf("n must be <= %d", maxN)}
 	}
 	if r.F < 0 {
 		return nil, &badRequestError{"f must be >= 0"}
