@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc test race bench bench-quick bench-allocs bench-symmetry bench-adjacency test-spill test-server run-boostd lint vet analyze fmt-check fmt vuln apidiff-baseline apidiff
+.PHONY: all build loc test race fuzz bench bench-quick bench-allocs bench-symmetry bench-adjacency test-spill test-server run-boostd lint vet analyze fmt-check fmt vuln apidiff-baseline apidiff
 
 all: build lint test
 
@@ -48,6 +48,19 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentApply|TestConcurrentCellIndices|TestConcurrentActionNumbers|TestConcurrentCandidates' ./internal/system
 	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestHandlerPanicFailsTheBuild|TestRefuteParallelMatchesSerial|TestRunBatchMatchesSerial|TestRunPins|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
+
+# Native fuzzing: every Fuzz target in the module (outside third_party/)
+# for 20 s each — `go test -fuzz` takes one target of one package per
+# run. Inputs that widen coverage stay in the Go build cache; a failing
+# input is written to the package's testdata/fuzz/<Target>/, where
+# `make test` replays it beside the committed corpus.
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=third_party '^func Fuzz' . | sort); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "== $$t ($$(dirname $$f))"; \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 20s $$(dirname $$f); \
+		done; \
+	done
 
 # Benchmark smoke run: every benchmark once, no timing rigour. Use
 # `$(GO) test -bench=. -benchmem ./...` for real measurements.

@@ -1,7 +1,9 @@
 package boosting_test
 
-// Benchmarks, one per experiment row of EXPERIMENTS.md (E1–E21): they time
-// the machinery that regenerates each paper artifact. Run with
+// Engine benchmarks: the E22–E29 and E38 rows of EXPERIMENTS.md, selected by
+// `make bench-allocs`, `make bench-symmetry` and `make bench-adjacency`. The
+// paper-artifact rows (E1–E21 and the rest of the report) are checked by
+// `go test ./cmd/experiments`. Run with
 //
 //	go test -bench=. -benchmem
 
@@ -11,406 +13,13 @@ import (
 	"testing"
 
 	"github.com/ioa-lab/boosting"
-	"github.com/ioa-lab/boosting/internal/check"
-	"github.com/ioa-lab/boosting/internal/codec"
 	"github.com/ioa-lab/boosting/internal/explore"
 	"github.com/ioa-lab/boosting/internal/ioa"
-	"github.com/ioa-lab/boosting/internal/linearize"
 	"github.com/ioa-lab/boosting/internal/protocols"
-	"github.com/ioa-lab/boosting/internal/seqtype"
 	"github.com/ioa-lab/boosting/internal/service"
-	"github.com/ioa-lab/boosting/internal/servicetype"
 	"github.com/ioa-lab/boosting/internal/symmetry"
 	"github.com/ioa-lab/boosting/internal/system"
 )
-
-func mustForward(b *testing.B, n, f int, policy service.SilencePolicy) *system.System {
-	b.Helper()
-	sys, err := protocols.BuildForward(n, f, policy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sys
-}
-
-// BenchmarkCanonicalAtomicObject (E1) times one invoke→perform→output cycle
-// of the canonical atomic object of Fig. 1.
-func BenchmarkCanonicalAtomicObject(b *testing.B) {
-	obj, err := service.NewWaitFree("k",
-		servicetype.FromSequential(seqtype.BinaryConsensus()), []int{0, 1}, service.Adversarial)
-	if err != nil {
-		b.Fatal(err)
-	}
-	init := obj.InitialState()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, _ := obj.Invoke(init, 0, seqtype.Init("1"))
-		st, _, _ = obj.Apply(st, ioa.PerformTask("k", 0))
-		_, _, _ = obj.Apply(st, ioa.OutputTask("k", 0))
-	}
-}
-
-// BenchmarkApplicability (E2) times the Lemma 1 applicability scan over one
-// system state.
-func BenchmarkApplicability(b *testing.B) {
-	sys := mustForward(b, 3, 1, service.Adversarial)
-	st := sys.InitialState()
-	st, _, _ = sys.Init(st, 0, "0")
-	st, _, _ = sys.Apply(st, ioa.ProcessTask(0))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, task := range sys.Tasks() {
-			sys.Applicable(st, task)
-		}
-	}
-}
-
-// BenchmarkBivalentInit (E3) times the Lemma 4 classification (building
-// G(C) from all monotone initializations and computing valences).
-func BenchmarkBivalentInit(b *testing.B) {
-	sys := mustForward(b, 2, 0, service.Adversarial)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := explore.ClassifyInits(sys, explore.BuildOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHookSearch (E4) times the Fig. 3 construction on a prebuilt
-// graph.
-func BenchmarkHookSearch(b *testing.B) {
-	sys := mustForward(b, 2, 0, service.Adversarial)
-	c, err := explore.ClassifyInits(sys, explore.BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := explore.FindHook(c.Graph, c.Roots[c.BivalentIndex]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimilarity (E5) times the j-/k-similarity sweep over a pair of
-// states.
-func BenchmarkSimilarity(b *testing.B) {
-	sys := mustForward(b, 2, 0, service.Adversarial)
-	c, err := explore.ClassifyInits(sys, explore.BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs, err := explore.FindHook(c.Graph, c.Roots[c.BivalentIndex])
-	if err != nil || hs.Hook == nil {
-		b.Fatalf("hook: %v", err)
-	}
-	s0, _ := c.Graph.State(hs.Hook.Alpha0)
-	s1, _ := c.Graph.State(hs.Hook.Alpha1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		explore.SomeSimilarity(sys, s0, s1, explore.SimilarityOptions{})
-	}
-}
-
-// BenchmarkRefuteAtomic (E6) times the full Theorem 2 refutation of the
-// forward candidate.
-func BenchmarkRefuteAtomic(b *testing.B) {
-	sys := mustForward(b, 2, 0, service.Adversarial)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		report, err := explore.Refute(sys, 1, explore.RefuteOptions{})
-		if err != nil || !report.Violated() {
-			b.Fatalf("refutation failed: %v", err)
-		}
-	}
-}
-
-// BenchmarkSetBoost (E7) times one full run of the Section 4 construction.
-func BenchmarkSetBoost(b *testing.B) {
-	sys, err := protocols.BuildSetBoost(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs := map[int]string{0: "0", 1: "1", 2: "1", 3: "0"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := explore.RoundRobin(sys, explore.RunConfig{Inputs: inputs})
-		if err != nil || !res.Done {
-			b.Fatalf("run failed: %v", err)
-		}
-	}
-}
-
-// BenchmarkTOB (E8) times a three-broadcast totally-ordered-broadcast run
-// including the total-order check.
-func BenchmarkTOB(b *testing.B) {
-	sys, err := protocols.BuildTOBConsensus(3, 2, service.Adversarial)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs := map[int]string{0: "a", 1: "b", 2: "c"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := explore.RoundRobin(sys, explore.RunConfig{Inputs: inputs})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := check.TotalOrder(check.TOBDeliveries(res.Exec, "b0")); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRefuteOblivious (E9) times the Theorem 9 refutation of the TOB
-// candidate.
-func BenchmarkRefuteOblivious(b *testing.B) {
-	sys, err := protocols.BuildTOBConsensus(2, 0, service.Adversarial)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		report, err := explore.Refute(sys, 1, explore.RefuteOptions{})
-		if err != nil || !report.Violated() {
-			b.Fatalf("refutation failed: %v", err)
-		}
-	}
-}
-
-// BenchmarkPerfectFD (E10) times a suspect-collector run with one failure,
-// including the accuracy audit.
-func BenchmarkPerfectFD(b *testing.B) {
-	sys, err := protocols.BuildSuspectCollector(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := explore.RunConfig{
-		Inputs:    map[int]string{0: "x", 1: "x", 2: "x"},
-		Failures:  []explore.FailureEvent{{Round: 0, Proc: 1}},
-		MaxRounds: 50,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := explore.RoundRobin(sys, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := check.FDAccuracy(res.Exec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEventuallyPerfectFD (E11) times ◇P mode transitions and reports.
-func BenchmarkEventuallyPerfectFD(b *testing.B) {
-	u := servicetype.EventuallyPerfectFD([]int{0, 1, 2})
-	fs := codec.NewIntSet(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, mode := u.Delta2(servicetype.EvPerfectStabilizeTask, servicetype.ModeImperfect, fs)
-		u.Delta2("fd0", mode, fs)
-	}
-}
-
-// BenchmarkFDBoost (E12) times one full FD-boost consensus run with one
-// failure.
-func BenchmarkFDBoost(b *testing.B) {
-	sys, err := protocols.BuildFDBoost(3, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := explore.RunConfig{
-		Inputs:   map[int]string{0: "1", 1: "0", 2: "1"},
-		Failures: []explore.FailureEvent{{Round: 0, Proc: 1}},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := explore.RoundRobin(sys, cfg)
-		if err != nil || !res.Done {
-			b.Fatalf("run failed: done=%v err=%v", res.Done, err)
-		}
-	}
-}
-
-// BenchmarkRefuteGeneral (E13) times the Theorem 10 refutation of FloodSet
-// over a weak all-connected perfect detector.
-func BenchmarkRefuteGeneral(b *testing.B) {
-	sys, err := protocols.BuildFloodSetWithP(3, 0, 2, service.Adversarial)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		report, err := explore.Refute(sys, 1, explore.RefuteOptions{SkipGraphAnalysis: true, MaxRounds: 500})
-		if err != nil || !report.Violated() {
-			b.Fatalf("refutation failed: %v", err)
-		}
-	}
-}
-
-// BenchmarkCanonicalConsensus (E14) times a Theorem 11 scenario: a fair run
-// of the canonical consensus object with one failure, plus the three
-// condition checks.
-func BenchmarkCanonicalConsensus(b *testing.B) {
-	sys := mustForward(b, 3, 1, service.Adversarial)
-	inputs := map[int]string{0: "1", 1: "0", 2: "0"}
-	cfg := explore.RunConfig{
-		Inputs:   inputs,
-		Failures: []explore.FailureEvent{{Round: 0, Proc: 2}},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := explore.RoundRobin(sys, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run := check.ConsensusRun{Inputs: inputs, Failed: []int{2}, Decisions: res.Decisions, Done: res.Done}
-		if err := check.Consensus(run); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKSetType (E15) times k-set-consensus δ applications.
-func BenchmarkKSetType(b *testing.B) {
-	ty := seqtype.KSetConsensus(2, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		val := ty.Initials[0]
-		for v := 0; v < 4; v++ {
-			r, err := ty.ApplyOne(seqtype.Init(itoa(v)), val)
-			if err != nil {
-				b.Fatal(err)
-			}
-			val = r.NewVal
-		}
-	}
-}
-
-func itoa(v int) string {
-	return string(rune('0' + v))
-}
-
-// BenchmarkLinearizability (E16) times history extraction + Wing–Gong check
-// on a random-schedule execution.
-func BenchmarkLinearizability(b *testing.B) {
-	sys := mustForward(b, 3, 2, service.Adversarial)
-	res, err := explore.Random(sys, explore.RunConfig{
-		Inputs: map[int]string{0: "0", 1: "1", 2: "1"},
-	}, 7, 4000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	types := map[string]*seqtype.Type{"k0": seqtype.BinaryConsensus()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := linearize.CheckExecution(res.Exec, types); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRefuteRegisterVote (E17) times the exhaustive safety sweep that
-// catches the naive register-only candidate.
-func BenchmarkRefuteRegisterVote(b *testing.B) {
-	sys, err := protocols.BuildRegisterVote(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		report, err := explore.Refute(sys, 1, explore.RefuteOptions{})
-		if err != nil || !report.Violated() {
-			b.Fatalf("refutation failed: %v", err)
-		}
-	}
-}
-
-// BenchmarkRefuteSetBoostAsConsensus (E18) times the boundary cross-check.
-func BenchmarkRefuteSetBoostAsConsensus(b *testing.B) {
-	sys, err := protocols.BuildSetBoost(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		report, err := explore.Refute(sys, 1, explore.RefuteOptions{})
-		if err != nil || !report.Violated() {
-			b.Fatalf("refutation failed: %v", err)
-		}
-	}
-}
-
-// BenchmarkHookOnTOB (E19) times graph construction + hook search on the
-// failure-oblivious candidate.
-func BenchmarkHookOnTOB(b *testing.B) {
-	sys, err := protocols.BuildTOBConsensus(2, 0, service.Adversarial)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := explore.ClassifyInits(sys, explore.BuildOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := explore.FindHook(c.Graph, c.Roots[c.BivalentIndex]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGraphGrowth reports how G(C) scales with process count for the
-// forward candidate (the exhaustive analyses' cost driver).
-func BenchmarkGraphGrowth(b *testing.B) {
-	for _, n := range []int{2, 3} {
-		b.Run("n="+itoa(n), func(b *testing.B) {
-			sys := mustForward(b, n, 0, service.Adversarial)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c, err := explore.ClassifyInits(sys, explore.BuildOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(c.Graph.Size()), "states")
-			}
-		})
-	}
-}
-
-// BenchmarkSilencePolicyAblation compares refutation work across the two
-// silence policies (E6 vs E6b): the benign object survives, so its phase-3
-// scenarios run to completion instead of stopping at the first certificate.
-func BenchmarkSilencePolicyAblation(b *testing.B) {
-	for _, policy := range []service.SilencePolicy{service.Adversarial, service.Benign} {
-		b.Run(policy.String(), func(b *testing.B) {
-			sys := mustForward(b, 2, 0, policy)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := explore.Refute(sys, 1, explore.RefuteOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRefuteKSet (E20) times the k-set refuter on the set-boost system
-// at its genuine claim (k = 2, wait-free).
-func BenchmarkRefuteKSet(b *testing.B) {
-	sys, err := protocols.BuildSetBoost(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		report, err := explore.RefuteKSet(sys, 2, 3, explore.RefuteOptions{})
-		if err != nil || report.Violated() {
-			b.Fatalf("k-set refuter: %v", err)
-		}
-	}
-}
 
 // BenchmarkBuildGraph (E22) runs the level loop on the two largest completing
 // seed systems — the 4-process forward candidate (2486-vertex G(C)) and the
@@ -536,7 +145,10 @@ func BenchmarkRunBatchWorkers(b *testing.B) {
 // state's interned cells (E32) and must stay at 0 allocs/op, "reencode" runs
 // the component encoders the way every successor did before interning.
 func BenchmarkFingerprint(b *testing.B) {
-	sys := mustForward(b, 3, 1, service.Adversarial)
+	sys, err := protocols.BuildForward(3, 1, service.Adversarial)
+	if err != nil {
+		b.Fatal(err)
+	}
 	st := sys.InitialState()
 	st, _, _ = sys.Init(st, 0, "0")
 	st, _, _ = sys.Init(st, 1, "1")
@@ -683,22 +295,6 @@ func BenchmarkSpillAdjacency(b *testing.B) {
 	bench("forward-n5/dense")
 	bench("forward-n5/spill", boosting.WithSpillDir(b.TempDir()))
 	bench("forward-n5/spill-nowitness", boosting.WithSpillDir(b.TempDir()), boosting.WithoutWitnesses())
-}
-
-// BenchmarkFairnessAudit (E21) times the post-hoc fairness audit of a fair
-// run.
-func BenchmarkFairnessAudit(b *testing.B) {
-	sys := mustForward(b, 2, 1, service.Adversarial)
-	res, err := explore.RoundRobin(sys, explore.RunConfig{Inputs: map[int]string{0: "0", 1: "1"}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := explore.AuditFairness(sys, res.Exec, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkStoreBackends (E26, E38) measures the dense store on the

@@ -3,6 +3,7 @@ package codec
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -293,4 +294,32 @@ func TestParseSetCanonical(t *testing.T) {
 			t.Errorf("ParseSetCanonical(%q) = %v, want ErrMalformed", bad, err)
 		}
 	}
+}
+
+// FuzzParseSeq bashes the list and set decoders: neither may panic, and
+// what one accepts re-encodes to an input it parses back to the same items
+// (for a set, the same sorted, deduplicated members).
+func FuzzParseSeq(f *testing.F) {
+	f.Add("[]")
+	f.Add("{}")
+	f.Add("[1:a0:3:b:c]")
+	f.Add("{1:b1:a1:b}") // unsorted, repeated members
+	f.Add("[1:a")        // unterminated
+	f.Add("{2:a}")       // truncated atom
+	f.Add("[1:a]x")      // trailing input
+	f.Add("[[]]")
+	f.Fuzz(func(t *testing.T, s string) {
+		if items, err := ParseList(s); err == nil {
+			back, err := ParseList(List(items))
+			if err != nil || !reflect.DeepEqual(back, items) {
+				t.Fatalf("ParseList(%q) = %q; its re-encoding parses to %q, %v", s, items, back, err)
+			}
+		}
+		if items, err := ParseSet(s); err == nil {
+			back, err := ParseSet(Set(items))
+			if want := slices.Compact(slices.Sorted(slices.Values(items))); err != nil || !slices.Equal(back, want) {
+				t.Fatalf("ParseSet(%q) = %q; its re-encoding parses to %q, %v; want %q", s, items, back, err, want)
+			}
+		}
+	})
 }

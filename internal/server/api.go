@@ -37,8 +37,10 @@ type Options struct {
 	NoWitness bool   `json:"nowitness,omitempty"`
 	Symmetry  bool   `json:"symmetry,omitempty"`
 	NoGraph   bool   `json:"nograph,omitempty"`
-	Rounds    int    `json:"rounds,omitempty"`
-	MaxRounds int    `json:"maxRounds,omitempty"`
+	// Rounds is the round count of the round-based families (at most maxN:
+	// FloodSet needs at most f+1 <= n rounds).
+	Rounds    int `json:"rounds,omitempty"`
+	MaxRounds int `json:"maxRounds,omitempty"`
 	// Policy is the silence policy: "" or "adversarial" (default), "benign".
 	Policy string `json:"policy,omitempty"`
 }
@@ -139,7 +141,9 @@ func (o Options) lower() ([]boosting.Option, error) {
 
 // maxN bounds Request.N: the submit handler computes the cache key, which
 // grows with n², before queueing, and 2^17 is the largest refute safety
-// sweep the default 200 000-state budget admits.
+// sweep the default 200 000-state budget admits. It bounds Options.Rounds
+// too: the handler builds the candidate, and the round-based families
+// compose n × rounds register services.
 const maxN = 17
 
 // Request is one job submission.
@@ -208,6 +212,9 @@ func (r *Request) validate(defaults Options) (*boosting.Checker, error) {
 		return nil, &badRequestError{fmt.Sprintf("unknown analysis %q (have: explore, classify, refute, refutekset)", r.Analysis)}
 	}
 	r.Options = r.Options.merge(defaults)
+	if r.Options.Rounds > maxN {
+		return nil, &badRequestError{fmt.Sprintf("rounds must be <= %d", maxN)}
+	}
 	opts, err := r.Options.lower()
 	if err != nil {
 		return nil, &badRequestError{err.Error()}
@@ -292,7 +299,8 @@ func (e *conflictRequestError) Error() string { return e.err.Error() }
 // rejections): a stable kind plus the kind-specific fields.
 type ErrorPayload struct {
 	// Kind is one of "limit", "conflict", "cancelled", "bad-request",
-	// "internal".
+	// "internal"; submissions are also refused with "draining" (503) and
+	// "queue-full" (429).
 	Kind    string `json:"kind"`
 	Message string `json:"message"`
 	// Limit/Explored are set for kind "limit": the state budget and the

@@ -76,8 +76,9 @@ func newResultCache(max int) *resultCache {
 // submit resolves a cache key under single-flight: an existing entry
 // returns its job (hit when finished, inflight otherwise); a miss runs mk
 // to create the job and inserts it before releasing the lock, so N
-// concurrent identical submissions produce exactly one exploration.
-func (c *resultCache) submit(key string, mk func() *Job) (*Job, CacheState) {
+// concurrent identical submissions produce exactly one exploration. When mk
+// fails, nothing is inserted or counted and its error is returned.
+func (c *resultCache) submit(key string, mk func() (*Job, error)) (*Job, CacheState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
@@ -85,16 +86,19 @@ func (c *resultCache) submit(key string, mk func() *Job) (*Job, CacheState) {
 		c.lru.MoveToFront(el)
 		if terminal(e.job.Status()) {
 			c.hits++
-			return e.job, CacheHit
+			return e.job, CacheHit, nil
 		}
 		c.joined++
-		return e.job, CacheInflight
+		return e.job, CacheInflight, nil
+	}
+	j, err := mk()
+	if err != nil {
+		return nil, "", err
 	}
 	c.misses++
-	j := mk()
 	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, job: j})
 	c.evictLocked()
-	return j, CacheMiss
+	return j, CacheMiss, nil
 }
 
 // evictLocked drops least-recently-used finished entries beyond the bound.

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 
 	"github.com/ioa-lab/boosting"
@@ -61,6 +62,12 @@ func writeError(w http.ResponseWriter, err error) {
 		})
 		return
 	}
+	if errors.Is(err, errQueueFull) {
+		writeJSON(w, http.StatusTooManyRequests, map[string]*ErrorPayload{
+			"error": {Kind: "queue-full", Message: err.Error()},
+		})
+		return
+	}
 	writeJSON(w, http.StatusInternalServerError, map[string]*ErrorPayload{
 		"error": {Kind: "internal", Message: err.Error()},
 	})
@@ -78,15 +85,25 @@ type SubmitResponse struct {
 // orders of magnitude above any valid body.
 const maxRequestBytes = 1 << 20
 
+// decodeRequest reads one job submission: a field the Request does not
+// define is refused, and every failure is a bad request.
+func decodeRequest(body io.Reader) (Request, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var req Request
+	if err := dec.Decode(&req); err != nil {
+		return Request{}, &badRequestError{"malformed request: " + err.Error()}
+	}
+	return req, nil
+}
+
 // handleSubmit validates and enqueues (or cache-resolves) a job. A body over
 // maxRequestBytes fails the decode and is answered like any other malformed
 // request.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, &badRequestError{"malformed request: " + err.Error()})
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	j, state, err := s.submit(req)

@@ -67,7 +67,7 @@ type Server struct {
 const defaultCacheSize = 1024
 
 // queueCap bounds the submission queue; submissions beyond it are rejected
-// with 503 rather than blocking the HTTP handler.
+// with 429 rather than blocking the HTTP handler.
 const queueCap = 1024
 
 // New builds a Server and starts its worker pool.
@@ -101,25 +101,28 @@ func (s *Server) worker() {
 	}
 }
 
-// enqueue hands a job to the pool. It reports false when the server is
-// draining or the queue is full.
-func (s *Server) enqueue(j *Job) bool {
+// enqueue builds a job with mk and hands it to the pool, or, without
+// calling mk, answers errDraining once Shutdown closed the queue and
+// errQueueFull when it has no room. Every send happens under queueMu and
+// workers only receive, so room seen here is still there at the send.
+func (s *Server) enqueue(mk func() *Job) (*Job, error) {
 	s.queueMu.Lock()
 	defer s.queueMu.Unlock()
 	if s.closed {
-		return false
+		return nil, errDraining
 	}
-	select {
-	case s.queue <- j:
-		return true
-	default:
-		return false
+	if len(s.queue) == cap(s.queue) {
+		return nil, errQueueFull
 	}
+	j := mk()
+	s.queue <- j
+	return j, nil
 }
 
 // submit validates a request, resolves it against the result cache and, on
 // a miss, queues a fresh job. The returned job is shared on hits and
-// single-flight joins.
+// single-flight joins. A miss the queue cannot take registers no job and
+// counts nothing, so a later resubmission is a fresh miss.
 func (s *Server) submit(req Request) (*Job, CacheState, error) {
 	if s.draining.Load() {
 		return nil, "", errDraining
@@ -132,39 +135,38 @@ func (s *Server) submit(req Request) (*Job, CacheState, error) {
 	if err != nil {
 		return nil, "", &badRequestError{err.Error()}
 	}
-	var fresh *Job
-	j, state := s.cache.submit(key, func() *Job {
-		fresh = s.jobs.add(req)
-		fresh.cacheKey = key
+	fresh := func() *Job {
+		j := s.jobs.add(req)
+		j.cacheKey = key
 		if s.deltaEligible(&req) {
 			// Durable tier: the job commits (or reopens) its graph under
 			// the root, and a committed policy-variant — same delta key,
 			// different exact key — is reopened in place of a build. All
 			// fields are set here, before the job is visible to any worker.
-			fresh.graphDir = s.graphDirFor(key)
-			fresh.deltaKey = req.deltaKey()
-			if e, ok := s.graphs.lookup(fresh.deltaKey); ok && e.exactKey != key {
-				fresh.deltaDir = e.dir
+			j.graphDir = s.graphDirFor(key)
+			j.deltaKey = req.deltaKey()
+			if e, ok := s.graphs.lookup(j.deltaKey); ok && e.exactKey != key {
+				j.deltaDir = e.dir
 			}
 		}
-		return fresh
-	})
-	if state == CacheMiss && fresh != nil && fresh.deltaDir != "" {
+		return j
+	}
+	j, state, err := s.cache.submit(key, func() (*Job, error) { return s.enqueue(fresh) })
+	if err != nil {
+		return nil, "", err
+	}
+	if state == CacheMiss && j.deltaDir != "" {
 		state = CacheDelta
 		s.deltaHits.Add(1)
-	}
-	if state == CacheMiss || state == CacheDelta {
-		if !s.enqueue(fresh) {
-			fresh.finish(StatusCancelled, nil, errorPayload(fmt.Errorf("%w: server draining or queue full", errCancelled)))
-			s.cache.settle(key, StatusCancelled, nil)
-			return nil, "", errDraining
-		}
 	}
 	return j, state, nil
 }
 
-// errDraining maps to HTTP 503.
-var errDraining = errors.New("server is draining; not accepting jobs")
+// errDraining maps to HTTP 503, errQueueFull to 429.
+var (
+	errDraining  = errors.New("server is draining; not accepting jobs")
+	errQueueFull = errors.New("job queue is full; retry later")
+)
 
 // run executes one job on a pool worker: bridge progress into the job's
 // history, run the analysis under the job's context, close every graph the

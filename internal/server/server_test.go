@@ -104,6 +104,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown analysis", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "prove"}`, http.StatusBadRequest},
 		{"bad n", `{"protocol": "forward", "n": 0, "f": 0, "analysis": "classify"}`, http.StatusBadRequest},
 		{"n above the bound", `{"protocol": "forward", "n": 18, "f": 0, "analysis": "classify"}`, http.StatusBadRequest},
+		{"rounds above the bound", `{"protocol": "fdboost", "n": 3, "f": 0, "analysis": "refute", "claimed": 1, "options": {"rounds": 18}}`, http.StatusBadRequest},
 		{"refute without claim", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "refute"}`, http.StatusBadRequest},
 		{"refutekset without k", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "refutekset", "claimed": 1}`, http.StatusBadRequest},
 		{"removed option shards", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"shards": 4}}`, http.StatusBadRequest},

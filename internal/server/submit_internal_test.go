@@ -1,0 +1,167 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/ioa-lab/boosting"
+)
+
+// post submits body and decodes the answer: the acknowledgement on 2xx, the
+// error payload otherwise.
+func post(t *testing.T, ts *httptest.Server, body string) (int, SubmitResponse, *ErrorPayload) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ack SubmitResponse
+	var rejected map[string]*ErrorPayload
+	if resp.StatusCode/100 == 2 {
+		err = json.NewDecoder(resp.Body).Decode(&ack)
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(&rejected)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, ack, rejected["error"]
+}
+
+// waitDone waits for a job to finish and requires it done.
+func waitDone(t *testing.T, j *Job) {
+	t.Helper()
+	select {
+	case <-j.done:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("job %s stuck in %s", j.ID, j.Status())
+	}
+	if st := j.Status(); st != StatusDone {
+		t.Fatalf("job %s ended %s", j.ID, st)
+	}
+}
+
+// TestQueueFull: a submission the full queue cannot take is answered 429
+// queue-full. It registers no job and counts neither a miss nor a delta hit,
+// although its body would be a delta-tier hit. Once the queue drains, the
+// same body is a fresh submission that runs.
+func TestQueueFull(t *testing.T) {
+	srv := New(Config{Pool: 1, GraphRoot: t.TempDir()})
+	ts := httptest.NewServer(srv)
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(func() {
+		releaseOnce()
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	const adversarial = `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify"}`
+	const benign = `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"policy": "benign"}}`
+
+	// Commit the adversarial graph, so the benign body is a delta hit.
+	code, ack, _ := post(t, ts, adversarial)
+	if code != http.StatusAccepted {
+		t.Fatalf("adversarial: status %d", code)
+	}
+	committed, _ := srv.jobs.get(ack.ID)
+	waitDone(t, committed)
+
+	// Hold the only worker inside a running job, then fill the queue with
+	// jobs cancelled while queued (the worker skips them).
+	reached := make(chan struct{})
+	var held sync.Once
+	srv.progressHook = func(boosting.Progress) {
+		held.Do(func() {
+			close(reached)
+			<-release
+		})
+	}
+	code, ack, _ = post(t, ts, `{"protocol": "tob", "n": 2, "f": 0, "analysis": "classify"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("holder: status %d", code)
+	}
+	holder, _ := srv.jobs.get(ack.ID)
+	<-reached
+	for len(srv.queue) < cap(srv.queue) {
+		filler := newJob("filler", Request{})
+		filler.finish(StatusCancelled, nil, nil)
+		srv.queue <- filler
+	}
+
+	code, _, payload := post(t, ts, benign)
+	if code != http.StatusTooManyRequests || payload == nil || payload.Kind != "queue-full" {
+		t.Fatalf("full queue: status %d, error %+v; want 429 queue-full", code, payload)
+	}
+	if n := len(srv.jobs.all()); n != 2 {
+		t.Errorf("%d jobs listed after the rejection, want 2", n)
+	}
+	if st := srv.CacheStats(); st.Misses != 2 || st.DeltaHits != 0 {
+		t.Errorf("stats after the rejection: %+v, want 2 misses, 0 delta hits", st)
+	}
+
+	releaseOnce()
+	waitDone(t, holder)
+	// The holder is done before the worker takes the next job; wait until it
+	// has skipped the cancelled fillers.
+	timeout := time.After(60 * time.Second)
+	for len(srv.queue) > 0 {
+		select {
+		case <-timeout:
+			t.Fatalf("%d fillers still queued", len(srv.queue))
+		case <-time.After(time.Millisecond):
+		}
+	}
+	code, ack, _ = post(t, ts, benign)
+	if code != http.StatusAccepted || ack.Cached != CacheDelta {
+		t.Fatalf("resubmission: status %d, cached %q; want 202 delta", code, ack.Cached)
+	}
+	resubmitted, _ := srv.jobs.get(ack.ID)
+	waitDone(t, resubmitted)
+	if st := srv.CacheStats(); st.Misses != 3 || st.DeltaHits != 1 {
+		t.Errorf("stats after the resubmission: %+v, want 3 misses, 1 delta hit", st)
+	}
+}
+
+// FuzzSubmitRequest feeds arbitrary bodies through what POST /v1/jobs does
+// before queueing — decode, validate, cacheKey. Nothing may panic, every
+// rejection is a bad request or a conflict (400 or 422), and a request that
+// validates has a cache key.
+func FuzzSubmitRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"protocol": "fdboost", "n": 17, "f": 0, "analysis": "classify", "options": {"rounds": 18}}`,
+		`{"protocol": "forward", "n": 18, "f": 0, "analysis": "classify"}`,
+		`{"protocol": "forward", "n": 3, "f": 0, "analysis": "explore", "inputs": {"0": "1", "2": "0"}, "options": {"symmetry": true}}`,
+		`{"protocol": "setboost", "n": 2, "f": 0, "analysis": "refutekset", "claimed": 3, "k": 2}`,
+		`{"protocol": "forward", "n": 3, "f": 0, "analysis": "refute", "claimed": 1, "options": {"nowitness": true}}`,
+		`{"protocol": "floodset-p", "n": 3, "f": 0, "analysis": "refute", "claimed": 1, "options": {"rounds": 2, "maxRounds": 500, "policy": "benign"}}`,
+		`{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"store": "dense", "spilldir": "x"}}`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		req, err := decodeRequest(strings.NewReader(body))
+		if err == nil {
+			var chk *boosting.Checker
+			if chk, err = req.validate(Options{}); err == nil {
+				if _, err := req.cacheKey(chk); err != nil {
+					t.Fatalf("validated request has no cache key: %v", err)
+				}
+				return
+			}
+		}
+		switch err.(type) {
+		case *badRequestError, *conflictRequestError:
+		default:
+			t.Fatalf("rejection %T (%v) is not a 4xx", err, err)
+		}
+	})
+}
