@@ -47,7 +47,7 @@ loc:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentApply|TestConcurrentCellIndices|TestConcurrentActionNumbers|TestConcurrentCandidates' ./internal/system
-	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestHandlerPanicFailsTheBuild|TestRefuteParallelMatchesSerial|TestRunBatchMatchesSerial|TestRunPins|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical' ./internal/explore ./internal/symmetry
+	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestHandlerPanicFailsTheBuild|TestRefuteParallelMatchesSerial|TestRunBatchMatchesSerial|TestRunPins|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical|TestWitnessPathConcurrent' ./internal/explore ./internal/symmetry
 
 # Native fuzzing: every Fuzz target in the module (outside third_party/)
 # for 20 s each — `go test -fuzz` takes one target of one package per
@@ -77,8 +77,8 @@ bench-quick:
 # Allocation accounting for the exploration stack: the E22–E24 engine
 # comparisons, the E25 fingerprint-encoder comparison, the E26/E38 dense
 # store rows (forward n=4/5/6, retained bytes per state), the E27 symmetry
-# reduction (quotient vs full graph) and the E29 spilled adjacency (edge
-# file + witness-free builds, on the exhaustive forward n=5 build), with
+# reduction (quotient vs full graph) and the E29 spilled adjacency (the
+# edge file against dense, on the exhaustive forward n=5 build), with
 # -benchmem.
 # E22 carries one row per system — tob n=2, forward n=4 and n=5,
 # registervote n=2 and the forward n=6 quotient — plus forward-n5-cold (a
@@ -112,8 +112,8 @@ bench-symmetry:
 	$(GO) test -bench 'BenchmarkEnumerated' -benchmem -benchtime=5x -run '^$$' ./internal/symmetry
 
 # The E29 rows on their own: the spilled adjacency (delta-varint edge
-# blocks on disk) against dense, with and without witness predecessor
-# links — retained bytes/state, edge-file bytes/edge, edge-block reads.
+# blocks on disk) against dense — retained bytes/state, edge-file
+# bytes/edge, edge-block reads.
 bench-adjacency:
 	$(GO) test -bench 'BenchmarkSpillAdjacency' -benchmem -benchtime=2x -run '^$$' .
 

@@ -246,10 +246,9 @@ func BenchmarkSymmetry(b *testing.B) {
 
 // BenchmarkSpillAdjacency (E29) measures the spilled-adjacency redesign on
 // the exhaustive forward n=5 build (14754 states / 103926 edges): dense as
-// the reference, spill with edges delta-varint encoded in the edge file,
-// and spill with the witness links dropped on top (WithoutWitnesses) — the
-// configuration that carries exhaustive forward n=6 and registervote n=3
-// under the 64 MiB ceiling (see cmd/experiments, e29). The retained probe
+// the reference, and spill with edges delta-varint encoded in the edge
+// file — the configuration that carries exhaustive forward n=6 and
+// registervote n=3 under the 64 MiB ceiling (see cmd/experiments, e29). The retained probe
 // is the live heap the finished graph keeps; edgeB/edge is the on-disk
 // encoding density of the adjacency blocks.
 func BenchmarkSpillAdjacency(b *testing.B) {
@@ -294,7 +293,6 @@ func BenchmarkSpillAdjacency(b *testing.B) {
 	}
 	bench("forward-n5/dense")
 	bench("forward-n5/spill", boosting.WithSpillDir(b.TempDir()))
-	bench("forward-n5/spill-nowitness", boosting.WithSpillDir(b.TempDir()), boosting.WithoutWitnesses())
 }
 
 // BenchmarkStoreBackends (E26, E38) measures the dense store on the

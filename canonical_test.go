@@ -31,7 +31,6 @@ func TestCanonicalFingerprintStable(t *testing.T) {
 		mustChecker(t, "forward", 3, 0, boosting.WithWorkers(4)),
 		mustChecker(t, "forward", 3, 0, boosting.WithStore(boosting.SpillStore)),
 		mustChecker(t, "forward", 3, 0, boosting.WithSymmetry()),
-		mustChecker(t, "forward", 3, 0, boosting.WithoutWitnesses()),
 	}
 	for i, chk := range variants {
 		if got := chk.CanonicalFingerprint(); !bytes.Equal(got, base) {

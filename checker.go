@@ -92,9 +92,9 @@ func (c *Checker) OpenGraph(dir string) (*Graph, error) {
 // failure-free executions only, so the two candidates' graphs are the same
 // graph (TestPolicyVariantGraphIdentical). For any other difference the
 // answer is the builder's, not this one's. Beyond OpenGraph's validation,
-// the symmetry flag must match WithSymmetry, witness links must be there
-// unless WithoutWitnesses is set, and this candidate's monotone roots must
-// be the graph's roots, in order; failures are typed *ManifestError values.
+// the symmetry flag must match WithSymmetry, and this candidate's monotone
+// roots must be the graph's roots, in order; failures are typed
+// *ManifestError values.
 // Close the result.
 func (c *Checker) ClassifyReopened(dir string) (*InitClassification, error) {
 	return explore.ClassifyReopened(c.sys, dir, c.cfg.buildOptions())
@@ -103,17 +103,8 @@ func (c *Checker) ClassifyReopened(dir string) (*InitClassification, error) {
 // FindHook runs the Fig. 3 round-robin construction from a bivalent vertex
 // of g (typically a bivalent root from ClassifyInits), yielding a hook or a
 // divergence certificate. It honors the Checker's WithContext: a cancelled
-// context stops the construction mid-scan. Divergence certificates embed
-// witness executions, so a Checker configured WithoutWitnesses returns a
-// *ConflictError.
+// context stops the construction mid-scan.
 func (c *Checker) FindHook(g *Graph, root StateID) (HookSearchResult, error) {
-	if c.cfg.noWitnesses {
-		return HookSearchResult{}, &ConflictError{
-			Option: "WithoutWitnesses()",
-			With:   "FindHook",
-			Reason: "divergence certificates reconstruct witness executions from the dropped predecessor links",
-		}
-	}
 	return explore.FindHookCtx(c.cfg.ctx, g, root)
 }
 
@@ -121,14 +112,8 @@ func (c *Checker) FindHook(g *Graph, root StateID) (HookSearchResult, error) {
 // process failures: the exhaustive failure-free safety sweep, the Lemma 4
 // classification, the Fig. 3 hook search, and the failure scenarios of the
 // impossibility proofs. For registry families with infinite failure-free
-// graphs the graph phases are skipped automatically. The graph phases
-// build witness certificates, so a Checker configured WithoutWitnesses
-// returns a *ConflictError unless those phases are skipped
-// (WithoutGraphAnalysis or a SkipsGraphAnalysis family).
+// graphs the graph phases are skipped automatically.
 func (c *Checker) Refute(claimed int) (*Report, error) {
-	if err := c.witnessConflict("Refute"); err != nil {
-		return nil, err
-	}
 	if err := c.durableConflict("Refute"); err != nil {
 		return nil, err
 	}
@@ -136,12 +121,8 @@ func (c *Checker) Refute(claimed int) (*Report, error) {
 }
 
 // RefuteKSet is the k-set-consensus refuter: at most k distinct decisions
-// instead of full agreement (Section 4's boundary). Like Refute, it
-// rejects WithoutWitnesses unless the graph phases are skipped.
+// instead of full agreement (Section 4's boundary).
 func (c *Checker) RefuteKSet(k, claimed int) (*Report, error) {
-	if err := c.witnessConflict("RefuteKSet"); err != nil {
-		return nil, err
-	}
 	if err := c.durableConflict("RefuteKSet"); err != nil {
 		return nil, err
 	}
@@ -163,22 +144,6 @@ func (c *Checker) durableConflict(method string) error {
 		Option: "WithGraphDir(" + c.cfg.graphDir + ")",
 		With:   method,
 		Reason: "a durable graph directory holds exactly one committed graph; refutations build several — use ClassifyInits or Explore with durable storage",
-	}
-}
-
-// witnessConflict rejects witness-producing refutations on a Checker
-// configured WithoutWitnesses: the safety sweep's certificates embed
-// witness paths, and the hook search embeds witness executions. With the
-// graph phases skipped the refuter never touches either, so the
-// combination is fine.
-func (c *Checker) witnessConflict(method string) error {
-	if !c.cfg.noWitnesses || c.skipGraph {
-		return nil
-	}
-	return &ConflictError{
-		Option: "WithoutWitnesses()",
-		With:   method,
-		Reason: "safety-sweep certificates and hook search reconstruct witness executions from the dropped predecessor links (skip the graph phases with WithoutGraphAnalysis to combine)",
 	}
 }
 

@@ -186,13 +186,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(os.Stderr, "experiments: -symmetry ignored — artifact rows reproduce the concrete G(C); E27 measures the quotient explicitly")
 		common.Symmetry = false
 	}
-	// The artifact rows extract witness executions (hooks, certificates),
-	// so dropping the predecessor links would fail most of them; E29
-	// measures the witness-free configuration explicitly.
-	if common.NoWitness {
-		fmt.Fprintln(os.Stderr, "experiments: -nowitness ignored — artifact rows reconstruct witness executions; E29 measures the witness-free configuration explicitly")
-		common.NoWitness = false
-	}
 	// One durable directory holds exactly one graph, and the artifact rows
 	// build many; E31 drives the durable commit + reopen explicitly, in a
 	// directory of its own.
@@ -680,9 +673,8 @@ func e27SymmetryReduction(o rowOpts) (string, bool, error) {
 // spill file, read back through the EdgesFrom iterator. The quotient
 // forward n=6 build is checked per-vertex (fingerprints, valences, edges)
 // against the dense backend; then the exhaustive frontiers the redesign
-// opened: unreduced forward n=6, and registervote n=3 under symmetry with
-// witness links dropped — the largest build, whose resident footprint is
-// the vertex store alone. (The id matches the E29 benchmark row.)
+// opened: unreduced forward n=6, and registervote n=3 under symmetry — the
+// largest build, whose resident footprint is the vertex store alone. (The id matches the E29 benchmark row.)
 func e29SpillAdjacency(o rowOpts) (string, bool, error) {
 	_, want, err := o.classify("forward", 6, 0, boosting.WithStore(boosting.DenseStore), boosting.WithSymmetry())
 	if err != nil {
@@ -710,15 +702,15 @@ func e29SpillAdjacency(o rowOpts) (string, bool, error) {
 		identical = identical && j == len(we)
 	}
 	// The frontiers: exhaustive unreduced forward n=6, then the largest
-	// build — registervote n=3 on the quotient, witness links dropped.
+	// build — registervote n=3 on the quotient.
 	_, n6, err := o.classify("forward", 6, 0, boosting.WithSpillDir(o.spillDir),
-		boosting.WithoutWitnesses(), boosting.WithMaxStates(100_000))
+		boosting.WithMaxStates(100_000))
 	if err != nil {
 		return "", false, err
 	}
 	defer n6.Close()
 	_, rv3, err := o.classify("registervote", 3, 0, boosting.WithSpillDir(o.spillDir),
-		boosting.WithSymmetry(), boosting.WithoutWitnesses(), boosting.WithMaxStates(1_200_000))
+		boosting.WithSymmetry(), boosting.WithMaxStates(1_200_000))
 	if err != nil {
 		return "", false, err
 	}

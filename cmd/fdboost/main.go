@@ -7,15 +7,14 @@
 //
 //	fdboost -n 3
 //
-// fdboost shares the common exploration flags (-workers, -maxstates,
-// -store, -spilldir, -symmetry); -symmetry is accepted but a no-op here — the
-// detector-bearing families declare no symmetry group and the refuter
-// skips their graph phases anyway.
+// fdboost explores no graph: it runs every failure pattern as one batch, so
+// -workers is its one engine flag.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/ioa-lab/boosting"
@@ -23,29 +22,25 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "fdboost:", cliflags.Describe(err))
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fdboost", flag.ContinueOnError)
 	n := fs.Int("n", 3, "number of processes")
-	common := cliflags.Register(fs)
+	workers := cliflags.RegisterWorkers(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts, err := common.Options()
+	chk, err := boosting.New("fdboost", *n, 0, boosting.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
-	chk, err := boosting.New("fdboost", *n, 0, opts...)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Section 6.3 construction: %d processes, %d pairwise 1-resilient perfect FDs,\n", *n, (*n)*(*n-1)/2)
-	fmt.Printf("%d flooding registers. Claim: consensus tolerating any %d failures.\n\n", (*n)*(*n), *n-1)
+	fmt.Fprintf(out, "Section 6.3 construction: %d processes, %d pairwise 1-resilient perfect FDs,\n", *n, (*n)*(*n-1)/2)
+	fmt.Fprintf(out, "%d flooding registers. Claim: consensus tolerating any %d failures.\n\n", (*n)*(*n), *n-1)
 
 	inputs := map[int]string{}
 	for i := 0; i < *n; i++ {
@@ -83,9 +78,9 @@ func run(args []string) error {
 		if err := boosting.CheckConsensus(run); err != nil {
 			return fmt.Errorf("failure set %v: %w", sets[i], err)
 		}
-		fmt.Printf("  failed %-10v → decisions %v\n", sets[i], res.Decisions)
+		fmt.Fprintf(out, "  failed %-10v → decisions %v\n", sets[i], res.Decisions)
 	}
-	fmt.Printf("\nverified agreement, validity and termination under %d failure patterns\n", len(results))
-	fmt.Println("verdict: resilience BOOSTED — arbitrary connection patterns escape Theorem 10")
+	fmt.Fprintf(out, "\nverified agreement, validity and termination under %d failure patterns\n", len(results))
+	fmt.Fprintln(out, "verdict: resilience BOOSTED — arbitrary connection patterns escape Theorem 10")
 	return nil
 }

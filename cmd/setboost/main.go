@@ -5,12 +5,15 @@
 // Usage:
 //
 //	setboost -group 2
-//	setboost -group 2 -symmetry   # quotient exploration within each group
+//
+// setboost explores no graph: it runs every failure pattern as one batch, so
+// -workers is its one engine flag.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/ioa-lab/boosting"
@@ -18,31 +21,27 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "setboost:", cliflags.Describe(err))
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("setboost", flag.ContinueOnError)
 	group := fs.Int("group", 2, "group size n (total processes = 2n)")
-	common := cliflags.Register(fs)
+	workers := cliflags.RegisterWorkers(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts, err := common.Options()
-	if err != nil {
-		return err
-	}
 	n := *group
-	chk, err := boosting.New("setboost", n, 0, opts...)
+	chk, err := boosting.New("setboost", n, 0, boosting.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
 	total := 2 * n
-	fmt.Printf("Section 4 construction: %d processes, two wait-free %d-process consensus services.\n", total, n)
-	fmt.Printf("Claim: wait-free (%d-resilient) 2-set consensus.\n\n", total-1)
+	fmt.Fprintf(out, "Section 4 construction: %d processes, two wait-free %d-process consensus services.\n", total, n)
+	fmt.Fprintf(out, "Claim: wait-free (%d-resilient) 2-set consensus.\n\n", total-1)
 
 	inputs := map[int]string{}
 	for i := 0; i < total; i++ {
@@ -81,7 +80,7 @@ func run(args []string) error {
 			return fmt.Errorf("failure set %v: %w", sets[i], err)
 		}
 	}
-	fmt.Printf("verified k-agreement, validity and termination under %d failure patterns\n", len(results))
-	fmt.Println("verdict: resilience BOOSTED — 2-set consensus escapes the impossibility")
+	fmt.Fprintf(out, "verified k-agreement, validity and termination under %d failure patterns\n", len(results))
+	fmt.Fprintln(out, "verdict: resilience BOOSTED — 2-set consensus escapes the impossibility")
 	return nil
 }

@@ -1,7 +1,8 @@
 // Package cliflags is the shared flag block of the cmd/* binaries: every
-// tool takes the same exploration knobs (-workers, -maxstates, -store,
-// -spilldir, -graphdir, -nowitness, -symmetry), and every tool surfaces
-// partial exploration counts when a state budget overflows. Before the boosting
+// tool that builds graphs takes the same exploration knobs (-workers,
+// -maxstates, -store, -spilldir, -graphdir, -symmetry), the tools that only
+// run batches take -workers alone, and every tool surfaces partial
+// exploration counts when a state budget overflows. Before the boosting
 // façade each binary carried its own copy of this block; now there is one.
 package cliflags
 
@@ -21,15 +22,22 @@ type Common struct {
 	Store     string
 	SpillDir  string
 	GraphDir  string
-	NoWitness bool
 	Symmetry  bool
+}
+
+const workersUsage = "upper bound on the goroutines refute scenarios, k-set assignments and batched runs fan out to; graphs are built on one (0 = one per CPU, 1 = no fan-out)"
+
+// RegisterWorkers installs -workers alone, for the tools whose one engine
+// call is RunBatch: no other exploration flag changes what they do.
+func RegisterWorkers(fs *flag.FlagSet) *int {
+	return fs.Int("workers", 0, workersUsage)
 }
 
 // Register installs the shared flags on a flag set and returns the value
 // holder to read after parsing.
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
-	fs.IntVar(&c.Workers, "workers", 0, "upper bound on the goroutines refute scenarios, k-set assignments and batched runs fan out to; graphs are built on one (0 = one per CPU, 1 = no fan-out)")
+	fs.IntVar(&c.Workers, "workers", 0, workersUsage)
 	fs.IntVar(&c.MaxStates, "maxstates", 0, "explored-state budget per graph build (0 = engine default)")
 	// The empty sentinel default (rendered as dense by ParseStore) lets
 	// Options distinguish an explicit -store dense from the default, so
@@ -40,7 +48,6 @@ func Register(fs *flag.FlagSet) *Common {
 	// requested", so the conflict matrix in Options can name exactly the
 	// flags the user actually set.
 	fs.StringVar(&c.GraphDir, "graphdir", "", "durable graph directory: commit the built graph for later reopening (implies -store spill; conflicts with -spilldir)")
-	fs.BoolVar(&c.NoWitness, "nowitness", false, "drop witness predecessor links (counts and valences only; conflicts with witness-producing analyses)")
 	fs.BoolVar(&c.Symmetry, "symmetry", false, "canonicalize states modulo process renaming (quotient graph; symmetric families only)")
 	return c
 }
@@ -120,9 +127,6 @@ func (c *Common) Options() ([]boosting.Option, error) {
 	} else if store == boosting.SpillStore {
 		opts = append(opts, boosting.WithSpillDir(c.SpillDir))
 	}
-	if c.NoWitness {
-		opts = append(opts, boosting.WithoutWitnesses())
-	}
 	if c.Symmetry {
 		opts = append(opts, boosting.WithSymmetry())
 	}
@@ -130,17 +134,13 @@ func (c *Common) Options() ([]boosting.Option, error) {
 }
 
 // Describe renders an error for CLI display, surfacing the partial
-// exploration count when a graph build overflowed its state budget and the
-// flag to drop when -nowitness conflicts with the analysis. The WithGraphDir
-// conflicts print as they are: their Reason already names the fix.
+// exploration count when a graph build overflowed its state budget. The
+// WithGraphDir conflicts print as they are: their Reason already names the
+// fix.
 func Describe(err error) string {
 	var le *boosting.LimitError
 	if errors.As(err, &le) {
 		return fmt.Sprintf("%v (explored %d states before the limit; raise -maxstates)", err, le.Explored)
-	}
-	var ce *boosting.ConflictError
-	if errors.As(err, &ce) && ce.Option == "WithoutWitnesses()" {
-		return fmt.Sprintf("%v (drop -nowitness for this analysis)", err)
 	}
 	return err.Error()
 }

@@ -90,9 +90,40 @@ func TestShardsFlagRemoved(t *testing.T) {
 	}
 }
 
-// TestDescribe: the budget hint rides on *LimitError, the -nowitness hint
-// only on the WithoutWitnesses() conflict; the WithGraphDir conflicts — whose
-// Reason already names the fix — and plain errors print as they are.
+// TestNowitnessFlagRemoved: graphs store no predecessor links, so there is
+// nothing for -nowitness to drop, and the flag is gone from both blocks.
+func TestNowitnessFlagRemoved(t *testing.T) {
+	for name, register := range map[string]func(*flag.FlagSet){
+		"Register":        func(fs *flag.FlagSet) { Register(fs) },
+		"RegisterWorkers": func(fs *flag.FlagSet) { RegisterWorkers(fs) },
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		register(fs)
+		err := fs.Parse([]string{"-nowitness"})
+		if err == nil || err.Error() != "flag provided but not defined: -nowitness" {
+			t.Errorf("%s: Parse(-nowitness) = %v, want the flag package's unknown-flag error", name, err)
+		}
+	}
+}
+
+// TestRegisterWorkers: the batch-only block is -workers and nothing else.
+func TestRegisterWorkers(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	workers := RegisterWorkers(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if len(names) != 1 || names[0] != "workers" {
+		t.Errorf("RegisterWorkers registered %v, want [workers]", names)
+	}
+	if err := fs.Parse([]string{"-workers", "3"}); err != nil || *workers != 3 {
+		t.Errorf("Parse(-workers 3) = %v, workers %d", err, *workers)
+	}
+}
+
+// TestDescribe: the budget hint rides on *LimitError; the WithGraphDir
+// conflicts — whose Reason already names the fix — and plain errors print as
+// they are.
 func TestDescribe(t *testing.T) {
 	mustNew := func(opts ...boosting.Option) *boosting.Checker {
 		t.Helper()
@@ -103,7 +134,6 @@ func TestDescribe(t *testing.T) {
 		return chk
 	}
 	_, limitErr := mustNew(boosting.WithMaxStates(10)).ClassifyInits()
-	_, nowitnessErr := mustNew(boosting.WithoutWitnesses()).Refute(1)
 	_, graphDirRefuteErr := mustNew(boosting.WithGraphDir(t.TempDir())).Refute(1)
 	_, graphDirSpillErr := boosting.New("forward", 2, 0, boosting.WithGraphDir(t.TempDir()), boosting.WithSpillDir(t.TempDir()))
 	plainErr := errors.New("unknown store backend")
@@ -113,7 +143,6 @@ func TestDescribe(t *testing.T) {
 		suffix string // appended to err.Error(); "" = printed as is
 	}{
 		{"limit", limitErr, " (explored 10 states before the limit; raise -maxstates)"},
-		{"nowitness conflict", nowitnessErr, " (drop -nowitness for this analysis)"},
 		{"graphdir vs Refute", graphDirRefuteErr, ""},
 		{"graphdir vs spilldir", graphDirSpillErr, ""},
 		{"plain", plainErr, ""},

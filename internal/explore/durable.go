@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -45,23 +44,13 @@ func appendAction(dst []byte, a ioa.Action) []byte {
 // files: the task/action dictionaries the edge blocks reference, the
 // per-vertex fingerprint lengths (fpLens) and edge-block lengths (offsets
 // are cumulative — both files hold one record per vertex in ID order), the
-// final valence masks, the optional predecessor links (dictionary-indexed),
-// the roots and the per-level seal offsets.
+// final valence masks, the roots and the per-level seal offsets.
 func encodeIndex(g *Graph, s *spillEdges, fpLens []uint32) []byte {
 	n := g.store.Len()
-	preds := &g.store.predTable
-	buf := make([]byte, 0, 64+8*n)
+	buf := make([]byte, 0, 64+4*n)
 	buf = append(buf, indexMagic...)
 	buf = binary.AppendUvarint(buf, manifestFormat)
 
-	// Every BFS-tree edge is an edge SetSuccs has seen by now; a store fed
-	// links of other labels still gets them into the dictionaries before the
-	// dictionaries are written.
-	for _, link := range preds.list {
-		if link.to != noState {
-			s.dictLabel(link.Label)
-		}
-	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.tasks)))
 	for _, t := range s.tasks {
 		buf = appendTask(buf, t)
@@ -76,23 +65,6 @@ func encodeIndex(g *Graph, s *spillEdges, fpLens []uint32) []byte {
 		buf = binary.AppendUvarint(buf, uint64(fpLens[i]))
 		buf = binary.AppendUvarint(buf, uint64(s.elens[i]))
 		buf = append(buf, g.masks[i])
-	}
-
-	if preds.keep {
-		buf = append(buf, 1)
-		for _, link := range preds.list {
-			if link.to == noState {
-				buf = append(buf, 0)
-				continue
-			}
-			ti, ai := s.dictLabel(link.Label)
-			buf = append(buf, 1)
-			buf = binary.AppendUvarint(buf, uint64(link.to))
-			buf = binary.AppendUvarint(buf, uint64(ti))
-			buf = binary.AppendUvarint(buf, uint64(ai))
-		}
-	} else {
-		buf = append(buf, 0)
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(g.roots)))
@@ -198,7 +170,6 @@ type decodedIndex struct {
 	lens  []uint32
 	elens []uint32
 	masks []uint8
-	preds predTable // keep == false when witnesses were not persisted
 	roots []StateID
 	seals []sealMark
 }
@@ -236,24 +207,6 @@ func decodeIndex(buf []byte) (*decodedIndex, error) {
 		out.lens = append(out.lens, uint32(r.uvarint()))
 		out.elens = append(out.elens, uint32(r.uvarint()))
 		out.masks = append(out.masks, r.byte())
-	}
-	if r.byte() == 1 {
-		// A reopened graph's links are labelled by dictionary index.
-		tasks, acts := out.tasks, out.acts
-		out.preds = predTable{keep: true, list: make([]packedEdge, 0, n),
-			resolve: func(l system.Label) (ioa.Task, ioa.Action) { return tasks[l.Task], acts[l.Act] }}
-		for i := 0; i < n && r.err == nil; i++ {
-			if r.byte() == 0 {
-				out.preds.add(packedEdge{to: noState})
-				continue
-			}
-			from, ti, ai := r.uvarint(), r.uvarint(), r.uvarint()
-			if r.err == nil && (ti >= uint64(min(len(out.tasks), math.MaxUint16+1)) || ai >= uint64(min(len(out.acts), math.MaxUint16+1))) {
-				r.fail("predecessor dictionary index out of range")
-				break
-			}
-			out.preds.add(packedEdge{to: StateID(from), Label: system.Label{Task: uint16(ti), Act: uint16(ai)}})
-		}
 	}
 	nr := r.count(1)
 	out.roots = make([]StateID, 0, nr)
@@ -308,7 +261,6 @@ func commitDurable(g *Graph, opt BuildOptions) error {
 		Shape:            hex.EncodeToString(ShapeFingerprint(g.sys)),
 		GraphID:          hex.EncodeToString(opt.GraphID),
 		Symmetry:         opt.Symmetry != nil,
-		Witnesses:        !opt.NoWitnesses,
 		States:           g.store.Len(),
 		Edges:            g.edges,
 		Roots:            len(g.roots),
@@ -381,8 +333,6 @@ type OpenOptions struct {
 	// a shape-validated open, whose graph is the builder's G(C) whatever
 	// candidate sys is.
 	GraphID []byte
-	// RequireWitnesses rejects graphs persisted without predecessor links.
-	RequireWitnesses bool
 }
 
 // OpenGraph validates a committed durable graph directory and reattaches
@@ -392,9 +342,8 @@ type OpenOptions struct {
 // decoded under sys (any same-shape candidate) into the vertex store — that
 // each one parses and names a state no earlier vertex holds. The returned
 // graph is per-ID and per-edge identical to the one the durable build
-// produced — same StateIDs, fingerprints, edges, valences, roots and
-// witness links. It is the
-// builder's G(C): without opt.GraphID nothing here ties its transitions to
+// produced — same StateIDs, fingerprints, edges, valences and roots, and so
+// the same witness paths. It is the builder's G(C): without opt.GraphID nothing here ties its transitions to
 // sys, so it is sys's graph only when the two candidates have the same
 // failure-free transition relation (see ClassifyReopened). Close it with
 // CloseGraphStore like any spill-backed graph. All validation failures are
@@ -411,10 +360,6 @@ func OpenGraph(sys *system.System, dir string, opt OpenOptions) (*Graph, error) 
 	if opt.GraphID != nil && m.GraphID != hex.EncodeToString(opt.GraphID) {
 		return nil, &ManifestError{Dir: dir,
 			Reason: "graph identity mismatch: the directory holds a different candidate's graph (build-option tuple or roots differ)"}
-	}
-	if opt.RequireWitnesses && !m.Witnesses {
-		return nil, &ManifestError{Dir: dir,
-			Reason: "graph was persisted without witness predecessor links"}
 	}
 	idx, err := os.ReadFile(filepath.Join(dir, indexFileName))
 	if err != nil {
@@ -466,7 +411,7 @@ func reattach(sys *system.System, fp, edges *os.File, m *Manifest, dec *decodedI
 	if edgeEnd != m.EdgeBytes {
 		return nil, fmt.Errorf("edge-block lengths sum to %d, file has %d", edgeEnd, m.EdgeBytes)
 	}
-	store := newDenseStore(sys, false)
+	store := newDenseStore(sys)
 	br := bufio.NewReaderSize(fp, 256<<10)
 	var buf, key []byte
 	for i, l := range dec.lens {
@@ -479,11 +424,10 @@ func reattach(sys *system.System, fp, edges *os.File, m *Manifest, dec *decodedI
 			return nil, fmt.Errorf("decode state %d: %w", i, err)
 		}
 		key = store.AppendKey(key[:0], st)
-		if id, fresh := store.Intern(key, st, packedEdge{}); !fresh {
+		if id, fresh := store.Intern(key, st); !fresh {
 			return nil, fmt.Errorf("state %d repeats state %d", i, id)
 		}
 	}
-	store.predTable = dec.preds
 
 	// Adjacency: sealed throughout, EdgesFrom always preads.
 	a := &spillEdges{
@@ -516,8 +460,7 @@ func reattach(sys *system.System, fp, edges *os.File, m *Manifest, dec *decodedI
 
 // BuildOrReopenGraph is BuildGraph with the durable fast path: when the
 // graph directory already holds a committed graph whose full identity
-// (GraphID), symmetry flag and witness flag all match the requested
-// build exactly, the graph is reopened without exploring a state;
+// (GraphID) and symmetry flag match the requested build exactly, the graph is reopened without exploring a state;
 // otherwise — no manifest, identity mismatch, damaged files — it is
 // rebuilt from scratch into the directory, replacing whatever was there.
 // A reopen is attempted only when opt.GraphID is non-nil: without a full
@@ -536,13 +479,12 @@ func tryReopen(sys *system.System, opt BuildOptions) *Graph {
 	if opt.GraphDir == "" || opt.GraphID == nil || !HasManifest(opt.GraphDir) {
 		return nil
 	}
-	// The symmetry and witness flags are compared against the manifest
-	// rather than folded into GraphID: the canonical identity is
-	// deliberately invariant under engine options, but a quotient graph
-	// is not the full graph and a witness-less graph cannot serve
-	// witness paths, so either mismatch forces a rebuild.
+	// The symmetry flag is compared against the manifest rather than folded
+	// into GraphID: the canonical identity is deliberately invariant under
+	// engine options, but a quotient graph is not the full graph, so a
+	// mismatch forces a rebuild.
 	m, err := ReadManifest(opt.GraphDir)
-	if err != nil || m.Symmetry != (opt.Symmetry != nil) || m.Witnesses != !opt.NoWitnesses {
+	if err != nil || m.Symmetry != (opt.Symmetry != nil) {
 		return nil
 	}
 	g, err := OpenGraph(sys, opt.GraphDir, OpenOptions{GraphID: opt.GraphID})

@@ -30,7 +30,6 @@ func TestDurableManifestRoundTrip(t *testing.T) {
 			Shape:            randHex(2 * rng.Intn(40)),
 			GraphID:          randHex(2 * rng.Intn(40)),
 			Symmetry:         rng.Intn(2) == 1,
-			Witnesses:        rng.Intn(2) == 1,
 			States:           rng.Intn(1 << 20),
 			Edges:            rng.Intn(1 << 22),
 			Roots:            rng.Intn(16),

@@ -3,8 +3,8 @@ package explore_test
 // Durable graph store acceptance suite: a graph built with
 // BuildOptions.GraphDir and reopened with OpenGraph must be per-ID and
 // per-edge IDENTICAL to the freshly built graph — same StateIDs,
-// fingerprints, edges, valences, roots and witness links — across
-// ±symmetry and ±witnesses; every way a committed directory can be
+// fingerprints, edges, valences, roots and witness paths — across
+// ±symmetry; every way a committed directory can be
 // damaged or mismatched must surface as a typed *ManifestError.
 
 import (
@@ -51,8 +51,9 @@ func monotoneRoots(t testing.TB, sys *system.System) []system.State {
 }
 
 // requireIdentical asserts got is the same graph as ref, per ID and per
-// edge: sizes, roots, fingerprints, successor sequences and valences.
-func requireIdentical(t *testing.T, ref, got *explore.Graph, witnesses bool) {
+// edge: sizes, roots, fingerprints, successor sequences, valences and
+// witness paths.
+func requireIdentical(t *testing.T, ref, got *explore.Graph) {
 	t.Helper()
 	if got.Size() != ref.Size() || got.Edges() != ref.Edges() {
 		t.Fatalf("size/edges: got %d/%d, want %d/%d", got.Size(), got.Edges(), ref.Size(), ref.Edges())
@@ -83,73 +84,58 @@ func requireIdentical(t *testing.T, ref, got *explore.Graph, witnesses bool) {
 		if rv, gv := ref.Valence(sid), got.Valence(sid); rv != gv {
 			t.Fatalf("state %d: valence %v, want %v", id, gv, rv)
 		}
-		if witnesses {
-			rp, gp := ref.WitnessPath(sid), got.WitnessPath(sid)
-			if len(rp) != len(gp) {
-				t.Fatalf("state %d: witness path length %d, want %d", id, len(gp), len(rp))
-			}
-			for j := range rp {
-				if rp[j] != gp[j] {
-					t.Fatalf("state %d witness edge %d: got %+v, want %+v", id, j, gp[j], rp[j])
-				}
-			}
+		if rp, gp := ref.WitnessPath(sid), got.WitnessPath(sid); !slices.Equal(rp, gp) {
+			t.Fatalf("state %d: witness path %+v, want %+v", id, gp, rp)
 		}
 	}
 }
 
 // TestDurableReopenParity is the tentpole acceptance test of the durable
-// store: for ±symmetry × ±witnesses, the durable spill build equals the
+// store: for ±symmetry, the durable spill build equals the
 // dense reference build, and the graph reopened from the committed
 // directory equals both — without exploring a state.
 func TestDurableReopenParity(t *testing.T) {
 	sys := mustForward(t, 3, 1, service.Adversarial)
 	roots := monotoneRoots(t, sys)
 	for _, canon := range []explore.Canonicalizer{nil, forwardCanon(t, sys, 3)} {
-		for _, noWit := range []bool{false, true} {
-			label := "plain"
-			if canon != nil {
-				label = "symmetry"
-			}
-			if noWit {
-				label += "-nowitness"
-			}
-			t.Run(label, func(t *testing.T) {
-				ref, err := explore.BuildGraph(sys, roots, explore.BuildOptions{
-					Workers: 1, Symmetry: canon, NoWitnesses: noWit})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer explore.CloseGraphStore(ref)
-
-				dir := t.TempDir()
-				id := []byte("test-graph-id-" + label)
-				built, err := explore.BuildGraph(sys, roots, explore.BuildOptions{
-					Workers: 1, Store: explore.StoreSpill, Symmetry: canon,
-					NoWitnesses: noWit, GraphDir: dir, GraphID: id})
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireIdentical(t, ref, built, !noWit)
-				if err := explore.CloseGraphStore(built); err != nil {
-					t.Fatal(err)
-				}
-
-				reopened, err := explore.OpenGraph(sys, dir, explore.OpenOptions{GraphID: id})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer explore.CloseGraphStore(reopened)
-				requireIdentical(t, ref, reopened, !noWit)
-
-				m, ok := explore.GraphManifest(reopened)
-				if !ok {
-					t.Fatal("reopened graph has no manifest")
-				}
-				if m.States != ref.Size() || m.Edges != ref.Edges() || m.Witnesses == noWit {
-					t.Errorf("manifest %+v disagrees with graph %d/%d", m, ref.Size(), ref.Edges())
-				}
-			})
+		label := "plain"
+		if canon != nil {
+			label = "symmetry"
 		}
+		t.Run(label, func(t *testing.T) {
+			ref, err := explore.BuildGraph(sys, roots, explore.BuildOptions{Workers: 1, Symmetry: canon})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer explore.CloseGraphStore(ref)
+
+			dir := t.TempDir()
+			id := []byte("test-graph-id-" + label)
+			built, err := explore.BuildGraph(sys, roots, explore.BuildOptions{
+				Workers: 1, Store: explore.StoreSpill, Symmetry: canon, GraphDir: dir, GraphID: id})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, ref, built)
+			if err := explore.CloseGraphStore(built); err != nil {
+				t.Fatal(err)
+			}
+
+			reopened, err := explore.OpenGraph(sys, dir, explore.OpenOptions{GraphID: id})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer explore.CloseGraphStore(reopened)
+			requireIdentical(t, ref, reopened)
+
+			m, ok := explore.GraphManifest(reopened)
+			if !ok {
+				t.Fatal("reopened graph has no manifest")
+			}
+			if m.States != ref.Size() || m.Edges != ref.Edges() {
+				t.Errorf("manifest %+v disagrees with graph %d/%d", m, ref.Size(), ref.Edges())
+			}
+		})
 	}
 }
 
@@ -211,14 +197,11 @@ func TestDurableSpillStats(t *testing.T) {
 func TestDurableOpenErrors(t *testing.T) {
 	sys := mustForward(t, 2, 1, service.Adversarial)
 	roots := monotoneRoots(t, sys)
-	build := func(t *testing.T, opt explore.BuildOptions) string {
+	build := func(t *testing.T) string {
 		t.Helper()
 		dir := t.TempDir()
-		opt.Store = explore.StoreSpill
-		opt.Workers = 1
-		opt.GraphDir = dir
-		opt.GraphID = []byte("id-1")
-		g, err := explore.BuildGraph(sys, roots, opt)
+		g, err := explore.BuildGraph(sys, roots, explore.BuildOptions{
+			Store: explore.StoreSpill, Workers: 1, GraphDir: dir, GraphID: []byte("id-1")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +212,6 @@ func TestDurableOpenErrors(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		opt  explore.BuildOptions
 		open func(t *testing.T, dir string) error
 	}{
 		{
@@ -248,10 +230,14 @@ func TestDurableOpenErrors(t *testing.T) {
 			},
 		},
 		{
-			name: "witnesses required but absent",
-			opt:  explore.BuildOptions{NoWitnesses: true},
+			name: "format-2 manifest",
 			open: func(t *testing.T, dir string) error {
-				_, err := explore.OpenGraph(sys, dir, explore.OpenOptions{RequireWitnesses: true})
+				path := filepath.Join(dir, "manifest.json")
+				writeFile(t, path, []byte(strings.Replace(string(readFile(t, path)), `"format": 3`, `"format": 2`, 1)))
+				_, err := explore.OpenGraph(sys, dir, explore.OpenOptions{})
+				if err == nil || !strings.Contains(err.Error(), "unsupported manifest format 2 (want 3)") {
+					t.Errorf("a format-2 manifest opened as %v", err)
+				}
 				return err
 			},
 		},
@@ -315,7 +301,7 @@ func TestDurableOpenErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := build(t, tc.opt)
+			dir := build(t)
 			err := tc.open(t, dir)
 			var merr *explore.ManifestError
 			if !errors.As(err, &merr) {
@@ -371,11 +357,6 @@ func TestClassifyReopened(t *testing.T) {
 		{name: "policy variant, quotient",
 			built: explore.BuildOptions{Symmetry: forwardCanon(t, builder, 3)},
 			asked: explore.BuildOptions{Symmetry: forwardCanon(t, variant, 3)}},
-		{name: "policy variant, no witnesses either side",
-			built: explore.BuildOptions{NoWitnesses: true},
-			asked: explore.BuildOptions{NoWitnesses: true}},
-		{name: "witnesses asked, none committed",
-			built: explore.BuildOptions{NoWitnesses: true}, refused: true},
 		{name: "quotient committed, full graph asked",
 			built: explore.BuildOptions{Symmetry: forwardCanon(t, builder, 3)}, refused: true},
 		{name: "full graph committed, quotient asked",
@@ -418,7 +399,7 @@ func TestClassifyReopened(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer got.Close()
-			requireIdentical(t, want.Graph, got.Graph, !tc.asked.NoWitnesses)
+			requireIdentical(t, want.Graph, got.Graph)
 			if !reflect.DeepEqual(got.Assignments, want.Assignments) ||
 				!slices.Equal(got.Roots, want.Roots) ||
 				!slices.Equal(got.Valences, want.Valences) ||

@@ -7,6 +7,7 @@ import (
 	"log"
 	"math"
 	"runtime/debug"
+	"sync"
 
 	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/system"
@@ -81,25 +82,15 @@ type Edge struct {
 	To     StateID
 }
 
-// pred records how a vertex was first reached (BFS tree), for witness
-// reconstruction. Roots have has == false.
-type pred struct {
-	from StateID
-	task ioa.Task
-	act  ioa.Action
-	has  bool
-}
-
 // Graph is (a finite fragment of) the graph G(C) of Section 3.3: vertices
 // are failure-free reachable states, identified by dense StateIDs assigned
 // in discovery (BFS) order, and edges are applicable tasks. Because
 // processes and services are deterministic, each vertex has at most one
 // outgoing edge per task.
 //
-// The vertices — the dedup index, representative states and predecessor
-// links — live in the one vertex store, the edges in the adjacency the
-// build's StoreKind picked; the graph itself keeps the roots and the valence
-// masks.
+// The vertices — the dedup index and representative states — live in the
+// one vertex store, the edges in the adjacency the build's StoreKind picked;
+// the graph itself keeps the roots and the valence masks.
 type Graph struct {
 	sys   *system.System
 	store *denseStore
@@ -112,6 +103,10 @@ type Graph struct {
 	// GraphManifest / GraphDirOf.
 	manifest *Manifest
 	graphDir string
+	// tree is the BFS tree WitnessPath reads, derived from the edges on
+	// first use.
+	treeOnce sync.Once
+	tree     *bfsTree
 }
 
 // Progress is one streaming exploration report, emitted after each BFS
@@ -172,12 +167,6 @@ type BuildOptions struct {
 	// store, so the level loop builds the quotient graph modulo process
 	// renaming. Both backends get the same quotient graph.
 	Symmetry Canonicalizer
-	// NoWitnesses drops the BFS-tree predecessor links: the store records
-	// nothing at intern time and WitnessPath returns nil for every vertex.
-	// Counts, valences and edges are unaffected. Analyses that reconstruct
-	// witness executions (hook search, the refuter's certificates) need the
-	// links and reject graphs built without them.
-	NoWitnesses bool
 	// Progress, when non-nil, receives one report per completed BFS level.
 	Progress ProgressFunc
 	// Ctx, when non-nil, cancels the build: exploration checks it
@@ -203,11 +192,10 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// newGraph creates the empty graph of a build: the vertex store — which,
-// without witnesses, records no link in Intern and reports pred{} — and the
+// newGraph creates the empty graph of a build: the vertex store and the
 // adjacency opt's StoreKind selects.
 func newGraph(sys *system.System, opt BuildOptions) (*Graph, error) {
-	g := &Graph{sys: sys, store: newDenseStore(sys, !opt.NoWitnesses)}
+	g := &Graph{sys: sys, store: newDenseStore(sys)}
 	if opt.Store != StoreSpill {
 		g.adj = &packedAdjacency{sys: sys, segCap: edgeSegment}
 		return g, nil
@@ -247,20 +235,19 @@ func (g *Graph) internRoots(roots []system.State, canon Canonicalizer) {
 	for _, r := range roots {
 		r = canonical(canon, r)
 		buf = g.store.AppendKey(buf[:0], r)
-		id, _ := g.store.Intern(buf, r, packedEdge{to: noState})
+		id, _ := g.store.Intern(buf, r)
 		g.roots = append(g.roots, id)
 	}
 }
 
 // discover resolves the first reference to a successor the store did not hold
-// when it was looked up: a new vertex is interned with p as its predecessor
-// link. This is where the vertex budget is enforced: at the budget no new
-// vertex is interned.
-func (g *Graph) discover(key []byte, st system.State, p packedEdge, maxStates int) (StateID, error) {
+// when it was looked up: a new vertex is interned. This is where the vertex
+// budget is enforced: at the budget no new vertex is interned.
+func (g *Graph) discover(key []byte, st system.State, maxStates int) (StateID, error) {
 	if g.store.Len() >= maxStates {
 		return noState, &LimitError{Limit: maxStates, Explored: g.store.Len()}
 	}
-	id, _ := g.store.Intern(key, st, p)
+	id, _ := g.store.Intern(key, st)
 	return id, nil
 }
 
@@ -423,7 +410,7 @@ func (g *Graph) expandLevel(lo, hi StateID, maxStates int, ws *levelScratch, opt
 				if opt.Symmetry == nil {
 					succ = st.With(d)
 				}
-				e.to, err = g.discover(ws.buf, succ, packedEdge{to: id, Label: e.Label}, maxStates)
+				e.to, err = g.discover(ws.buf, succ, maxStates)
 				if err != nil {
 					return err
 				}
@@ -593,32 +580,37 @@ func (g *Graph) Valence(id StateID) Valence {
 	return valenceOfMask(g.masks[id])
 }
 
-// WitnessPath reconstructs the BFS-tree path of edges from a root to the
-// given vertex. On graphs built with NoWitnesses the predecessor links were
-// never recorded and the path is nil for every vertex.
+// WitnessPath returns the BFS-tree path of edges from a root to the given
+// vertex: the edges by which the level loop first reached each vertex on
+// the way (nil for a root or an out-of-range ID). The tree is not stored.
+// The level loop interns a vertex at its first reference in (source ID,
+// edge order), so one ascending sweep over the edges, with the roots marked
+// first, gives it back; the sweep runs once per graph, on first use.
 func (g *Graph) WitnessPath(id StateID) []Edge {
-	var rev []Edge
-	cur := id
-	for int(cur) < g.store.Len() {
-		p := g.store.Pred(cur)
-		if !p.has {
-			break
+	if uint(id) >= uint(g.store.Len()) {
+		return nil
+	}
+	g.treeOnce.Do(func() {
+		g.tree = newBFSTree(g.store.Len())
+		g.tree.begin(g.roots...)
+		var targets []StateID
+		for from := range StateID(g.store.Len()) {
+			targets = g.adj.Targets(from, targets[:0])
+			for i, to := range targets {
+				if !g.tree.seen(to) {
+					g.tree.visit(from, i, to)
+				}
+			}
 		}
-		rev = append(rev, Edge{Task: p.task, Action: p.act, To: cur})
-		cur = p.from
-	}
-	// Reverse.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	})
+	return g.tree.path(g, id)
 }
 
 // bfsTree records, per visited vertex, the edge it was first reached by in a
 // filtered BFS: parent[v] is the predecessor and pedge[v] the index of the
-// edge in succs(parent[v]). Storing one link per vertex and reconstructing
-// the path once at the end replaces the old per-enqueue prefix copying,
-// which was quadratic in path depth.
+// edge in succs(parent[v]); a start vertex is its own parent. Storing one
+// link per vertex and reconstructing the path once at the end replaces the
+// old per-enqueue prefix copying, which was quadratic in path depth.
 //
 // Visited marks are epoch stamps, so one tree can be reused across many
 // searches (the Fig. 3 construction runs one BFS per step): begin() bumps
@@ -638,16 +630,19 @@ func newBFSTree(n int) *bfsTree {
 	}
 }
 
-// begin starts a fresh search rooted at start: all vertices read as
-// unvisited except start.
-func (t *bfsTree) begin(start StateID) {
+// begin starts a fresh search rooted at the starts: all vertices read as
+// unvisited except them.
+func (t *bfsTree) begin(starts ...StateID) {
 	if t.epoch == ^uint32(0) {
 		// Epoch wrapped: clear the stale stamps once.
 		clear(t.mark)
 		t.epoch = 0
 	}
 	t.epoch++
-	t.mark[start] = t.epoch
+	for _, s := range starts {
+		t.mark[s] = t.epoch
+		t.parent[s] = s
+	}
 }
 
 func (t *bfsTree) seen(v StateID) bool { return t.mark[v] == t.epoch }
@@ -658,10 +653,12 @@ func (t *bfsTree) visit(from StateID, edgeIdx int, to StateID) {
 	t.pedge[to] = int32(edgeIdx)
 }
 
-// path reconstructs the edges from start to v, in order.
-func (t *bfsTree) path(g *Graph, start, v StateID) []Edge {
+// path reconstructs the edges from the search's start to v, in order. Every
+// vertex on the way was visited in the current search, so only the start is
+// its own parent.
+func (t *bfsTree) path(g *Graph, v StateID) []Edge {
 	var rev []Edge
-	for v != start {
+	for v != t.parent[v] {
 		from := t.parent[v]
 		rev = append(rev, edgeAt(g.adj, from, t.pedge[v]))
 		v = from
@@ -698,7 +695,7 @@ func (g *Graph) FindState(start StateID, allow func(Edge) bool, want func(system
 	for head := 0; head < len(queue); head++ {
 		id := queue[head]
 		if st, ok := g.State(id); ok && want(st) {
-			return id, tree.path(g, start, id), true
+			return id, tree.path(g, id), true
 		}
 		i := -1
 		for e := range g.adj.EdgesFrom(id) {

@@ -17,8 +17,8 @@ import (
 // files — the delta-varint edge blocks the spill backend appends during the
 // build, and the canonical fingerprints of the vertices, written once in ID
 // order at commit — the index file with everything else reopening needs
-// (per-vertex lengths, valence masks, predecessor links, roots, seal
-// offsets, dictionaries), and the manifest that commits them. The manifest is written last, via
+// (per-vertex lengths, valence masks, roots, seal offsets, dictionaries),
+// and the manifest that commits them. The manifest is written last, via
 // write-temp-then-rename, so a directory either holds a complete
 // committed graph or no graph at all — partial builds and crashes leave
 // no manifest and are rebuilt from scratch.
@@ -30,8 +30,10 @@ const (
 
 	// manifestFormat is the on-disk format version. Bump on any layout
 	// change: stale manifests are rejected, never reinterpreted. Format 1
-	// carried a second, own-decision mask byte per vertex in index.dat.
-	manifestFormat = 2
+	// carried a second, own-decision mask byte per vertex in index.dat;
+	// format 2, BFS-tree predecessor links, which WitnessPath now derives
+	// from the edges.
+	manifestFormat = 3
 )
 
 // ManifestError reports a durable graph directory that cannot be opened:
@@ -59,9 +61,8 @@ func (e *ManifestError) Unwrap() error { return e.Err }
 
 // Manifest describes one committed durable graph. It records the graph's
 // identity (the shape fingerprint of the system that can decode it, and
-// the caller-supplied full graph identity), the build-option tuple that
-// affects reopened semantics (symmetry reduction, witness links), the
-// counts, and the lengths plus checksums that bind the data files to it.
+// the caller-supplied full graph identity), the build option that affects
+// reopened semantics (symmetry reduction), the counts, and the lengths plus checksums that bind the data files to it.
 type Manifest struct {
 	// Format is the on-disk format version (manifestFormat).
 	Format int `json:"format"`
@@ -75,8 +76,6 @@ type Manifest struct {
 	GraphID string `json:"graphId"`
 	// Symmetry records whether the graph is the symmetry-reduced quotient.
 	Symmetry bool `json:"symmetry"`
-	// Witnesses records whether BFS-tree predecessor links were persisted.
-	Witnesses bool `json:"witnesses"`
 	// States, Edges, Roots and Levels are the graph counts.
 	States int `json:"states"`
 	Edges  int `json:"edges"`

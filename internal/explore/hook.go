@@ -151,7 +151,7 @@ func (g *Graph) findBivalentExtension(ctx context.Context, alpha StateID, e ioa.
 		}
 		for _, id := range level {
 			if edge, ok := g.Succ(id, e); ok && g.Valence(edge.To) == Bivalent {
-				return id, tree.path(g, alpha, id), true, nil
+				return id, tree.path(g, id), true, nil
 			}
 		}
 		var next []StateID
@@ -261,7 +261,7 @@ func (g *Graph) findDecidingPath(ctx context.Context, start StateID, wantMask ui
 		id := queue[head]
 		st, _ := g.store.State(id)
 		if ownMask(g.sys, st)&wantMask != 0 {
-			return tree.path(g, start, id), nil
+			return tree.path(g, id), nil
 		}
 		i := -1
 		for edge := range g.adj.EdgesFrom(id) {

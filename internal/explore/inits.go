@@ -124,8 +124,7 @@ func ClassifyInits(sys *system.System, opt BuildOptions) (*InitClassification, e
 // façade's TestPolicyVariantGraphIdentical).
 //
 // On top of OpenGraph's validation the directory must hold this sweep's
-// graph: the symmetry flag must equal opt's, witness links must be there
-// unless opt drops them, and sys's n+1 monotone roots — canonicalized and
+// graph: the symmetry flag must equal opt's, and sys's n+1 monotone roots — canonicalized and
 // fingerprinted under sys — must resolve to the recorded root IDs in order.
 // Every failure is a typed *ManifestError and leaves nothing open. Nothing
 // is built, so opt's engine fields and MaxStates are not consulted.
@@ -134,7 +133,7 @@ func ClassifyReopened(sys *system.System, dir string, opt BuildOptions) (*InitCl
 	if err != nil {
 		return nil, err
 	}
-	g, err := OpenGraph(sys, dir, OpenOptions{RequireWitnesses: !opt.NoWitnesses})
+	g, err := OpenGraph(sys, dir, OpenOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -148,9 +148,10 @@ func TestLevelStepStopsMidLevel(t *testing.T) {
 		}
 	}
 	wire := lo[widest+1]
-	by := ref.store.Pred(wire)
-	if by.from < lo[widest] || by.from+64 >= wire {
-		t.Fatalf("vertex %d was discovered by %d, level %d is [%d, %d): pick another wire", wire, by.from, widest, lo[widest], wire)
+	path := ref.WitnessPath(wire)
+	by, from := path[len(path)-1].Task, ref.tree.parent[wire]
+	if from < lo[widest] || from+64 >= wire {
+		t.Fatalf("vertex %d was discovered by %d, level %d is [%d, %d): pick another wire", wire, from, widest, lo[widest], wire)
 	}
 
 	t.Run("cancel", func(t *testing.T) {
@@ -170,8 +171,8 @@ func TestLevelStepStopsMidLevel(t *testing.T) {
 			w := tripwire{sys: r.sys, fp: ref.Fingerprint(wire), trip: func() { panic("tripped") }}
 			_, err := BuildGraph(r.sys, roots, BuildOptions{Symmetry: w, Store: store, SpillDir: t.TempDir()})
 			var pe *PanicError
-			if !errors.As(err, &pe) || pe.Task != by.task || pe.Value != "tripped" {
-				t.Errorf("%s: a panic under %v came back as %v", label, by.task, err)
+			if !errors.As(err, &pe) || pe.Task != by || pe.Value != "tripped" {
+				t.Errorf("%s: a panic under %v came back as %v", label, by, err)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/ioa-lab/boosting/internal/allocpin"
@@ -192,6 +193,42 @@ func TestWitnessPathsReplay(t *testing.T) {
 	})
 	if checked < 10 {
 		t.Fatalf("suspiciously few vertices checked: %d", checked)
+	}
+}
+
+// TestWitnessPathConcurrent: the first WitnessPath call derives the graph's
+// BFS tree, so goroutines that ask a fresh graph at once must share one
+// derivation and read the paths a serial reader gets (run under -race).
+func TestWitnessPathConcurrent(t *testing.T) {
+	sys := mustForward(t, 3, 1, service.Adversarial)
+	build := func() *explore.Graph {
+		c, err := explore.ClassifyInits(sys, explore.BuildOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Graph
+	}
+	ref, g := build(), build()
+	const readers = 4
+	var wg sync.WaitGroup
+	paths := make([][][]explore.Edge, readers)
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := range explore.StateID(g.Size()) {
+				paths[r] = append(paths[r], g.WitnessPath(id))
+			}
+		}()
+	}
+	wg.Wait()
+	for id := range explore.StateID(ref.Size()) {
+		want := ref.WitnessPath(id)
+		for r := range readers {
+			if !slices.Equal(paths[r][id], want) {
+				t.Fatalf("reader %d: witness path of %d is %+v, want %+v", r, id, paths[r][id], want)
+			}
+		}
 	}
 }
 

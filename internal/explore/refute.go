@@ -324,8 +324,8 @@ func (sc scenario) run(sys *system.System, J []int, classify classifier, maxRoun
 // (forward n=4: 15 454 vertices, 4 546 distinct), so their union is built
 // once from all 2^n roots; Graph.rootSets recovers which assignments reach
 // a vertex — validity depends on it, agreement does not. The union never
-// escapes and certificates carry step counts, not paths: no witness links,
-// never durable, closed on return.
+// escapes and certificates carry step counts, not paths: never durable,
+// closed on return.
 //
 // The 2^n roots are exempt from the vertex budget once built, so the budget
 // is checked against their count before one is enumerated: an n whose 2^n
@@ -342,7 +342,7 @@ func safetySweep(sys *system.System, opt BuildOptions) ([]Certificate, error) {
 			return nil, err
 		}
 	}
-	opt.NoWitnesses, opt.GraphDir, opt.GraphID = true, "", nil
+	opt.GraphDir, opt.GraphID = "", nil
 	g, err := BuildGraph(sys, roots, opt)
 	if err != nil {
 		return nil, err

@@ -42,7 +42,7 @@ func buildOn(t *testing.T, sys *system.System, roots []system.State, store *dens
 // more, a prime number of edges, and fewer than most runs need (2: nearly
 // every run is longer than a segment and gets its own). Every graph must be,
 // per ID, the one the default capacities give and the one the spill store
-// gives: fingerprint, labelled edges, targets, predecessor link, valence.
+// gives: fingerprint, labelled edges, targets, witness path, valence.
 func TestSegmentBoundaryParity(t *testing.T) {
 	forward4, err := protocols.BuildForward(4, 0, service.Adversarial)
 	if err != nil {
@@ -107,7 +107,7 @@ func TestSegmentBoundaryParity(t *testing.T) {
 		ref, spill, longest := refs[i].ref, refs[i].spill, refs[i].longest
 		for _, vseg := range []StateID{1, 2, 3, 7} {
 			for _, segCap := range []int{longest, longest + 1, prime, 2} {
-				store := newDenseStore(r.sys, true)
+				store := newDenseStore(r.sys)
 				store.vseg = vseg
 				adj := &packedAdjacency{sys: r.sys, segCap: segCap}
 				g := buildOn(t, r.sys, refs[i].roots, store, adj, r.opt)
@@ -248,7 +248,7 @@ func TestDenseInternAgainstMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := newDenseStore(sys, false)
+	store := newDenseStore(sys)
 	store.vseg, store.table = 3, make([]uint32, 2)
 	store.hash = func([]byte) uint64 { return 0 }
 	oracle := map[string]StateID{}
@@ -271,7 +271,7 @@ func TestDenseInternAgainstMap(t *testing.T) {
 			oracle[string(key)] = want
 			keys = append(keys, string(key))
 		}
-		if got, fresh := store.Intern(key, system.State{}, packedEdge{}); got != want || fresh == seen {
+		if got, fresh := store.Intern(key, system.State{}); got != want || fresh == seen {
 			t.Fatalf("Intern(%x) = %d, fresh %v; the map says %d, seen %v", key, got, fresh, want, seen)
 		}
 		if store.Len() != len(oracle) {
@@ -307,7 +307,7 @@ func TestDenseStoreNeverMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := newDenseStore(sys, true)
+	store := newDenseStore(sys)
 	adj := &packedAdjacency{sys: sys, segCap: edgeSegment}
 	var key0 *byte
 	var edge0 *packedEdge

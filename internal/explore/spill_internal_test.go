@@ -24,9 +24,9 @@ func allBackends(t *testing.T, sys *system.System) []struct {
 	g    *Graph
 } {
 	t.Helper()
-	dense := newDenseStore(sys, true)
+	dense := newDenseStore(sys)
 	dense.table = make([]uint32, 2)
-	vertices := newDenseStore(sys, true)
+	vertices := newDenseStore(sys)
 	vertices.table = make([]uint32, 2)
 	spill, err := newSpillEdges(vertices, t.TempDir(), "")
 	if err != nil {
@@ -59,7 +59,7 @@ func fillPrefix(ref, g *Graph, n int) {
 	for id := range StateID(n) {
 		st, _ := ref.State(id)
 		buf = g.store.AppendKey(buf[:0], st)
-		g.store.Intern(buf, st, packedEdge{to: noState})
+		g.store.Intern(buf, st)
 	}
 	for id := range StateID(n) {
 		g.adj.SetSuccs(id, packedSuccs(ref, id))
@@ -103,8 +103,8 @@ func TestStoreBoundsUniform(t *testing.T) {
 			if got := b.g.adj.Targets(id, nil); got != nil {
 				t.Errorf("%s: Targets(%d) = %v beyond Len()", b.name, id, got)
 			}
-			if p := b.g.store.Pred(id); p.has || p.from != 0 {
-				t.Errorf("%s: Pred(%d) non-zero beyond Len()", b.name, id)
+			if p := b.g.WitnessPath(id); p != nil {
+				t.Errorf("%s: WitnessPath(%d) = %v beyond Len()", b.name, id, p)
 			}
 		}
 		// Lookups are total too: bytes of the wrong length, a well-formed
@@ -159,7 +159,7 @@ func TestSpillAdjacencyRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vertices := newDenseStore(sys, true)
+	vertices := newDenseStore(sys)
 	sp, err := newSpillEdges(vertices, t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestSpillAdjacencyRotation(t *testing.T) {
 	for id := 0; id < dense.Size(); id++ {
 		st, _ := dense.State(StateID(id))
 		buf = vertices.AppendKey(buf[:0], st)
-		vertices.Intern(buf, st, packedEdge{to: noState})
+		vertices.Intern(buf, st)
 	}
 	// Record the real graph's adjacency, sealing every 3 vertices so the
 	// read-back below crosses the pending/disk boundary many times. The
@@ -247,7 +247,7 @@ func TestSpillWriteFailureSurfacesAsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vertices := newDenseStore(sys, true)
+	vertices := newDenseStore(sys)
 	sp, err := newSpillEdges(vertices, t.TempDir(), "")
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestSpillWriteFailureSurfacesAsError(t *testing.T) {
 	var buildErr error
 	func() {
 		defer recoverSpillWrite(&g, &buildErr)
-		vertices.Intern(vertices.AppendKey(nil, st), st, packedEdge{to: noState})
+		vertices.Intern(vertices.AppendKey(nil, st), st)
 		sp.SetSuccs(0, nil) // a sink: one count byte to seal
 		sp.SealLevel()
 		g = &Graph{store: vertices, adj: sp} // must be dropped by the recovery

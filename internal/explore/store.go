@@ -6,7 +6,6 @@ import (
 	"iter"
 	"math"
 
-	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
@@ -86,8 +85,7 @@ type AdjacencyStore interface {
 // packedEdge is an edge as the level loops write it and the in-RAM backend
 // stores it: the target and the transition's label (task index, action
 // number), which the building System resolves. Pointer-free, so the garbage
-// collector never scans the edge relation. As a predecessor link, to is the
-// source and noState marks a root.
+// collector never scans the edge relation.
 type packedEdge struct {
 	to StateID
 	system.Label
@@ -198,35 +196,9 @@ func (a *packedAdjacency) Targets(id StateID, buf []StateID) []StateID {
 
 func (a *packedAdjacency) SealLevel() {}
 
-// predTable holds the optional BFS-tree predecessor links of a backend, one
-// packedEdge per vertex. resolve turns a link's label back into the task and
-// action: the building System's Resolve, or the persisted dictionaries of a
-// reopened graph. With keep == false (WithoutWitnesses) nothing is recorded
-// and every Pred read is the zero link.
-type predTable struct {
-	keep    bool
-	resolve func(system.Label) (ioa.Task, ioa.Action)
-	list    []packedEdge // to is the predecessor
-}
-
-func (p *predTable) add(link packedEdge) {
-	if p.keep {
-		p.list = append(p.list, link)
-	}
-}
-
-func (p *predTable) Pred(id StateID) pred {
-	if uint(id) >= uint(len(p.list)) || p.list[id].to == noState {
-		return pred{}
-	}
-	task, act := p.resolve(p.list[id].Label)
-	return pred{from: p.list[id].to, task: task, act: act, has: true}
-}
-
 // denseStore is the vertex store of every graph, whichever StoreKind holds
-// its edges: the dedup index from states to dense StateIDs, the
-// representative states and the optional BFS-tree predecessor links. A
-// vertex is keyed on its cell-index tuple (system.AppendKey): every key has
+// its edges: the dedup index from states to dense StateIDs and the
+// representative states. A vertex is keyed on its cell-index tuple (system.AppendKey): every key has
 // the same length, so the keys sit end to end in byte segments of vseg
 // vertices each — allocated at full capacity and never reallocated, like the
 // edge segments — and the dedup index is an open-addressed table of vertex
@@ -244,14 +216,13 @@ func (p *predTable) Pred(id StateID) pred {
 // interning order, so a BFS that interns states in discovery order gets
 // BFS-numbered vertices for free.
 //
-// Bounds contract: every read accessor (State, Fingerprint, Pred) is total —
+// Bounds contract: every read accessor (State, Fingerprint) is total —
 // an out-of-range ID yields the zero value, never a panic; so are the two
 // lookups, for any bytes at all. Any number of goroutines may call AppendKey,
 // the lookups and the read accessors concurrently as long as no Intern
 // overlaps them: a build interns on one goroutine, and readers get the graph
 // once it is built.
 type denseStore struct {
-	predTable
 	sys    *system.System
 	stride int              // key bytes per vertex
 	vseg   StateID          // vertexSegment; smaller in tests
@@ -268,14 +239,13 @@ type denseStore struct {
 // would be more than half full.
 const denseInitialSlots = 2048
 
-func newDenseStore(sys *system.System, witnesses bool) *denseStore {
+func newDenseStore(sys *system.System) *denseStore {
 	return &denseStore{
-		predTable: predTable{keep: witnesses, resolve: sys.Resolve},
-		sys:       sys,
-		stride:    4 * (len(sys.ProcessIDs()) + len(sys.ServiceIDs())),
-		vseg:      vertexSegment,
-		table:     make([]uint32, denseInitialSlots),
-		hash:      keyHash,
+		sys:    sys,
+		stride: 4 * (len(sys.ProcessIDs()) + len(sys.ServiceIDs())),
+		vseg:   vertexSegment,
+		table:  make([]uint32, denseInitialSlots),
+		hash:   keyHash,
 	}
 }
 
@@ -346,10 +316,8 @@ func (s *denseStore) LookupFingerprint(fp string) (StateID, bool) {
 }
 
 // Intern stores a vertex under its key, assigning the next dense ID if the
-// key is new; fresh reports a new assignment. The predecessor link — p.to is
-// the predecessor, noState for a root — is recorded only then, and only on a
-// store kept with witnesses. The key is copied.
-func (s *denseStore) Intern(key []byte, st system.State, p packedEdge) (StateID, bool) {
+// key is new; fresh reports a new assignment. The key is copied.
+func (s *denseStore) Intern(key []byte, st system.State) (StateID, bool) {
 	if len(key) != s.stride {
 		panic(fmt.Sprintf("explore: dense store: %d-byte key, the stride is %d", len(key), s.stride))
 	}
@@ -367,7 +335,6 @@ func (s *denseStore) Intern(key []byte, st system.State, p packedEdge) (StateID,
 	}
 	s.keys[seg] = append(s.keys[seg], key...)
 	s.states[seg] = append(s.states[seg], st)
-	s.add(p)
 	s.n++
 	s.table[slot] = uint32(s.n)
 	if 2*s.n > len(s.table) {

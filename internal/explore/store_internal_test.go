@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"github.com/ioa-lab/boosting/internal/allocpin"
-	"github.com/ioa-lab/boosting/internal/ioa"
 	"github.com/ioa-lab/boosting/internal/protocols"
 	"github.com/ioa-lab/boosting/internal/service"
 	"github.com/ioa-lab/boosting/internal/symmetry"
@@ -21,7 +20,7 @@ import (
 )
 
 // sameGraph asserts got is ref per ID: fingerprint, outgoing edges,
-// predecessor link and valence of every vertex, and the roots.
+// witness path and valence of every vertex, and the roots.
 func sameGraph(t *testing.T, label string, ref, got *Graph) {
 	t.Helper()
 	if got.Size() != ref.Size() || got.Edges() != ref.Edges() || !slices.Equal(got.Roots(), ref.Roots()) {
@@ -35,8 +34,8 @@ func sameGraph(t *testing.T, label string, ref, got *Graph) {
 		if g, r := got.Succs(id), ref.Succs(id); !slices.Equal(g, r) {
 			t.Fatalf("%s: state %d edges %v, want %v", label, id, g, r)
 		}
-		if g, r := got.store.Pred(id), ref.store.Pred(id); g != r {
-			t.Fatalf("%s: state %d pred %+v, want %+v", label, id, g, r)
+		if g, r := got.WitnessPath(id), ref.WitnessPath(id); !slices.Equal(g, r) {
+			t.Fatalf("%s: state %d witness path %+v, want %+v", label, id, g, r)
 		}
 		if g, r := got.Valence(id), ref.Valence(id); g != r {
 			t.Fatalf("%s: state %d valence %v, want %v", label, id, g, r)
@@ -62,7 +61,7 @@ func TestDenseTableExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := newDenseStore(sys, true)
+	store := newDenseStore(sys)
 	store.table = make([]uint32, 2)
 	store.hash = func([]byte) uint64 { return 0 }
 	g := buildOn(t, sys, roots, store, &packedAdjacency{sys: sys, segCap: edgeSegment}, BuildOptions{})
@@ -233,38 +232,6 @@ func TestStoredSuccessorAllocs(t *testing.T) {
 	})
 }
 
-// TestStoreWithoutWitnesses: a vertex store kept without witnesses must
-// record no predecessor links — Pred is the zero link for every vertex, in
-// range or not — while IDs, states and fingerprints stay identical.
-func TestStoreWithoutWitnesses(t *testing.T) {
-	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := BuildGraph(sys, []systemState{stateAfterInputs(t, sys)}, BuildOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := newDenseStore(sys, false)
-	var buf []byte
-	for id := 0; id < 10; id++ {
-		st, _ := dense.State(StateID(id))
-		buf = store.AppendKey(buf[:0], st)
-		got, fresh := store.Intern(buf, st, packedEdge{to: 1})
-		if !fresh || got != StateID(id) {
-			t.Fatalf("witness-free Intern state %d: got %d fresh=%v", id, got, fresh)
-		}
-	}
-	for id := 0; id < 12; id++ {
-		if p := store.Pred(StateID(id)); p.has || p.from != 0 {
-			t.Errorf("Pred(%d) = %+v on a witness-free store, want zero", id, p)
-		}
-	}
-	if fp := store.Fingerprint(3); fp != dense.Fingerprint(3) {
-		t.Error("witness-free store diverged on Fingerprint(3)")
-	}
-}
-
 type systemState = system.State
 
 func stateAfterInputs(t *testing.T, sys *system.System) system.State {
@@ -426,40 +393,5 @@ func TestTargetsMatchesEdgesFrom(t *testing.T) {
 				t.Errorf("%s: Targets(%d) past the end = %v, want the buffer back unchanged", b.name, id, got)
 			}
 		}
-	}
-}
-
-// TestPredTablePacked: predecessor links are stored as handed over and
-// resolved on the way out — roots and unrecorded IDs read as the zero link,
-// everything else through the table's resolver, here a two-row dictionary.
-func TestPredTablePacked(t *testing.T) {
-	tasks := []ioa.Task{{Proc: 1}, {Proc: 2}}
-	acts := []ioa.Action{{Payload: "a"}, {Payload: "b"}}
-	p := predTable{keep: true, resolve: func(l system.Label) (ioa.Task, ioa.Action) { return tasks[l.Task], acts[l.Act] }}
-	links := []packedEdge{
-		{to: noState},
-		{to: 0, Label: system.Label{Task: 0, Act: 0}},
-		{to: 1, Label: system.Label{Task: 1, Act: 1}},
-		{to: 0, Label: system.Label{Task: 0, Act: 1}},
-	}
-	for _, l := range links {
-		p.add(l)
-	}
-	for id, l := range links {
-		want := pred{}
-		if l.to != noState {
-			want = pred{from: l.to, task: tasks[l.Task], act: acts[l.Act], has: true}
-		}
-		if got := p.Pred(StateID(id)); got != want {
-			t.Errorf("Pred(%d) = %+v, want %+v", id, got, want)
-		}
-	}
-	if got := p.Pred(StateID(len(links))); got != (pred{}) {
-		t.Errorf("Pred past the end = %+v", got)
-	}
-	off := predTable{}
-	off.add(links[1])
-	if got := off.Pred(0); got != (pred{}) || len(off.list) != 0 {
-		t.Errorf("a table without witnesses recorded %+v", got)
 	}
 }

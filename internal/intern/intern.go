@@ -5,7 +5,7 @@
 // every table multiplies memory and hashing cost by the fingerprint length.
 // The standard model-checking move (SPIN, TLC) is to intern each canonical
 // encoding exactly once, hand out a dense uint32 index, and key every other
-// table — successor lists, predecessor links, valence masks — by that index,
+// table — successor lists, valence masks, BFS trees — by that index,
 // so the per-vertex cost of the surrounding tables drops to a few words and
 // array indexing replaces string hashing on every edge.
 //

@@ -27,16 +27,18 @@ const (
 // the server's defaults (the boostd flag block); the zero Workers then
 // defaults to 1 — serial jobs — because the worker pool, not the single
 // build, is what keeps the box saturated. Engine options (workers, store,
-// spilldir, nowitness) never enter the result-cache key: every combination
+// spill directory) never enter the result-cache key: every combination
 // produces the same verdict.
 type Options struct {
 	Workers   int    `json:"workers,omitempty"`
 	MaxStates int    `json:"maxStates,omitempty"`
 	Store     string `json:"store,omitempty"`
-	SpillDir  string `json:"spilldir,omitempty"`
-	NoWitness bool   `json:"nowitness,omitempty"`
-	Symmetry  bool   `json:"symmetry,omitempty"`
-	NoGraph   bool   `json:"nograph,omitempty"`
+	// SpillDir is where spill-store jobs create their edge files. Only
+	// boostd's -spilldir flag sets it: a client does not pick a directory
+	// on the server, and a body that names one is refused.
+	SpillDir string `json:"-"`
+	Symmetry bool   `json:"symmetry,omitempty"`
+	NoGraph  bool   `json:"nograph,omitempty"`
 	// Rounds is the round count of the round-based families (at most maxN:
 	// FloodSet needs at most f+1 <= n rounds).
 	Rounds    int `json:"rounds,omitempty"`
@@ -62,7 +64,6 @@ func (o Options) merge(def Options) Options {
 	if o.SpillDir == "" {
 		o.SpillDir = def.SpillDir
 	}
-	o.NoWitness = o.NoWitness || def.NoWitness
 	o.Symmetry = o.Symmetry || def.Symmetry
 	o.NoGraph = o.NoGraph || def.NoGraph
 	if o.Rounds == 0 {
@@ -87,7 +88,6 @@ func DefaultsFromFlags(c *cliflags.Common) Options {
 		MaxStates: c.MaxStates,
 		Store:     c.Store,
 		SpillDir:  c.SpillDir,
-		NoWitness: c.NoWitness,
 		Symmetry:  c.Symmetry,
 	}
 }
@@ -113,9 +113,6 @@ func (o Options) lower() ([]boosting.Option, error) {
 	}
 	if o.SpillDir != "" || store == boosting.SpillStore {
 		opts = append(opts, boosting.WithSpillDir(o.SpillDir))
-	}
-	if o.NoWitness {
-		opts = append(opts, boosting.WithoutWitnesses())
 	}
 	if o.Symmetry {
 		opts = append(opts, boosting.WithSymmetry())
@@ -181,12 +178,10 @@ func (r *Request) inputMap() (map[int]string, error) {
 }
 
 // validate checks the request against the registry and builds its checker.
-// A *boosting.ConflictError — witness-free options against a witness-
-// producing analysis — is detected here, at submit time, never after
-// queueing.
+// Every rejection is a *badRequestError, found here, at submit time, never
+// after queueing.
 func (r *Request) validate(defaults Options) (*boosting.Checker, error) {
-	info, ok := protocolInfo(r.Protocol)
-	if !ok {
+	if _, ok := protocolInfo(r.Protocol); !ok {
 		return nil, &badRequestError{fmt.Sprintf("unknown protocol %q (see GET /v1/protocols)", r.Protocol)}
 	}
 	if r.N < 1 {
@@ -219,14 +214,6 @@ func (r *Request) validate(defaults Options) (*boosting.Checker, error) {
 	if err != nil {
 		return nil, &badRequestError{err.Error()}
 	}
-	if r.Options.NoWitness && !r.Options.NoGraph && !info.SkipsGraphAnalysis &&
-		(r.Analysis == AnalysisRefute || r.Analysis == AnalysisRefuteKSet) {
-		return nil, &conflictRequestError{&boosting.ConflictError{
-			Option: "nowitness",
-			With:   r.Analysis,
-			Reason: "refutation certificates reconstruct witness executions from the dropped predecessor links (set nograph to skip the graph phases)",
-		}}
-	}
 	chk, err := boosting.New(r.Protocol, r.N, r.F, opts...)
 	if err != nil {
 		return nil, &badRequestError{err.Error()}
@@ -249,8 +236,8 @@ func (r *Request) validate(defaults Options) (*boosting.Checker, error) {
 // state budget, round cap, graph-phase skip) and the analysis parameters.
 // Explore jobs add the canonicalized root of their input assignment, so
 // process-renamed initializations of symmetric families share an entry.
-// Engine options — workers, store backend, witness links — are
-// deliberately absent: every combination returns the same verdict.
+// Engine options — workers, store backend — are deliberately absent: every
+// combination returns the same verdict.
 func (r *Request) cacheKey(chk *boosting.Checker) (string, error) {
 	key := fmt.Sprintf("%x|a=%s|sym=%t|ms=%d|mr=%d|ng=%t",
 		chk.CanonicalFingerprint(), r.Analysis,
@@ -288,12 +275,6 @@ func protocolInfo(name string) (boosting.ProtocolInfo, bool) {
 type badRequestError struct{ msg string }
 
 func (e *badRequestError) Error() string { return e.msg }
-
-// conflictRequestError maps to HTTP 422: the request is well-formed but the
-// option combination cannot produce the requested analysis.
-type conflictRequestError struct{ err *boosting.ConflictError }
-
-func (e *conflictRequestError) Error() string { return e.err.Error() }
 
 // ErrorPayload is the structured error of a failed job (and of submit-time
 // rejections): a stable kind plus the kind-specific fields.

@@ -49,13 +49,6 @@ func writeError(w http.ResponseWriter, err error) {
 		})
 		return
 	}
-	var conflict *conflictRequestError
-	if errors.As(err, &conflict) {
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]*ErrorPayload{
-			"error": {Kind: "conflict", Message: conflict.err.Error()},
-		})
-		return
-	}
 	if errors.Is(err, errDraining) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]*ErrorPayload{
 			"error": {Kind: "draining", Message: err.Error()},
@@ -106,7 +99,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	j, state, err := s.submit(req)
+	j, state, err := s.submit(r.Context(), req)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -42,11 +42,16 @@ type Config struct {
 // bounded worker pool and the canonical-fingerprint result cache. Create
 // with New, serve with any http.Server, stop with Shutdown.
 type Server struct {
-	cfg      Config
-	mux      *http.ServeMux
-	jobs     *jobStore
-	cache    *resultCache
-	queue    chan *Job
+	cfg   Config
+	mux   *http.ServeMux
+	jobs  *jobStore
+	cache *resultCache
+	queue chan *Job
+	// checking holds one token per submission inside validate and
+	// cacheKey, which run on the HTTP handler's goroutine: Pool of them at
+	// most, so concurrent submissions cannot take every CPU before the
+	// pool's queue sees them.
+	checking chan struct{}
 	queueMu  sync.Mutex
 	closed   bool
 	draining atomic.Bool
@@ -79,11 +84,12 @@ func New(cfg Config) *Server {
 		cfg.CacheSize = defaultCacheSize
 	}
 	s := &Server{
-		cfg:    cfg,
-		jobs:   newJobStore(),
-		cache:  newResultCache(cfg.CacheSize),
-		queue:  make(chan *Job, queueCap),
-		graphs: newGraphIndex(graphIndexCap),
+		cfg:      cfg,
+		jobs:     newJobStore(),
+		cache:    newResultCache(cfg.CacheSize),
+		queue:    make(chan *Job, queueCap),
+		checking: make(chan struct{}, cfg.Pool),
+		graphs:   newGraphIndex(graphIndexCap),
 	}
 	s.mux = s.routes()
 	s.wg.Add(cfg.Pool)
@@ -122,18 +128,15 @@ func (s *Server) enqueue(mk func() *Job) (*Job, error) {
 // submit validates a request, resolves it against the result cache and, on
 // a miss, queues a fresh job. The returned job is shared on hits and
 // single-flight joins. A miss the queue cannot take registers no job and
-// counts nothing, so a later resubmission is a fresh miss.
-func (s *Server) submit(req Request) (*Job, CacheState, error) {
+// counts nothing, so a later resubmission is a fresh miss. Validation and
+// the cache key wait for one of Pool slots, or until ctx is done.
+func (s *Server) submit(ctx context.Context, req Request) (*Job, CacheState, error) {
 	if s.draining.Load() {
 		return nil, "", errDraining
 	}
-	chk, err := req.validate(s.cfg.Defaults)
+	key, err := s.check(ctx, &req)
 	if err != nil {
 		return nil, "", err
-	}
-	key, err := req.cacheKey(chk)
-	if err != nil {
-		return nil, "", &badRequestError{err.Error()}
 	}
 	fresh := func() *Job {
 		j := s.jobs.add(req)
@@ -160,6 +163,26 @@ func (s *Server) submit(req Request) (*Job, CacheState, error) {
 		s.deltaHits.Add(1)
 	}
 	return j, state, nil
+}
+
+// check runs validate and cacheKey, which cost up to tens of milliseconds of
+// CPU on the largest requests, holding one of the Pool slots of s.checking.
+func (s *Server) check(ctx context.Context, req *Request) (string, error) {
+	select {
+	case s.checking <- struct{}{}:
+	case <-ctx.Done():
+		return "", ctx.Err()
+	}
+	defer func() { <-s.checking }()
+	chk, err := req.validate(s.cfg.Defaults)
+	if err != nil {
+		return "", err
+	}
+	key, err := req.cacheKey(chk)
+	if err != nil {
+		return "", &badRequestError{err.Error()}
+	}
+	return key, nil
 }
 
 // errDraining maps to HTTP 503, errQueueFull to 429.

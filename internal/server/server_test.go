@@ -114,20 +114,22 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad policy", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"policy": "optimistic"}}`, http.StatusBadRequest},
 		{"bad input key", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "explore", "inputs": {"p0": "1"}}`, http.StatusBadRequest},
 		{"unknown input process", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "explore", "inputs": {"99": "1"}}`, http.StatusBadRequest},
-		{"nowitness x refute", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "refute", "claimed": 1, "options": {"nowitness": true}}`, http.StatusUnprocessableEntity},
+		{"removed option nowitness", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "refute", "claimed": 1, "options": {"nowitness": true}}`, http.StatusBadRequest},
+		{"server-side option spilldir", `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"store": "spill", "spilldir": "/tmp"}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if _, code := postJob(t, ts, c.body); code != c.want {
 			t.Errorf("%s: status %d, want %d", c.name, code, c.want)
 		}
 	}
-	// The conflict is resolvable: nograph skips the witness-consuming phases.
-	ack, code := postJob(t, ts, `{"protocol": "forward", "n": 3, "f": 0, "analysis": "refute", "claimed": 1, "options": {"nowitness": true, "nograph": true}}`)
+	// The refutation the nowitness body asked for runs once the option is
+	// left out: no option combination is refused as a conflict any more.
+	ack, code := postJob(t, ts, `{"protocol": "forward", "n": 3, "f": 0, "analysis": "refute", "claimed": 1}`)
 	if code != http.StatusAccepted {
-		t.Fatalf("nowitness+nograph refute: status %d, want 202", code)
+		t.Fatalf("refute: status %d, want 202", code)
 	}
 	if view := waitTerminal(t, ts, ack.ID); view.Status != server.StatusDone {
-		t.Errorf("nowitness+nograph refute: %s (%v)", view.Status, view.Error)
+		t.Errorf("refute: %s (%v)", view.Status, view.Error)
 	}
 }
 
@@ -476,12 +478,12 @@ func TestProtocolsAndStats(t *testing.T) {
 func TestDefaultsFromFlags(t *testing.T) {
 	c := &cliflags.Common{
 		Workers: 2, MaxStates: 500,
-		Store: "spill", SpillDir: "/tmp/x", NoWitness: true, Symmetry: true,
+		Store: "spill", SpillDir: "/tmp/x", Symmetry: true,
 	}
 	got := server.DefaultsFromFlags(c)
 	want := server.Options{
 		Workers: 2, MaxStates: 500,
-		Store: "spill", SpillDir: "/tmp/x", NoWitness: true, Symmetry: true,
+		Store: "spill", SpillDir: "/tmp/x", Symmetry: true,
 	}
 	if got != want {
 		t.Errorf("DefaultsFromFlags = %+v, want %+v", got, want)
@@ -663,15 +665,15 @@ func TestDeltaRefusedDirectoryFallsBack(t *testing.T) {
 			}
 			boosting.CloseGraph(reopened)
 		}},
-		{"format-1 manifest", func(t *testing.T, dir string) {
+		{"format-2 manifest", func(t *testing.T, dir string) {
 			path := filepath.Join(dir, "manifest.json")
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			old := bytes.Replace(raw, []byte(`"format": 2`), []byte(`"format": 1`), 1)
+			old := bytes.Replace(raw, []byte(`"format": 3`), []byte(`"format": 2`), 1)
 			if bytes.Equal(old, raw) {
-				t.Fatalf("manifest has no \"format\": 2 field: %s", raw)
+				t.Fatalf("manifest has no \"format\": 3 field: %s", raw)
 			}
 			if err := os.WriteFile(path, old, 0o666); err != nil {
 				t.Fatal(err)

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -131,10 +132,83 @@ func TestQueueFull(t *testing.T) {
 	}
 }
 
+// TestSubmitChecksBounded: validation and the cache key run on the HTTP
+// handler's goroutine, at most Pool of them at once. With every slot taken —
+// filled directly, the way TestQueueFull fills the queue — a submission
+// registers no job: it returns once its context is cancelled, and it goes
+// through once a slot frees.
+func TestSubmitChecksBounded(t *testing.T) {
+	srv := New(Config{Pool: 2})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	for len(srv.checking) < cap(srv.checking) {
+		srv.checking <- struct{}{}
+	}
+	req, err := decodeRequest(strings.NewReader(`{"protocol": "forward", "n": 2, "f": 0, "analysis": "classify"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := make(chan error, 1)
+	submit := func(ctx context.Context) {
+		go func() {
+			_, _, err := srv.submit(ctx, req)
+			submitted <- err
+		}()
+	}
+	blocked := func(what string) {
+		t.Helper()
+		select {
+		case err := <-submitted:
+			t.Fatalf("%s: the submission returned %v while every slot was taken", what, err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		if n := len(srv.jobs.all()); n != 0 {
+			t.Fatalf("%s: %d jobs registered while every slot was taken", what, n)
+		}
+	}
+	returned := func(what string) error {
+		t.Helper()
+		select {
+		case err := <-submitted:
+			return err
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: the submission did not return", what)
+			return nil
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	submit(ctx)
+	blocked("cancelled")
+	cancel()
+	if err := returned("cancelled"); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled while waiting: %v, want context.Canceled", err)
+	}
+	if n := len(srv.jobs.all()); n != 0 {
+		t.Errorf("a cancelled submission registered %d jobs", n)
+	}
+
+	submit(context.Background())
+	blocked("waiting")
+	<-srv.checking
+	if err := returned("freed"); err != nil {
+		t.Fatalf("once a slot freed: %v", err)
+	}
+	if n := len(srv.jobs.all()); n != 1 {
+		t.Errorf("%d jobs registered once a slot freed, want 1", n)
+	}
+	if n := len(srv.checking); n != cap(srv.checking)-1 {
+		t.Errorf("%d slots taken after the submission, want its slot back (%d)", n, cap(srv.checking)-1)
+	}
+}
+
 // FuzzSubmitRequest feeds arbitrary bodies through what POST /v1/jobs does
 // before queueing — decode, validate, cacheKey. Nothing may panic, every
-// rejection is a bad request or a conflict (400 or 422), and a request that
-// validates has a cache key.
+// rejection is a bad request (400), and a request that validates has a cache
+// key.
 func FuzzSubmitRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"protocol": "fdboost", "n": 17, "f": 0, "analysis": "classify", "options": {"rounds": 18}}`,
@@ -158,9 +232,7 @@ func FuzzSubmitRequest(f *testing.F) {
 				return
 			}
 		}
-		switch err.(type) {
-		case *badRequestError, *conflictRequestError:
-		default:
+		if _, ok := err.(*badRequestError); !ok {
 			t.Fatalf("rejection %T (%v) is not a 4xx", err, err)
 		}
 	})

@@ -10,33 +10,32 @@ import (
 
 // config is the resolved option set of a Checker.
 type config struct {
-	workers     int
-	maxStates   int
-	store       Store
-	storeSet    bool
-	spillDir    string
-	graphDir    string
-	noWitnesses bool
-	progress    ProgressFunc
-	ctx         context.Context
-	policy      service.SilencePolicy
-	rounds      int
-	maxRounds   int
-	skipGraph   bool
-	symmetry    bool
+	workers   int
+	maxStates int
+	store     Store
+	storeSet  bool
+	spillDir  string
+	graphDir  string
+	progress  ProgressFunc
+	ctx       context.Context
+	policy    service.SilencePolicy
+	rounds    int
+	maxRounds int
+	skipGraph bool
+	symmetry  bool
 	// canon is the resolved canonicalizer: non-nil only when symmetry is
 	// requested and the protocol declares a symmetry spec.
 	canon explore.Canonicalizer
 }
 
 // ConflictError reports an option combination that an analysis cannot
-// honor — for example WithoutWitnesses with FindHook, whose certificates
-// are witness executions. It is returned eagerly, typed, instead of letting
-// the analysis produce silently empty witnesses. errors.As recovers it.
+// honor — for example WithGraphDir with Refute, which builds several graphs
+// where a graph directory holds one. It is returned eagerly, typed, before
+// any work is done. errors.As recovers it.
 type ConflictError struct {
-	// Option is the configured option, e.g. "WithoutWitnesses()".
+	// Option is the configured option, e.g. "WithGraphDir(dir)".
 	Option string
-	// With is the analysis or option it conflicts with, e.g. "FindHook".
+	// With is the analysis or option it conflicts with, e.g. "Refute".
 	With string
 	// Reason says why the combination cannot work.
 	Reason string
@@ -70,9 +69,7 @@ func WithMaxStates(n int) Option { return func(c *config) { c.maxStates = max(n,
 
 // Storage options. They compose freely with each other and with every
 // backend: all backends produce identical graphs and reports, differing
-// only in resident memory and lookup cost. WithoutWitnesses conflicts with
-// the witness-producing analyses (FindHook, Refute's graph phases), which
-// return a *ConflictError rather than empty witnesses.
+// only in resident memory and lookup cost.
 
 // WithStore selects the storage backend for graph builds: DenseStore
 // (default) or SpillStore. Both keep the vertices in RAM; SpillStore keeps
@@ -102,11 +99,11 @@ func WithSpillDir(dir string) Option {
 
 // WithGraphDir makes every graph the Checker builds durable: the spill
 // backend's edge file, plus the vertices' canonical fingerprints and an
-// index of valence masks, roots and witness links, is committed under dir
+// index of valence masks and roots, is committed under dir
 // behind a versioned, checksummed manifest instead of living in an unlinked
 // temp file; reopening decodes every fingerprint back into the vertex store. A
 // directory holding a committed graph whose identity matches the
-// requested build exactly (candidate, roots, symmetry, witnesses) is
+// requested build exactly (candidate, roots, symmetry) is
 // reopened without exploring a state; anything else — empty directory,
 // different candidate, damaged files — is rebuilt in place. Any
 // same-shape candidate can read the directory back with Checker.OpenGraph,
@@ -154,15 +151,12 @@ func (c *config) validateDurable() error {
 	return nil
 }
 
-// WithoutWitnesses drops the per-vertex BFS-tree predecessor links from
-// every graph the Checker builds: counts, valences and edges are
-// unchanged, WitnessPath returns nil, and analyses that must reconstruct
-// witness executions — FindHook, and Refute unless the graph phases are
-// skipped — return a *ConflictError instead of producing empty witnesses.
-// Use it with Explore/ClassifyInits workloads that only need counts and
-// valences: on large builds the links are an 8-byte per-vertex cost the
-// spill backend does not move to disk.
-func WithoutWitnesses() Option { return func(c *config) { c.noWitnesses = true } }
+// WithoutWitnesses does nothing. Graphs store no predecessor links any more:
+// WitnessPath derives a vertex's path from the edges on first use, so there
+// is nothing to drop, and every analysis works with or without it.
+//
+// Deprecated: leave it out; it configures nothing.
+func WithoutWitnesses() Option { return func(*config) {} }
 
 // WithProgress streams per-level exploration reports (states, edges,
 // frontier) to fn during every graph build the Checker performs.
@@ -216,14 +210,13 @@ func WithoutGraphAnalysis() Option { return func(c *config) { c.skipGraph = true
 // buildOptions lowers the config to engine build options.
 func (c *config) buildOptions() explore.BuildOptions {
 	return explore.BuildOptions{
-		Workers:     c.workers,
-		MaxStates:   c.maxStates,
-		Store:       c.store,
-		SpillDir:    c.spillDir,
-		GraphDir:    c.graphDir,
-		NoWitnesses: c.noWitnesses,
-		Symmetry:    c.canon,
-		Progress:    c.progress,
-		Ctx:         c.ctx,
+		Workers:   c.workers,
+		MaxStates: c.maxStates,
+		Store:     c.store,
+		SpillDir:  c.spillDir,
+		GraphDir:  c.graphDir,
+		Symmetry:  c.canon,
+		Progress:  c.progress,
+		Ctx:       c.ctx,
 	}
 }

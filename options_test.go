@@ -8,6 +8,8 @@ package boosting_test
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/ioa-lab/boosting"
@@ -133,8 +135,7 @@ func TestSpillExhaustiveForwardN5(t *testing.T) {
 // TestSpillExhaustiveForwardN6 pins the exhaustive forward n=6 frontier the
 // spilled adjacency opened (ROADMAP/E29): 1764 states / 15084 edges under
 // symmetry reduction, with edges living on disk, graph-identical
-// to the dense build. The CI spill job runs this under GOMEMLIMIT=64MiB;
-// witness links off and on must agree on every count and valence.
+// to the dense build. The CI spill job runs this under GOMEMLIMIT=64MiB.
 func TestSpillExhaustiveForwardN6(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive n=6 build skipped in -short mode")
@@ -152,84 +153,91 @@ func TestSpillExhaustiveForwardN6(t *testing.T) {
 		t.Fatalf("dense reference: %d states / %d edges, want %d / %d",
 			want.Graph.Size(), want.Graph.Edges(), wantStates, wantEdges)
 	}
-	for _, noWitness := range []bool{false, true} {
-		opts := []boosting.Option{boosting.WithSpillDir(t.TempDir()), boosting.WithSymmetry()}
-		if noWitness {
-			opts = append(opts, boosting.WithoutWitnesses())
-		}
-		chk, err := boosting.New("forward", 6, 0, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := chk.ClassifyInits()
-		if err != nil {
-			t.Fatalf("nowitness=%v: %v", noWitness, err)
-		}
-		assertGraphsIdentical(t, "spill-n6", want.Graph, c.Graph)
-		if c.BivalentIndex != want.BivalentIndex {
-			t.Errorf("nowitness=%v: bivalent index %d, want %d", noWitness, c.BivalentIndex, want.BivalentIndex)
-		}
-		stats, ok := boosting.GraphSpillStats(c.Graph)
-		if !ok {
-			t.Fatal("spill graph reported no spill stats")
-		}
-		if stats.EdgeBytes == 0 {
-			t.Errorf("nowitness=%v: spilled adjacency wrote zero edge bytes", noWitness)
-		}
-		if err := boosting.CloseGraph(c.Graph); err != nil {
-			t.Errorf("nowitness=%v: CloseGraph = %v", noWitness, err)
-		}
-	}
-}
-
-// TestWithoutWitnessesConflicts: WithoutWitnesses keeps counts and valences
-// (Explore/ClassifyInits work, WitnessPath is nil), while the
-// witness-producing analyses reject the combination with a typed
-// *ConflictError instead of returning empty witnesses — unless the graph
-// phases are skipped, which makes the combination legitimate.
-func TestWithoutWitnessesConflicts(t *testing.T) {
-	chk, err := boosting.New("forward", 2, 0,
-		boosting.WithWorkers(1), boosting.WithoutWitnesses())
+	chk, err := boosting.New("forward", 6, 0, boosting.WithSpillDir(t.TempDir()), boosting.WithSymmetry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c, err := chk.ClassifyInits()
 	if err != nil {
-		t.Fatalf("ClassifyInits without witnesses: %v", err)
-	}
-	full, err := boosting.New("forward", 2, 0, boosting.WithWorkers(1))
-	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := full.ClassifyInits()
-	if err != nil {
-		t.Fatal(err)
+	assertGraphsIdentical(t, "spill-n6", want.Graph, c.Graph)
+	if c.BivalentIndex != want.BivalentIndex {
+		t.Errorf("bivalent index %d, want %d", c.BivalentIndex, want.BivalentIndex)
 	}
-	assertGraphsIdentical(t, "nowitness", want.Graph, c.Graph)
-	if got := c.Graph.WitnessPath(boosting.StateID(c.Graph.Size() - 1)); got != nil {
-		t.Errorf("WitnessPath on a witness-free graph = %v, want nil", got)
+	stats, ok := boosting.GraphSpillStats(c.Graph)
+	if !ok {
+		t.Fatal("spill graph reported no spill stats")
 	}
-	var ce *boosting.ConflictError
-	if _, err := chk.FindHook(c.Graph, c.Roots[c.BivalentIndex]); !errors.As(err, &ce) {
-		t.Errorf("FindHook without witnesses: got %v, want *ConflictError", err)
+	if stats.EdgeBytes == 0 {
+		t.Error("spilled adjacency wrote zero edge bytes")
 	}
-	if _, err := chk.Refute(1); !errors.As(err, &ce) {
-		t.Errorf("Refute without witnesses: got %v, want *ConflictError", err)
-	} else if ce.Option == "" || ce.With != "Refute" {
-		t.Errorf("ConflictError fields not populated: %+v", ce)
+	if err := boosting.CloseGraph(c.Graph); err != nil {
+		t.Errorf("CloseGraph = %v", err)
 	}
-	if _, err := chk.RefuteKSet(1, 1); !errors.As(err, &ce) {
-		t.Errorf("RefuteKSet without witnesses: got %v, want *ConflictError", err)
-	}
-	// With the graph phases skipped nothing reconstructs witnesses, so the
-	// combination is accepted and the failure scenarios still run.
-	skipped, err := boosting.New("forward", 2, 0,
-		boosting.WithWorkers(1), boosting.WithoutWitnesses(), boosting.WithoutGraphAnalysis())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := skipped.Refute(1); err != nil {
-		t.Errorf("Refute without witnesses + WithoutGraphAnalysis: %v", err)
+}
+
+// TestWithoutWitnessesNoOp: WithoutWitnesses configures nothing. FindHook,
+// Refute and RefuteKSet on a checker built with it succeed, with the hook and
+// the reports byte-identical to the default checker's, and its graphs serve
+// the same witness paths.
+func TestWithoutWitnessesNoOp(t *testing.T) {
+	for _, c := range []struct {
+		protocol string
+		n        int
+	}{{"forward", 2}, {"forward", 3}, {"registervote", 2}, {"setboost", 2}} {
+		name := fmt.Sprintf("%s-n%d", c.protocol, c.n)
+		chk := mustChecker(t, c.protocol, c.n, 0, boosting.WithWorkers(1), boosting.WithoutWitnesses())
+		ref := mustChecker(t, c.protocol, c.n, 0, boosting.WithWorkers(1))
+		got, err := chk.ClassifyInits()
+		if err != nil {
+			t.Fatalf("%s: ClassifyInits: %v", name, err)
+		}
+		want, err := ref.ClassifyInits()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertGraphsIdentical(t, name, want.Graph, got.Graph)
+		if sum := witnessPathsSum(got.Graph); sum != witnessPathsSum(want.Graph) {
+			t.Errorf("%s: witness paths differ", name)
+		}
+		if want.BivalentIndex >= 0 {
+			gh, err := chk.FindHook(got.Graph, got.Roots[got.BivalentIndex])
+			if err != nil {
+				t.Fatalf("%s: FindHook: %v", name, err)
+			}
+			wh, err := ref.FindHook(want.Graph, want.Roots[want.BivalentIndex])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gh, wh) || fmt.Sprint(gh.Hook) != fmt.Sprint(wh.Hook) {
+				t.Errorf("%s: FindHook = %+v, want %+v", name, gh, wh)
+			}
+		}
+		for _, refute := range []struct {
+			name string
+			run  func(*boosting.Checker) (*boosting.Report, error)
+		}{
+			{"Refute(1)", func(c *boosting.Checker) (*boosting.Report, error) { return c.Refute(1) }},
+			{"RefuteKSet(1, 1)", func(c *boosting.Checker) (*boosting.Report, error) { return c.RefuteKSet(1, 1) }},
+		} {
+			gr, err := refute.run(chk)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, refute.name, err)
+			}
+			wr, err := refute.run(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gr.String() != wr.String() {
+				t.Errorf("%s: %s report\n%s\nwant\n%s", name, refute.name, gr, wr)
+			}
+		}
+		for _, r := range []*boosting.InitClassification{got, want} {
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
