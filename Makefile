@@ -132,15 +132,19 @@ bench-adjacency:
 # TestDurable and TestClassifyReopened add the durable graph store:
 # commit, reopen-parity (every fingerprint decoded back into the vertex
 # store) and a policy variant answered from the reopened graph all run under
-# the same ceiling, with the reattached edges still on disk.
+# the same ceiling, with the reattached edges still on disk. Its callers are
+# WithGraphDir and the CLIs' -graphdir; boostd keeps no graph on disk.
 test-spill:
 	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestStoreParity|TestGoldenExploration|TestGoldenInfiniteFamilies|TestRefutationReportParity|TestQuotient|TestSpill|TestDurable|TestWithGraphDir' .
 	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestSpill|TestStoreBounds|TestTargetsMatchesEdgesFrom|TestDurable|TestClassifyReopened' ./internal/explore/
 
 # The checking-service suite: the boostd HTTP/SSE/cache end-to-end tests
-# (golden counts, single-flight dedup, isomorphic cache hits, cancel and
-# drain semantics) plus the shared flag block's lowering tests. -count=1
-# because the suite asserts cross-request counters, not pure functions.
+# (golden counts, single-flight dedup, isomorphic cache hits, the in-memory
+# delta tier's per-family parity and root-mismatch fallback, cancel, drain
+# and SSE-disconnect semantics, and a goroutine count back at its baseline
+# after the suite) plus the shared flag block's lowering tests. boostd no
+# longer reaches the durable graph store. -count=1 because the suite asserts
+# cross-request counters, not pure functions.
 test-server:
 	$(GO) test -count=1 ./internal/server/ ./internal/cliflags/
 

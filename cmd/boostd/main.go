@@ -14,13 +14,10 @@
 //	-cache 1024    result-cache capacity in entries
 //	-drain 10s     graceful-shutdown deadline before job contexts cancel
 //
-// -graphdir names the durable graph root of the delta-match cache tier:
-// classify jobs commit their graphs under it, and a submission differing
-// from a committed graph only in silence policy reopens that graph and
-// answers from it instead of rebuilding ("cached": "delta" in the
-// acknowledgement, deltaHits on /v1/stats). Unset, boostd uses a
-// temporary root removed at exit, so the tier is always on within one
-// server lifetime.
+// The engine block has no -graphdir: boostd writes no graph to disk. A
+// classify submission differing from a finished one only in silence policy
+// is answered with that build's recorded verdict instead of a rebuild
+// ("cached": "delta" in the acknowledgement, deltaHits on /v1/stats).
 package main
 
 import (
@@ -50,27 +47,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "boostd:", cliflags.Describe(err))
 		os.Exit(2)
 	}
-	// -graphdir is the server's durable graph root, not a per-job default:
-	// jobs must never inherit it (every classify would collide on one
-	// directory), so it is peeled off before the flag block lowers into
-	// Config.Defaults. Unset, the tier runs on a temporary root removed at
-	// exit.
-	graphRoot := sf.Common.GraphDir
-	sf.Common.GraphDir = ""
-	if graphRoot == "" {
-		tmp, err := os.MkdirTemp("", "boostd-graphs-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "boostd:", err)
-			os.Exit(2)
-		}
-		defer os.RemoveAll(tmp)
-		graphRoot = tmp
-	}
 	srv := server.New(server.Config{
 		Pool:      sf.Pool,
 		CacheSize: sf.Cache,
 		Defaults:  server.DefaultsFromFlags(sf.Common),
-		GraphRoot: graphRoot,
 	})
 	httpSrv := &http.Server{Addr: sf.Addr, Handler: srv}
 

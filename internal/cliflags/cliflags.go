@@ -1,9 +1,10 @@
 // Package cliflags is the shared flag block of the cmd/* binaries: every
 // tool that builds graphs takes the same exploration knobs (-workers,
-// -maxstates, -store, -spilldir, -graphdir, -symmetry), the tools that only
-// run batches take -workers alone, and every tool surfaces partial
-// exploration counts when a state budget overflows. Before the boosting
-// façade each binary carried its own copy of this block; now there is one.
+// -maxstates, -store, -spilldir, -graphdir, -symmetry; boostd all but
+// -graphdir), the tools that only run batches take -workers alone, and
+// every tool surfaces partial exploration counts when a state budget
+// overflows. Before the boosting façade each binary carried its own copy of
+// this block; now there is one.
 package cliflags
 
 import (
@@ -36,6 +37,17 @@ func RegisterWorkers(fs *flag.FlagSet) *int {
 // Register installs the shared flags on a flag set and returns the value
 // holder to read after parsing.
 func Register(fs *flag.FlagSet) *Common {
+	c := registerEngine(fs)
+	// Same empty-sentinel discipline as -store/-spilldir: "" means "not
+	// requested", so the conflict matrix in Options can name exactly the
+	// flags the user actually set.
+	fs.StringVar(&c.GraphDir, "graphdir", "", "durable graph directory: commit the built graph for later reopening (implies -store spill; conflicts with -spilldir)")
+	return c
+}
+
+// registerEngine installs every shared flag but -graphdir, which names one
+// graph and so belongs to the one-build tools, not to a server's defaults.
+func registerEngine(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.IntVar(&c.Workers, "workers", 0, workersUsage)
 	fs.IntVar(&c.MaxStates, "maxstates", 0, "explored-state budget per graph build (0 = engine default)")
@@ -44,10 +56,6 @@ func Register(fs *flag.FlagSet) *Common {
 	// -spilldir can reject every explicit conflicting backend.
 	fs.StringVar(&c.Store, "store", "", "state store backend: dense | spill (edges in an on-disk file; default dense)")
 	fs.StringVar(&c.SpillDir, "spilldir", "", "directory for the spill edge file (implies -store spill; default: OS temp dir)")
-	// Same empty-sentinel discipline as -store/-spilldir: "" means "not
-	// requested", so the conflict matrix in Options can name exactly the
-	// flags the user actually set.
-	fs.StringVar(&c.GraphDir, "graphdir", "", "durable graph directory: commit the built graph for later reopening (implies -store spill; conflicts with -spilldir)")
 	fs.BoolVar(&c.Symmetry, "symmetry", false, "canonicalize states modulo process renaming (quotient graph; symmetric families only)")
 	return c
 }
@@ -66,9 +74,10 @@ type Server struct {
 }
 
 // RegisterServer installs the boostd flags (-addr, -pool, -cache, -drain)
-// plus the shared engine block on a flag set.
+// plus the shared engine block without -graphdir: boostd writes no graph to
+// disk, so the flag is refused as unknown rather than ignored.
 func RegisterServer(fs *flag.FlagSet) *Server {
-	s := &Server{Common: Register(fs)}
+	s := &Server{Common: registerEngine(fs)}
 	fs.StringVar(&s.Addr, "addr", ":8080", "HTTP listen address")
 	fs.IntVar(&s.Pool, "pool", 0, "concurrently running checking jobs (0 = one per CPU; jobs default to the serial engine, so the pool is the parallelism)")
 	fs.IntVar(&s.Cache, "cache", 0, "result-cache capacity in entries (0 = default 1024)")

@@ -189,6 +189,25 @@ func TestRegisterServer(t *testing.T) {
 	}
 }
 
+// TestRegisterServerRefusesGraphDir: boostd writes no graph to disk, so its
+// block has no -graphdir and the flag package refuses it at startup rather
+// than letting it be silently ignored; the one-build tools keep it.
+func TestRegisterServerRefusesGraphDir(t *testing.T) {
+	fs := flag.NewFlagSet("boostd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	RegisterServer(fs)
+	err := fs.Parse([]string{"-graphdir", t.TempDir()})
+	if err == nil || err.Error() != "flag provided but not defined: -graphdir" {
+		t.Errorf("boostd Parse(-graphdir) = %v, want the flag package's unknown-flag error", err)
+	}
+	fs = flag.NewFlagSet("hookfind", flag.ContinueOnError)
+	c := Register(fs)
+	dir := t.TempDir()
+	if err := fs.Parse([]string{"-graphdir", dir}); err != nil || c.GraphDir != dir {
+		t.Errorf("Register: Parse(-graphdir) = %v, GraphDir %q; want %q", err, c.GraphDir, dir)
+	}
+}
+
 // TestOptionsSpillDirConflict: -spilldir with an explicit -store dense is a
 // contradiction and must error, not silently override.
 func TestOptionsSpillDirConflict(t *testing.T) {

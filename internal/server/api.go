@@ -330,10 +330,10 @@ type Result struct {
 	Valences []string `json:"valences,omitempty"`
 	// BivalentIndex is classify's first bivalent initialization, or -1.
 	BivalentIndex *int `json:"bivalentIndex,omitempty"`
-	// Explored, for durable-tier classify jobs, is the number of states
-	// whose successor sets this job computed: the full state count for a
-	// committed build, 0 for a delta job, which reads its verdict off the
-	// policy variant's reopened graph. Absent outside the durable tier.
+	// Explored, for classify jobs, is the number of states whose successor
+	// sets this job computed: the full state count for a build, 0 for a
+	// delta job, which answers with a policy variant's recorded verdict.
+	// Absent for the other analyses.
 	Explored *int `json:"explored,omitempty"`
 	// Refutation fields.
 	Claimed      *int          `json:"claimed,omitempty"`

@@ -18,10 +18,10 @@ const (
 	// CacheInflight: an identical exploration is already queued or running —
 	// the submission joins it (single-flight dedup).
 	CacheInflight CacheState = "inflight"
-	// CacheDelta: no exact entry, but a committed durable graph differing
-	// only in silence policy — the failure-free G(C) is the same graph, so
-	// the job reopens it and answers from its root valences instead of
-	// rebuilding (see Config.GraphRoot).
+	// CacheDelta: no exact entry, but the recorded verdict of a classify
+	// build differing only in silence policy — the failure-free G(C) is the
+	// same graph, so the job answers with that verdict instead of
+	// rebuilding once its monotone roots match the recorded ones.
 	CacheDelta CacheState = "delta"
 )
 
@@ -37,7 +37,7 @@ type CacheStats struct {
 	// missed the exact cache but avoided a full rebuild).
 	Misses int64 `json:"misses"`
 	// DeltaHits counts submissions acknowledged "delta": routed to a
-	// policy-variant's committed graph instead of a rebuild.
+	// policy-variant's recorded verdict instead of a rebuild.
 	DeltaHits int64 `json:"deltaHits"`
 	// Inflight is the number of entries whose job has not finished yet.
 	Inflight int `json:"inflight"`

@@ -2,144 +2,150 @@ package server
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"sync"
+
+	"github.com/ioa-lab/boosting"
 )
 
 // The delta-match cache tier. On an exact-key miss of a classify job the
 // server probes a second index keyed by everything EXCEPT the silence
-// policy: a hit means a durable graph for a policy-variant of the same
-// candidate is already committed under the graph root, and the job reopens
-// it and reads the verdict off its root valences instead of rebuilding:
+// policy. A hit means a silence-policy variant of the same candidate has
+// already finished a full build, and the index holds that build's verdict:
 // a silence policy cannot change a failure-free graph (see
-// explore.ClassifyReopened). The index is only a routing hint — the reopen
-// re-validates the directory, down to the candidate's monotone roots, and
-// anything that fails is dropped and rebuilt.
+// Checker.ClassifyReopened), so the variant's G(C), and with it the
+// Lemma 4 verdict, is the recorded one. The index is only a routing hint:
+// the job recomputes its own n+1 canonical monotone-root fingerprints and
+// answers from the entry only when they equal the recorded ones — the root
+// check ClassifyReopened makes on a directory. On a mismatch the entry is
+// dropped and the job builds in full.
 
-// graphIndexCap bounds the delta index; evicted entries take their
-// committed graph directories with them.
-const graphIndexCap = 256
+// verdictIndexCap bounds the delta index in entries.
+const verdictIndexCap = 256
 
-// graphEntry records one committed durable graph under the graph root.
-type graphEntry struct {
+// verdictEntry records one finished classify build. It is immutable once
+// put: a replacement is a new entry.
+type verdictEntry struct {
 	// deltaKey is the policy-blind index key.
 	deltaKey string
 	// exactKey is the result-cache key of the job that built the graph.
 	exactKey string
-	// dir is the committed graph directory (derived from exactKey).
-	dir string
+	// roots are the builder's canonical monotone-root fingerprints, α_0
+	// to α_n (see monotoneRoots).
+	roots [][]byte
+	// result is a private copy of the builder's verdict, Explored unset.
+	result *Result
 }
 
-// graphIndex is the LRU of committed durable graphs, keyed by the
-// policy-blind delta key. Evicting an entry removes its directory: the
-// index is the single owner of everything under the graph root.
-type graphIndex struct {
+// verdictIndex is the LRU of recorded classify verdicts, keyed by the
+// policy-blind delta key.
+type verdictIndex struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]*list.Element // deltaKey -> *graphEntry
+	entries map[string]*list.Element // deltaKey -> *verdictEntry
 	lru     *list.List
 }
 
-func newGraphIndex(max int) *graphIndex {
-	return &graphIndex{
+func newVerdictIndex(max int) *verdictIndex {
+	return &verdictIndex{
 		max:     max,
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
 	}
 }
 
-// lookup returns the committed graph for a delta key, refreshing its LRU
+// lookup returns the entry recorded under a delta key, refreshing its LRU
 // position.
-func (gi *graphIndex) lookup(deltaKey string) (graphEntry, bool) {
-	gi.mu.Lock()
-	defer gi.mu.Unlock()
-	el, ok := gi.entries[deltaKey]
+func (vi *verdictIndex) lookup(deltaKey string) (*verdictEntry, bool) {
+	vi.mu.Lock()
+	defer vi.mu.Unlock()
+	el, ok := vi.entries[deltaKey]
 	if !ok {
-		return graphEntry{}, false
+		return nil, false
 	}
-	gi.lru.MoveToFront(el)
-	return *el.Value.(*graphEntry), true
+	vi.lru.MoveToFront(el)
+	return el.Value.(*verdictEntry), true
 }
 
-// put registers a freshly committed graph, displacing any previous entry
-// under the same delta key (its directory is removed unless it is the
-// same directory being re-registered).
-func (gi *graphIndex) put(e graphEntry) {
-	gi.mu.Lock()
-	defer gi.mu.Unlock()
-	if el, ok := gi.entries[e.deltaKey]; ok {
-		old := el.Value.(*graphEntry)
-		if old.dir != e.dir {
-			_ = os.RemoveAll(old.dir)
-		}
-		*old = e
-		gi.lru.MoveToFront(el)
+// put records a finished build, displacing any previous entry under the
+// same delta key and evicting the least recently used beyond the bound.
+func (vi *verdictIndex) put(e *verdictEntry) {
+	vi.mu.Lock()
+	defer vi.mu.Unlock()
+	if el, ok := vi.entries[e.deltaKey]; ok {
+		el.Value = e
+		vi.lru.MoveToFront(el)
 		return
 	}
-	gi.entries[e.deltaKey] = gi.lru.PushFront(&e)
-	for gi.max > 0 && len(gi.entries) > gi.max {
-		el := gi.lru.Back()
-		old := el.Value.(*graphEntry)
-		gi.lru.Remove(el)
-		delete(gi.entries, old.deltaKey)
-		_ = os.RemoveAll(old.dir)
+	vi.entries[e.deltaKey] = vi.lru.PushFront(e)
+	for vi.max > 0 && len(vi.entries) > vi.max {
+		el := vi.lru.Back()
+		vi.lru.Remove(el)
+		delete(vi.entries, el.Value.(*verdictEntry).deltaKey)
 	}
 }
 
-// drop forgets an entry whose directory failed to reopen, removing the
-// damaged directory so the next build starts clean. The dir guard keeps
-// a concurrent re-registration under the same delta key alive.
-func (gi *graphIndex) drop(deltaKey, dir string) {
-	gi.mu.Lock()
-	defer gi.mu.Unlock()
-	if el, ok := gi.entries[deltaKey]; ok {
-		old := el.Value.(*graphEntry)
-		if old.dir != dir {
-			return
-		}
-		gi.lru.Remove(el)
-		delete(gi.entries, deltaKey)
-		_ = os.RemoveAll(old.dir)
+// drop forgets an entry whose roots did not match. An entry put under the
+// same delta key since the lookup stays.
+func (vi *verdictIndex) drop(e *verdictEntry) {
+	vi.mu.Lock()
+	defer vi.mu.Unlock()
+	if el, ok := vi.entries[e.deltaKey]; ok && el.Value == e {
+		vi.lru.Remove(el)
+		delete(vi.entries, e.deltaKey)
 	}
 }
 
 // deltaKey is the policy-blind sibling of cacheKey: protocol, sizes,
-// analysis and every verdict-affecting option EXCEPT the silence policy.
+// analysis and every verdict-affecting option EXCEPT the silence policy
+// (nograph is never eligible, so it is not keyed).
 // Two submissions with equal delta keys and unequal exact keys differ
-// only in policy — exactly the relation under which the committed graph is
-// the submission's own failure-free G(C).
+// only in policy — exactly the relation under which a recorded verdict is
+// the submission's own.
 func (r *Request) deltaKey() string {
-	return fmt.Sprintf("delta|%s|n=%d|f=%d|a=%s|sym=%t|ms=%d|mr=%d|ng=%t|r=%d",
+	return fmt.Sprintf("delta|%s|n=%d|f=%d|a=%s|sym=%t|ms=%d|mr=%d|r=%d",
 		r.Protocol, r.N, r.F, r.Analysis,
-		r.Options.Symmetry, r.Options.MaxStates, r.Options.MaxRounds,
-		r.Options.NoGraph, r.Options.Rounds)
+		r.Options.Symmetry, r.Options.MaxStates, r.Options.MaxRounds, r.Options.Rounds)
 }
 
-// deltaEligible reports whether a validated request may use the durable
-// graph tier at all: the server has a graph root, the analysis is the
-// Lemma 4 sweep (one graph per verdict — refutations build several), and
-// the option block does not pin a conflicting backend. The store check
-// mirrors WithGraphDir's conflict matrix: an explicit non-spill store or
-// a caller-owned spill directory wins over durability.
-func (s *Server) deltaEligible(r *Request) bool {
-	if s.cfg.GraphRoot == "" || r.Analysis != AnalysisClassify {
-		return false
+// deltaEligible reports whether a validated request may use the delta
+// tier: the analysis is the Lemma 4 sweep (one graph per verdict —
+// refutations build several, and their failure scenarios read the policy)
+// and the graph phase is not skipped. The store does not matter: every
+// backend returns the same verdict.
+func deltaEligible(r *Request) bool {
+	return r.Analysis == AnalysisClassify && !r.Options.NoGraph
+}
+
+// monotoneRoots returns the canonical fingerprints of chk's n+1 monotone
+// initializations α_0 … α_n, the roots of its Lemma 4 sweep.
+func monotoneRoots(chk *boosting.Checker) ([][]byte, error) {
+	sys := chk.System()
+	roots := make([][]byte, len(sys.ProcessIDs())+1)
+	for i := range roots {
+		fp, err := chk.CanonicalRootFingerprint(boosting.MonotoneAssignment(sys, i))
+		if err != nil {
+			return nil, err
+		}
+		roots[i] = fp
 	}
-	o := r.Options
-	return (o.Store == "" || o.Store == "spill") && o.SpillDir == "" && !o.NoGraph
+	return roots, nil
 }
 
-// graphDirFor maps an exact cache key to its directory under the graph
-// root. The hash keeps option tuples and fingerprints out of path names.
-func (s *Server) graphDirFor(exactKey string) string {
-	sum := sha256.Sum256([]byte(exactKey))
-	return filepath.Join(s.cfg.GraphRoot, hex.EncodeToString(sum[:16]))
+// verdictCopy returns a classify result's verdict fields in a Result that
+// shares no slice or pointer with r, Explored unset.
+func verdictCopy(r *Result) *Result {
+	idx := *r.BivalentIndex
+	return &Result{
+		Analysis:      r.Analysis,
+		States:        r.States,
+		Edges:         r.Edges,
+		Valences:      slices.Clone(r.Valences),
+		BivalentIndex: &idx,
+	}
 }
 
 // DeltaHits reports how many submissions were routed to a policy-variant's
-// committed graph instead of a rebuild.
+// recorded verdict instead of a rebuild.
 func (s *Server) DeltaHits() int64 { return s.deltaHits.Load() }

@@ -41,13 +41,11 @@ type Job struct {
 	// submission, before the job is visible to any other goroutine.
 	cacheKey string
 	// Delta-tier routing, set next to cacheKey under the same visibility
-	// rule: graphDir is where a durable classify build commits its graph;
-	// deltaKey its policy-blind index key; deltaDir, when non-empty, a
-	// committed policy-variant graph to reopen and answer from instead of
-	// building from scratch.
-	graphDir string
+	// rule: deltaKey is an eligible classify job's policy-blind index key;
+	// delta, when non-nil, the recorded verdict of a policy variant to
+	// answer from instead of building, once the job's roots match it.
 	deltaKey string
-	deltaDir string
+	delta    *verdictEntry
 
 	mu       sync.Mutex
 	status   JobStatus

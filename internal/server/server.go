@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,11 +32,11 @@ type Config struct {
 	// block leaves a field zero — boostd lowers its shared engine flag
 	// block (-store, -workers, -symmetry, …) into this.
 	Defaults Options
-	// GraphRoot, when set, enables the delta-match cache tier: classify
-	// jobs commit their graphs durably under this directory, and an
-	// exact-key miss whose candidate differs from a committed graph only
-	// in silence policy reopens that graph and answers from it instead of
-	// rebuilding. "" disables the tier.
+	// GraphRoot is ignored.
+	//
+	// Deprecated: the delta-match cache tier keeps the verdicts of
+	// finished classify builds in memory and is always on; no job writes
+	// a graph to disk.
 	GraphRoot string
 }
 
@@ -59,9 +61,9 @@ type Server struct {
 	// explorations counts jobs that actually ran an analysis — the
 	// denominator that proves cache hits explore zero new states.
 	explorations atomic.Int64
-	// graphs is the delta tier's index of committed durable graphs;
+	// verdicts is the delta tier's index of recorded classify verdicts;
 	// deltaHits counts submissions routed to one.
-	graphs    *graphIndex
+	verdicts  *verdictIndex
 	deltaHits atomic.Int64
 	// progressHook is nil outside this package's tests, which set it before
 	// submitting to misbehave on a pool worker in the middle of an analysis.
@@ -89,7 +91,7 @@ func New(cfg Config) *Server {
 		cache:    newResultCache(cfg.CacheSize),
 		queue:    make(chan *Job, queueCap),
 		checking: make(chan struct{}, cfg.Pool),
-		graphs:   newGraphIndex(graphIndexCap),
+		verdicts: newVerdictIndex(verdictIndexCap),
 	}
 	s.mux = s.routes()
 	s.wg.Add(cfg.Pool)
@@ -141,15 +143,14 @@ func (s *Server) submit(ctx context.Context, req Request) (*Job, CacheState, err
 	fresh := func() *Job {
 		j := s.jobs.add(req)
 		j.cacheKey = key
-		if s.deltaEligible(&req) {
-			// Durable tier: the job commits (or reopens) its graph under
-			// the root, and a committed policy-variant — same delta key,
-			// different exact key — is reopened in place of a build. All
-			// fields are set here, before the job is visible to any worker.
-			j.graphDir = s.graphDirFor(key)
+		if deltaEligible(&req) {
+			// Delta tier: the job records its verdict under the policy-blind
+			// key, and a recorded policy variant — same delta key, different
+			// exact key — answers in place of a build. Both fields are set
+			// here, before the job is visible to any worker.
 			j.deltaKey = req.deltaKey()
-			if e, ok := s.graphs.lookup(j.deltaKey); ok && e.exactKey != key {
-				j.deltaDir = e.dir
+			if e, ok := s.verdicts.lookup(j.deltaKey); ok && e.exactKey != key {
+				j.delta = e
 			}
 		}
 		return j
@@ -158,7 +159,7 @@ func (s *Server) submit(ctx context.Context, req Request) (*Job, CacheState, err
 	if err != nil {
 		return nil, "", err
 	}
-	if state == CacheMiss && j.deltaDir != "" {
+	if state == CacheMiss && j.delta != nil {
 		state = CacheDelta
 		s.deltaHits.Add(1)
 	}
@@ -274,56 +275,7 @@ func (s *Server) analyze(j *Job) (res *Result, err error) {
 			Valences: valenceStrings(valences),
 		}, nil
 	case AnalysisClassify:
-		var res *boosting.InitClassification
-		if j.deltaDir != "" {
-			// Delta tier: the committed graph of a silence-policy variant
-			// is this candidate's failure-free G(C) too (see
-			// Checker.ClassifyReopened), so the verdict is read off it. A
-			// directory that fails validation is dropped from the index and
-			// the job falls back to the full build below.
-			if res, err = chk.ClassifyReopened(j.deltaDir); err != nil {
-				s.graphs.drop(j.deltaKey, j.deltaDir)
-			}
-		}
-		reopened := res != nil
-		if !reopened {
-			if j.graphDir != "" {
-				// Durable tier: commit this build under the graph root so
-				// future policy variants of the same candidate reopen it.
-				// The store override mirrors WithGraphDir's spill
-				// requirement; eligibility already excluded explicit
-				// conflicting backends.
-				durable, derr := boosting.New(j.Req.Protocol, j.Req.N, j.Req.F,
-					append(opts, boosting.WithStore(boosting.SpillStore), boosting.WithGraphDir(j.graphDir))...)
-				if derr == nil {
-					chk = durable
-				}
-			}
-			if res, err = chk.ClassifyInits(); err != nil {
-				return nil, err
-			}
-		}
-		defer closeGraph(res.Graph)
-		idx := res.BivalentIndex
-		out := &Result{
-			Analysis:      j.Req.Analysis,
-			States:        res.Graph.Size(),
-			Edges:         res.Graph.Edges(),
-			Valences:      valenceStrings(res.Valences),
-			BivalentIndex: &idx,
-		}
-		if reopened {
-			out.Explored = new(int)
-		} else if _, ok := boosting.GraphManifest(res.Graph); ok && j.graphDir != "" {
-			explored := res.Graph.Size()
-			out.Explored = &explored
-			s.graphs.put(graphEntry{
-				deltaKey: j.deltaKey,
-				exactKey: j.cacheKey,
-				dir:      j.graphDir,
-			})
-		}
-		return out, nil
+		return s.classify(j, chk)
 	case AnalysisRefute, AnalysisRefuteKSet:
 		var report *boosting.Report
 		if j.Req.Analysis == AnalysisRefute {
@@ -359,6 +311,53 @@ func (s *Server) analyze(j *Job) (res *Result, err error) {
 	default:
 		return nil, fmt.Errorf("unknown analysis %q", j.Req.Analysis)
 	}
+}
+
+// classify runs the Lemma 4 sweep for a job. A delta job whose monotone
+// roots equal its entry's answers with a copy of the recorded verdict and
+// explores nothing; on a mismatch the entry is dropped. Every other job
+// builds in full and, when eligible, records its verdict and roots for
+// later policy variants.
+func (s *Server) classify(j *Job, chk *boosting.Checker) (*Result, error) {
+	var roots [][]byte
+	if j.deltaKey != "" {
+		var err error
+		if roots, err = monotoneRoots(chk); err != nil {
+			return nil, err
+		}
+	}
+	if e := j.delta; e != nil {
+		if slices.EqualFunc(roots, e.roots, bytes.Equal) {
+			out := verdictCopy(e.result)
+			out.Explored = new(int)
+			return out, nil
+		}
+		s.verdicts.drop(e)
+	}
+	res, err := chk.ClassifyInits()
+	if err != nil {
+		return nil, err
+	}
+	defer closeGraph(res.Graph)
+	idx := res.BivalentIndex
+	explored := res.Graph.Size()
+	out := &Result{
+		Analysis:      j.Req.Analysis,
+		States:        res.Graph.Size(),
+		Edges:         res.Graph.Edges(),
+		Valences:      valenceStrings(res.Valences),
+		BivalentIndex: &idx,
+		Explored:      &explored,
+	}
+	if j.deltaKey != "" {
+		s.verdicts.put(&verdictEntry{
+			deltaKey: j.deltaKey,
+			exactKey: j.cacheKey,
+			roots:    roots,
+			result:   verdictCopy(out),
+		})
+	}
+	return out, nil
 }
 
 // closeGraph releases a graph's backend resources (spill descriptors),

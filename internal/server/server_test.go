@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -517,14 +514,14 @@ func TestServerDefaultsApply(t *testing.T) {
 }
 
 // TestDeltaCacheTier is the delta-match acceptance scenario: a classify
-// job on a GraphRoot server commits its graph durably; the benign-policy
-// variant of the same candidate — an exact-key miss — is acknowledged as
-// a "delta" submission and served by reopening the committed graph, which
-// is the variant's own failure-free G(C) (a silence policy only matters
-// once an endpoint has failed): the cold build's verdict, zero states
-// explored, and still one job run per submission.
+// job records its verdict; the benign-policy variant of the same candidate —
+// an exact-key miss — is acknowledged as a "delta" submission and answered
+// with that verdict, which is the variant's own (a silence policy only
+// matters once an endpoint has failed, and G(C) holds failure-free
+// executions): the cold build's verdict, zero states explored, and still
+// one job run per submission.
 func TestDeltaCacheTier(t *testing.T) {
-	srv, ts := newTestServer(t, server.Config{Pool: 1, GraphRoot: t.TempDir()})
+	srv, ts := newTestServer(t, server.Config{Pool: 1})
 	ack, code := postJob(t, ts, classifyForward3)
 	if code != http.StatusAccepted || ack.Cached != server.CacheMiss {
 		t.Fatalf("first submission: status %d, cached %q; want 202 miss", code, ack.Cached)
@@ -534,11 +531,10 @@ func TestDeltaCacheTier(t *testing.T) {
 		t.Fatalf("full build failed: %s (%v)", full.Status, full.Error)
 	}
 	if full.Result.Explored == nil || *full.Result.Explored != full.Result.States {
-		t.Errorf("full durable build Explored = %v, want %d", full.Result.Explored, full.Result.States)
+		t.Errorf("full build Explored = %v, want %d", full.Result.Explored, full.Result.States)
 	}
 
-	benign := `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"policy": "benign"}}`
-	ack2, code := postJob(t, ts, benign)
+	ack2, code := postJob(t, ts, classifyForward3Benign)
 	if code != http.StatusAccepted || ack2.Cached != server.CacheDelta {
 		t.Fatalf("benign variant: status %d, cached %q; want 202 delta", code, ack2.Cached)
 	}
@@ -557,16 +553,11 @@ func TestDeltaCacheTier(t *testing.T) {
 		*view.Result.BivalentIndex != *full.Result.BivalentIndex {
 		t.Errorf("delta BivalentIndex = %v, want %v", view.Result.BivalentIndex, full.Result.BivalentIndex)
 	}
-	if len(view.Result.Valences) != len(full.Result.Valences) {
-		t.Fatalf("delta returned %d valences, want %d", len(view.Result.Valences), len(full.Result.Valences))
-	}
-	for i := range full.Result.Valences {
-		if view.Result.Valences[i] != full.Result.Valences[i] {
-			t.Errorf("valence[%d] = %q, want %q", i, view.Result.Valences[i], full.Result.Valences[i])
-		}
+	if !reflect.DeepEqual(view.Result.Valences, full.Result.Valences) {
+		t.Errorf("delta valences %v, want %v", view.Result.Valences, full.Result.Valences)
 	}
 	if view.Result.Explored == nil || *view.Result.Explored != 0 {
-		t.Errorf("benign delta Explored = %v, want 0 (the verdict is read off the reopened graph)", view.Result.Explored)
+		t.Errorf("benign delta Explored = %v, want 0 (the verdict is the recorded one)", view.Result.Explored)
 	}
 	if got := srv.Explorations(); got != 2 {
 		t.Errorf("explorations = %d, want 2 (the delta job runs as a job)", got)
@@ -586,194 +577,121 @@ func TestDeltaCacheTier(t *testing.T) {
 	}
 
 	// Resubmitting the benign variant is now an exact hit.
-	ack3, code := postJob(t, ts, benign)
+	ack3, code := postJob(t, ts, classifyForward3Benign)
 	if code != http.StatusOK || ack3.Cached != server.CacheHit || ack3.ID != ack2.ID {
 		t.Errorf("benign resubmission: status %d, cached %q, id %s; want 200 hit %s",
 			code, ack3.Cached, ack3.ID, ack2.ID)
 	}
 }
 
-// TestDeltaIneligible: submissions the durable tier cannot serve — no
-// GraphRoot, an explicit non-spill store, a caller-owned spill dir — stay
-// plain misses with no Explored accounting.
-func TestDeltaIneligible(t *testing.T) {
-	// No GraphRoot: the tier is off entirely.
-	_, ts := newTestServer(t, server.Config{Pool: 1})
-	ack, _ := postJob(t, ts, classifyForward3)
-	view := waitTerminal(t, ts, ack.ID)
-	if view.Result == nil || view.Result.Explored != nil {
-		t.Errorf("tier-off classify has Explored = %v, want absent", view.Result)
-	}
-	ack2, _ := postJob(t, ts, `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"policy": "benign"}}`)
-	if ack2.Cached != server.CacheMiss {
-		t.Errorf("tier-off benign variant: cached %q, want miss", ack2.Cached)
-	}
-	waitTerminal(t, ts, ack2.ID)
+const classifyForward3Benign = `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"policy": "benign"}}`
 
-	// GraphRoot set, but the job pins a conflicting backend.
-	_, ts2 := newTestServer(t, server.Config{Pool: 1, GraphRoot: t.TempDir()})
-	ack3, _ := postJob(t, ts2, `{"protocol": "forward", "n": 2, "f": 0, "analysis": "classify", "options": {"store": "dense"}}`)
-	view3 := waitTerminal(t, ts2, ack3.ID)
-	if view3.Result == nil || view3.Result.Explored != nil {
-		t.Errorf("dense-store classify has Explored = %v, want absent", view3.Result)
-	}
-	ack4, _ := postJob(t, ts2, `{"protocol": "forward", "n": 2, "f": 0, "analysis": "classify", "options": {"store": "dense", "policy": "benign"}}`)
-	if ack4.Cached != server.CacheMiss {
-		t.Errorf("dense-store benign variant: cached %q, want miss", ack4.Cached)
-	}
-	waitTerminal(t, ts2, ack4.ID)
-}
-
-// TestDeltaRefusedDirectoryFallsBack: a directory behind a live index entry
-// that reopens as *something* — sound files, same shape — but not as this
-// sweep's graph in the current format is refused with a typed
-// *ManifestError, dropped, and the job rebuilds in full with the right
-// verdict. Rows: a same-shape graph explored from one non-monotone input
-// vector, and a manifest left behind by format 1.
-func TestDeltaRefusedDirectoryFallsBack(t *testing.T) {
-	benignChecker := func(t *testing.T) *boosting.Checker {
-		t.Helper()
-		chk, err := boosting.New("forward", 3, 0, boosting.WithSilencePolicy(boosting.Benign))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return chk
-	}
-	cases := []struct {
-		name   string
-		tamper func(t *testing.T, dir string)
+// TestDeltaEligibility: which submissions the delta tier serves. Any
+// classify that builds its graph is eligible, whatever its store — the
+// store never changes a verdict. A classify that skips the graph phase and
+// the other analyses stay plain misses. Each row submits a body, waits for
+// it, then submits its benign-policy variant.
+func TestDeltaEligibility(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		analysis   string // the JSON fields after "f"
+		options    string // the option block, without the policy
+		wantCached server.CacheState
+		explored   bool // whether the variant's result reports Explored
 	}{
-		{"roots are not the monotone roots", func(t *testing.T, dir string) {
-			if err := os.RemoveAll(dir); err != nil {
-				t.Fatal(err)
-			}
-			chk, err := boosting.New("forward", 3, 0, boosting.WithGraphDir(dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := chk.Explore(map[int]string{0: "1", 1: "0", 2: "1"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := boosting.CloseGraph(g); err != nil {
-				t.Fatal(err)
-			}
-			// It is a sound durable graph of a same-shape system.
-			reopened, err := benignChecker(t).OpenGraph(dir)
-			if err != nil {
-				t.Fatalf("the planted directory does not reopen: %v", err)
-			}
-			boosting.CloseGraph(reopened)
-		}},
-		{"format-2 manifest", func(t *testing.T, dir string) {
-			path := filepath.Join(dir, "manifest.json")
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			old := bytes.Replace(raw, []byte(`"format": 3`), []byte(`"format": 2`), 1)
-			if bytes.Equal(old, raw) {
-				t.Fatalf("manifest has no \"format\": 3 field: %s", raw)
-			}
-			if err := os.WriteFile(path, old, 0o666); err != nil {
-				t.Fatal(err)
-			}
-		}},
-	}
-	for _, tc := range cases {
+		{"dense classify", `"analysis": "classify"`, `"store": "dense"`, server.CacheDelta, true},
+		{"spill classify", `"analysis": "classify"`, `"store": "spill"`, server.CacheDelta, true},
+		{"nograph classify", `"analysis": "classify"`, `"nograph": true`, server.CacheMiss, true},
+		{"explore", `"analysis": "explore", "inputs": {"0": "1"}`, `"store": "dense"`, server.CacheMiss, false},
+		{"refute", `"analysis": "refute", "claimed": 1`, `"store": "dense"`, server.CacheMiss, false},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			root := t.TempDir()
-			srv, ts := newTestServer(t, server.Config{Pool: 1, GraphRoot: root})
-			ack, _ := postJob(t, ts, classifyForward3)
-			full := waitTerminal(t, ts, ack.ID)
-			if full.Status != server.StatusDone {
-				t.Fatalf("full build failed: %s (%v)", full.Status, full.Error)
+			_, ts := newTestServer(t, server.Config{Pool: 1})
+			body := func(policy string) string {
+				return fmt.Sprintf(`{"protocol": "forward", "n": 2, "f": 0, %s, "options": {%s%s}}`, tc.analysis, tc.options, policy)
 			}
-			matches, err := filepath.Glob(filepath.Join(root, "*", "manifest.json"))
-			if err != nil || len(matches) != 1 {
-				t.Fatalf("committed manifests under root = %v (%v), want exactly 1", matches, err)
+			ack, code := postJob(t, ts, body(""))
+			if code != http.StatusAccepted || ack.Cached != server.CacheMiss {
+				t.Fatalf("base: status %d, cached %q; want 202 miss", code, ack.Cached)
 			}
-			dir := filepath.Dir(matches[0])
-			tc.tamper(t, dir)
-			refused, err := benignChecker(t).ClassifyReopened(dir)
-			var merr *boosting.ManifestError
-			if !errors.As(err, &merr) {
-				refused.Close()
-				t.Fatalf("ClassifyReopened on the tampered directory: want *ManifestError, got %T: %v", err, err)
+			if view := waitTerminal(t, ts, ack.ID); view.Status != server.StatusDone {
+				t.Fatalf("base job: %s (%v)", view.Status, view.Error)
 			}
-
-			ack2, _ := postJob(t, ts, `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"policy": "benign"}}`)
-			if ack2.Cached != server.CacheDelta {
-				t.Fatalf("benign variant: cached %q, want delta (the index entry is still live)", ack2.Cached)
+			ack2, _ := postJob(t, ts, body(`, "policy": "benign"`))
+			if ack2.Cached != tc.wantCached {
+				t.Errorf("benign variant: cached %q, want %q", ack2.Cached, tc.wantCached)
 			}
 			view := waitTerminal(t, ts, ack2.ID)
 			if view.Status != server.StatusDone || view.Result == nil {
-				t.Fatalf("fallback job failed: %s (%v)", view.Status, view.Error)
+				t.Fatalf("variant job: %s (%v)", view.Status, view.Error)
 			}
-			if !reflect.DeepEqual(view.Result.Valences, full.Result.Valences) ||
-				view.Result.States != full.Result.States || view.Result.Edges != full.Result.Edges ||
-				*view.Result.BivalentIndex != *full.Result.BivalentIndex {
-				t.Errorf("fallback verdict %+v, want %+v", view.Result, full.Result)
-			}
-			if view.Result.Explored == nil || *view.Result.Explored != full.Result.States {
-				t.Errorf("fallback Explored = %v, want %d (a full build)", view.Result.Explored, full.Result.States)
-			}
-			// The refused entry is dropped with its directory; the index now
-			// holds the fallback's own commit.
-			if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
-				t.Errorf("the refused directory is still there (stat: %v)", err)
-			}
-			matches, err = filepath.Glob(filepath.Join(root, "*", "manifest.json"))
-			if err != nil || len(matches) != 1 || filepath.Dir(matches[0]) == dir {
-				t.Errorf("manifests under root after the fallback = %v (%v), want the rebuild's alone", matches, err)
-			}
-			if got := srv.Explorations(); got != 2 {
-				t.Errorf("explorations = %d, want 2", got)
+			if got := view.Result.Explored != nil; got != tc.explored {
+				t.Errorf("variant Explored present = %t, want %t", got, tc.explored)
 			}
 		})
 	}
 }
 
-// TestDeltaDamagedGraphRecovery: when the committed directory behind a
-// delta match has been damaged, the job falls back to a full build — the
-// verdict is unaffected, and the damaged entry is replaced by the fresh
-// commit.
-func TestDeltaDamagedGraphRecovery(t *testing.T) {
-	root := t.TempDir()
-	srv, ts := newTestServer(t, server.Config{Pool: 1, GraphRoot: root})
-	ack, _ := postJob(t, ts, classifyForward3)
-	full := waitTerminal(t, ts, ack.ID)
-	if full.Status != server.StatusDone {
-		t.Fatalf("full build failed: %s (%v)", full.Status, full.Error)
+// TestDeltaParity: on every row TestPolicyVariantGraphIdentical holds the
+// benign and adversarial graphs identical, the delta tier's answer to the
+// benign variant equals a fresh benign build's result field for field,
+// Explored aside (0 against the state count). registervote and setboost
+// take no policy, so there the benign body is the adversarial candidate
+// itself: an exact hit, which must agree just the same.
+func TestDeltaParity(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"forward", 2}, {"forward", 3}, {"tob", 2}, {"registervote", 2}, {"setboost", 2}} {
+		for f := 0; f <= c.n; f++ {
+			t.Run(fmt.Sprintf("%s-n%d-f%d", c.name, c.n, f), func(t *testing.T) {
+				body := func(policy string) string {
+					return fmt.Sprintf(`{"protocol": %q, "n": %d, "f": %d, "analysis": "classify", "options": {"policy": %q}}`,
+						c.name, c.n, f, policy)
+				}
+				result := func(ts *httptest.Server, body string, wantCached server.CacheState) *server.Result {
+					t.Helper()
+					ack, _ := postJob(t, ts, body)
+					if ack.Cached != wantCached {
+						t.Fatalf("cached %q, want %q", ack.Cached, wantCached)
+					}
+					view := waitTerminal(t, ts, ack.ID)
+					if view.Status != server.StatusDone || view.Result == nil || view.Result.Explored == nil {
+						t.Fatalf("job %s: %s (%v), result %+v", ack.ID, view.Status, view.Error, view.Result)
+					}
+					return view.Result
+				}
+				variantCached := server.CacheDelta
+				if identity(t, c.name, c.n, f, boosting.Adversarial) == identity(t, c.name, c.n, f, boosting.Benign) {
+					variantCached = server.CacheHit
+				}
+				_, variants := newTestServer(t, server.Config{Pool: 1})
+				result(variants, body("adversarial"), server.CacheMiss)
+				delta := result(variants, body("benign"), variantCached)
+				_, fresh := newTestServer(t, server.Config{Pool: 1})
+				want := result(fresh, body("benign"), server.CacheMiss)
+				if variantCached == server.CacheDelta && *delta.Explored != 0 {
+					t.Errorf("delta answer Explored = %d, want 0", *delta.Explored)
+				}
+				if *want.Explored != want.States {
+					t.Errorf("fresh build Explored = %d, want %d", *want.Explored, want.States)
+				}
+				delta.Explored, want.Explored = nil, nil
+				if !reflect.DeepEqual(delta, want) {
+					t.Errorf("delta answer %+v (bivalent %d)\nfresh build  %+v (bivalent %d)",
+						delta, *delta.BivalentIndex, want, *want.BivalentIndex)
+				}
+			})
+		}
 	}
-	// Damage the committed graph: remove every manifest under the root.
-	matches, err := filepath.Glob(filepath.Join(root, "*", "manifest.json"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("committed manifests under root = %v (%v), want exactly 1", matches, err)
-	}
-	if err := os.Remove(matches[0]); err != nil {
+}
+
+// identity is a candidate's canonical fingerprint under a silence policy.
+func identity(t *testing.T, name string, n, f int, p boosting.SilencePolicy) string {
+	t.Helper()
+	chk, err := boosting.New(name, n, f, boosting.WithSilencePolicy(p))
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	benign := `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"policy": "benign"}}`
-	ack2, _ := postJob(t, ts, benign)
-	if ack2.Cached != server.CacheDelta {
-		t.Fatalf("benign variant: cached %q, want delta (the index entry is still live)", ack2.Cached)
-	}
-	view := waitTerminal(t, ts, ack2.ID)
-	if view.Status != server.StatusDone || view.Result == nil {
-		t.Fatalf("fallback job failed: %s (%v)", view.Status, view.Error)
-	}
-	if view.Result.States != full.Result.States || view.Result.Edges != full.Result.Edges {
-		t.Errorf("fallback verdict %d/%d, want %d/%d",
-			view.Result.States, view.Result.Edges, full.Result.States, full.Result.Edges)
-	}
-	// The fallback rebuilt in full (and durably: Explored equals the
-	// full state count, not a dirty region).
-	if view.Result.Explored == nil || *view.Result.Explored != full.Result.States {
-		t.Errorf("fallback Explored = %v, want %d", view.Result.Explored, full.Result.States)
-	}
-	if stats := srv.CacheStats(); stats.DeltaHits != 1 {
-		t.Errorf("cache stats = %+v, want deltaHits=1 (the probe matched before the damage surfaced)", stats)
-	}
+	return string(chk.CanonicalFingerprint())
 }

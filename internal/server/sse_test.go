@@ -3,12 +3,15 @@ package server_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/ioa-lab/boosting"
@@ -183,5 +186,57 @@ func TestSSESlowReader(t *testing.T) {
 	events := readEvents(t, ts, ack.ID)
 	if len(events) == 0 || events[len(events)-1].name != string(server.StatusDone) {
 		t.Errorf("live subscriber after stalled one: %d events", len(events))
+	}
+}
+
+// TestSSEDisconnectMidStream: a subscriber that hangs up while the job runs
+// takes its handler with it and nothing else — the job still ends done, and
+// a later subscriber gets the whole stream.
+func TestSSEDisconnectMidStream(t *testing.T) {
+	srv, ts := newTestServer(t, server.Config{Pool: 1})
+	var fired atomic.Bool
+	reached, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce) // registered after the server's drain, so it runs before it
+	srv.SetProgressHook(func(boosting.Progress) {
+		if fired.CompareAndSwap(false, true) {
+			close(reached)
+			<-release
+		}
+	})
+	ack, code := postJob(t, ts, classifyForward3)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	<-reached // the job is running, held after its first progress report
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+ack.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if err != nil || line != "event: progress\n" {
+		t.Fatalf("first stream line %q (%v), want the replayed progress event", line, err)
+	}
+	hangUp()
+	resp.Body.Close()
+	if view := getJob(t, ts, ack.ID); view.Status != server.StatusRunning {
+		t.Fatalf("job %s before release, want running", view.Status)
+	}
+	releaseOnce()
+
+	view := waitTerminal(t, ts, ack.ID)
+	if view.Status != server.StatusDone || view.Result == nil || view.Result.States != 410 {
+		t.Fatalf("job after its subscriber hung up: %s (%v)", view.Status, view.Error)
+	}
+	events := readEvents(t, ts, ack.ID)
+	if len(events) == 0 || events[len(events)-1].name != string(server.StatusDone) {
+		t.Errorf("subscriber after the hang-up: %d events, want a stream ending done", len(events))
 	}
 }

@@ -54,7 +54,7 @@ func waitDone(t *testing.T, j *Job) {
 // although its body would be a delta-tier hit. Once the queue drains, the
 // same body is a fresh submission that runs.
 func TestQueueFull(t *testing.T) {
-	srv := New(Config{Pool: 1, GraphRoot: t.TempDir()})
+	srv := New(Config{Pool: 1})
 	ts := httptest.NewServer(srv)
 	release := make(chan struct{})
 	releaseOnce := sync.OnceFunc(func() { close(release) })
@@ -68,7 +68,7 @@ func TestQueueFull(t *testing.T) {
 	const adversarial = `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify"}`
 	const benign = `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"policy": "benign"}}`
 
-	// Commit the adversarial graph, so the benign body is a delta hit.
+	// Record the adversarial verdict, so the benign body is a delta hit.
 	code, ack, _ := post(t, ts, adversarial)
 	if code != http.StatusAccepted {
 		t.Fatalf("adversarial: status %d", code)
