@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc test race fuzz bench bench-quick bench-allocs bench-symmetry bench-adjacency test-spill test-server run-boostd lint vet analyze fmt-check fmt vuln apidiff-baseline apidiff
+.PHONY: all build loc test race fuzz bench bench-quick bench-allocs bench-symmetry bench-adjacency test-spill test-server run-boostd lint vet analyze fmt-check vendor-check fmt vuln apidiff-baseline apidiff
 
 all: build lint test
 
@@ -11,12 +11,14 @@ test:
 	$(GO) test ./...
 
 # Non-test Go lines outside third_party/ and bench/ — the size figure
-# CHANGES.md and ROADMAP.md quote — as a total, then one line per top-level
-# directory ("." is the root package's own files).
+# CHANGES.md and ROADMAP.md quote — as a total; on the second line the
+# vendored Go lines under third_party/ (not in the total); then one line per
+# top-level directory ("." is the root package's own files).
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './third_party/*' ! -path './bench/*' -print0 \
-		| xargs -0 wc -l | awk '$$2 != "total" { split($$2, p, "/"); d = (p[3] == "" ? "." : p[2]); n[d] += $$1; t += $$1 } \
-		END { printf "%6d total\n", t; for (d in n) printf "%6d %s\n", n[d], d | "sort -k2" }'
+	@vendored=$$(find third_party -name '*.go' -exec cat {} + | wc -l); \
+	find . -name '*.go' ! -name '*_test.go' ! -path './third_party/*' ! -path './bench/*' -print0 \
+		| xargs -0 wc -l | awk -v vendored="$$vendored" '$$2 != "total" { split($$2, p, "/"); d = (p[3] == "" ? "." : p[2]); n[d] += $$1; t += $$1 } \
+		END { printf "%6d total\n%6d vendored third_party (not in the total)\n", t, vendored; for (d in n) printf "%6d %s\n", n[d], d | "sort -k2" }'
 
 # The race job proves the concurrency that is left data-race free. A graph
 # is built on one goroutine; what fans out is the analyses' independent units
@@ -152,7 +154,7 @@ test-server:
 run-boostd:
 	$(GO) run ./cmd/boostd
 
-lint: vet analyze fmt-check
+lint: vet analyze fmt-check vendor-check
 
 vet:
 	$(GO) vet ./...
@@ -176,6 +178,26 @@ fmt-check:
 
 fmt:
 	gofmt -w .
+
+# The vendored x/tools subset (go.mod's replace) holds only what the module
+# compiles: every Go package directory under third_party/ must be in
+# `go list -deps ./...`, and every vendored .go file must be in one of those
+# packages' compiled GoFiles — so no test file and nothing a build
+# constraint leaves out. A re-vendor copies whole files, byte-identical,
+# from the Go toolchain's src/cmd/vendor; this fails when it copies more
+# than the build reaches.
+vendor-check:
+	@root="$$($(GO) list -m -f '{{.Dir}}')/"; \
+	deps="$$($(GO) list -deps -f '{{.Dir}}' ./... | sed -n "s|^$$root||p")"; \
+	compiled="$$($(GO) list -deps -f '{{range .GoFiles}}{{$$.Dir}}/{{.}}{{"\n"}}{{end}}' ./... | sed -n "s|^$$root||p")"; \
+	status=0; \
+	for d in $$(find third_party -name '*.go' | sed 's|/[^/]*$$||' | sort -u); do \
+		printf '%s\n' "$$deps" | grep -qxF "$$d" || { echo "vendor-check: $$d is not in go list -deps ./..."; status=1; }; \
+	done; \
+	for f in $$(find third_party -name '*.go' | sort); do \
+		printf '%s\n' "$$compiled" | grep -qxF "$$f" || { echo "vendor-check: $$f is in no package's compiled GoFiles"; status=1; }; \
+	done; \
+	exit $$status
 
 # Known-vulnerability scan over the module and its (std-only) dependency
 # graph. Requires network to fetch the tool + vuln DB, so it runs in CI;

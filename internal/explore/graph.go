@@ -689,26 +689,40 @@ func edgeAt(adj AdjacencyStore, id StateID, idx int32) Edge {
 // (nil filter = all edges). The returned path is the sequence of edges from
 // start to the found vertex.
 func (g *Graph) FindState(start StateID, allow func(Edge) bool, want func(system.State) bool) (StateID, []Edge, bool) {
-	tree := newBFSTree(g.store.Len())
+	id, path, ok, _ := g.search(nil, newBFSTree(g.store.Len()), start, allow, func(id StateID) bool {
+		st, ok := g.State(id)
+		return ok && want(st)
+	})
+	return id, path, ok
+}
+
+// search is the graph's one breadth-first search: from start, along the
+// edges allow admits (nil admits all), it returns the first vertex want
+// accepts in BFS order and the path to it, recorded in tree. The context is
+// polled every 64 dequeues, mirroring the build loop; a nil context never
+// cancels.
+func (g *Graph) search(ctx context.Context, tree *bfsTree, start StateID, allow func(Edge) bool, want func(StateID) bool) (StateID, []Edge, bool, error) {
 	tree.begin(start)
 	queue := []StateID{start}
 	for head := 0; head < len(queue); head++ {
+		if head&63 == 0 {
+			if err := ctxErr(ctx); err != nil {
+				return 0, nil, false, err
+			}
+		}
 		id := queue[head]
-		if st, ok := g.State(id); ok && want(st) {
-			return id, tree.path(g, id), true
+		if want(id) {
+			return id, tree.path(g, id), true, nil
 		}
 		i := -1
 		for e := range g.adj.EdgesFrom(id) {
 			i++
-			if allow != nil && !allow(e) {
-				continue
-			}
-			if tree.seen(e.To) {
+			if (allow != nil && !allow(e)) || tree.seen(e.To) {
 				continue
 			}
 			tree.visit(id, i, e.To)
 			queue = append(queue, e.To)
 		}
 	}
-	return 0, nil, false
+	return 0, nil, false, nil
 }

@@ -138,37 +138,14 @@ func FindHookCtx(ctx context.Context, g *Graph, root StateID) (HookSearchResult,
 	}
 }
 
-// findBivalentExtension searches (level-synchronous BFS, avoiding e-labelled
-// edges) for a vertex α′ with e(α′) bivalent, returning α′ and the path to
-// it: the first such vertex in BFS order. The context is checked at every
-// level boundary.
+// findBivalentExtension searches (BFS avoiding e-labelled edges, in the
+// hook search's reused tree) for a vertex α′ with e(α′) bivalent, returning
+// α′ and the path to it: the first such vertex in BFS order.
 func (g *Graph) findBivalentExtension(ctx context.Context, alpha StateID, e ioa.Task, tree *bfsTree) (StateID, []Edge, bool, error) {
-	tree.begin(alpha)
-	level := []StateID{alpha}
-	for len(level) > 0 {
-		if err := ctxErr(ctx); err != nil {
-			return 0, nil, false, err
-		}
-		for _, id := range level {
-			if edge, ok := g.Succ(id, e); ok && g.Valence(edge.To) == Bivalent {
-				return id, tree.path(g, id), true, nil
-			}
-		}
-		var next []StateID
-		for _, id := range level {
-			j := -1
-			for edge := range g.adj.EdgesFrom(id) {
-				j++
-				if edge.Task == e || tree.seen(edge.To) {
-					continue
-				}
-				tree.visit(id, j, edge.To)
-				next = append(next, edge.To)
-			}
-		}
-		level = next
-	}
-	return 0, nil, false, nil
+	return g.search(ctx, tree, alpha, func(edge Edge) bool { return edge.Task != e }, func(id StateID) bool {
+		edge, ok := g.Succ(id, e)
+		return ok && g.Valence(edge.To) == Bivalent
+	})
 }
 
 // locateHook implements the case analysis at the end of Lemma 5's proof:
@@ -245,33 +222,17 @@ func (g *Graph) locateHook(ctx context.Context, alpha StateID, e ioa.Task) (*Hoo
 }
 
 // findDecidingPath returns a path (BFS tree) from start to a vertex whose
-// state records a decision matching wantMask. Like FindState, it stores one
-// predecessor link per visited vertex and reconstructs the path once. The
-// context is polled every 64 dequeues, mirroring the serial build loop.
+// state records a decision matching wantMask.
 func (g *Graph) findDecidingPath(ctx context.Context, start StateID, wantMask uint8) ([]Edge, error) {
-	tree := newBFSTree(g.store.Len())
-	tree.begin(start)
-	queue := []StateID{start}
-	for head := 0; head < len(queue); head++ {
-		if head&63 == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-		}
-		id := queue[head]
+	_, path, ok, err := g.search(ctx, newBFSTree(g.store.Len()), start, nil, func(id StateID) bool {
 		st, _ := g.store.State(id)
-		if ownMask(g.sys, st)&wantMask != 0 {
-			return tree.path(g, id), nil
-		}
-		i := -1
-		for edge := range g.adj.EdgesFrom(id) {
-			i++
-			if tree.seen(edge.To) {
-				continue
-			}
-			tree.visit(id, i, edge.To)
-			queue = append(queue, edge.To)
-		}
+		return ownMask(g.sys, st)&wantMask != 0
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w from %q", ErrNoDecision, g.Fingerprint(start))
+	if !ok {
+		return nil, fmt.Errorf("%w from %q", ErrNoDecision, g.Fingerprint(start))
+	}
+	return path, nil
 }

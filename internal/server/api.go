@@ -38,7 +38,10 @@ type Options struct {
 	// on the server, and a body that names one is refused.
 	SpillDir string `json:"-"`
 	Symmetry bool   `json:"symmetry,omitempty"`
-	NoGraph  bool   `json:"nograph,omitempty"`
+	// NoGraph skips the refuters' failure-free graph phases
+	// (boosting.WithoutGraphAnalysis). Classify and explore build their
+	// graph regardless, so only refute and refutekset key it.
+	NoGraph bool `json:"nograph,omitempty"`
 	// Rounds is the round count of the round-based families (at most maxN:
 	// FloodSet needs at most f+1 <= n rounds).
 	Rounds    int `json:"rounds,omitempty"`
@@ -233,15 +236,16 @@ func (r *Request) validate(defaults Options) (*boosting.Checker, error) {
 // cacheKey derives the result-cache key: the candidate's canonical
 // fingerprint (structure + canonicalized monotone roots — covers protocol,
 // n, f, policy and rounds), the verdict-affecting option tuple (symmetry,
-// state budget, round cap, graph-phase skip) and the analysis parameters.
-// Explore jobs add the canonicalized root of their input assignment, so
-// process-renamed initializations of symmetric families share an entry.
-// Engine options — workers, store backend — are deliberately absent: every
-// combination returns the same verdict.
+// state budget, round cap) and the analysis parameters. Explore jobs add
+// the canonicalized root of their input assignment, so process-renamed
+// initializations of symmetric families share an entry; the refuters add
+// the graph-phase skip, which no other analysis reads. Engine options —
+// workers, store backend — are deliberately absent: every combination
+// returns the same verdict.
 func (r *Request) cacheKey(chk *boosting.Checker) (string, error) {
-	key := fmt.Sprintf("%x|a=%s|sym=%t|ms=%d|mr=%d|ng=%t",
+	key := fmt.Sprintf("%x|a=%s|sym=%t|ms=%d|mr=%d",
 		chk.CanonicalFingerprint(), r.Analysis,
-		r.Options.Symmetry, r.Options.MaxStates, r.Options.MaxRounds, r.Options.NoGraph)
+		r.Options.Symmetry, r.Options.MaxStates, r.Options.MaxRounds)
 	switch r.Analysis {
 	case AnalysisExplore:
 		inputs, err := r.inputMap()
@@ -254,9 +258,9 @@ func (r *Request) cacheKey(chk *boosting.Checker) (string, error) {
 		}
 		key += fmt.Sprintf("|root=%x", root)
 	case AnalysisRefute:
-		key += fmt.Sprintf("|c=%d", r.Claimed)
+		key += fmt.Sprintf("|c=%d|ng=%t", r.Claimed, r.Options.NoGraph)
 	case AnalysisRefuteKSet:
-		key += fmt.Sprintf("|c=%d|k=%d", r.Claimed, r.K)
+		key += fmt.Sprintf("|c=%d|k=%d|ng=%t", r.Claimed, r.K, r.Options.NoGraph)
 	}
 	return key, nil
 }

@@ -98,8 +98,7 @@ func (vi *verdictIndex) drop(e *verdictEntry) {
 }
 
 // deltaKey is the policy-blind sibling of cacheKey: protocol, sizes,
-// analysis and every verdict-affecting option EXCEPT the silence policy
-// (nograph is never eligible, so it is not keyed).
+// analysis and every verdict-affecting option EXCEPT the silence policy.
 // Two submissions with equal delta keys and unequal exact keys differ
 // only in policy — exactly the relation under which a recorded verdict is
 // the submission's own.
@@ -111,11 +110,12 @@ func (r *Request) deltaKey() string {
 
 // deltaEligible reports whether a validated request may use the delta
 // tier: the analysis is the Lemma 4 sweep (one graph per verdict —
-// refutations build several, and their failure scenarios read the policy)
-// and the graph phase is not skipped. The store does not matter: every
-// backend returns the same verdict.
+// refutations build several, and their failure scenarios read the policy).
+// Neither the store nor nograph matters: no backend changes a verdict, and
+// a classify builds its graph whether or not the refuters' graph phase is
+// skipped.
 func deltaEligible(r *Request) bool {
-	return r.Analysis == AnalysisClassify && !r.Options.NoGraph
+	return r.Analysis == AnalysisClassify
 }
 
 // monotoneRoots returns the canonical fingerprints of chk's n+1 monotone

@@ -223,6 +223,38 @@ func TestClassifyGoldenAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestNoGraphKeysOnlyRefuters: nograph skips the refuters' graph phases and
+// nothing else, so a classify with it is the classify without it — an exact
+// hit with no second exploration — while a refute with it and one without
+// are two checks.
+func TestNoGraphKeysOnlyRefuters(t *testing.T) {
+	srv, ts := newTestServer(t, server.Config{Pool: 1})
+	ack, _ := postJob(t, ts, classifyForward3)
+	if ack.Cached != server.CacheMiss {
+		t.Fatalf("classify: cached %q, want miss", ack.Cached)
+	}
+	if view := waitTerminal(t, ts, ack.ID); view.Status != server.StatusDone {
+		t.Fatalf("classify job: %s (%v)", view.Status, view.Error)
+	}
+	ack2, code := postJob(t, ts, `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"nograph": true}}`)
+	if code != http.StatusOK || ack2.Cached != server.CacheHit || ack2.ID != ack.ID {
+		t.Errorf("nograph classify: status %d, cached %q, id %s; want 200 hit %s", code, ack2.Cached, ack2.ID, ack.ID)
+	}
+	if got := srv.Explorations(); got != 1 {
+		t.Errorf("explorations = %d after the nograph classify, want 1", got)
+	}
+
+	for _, options := range []string{`{}`, `{"nograph": true}`} {
+		ack, _ := postJob(t, ts, `{"protocol": "forward", "n": 2, "f": 0, "analysis": "refute", "claimed": 1, "options": `+options+`}`)
+		if ack.Cached != server.CacheMiss {
+			t.Errorf("refute %s: cached %q, want miss", options, ack.Cached)
+		}
+		if view := waitTerminal(t, ts, ack.ID); view.Status != server.StatusDone {
+			t.Fatalf("refute %s: %s (%v)", options, view.Status, view.Error)
+		}
+	}
+}
+
 // TestSingleFlight: concurrent identical submissions share one job — one
 // exploration, one miss, everyone else joins or hits.
 func TestSingleFlight(t *testing.T) {
@@ -587,10 +619,9 @@ func TestDeltaCacheTier(t *testing.T) {
 const classifyForward3Benign = `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"policy": "benign"}}`
 
 // TestDeltaEligibility: which submissions the delta tier serves. Any
-// classify that builds its graph is eligible, whatever its store — the
-// store never changes a verdict. A classify that skips the graph phase and
-// the other analyses stay plain misses. Each row submits a body, waits for
-// it, then submits its benign-policy variant.
+// classify is eligible, whatever its store and nograph — neither changes a
+// classify verdict. The other analyses stay plain misses. Each row submits
+// a body, waits for it, then submits its benign-policy variant.
 func TestDeltaEligibility(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -601,7 +632,7 @@ func TestDeltaEligibility(t *testing.T) {
 	}{
 		{"dense classify", `"analysis": "classify"`, `"store": "dense"`, server.CacheDelta, true},
 		{"spill classify", `"analysis": "classify"`, `"store": "spill"`, server.CacheDelta, true},
-		{"nograph classify", `"analysis": "classify"`, `"nograph": true`, server.CacheMiss, true},
+		{"nograph classify", `"analysis": "classify"`, `"nograph": true`, server.CacheDelta, true},
 		{"explore", `"analysis": "explore", "inputs": {"0": "1"}`, `"store": "dense"`, server.CacheMiss, false},
 		{"refute", `"analysis": "refute", "claimed": 1`, `"store": "dense"`, server.CacheMiss, false},
 	} {
