@@ -131,14 +131,14 @@ bench-adjacency:
 # -count=1 matters: GOMEMLIMIT is read by the runtime, not the test
 # binary, so it is not part of the test-cache key — without it a warm
 # cache would replay passes that never ran under the ceiling.
-# TestDurable and TestClassifyReopened add the durable graph store:
-# commit, reopen-parity (every fingerprint decoded back into the vertex
-# store) and a policy variant answered from the reopened graph all run under
-# the same ceiling, with the reattached edges still on disk. Its callers are
-# WithGraphDir and the CLIs' -graphdir; boostd keeps no graph on disk.
+# TestDurable adds what is left of the durable graph store, the write-once
+# commit (WithGraphDir) and the reattach (OpenGraph, every fingerprint
+# decoded back into the vertex store): both run under the same ceiling, with
+# the reattached edges still on disk. It is kept for the benchmark's
+# quotient-durable-n6 workload; no CLI and not boostd keeps a graph on disk.
 test-spill:
 	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestStoreParity|TestGoldenExploration|TestGoldenInfiniteFamilies|TestRefutationReportParity|TestQuotient|TestSpill|TestDurable|TestWithGraphDir' .
-	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestSpill|TestStoreBounds|TestTargetsMatchesEdgesFrom|TestDurable|TestClassifyReopened' ./internal/explore/
+	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestSpill|TestStoreBounds|TestTargetsMatchesEdgesFrom|TestDurable' ./internal/explore/
 
 # The checking-service suite: the boostd HTTP/SSE/cache end-to-end tests
 # (golden counts, single-flight dedup, isomorphic cache hits, the in-memory

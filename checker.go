@@ -32,9 +32,7 @@ func (c *Checker) System() *System { return c.sys }
 // by inputs: the failure-free closure of the initialized state under all
 // applicable tasks, with valences computed. Honors the Checker's state
 // budget, store backend, progress and context options. On a durable
-// checker (WithGraphDir) the graph is committed to — or, when the
-// directory already holds this exact build, reopened from — the graph
-// directory.
+// checker (WithGraphDir) the graph is committed to the graph directory.
 func (c *Checker) Explore(inputs map[int]string) (*Graph, error) {
 	if err := c.cfg.validateDurable(); err != nil {
 		return nil, err
@@ -43,34 +41,18 @@ func (c *Checker) Explore(inputs map[int]string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := c.cfg.buildOptions()
-	if opt.GraphDir != "" {
-		// The full identity of this build: the candidate identity plus the
-		// canonicalized root — Explore's root set is the one degree of
-		// freedom CanonicalFingerprint's monotone roots do not pin.
-		rootFp, err := c.CanonicalRootFingerprint(inputs)
-		if err != nil {
-			return nil, err
-		}
-		opt.GraphID = append(c.CanonicalFingerprint(), rootFp...)
-	}
-	return explore.BuildOrReopenGraph(c.sys, []State{root}, opt)
+	return explore.BuildGraph(c.sys, []State{root}, c.cfg.buildOptions())
 }
 
 // ClassifyInits performs the Lemma 4 sweep: build G(C) from all n+1
 // monotone initializations and classify each root by valence. On a
-// durable checker (WithGraphDir) the shared graph is committed to — or
-// reopened from — the graph directory; CanonicalFingerprint, which
-// already pins the monotone roots, is its recorded identity.
+// durable checker (WithGraphDir) the shared graph is committed to the
+// graph directory.
 func (c *Checker) ClassifyInits() (*InitClassification, error) {
 	if err := c.cfg.validateDurable(); err != nil {
 		return nil, err
 	}
-	opt := c.cfg.buildOptions()
-	if opt.GraphDir != "" {
-		opt.GraphID = c.CanonicalFingerprint()
-	}
-	return explore.ClassifyInits(c.sys, opt)
+	return explore.ClassifyInits(c.sys, c.cfg.buildOptions())
 }
 
 // OpenGraph reattaches a committed durable graph directory — one written
@@ -83,21 +65,7 @@ func (c *Checker) ClassifyInits() (*InitClassification, error) {
 // transition relation, and nothing here checks that. Validation failures
 // are typed *ManifestError values. Close the graph with CloseGraph.
 func (c *Checker) OpenGraph(dir string) (*Graph, error) {
-	return explore.OpenGraph(c.sys, dir, explore.OpenOptions{})
-}
-
-// ClassifyReopened answers ClassifyInits for this Checker's candidate from
-// a durable directory committed by a silence-policy variant of it, without
-// exploring a state: dummy actions need a failed endpoint and G(C) holds
-// failure-free executions only, so the two candidates' graphs are the same
-// graph (TestPolicyVariantGraphIdentical). For any other difference the
-// answer is the builder's, not this one's. Beyond OpenGraph's validation,
-// the symmetry flag must match WithSymmetry, and this candidate's monotone
-// roots must be the graph's roots, in order; failures are typed
-// *ManifestError values.
-// Close the result.
-func (c *Checker) ClassifyReopened(dir string) (*InitClassification, error) {
-	return explore.ClassifyReopened(c.sys, dir, c.cfg.buildOptions())
+	return explore.OpenGraph(c.sys, dir)
 }
 
 // FindHook runs the Fig. 3 round-robin construction from a bivalent vertex

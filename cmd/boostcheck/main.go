@@ -36,7 +36,7 @@ import (
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "boostcheck:", cliflags.Describe(err))
-		os.Exit(1)
+		os.Exit(cliflags.ExitCode(err))
 	}
 }
 
@@ -59,7 +59,7 @@ func run(args []string) error {
 		benign    = fs.Bool("benign", false, "benign silence policy (services never exercise their right to fall silent)")
 	)
 	common := cliflags.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflags.Parse(fs, args); err != nil {
 		return err
 	}
 	policy := boosting.Adversarial

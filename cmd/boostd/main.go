@@ -14,8 +14,7 @@
 //	-cache 1024    result-cache capacity in entries
 //	-drain 10s     graceful-shutdown deadline before job contexts cancel
 //
-// The engine block has no -graphdir: boostd writes no graph to disk. A
-// classify submission differing from a finished one only in silence policy
+// A classify submission differing from a finished one only in silence policy
 // is answered with that build's recorded verdict instead of a rebuild
 // ("cached": "delta" in the acknowledgement, deltaHits on /v1/stats).
 package main

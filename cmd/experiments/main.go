@@ -165,7 +165,7 @@ var rows = []row{
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", cliflags.Describe(err))
-		os.Exit(1)
+		os.Exit(cliflags.ExitCode(err))
 	}
 }
 
@@ -174,7 +174,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	common := cliflags.Register(fs)
 	only := fs.String("only", "", "comma-separated experiment ids to run (e.g. E29,E31); default: all")
-	if err := fs.Parse(args); err != nil {
+	if err := cliflags.Parse(fs, args); err != nil {
 		return err
 	}
 	// The artifact rows reproduce structure of the concrete G(C) — per-id
@@ -185,13 +185,6 @@ func run(args []string, out io.Writer) error {
 	if common.Symmetry {
 		fmt.Fprintln(os.Stderr, "experiments: -symmetry ignored — artifact rows reproduce the concrete G(C); E27 measures the quotient explicitly")
 		common.Symmetry = false
-	}
-	// One durable directory holds exactly one graph, and the artifact rows
-	// build many; E31 drives the durable commit + reopen explicitly, in a
-	// directory of its own.
-	if common.GraphDir != "" {
-		fmt.Fprintln(os.Stderr, "experiments: -graphdir ignored — one directory holds one graph and the rows build many; E31 drives the durable commit + reopen explicitly")
-		common.GraphDir = ""
 	}
 	opts, err := common.Options()
 	if err != nil {
@@ -725,13 +718,14 @@ func e29SpillAdjacency(o rowOpts) (string, bool, error) {
 
 // e31: a silence-policy variant has the same failure-free G(C). The
 // exhaustive forward n=5 adversarial build is committed once behind its
-// manifest; the benign-policy variant is then answered twice — by a full
-// from-scratch build and by reopening the committed directory
-// (ClassifyReopened) — and the two graphs must agree per ID: fingerprints,
+// manifest; the benign-policy variant then gets the graph twice — by a full
+// from-scratch build and by reattaching the committed directory
+// (OpenGraph) — and the two graphs must agree per ID: fingerprints,
 // labelled edges, valences, roots. The policy only chooses between a real
 // action and an enabled dummy, and a dummy needs a failed endpoint, which a
 // failure-free execution never has. "Explored" is the number of BFS levels
-// the reopen reported through WithProgress: none.
+// the variant's checker reported through WithProgress during the reattach:
+// none.
 func e31PolicyVariantReopen(o rowOpts) (string, bool, error) {
 	dir, err := os.MkdirTemp(o.spillDir, "e31-graph-")
 	if err != nil {
@@ -759,15 +753,15 @@ func e31PolicyVariantReopen(o rowOpts) (string, bool, error) {
 	}
 	defer rebuilt.Close()
 	rebuiltLevels := levels
-	reopened, err := variant.ClassifyReopened(dir)
+	a, err := variant.OpenGraph(dir)
 	if err != nil {
 		return "", false, err
 	}
-	defer reopened.Close()
+	defer boosting.CloseGraph(a)
 	explored := levels - rebuiltLevels
-	a, b := reopened.Graph, rebuilt.Graph
+	b := rebuilt.Graph
 	identical := a.Size() == b.Size() && a.Edges() == b.Edges() &&
-		slices.Equal(reopened.Roots, rebuilt.Roots)
+		slices.Equal(a.Roots(), b.Roots())
 	for id := boosting.StateID(0); identical && int(id) < a.Size(); id++ {
 		identical = a.Fingerprint(id) == b.Fingerprint(id) &&
 			a.Valence(id) == b.Valence(id) &&

@@ -24,7 +24,7 @@ import (
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "fdboost:", cliflags.Describe(err))
-		os.Exit(1)
+		os.Exit(cliflags.ExitCode(err))
 	}
 }
 
@@ -32,7 +32,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fdboost", flag.ContinueOnError)
 	n := fs.Int("n", 3, "number of processes")
 	workers := cliflags.RegisterWorkers(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflags.Parse(fs, args); err != nil {
 		return err
 	}
 	chk, err := boosting.New("fdboost", *n, 0, boosting.WithWorkers(*workers))

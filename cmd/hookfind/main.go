@@ -21,7 +21,7 @@ import (
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "hookfind:", cliflags.Describe(err))
-		os.Exit(1)
+		os.Exit(cliflags.ExitCode(err))
 	}
 }
 
@@ -32,7 +32,7 @@ func run(args []string) error {
 		f = fs.Int("f", 0, "consensus object resilience")
 	)
 	common := cliflags.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflags.Parse(fs, args); err != nil {
 		return err
 	}
 	opts, err := common.Options()

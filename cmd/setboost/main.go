@@ -23,7 +23,7 @@ import (
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "setboost:", cliflags.Describe(err))
-		os.Exit(1)
+		os.Exit(cliflags.ExitCode(err))
 	}
 }
 
@@ -31,7 +31,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("setboost", flag.ContinueOnError)
 	group := fs.Int("group", 2, "group size n (total processes = 2n)")
 	workers := cliflags.RegisterWorkers(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflags.Parse(fs, args); err != nil {
 		return err
 	}
 	n := *group

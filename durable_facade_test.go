@@ -3,14 +3,16 @@ package boosting_test
 // Façade-level tests of the durable graph store (WithGraphDir,
 // Checker.OpenGraph): for EVERY registry protocol with a
 // finite failure-free graph, the durable build must be identical to the
-// ephemeral reference, the committed directory must reopen — without
-// exploring a state — into the identical graph, and identity mismatches
-// must rebuild rather than serve a stale graph. Plus the explicit
-// conflict matrix of WithGraphDir. (Checker.ClassifyReopened is driven in
-// policy_variant_test.go.)
+// ephemeral reference, a second durable build over the committed directory
+// must explore again and rebuild it in place, and the committed directory
+// must reattach — without exploring a state — into the identical graph.
+// Plus the explicit conflict matrix of WithGraphDir.
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/ioa-lab/boosting"
@@ -27,13 +29,14 @@ func durableN(name string) int {
 	}
 }
 
-// TestDurableFacadeParityAllProtocols is the reopen-parity acceptance
+// TestDurableFacadeParityAllProtocols is the durable-parity acceptance
 // suite over the whole registry: for every protocol family whose
 // failure-free graph is finite, (1) the durable ClassifyInits build
-// equals the ephemeral reference per ID and per edge, (2) a second
-// checker over the same candidate reopens the committed directory
-// without exploring — zero progress reports — into the identical graph,
-// and (3) OpenGraph reattaches it directly.
+// equals the ephemeral reference per ID and per edge, and its manifest
+// records the graph's counts, (2) a second durable checker over the same
+// candidate and directory explores again — a WithGraphDir build always
+// builds — and rebuilds the identical graph in place, and (3) OpenGraph
+// reattaches the committed directory into the identical graph.
 func TestDurableFacadeParityAllProtocols(t *testing.T) {
 	for _, info := range boosting.Protocols() {
 		if info.SkipsGraphAnalysis {
@@ -65,21 +68,26 @@ func TestDurableFacadeParityAllProtocols(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertGraphsIdentical(t, "durable build", want.Graph, got.Graph)
-			if m, ok := boosting.GraphManifest(got.Graph); !ok {
-				t.Error("durable build carries no manifest")
-			} else if m.States != want.Graph.Size() || m.Edges != want.Graph.Edges() {
-				t.Errorf("manifest records %d/%d, graph has %d/%d",
-					m.States, m.Edges, want.Graph.Size(), want.Graph.Edges())
-			}
 			if err := got.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if !boosting.HasGraph(dir) {
 				t.Fatal("no committed manifest after durable build")
 			}
+			var m struct{ States, Edges int }
+			if raw, err := os.ReadFile(filepath.Join(dir, "manifest.json")); err != nil {
+				t.Fatal(err)
+			} else if err := json.Unmarshal(raw, &m); err != nil {
+				t.Fatal(err)
+			}
+			if m.States != want.Graph.Size() || m.Edges != want.Graph.Edges() {
+				t.Errorf("manifest records %d/%d, graph has %d/%d",
+					m.States, m.Edges, want.Graph.Size(), want.Graph.Edges())
+			}
 
-			// Same candidate, fresh checker: the sweep must REOPEN, not
-			// rebuild — observable as zero per-level progress reports.
+			// Same candidate, fresh checker: the sweep explores again —
+			// observable as per-level progress reports — and commits the
+			// identical graph over the old one.
 			var levels int
 			again, err := boosting.New(info.Name, n, 0,
 				boosting.WithWorkers(1), boosting.WithGraphDir(dir),
@@ -91,10 +99,10 @@ func TestDurableFacadeParityAllProtocols(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if levels != 0 {
-				t.Errorf("reopen explored: %d progress reports", levels)
+			if levels == 0 {
+				t.Error("the second durable sweep explored no level")
 			}
-			assertGraphsIdentical(t, "reopened sweep", want.Graph, reGot.Graph)
+			assertGraphsIdentical(t, "rebuilt sweep", want.Graph, reGot.Graph)
 			if reGot.BivalentIndex != want.BivalentIndex {
 				t.Errorf("bivalent index %d, want %d", reGot.BivalentIndex, want.BivalentIndex)
 			}
@@ -117,7 +125,7 @@ func TestDurableFacadeParityAllProtocols(t *testing.T) {
 
 // TestDurableFacadeRebuildOnMismatch: a directory committed by a
 // different candidate (same shape, different resilience) is rebuilt in
-// place, not served stale.
+// place into the new candidate's graph.
 func TestDurableFacadeRebuildOnMismatch(t *testing.T) {
 	dir := t.TempDir()
 	first, err := boosting.New("forward", 2, 0,
@@ -133,7 +141,7 @@ func TestDurableFacadeRebuildOnMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// f=1 has a different canonical identity; the old manifest must lose.
+	// f=1 is another candidate; the old manifest must lose.
 	var levels int
 	second, err := boosting.New("forward", 2, 1,
 		boosting.WithWorkers(1), boosting.WithGraphDir(dir),
@@ -147,7 +155,7 @@ func TestDurableFacadeRebuildOnMismatch(t *testing.T) {
 	}
 	defer c2.Close()
 	if levels == 0 {
-		t.Error("identity mismatch served the stale graph instead of rebuilding")
+		t.Error("a directory holding another candidate's graph was not rebuilt")
 	}
 	ref, err := boosting.New("forward", 2, 1, boosting.WithWorkers(1))
 	if err != nil {

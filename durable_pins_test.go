@@ -3,8 +3,9 @@ package boosting_test
 // The durable data files do not move: the edge file is what the commit
 // before edges travelled as (task, action) indices wrote (49e24bb), and the
 // fingerprint file is what the spill store wrote while it kept its vertices
-// in it (fec1a93). The index and the manifest are format 3's, which dropped
-// the predecessor links; a directory of format 2 is refused and rebuilt.
+// in it (fec1a93). The index and the manifest are format 4's: format 3
+// dropped the predecessor links, format 4 the builder's identity and symmetry
+// flag from the manifest; a directory of format 2 is refused and rebuilt.
 
 import (
 	"crypto/sha256"
@@ -21,7 +22,7 @@ import (
 
 // TestDurableBytesPinned holds every file of a committed directory to SHA-256
 // sums: edges.dat and fingerprints.dat taken before their writers last
-// changed, index.dat and manifest.json at manifest format 3. The spill
+// changed, index.dat and manifest.json at manifest format 4. The spill
 // adjacency fills its persisted dictionaries in the order SetSuccs first
 // meets a label; the System's action numbers, which differ with the worker
 // count, must not leak into that order, so every row is built on one worker
@@ -38,20 +39,20 @@ func TestDurableBytesPinned(t *testing.T) {
 		{"forward-n4", "forward", 4, nil, map[string]string{
 			"edges.dat":        "48dfb6605c86daeb25631d660dc3671e72c07b048652df3c77602693ad4120bf",
 			"fingerprints.dat": "bb3888749f41696a9ef056b0d534e0bc6fa281def5651351aec4c58684fff890",
-			"index.dat":        "ec67b7d27b350ad493566e6ce9490ffc97f99bf1a5a1ce224dcc91fb6fa27ac4",
-			"manifest.json":    "781a48d72158623b0a98bb1cf8ea135f615041aa6edf239c4c0a1fa6003e7854",
+			"index.dat":        "6235705d2564ca778b1af9a0f85ded3c2701fa6b34a7fcc6417e21ea5df321c6",
+			"manifest.json":    "acd0f4e70765fa7a6a793a70fb24b2a1f4c43dacb9e7fedd686b925b7426d391",
 		}},
 		{"forward-n4-symmetry", "forward", 4, []boosting.Option{boosting.WithSymmetry()}, map[string]string{
 			"edges.dat":        "d0a19137622a5924ed5e1a303617e343755a366f5abfd7c414130bacf3ff1deb",
 			"fingerprints.dat": "f93efe2d29eed88c3840d418e3bb045bbb72a1507c0297f98ab676aa5304da79",
-			"index.dat":        "deae09fff35ffcac677af77f474b42bde20717a8273297de55b43c9b7b8bbdb7",
-			"manifest.json":    "db3fa438188f6a61c73e88fae689fa4ce9ac7ce43f952aa229096f0d4ea3e555",
+			"index.dat":        "0e225466feefc3ecbb0a1ca09b9bef8c85a2b9afd45b9d8de27632d42aa7c944",
+			"manifest.json":    "0138daa534dfbe953a368bb38a938962f161321b2f72941b92a47fc6c00b5b9f",
 		}},
 		{"tob-n2", "tob", 2, nil, map[string]string{
 			"edges.dat":        "fccc457bf710ed47f2fe14a4f8f06303b29ab91d956092c8758cff8bfbe5a4e2",
 			"fingerprints.dat": "c448e8d10f001e4a865c7576fb2313449729c690b5fa0fe0bd84de2b80e6a5d7",
-			"index.dat":        "ef68e2681c0aa163ddfb37c63150c722340073db352559d84db5cb92c0781e61",
-			"manifest.json":    "4461e79945ec2b04034120c245ed1801c4f87dad0c967620e96812a9ef7eadc5",
+			"index.dat":        "2ab8fd941f8bb26df9abe2282a90171fdba6aa2c4a8a7793ca6c70440c655a05",
+			"manifest.json":    "e8966b06f177bc6647d7de3343bae95a276555e27a0f6f48cdb28d048de1eb08",
 		}},
 	} {
 		for _, workers := range []int{1, 2} {
@@ -83,9 +84,9 @@ func TestDurableBytesPinned(t *testing.T) {
 
 // TestFormat2DirectoryRebuilds: testdata/graph-pr21-forward-n2 was written
 // by `hookfind -n 2 -f 0 -graphdir` at manifest format 2, whose index carried
-// the predecessor links. OpenGraph and ClassifyReopened refuse it with a
-// *ManifestError naming the format, and a WithGraphDir ClassifyInits over it
-// rebuilds it in place into the graph a fresh build produces.
+// the predecessor links. OpenGraph refuses it with a *ManifestError naming
+// the format, and a WithGraphDir ClassifyInits over it rebuilds it in place
+// into the graph a fresh build produces, which OpenGraph then reattaches.
 func TestFormat2DirectoryRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS("testdata/graph-pr21-forward-n2")); err != nil {
@@ -100,13 +101,10 @@ func TestFormat2DirectoryRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer want.Close()
-	_, openErr := chk.OpenGraph(dir)
-	_, classifyErr := chk.ClassifyReopened(dir)
-	for label, err := range map[string]error{"OpenGraph": openErr, "ClassifyReopened": classifyErr} {
-		var merr *boosting.ManifestError
-		if !errors.As(err, &merr) || !strings.Contains(err.Error(), "unsupported manifest format 2 (want 3)") {
-			t.Errorf("%s on a format-2 directory: %v, want a *ManifestError naming the format", label, err)
-		}
+	_, err = chk.OpenGraph(dir)
+	var merr *boosting.ManifestError
+	if !errors.As(err, &merr) || !strings.Contains(err.Error(), "unsupported manifest format 2 (want 4)") {
+		t.Errorf("OpenGraph on a format-2 directory: %v, want a *ManifestError naming the format", err)
 	}
 	durable, err := boosting.New("forward", 2, 0, boosting.WithWorkers(1), boosting.WithGraphDir(dir))
 	if err != nil {
@@ -125,7 +123,10 @@ func TestFormat2DirectoryRebuilds(t *testing.T) {
 		t.Errorf("rebuilt: valences %v, first bivalent %d; a fresh build finds %v and %d",
 			got.Valences, got.BivalentIndex, want.Valences, want.BivalentIndex)
 	}
-	if m, ok := boosting.GraphManifest(got.Graph); !ok || m.Format != 3 {
-		t.Errorf("rebuilt directory's manifest: %+v", m)
+	opened, err := chk.OpenGraph(dir)
+	if err != nil {
+		t.Fatalf("the rebuilt directory does not reattach: %v", err)
 	}
+	defer boosting.CloseGraph(opened)
+	assertGraphsIdentical(t, "reattached", want.Graph, opened)
 }

@@ -1,10 +1,9 @@
 // Package cliflags is the shared flag block of the cmd/* binaries: every
-// tool that builds graphs takes the same exploration knobs (-workers,
-// -maxstates, -store, -spilldir, -graphdir, -symmetry; boostd all but
-// -graphdir), the tools that only run batches take -workers alone, and
-// every tool surfaces partial exploration counts when a state budget
-// overflows. Before the boosting façade each binary carried its own copy of
-// this block; now there is one.
+// tool that builds graphs, boostd included, takes the same exploration knobs
+// (-workers, -maxstates, -store, -spilldir, -symmetry), the tools that only
+// run batches take -workers alone, and every tool surfaces partial
+// exploration counts when a state budget overflows. Before the boosting
+// façade each binary carried its own copy of this block; now there is one.
 package cliflags
 
 import (
@@ -22,7 +21,6 @@ type Common struct {
 	MaxStates int
 	Store     string
 	SpillDir  string
-	GraphDir  string
 	Symmetry  bool
 }
 
@@ -37,17 +35,6 @@ func RegisterWorkers(fs *flag.FlagSet) *int {
 // Register installs the shared flags on a flag set and returns the value
 // holder to read after parsing.
 func Register(fs *flag.FlagSet) *Common {
-	c := registerEngine(fs)
-	// Same empty-sentinel discipline as -store/-spilldir: "" means "not
-	// requested", so the conflict matrix in Options can name exactly the
-	// flags the user actually set.
-	fs.StringVar(&c.GraphDir, "graphdir", "", "durable graph directory: commit the built graph for later reopening (implies -store spill; conflicts with -spilldir)")
-	return c
-}
-
-// registerEngine installs every shared flag but -graphdir, which names one
-// graph and so belongs to the one-build tools, not to a server's defaults.
-func registerEngine(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.IntVar(&c.Workers, "workers", 0, workersUsage)
 	fs.IntVar(&c.MaxStates, "maxstates", 0, "explored-state budget per graph build (0 = engine default)")
@@ -74,10 +61,9 @@ type Server struct {
 }
 
 // RegisterServer installs the boostd flags (-addr, -pool, -cache, -drain)
-// plus the shared engine block without -graphdir: boostd writes no graph to
-// disk, so the flag is refused as unknown rather than ignored.
+// plus the shared engine block.
 func RegisterServer(fs *flag.FlagSet) *Server {
-	s := &Server{Common: registerEngine(fs)}
+	s := &Server{Common: Register(fs)}
 	fs.StringVar(&s.Addr, "addr", ":8080", "HTTP listen address")
 	fs.IntVar(&s.Pool, "pool", 0, "concurrently running checking jobs (0 = one per CPU; jobs default to the serial engine, so the pool is the parallelism)")
 	fs.IntVar(&s.Cache, "cache", 0, "result-cache capacity in entries (0 = default 1024)")
@@ -114,26 +100,12 @@ func (c *Common) Options() ([]boosting.Option, error) {
 		}
 		store = boosting.SpillStore
 	}
-	if c.GraphDir != "" {
-		// Mirror the façade's WithGraphDir conflict matrix at the flag
-		// layer, so errors name the flags the user typed rather than the
-		// options they lower to.
-		if c.SpillDir != "" {
-			return nil, fmt.Errorf("-graphdir conflicts with -spilldir (the durable graph owns its directory; ephemeral spill files go elsewhere automatically)")
-		}
-		if c.Store != "" && store != boosting.SpillStore {
-			return nil, fmt.Errorf("-graphdir requires -store spill (got -store %s)", c.Store)
-		}
-		store = boosting.SpillStore
-	}
 	opts := []boosting.Option{
 		boosting.WithWorkers(c.Workers),
 		boosting.WithMaxStates(c.MaxStates),
 		boosting.WithStore(store),
 	}
-	if c.GraphDir != "" {
-		opts = append(opts, boosting.WithGraphDir(c.GraphDir))
-	} else if store == boosting.SpillStore {
+	if store == boosting.SpillStore {
 		opts = append(opts, boosting.WithSpillDir(c.SpillDir))
 	}
 	if c.Symmetry {
@@ -142,10 +114,30 @@ func (c *Common) Options() ([]boosting.Option, error) {
 	return opts, nil
 }
 
+// usageError is a command line the flag package refused.
+type usageError struct{ error }
+
+// Parse parses args into fs and marks a refused command line, so that
+// ExitCode can tell it from a run that failed.
+func Parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+	return nil
+}
+
+// ExitCode is the status a binary exits with on err: 2 for a command line
+// Parse refused, as a flag.ExitOnError set exits, and 1 for anything else.
+func ExitCode(err error) int {
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
+}
+
 // Describe renders an error for CLI display, surfacing the partial
-// exploration count when a graph build overflowed its state budget. The
-// WithGraphDir conflicts print as they are: their Reason already names the
-// fix.
+// exploration count when a graph build overflowed its state budget; other
+// errors print as they are.
 func Describe(err error) string {
 	var le *boosting.LimitError
 	if errors.As(err, &le) {

@@ -77,33 +77,44 @@ func TestOptionsSpill(t *testing.T) {
 	}
 }
 
-// TestShardsFlagRemoved: -shards left with the sharded engine. Every binary
-// registers this block, so the flag package's own unknown-flag error is what
-// each of them now prints.
-func TestShardsFlagRemoved(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	Register(fs)
-	err := fs.Parse([]string{"-shards", "2"})
-	if err == nil || err.Error() != "flag provided but not defined: -shards" {
-		t.Fatalf("Parse(-shards 2) = %v, want the flag package's unknown-flag error", err)
-	}
-}
-
-// TestNowitnessFlagRemoved: graphs store no predecessor links, so there is
-// nothing for -nowitness to drop, and the flag is gone from both blocks.
-func TestNowitnessFlagRemoved(t *testing.T) {
-	for name, register := range map[string]func(*flag.FlagSet){
+// TestRemovedFlags: flags that left with what they configured. -shards went
+// with the sharded engine; -nowitness with the predecessor links, which
+// graphs no longer store; -graphdir with the reopen of a committed graph,
+// which nothing used. Every binary registers one of these blocks, so the flag
+// package's own unknown-flag error is what each of them now prints, and
+// ExitCode makes it exit 2 — as boostd's flag.ExitOnError set does — where
+// a failed run exits 1.
+func TestRemovedFlags(t *testing.T) {
+	blocks := map[string]func(*flag.FlagSet){
 		"Register":        func(fs *flag.FlagSet) { Register(fs) },
+		"RegisterServer":  func(fs *flag.FlagSet) { RegisterServer(fs) },
 		"RegisterWorkers": func(fs *flag.FlagSet) { RegisterWorkers(fs) },
+	}
+	for _, tc := range []struct {
+		block string
+		args  []string
+	}{
+		{"Register", []string{"-shards", "2"}},
+		{"Register", []string{"-nowitness"}},
+		{"RegisterWorkers", []string{"-nowitness"}},
+		{"Register", []string{"-graphdir", "x"}},
+		{"RegisterServer", []string{"-graphdir", "x"}},
 	} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		register(fs)
-		err := fs.Parse([]string{"-nowitness"})
-		if err == nil || err.Error() != "flag provided but not defined: -nowitness" {
-			t.Errorf("%s: Parse(-nowitness) = %v, want the flag package's unknown-flag error", name, err)
-		}
+		t.Run(tc.block+" "+tc.args[0], func(t *testing.T) {
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			blocks[tc.block](fs)
+			err := Parse(fs, tc.args)
+			if want := "flag provided but not defined: " + tc.args[0]; err == nil || err.Error() != want {
+				t.Errorf("Parse(%v) = %v, want %q", tc.args, err, want)
+			}
+			if code := ExitCode(err); code != 2 {
+				t.Errorf("Parse(%v) exits %d, want 2", tc.args, code)
+			}
+		})
+	}
+	if code := ExitCode(errors.New("unknown store backend")); code != 1 {
+		t.Errorf("a failed run exits %d, want 1", code)
 	}
 }
 
@@ -189,25 +200,6 @@ func TestRegisterServer(t *testing.T) {
 	}
 }
 
-// TestRegisterServerRefusesGraphDir: boostd writes no graph to disk, so its
-// block has no -graphdir and the flag package refuses it at startup rather
-// than letting it be silently ignored; the one-build tools keep it.
-func TestRegisterServerRefusesGraphDir(t *testing.T) {
-	fs := flag.NewFlagSet("boostd", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	RegisterServer(fs)
-	err := fs.Parse([]string{"-graphdir", t.TempDir()})
-	if err == nil || err.Error() != "flag provided but not defined: -graphdir" {
-		t.Errorf("boostd Parse(-graphdir) = %v, want the flag package's unknown-flag error", err)
-	}
-	fs = flag.NewFlagSet("hookfind", flag.ContinueOnError)
-	c := Register(fs)
-	dir := t.TempDir()
-	if err := fs.Parse([]string{"-graphdir", dir}); err != nil || c.GraphDir != dir {
-		t.Errorf("Register: Parse(-graphdir) = %v, GraphDir %q; want %q", err, c.GraphDir, dir)
-	}
-}
-
 // TestOptionsSpillDirConflict: -spilldir with an explicit -store dense is a
 // contradiction and must error, not silently override.
 func TestOptionsSpillDirConflict(t *testing.T) {
@@ -227,82 +219,5 @@ func TestOptionsSpillDirConflict(t *testing.T) {
 	}
 	if _, err := c.Options(); err != nil {
 		t.Errorf("Options rejected -store spill with -spilldir: %v", err)
-	}
-}
-
-// TestOptionsGraphDirConflicts: the -graphdir conflict matrix. Every
-// combination the durable store cannot honor errors at the flag layer
-// with a message naming both flags; the valid combinations lower to a
-// WithGraphDir build that actually commits a reopenable graph.
-func TestOptionsGraphDirConflicts(t *testing.T) {
-	conflicts := []struct {
-		name  string
-		args  []string
-		wants []string // substrings the error must carry (both flag names)
-	}{
-		{
-			name:  "spilldir",
-			args:  []string{"-graphdir", t.TempDir(), "-spilldir", t.TempDir()},
-			wants: []string{"-graphdir", "-spilldir"},
-		},
-		{
-			name:  "explicit dense store",
-			args:  []string{"-graphdir", t.TempDir(), "-store", "dense"},
-			wants: []string{"-graphdir", "-store"},
-		},
-	}
-	for _, tc := range conflicts {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := flag.NewFlagSet("test", flag.ContinueOnError)
-			c := Register(fs)
-			if err := fs.Parse(tc.args); err != nil {
-				t.Fatal(err)
-			}
-			_, err := c.Options()
-			if err == nil {
-				t.Fatalf("Options accepted %v", tc.args)
-			}
-			for _, want := range tc.wants {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q does not name %s", err, want)
-				}
-			}
-		})
-	}
-
-	// Valid combinations: bare -graphdir (implies -store spill) and the
-	// explicit -store spill -graphdir pair both commit a durable graph.
-	for _, args := range [][]string{
-		{"-graphdir", ""}, // placeholder, replaced per iteration below
-		{"-store", "spill", "-graphdir", ""},
-	} {
-		dir := t.TempDir()
-		args[len(args)-1] = dir
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		c := Register(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		opts, err := c.Options()
-		if err != nil {
-			t.Fatalf("Options rejected %v: %v", args, err)
-		}
-		chk, err := boosting.New("forward", 2, 0, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := chk.ClassifyInits()
-		if err != nil {
-			t.Fatalf("args %v: %v", args, err)
-		}
-		if _, ok := boosting.GraphManifest(res.Graph); !ok {
-			t.Errorf("args %v: build committed no durable manifest", args)
-		}
-		if err := res.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !boosting.HasGraph(dir) {
-			t.Errorf("args %v: no manifest in %s after the build", args, dir)
-		}
 	}
 }

@@ -259,8 +259,6 @@ func commitDurable(g *Graph, opt BuildOptions) error {
 	m := &Manifest{
 		Format:           manifestFormat,
 		Shape:            hex.EncodeToString(ShapeFingerprint(g.sys)),
-		GraphID:          hex.EncodeToString(opt.GraphID),
-		Symmetry:         opt.Symmetry != nil,
 		States:           g.store.Len(),
 		Edges:            g.edges,
 		Roots:            len(g.roots),
@@ -274,7 +272,6 @@ func commitDurable(g *Graph, opt BuildOptions) error {
 		return err
 	}
 	g.manifest = m
-	g.graphDir = opt.GraphDir
 	return nil
 }
 
@@ -325,16 +322,6 @@ func writeFileSync(path string, data []byte) error {
 	return err
 }
 
-// OpenOptions constrains OpenGraph's manifest validation beyond the
-// always-on checks (format version, checksums, file lengths, shape).
-type OpenOptions struct {
-	// GraphID, when non-nil, must match the manifest's recorded full
-	// identity byte-for-byte — the exact-reopen mode. nil skips the check:
-	// a shape-validated open, whose graph is the builder's G(C) whatever
-	// candidate sys is.
-	GraphID []byte
-}
-
 // OpenGraph validates a committed durable graph directory and reattaches
 // it as a read-only graph without exploring a state: manifest format and
 // self-checksum, data-file lengths, index checksum, the shape fingerprint
@@ -343,12 +330,12 @@ type OpenOptions struct {
 // each one parses and names a state no earlier vertex holds. The returned
 // graph is per-ID and per-edge identical to the one the durable build
 // produced — same StateIDs, fingerprints, edges, valences and roots, and so
-// the same witness paths. It is the builder's G(C): without opt.GraphID nothing here ties its transitions to
-// sys, so it is sys's graph only when the two candidates have the same
-// failure-free transition relation (see ClassifyReopened). Close it with
-// CloseGraphStore like any spill-backed graph. All validation failures are
-// typed *ManifestError values.
-func OpenGraph(sys *system.System, dir string, opt OpenOptions) (*Graph, error) {
+// the same witness paths. It is the builder's G(C): nothing here ties its
+// transitions to sys, so it is sys's graph only when the two candidates have
+// the same failure-free transition relation. Close it with CloseGraphStore
+// like any spill-backed graph. All validation failures are typed
+// *ManifestError values.
+func OpenGraph(sys *system.System, dir string) (*Graph, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
@@ -356,10 +343,6 @@ func OpenGraph(sys *system.System, dir string, opt OpenOptions) (*Graph, error) 
 	if want := hex.EncodeToString(ShapeFingerprint(sys)); m.Shape != want {
 		return nil, &ManifestError{Dir: dir,
 			Reason: "shape mismatch: the graph was built for a structurally different system"}
-	}
-	if opt.GraphID != nil && m.GraphID != hex.EncodeToString(opt.GraphID) {
-		return nil, &ManifestError{Dir: dir,
-			Reason: "graph identity mismatch: the directory holds a different candidate's graph (build-option tuple or roots differ)"}
 	}
 	idx, err := os.ReadFile(filepath.Join(dir, indexFileName))
 	if err != nil {
@@ -389,7 +372,6 @@ func OpenGraph(sys *system.System, dir string, opt OpenOptions) (*Graph, error) 
 		_ = edges.Close()
 		return nil, &ManifestError{Dir: dir, Reason: "reattach graph", Err: err}
 	}
-	g.graphDir = dir
 	return g, nil
 }
 
@@ -456,60 +438,4 @@ func reattach(sys *system.System, fp, edges *os.File, m *Manifest, dec *decodedI
 		masks:    dec.masks,
 		manifest: m,
 	}, nil
-}
-
-// BuildOrReopenGraph is BuildGraph with the durable fast path: when the
-// graph directory already holds a committed graph whose full identity
-// (GraphID) and symmetry flag match the requested build exactly, the graph is reopened without exploring a state;
-// otherwise — no manifest, identity mismatch, damaged files — it is
-// rebuilt from scratch into the directory, replacing whatever was there.
-// A reopen is attempted only when opt.GraphID is non-nil: without a full
-// identity there is no sound way to tell a matching graph from a stale
-// one. Ephemeral builds (GraphDir == "") pass straight through.
-func BuildOrReopenGraph(sys *system.System, roots []system.State, opt BuildOptions) (*Graph, error) {
-	if g := tryReopen(sys, opt); g != nil {
-		return g, nil
-	}
-	return BuildGraph(sys, roots, opt)
-}
-
-// tryReopen attempts the durable fast path, returning nil on any
-// mismatch or damage so the caller falls back to a full build.
-func tryReopen(sys *system.System, opt BuildOptions) *Graph {
-	if opt.GraphDir == "" || opt.GraphID == nil || !HasManifest(opt.GraphDir) {
-		return nil
-	}
-	// The symmetry flag is compared against the manifest rather than folded
-	// into GraphID: the canonical identity is deliberately invariant under
-	// engine options, but a quotient graph is not the full graph, so a
-	// mismatch forces a rebuild.
-	m, err := ReadManifest(opt.GraphDir)
-	if err != nil || m.Symmetry != (opt.Symmetry != nil) {
-		return nil
-	}
-	g, err := OpenGraph(sys, opt.GraphDir, OpenOptions{GraphID: opt.GraphID})
-	if err != nil {
-		return nil
-	}
-	return g
-}
-
-// GraphManifest returns the manifest of a durable graph — one built with
-// GraphDir or reopened via OpenGraph — with ok == false for ephemeral
-// graphs. The returned manifest is shared, not copied; treat it as
-// read-only.
-func GraphManifest(g *Graph) (*Manifest, bool) {
-	if g == nil || g.manifest == nil {
-		return nil, false
-	}
-	return g.manifest, true
-}
-
-// GraphDirOf returns the durable directory a graph was built into or
-// reopened from ("" for ephemeral graphs).
-func GraphDirOf(g *Graph) string {
-	if g == nil {
-		return ""
-	}
-	return g.graphDir
 }

@@ -28,8 +28,6 @@ func TestDurableManifestRoundTrip(t *testing.T) {
 		in := Manifest{
 			Format:           manifestFormat,
 			Shape:            randHex(2 * rng.Intn(40)),
-			GraphID:          randHex(2 * rng.Intn(40)),
-			Symmetry:         rng.Intn(2) == 1,
 			States:           rng.Intn(1 << 20),
 			Edges:            rng.Intn(1 << 22),
 			Roots:            rng.Intn(16),
@@ -59,7 +57,7 @@ func TestDurableManifestCorruption(t *testing.T) {
 	valid := func(t *testing.T) (string, *Manifest) {
 		t.Helper()
 		dir := t.TempDir()
-		m := &Manifest{Format: manifestFormat, Shape: "ab", GraphID: "cd",
+		m := &Manifest{Format: manifestFormat, Shape: "ab",
 			States: 7, Edges: 9, Roots: 1, IndexSum: "00"}
 		if err := writeManifest(dir, m); err != nil {
 			t.Fatal(err)

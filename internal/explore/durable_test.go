@@ -110,9 +110,8 @@ func TestDurableReopenParity(t *testing.T) {
 			defer explore.CloseGraphStore(ref)
 
 			dir := t.TempDir()
-			id := []byte("test-graph-id-" + label)
 			built, err := explore.BuildGraph(sys, roots, explore.BuildOptions{
-				Workers: 1, Store: explore.StoreSpill, Symmetry: canon, GraphDir: dir, GraphID: id})
+				Workers: 1, Store: explore.StoreSpill, Symmetry: canon, GraphDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,16 +120,16 @@ func TestDurableReopenParity(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			reopened, err := explore.OpenGraph(sys, dir, explore.OpenOptions{GraphID: id})
+			reopened, err := explore.OpenGraph(sys, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer explore.CloseGraphStore(reopened)
 			requireIdentical(t, ref, reopened)
 
-			m, ok := explore.GraphManifest(reopened)
-			if !ok {
-				t.Fatal("reopened graph has no manifest")
+			m, err := explore.ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if m.States != ref.Size() || m.Edges != ref.Edges() {
 				t.Errorf("manifest %+v disagrees with graph %d/%d", m, ref.Size(), ref.Edges())
@@ -170,7 +169,7 @@ func TestDurableSpillStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := explore.OpenGraph(sys, dir, explore.OpenOptions{})
+	reopened, err := explore.OpenGraph(sys, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +188,7 @@ func TestDurableSpillStats(t *testing.T) {
 }
 
 // TestDurableOpenErrors drives OpenGraph through the open-time failure
-// table: identity mismatches and damaged data files are all typed
+// table: a shape mismatch, a stale format and damaged data files are all typed
 // *ManifestError values, and a refused open leaves no descriptor behind. A
 // fingerprint file of the right length can still be damaged: a record the
 // decoder rejects, or a record that decodes to an earlier vertex's state,
@@ -201,7 +200,7 @@ func TestDurableOpenErrors(t *testing.T) {
 		t.Helper()
 		dir := t.TempDir()
 		g, err := explore.BuildGraph(sys, roots, explore.BuildOptions{
-			Store: explore.StoreSpill, Workers: 1, GraphDir: dir, GraphID: []byte("id-1")})
+			Store: explore.StoreSpill, Workers: 1, GraphDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,17 +214,22 @@ func TestDurableOpenErrors(t *testing.T) {
 		open func(t *testing.T, dir string) error
 	}{
 		{
-			name: "graph identity mismatch",
+			name: "shape mismatch",
 			open: func(t *testing.T, dir string) error {
-				_, err := explore.OpenGraph(sys, dir, explore.OpenOptions{GraphID: []byte("id-2")})
+				other := mustForward(t, 3, 1, service.Adversarial)
+				_, err := explore.OpenGraph(other, dir)
 				return err
 			},
 		},
 		{
-			name: "shape mismatch",
+			name: "format-3 manifest",
 			open: func(t *testing.T, dir string) error {
-				other := mustForward(t, 3, 1, service.Adversarial)
-				_, err := explore.OpenGraph(other, dir, explore.OpenOptions{})
+				path := filepath.Join(dir, "manifest.json")
+				writeFile(t, path, []byte(strings.Replace(string(readFile(t, path)), `"format": 4`, `"format": 3`, 1)))
+				_, err := explore.OpenGraph(sys, dir)
+				if err == nil || !strings.Contains(err.Error(), "unsupported manifest format 3 (want 4)") {
+					t.Errorf("a format-3 manifest opened as %v", err)
+				}
 				return err
 			},
 		},
@@ -233,9 +237,9 @@ func TestDurableOpenErrors(t *testing.T) {
 			name: "format-2 manifest",
 			open: func(t *testing.T, dir string) error {
 				path := filepath.Join(dir, "manifest.json")
-				writeFile(t, path, []byte(strings.Replace(string(readFile(t, path)), `"format": 3`, `"format": 2`, 1)))
-				_, err := explore.OpenGraph(sys, dir, explore.OpenOptions{})
-				if err == nil || !strings.Contains(err.Error(), "unsupported manifest format 2 (want 3)") {
+				writeFile(t, path, []byte(strings.Replace(string(readFile(t, path)), `"format": 4`, `"format": 2`, 1)))
+				_, err := explore.OpenGraph(sys, dir)
+				if err == nil || !strings.Contains(err.Error(), "unsupported manifest format 2 (want 4)") {
 					t.Errorf("a format-2 manifest opened as %v", err)
 				}
 				return err
@@ -245,7 +249,7 @@ func TestDurableOpenErrors(t *testing.T) {
 			name: "truncated fingerprint file",
 			open: func(t *testing.T, dir string) error {
 				truncateTail(t, filepath.Join(dir, "fingerprints.dat"))
-				_, err := explore.OpenGraph(sys, dir, explore.OpenOptions{})
+				_, err := explore.OpenGraph(sys, dir)
 				return err
 			},
 		},
@@ -256,14 +260,14 @@ func TestDurableOpenErrors(t *testing.T) {
 				raw := readFile(t, path)
 				raw[0] = 0xff // vertex 0's first byte: no state encoding starts so
 				writeFile(t, path, raw)
-				_, err := explore.OpenGraph(sys, dir, explore.OpenOptions{})
+				_, err := explore.OpenGraph(sys, dir)
 				return err
 			},
 		},
 		{
 			name: "duplicated fingerprint",
 			open: func(t *testing.T, dir string) error {
-				g, err := explore.OpenGraph(sys, dir, explore.OpenOptions{})
+				g, err := explore.OpenGraph(sys, dir)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -278,7 +282,7 @@ func TestDurableOpenErrors(t *testing.T) {
 				raw := readFile(t, path)
 				copy(raw[len(fp0):], fp0) // the file holds the records in ID order
 				writeFile(t, path, raw)
-				_, err = explore.OpenGraph(sys, dir, explore.OpenOptions{})
+				_, err = explore.OpenGraph(sys, dir)
 				return err
 			},
 		},
@@ -286,7 +290,7 @@ func TestDurableOpenErrors(t *testing.T) {
 			name: "truncated edge file",
 			open: func(t *testing.T, dir string) error {
 				truncateTail(t, filepath.Join(dir, "edges.dat"))
-				_, err := explore.OpenGraph(sys, dir, explore.OpenOptions{})
+				_, err := explore.OpenGraph(sys, dir)
 				return err
 			},
 		},
@@ -294,7 +298,7 @@ func TestDurableOpenErrors(t *testing.T) {
 			name: "corrupted index",
 			open: func(t *testing.T, dir string) error {
 				flipByte(t, filepath.Join(dir, "index.dat"))
-				_, err := explore.OpenGraph(sys, dir, explore.OpenOptions{})
+				_, err := explore.OpenGraph(sys, dir)
 				return err
 			},
 		},
@@ -310,6 +314,86 @@ func TestDurableOpenErrors(t *testing.T) {
 			if n := descriptorsUnder(t, dir); n != 0 {
 				t.Errorf("%d descriptors into the directory left open by the refused open", n)
 			}
+		})
+	}
+}
+
+// TestDurableRebuildInPlace: a durable build over a directory that already
+// holds a graph explores again and commits its own graph over the old one,
+// whatever the old one was — another policy's graph, the quotient where the
+// full graph is asked or the reverse (so the old files are larger or smaller
+// than the new ones), or a build from other roots. The rebuilt sweep and the
+// directory's reattached graph both equal the candidate's own ephemeral
+// sweep per ID.
+func TestDurableRebuildInPlace(t *testing.T) {
+	builder := mustForward(t, 3, 1, service.Adversarial)
+	variant := mustForward(t, 3, 1, service.Benign)
+	reversed := monotoneRoots(t, builder)
+	slices.Reverse(reversed)
+	cases := []struct {
+		name  string
+		roots []system.State // nil = the builder's monotone roots
+		built explore.BuildOptions
+		asked explore.BuildOptions
+	}{
+		{name: "policy variant"},
+		{name: "policy variant, quotient",
+			built: explore.BuildOptions{Symmetry: forwardCanon(t, builder, 3)},
+			asked: explore.BuildOptions{Symmetry: forwardCanon(t, variant, 3)}},
+		{name: "quotient committed, full graph asked",
+			built: explore.BuildOptions{Symmetry: forwardCanon(t, builder, 3)}},
+		{name: "full graph committed, quotient asked",
+			asked: explore.BuildOptions{Symmetry: forwardCanon(t, variant, 3)}},
+		{name: "monotone roots in another order", roots: reversed},
+		{name: "a single explored root", roots: reversed[:1]},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			roots := tc.roots
+			if roots == nil {
+				roots = monotoneRoots(t, builder)
+			}
+			tc.built.Workers, tc.built.Store, tc.built.GraphDir = 1, explore.StoreSpill, dir
+			g, err := explore.BuildGraph(builder, roots, tc.built)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := explore.CloseGraphStore(g); err != nil {
+				t.Fatal(err)
+			}
+			tc.asked.Workers = 1
+			want, err := explore.ClassifyInits(variant, tc.asked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer want.Close()
+
+			levels := 0
+			tc.asked.Store, tc.asked.GraphDir = explore.StoreSpill, dir
+			tc.asked.Progress = func(explore.Progress) { levels++ }
+			got, err := explore.ClassifyInits(variant, tc.asked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer got.Close()
+			if levels == 0 {
+				t.Error("the durable build over a committed directory explored no level")
+			}
+			requireIdentical(t, want.Graph, got.Graph)
+			if !reflect.DeepEqual(got.Assignments, want.Assignments) ||
+				!slices.Equal(got.Roots, want.Roots) ||
+				!slices.Equal(got.Valences, want.Valences) ||
+				got.BivalentIndex != want.BivalentIndex {
+				t.Errorf("classification differs from the variant's own sweep:\n got %+v\nwant %+v", got, want)
+			}
+
+			reattached, err := explore.OpenGraph(variant, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer explore.CloseGraphStore(reattached)
+			requireIdentical(t, want.Graph, reattached)
 		})
 	}
 }
@@ -334,80 +418,6 @@ func descriptorsUnder(t *testing.T, dir string) int {
 		}
 	}
 	return n
-}
-
-// TestClassifyReopened drives the one reader that serves a committed graph to
-// a candidate other than its builder. The accepted rows hold the answer to
-// the variant's own ClassifyInits per ID and explore nothing; the refused
-// rows are directories that reopen cleanly (same shape, sound files) but do
-// not hold this sweep's graph, and each is a typed *ManifestError.
-func TestClassifyReopened(t *testing.T) {
-	builder := mustForward(t, 3, 1, service.Adversarial)
-	variant := mustForward(t, 3, 1, service.Benign)
-	reversed := monotoneRoots(t, builder)
-	slices.Reverse(reversed)
-	cases := []struct {
-		name    string
-		roots   []system.State // nil = the builder's monotone roots
-		built   explore.BuildOptions
-		asked   explore.BuildOptions
-		refused bool
-	}{
-		{name: "policy variant"},
-		{name: "policy variant, quotient",
-			built: explore.BuildOptions{Symmetry: forwardCanon(t, builder, 3)},
-			asked: explore.BuildOptions{Symmetry: forwardCanon(t, variant, 3)}},
-		{name: "quotient committed, full graph asked",
-			built: explore.BuildOptions{Symmetry: forwardCanon(t, builder, 3)}, refused: true},
-		{name: "full graph committed, quotient asked",
-			asked: explore.BuildOptions{Symmetry: forwardCanon(t, variant, 3)}, refused: true},
-		{name: "monotone roots in another order", roots: reversed, refused: true},
-		{name: "a single explored root", roots: reversed[:1], refused: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			roots := tc.roots
-			if roots == nil {
-				roots = monotoneRoots(t, builder)
-			}
-			tc.built.Workers, tc.built.Store, tc.built.GraphDir = 1, explore.StoreSpill, dir
-			g, err := explore.BuildGraph(builder, roots, tc.built)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := explore.CloseGraphStore(g); err != nil {
-				t.Fatal(err)
-			}
-			tc.asked.Workers = 1
-			want, err := explore.ClassifyInits(variant, tc.asked)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer want.Close()
-			tc.asked.Progress = func(explore.Progress) { t.Error("the reopen explored a level") }
-			got, err := explore.ClassifyReopened(variant, dir, tc.asked)
-			if tc.refused {
-				var merr *explore.ManifestError
-				if !errors.As(err, &merr) {
-					got.Close()
-					t.Fatalf("want *ManifestError, got %T: %v", err, err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer got.Close()
-			requireIdentical(t, want.Graph, got.Graph)
-			if !reflect.DeepEqual(got.Assignments, want.Assignments) ||
-				!slices.Equal(got.Roots, want.Roots) ||
-				!slices.Equal(got.Valences, want.Valences) ||
-				got.BivalentIndex != want.BivalentIndex {
-				t.Errorf("classification differs from the variant's own sweep:\n got %+v\nwant %+v", got, want)
-			}
-		})
-	}
 }
 
 func truncateTail(t *testing.T, path string) {

@@ -98,11 +98,9 @@ type Graph struct {
 	roots []StateID
 	edges int
 	masks []uint8
-	// manifest and graphDir are set on durable graphs only: a build with
-	// GraphDir records them at commit, OpenGraph at reattach. See
-	// GraphManifest / GraphDirOf.
+	// manifest is set on durable graphs only: a build with GraphDir
+	// records it at commit, OpenGraph at reattach. GraphSpillStats reads it.
 	manifest *Manifest
-	graphDir string
 	// tree is the BFS tree WitnessPath reads, derived from the edges on
 	// first use.
 	treeOnce sync.Once
@@ -153,15 +151,10 @@ type BuildOptions struct {
 	// GraphDir, when non-empty, makes the build durable: the spill
 	// backend's edge file is created as a named file under this directory,
 	// and the vertices' fingerprints, an index and a versioned, checksummed
-	// manifest are committed after the valence fixpoint. A committed
-	// directory reopens via OpenGraph without exploring a state. Requires
-	// Store == StoreSpill.
+	// manifest are committed after the valence fixpoint, replacing any
+	// graph the directory held. A committed directory reattaches via
+	// OpenGraph without exploring a state. Requires Store == StoreSpill.
 	GraphDir string
-	// GraphID is the caller-supplied full identity recorded in a durable
-	// build's manifest (the façade passes the candidate's canonical
-	// fingerprint plus the root set). Optional; only read when GraphDir is
-	// set.
-	GraphID []byte
 	// Symmetry, when non-nil, canonicalizes every state — roots and
 	// discovered successors — before the key/intern step at the vertex
 	// store, so the level loop builds the quotient graph modulo process

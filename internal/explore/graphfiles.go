@@ -32,15 +32,15 @@ const (
 	// change: stale manifests are rejected, never reinterpreted. Format 1
 	// carried a second, own-decision mask byte per vertex in index.dat;
 	// format 2, BFS-tree predecessor links, which WitnessPath now derives
-	// from the edges.
-	manifestFormat = 3
+	// from the edges; format 3, the builder's full identity and symmetry
+	// flag, which only a reopen-instead-of-rebuild path read.
+	manifestFormat = 4
 )
 
 // ManifestError reports a durable graph directory that cannot be opened:
 // missing or unreadable manifest, checksum or length mismatches, a stale
-// format version, or an identity (shape / graph-ID / option-tuple)
-// mismatch against what the caller expected. It wraps the underlying
-// cause, when there is one, for errors.Is/As chains.
+// format version, or a shape mismatch against the reading system. It wraps
+// the underlying cause, when there is one, for errors.Is/As chains.
 type ManifestError struct {
 	// Dir is the graph directory.
 	Dir string
@@ -59,10 +59,9 @@ func (e *ManifestError) Error() string {
 
 func (e *ManifestError) Unwrap() error { return e.Err }
 
-// Manifest describes one committed durable graph. It records the graph's
-// identity (the shape fingerprint of the system that can decode it, and
-// the caller-supplied full graph identity), the build option that affects
-// reopened semantics (symmetry reduction), the counts, and the lengths plus checksums that bind the data files to it.
+// Manifest describes one committed durable graph. It records the shape
+// fingerprint of the system that can decode it, the counts, and the lengths
+// plus checksums that bind the data files to it.
 type Manifest struct {
 	// Format is the on-disk format version (manifestFormat).
 	Format int `json:"format"`
@@ -70,12 +69,6 @@ type Manifest struct {
 	// system the graph was built from: any system with an equal shape can
 	// decode the stored states.
 	Shape string `json:"shape"`
-	// GraphID is the hex full identity of the build — the façade records
-	// Checker.CanonicalFingerprint plus the root set here — or "" when the
-	// builder supplied none.
-	GraphID string `json:"graphId"`
-	// Symmetry records whether the graph is the symmetry-reduced quotient.
-	Symmetry bool `json:"symmetry"`
 	// States, Edges, Roots and Levels are the graph counts.
 	States int `json:"states"`
 	Edges  int `json:"edges"`
@@ -135,8 +128,7 @@ func (m *Manifest) verifyChecksum() (bool, error) {
 // excluded are the dynamics-only knobs — resilience, silence policy and
 // the process programs — which change the transition relation but not
 // the state encoding. Equal shape therefore says nothing about whose G(C)
-// a directory holds; ClassifyReopened is the one reader that serves a graph
-// to a candidate other than its builder, and says when that is sound.
+// a directory holds: OpenGraph always serves the builder's.
 func ShapeFingerprint(sys *system.System) []byte {
 	dst := append([]byte(nil), "boosting-shape-v1"...)
 	dst = append(dst, '[')
@@ -157,7 +149,7 @@ func ShapeFingerprint(sys *system.System) []byte {
 
 // ReadManifest reads and validates a durable graph directory's manifest:
 // it must parse, carry the current format version, and pass its
-// self-checksum. Identity checks (shape, graph ID) are the caller's.
+// self-checksum. The shape check is the caller's.
 // Every failure is a typed *ManifestError.
 func ReadManifest(dir string) (*Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))

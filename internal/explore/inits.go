@@ -104,55 +104,9 @@ func ClassifyInits(sys *system.System, opt BuildOptions) (*InitClassification, e
 	if err != nil {
 		return nil, err
 	}
-	g, err := BuildOrReopenGraph(sys, roots, opt)
+	g, err := BuildGraph(sys, roots, opt)
 	if err != nil {
 		return nil, err
-	}
-	return out.classify(g), nil
-}
-
-// ClassifyReopened answers the Lemma 4 sweep for sys from a durable graph
-// another candidate committed to dir, without exploring a state. It is sound
-// exactly when sys and the builder have the same failure-free transition
-// relation, which the caller vouches for; the case it exists for is a
-// silence-policy variant. G(C) holds failure-free executions only (BuildGraph
-// schedules sys.Tasks(), which has no fail action), a canonical service
-// enables a dummy action only once an endpoint has failed, and the policy is
-// consulted only to choose between a real action and an enabled dummy — so
-// no vertex of either candidate's G(C) reads it and the two graphs are
-// identical per ID (service's TestPolicyUnobservableFailureFree, the
-// façade's TestPolicyVariantGraphIdentical).
-//
-// On top of OpenGraph's validation the directory must hold this sweep's
-// graph: the symmetry flag must equal opt's, and sys's n+1 monotone roots — canonicalized and
-// fingerprinted under sys — must resolve to the recorded root IDs in order.
-// Every failure is a typed *ManifestError and leaves nothing open. Nothing
-// is built, so opt's engine fields and MaxStates are not consulted.
-func ClassifyReopened(sys *system.System, dir string, opt BuildOptions) (*InitClassification, error) {
-	out, roots, err := monotoneRoots(sys)
-	if err != nil {
-		return nil, err
-	}
-	g, err := OpenGraph(sys, dir, OpenOptions{})
-	if err != nil {
-		return nil, err
-	}
-	refuse := func(format string, args ...any) (*InitClassification, error) {
-		_ = CloseGraphStore(g)
-		return nil, &ManifestError{Dir: dir, Reason: fmt.Sprintf(format, args...)}
-	}
-	if g.manifest.Symmetry != (opt.Symmetry != nil) {
-		return refuse("symmetry mismatch: one of the committed graph and the request is the quotient, the other is not")
-	}
-	if len(g.roots) != len(roots) {
-		return refuse("graph has %d roots, the classification sweep has %d", len(g.roots), len(roots))
-	}
-	var buf []byte
-	for i, r := range roots {
-		buf = g.store.AppendKey(buf[:0], canonical(opt.Symmetry, r))
-		if id, ok := g.store.Lookup(buf); !ok || id != g.roots[i] {
-			return refuse("root %d of the graph is not the monotone initialization α_%d", i, i)
-		}
 	}
 	return out.classify(g), nil
 }

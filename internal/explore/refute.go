@@ -342,7 +342,7 @@ func safetySweep(sys *system.System, opt BuildOptions) ([]Certificate, error) {
 			return nil, err
 		}
 	}
-	opt.GraphDir, opt.GraphID = "", nil
+	opt.GraphDir = ""
 	g, err := BuildGraph(sys, roots, opt)
 	if err != nil {
 		return nil, err

@@ -364,7 +364,7 @@ func TestTargetsMatchesEdgesFrom(t *testing.T) {
 	if err := CloseGraphStore(durable); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenGraph(sys, dir, OpenOptions{})
+	reopened, err := OpenGraph(sys, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,27 +73,44 @@ func newResultCache(max int) *resultCache {
 	}
 }
 
+// cacheable reports whether a terminal outcome is a verdict worth keeping:
+// done verdicts and deterministic limit overflows are, while cancelled and
+// internally-failed runs are not, so a resubmission retries them.
+func cacheable(status JobStatus, jobErr *ErrorPayload) bool {
+	return status == StatusDone || (status == StatusFailed && jobErr != nil && jobErr.Kind == "limit")
+}
+
 // submit resolves a cache key under single-flight: an existing entry
-// returns its job (hit when finished, inflight otherwise); a miss runs mk
-// to create the job and inserts it before releasing the lock, so N
-// concurrent identical submissions produce exactly one exploration. When mk
-// fails, nothing is inserted or counted and its error is returned.
+// returns its job (hit when it finished with a cacheable outcome, inflight
+// while it runs); a miss runs mk to create the job and inserts it before
+// releasing the lock, so N concurrent identical submissions produce exactly
+// one exploration. An entry whose job finished uncacheable but is not
+// settled yet counts as absent, and the miss replaces it. When mk fails,
+// nothing is inserted or counted and its error is returned.
 func (c *resultCache) submit(key string, mk func() (*Job, error)) (*Job, CacheState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
+	el, ok := c.entries[key]
+	if ok {
 		e := el.Value.(*cacheEntry)
-		c.lru.MoveToFront(el)
-		if terminal(e.job.Status()) {
+		status, jobErr := e.job.outcome()
+		switch {
+		case !terminal(status):
+			c.lru.MoveToFront(el)
+			c.joined++
+			return e.job, CacheInflight, nil
+		case cacheable(status, jobErr):
+			c.lru.MoveToFront(el)
 			c.hits++
 			return e.job, CacheHit, nil
 		}
-		c.joined++
-		return e.job, CacheInflight, nil
 	}
 	j, err := mk()
 	if err != nil {
 		return nil, "", err
+	}
+	if ok {
+		c.lru.Remove(el)
 	}
 	c.misses++
 	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, job: j})
@@ -117,19 +134,20 @@ func (c *resultCache) evictLocked() {
 	}
 }
 
-// settle is called when a job reaches a terminal state: cancelled and
-// internally-failed runs are dropped so a resubmission retries, while done
-// verdicts and deterministic limit overflows stay cached.
-func (c *resultCache) settle(key string, status JobStatus, jobErr *ErrorPayload) {
-	cacheable := status == StatusDone || (status == StatusFailed && jobErr != nil && jobErr.Kind == "limit")
-	if cacheable {
+// settle is called when a job reaches a terminal state: an uncacheable
+// outcome drops the job's entry so a resubmission retries, while a cacheable
+// one stays. Only the job's own entry goes: a job can be settled twice (when
+// cancelled while queued, and when its worker dequeues it), and by then its
+// key may map to a resubmission.
+func (c *resultCache) settle(j *Job) {
+	if cacheable(j.outcome()) {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[j.cacheKey]; ok && el.Value.(*cacheEntry).job == j {
 		c.lru.Remove(el)
-		delete(c.entries, key)
+		delete(c.entries, j.cacheKey)
 	}
 }
 

@@ -13,13 +13,12 @@ import (
 // server probes a second index keyed by everything EXCEPT the silence
 // policy. A hit means a silence-policy variant of the same candidate has
 // already finished a full build, and the index holds that build's verdict:
-// a silence policy cannot change a failure-free graph (see
-// Checker.ClassifyReopened), so the variant's G(C), and with it the
+// a silence policy cannot change a failure-free graph (the façade's
+// TestPolicyVariantGraphIdentical), so the variant's G(C), and with it the
 // Lemma 4 verdict, is the recorded one. The index is only a routing hint:
 // the job recomputes its own n+1 canonical monotone-root fingerprints and
-// answers from the entry only when they equal the recorded ones — the root
-// check ClassifyReopened makes on a directory. On a mismatch the entry is
-// dropped and the job builds in full.
+// answers from the entry only when they equal the recorded ones. On a
+// mismatch the entry is dropped and the job builds in full.
 
 // verdictIndexCap bounds the delta index in entries.
 const verdictIndexCap = 256

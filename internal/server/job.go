@@ -120,6 +120,14 @@ func (j *Job) finish(status JobStatus, res *Result, jobErr *ErrorPayload) {
 	close(j.done)
 }
 
+// outcome returns the lifecycle state and, once terminal, the error the job
+// finished with (nil unless it failed or was cancelled).
+func (j *Job) outcome() (JobStatus, *ErrorPayload) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status, j.jobErr
+}
+
 // Status returns the current lifecycle state.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()

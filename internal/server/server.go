@@ -199,12 +199,12 @@ var (
 func (s *Server) run(j *Job) {
 	if !j.setRunning() {
 		// Cancelled while queued: never explored, never cacheable.
-		s.cache.settle(j.cacheKey, StatusCancelled, nil)
+		s.cache.settle(j)
 		return
 	}
 	if err := j.ctx.Err(); err != nil {
 		j.finish(StatusCancelled, nil, errorPayload(fmt.Errorf("%w before start", errCancelled)))
-		s.cache.settle(j.cacheKey, StatusCancelled, nil)
+		s.cache.settle(j)
 		return
 	}
 	s.explorations.Add(1)
@@ -222,7 +222,7 @@ func (s *Server) run(j *Job) {
 		payload = errorPayload(err)
 	}
 	j.finish(status, res, payload)
-	s.cache.settle(j.cacheKey, status, payload)
+	s.cache.settle(j)
 }
 
 // analyze dispatches the job's analysis through a checker rebuilt with the
@@ -379,7 +379,7 @@ func (s *Server) cancelJob(j *Job) {
 	j.mu.Unlock()
 	if queued {
 		j.finish(StatusCancelled, nil, errorPayload(fmt.Errorf("%w while queued", errCancelled)))
-		s.cache.settle(j.cacheKey, StatusCancelled, nil)
+		s.cache.settle(j)
 	}
 }
 

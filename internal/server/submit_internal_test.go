@@ -237,3 +237,83 @@ func FuzzSubmitRequest(f *testing.F) {
 		}
 	})
 }
+
+// TestStaleSettleKeepsResubmission: a job cancelled while queued is settled
+// by cancelJob, and again when the worker dequeues it. If its body was
+// resubmitted in between, the second settle must leave the resubmission's
+// cache entry alone, so the resubmission's verdict is cached: a third
+// identical submission is a hit on it, with no further exploration.
+func TestStaleSettleKeepsResubmission(t *testing.T) {
+	srv := New(Config{Pool: 1})
+	ts := httptest.NewServer(srv)
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(func() {
+		releaseOnce()
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	const body = `{"protocol": "forward", "n": 3, "f": 1, "analysis": "classify"}`
+
+	// Hold the only worker inside a running job.
+	reached := make(chan struct{})
+	var held sync.Once
+	srv.progressHook = func(boosting.Progress) {
+		held.Do(func() {
+			close(reached)
+			<-release
+		})
+	}
+	code, ack, _ := post(t, ts, `{"protocol": "tob", "n": 2, "f": 0, "analysis": "classify"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("holder: status %d", code)
+	}
+	holder, _ := srv.jobs.get(ack.ID)
+	<-reached
+
+	code, ack, _ = post(t, ts, body)
+	if code != http.StatusAccepted || ack.Cached != CacheMiss {
+		t.Fatalf("first submission: status %d, cached %q; want 202 miss", code, ack.Cached)
+	}
+	cancelled, _ := srv.jobs.get(ack.ID)
+	srv.cancelJob(cancelled)
+	code, ack, _ = post(t, ts, body)
+	if code != http.StatusAccepted || ack.Cached != CacheMiss || ack.ID == cancelled.ID {
+		t.Fatalf("resubmission: status %d, cached %q, id %s; want 202 miss with a new job", code, ack.Cached, ack.ID)
+	}
+	resubmitted, _ := srv.jobs.get(ack.ID)
+
+	releaseOnce()
+	waitDone(t, holder)
+	waitDone(t, resubmitted)
+	code, ack, _ = post(t, ts, body)
+	if code != http.StatusOK || ack.Cached != CacheHit || ack.ID != resubmitted.ID {
+		t.Errorf("third submission: status %d, cached %q, id %s; want 200 hit on %s", code, ack.Cached, ack.ID, resubmitted.ID)
+	}
+	if n := srv.Explorations(); n != 2 {
+		t.Errorf("%d explorations, want 2 (the holder and the resubmission)", n)
+	}
+}
+
+// TestSubmitReplacesUncacheableEntry: between a job's finish and its settle,
+// its cache entry is terminal but not yet dropped. A cancelled job there is
+// no verdict: the next submission of its key is a miss that replaces the
+// entry with a new job, never a hit on the cancelled one.
+func TestSubmitReplacesUncacheableEntry(t *testing.T) {
+	c := newResultCache(0)
+	first := newJob("j1", Request{})
+	if _, state, err := c.submit("k", func() (*Job, error) { return first, nil }); err != nil || state != CacheMiss {
+		t.Fatalf("first submission: %q, %v; want a miss", state, err)
+	}
+	first.finish(StatusCancelled, nil, nil)
+	second := newJob("j2", Request{})
+	j, state, err := c.submit("k", func() (*Job, error) { return second, nil })
+	if err != nil || state != CacheMiss || j != second {
+		t.Fatalf("after the cancel: %q on %s, %v; want a miss on the new job", state, j.ID, err)
+	}
+	if st := c.stats(); st.Entries != 1 || st.Hits != 0 || st.Misses != 2 {
+		t.Errorf("stats %+v, want 1 entry, 0 hits, 2 misses", st)
+	}
+}

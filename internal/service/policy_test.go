@@ -13,8 +13,8 @@ func isDummy(a ioa.Action) bool {
 }
 
 // TestPolicyUnobservableFailureFree pins the property every reader of a
-// silence-policy variant's graph rests on (explore.ClassifyReopened, boostd's
-// delta tier): in a state where no endpoint has failed, every task enables the
+// silence-policy variant's graph rests on (boostd's delta tier, experiments'
+// E31): in a state where no endpoint has failed, every task enables the
 // same action under Adversarial and Benign, and never a dummy. The states are
 // each service's failure-free reachable set — invocations of every sample at
 // every endpoint, every task — up to a cap. The last row is the non-vacuity

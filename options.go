@@ -101,15 +101,10 @@ func WithSpillDir(dir string) Option {
 // backend's edge file, plus the vertices' canonical fingerprints and an
 // index of valence masks and roots, is committed under dir
 // behind a versioned, checksummed manifest instead of living in an unlinked
-// temp file; reopening decodes every fingerprint back into the vertex store. A
-// directory holding a committed graph whose identity matches the
-// requested build exactly (candidate, roots, symmetry) is
-// reopened without exploring a state; anything else — empty directory,
-// different candidate, damaged files — is rebuilt in place. Any
-// same-shape candidate can read the directory back with Checker.OpenGraph,
-// but what it reads is this Checker's G(C); a silence-policy variant,
-// whose failure-free G(C) is the same graph, classifies from it with
-// Checker.ClassifyReopened.
+// temp file. Every build explores and commits, replacing whatever graph
+// the directory held. Any same-shape candidate can read the directory back
+// with Checker.OpenGraph, which decodes every fingerprint back into the
+// vertex store; what it reads is this Checker's G(C).
 //
 // WithGraphDir selects the SpillStore backend; it conflicts with
 // WithSpillDir (a durable graph owns its directory's file set) and with an

@@ -100,28 +100,10 @@ func GraphSpillStats(g *Graph) (SpillStats, bool) { return explore.GraphSpillSta
 // process's fd limit.
 func CloseGraph(g *Graph) error { return explore.CloseGraphStore(g) }
 
-// Durable graph store types (WithGraphDir, Checker.OpenGraph,
-// Checker.ClassifyReopened).
-type (
-	// Manifest describes one committed durable graph directory: format
-	// version, shape and full-identity fingerprints, the build-option
-	// tuple, graph counts, and the lengths and checksums binding the data
-	// files. Treat returned manifests as read-only.
-	Manifest = explore.Manifest
-	// ManifestError reports a durable graph directory that cannot be
-	// opened — missing, damaged, stale-format or identity-mismatched.
-	// Recover it with errors.As.
-	ManifestError = explore.ManifestError
-)
-
-// GraphManifest returns the manifest of a durable graph — one built
-// under WithGraphDir or reopened via Checker.OpenGraph — with ok == false
-// for ephemeral graphs.
-func GraphManifest(g *Graph) (*Manifest, bool) { return explore.GraphManifest(g) }
-
-// GraphDir returns the durable directory a graph was committed to or
-// reopened from ("" for ephemeral graphs).
-func GraphDir(g *Graph) string { return explore.GraphDirOf(g) }
+// ManifestError reports a durable graph directory (WithGraphDir,
+// Checker.OpenGraph) that cannot be opened — missing, damaged, stale-format
+// or shape-mismatched. Recover it with errors.As.
+type ManifestError = explore.ManifestError
 
 // HasGraph reports whether dir holds a committed durable graph manifest,
 // without validating it: the cheap "is there anything here" probe ahead
