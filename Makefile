@@ -141,10 +141,11 @@ test-spill:
 	GOMEMLIMIT=64MiB $(GO) test -count=1 -run 'TestSpill|TestStoreBounds|TestTargetsMatchesEdgesFrom|TestDurable' ./internal/explore/
 
 # The checking-service suite: the boostd HTTP/SSE/cache end-to-end tests
-# (golden counts, single-flight dedup, isomorphic cache hits, the in-memory
-# delta tier's per-family parity and root-mismatch fallback, cancel, drain
-# and SSE-disconnect semantics, and a goroutine count back at its baseline
-# after the suite) plus the shared flag block's lowering tests. boostd no
+# (golden counts, single-flight dedup, isomorphic cache hits, the cache-key
+# soundness sweep, the spill directory only spill-store jobs read, the
+# in-memory delta tier's per-family parity and root-mismatch fallback,
+# cancel, drain and SSE-disconnect semantics, and a goroutine count back at
+# its baseline after the suite) plus the flag blocks' tests. boostd no
 # longer reaches the durable graph store. -count=1 because the suite asserts
 # cross-request counters, not pure functions.
 test-server:

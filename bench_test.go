@@ -8,6 +8,7 @@ package boosting_test
 //	go test -bench=. -benchmem
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -129,7 +130,7 @@ func BenchmarkRunBatchWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := explore.RunBatch(sys, cfgs, w); err != nil {
+				if _, err := explore.RunBatch(context.Background(), sys, cfgs, w); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -73,7 +73,7 @@ func (c *Checker) OpenGraph(dir string) (*Graph, error) {
 // divergence certificate. It honors the Checker's WithContext: a cancelled
 // context stops the construction mid-scan.
 func (c *Checker) FindHook(g *Graph, root StateID) (HookSearchResult, error) {
-	return explore.FindHookCtx(c.cfg.ctx, g, root)
+	return explore.FindHook(c.cfg.ctx, g, root)
 }
 
 // Refute analyses the candidate's claim to tolerate the given number of
@@ -224,5 +224,5 @@ func (c *Checker) RunRandom(cfg RunConfig, seed int64, steps int) (RunResult, er
 // input order and are identical to one-by-one runs. Per-step execution
 // traces are dropped — use Run when the trace is needed.
 func (c *Checker) RunBatch(cfgs []RunConfig) ([]RunResult, error) {
-	return explore.RunBatchCtx(c.cfg.ctx, c.sys, cfgs, c.cfg.workers)
+	return explore.RunBatch(c.cfg.ctx, c.sys, cfgs, c.cfg.workers)
 }

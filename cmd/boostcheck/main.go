@@ -59,6 +59,7 @@ func run(args []string) error {
 		benign    = fs.Bool("benign", false, "benign silence policy (services never exercise their right to fall silent)")
 	)
 	common := cliflags.Register(fs)
+	workers := cliflags.RegisterWorkers(fs)
 	if err := cliflags.Parse(fs, args); err != nil {
 		return err
 	}
@@ -70,7 +71,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts = append(opts, boosting.WithSilencePolicy(policy), boosting.WithMaxRounds(2000))
+	opts = append(opts, boosting.WithWorkers(*workers), boosting.WithSilencePolicy(policy), boosting.WithMaxRounds(2000))
 	if *candidate == "floodset-p" {
 		// The Theorem 10 shape: one more flooding round than the detector's
 		// resilience can cover at the claimed tolerance.

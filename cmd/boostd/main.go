@@ -5,14 +5,14 @@
 // system fingerprint, so renamed-but-isomorphic resubmissions are answered
 // without exploring a single state.
 //
-// The shared engine flag block (-workers, -store, -symmetry, …) sets the
-// *default* job options; each submission may override them in its JSON
-// option block. Server flags:
+// A job's options (workers, store, symmetry, state budget, …) are exactly
+// its JSON option block. The flags configure the service:
 //
-//	-addr  :8080   HTTP listen address
-//	-pool  NumCPU  concurrently running jobs (jobs default to serial builds)
-//	-cache 1024    result-cache capacity in entries
-//	-drain 10s     graceful-shutdown deadline before job contexts cancel
+//	-addr     :8080   HTTP listen address
+//	-pool     NumCPU  concurrently running jobs (jobs default to serial builds)
+//	-cache    1024    result-cache capacity in entries
+//	-drain    10s     graceful-shutdown deadline before job contexts cancel
+//	-spilldir tmp     directory for the edge files of spill-store jobs
 //
 // A classify submission differing from a finished one only in silence policy
 // is answered with that build's recorded verdict instead of a rebuild
@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -39,17 +38,10 @@ func main() {
 	sf := cliflags.RegisterServer(fs)
 	_ = fs.Parse(os.Args[1:])
 
-	// Lower the engine flag block once, up front, so a contradictory
-	// combination (-spilldir with -store dense) fails at startup rather
-	// than on the first job.
-	if _, err := sf.Common.Options(); err != nil {
-		fmt.Fprintln(os.Stderr, "boostd:", cliflags.Describe(err))
-		os.Exit(2)
-	}
 	srv := server.New(server.Config{
 		Pool:      sf.Pool,
 		CacheSize: sf.Cache,
-		Defaults:  server.DefaultsFromFlags(sf.Common),
+		SpillDir:  sf.SpillDir,
 	})
 	httpSrv := &http.Server{Addr: sf.Addr, Handler: srv}
 

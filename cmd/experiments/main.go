@@ -173,6 +173,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	common := cliflags.Register(fs)
+	workers := cliflags.RegisterWorkers(fs)
 	only := fs.String("only", "", "comma-separated experiment ids to run (e.g. E29,E31); default: all")
 	if err := cliflags.Parse(fs, args); err != nil {
 		return err
@@ -190,7 +191,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	o := rowOpts{common: opts, spillDir: common.SpillDir}
+	o := rowOpts{common: append(opts, boosting.WithWorkers(*workers)), spillDir: common.SpillDir}
 	// -only picks a subset of rows by id (the heavy engine row E29 builds
 	// a million-state frontier, so regenerating one row without re-running
 	// the whole index matters).
@@ -461,7 +462,7 @@ func e5Similarity(chk *boosting.Checker, c *boosting.InitClassification) (string
 	sys := chk.System()
 	s0, _ := c.Graph.State(hs.Hook.Alpha0)
 	s1, _ := c.Graph.State(hs.Hook.Alpha1)
-	who, similar := boosting.SomeSimilarity(sys, s0, s1, boosting.SimilarityOptions{})
+	who, similar := boosting.SomeSimilarity(sys, s0, s1)
 	bothDiverge := true
 	for _, st := range []boosting.State{s0, s1} {
 		cur, _, err := sys.Fail(st, 0)
@@ -593,7 +594,7 @@ func e19HookOnTOB(chk *boosting.Checker, c *boosting.InitClassification) (string
 	}
 	s0, _ := c.Graph.State(hs.Hook.Alpha0)
 	s1, _ := c.Graph.State(hs.Hook.Alpha1)
-	who, similar := boosting.SomeSimilarity(chk.System(), s0, s1, boosting.SimilarityOptions{})
+	who, similar := boosting.SomeSimilarity(chk.System(), s0, s1)
 	return fmt.Sprintf("hook found (e=%v); ends similar at %s=%v", hs.Hook.E, who, similar), similar && who == "b0", nil
 }
 
@@ -723,9 +724,9 @@ func e29SpillAdjacency(o rowOpts) (string, bool, error) {
 // (OpenGraph) — and the two graphs must agree per ID: fingerprints,
 // labelled edges, valences, roots. The policy only chooses between a real
 // action and an enabled dummy, and a dummy needs a failed endpoint, which a
-// failure-free execution never has. "Explored" is the number of BFS levels
-// the variant's checker reported through WithProgress during the reattach:
-// none.
+// failure-free execution never has. The spill statistics tell the two
+// apart: the reattach decoded every committed fingerprint back into its
+// vertex store, and the rebuild read none.
 func e31PolicyVariantReopen(o rowOpts) (string, bool, error) {
 	dir, err := os.MkdirTemp(o.spillDir, "e31-graph-")
 	if err != nil {
@@ -752,14 +753,14 @@ func e31PolicyVariantReopen(o rowOpts) (string, bool, error) {
 		return "", false, err
 	}
 	defer rebuilt.Close()
-	rebuiltLevels := levels
 	a, err := variant.OpenGraph(dir)
 	if err != nil {
 		return "", false, err
 	}
 	defer boosting.CloseGraph(a)
-	explored := levels - rebuiltLevels
 	b := rebuilt.Graph
+	reopenedStats, _ := boosting.GraphSpillStats(a)
+	rebuiltStats, _ := boosting.GraphSpillStats(b)
 	identical := a.Size() == b.Size() && a.Edges() == b.Edges() &&
 		slices.Equal(a.Roots(), b.Roots())
 	for id := boosting.StateID(0); identical && int(id) < a.Size(); id++ {
@@ -767,9 +768,9 @@ func e31PolicyVariantReopen(o rowOpts) (string, bool, error) {
 			a.Valence(id) == b.Valence(id) &&
 			slices.Equal(a.Succs(id), b.Succs(id))
 	}
-	return fmt.Sprintf("committed forward n=5: %d states / %d edges; benign variant rebuilt %d states over %d levels vs reopened %d states, %d levels explored; per-ID identical: %v",
-			fullStates, fullEdges, b.Size(), rebuiltLevels, a.Size(), explored, identical),
-		identical && explored == 0 && a.Size() == fullStates, nil
+	return fmt.Sprintf("committed forward n=5: %d states / %d edges; benign variant rebuilt %d states over %d levels (%d fingerprints decoded) vs reopened %d states (%d fingerprints decoded); per-ID identical: %v",
+			fullStates, fullEdges, b.Size(), levels, rebuiltStats.Reads, a.Size(), reopenedStats.Reads, identical),
+		identical && reopenedStats.Reads == int64(a.Size()) && rebuiltStats.Reads == 0 && a.Size() == fullStates, nil
 }
 
 // e32: component interning — the property the transition memo rests on.

@@ -72,7 +72,7 @@ func run(args []string) error {
 		fmt.Printf("  α1 = e(e'(α))  : %v\n", inits.Graph.Valence(h.Alpha1))
 		s0, _ := inits.Graph.State(h.Alpha0)
 		s1, _ := inits.Graph.State(h.Alpha1)
-		if who, ok := boosting.SomeSimilarity(chk.System(), s0, s1, boosting.SimilarityOptions{}); ok {
+		if who, ok := boosting.SomeSimilarity(chk.System(), s0, s1); ok {
 			fmt.Printf("\nhook ends are similar at %s — the configuration Lemma 8 forbids\n", who)
 			fmt.Println("for correct systems; failing processes to silence that component")
 			fmt.Println("turns the hook into a concrete non-termination counterexample.")

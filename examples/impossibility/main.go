@@ -64,7 +64,7 @@ func run() error {
 	fmt.Println("\n— Act 3 (Lemma 8): similarity of the hook ends —")
 	s0, _ := inits.Graph.State(hs.Hook.Alpha0)
 	s1, _ := inits.Graph.State(hs.Hook.Alpha1)
-	who, similar := boosting.SomeSimilarity(chk.System(), s0, s1, boosting.SimilarityOptions{})
+	who, similar := boosting.SomeSimilarity(chk.System(), s0, s1)
 	if !similar {
 		return fmt.Errorf("hook ends not similar")
 	}

@@ -1,7 +1,8 @@
 // Package cliflags is the shared flag block of the cmd/* binaries: every
-// tool that builds graphs, boostd included, takes the same exploration knobs
-// (-workers, -maxstates, -store, -spilldir, -symmetry), the tools that only
-// run batches take -workers alone, and every tool surfaces partial
+// tool that builds graphs takes the same exploration knobs (-maxstates,
+// -store, -spilldir, -symmetry), the tools that fan out — refutations and
+// batched runs — add -workers, boostd takes its server flags alone (a job's
+// options come from its request), and every tool surfaces partial
 // exploration counts when a state budget overflows. Before the boosting
 // façade each binary carried its own copy of this block; now there is one.
 package cliflags
@@ -15,28 +16,25 @@ import (
 	"github.com/ioa-lab/boosting"
 )
 
-// Common holds the flag values shared by all binaries.
+// Common holds the exploration flag values of the graph-building binaries.
 type Common struct {
-	Workers   int
 	MaxStates int
 	Store     string
 	SpillDir  string
 	Symmetry  bool
 }
 
-const workersUsage = "upper bound on the goroutines refute scenarios, k-set assignments and batched runs fan out to; graphs are built on one (0 = one per CPU, 1 = no fan-out)"
-
-// RegisterWorkers installs -workers alone, for the tools whose one engine
-// call is RunBatch: no other exploration flag changes what they do.
+// RegisterWorkers installs -workers, which bounds only the fan-outs over
+// independent units: the tools that refute or run batches take it, next to
+// Register's block or alone.
 func RegisterWorkers(fs *flag.FlagSet) *int {
-	return fs.Int("workers", 0, workersUsage)
+	return fs.Int("workers", 0, "upper bound on the goroutines refute scenarios, k-set assignments and batched runs fan out to; graphs are built on one (0 = one per CPU, 1 = no fan-out)")
 }
 
 // Register installs the shared flags on a flag set and returns the value
 // holder to read after parsing.
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
-	fs.IntVar(&c.Workers, "workers", 0, workersUsage)
 	fs.IntVar(&c.MaxStates, "maxstates", 0, "explored-state budget per graph build (0 = engine default)")
 	// The empty sentinel default (rendered as dense by ParseStore) lets
 	// Options distinguish an explicit -store dense from the default, so
@@ -47,27 +45,27 @@ func Register(fs *flag.FlagSet) *Common {
 	return c
 }
 
-// Server holds the boostd-specific flag values next to the shared engine
-// block: the engine flags become the server's *default* job options, so a
-// boostd started with -store spill -symmetry applies them to every job
-// whose JSON option block leaves those fields unset.
+// Server holds boostd's flag values. They configure the service; every job
+// option comes from the job's own request.
 type Server struct {
 	Addr  string
 	Pool  int
 	Cache int
 	Drain time.Duration
-	// Common is the shared engine block, registered alongside.
-	Common *Common
+	// SpillDir is where the jobs that chose the spill store put their edge
+	// files.
+	SpillDir string
 }
 
-// RegisterServer installs the boostd flags (-addr, -pool, -cache, -drain)
-// plus the shared engine block.
+// RegisterServer installs the boostd flags: -addr, -pool, -cache, -drain and
+// -spilldir.
 func RegisterServer(fs *flag.FlagSet) *Server {
-	s := &Server{Common: Register(fs)}
+	s := &Server{}
 	fs.StringVar(&s.Addr, "addr", ":8080", "HTTP listen address")
 	fs.IntVar(&s.Pool, "pool", 0, "concurrently running checking jobs (0 = one per CPU; jobs default to the serial engine, so the pool is the parallelism)")
 	fs.IntVar(&s.Cache, "cache", 0, "result-cache capacity in entries (0 = default 1024)")
 	fs.DurationVar(&s.Drain, "drain", 10*time.Second, "graceful-shutdown deadline: in-flight jobs drain this long before their contexts are cancelled")
+	fs.StringVar(&s.SpillDir, "spilldir", "", "directory for the edge files of jobs that chose the spill store (default: OS temp dir)")
 	return s
 }
 
@@ -78,8 +76,6 @@ func ParseStore(name string) (boosting.Store, error) {
 		return boosting.DenseStore, nil
 	case "spill":
 		return boosting.SpillStore, nil
-	case "hash64", "hash128":
-		return boosting.DenseStore, fmt.Errorf("store backend %q was removed (the dense store now keeps less per state); use dense or spill", name)
 	default:
 		return boosting.DenseStore, fmt.Errorf("unknown store backend %q (have: dense, spill)", name)
 	}
@@ -101,7 +97,6 @@ func (c *Common) Options() ([]boosting.Option, error) {
 		store = boosting.SpillStore
 	}
 	opts := []boosting.Option{
-		boosting.WithWorkers(c.Workers),
 		boosting.WithMaxStates(c.MaxStates),
 		boosting.WithStore(store),
 	}

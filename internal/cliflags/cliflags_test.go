@@ -4,7 +4,7 @@ import (
 	"errors"
 	"flag"
 	"io"
-	"strings"
+	"slices"
 	"testing"
 	"time"
 
@@ -29,20 +29,20 @@ func TestParseStore(t *testing.T) {
 	if _, err := ParseStore("mmap"); err == nil {
 		t.Error("ParseStore accepted an unknown backend")
 	}
-	// The hash-compaction values are gone; the error says so and what to
-	// use, here and through every binary's -store flag.
+	// The hash-compaction backends left long ago: their names are unknown
+	// stores like any other, here and through every binary's -store flag.
 	for _, name := range []string{"hash64", "hash128"} {
-		_, err := ParseStore(name)
-		if err == nil || !strings.Contains(err.Error(), "removed") || !strings.Contains(err.Error(), "use dense or spill") {
-			t.Errorf("ParseStore(%q): %v, want an error naming the removal", name, err)
+		want := `unknown store backend "` + name + `" (have: dense, spill)`
+		if _, err := ParseStore(name); err == nil || err.Error() != want {
+			t.Errorf("ParseStore(%q): %v, want %q", name, err, want)
 		}
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		c := Register(fs)
 		if err := fs.Parse([]string{"-store", name}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Options(); err == nil || !strings.Contains(err.Error(), "removed") {
-			t.Errorf("Options with -store %s: %v, want the removal error", name, err)
+		if _, err := c.Options(); err == nil || err.Error() != want {
+			t.Errorf("Options with -store %s: %v, want %q", name, err, want)
 		}
 	}
 }
@@ -80,7 +80,10 @@ func TestOptionsSpill(t *testing.T) {
 // TestRemovedFlags: flags that left with what they configured. -shards went
 // with the sharded engine; -nowitness with the predecessor links, which
 // graphs no longer store; -graphdir with the reopen of a committed graph,
-// which nothing used. Every binary registers one of these blocks, so the flag
+// which nothing used. boostd's engine flags went with its default job
+// options — a job's options are its request's — and Register's -workers
+// with the tools that fan nothing out (RegisterWorkers adds it where a
+// refutation or a batch does). Every binary registers these blocks, so the flag
 // package's own unknown-flag error is what each of them now prints, and
 // ExitCode makes it exit 2 — as boostd's flag.ExitOnError set does — where
 // a failed run exits 1.
@@ -99,6 +102,11 @@ func TestRemovedFlags(t *testing.T) {
 		{"RegisterWorkers", []string{"-nowitness"}},
 		{"Register", []string{"-graphdir", "x"}},
 		{"RegisterServer", []string{"-graphdir", "x"}},
+		{"RegisterServer", []string{"-store", "spill"}},
+		{"RegisterServer", []string{"-symmetry"}},
+		{"RegisterServer", []string{"-workers", "2"}},
+		{"RegisterServer", []string{"-maxstates", "100"}},
+		{"Register", []string{"-workers", "2"}},
 	} {
 		t.Run(tc.block+" "+tc.args[0], func(t *testing.T) {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -169,24 +177,22 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-// TestRegisterServer: the boostd flag block parses next to the shared
-// engine block, and the engine flags it carries still lower to façade
-// options (they become the server's default job options).
+// TestRegisterServer: boostd's flag block is exactly its five server flags,
+// and they parse.
 func TestRegisterServer(t *testing.T) {
 	fs := flag.NewFlagSet("boostd", flag.ContinueOnError)
 	s := RegisterServer(fs)
-	args := []string{"-addr", ":9999", "-pool", "2", "-cache", "16", "-drain", "3s", "-store", "spill", "-symmetry"}
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if want := []string{"addr", "cache", "drain", "pool", "spilldir"}; !slices.Equal(names, want) {
+		t.Errorf("RegisterServer registered %v, want %v", names, want)
+	}
+	args := []string{"-addr", ":9999", "-pool", "2", "-cache", "16", "-drain", "3s", "-spilldir", "/srv/spill"}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	if s.Addr != ":9999" || s.Pool != 2 || s.Cache != 16 || s.Drain != 3*time.Second {
-		t.Errorf("server flags = %+v, want addr=:9999 pool=2 cache=16 drain=3s", s)
-	}
-	if s.Common == nil || s.Common.Store != "spill" || !s.Common.Symmetry {
-		t.Errorf("engine block not registered alongside: %+v", s.Common)
-	}
-	if _, err := s.Common.Options(); err != nil {
-		t.Errorf("engine block failed to lower: %v", err)
+	if want := (Server{Addr: ":9999", Pool: 2, Cache: 16, Drain: 3 * time.Second, SpillDir: "/srv/spill"}); *s != want {
+		t.Errorf("server flags = %+v, want %+v", *s, want)
 	}
 
 	// Defaults without arguments.
@@ -195,8 +201,8 @@ func TestRegisterServer(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if s.Addr != ":8080" || s.Pool != 0 || s.Cache != 0 || s.Drain != 10*time.Second {
-		t.Errorf("server flag defaults = %+v, want addr=:8080 pool=0 cache=0 drain=10s", s)
+	if want := (Server{Addr: ":8080", Drain: 10 * time.Second}); *s != want {
+		t.Errorf("server flag defaults = %+v, want %+v", *s, want)
 	}
 }
 

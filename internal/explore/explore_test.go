@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -108,7 +109,7 @@ func TestFindHookOnForwardCandidate(t *testing.T) {
 	if c.BivalentIndex < 0 {
 		t.Fatal("no bivalent init")
 	}
-	res, err := explore.FindHook(c.Graph, c.Roots[c.BivalentIndex])
+	res, err := explore.FindHook(context.Background(), c.Graph, c.Roots[c.BivalentIndex])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestHookEndsSimilarOnlyBecauseCandidateIsBroken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := explore.FindHook(c.Graph, c.Roots[c.BivalentIndex])
+	res, err := explore.FindHook(context.Background(), c.Graph, c.Roots[c.BivalentIndex])
 	if err != nil || res.Hook == nil {
 		t.Fatalf("hook: %+v err %v", res, err)
 	}
@@ -159,7 +160,7 @@ func TestHookEndsSimilarOnlyBecauseCandidateIsBroken(t *testing.T) {
 	if !ok0 || !ok1 {
 		t.Fatal("hook states missing from graph")
 	}
-	who, similar := explore.SomeSimilarity(sys, s0, s1, explore.SimilarityOptions{})
+	who, similar := explore.SomeSimilarity(sys, s0, s1)
 	if !similar {
 		t.Fatal("hook ends of the broken candidate should be similar in some way")
 	}
@@ -187,13 +188,13 @@ func TestLemma7FailureConstructionOnHookEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := explore.FindHook(c.Graph, c.Roots[c.BivalentIndex])
+	res, err := explore.FindHook(context.Background(), c.Graph, c.Roots[c.BivalentIndex])
 	if err != nil || res.Hook == nil {
 		t.Fatalf("hook: %+v err %v", res, err)
 	}
 	s0, _ := c.Graph.State(res.Hook.Alpha0)
 	s1, _ := c.Graph.State(res.Hook.Alpha1)
-	if !explore.KSimilar(sys, s0, s1, "k0", explore.SimilarityOptions{}) {
+	if !explore.KSimilar(sys, s0, s1, "k0") {
 		t.Fatal("hook ends not k0-similar")
 	}
 	if c.Graph.Valence(res.Hook.Alpha0) == c.Graph.Valence(res.Hook.Alpha1) {
@@ -380,7 +381,7 @@ func TestFindHookRequiresBivalentRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Root 0 is 0-valent.
-	if _, err := explore.FindHook(c.Graph, c.Roots[0]); !errors.Is(err, explore.ErrNotBivalent) {
+	if _, err := explore.FindHook(context.Background(), c.Graph, c.Roots[0]); !errors.Is(err, explore.ErrNotBivalent) {
 		t.Errorf("want ErrNotBivalent, got %v", err)
 	}
 }
@@ -531,7 +532,7 @@ func TestFindHookOnTOBCandidateTheorem9(t *testing.T) {
 	if c.BivalentIndex < 0 {
 		t.Fatal("no bivalent init for the TOB candidate")
 	}
-	res, err := explore.FindHook(c.Graph, c.Roots[c.BivalentIndex])
+	res, err := explore.FindHook(context.Background(), c.Graph, c.Roots[c.BivalentIndex])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +541,7 @@ func TestFindHookOnTOBCandidateTheorem9(t *testing.T) {
 	}
 	s0, _ := c.Graph.State(res.Hook.Alpha0)
 	s1, _ := c.Graph.State(res.Hook.Alpha1)
-	who, similar := explore.SomeSimilarity(sys, s0, s1, explore.SimilarityOptions{})
+	who, similar := explore.SomeSimilarity(sys, s0, s1)
 	if !similar || who != "b0" {
 		t.Errorf("hook-end similarity: %q %v (want b0)", who, similar)
 	}

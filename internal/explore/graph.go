@@ -250,26 +250,28 @@ func (g *Graph) discover(key []byte, st system.State, maxStates int) (StateID, e
 // exploration — store creation, root interning, the error-path release, the
 // final cancellation check, the valence fixpoint and the durable commit —
 // around the level loop, Graph.explore.
-func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (g *Graph, err error) {
-	// Edge-file write failures (disk full) surface here as ordinary build
-	// errors; see recoverSpillWrite.
-	defer recoverSpillWrite(&g, &err)
+func BuildGraph(sys *system.System, roots []system.State, opt BuildOptions) (*Graph, error) {
 	if err := validateDurable(opt); err != nil {
 		return nil, err
 	}
-	g, err = newGraph(sys, opt)
+	g, err := newGraph(sys, opt)
 	if err != nil {
 		return nil, err
 	}
-	// On every exit but the successful one — an error return (budget
-	// overflow, cancellation, Apply failure) or a panic passing through —
-	// the partial graph is dropped; release its backend resources — the
-	// spill backend's descriptor — instead of waiting for a finalizer.
-	// `built` pins the graph because the named return is nil on error.
-	built, ok := g, false
+	return g.build(roots, opt)
+}
+
+// build completes a new, empty graph: it interns the roots, explores them to
+// closure, computes the valences and commits a durable graph. On every exit
+// but the successful one — an error return (budget overflow, cancellation,
+// Apply failure, a failed edge-file write) or a panic passing through — the
+// partial graph is dropped and its backend resources — the spill backend's
+// descriptor — are released instead of waiting for a finalizer.
+func (g *Graph) build(roots []system.State, opt BuildOptions) (*Graph, error) {
+	ok := false
 	defer func() {
 		if !ok {
-			_ = CloseGraphStore(built)
+			_ = CloseGraphStore(g)
 		}
 	}()
 	g.internRoots(roots, opt.Symmetry)
@@ -365,7 +367,9 @@ func (g *Graph) explore(maxStates int, opt BuildOptions) error {
 		}
 		// The level's edges are now immutable, so the spill backend may move
 		// them out of RAM before the next level is expanded.
-		g.adj.SealLevel()
+		if err := g.adj.SealLevel(); err != nil {
+			return err
+		}
 		if opt.Progress != nil {
 			opt.Progress(Progress{Level: level, States: g.store.Len(), Edges: g.edges, Frontier: g.store.Len() - int(hi)})
 		}

@@ -64,15 +64,11 @@ type HookSearchResult struct {
 // current vertex to a vertex deciding the opposite value (Lemma 5's case
 // analysis). If the construction revisits a configuration, the system
 // diverges: an infinite fair bivalent path exists.
-func FindHook(g *Graph, root StateID) (HookSearchResult, error) {
-	return FindHookCtx(nil, g, root)
-}
-
-// FindHookCtx is FindHook with cancellation. The construction checks ctx at
-// every step and inside every per-step BFS (each scanned level), so a
-// cancelled context stops a long hook search mid-scan with ctx.Err(). A nil
-// context never cancels.
-func FindHookCtx(ctx context.Context, g *Graph, root StateID) (HookSearchResult, error) {
+//
+// The construction checks ctx at every step and inside every per-step BFS
+// (each scanned level), so a cancelled context stops a long hook search
+// mid-scan with ctx.Err(). A nil context never cancels.
+func FindHook(ctx context.Context, g *Graph, root StateID) (HookSearchResult, error) {
 	if g.Valence(root) != Bivalent {
 		return HookSearchResult{}, fmt.Errorf("%w: %s", ErrNotBivalent, g.Valence(root))
 	}

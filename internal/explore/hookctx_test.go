@@ -30,10 +30,10 @@ func TestFindHookHonorsContext(t *testing.T) {
 	// A live context does not interfere; a nil context never cancels.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if _, err := explore.FindHookCtx(ctx, c.Graph, root); err != nil {
+	if _, err := explore.FindHook(ctx, c.Graph, root); err != nil {
 		t.Fatalf("live context: %v", err)
 	}
-	if _, err := explore.FindHookCtx(nil, c.Graph, root); err != nil {
+	if _, err := explore.FindHook(nil, c.Graph, root); err != nil {
 		t.Fatalf("nil context: %v", err)
 	}
 
@@ -56,7 +56,7 @@ func TestFindHookHonorsContext(t *testing.T) {
 	if !errors.Is(buildErr, context.Canceled) {
 		t.Fatalf("build after in-callback cancel: %v, want context.Canceled", buildErr)
 	}
-	if _, err := explore.FindHookCtx(ctx, c.Graph, root); !errors.Is(err, context.Canceled) {
-		t.Errorf("FindHookCtx after in-callback cancel: %v, want context.Canceled", err)
+	if _, err := explore.FindHook(ctx, c.Graph, root); !errors.Is(err, context.Canceled) {
+		t.Errorf("FindHook after in-callback cancel: %v, want context.Canceled", err)
 	}
 }

@@ -71,7 +71,7 @@ func TestNilVsEmptyStatesInternIdentically(t *testing.T) {
 	// Similarity: nil-vs-empty differences are invisible to the Section 3.5
 	// buffer comparisons.
 	for _, j := range sys.ProcessIDs() {
-		if !explore.JSimilar(sys, st, st2, j, explore.SimilarityOptions{}) {
+		if !explore.JSimilar(sys, st, st2, j) {
 			t.Errorf("states not %d-similar despite identical encodings", j)
 		}
 	}

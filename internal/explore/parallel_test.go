@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -262,7 +263,7 @@ func TestFindHookPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := explore.FindHook(c.Graph, c.Roots[c.BivalentIndex])
+			res, err := explore.FindHook(context.Background(), c.Graph, c.Roots[c.BivalentIndex])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,7 +336,7 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 		{Inputs: map[int]string{0: "0", 1: "1"}, Failures: []explore.FailureEvent{{Round: 0, Proc: 1}}},
 		{Inputs: map[int]string{0: "0", 1: "1"}, Failures: []explore.FailureEvent{{Round: 1, Proc: 0}}},
 	}
-	batch, err := explore.RunBatch(sys, cfgs, parallelWorkers)
+	batch, err := explore.RunBatch(context.Background(), sys, cfgs, parallelWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,12 +118,12 @@ func TestCancelledBeforeStart(t *testing.T) {
 		t.Errorf("Refute: %v", err)
 	}
 	cfgs := []explore.RunConfig{{Inputs: map[int]string{0: "0", 1: "1"}}}
-	if _, err := explore.RunBatchCtx(ctx, sys, cfgs, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunBatchCtx: %v", err)
+	if _, err := explore.RunBatch(ctx, sys, cfgs, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunBatch: %v", err)
 	}
 	// nil context: never cancels.
-	if _, err := explore.RunBatchCtx(nil, sys, cfgs, 1); err != nil {
-		t.Errorf("RunBatchCtx(nil): %v", err)
+	if _, err := explore.RunBatch(nil, sys, cfgs, 1); err != nil {
+		t.Errorf("RunBatch(nil): %v", err)
 	}
 }
 

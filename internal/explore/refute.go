@@ -180,7 +180,7 @@ func Refute(sys *system.System, claimed int, opt RefuteOptions) (*Report, error)
 	report.Inits = inits
 	if inits.BivalentIndex >= 0 {
 		hookInputs = inits.Assignments[inits.BivalentIndex]
-		hs, err := FindHookCtx(opt.Build.Ctx, inits.Graph, inits.Roots[inits.BivalentIndex])
+		hs, err := FindHook(opt.Build.Ctx, inits.Graph, inits.Roots[inits.BivalentIndex])
 		if err != nil {
 			return nil, err
 		}

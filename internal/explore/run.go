@@ -325,15 +325,11 @@ func Random(sys *system.System, cfg RunConfig, seed int64, steps int) (RunResult
 // trace (a batch of thousands of configurations would otherwise pin every
 // trace in memory at once), so Exec is empty. Run RoundRobin directly when
 // Exec is needed.
-func RunBatch(sys *system.System, cfgs []RunConfig, workers int) ([]RunResult, error) {
-	return RunBatchCtx(nil, sys, cfgs, workers)
-}
-
-// RunBatchCtx is RunBatch with cancellation: each worker checks the context
-// before starting its next configuration, so a cancelled batch returns
-// ctx.Err() promptly instead of draining the remaining runs. A nil context
-// never cancels.
-func RunBatchCtx(ctx context.Context, sys *system.System, cfgs []RunConfig, workers int) ([]RunResult, error) {
+//
+// Each worker checks ctx before starting its next configuration, so a
+// cancelled batch returns ctx.Err() promptly instead of draining the
+// remaining runs. A nil context never cancels.
+func RunBatch(ctx context.Context, sys *system.System, cfgs []RunConfig, workers int) ([]RunResult, error) {
 	results := make([]RunResult, len(cfgs))
 	errs := make([]error, len(cfgs))
 	parallelFor(effectiveWorkers(workers), len(cfgs), func(i int) {

@@ -9,6 +9,7 @@ package explore_test
 // SHA-256 over the rows of a (system, schedule) pair.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -130,7 +131,7 @@ func TestRunPins(t *testing.T) {
 			}
 			var batches [][]string
 			for _, workers := range []int{1, 4} {
-				results, err := explore.RunBatch(sys, cfgs, workers)
+				results, err := explore.RunBatch(context.Background(), sys, cfgs, workers)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,22 +4,13 @@ import (
 	"slices"
 
 	"github.com/ioa-lab/boosting/internal/ioa"
-	"github.com/ioa-lab/boosting/internal/servicetype"
 	"github.com/ioa-lab/boosting/internal/system"
 )
 
-// SimilarityOptions configures the similarity notions. The Theorem 10
-// variant ignores general (failure-aware) services entirely: their states
-// may differ arbitrarily between similar states (Section 6.3).
-type SimilarityOptions struct {
-	IgnoreGeneralServices bool
-}
-
 // JSimilar reports whether two system states are j-similar (Section 3.5):
 // every process other than P_j has the same state, and every service has the
-// same value and, for endpoints other than j, the same buffers. Under the
-// Theorem 10 variant, general services are unconstrained.
-func JSimilar(sys *system.System, s0, s1 system.State, j int, opt SimilarityOptions) bool {
+// same value and, for endpoints other than j, the same buffers.
+func JSimilar(sys *system.System, s0, s1 system.State, j int) bool {
 	for slot, i := range sys.ProcessIDs() {
 		if i != j && s0.ProcEncoding(slot) != s1.ProcEncoding(slot) {
 			return false
@@ -27,9 +18,6 @@ func JSimilar(sys *system.System, s0, s1 system.State, j int, opt SimilarityOpti
 	}
 	for slot, c := range sys.ServiceIDs() {
 		sv := sys.Service(c)
-		if opt.IgnoreGeneralServices && sv.Type().Class == servicetype.General {
-			continue
-		}
 		st0, st1 := s0.Svc(slot), s1.Svc(slot)
 		if st0.Val != st1.Val {
 			return false
@@ -48,9 +36,8 @@ func JSimilar(sys *system.System, s0, s1 system.State, j int, opt SimilarityOpti
 
 // KSimilar reports whether two system states are k-similar (Section 3.5):
 // every process has the same state, and every service other than S_k has the
-// same state. Under the Theorem 10 variant, general services are
-// unconstrained.
-func KSimilar(sys *system.System, s0, s1 system.State, k string, opt SimilarityOptions) bool {
+// same state.
+func KSimilar(sys *system.System, s0, s1 system.State, k string) bool {
 	for slot := range sys.ProcessIDs() {
 		if s0.ProcEncoding(slot) != s1.ProcEncoding(slot) {
 			return false
@@ -58,9 +45,6 @@ func KSimilar(sys *system.System, s0, s1 system.State, k string, opt SimilarityO
 	}
 	for slot, c := range sys.ServiceIDs() {
 		if c == k {
-			continue
-		}
-		if opt.IgnoreGeneralServices && sys.Service(c).Type().Class == servicetype.General {
 			continue
 		}
 		if s0.SvcEncoding(slot) != s1.SvcEncoding(slot) {
@@ -75,14 +59,14 @@ func KSimilar(sys *system.System, s0, s1 system.State, k string, opt SimilarityO
 // service index) and whether one exists. Lemma 8's argument starts from the
 // observation that the two univalent ends of a hook can be similar in *no*
 // way.
-func SomeSimilarity(sys *system.System, s0, s1 system.State, opt SimilarityOptions) (string, bool) {
+func SomeSimilarity(sys *system.System, s0, s1 system.State) (string, bool) {
 	for _, j := range sys.ProcessIDs() {
-		if JSimilar(sys, s0, s1, j, opt) {
+		if JSimilar(sys, s0, s1, j) {
 			return procLabel(j), true
 		}
 	}
 	for _, k := range sys.ServiceIDs() {
-		if KSimilar(sys, s0, s1, k, opt) {
+		if KSimilar(sys, s0, s1, k) {
 			return k, true
 		}
 	}

@@ -6,6 +6,7 @@ package explore_test
 // once the buffer pool is warm.
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ioa-lab/boosting/internal/allocpin"
@@ -26,7 +27,7 @@ func similarStates(t testing.TB) (*system.System, system.State, system.State) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := explore.FindHook(c.Graph, c.Roots[c.BivalentIndex])
+	hs, err := explore.FindHook(context.Background(), c.Graph, c.Roots[c.BivalentIndex])
 	if err != nil || hs.Hook == nil {
 		t.Fatalf("hook: %v", err)
 	}
@@ -37,17 +38,16 @@ func similarStates(t testing.TB) (*system.System, system.State, system.State) {
 
 func TestSimilarityZeroAllocs(t *testing.T) {
 	sys, s0, s1 := similarStates(t)
-	opt := explore.SimilarityOptions{}
 	j := sys.ProcessIDs()[0]
 	k := sys.ServiceIDs()[0]
 	// Warm the buffer pool so the measured runs reuse pooled buffers.
-	explore.JSimilar(sys, s0, s1, j, opt)
-	explore.KSimilar(sys, s0, s1, k, opt)
+	explore.JSimilar(sys, s0, s1, j)
+	explore.KSimilar(sys, s0, s1, k)
 	allocpin.Check(t, "JSimilar", 100, 0, func() {
-		explore.JSimilar(sys, s0, s1, j, opt)
+		explore.JSimilar(sys, s0, s1, j)
 	})
 	allocpin.Check(t, "KSimilar", 100, 0, func() {
-		explore.KSimilar(sys, s0, s1, k, opt)
+		explore.KSimilar(sys, s0, s1, k)
 	})
 }
 
@@ -55,19 +55,18 @@ func TestSimilarityZeroAllocs(t *testing.T) {
 // predicates (the -benchmem columns pin the zero-allocation contract).
 func BenchmarkSimilarAllocs(b *testing.B) {
 	sys, s0, s1 := similarStates(b)
-	opt := explore.SimilarityOptions{}
 	j := sys.ProcessIDs()[0]
 	k := sys.ServiceIDs()[0]
 	b.Run("JSimilar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			explore.JSimilar(sys, s0, s1, j, opt)
+			explore.JSimilar(sys, s0, s1, j)
 		}
 	})
 	b.Run("KSimilar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			explore.KSimilar(sys, s0, s1, k, opt)
+			explore.KSimilar(sys, s0, s1, k)
 		}
 	})
 }

@@ -8,6 +8,9 @@ package explore
 
 import (
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/ioa-lab/boosting/internal/protocols"
@@ -54,7 +57,8 @@ func packedSuccs(g *Graph, id StateID) []packedEdge {
 // order (one SetSuccs per vertex, increasing IDs), with a seal partway
 // through so the spill backend serves blocks from both the edge file and the
 // pending buffer.
-func fillPrefix(ref, g *Graph, n int) {
+func fillPrefix(t *testing.T, ref, g *Graph, n int) {
+	t.Helper()
 	var buf []byte
 	for id := range StateID(n) {
 		st, _ := ref.State(id)
@@ -64,7 +68,9 @@ func fillPrefix(ref, g *Graph, n int) {
 	for id := range StateID(n) {
 		g.adj.SetSuccs(id, packedSuccs(ref, id))
 		if int(id) == n/2 {
-			g.adj.SealLevel()
+			if err := g.adj.SealLevel(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -86,7 +92,7 @@ func TestStoreBoundsUniform(t *testing.T) {
 		// Populate with a real prefix of the graph so in-range behaviour is
 		// also checked, then probe past the end.
 		const n = 10
-		fillPrefix(dense, b.g, n)
+		fillPrefix(t, dense, b.g, n)
 		if got := b.g.store.Len(); got != n {
 			t.Fatalf("%s: Len() = %d, want %d", b.name, got, n)
 		}
@@ -177,7 +183,9 @@ func TestSpillAdjacencyRotation(t *testing.T) {
 	for id := 0; id < dense.Size(); id++ {
 		sp.SetSuccs(StateID(id), packedSuccs(dense, StateID(id)))
 		if id%3 == 2 && id < dense.Size()-2 {
-			sp.SealLevel()
+			if err := sp.SealLevel(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if sp.flushedOff == 0 {
@@ -238,36 +246,40 @@ func TestSpillAdjacencyRotation(t *testing.T) {
 	}()
 }
 
-// TestSpillWriteFailureSurfacesAsError: an environmental write failure
-// (simulated by closing the edge file so the level seal fails) must come out
-// of the recoverSpillWrite boundary as an ordinary error — the disk-full path
-// of BuildGraph — not as a process-killing panic.
+// TestSpillWriteFailureSurfacesAsError: an environmental write failure of
+// the edge file (disk full, quota; simulated by a read-only descriptor, so
+// the first level seal fails) comes out of the build as its error, wrapping
+// the write error, with no graph and with the edge file closed.
 func TestSpillWriteFailureSurfacesAsError(t *testing.T) {
 	sys, err := protocols.BuildForward(2, 0, service.Adversarial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vertices := newDenseStore(sys)
-	sp, err := newSpillEdges(vertices, t.TempDir(), "")
+	opt := BuildOptions{Store: StoreSpill, SpillDir: t.TempDir()}
+	g, err := newGraph(sys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.efile.Close()
-	st := stateAfterInputs(t, sys)
-	var g *Graph
-	var buildErr error
-	func() {
-		defer recoverSpillWrite(&g, &buildErr)
-		vertices.Intern(vertices.AppendKey(nil, st), st)
-		sp.SetSuccs(0, nil) // a sink: one count byte to seal
-		sp.SealLevel()
-		g = &Graph{store: vertices, adj: sp} // must be dropped by the recovery
-	}()
-	if buildErr == nil {
-		t.Fatal("spill write failure did not surface as an error")
+	path := filepath.Join(t.TempDir(), "edges")
+	if err := os.WriteFile(path, nil, 0o600); err != nil {
+		t.Fatal(err)
 	}
-	if g != nil {
-		t.Error("recoverSpillWrite kept the partial graph alongside the error")
+	readOnly, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := g.adj.(*spillEdges)
+	sp.efile.Close()
+	sp.efile = readOnly
+	built, err := g.build([]system.State{stateAfterInputs(t, sys)}, opt)
+	if pe := new(fs.PathError); !errors.As(err, &pe) || pe.Op != "write" {
+		t.Fatalf("build error %v, want the wrapped edge-file write error", err)
+	}
+	if built != nil {
+		t.Error("the failed build returned a graph alongside its error")
+	}
+	if err := readOnly.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("the failed build left the edge file open (Close after it: %v)", err)
 	}
 }
 

@@ -155,17 +155,18 @@ type sealMark struct {
 // SealLevel writes the pending blocks to the edge file, empties the
 // buffer and records the barrier. Called at level barriers while the
 // engine holds the graph exclusively, so no EdgesFrom reader observes
-// the hand-off. A failing write panics with a spillWriteError, which
-// BuildGraph returns as its error.
-func (a *spillEdges) SealLevel() {
+// the hand-off. A failing write (disk full, quota) is returned, and the
+// build that sealed fails with it.
+func (a *spillEdges) SealLevel() error {
 	if len(a.pending) > 0 {
 		if _, err := a.efile.WriteAt(a.pending, a.flushedOff); err != nil {
-			panic(spillWriteError{fmt.Errorf("explore: spill store: seal edge blocks: %w", err)})
+			return fmt.Errorf("explore: spill store: seal edge blocks: %w", err)
 		}
 		a.flushedOff += int64(len(a.pending))
 		a.pending = a.pending[:0]
 	}
 	a.seals = append(a.seals, sealMark{states: a.vertices.Len(), edgeOff: a.flushedOff})
+	return nil
 }
 
 // block returns the encoded successor block of a recorded vertex: a window
@@ -262,27 +263,6 @@ func (a *spillEdges) Targets(id StateID, buf []StateID) []StateID {
 		buf = append(buf, StateID(prev))
 	}
 	return buf
-}
-
-// spillWriteError carries an environmental edge-file write failure (disk
-// full, quota) out of SealLevel, whose AdjacencyStore signature has no error
-// return. BuildGraph recovers it at the engine boundary and returns it as an
-// ordinary build error — unlike read failures, which really are
-// unrecoverable corruption (the store rereads only bytes it wrote to a file
-// nothing else touches) and stay panics.
-type spillWriteError struct{ err error }
-
-// recoverSpillWrite converts a spillWriteError panic into the build's error
-// return, dropping the partial graph, whose descriptor BuildGraph's own
-// deferred release has closed by then; every other panic value is re-raised.
-func recoverSpillWrite(g **Graph, err *error) {
-	switch r := recover().(type) {
-	case nil:
-	case spillWriteError:
-		*g, *err = nil, r.err
-	default:
-		panic(r)
-	}
 }
 
 // CloseGraphStore deterministically releases any external resources held by

@@ -78,8 +78,9 @@ type AdjacencyStore interface {
 	// order and returns the extended slice.
 	Targets(id StateID, buf []StateID) []StateID
 	// SealLevel marks a level barrier: edges recorded so far become
-	// immutable and may leave RAM. A no-op on the in-memory backend.
-	SealLevel()
+	// immutable and may leave RAM. A no-op on the in-memory backend; the
+	// spill backend returns a failed write of its edge file.
+	SealLevel() error
 }
 
 // packedEdge is an edge as the level loops write it and the in-RAM backend
@@ -194,7 +195,7 @@ func (a *packedAdjacency) Targets(id StateID, buf []StateID) []StateID {
 	return buf
 }
 
-func (a *packedAdjacency) SealLevel() {}
+func (a *packedAdjacency) SealLevel() error { return nil }
 
 // denseStore is the vertex store of every graph, whichever StoreKind holds
 // its edges: the dedup index from states to dense StateIDs and the

@@ -344,7 +344,7 @@ func TestTargetsMatchesEdgesFrom(t *testing.T) {
 	// pending buffer.
 	backends := allBackends(t, sys)
 	for _, b := range backends {
-		fillPrefix(dense, b.g, 10)
+		fillPrefix(t, dense, b.g, 10)
 	}
 	spill := backends[len(backends)-1].g.adj.(*spillEdges)
 	if off := spill.eoffs[0]; off >= spill.flushedOff {

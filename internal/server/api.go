@@ -23,21 +23,17 @@ const (
 	AnalysisRefuteKSet = "refutekset"
 )
 
-// Options is the JSON option block of a job submission. Zero values inherit
-// the server's defaults (the boostd flag block); the zero Workers then
-// defaults to 1 — serial jobs — because the worker pool, not the single
-// build, is what keeps the box saturated. Engine options (workers, store,
-// spill directory) never enter the result-cache key: every combination
-// produces the same verdict.
+// Options is the JSON option block of a job submission, and the whole of
+// a job's options: nothing on the server fills in a field the block leaves
+// zero. The zero Workers is the serial engine — the worker pool, not the
+// single build, is what keeps the box saturated. Engine options (workers,
+// store) never enter the result-cache key: every combination produces the
+// same verdict.
 type Options struct {
 	Workers   int    `json:"workers,omitempty"`
 	MaxStates int    `json:"maxStates,omitempty"`
 	Store     string `json:"store,omitempty"`
-	// SpillDir is where spill-store jobs create their edge files. Only
-	// boostd's -spilldir flag sets it: a client does not pick a directory
-	// on the server, and a body that names one is refused.
-	SpillDir string `json:"-"`
-	Symmetry bool   `json:"symmetry,omitempty"`
+	Symmetry  bool   `json:"symmetry,omitempty"`
 	// NoGraph skips the refuters' failure-free graph phases
 	// (boosting.WithoutGraphAnalysis). Classify and explore build their
 	// graph regardless, so only refute and refutekset key it.
@@ -50,60 +46,14 @@ type Options struct {
 	Policy string `json:"policy,omitempty"`
 }
 
-// merge fills o's zero-valued fields from the server defaults. Boolean
-// options are sticky: a server-level default cannot be switched back off
-// per job (submit an explicit option block to a server without defaults
-// for the unreduced run).
-func (o Options) merge(def Options) Options {
-	if o.Workers == 0 {
-		o.Workers = def.Workers
-	}
-	if o.MaxStates == 0 {
-		o.MaxStates = def.MaxStates
-	}
-	if o.Store == "" {
-		o.Store = def.Store
-	}
-	if o.SpillDir == "" {
-		o.SpillDir = def.SpillDir
-	}
-	o.Symmetry = o.Symmetry || def.Symmetry
-	o.NoGraph = o.NoGraph || def.NoGraph
-	if o.Rounds == 0 {
-		o.Rounds = def.Rounds
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = def.MaxRounds
-	}
-	if o.Policy == "" {
-		o.Policy = def.Policy
-	}
-	return o
-}
-
-// DefaultsFromFlags lowers the shared engine flag block into the server's
-// default job options (Config.Defaults): a boostd started with
-// -store spill -symmetry applies them to every job whose JSON option block
-// leaves those fields unset.
-func DefaultsFromFlags(c *cliflags.Common) Options {
-	return Options{
-		Workers:   c.Workers,
-		MaxStates: c.MaxStates,
-		Store:     c.Store,
-		SpillDir:  c.SpillDir,
-		Symmetry:  c.Symmetry,
-	}
-}
-
 // lower resolves the option block to façade options. A zero worker count
 // becomes the serial engine: job-level parallelism is the pool's business.
-func (o Options) lower() ([]boosting.Option, error) {
+// spillDir is the server's Config.SpillDir, where a spill-store job puts
+// its edge file; other stores ignore it.
+func (o Options) lower(spillDir string) ([]boosting.Option, error) {
 	store, err := cliflags.ParseStore(o.Store)
 	if err != nil {
 		return nil, err
-	}
-	if o.SpillDir != "" && o.Store != "" && store != boosting.SpillStore {
-		return nil, fmt.Errorf("spilldir requires the spill store (got %q)", o.Store)
 	}
 	workers := o.Workers
 	if workers == 0 {
@@ -114,8 +64,8 @@ func (o Options) lower() ([]boosting.Option, error) {
 		boosting.WithMaxStates(o.MaxStates),
 		boosting.WithStore(store),
 	}
-	if o.SpillDir != "" || store == boosting.SpillStore {
-		opts = append(opts, boosting.WithSpillDir(o.SpillDir))
+	if store == boosting.SpillStore {
+		opts = append(opts, boosting.WithSpillDir(spillDir))
 	}
 	if o.Symmetry {
 		opts = append(opts, boosting.WithSymmetry())
@@ -183,7 +133,7 @@ func (r *Request) inputMap() (map[int]string, error) {
 // validate checks the request against the registry and builds its checker.
 // Every rejection is a *badRequestError, found here, at submit time, never
 // after queueing.
-func (r *Request) validate(defaults Options) (*boosting.Checker, error) {
+func (r *Request) validate(spillDir string) (*boosting.Checker, error) {
 	if _, ok := protocolInfo(r.Protocol); !ok {
 		return nil, &badRequestError{fmt.Sprintf("unknown protocol %q (see GET /v1/protocols)", r.Protocol)}
 	}
@@ -209,11 +159,10 @@ func (r *Request) validate(defaults Options) (*boosting.Checker, error) {
 	default:
 		return nil, &badRequestError{fmt.Sprintf("unknown analysis %q (have: explore, classify, refute, refutekset)", r.Analysis)}
 	}
-	r.Options = r.Options.merge(defaults)
 	if r.Options.Rounds > maxN {
 		return nil, &badRequestError{fmt.Sprintf("rounds must be <= %d", maxN)}
 	}
-	opts, err := r.Options.lower()
+	opts, err := r.Options.lower(spillDir)
 	if err != nil {
 		return nil, &badRequestError{err.Error()}
 	}

@@ -28,10 +28,10 @@ type Config struct {
 	Pool int
 	// CacheSize bounds the result cache in entries (0 = 1024).
 	CacheSize int
-	// Defaults are the option values jobs inherit when their JSON option
-	// block leaves a field zero — boostd lowers its shared engine flag
-	// block (-store, -workers, -symmetry, …) into this.
-	Defaults Options
+	// SpillDir is where jobs that chose the spill store create their edge
+	// files ("" = the OS temp directory). It is a deployment setting, not a
+	// job option: no other job reads it, and no submission can name one.
+	SpillDir string
 	// GraphRoot is ignored.
 	//
 	// Deprecated: the delta-match cache tier keeps the verdicts of
@@ -175,7 +175,7 @@ func (s *Server) check(ctx context.Context, req *Request) (string, error) {
 		return "", ctx.Err()
 	}
 	defer func() { <-s.checking }()
-	chk, err := req.validate(s.cfg.Defaults)
+	chk, err := req.validate(s.cfg.SpillDir)
 	if err != nil {
 		return "", err
 	}
@@ -238,7 +238,7 @@ func (s *Server) analyze(j *Job) (res *Result, err error) {
 			res, err = nil, fmt.Errorf("panic during %s: %v", j.Req.Analysis, r)
 		}
 	}()
-	opts, err := j.Req.Options.lower()
+	opts, err := j.Req.Options.lower(s.cfg.SpillDir)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -15,7 +17,6 @@ import (
 	"time"
 
 	"github.com/ioa-lab/boosting"
-	"github.com/ioa-lab/boosting/internal/cliflags"
 	"github.com/ioa-lab/boosting/internal/server"
 )
 
@@ -502,46 +503,53 @@ func TestProtocolsAndStats(t *testing.T) {
 	}
 }
 
-// TestDefaultsFromFlags: the boostd engine flag block lowers into the
-// default job option block field-for-field.
-func TestDefaultsFromFlags(t *testing.T) {
-	c := &cliflags.Common{
-		Workers: 2, MaxStates: 500,
-		Store: "spill", SpillDir: "/tmp/x", Symmetry: true,
+// TestSpillDirIsADeploymentSetting: a server's SpillDir reaches the jobs
+// that chose the spill store and no other. An explicit dense job is accepted
+// and built, its spill resubmission is the same check (a hit on the same
+// job, one exploration), and a spill job of its own builds its edge file in
+// the directory — which an unusable directory shows by failing that job
+// alone.
+func TestSpillDirIsADeploymentSetting(t *testing.T) {
+	spillDir := t.TempDir()
+	srv, ts := newTestServer(t, server.Config{Pool: 1, SpillDir: spillDir})
+	done := func(body string) (server.SubmitResponse, server.JobView) {
+		t.Helper()
+		ack, code := postJob(t, ts, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d", body, code)
+		}
+		return ack, waitTerminal(t, ts, ack.ID)
 	}
-	got := server.DefaultsFromFlags(c)
-	want := server.Options{
-		Workers: 2, MaxStates: 500,
-		Store: "spill", SpillDir: "/tmp/x", Symmetry: true,
+	golden := func(name string, view server.JobView) {
+		t.Helper()
+		if view.Status != server.StatusDone || view.Result == nil || view.Result.States != 410 || view.Result.Edges != 1734 {
+			t.Errorf("%s: %s %+v (%v), want done 410/1734", name, view.Status, view.Result, view.Error)
+		}
 	}
-	if got != want {
-		t.Errorf("DefaultsFromFlags = %+v, want %+v", got, want)
-	}
-}
-
-// TestServerDefaultsApply: a server started with default options applies
-// them to jobs whose option block leaves the fields unset — and the
-// verdict-neutral ones stay out of the cache key.
-func TestServerDefaultsApply(t *testing.T) {
-	srv, ts := newTestServer(t, server.Config{
-		Pool:     1,
-		Defaults: server.Options{Store: "spill"},
-	})
-	ack, code := postJob(t, ts, classifyForward3)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: status %d", code)
-	}
-	view := waitTerminal(t, ts, ack.ID)
-	if view.Status != server.StatusDone || view.Result == nil || view.Result.States != 410 {
-		t.Fatalf("defaulted job: %s (%v)", view.Status, view.Error)
-	}
-	// An explicit dense request is the same check: hit.
-	ack2, _ := postJob(t, ts, `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"store": "dense"}}`)
+	ack, view := done(`{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"store": "dense"}}`)
+	golden("explicit dense", view)
+	// A store variant is the same check: hit.
+	ack2, _ := postJob(t, ts, `{"protocol": "forward", "n": 3, "f": 0, "analysis": "classify", "options": {"store": "spill"}}`)
 	if ack2.Cached != server.CacheHit || ack2.ID != ack.ID {
-		t.Errorf("store-variant: cached %q id %s, want hit %s", ack2.Cached, ack2.ID, ack.ID)
+		t.Errorf("store variant: cached %q id %s, want hit %s", ack2.Cached, ack2.ID, ack.ID)
 	}
 	if got := srv.Explorations(); got != 1 {
 		t.Errorf("explorations = %d, want 1", got)
+	}
+	_, view = done(`{"protocol": "forward", "n": 3, "f": 1, "analysis": "classify", "options": {"store": "spill"}}`)
+	golden("spill f=1", view)
+	// The edge file is unlinked at creation: the directory is left empty.
+	if left, err := os.ReadDir(spillDir); err != nil || len(left) > 0 {
+		t.Errorf("spill directory after the job: %v, %v", left, err)
+	}
+
+	missing := filepath.Join(t.TempDir(), "missing")
+	_, ts = newTestServer(t, server.Config{Pool: 1, SpillDir: missing})
+	_, view = done(classifyForward3)
+	golden("dense beside an unusable spill directory", view)
+	_, view = done(`{"protocol": "forward", "n": 3, "f": 1, "analysis": "classify", "options": {"store": "spill"}}`)
+	if view.Status != server.StatusFailed || view.Error == nil || !strings.Contains(view.Error.Message, missing) {
+		t.Errorf("spill job in an unusable directory: %s (%+v), want failed naming %s", view.Status, view.Error, missing)
 	}
 }
 

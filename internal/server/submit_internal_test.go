@@ -225,7 +225,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		req, err := decodeRequest(strings.NewReader(body))
 		if err == nil {
 			var chk *boosting.Checker
-			if chk, err = req.validate(Options{}); err == nil {
+			if chk, err = req.validate(""); err == nil {
 				if _, err := req.cacheKey(chk); err != nil {
 					t.Fatalf("validated request has no cache key: %v", err)
 				}

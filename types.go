@@ -127,8 +127,6 @@ type (
 	Certificate = explore.Certificate
 	// ViolationKind classifies a certificate by the violated condition.
 	ViolationKind = explore.ViolationKind
-	// SimilarityOptions configures the Section 3.5 similarity notions.
-	SimilarityOptions = explore.SimilarityOptions
 )
 
 // Violation kinds.
@@ -196,8 +194,8 @@ func AuditFairness(sys *System, exec Execution, window int) error {
 // SomeSimilarity reports a component at which two states are similar in the
 // Section 3.5 sense (a process "Pj" under j-similarity, a service index
 // under k-similarity), if any.
-func SomeSimilarity(sys *System, s0, s1 State, opt SimilarityOptions) (string, bool) {
-	return explore.SomeSimilarity(sys, s0, s1, opt)
+func SomeSimilarity(sys *System, s0, s1 State) (string, bool) {
+	return explore.SomeSimilarity(sys, s0, s1)
 }
 
 // MonotoneAssignment returns the input assignment of the Lemma 4
