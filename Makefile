@@ -39,8 +39,11 @@ loc:
 # workers against their one-worker results, RunBatch's pinned runs at four
 # workers against one, the Refute
 # sweep's progress contract (an unsynchronised recorder on four workers: any
-# concurrent report is a detected race) and the small rows of its
-# differential suite, and the symmetry layer's four goroutines
+# concurrent report is a detected race) and the small rows of its two
+# differential suites (against the per-assignment sweep, and α_0 … α_n
+# against all 2^n roots), the orbit counts, the façade's one-build
+# sweep, the release of the classification graph at every cancellation
+# point of a refutation, and the symmetry layer's four goroutines
 # canonicalizing one frontier on a fresh System (racing to index the same
 # service cells and intern the same renamed ones). The per-ID determinism
 # matrix at 2, 3 and 8 workers and the handler panic recovered in a build
@@ -49,7 +52,7 @@ loc:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentApply|TestConcurrentCellIndices|TestConcurrentActionNumbers|TestConcurrentCandidates' ./internal/system
-	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestHandlerPanicFailsTheBuild|TestRefuteParallelMatchesSerial|TestRunBatchMatchesSerial|TestRunPins|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|tob|registervote-n2)|TestConcurrentCanonical|TestWitnessPathConcurrent' ./internal/explore ./internal/symmetry
+	$(GO) test -race -count=5 -run 'TestBuildGraphDeterministicAcrossWorkers|TestHandlerPanicFailsTheBuild|TestRefuteParallelMatchesSerial|TestRunBatchMatchesSerial|TestRunPins|TestRefuteProgressSerialized|TestRefuteSweepBudget|TestRefuteSweepMatchesOracle/(forward-n[23]|contrarian|lopsided|tob|registervote-n2)|TestRefuteOrbitSweepMatchesUnion/(forward-n[23]|contrarian|lopsided|tob-n2|registervote-n2|setboost)|TestOrbitClassCounts|TestRefuteReleasesGraphOnCancel|TestRefuteSweepsOneRootPerOrbit|TestConcurrentCanonical|TestWitnessPathConcurrent' . ./internal/explore ./internal/symmetry
 
 # Native fuzzing: every Fuzz target in the module (outside third_party/)
 # for 20 s each — `go test -fuzz` takes one target of one package per

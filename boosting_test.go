@@ -8,6 +8,7 @@ package boosting_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -176,6 +177,87 @@ func TestRefutationReportParity(t *testing.T) {
 					tc.name, s.name, want, s.name, got)
 			}
 		}
+	}
+}
+
+// TestRefuteSweepsOneRootPerOrbit: a registry checker's Refute sweeps one
+// input assignment per symmetry orbit when those orbits are the input
+// weights. For forward those are α_0 … α_n, so the safety sweep's graph is
+// the Lemma 4 graph: the progress reports form one build ending on its
+// size, the report's classification graph is per-ID identical to
+// ClassifyInits', and the budget needs that graph (2 486 vertices at n=4),
+// not the 2^n-root union (4 546). Set-boost's orbits are not the weights
+// and it violates safety: one build, the 2^n-root union its certificates
+// are read from, and the report of a checker without the registry's
+// canonicalizer.
+func TestRefuteSweepsOneRootPerOrbit(t *testing.T) {
+	// buildSizes lists the final state count of each build the progress
+	// reports form (a build's first report is its level 0).
+	buildSizes := func(reports []boosting.Progress) []int {
+		var sizes []int
+		for i, p := range reports {
+			if i+1 == len(reports) || reports[i+1].Level == 0 {
+				sizes = append(sizes, p.States)
+			}
+		}
+		return sizes
+	}
+	var reports []boosting.Progress
+	chk, err := boosting.New("forward", 3, 0, boosting.WithWorkers(1),
+		boosting.WithProgress(func(p boosting.Progress) { reports = append(reports, p) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := chk.Refute(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer report.Close()
+	if sizes := buildSizes(reports); !slices.Equal(sizes, []int{410}) || report.Inits.Graph.Size() != 410 {
+		t.Errorf("forward n=3: builds of %v states, classification graph of %d; want one, the 410-state Lemma 4 graph", sizes, report.Inits.Graph.Size())
+	}
+	inits, err := chk.ClassifyInits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inits.Close()
+	assertGraphsIdentical(t, "forward n=3 Refute's classification", inits.Graph, report.Inits.Graph)
+
+	for _, budget := range []int{2486, 2485} {
+		chk, err := boosting.New("forward", 4, 0, boosting.WithMaxStates(budget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := chk.Refute(1)
+		var limit *boosting.LimitError
+		switch {
+		case budget == 2486 && err != nil:
+			t.Errorf("forward n=4, budget 2486: %v", err)
+		case budget == 2485 && (!errors.As(err, &limit) || limit.Limit != 2485 || limit.Explored != 2485):
+			t.Errorf("forward n=4, budget 2485: got %v, want a LimitError at 2485 explored", err)
+		}
+		report.Close()
+	}
+
+	reports = nil
+	chk, err = boosting.New("setboost", 2, 0, boosting.WithWorkers(1),
+		boosting.WithProgress(func(p boosting.Progress) { reports = append(reports, p) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err = chk.Refute(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sizes := buildSizes(reports); !slices.Equal(sizes, []int{6724}) || report.Inits != nil || !report.Violated() {
+		t.Errorf("setboost n=2: builds of %v states, want the 6724-state union ending in the sweep's certificates:\n%s", sizes, report)
+	}
+	plain, err := boosting.NewFromSystem(chk.System()).Refute(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := report.String(), plain.String(); got != want {
+		t.Errorf("setboost n=2: report differs from the unreduced sweep's:\n%s\n--- unreduced\n%s", got, want)
 	}
 }
 

@@ -20,8 +20,10 @@ type Checker struct {
 	// the registry declares a spec — independent of WithSymmetry, which
 	// separately routes it into the exploration engines via cfg.canon. It
 	// backs the canonical-identity methods, so renamed-isomorphic states
-	// map to one fingerprint even on unreduced checkers. nil for families
-	// without a spec and for NewFromSystem checkers.
+	// map to one fingerprint even on unreduced checkers, and lets Refute's
+	// safety sweep explore α_0 … α_n alone where every assignment is a
+	// renaming of one of them. nil for families without a spec and for
+	// NewFromSystem checkers.
 	canon explore.Canonicalizer
 }
 
@@ -81,6 +83,15 @@ func (c *Checker) FindHook(g *Graph, root StateID) (HookSearchResult, error) {
 // classification, the Fig. 3 hook search, and the failure scenarios of the
 // impossibility proofs. For registry families with infinite failure-free
 // graphs the graph phases are skipped automatically.
+//
+// For a registry family with a declared symmetry group, Refute uses that
+// group whether or not WithSymmetry is set: when every input assignment is
+// a renaming of the monotone assignment of its weight (forward, tob), the
+// safety sweep explores α_0 … α_n alone, whose verdicts the renamed
+// assignments share, and the classification reuses that graph. Its safety
+// verdict therefore rests on the registry's spec being exact — on its
+// renamings being automorphisms of the candidate — as a WithSymmetry
+// build's does.
 func (c *Checker) Refute(claimed int) (*Report, error) {
 	if err := c.durableConflict("Refute"); err != nil {
 		return nil, err
@@ -120,6 +131,7 @@ func (c *Checker) refuteOptions() explore.RefuteOptions {
 		Build:             c.cfg.buildOptions(),
 		MaxRounds:         c.cfg.maxRounds,
 		SkipGraphAnalysis: c.skipGraph,
+		Canon:             c.canon,
 	}
 }
 

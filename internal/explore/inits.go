@@ -64,29 +64,36 @@ func ApplyInputs(sys *system.System, inputs map[int]string) (system.State, error
 	return r.st, nil
 }
 
-// monotoneRoots starts a classification: the n+1 monotone assignments and
-// the root states they lead to.
-func monotoneRoots(sys *system.System) (*InitClassification, []system.State, error) {
-	n := len(sys.ProcessIDs())
-	out := &InitClassification{BivalentIndex: -1}
-	var roots []system.State
-	for i := 0; i <= n; i++ {
-		inputs := MonotoneAssignment(sys, i)
-		st, err := ApplyInputs(sys, inputs)
-		if err != nil {
-			return nil, nil, err
-		}
-		out.Assignments = append(out.Assignments, inputs)
-		roots = append(roots, st)
+// monotoneRoots lists the n+1 monotone assignments and the roots they lead
+// to.
+func monotoneRoots(sys *system.System) ([]map[int]string, []system.State, error) {
+	var assignments []map[int]string
+	for i := 0; i <= len(sys.ProcessIDs()); i++ {
+		assignments = append(assignments, MonotoneAssignment(sys, i))
 	}
-	return out, roots, nil
+	roots, err := applyAll(sys, assignments)
+	if err != nil {
+		return nil, nil, err
+	}
+	return assignments, roots, nil
 }
 
-// classify finishes a classification from g, whose roots are the monotone
-// roots in order.
-func (c *InitClassification) classify(g *Graph) *InitClassification {
-	c.Graph = g
-	c.Roots = g.Roots()
+// applyAll is ApplyInputs over a list of assignments.
+func applyAll(sys *system.System, assignments []map[int]string) ([]system.State, error) {
+	roots := make([]system.State, len(assignments))
+	for i, inputs := range assignments {
+		var err error
+		if roots[i], err = ApplyInputs(sys, inputs); err != nil {
+			return nil, err
+		}
+	}
+	return roots, nil
+}
+
+// classify classifies g, whose roots are those of the monotone assignments,
+// in order.
+func classify(assignments []map[int]string, g *Graph) *InitClassification {
+	c := &InitClassification{Assignments: assignments, Graph: g, Roots: g.Roots(), BivalentIndex: -1}
 	for i, id := range c.Roots {
 		v := g.Valence(id)
 		c.Valences = append(c.Valences, v)
@@ -100,7 +107,7 @@ func (c *InitClassification) classify(g *Graph) *InitClassification {
 // ClassifyInits performs the Lemma 4 sweep over the monotone
 // initializations and classifies each by valence.
 func ClassifyInits(sys *system.System, opt BuildOptions) (*InitClassification, error) {
-	out, roots, err := monotoneRoots(sys)
+	assignments, roots, err := monotoneRoots(sys)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +115,7 @@ func ClassifyInits(sys *system.System, opt BuildOptions) (*InitClassification, e
 	if err != nil {
 		return nil, err
 	}
-	return out.classify(g), nil
+	return classify(assignments, g), nil
 }
 
 // String renders the classification as a small table.

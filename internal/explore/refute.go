@@ -1,7 +1,10 @@
 package explore
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -131,6 +134,14 @@ type RefuteOptions struct {
 	// push suspicion responses unconditionally, so their failure-free
 	// reachable graph is infinite.
 	SkipGraphAnalysis bool
+	// Canon, when set, is the candidate's symmetry canonicalizer (its
+	// renamings must be automorphisms of the transition system, as for
+	// BuildOptions.Symmetry). When it maps every input assignment's root to
+	// the canonical root of the monotone assignment of the same weight, the
+	// safety sweep explores α_0 … α_n alone and, if they violate nothing,
+	// hands that graph to the classification. nil, or orbits that are not
+	// the weights, sweep all 2^n roots.
+	Canon Canonicalizer
 }
 
 // Refute analyses a candidate system claiming to solve consensus while
@@ -142,26 +153,37 @@ type RefuteOptions struct {
 // The analysis follows the proofs' structure:
 //
 //  1. exhaustive safety sweep over all {0,1}^n input assignments in the
-//     failure-free graph (agreement, validity);
+//     failure-free graph (agreement, validity), or over α_0 … α_n alone
+//     when Canon shows every assignment to be a renaming of one of them;
 //  2. the Lemma 4 initialization classification, then the Fig. 3 hook
 //     construction from a bivalent initialization — divergence yields a
 //     failure-free termination certificate;
 //  3. failure scenarios: every failure set of size ≤ claimed, injected both
 //     at the start and at the hook vertices, run under the adversarially
 //     silencing fair schedule with cycle detection.
-func Refute(sys *system.System, claimed int, opt RefuteOptions) (*Report, error) {
+//
+// A refutation commits no graph: Build.GraphDir is ignored.
+func Refute(sys *system.System, claimed int, opt RefuteOptions) (_ *Report, err error) {
 	report := &Report{Claimed: claimed}
 	if err := ctxErr(opt.Build.Ctx); err != nil {
 		return nil, err
 	}
+	// Every failed return after phase 2 releases the classification graph.
+	defer func() {
+		if err != nil {
+			report.Close()
+		}
+	}()
 
 	if opt.SkipGraphAnalysis {
 		return refuteScenarios(sys, report, MonotoneAssignment(sys, len(sys.ProcessIDs())/2), nil, opt)
 	}
 
-	// Phase 1: exhaustive failure-free safety sweep, all 2^n assignments in
-	// one graph.
-	certs, err := safetySweep(sys, opt.Build)
+	// Phase 1: exhaustive failure-free safety sweep. When every assignment
+	// is a renaming of the monotone one of its weight, its graph is phase
+	// 2's.
+	opt.Build.GraphDir = ""
+	certs, inits, err := safetySweep(sys, opt.Build, opt.Canon)
 	if err != nil {
 		return nil, err
 	}
@@ -171,13 +193,14 @@ func Refute(sys *system.System, claimed int, opt RefuteOptions) (*Report, error)
 	}
 
 	// Phase 2: Lemma 4 + Fig. 3.
-	var hookStates []system.State
-	var hookInputs map[int]string
-	inits, err := ClassifyInits(sys, opt.Build)
-	if err != nil {
-		return nil, err
+	if inits == nil {
+		if inits, err = ClassifyInits(sys, opt.Build); err != nil {
+			return nil, err
+		}
 	}
 	report.Inits = inits
+	var hookStates []system.State
+	var hookInputs map[int]string
 	if inits.BivalentIndex >= 0 {
 		hookInputs = inits.Assignments[inits.BivalentIndex]
 		hs, err := FindHook(opt.Build.Ctx, inits.Graph, inits.Roots[inits.BivalentIndex])
@@ -320,49 +343,65 @@ func (sc scenario) run(sys *system.System, J []int, classify classifier, maxRoun
 
 // safetySweep is phase 1: agreement and validity in every failure-free
 // reachable state of every input assignment in {0,1}^n, one certificate per
-// violating assignment, in assignment order. The 2^n graphs overlap heavily
-// (forward n=4: 15 454 vertices, 4 546 distinct), so their union is built
-// once from all 2^n roots; Graph.rootSets recovers which assignments reach
-// a vertex — validity depends on it, agreement does not. The union never
-// escapes and certificates carry step counts, not paths: never durable,
-// closed on return.
+// violating assignment, in assignment order.
+//
+// An assignment whose root canon maps to another's is a process renaming of
+// it, and a renaming maps failure-free executions to failure-free
+// executions while keeping the multiset of inputs and the set of decided
+// values, so the two violate alike. When canon maps every root to the
+// canonical root of the monotone assignment of its weight (forward, tob),
+// the sweep builds from α_0 … α_n alone: that is the Lemma 4 graph, and
+// when it violates nothing it is returned, open, as phase 2's
+// classification.
+//
+// Otherwise — no canon, orbits that are not the weights, or a violation —
+// the union of all 2^n graphs is built from all 2^n roots (forward n=4:
+// 4 546 vertices where the Lemma 4 graph has 2 486) and every assignment
+// is checked on it; Graph.rootSets recovers which assignments reach a
+// vertex — validity depends on it, agreement does not. The union is closed
+// on return; certificates carry step counts, not paths.
 //
 // The 2^n roots are exempt from the vertex budget once built, so the budget
 // is checked against their count before one is enumerated: an n whose 2^n
 // exceeds the budget, or does not fit an int, is refused at 0 explored.
-func safetySweep(sys *system.System, opt BuildOptions) ([]Certificate, error) {
-	if n, budget := len(sys.ProcessIDs()), opt.budget(); n >= 63 || 1<<n > budget {
-		return nil, &LimitError{Limit: budget, Explored: 0}
+func safetySweep(sys *system.System, opt BuildOptions, canon Canonicalizer) ([]Certificate, *InitClassification, error) {
+	n := len(sys.ProcessIDs())
+	if budget := opt.budget(); n >= 63 || 1<<n > budget {
+		return nil, nil, &LimitError{Limit: budget, Explored: 0}
 	}
 	assignments := AllAssignments(sys)
-	roots := make([]system.State, len(assignments))
-	for i, inputs := range assignments {
-		var err error
-		if roots[i], err = ApplyInputs(sys, inputs); err != nil {
-			return nil, err
+	roots, err := applyAll(sys, assignments)
+	if err != nil {
+		return nil, nil, err
+	}
+	if weightOrbits(sys, roots, canon) {
+		var monoInputs []map[int]string
+		var monoRoots []system.State
+		for w := 0; w <= n; w++ {
+			monoInputs = append(monoInputs, assignments[1<<w-1])
+			monoRoots = append(monoRoots, roots[1<<w-1])
+		}
+		g, err := BuildGraph(sys, monoRoots, opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		violated, err := sweepViolations(opt.Ctx, sys, g, monoInputs)
+		if err == nil && !slices.Contains(violated, true) {
+			return nil, classify(monoInputs, g), nil
+		}
+		CloseGraphStore(g)
+		if err != nil {
+			return nil, nil, err
 		}
 	}
-	opt.GraphDir = ""
 	g, err := BuildGraph(sys, roots, opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer CloseGraphStore(g)
-	reach, err := g.rootSets(opt.Ctx)
+	violated, err := sweepViolations(opt.Ctx, sys, g, assignments)
 	if err != nil {
-		return nil, err
-	}
-	violated := make([]bool, len(assignments))
-	for id := range StateID(g.Size()) {
-		st, _ := g.State(id)
-		if values := decidedValues(sys.Decisions(st)); len(values) > 0 {
-			for i, inputs := range assignments {
-				if !violated[i] && reach.has(id, i) {
-					kind, _ := safetyViolation(values, inputs)
-					violated[i] = kind != KindNone
-				}
-			}
-		}
+		return nil, nil, err
 	}
 	var certs []Certificate
 	for i, inputs := range assignments {
@@ -370,7 +409,58 @@ func safetySweep(sys *system.System, opt BuildOptions) ([]Certificate, error) {
 			certs = append(certs, sweepCertificate(sys, g, g.Roots()[i], inputs))
 		}
 	}
-	return certs, nil
+	return certs, nil, nil
+}
+
+// weightOrbits reports whether canon maps the root of every assignment i
+// (AllAssignments order) to the canonical root of α_w, assignment 2^w − 1,
+// where w is the number of processes i gives input "1". False when canon
+// is nil.
+func weightOrbits(sys *system.System, roots []system.State, canon Canonicalizer) bool {
+	if canon == nil {
+		return false
+	}
+	fingerprint := func(st system.State) string {
+		return string(sys.AppendFingerprint(nil, canon.Canonical(st)))
+	}
+	mono := map[int]string{}
+	for i := 0; i < len(roots); i = 2*i + 1 {
+		mono[i] = fingerprint(roots[i])
+	}
+	for i, root := range roots {
+		if rep := 1<<bits.OnesCount(uint(i)) - 1; i != rep && fingerprint(root) != mono[rep] {
+			return false
+		}
+	}
+	return true
+}
+
+// sweepViolations reports, per root of g, whether some vertex it reaches
+// violates agreement or validity for inputs[root] — the root's assignment.
+func sweepViolations(ctx context.Context, sys *system.System, g *Graph, inputs []map[int]string) ([]bool, error) {
+	reach, err := g.rootSets(ctx)
+	if err != nil {
+		return nil, err
+	}
+	valid := make([]map[string]bool, len(inputs))
+	for i := range inputs {
+		valid[i] = inputValues(inputs[i])
+	}
+	violated := make([]bool, len(inputs))
+	for id := range StateID(g.Size()) {
+		st, _ := g.State(id)
+		values := decidedValues(sys.Decisions(st))
+		if len(values) == 0 {
+			continue
+		}
+		for i := range inputs {
+			if !violated[i] && reach.has(id, i) {
+				kind, _ := safetyViolation(values, valid[i])
+				violated[i] = kind != KindNone
+			}
+		}
+	}
+	return violated, nil
 }
 
 // sweepCertificate derives a violating assignment's certificate from the
@@ -381,6 +471,7 @@ func safetySweep(sys *system.System, opt BuildOptions) ([]Certificate, error) {
 func sweepCertificate(sys *system.System, g *Graph, root StateID, inputs map[int]string) Certificate {
 	var cert Certificate
 	best := ""
+	valid := inputValues(inputs)
 	seen := make([]bool, g.Size())
 	seen[root] = true
 	for level, steps := []StateID{root}, 0; len(level) > 0; steps++ {
@@ -388,7 +479,7 @@ func sweepCertificate(sys *system.System, g *Graph, root StateID, inputs map[int
 		for _, id := range level {
 			st, _ := g.State(id)
 			dec := sys.Decisions(st)
-			if kind, value := safetyViolation(decidedValues(dec), inputs); kind != KindNone {
+			if kind, value := safetyViolation(decidedValues(dec), valid); kind != KindNone {
 				if fp := g.Fingerprint(id); best == "" || fp < best {
 					best = fp
 					desc := fmt.Sprintf("processes decided %v in one failure-free execution (reachable in %d steps)", dec, steps)
@@ -420,22 +511,21 @@ func decidedValues(dec map[int]string) []string {
 	return values
 }
 
-// isInput reports whether some process was given the value.
-func isInput(inputs map[int]string, v string) bool {
-	for _, in := range inputs {
-		if in == v {
-			return true
-		}
+// inputValues is the set of values some process was given.
+func inputValues(inputs map[int]string) map[string]bool {
+	valid := make(map[string]bool, 2)
+	for _, v := range inputs {
+		valid[v] = true
 	}
-	return false
+	return valid
 }
 
 // safetyViolation checks sorted decided values against validity (the
 // smallest value that is nobody's input is returned) and then agreement;
-// KindNone means both hold.
-func safetyViolation(values []string, inputs map[int]string) (ViolationKind, string) {
+// KindNone means both hold. valid is the assignment's inputValues.
+func safetyViolation(values []string, valid map[string]bool) (ViolationKind, string) {
 	for _, v := range values {
-		if !isInput(inputs, v) {
+		if !valid[v] {
 			return KindValidity, v
 		}
 	}
@@ -449,7 +539,7 @@ func safetyViolation(values []string, inputs map[int]string) (ViolationKind, str
 // consensus condition at the given failure pattern.
 func classifyRun(inputs map[int]string, J []int, res RunResult) *Certificate {
 	dec := res.Decisions
-	if kind, value := safetyViolation(decidedValues(dec), inputs); kind != KindNone {
+	if kind, value := safetyViolation(decidedValues(dec), inputValues(inputs)); kind != KindNone {
 		desc := fmt.Sprintf("processes decided %v under failure pattern %v", dec, J)
 		if kind == KindValidity {
 			desc = fmt.Sprintf("decision %q is not any process's input", value)
@@ -533,9 +623,9 @@ func alternatingAssignment(sys *system.System) map[int]string {
 // validity, at most k distinct decisions, and modified termination.
 func kSetClassifier(k int) classifier {
 	return func(inputs map[int]string, J []int, res RunResult) *Certificate {
-		distinct := map[string]bool{}
+		valid, distinct := inputValues(inputs), map[string]bool{}
 		for _, v := range res.Decisions {
-			if !isInput(inputs, v) {
+			if !valid[v] {
 				return &Certificate{
 					Kind:        KindValidity,
 					Description: fmt.Sprintf("decision %q is not any process's input", v),

@@ -2,16 +2,22 @@ package explore_test
 
 // Tests of Refute's phase 1, the union safety sweep: a differential suite
 // against the per-assignment sweep it replaced (kept below as the oracle),
-// SHA-256 pins of whole reports, the budget and progress contracts of the
-// single sweep build.
+// a second one holding the sweep over α_0 … α_n, where the symmetry orbits
+// are the input weights, equal to the sweep over all 2^n roots, the orbit
+// counts that reduction rests on, SHA-256 pins
+// of whole reports, the budget and progress contracts of the single sweep
+// build, and the release of the classification graph on a cancelled
+// refutation.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"github.com/ioa-lab/boosting/internal/explore"
@@ -115,11 +121,49 @@ func (c contrarian) HandleResponse(ctx *process.Context, svc, resp string) {
 	}
 }
 
+// lopsided is process 0's program in a candidate whose other processes run
+// Forward: it forwards its input and decides the answer, except that given
+// 0 it decides "2" on answer 1. That is a validity violation exactly where
+// process 0 has input 0 and another process input 1 — on no monotone
+// assignment, so a sweep of α_0 … α_n alone would miss it. No renaming
+// is an automorphism; its spec fixes every process.
+type lopsided struct{ protocols.Forward }
+
+func (lopsided) Start(int) map[string]string { return map[string]string{"in": ""} }
+
+func (l lopsided) HandleInit(ctx *process.Context, v string) {
+	ctx.Set("in", v)
+	l.Forward.HandleInit(ctx, v)
+}
+
+func (l lopsided) HandleResponse(ctx *process.Context, svc, resp string) {
+	if v, ok := seqtype.DecideValue(resp); ok && svc == l.Service && ctx.Get("in") == "0" && v == "1" {
+		ctx.Decide("2")
+		return
+	}
+	l.Forward.HandleResponse(ctx, svc, resp)
+}
+
 func buildContrarian(n int) (*system.System, error) {
+	return buildOnConsensus(n, func(int) process.Program { return contrarian{protocols.Forward{Service: "k0"}} })
+}
+
+func buildLopsided(n int) (*system.System, error) {
+	return buildOnConsensus(n, func(i int) process.Program {
+		if i == 0 {
+			return lopsided{protocols.Forward{Service: "k0"}}
+		}
+		return protocols.Forward{Service: "k0"}
+	})
+}
+
+// buildOnConsensus connects n processes, process i running program(i), to
+// one wait-free binary consensus object.
+func buildOnConsensus(n int, program func(i int) process.Program) (*system.System, error) {
 	procs := make([]*process.Process, n)
 	eps := make([]int, n)
 	for i := range procs {
-		procs[i] = process.New(i, contrarian{protocols.Forward{Service: "k0"}})
+		procs[i] = process.New(i, program(i))
 		eps[i] = i
 	}
 	obj, err := service.New(service.Config{
@@ -150,6 +194,8 @@ func sweepCases() []sweepCase {
 		sweepCase{name: "contrarian-n3",
 			build: func() (*system.System, error) { return buildContrarian(3) },
 			spec:  protocols.ForwardSymmetry(3)},
+		sweepCase{name: "lopsided-n3",
+			build: func() (*system.System, error) { return buildLopsided(3) }},
 		sweepCase{name: "tob-n2",
 			build: func() (*system.System, error) { return protocols.BuildTOBConsensus(2, 0, service.Adversarial) },
 			spec:  protocols.TOBSymmetry(2)},
@@ -353,5 +399,204 @@ func TestRefuteProgressSerialized(t *testing.T) {
 	}
 	if last := reports[len(reports)-1]; last.Frontier != 0 || last.States != report.Inits.Graph.Size() {
 		t.Errorf("final report %+v does not close the Lemma 4 graph (%d states)", last, report.Inits.Graph.Size())
+	}
+}
+
+// sweepVerdicts reads Refute's phase-1 verdict off its report: per input
+// assignment of AllAssignments, whether the safety sweep certified it. A
+// report without Inits ended in phase 1, one certificate per violating
+// assignment; a report with Inits passed it.
+func sweepVerdicts(sys *system.System, report *explore.Report) []bool {
+	assignments := explore.AllAssignments(sys)
+	violated := make([]bool, len(assignments))
+	if report.Inits != nil {
+		return violated
+	}
+	for i, inputs := range assignments {
+		for _, c := range report.Certificates {
+			violated[i] = violated[i] || reflect.DeepEqual(c.Inputs, inputs)
+		}
+	}
+	return violated
+}
+
+// TestRefuteOrbitSweepMatchesUnion is the differential oracle of the orbit
+// reduction: for every registry family with a symmetry spec and every
+// violating candidate above, Refute given the canonicalizer
+// (RefuteOptions.Canon set, so a family whose orbits are the input weights
+// sweeps α_0 … α_n alone) certifies the same assignments and renders the
+// same report as Refute sweeping all 2^n roots, per store and symmetry
+// setting; where a budget is set, both trip it identically.
+func TestRefuteOrbitSweepMatchesUnion(t *testing.T) {
+	cases := append(sweepCases(),
+		sweepCase{name: "forward-n5",
+			build: func() (*system.System, error) { return protocols.BuildForward(5, 0, service.Adversarial) },
+			spec:  protocols.ForwardSymmetry(5)},
+		sweepCase{name: "tob-n3",
+			build: func() (*system.System, error) { return protocols.BuildTOBConsensus(3, 0, service.Adversarial) },
+			spec:  protocols.TOBSymmetry(3)})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			canon, err := symmetry.New(sys, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, store := range []explore.StoreKind{explore.StoreDense, explore.StoreSpill} {
+				for _, sym := range []bool{false, true} {
+					label := fmt.Sprintf("%v sym=%v", store, sym)
+					opt := explore.BuildOptions{Store: store, Workers: 1, MaxStates: tc.maxStates}
+					if sym {
+						opt.Symmetry = canon
+					}
+					union, unionErr := explore.Refute(sys, 1, explore.RefuteOptions{Build: opt})
+					orbits, err := explore.Refute(sys, 1, explore.RefuteOptions{Build: opt, Canon: canon})
+					if tc.maxStates > 0 {
+						var want, got *explore.LimitError
+						if !errors.As(unionErr, &want) || !errors.As(err, &got) || *want != *got {
+							t.Fatalf("%s: budget errors differ: union %v, orbits %v", label, unionErr, err)
+						}
+						continue
+					}
+					if fmt.Sprint(unionErr) != fmt.Sprint(err) {
+						t.Fatalf("%s: union %v, orbits %v", label, unionErr, err)
+					}
+					if err != nil {
+						// tob n=3's hook search on the quotient fails alike
+						// on both sides, after phase 1.
+						continue
+					}
+					if got, want := sweepVerdicts(sys, orbits), sweepVerdicts(sys, union); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: violated %v, union says %v", label, got, want)
+					}
+					if got, want := orbits.String(), union.String(); got != want {
+						t.Errorf("%s: report differs from the union sweep's:\n%s\n--- union\n%s", label, got, want)
+					}
+					union.Close()
+					orbits.Close()
+				}
+			}
+		})
+	}
+}
+
+// TestOrbitClassCounts pins how many symmetry orbits the 2^n roots fall
+// into. A family whose orbits are the input weights has n+1, and their
+// first members in assignment order are α_0 … α_n (assignment 2^w − 1), so
+// Refute's sweep graph is the Lemma 4 graph. Register-vote n=3 gets no
+// reduction: its weight-1 roots canonicalize apart, because the renaming
+// relabels a pending read of V_i without restoring the program's ascending
+// read order.
+func TestOrbitClassCounts(t *testing.T) {
+	type row struct {
+		name    string
+		build   func() (*system.System, error)
+		spec    symmetry.Spec
+		classes int
+	}
+	var rows []row
+	for n := 2; n <= 5; n++ {
+		rows = append(rows, row{fmt.Sprintf("forward-n%d", n),
+			func() (*system.System, error) { return protocols.BuildForward(n, 0, service.Adversarial) },
+			protocols.ForwardSymmetry(n), n + 1})
+	}
+	for n := 2; n <= 3; n++ {
+		rows = append(rows, row{fmt.Sprintf("tob-n%d", n),
+			func() (*system.System, error) { return protocols.BuildTOBConsensus(n, 0, service.Adversarial) },
+			protocols.TOBSymmetry(n), n + 1})
+	}
+	rows = append(rows,
+		row{"registervote-n2", func() (*system.System, error) { return protocols.BuildRegisterVote(2) },
+			protocols.RegisterVoteSymmetry(2), 3},
+		row{"registervote-n3", func() (*system.System, error) { return protocols.BuildRegisterVote(3) },
+			protocols.RegisterVoteSymmetry(3), 8})
+	for _, r := range rows {
+		sys, err := r.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon, err := symmetry.New(sys, r.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// firsts[c] is the first assignment whose canonical root is the
+		// c-th distinct one.
+		seen := map[string]bool{}
+		var firsts []int
+		for i, inputs := range explore.AllAssignments(sys) {
+			root, err := explore.ApplyInputs(sys, inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fp := string(sys.AppendFingerprint(nil, canon.Canonical(root))); !seen[fp] {
+				seen[fp] = true
+				firsts = append(firsts, i)
+			}
+		}
+		if len(firsts) != r.classes {
+			t.Errorf("%s: %d orbit classes, want %d", r.name, len(firsts), r.classes)
+		} else if n := len(sys.ProcessIDs()); r.classes == n+1 {
+			for w, i := range firsts {
+				if i != 1<<w-1 {
+					t.Errorf("%s: class %d starts at assignment %d, want α_%d (%d)", r.name, w, i, w, 1<<w-1)
+				}
+			}
+		}
+	}
+}
+
+// cutContext turns Canceled at its cut-th Err call (never when cut is 0)
+// and counts the calls.
+type cutContext struct {
+	context.Context
+	calls atomic.Int64
+	cut   int64
+}
+
+func (c *cutContext) Err() error {
+	if n := c.calls.Add(1); c.cut > 0 && n >= c.cut {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRefuteReleasesGraphOnCancel: forward n=4 on the spill store, scenarios
+// on two workers, with the context cancelled at each of the Err calls a
+// full refutation makes (all on the calling goroutine), in turn. Every cut
+// returns context.Canceled with no spill descriptor left open — also after
+// phase 2, whose classification graph the hook search and the failure
+// scenarios hold (given the canonicalizer, that graph is phase 1's).
+func TestRefuteReleasesGraphOnCancel(t *testing.T) {
+	sys := mustForward(t, 4, 0, service.Adversarial)
+	canon, err := symmetry.New(sys, protocols.ForwardSymmetry(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, c := range []explore.Canonicalizer{nil, canon} {
+		refute := func(ctx *cutContext) error {
+			ctx.Context = context.Background()
+			report, err := explore.Refute(sys, 1, explore.RefuteOptions{
+				Build: explore.BuildOptions{Store: explore.StoreSpill, SpillDir: dir, Workers: 2, Ctx: ctx},
+				Canon: c,
+			})
+			report.Close()
+			return err
+		}
+		full := &cutContext{}
+		if err := refute(full); err != nil {
+			t.Fatal(err)
+		}
+		for cut := int64(1); cut < full.calls.Load(); cut++ {
+			if err := refute(&cutContext{cut: cut}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("canon=%v: cut at call %d of %d: %v, want context.Canceled", c != nil, cut, full.calls.Load(), err)
+			}
+			if open := descriptorsUnder(t, dir); open != 0 {
+				t.Fatalf("canon=%v: cut at call %d of %d: %d spill descriptors left open", c != nil, cut, full.calls.Load(), open)
+			}
+		}
 	}
 }

@@ -192,6 +192,9 @@ func WithMaxRounds(r int) Option { return func(c *config) { c.maxRounds = r } }
 // embed process ids beyond the declared renaming rules — the
 // failure-detector families, whose graph phases the refuter skips anyway —
 // and systems wrapped via NewFromSystem explore unreduced.
+//
+// Checker.Refute consults the registry's group even without this option
+// (see there): the option decides only whether graphs are built reduced.
 func WithSymmetry() Option { return func(c *config) { c.symmetry = true } }
 
 // WithoutGraphAnalysis makes Refute skip the failure-free graph phases
